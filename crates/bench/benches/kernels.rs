@@ -1,7 +1,7 @@
 //! Criterion wall-clock benchmarks of the simulator's hot kernels: the
 //! map kernel with/without record stealing, the scan primitive, and the
 //! two kernel-execution backends (tree-walking interpreter vs the
-//! closure-compiled native backend) on the same annotated C mapper.
+//! register-bytecode native backend) on the same annotated C mappers.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetero_cc::backend::{make_backend, make_backend_with_mode, BackendKind, ElisionMode};
 use hetero_cc::interp::StreamIo;
@@ -81,20 +81,19 @@ fn bench_scan(c: &mut Criterion) {
     g.finish();
 }
 
-/// The wordcount mapper source over a text corpus, once per backend —
-/// the apples-to-apples number behind BENCH_kernels.json's
-/// `interp_vs_native` speedup entry. Both backends must charge the same
-/// stats; the checksum keeps the work honest (and un-optimized-away).
-fn bench_kernel_backend(c: &mut Criterion) {
-    let app = hetero_apps::app_by_code("WC").unwrap();
+/// One annotated C mapper over its generated records, once per backend.
+/// Both backends must charge the same stats; the checksum keeps the
+/// work honest (and un-optimized-away).
+fn bench_mapper_backends(c: &mut Criterion, group: &str, code: &str, records: usize) {
+    let app = hetero_apps::app_by_code(code).unwrap();
     let prog = hetero_cc::compile(app.mapper_source()).unwrap().program;
-    let corpus = hetero_apps::datagen::text_corpus(400, 7);
-    let lines: Vec<Vec<u8>> = corpus
+    let split = app.generate_split(records, 7);
+    let lines: Vec<Vec<u8>> = split
         .split(|&b| b == b'\n')
         .filter(|l| !l.is_empty())
         .map(|l| l.to_vec())
         .collect();
-    let mut g = c.benchmark_group("kernel_backend");
+    let mut g = c.benchmark_group(group);
     for kind in [BackendKind::Interp, BackendKind::Native] {
         let backend = make_backend(kind, &prog);
         g.bench_with_input(
@@ -113,6 +112,20 @@ fn bench_kernel_backend(c: &mut Criterion) {
         );
     }
     g.finish();
+}
+
+/// The wordcount mapper over a 400-line text corpus — bounded by the
+/// builtins (`getWord`, `printf`), 165 nodes a record: the number
+/// behind BENCH_kernels.json's `interp_vs_native` entry.
+fn bench_kernel_backend(c: &mut Criterion) {
+    bench_mapper_backends(c, "kernel_backend", "WC", 400);
+}
+
+/// The BlackScholes mapper over 50 options — compute-bound, 12k nodes
+/// a record, so the ratio is the engines' dispatch cost: the number
+/// behind `interp_vs_native_bs`.
+fn bench_kernel_backend_bs(c: &mut Criterion) {
+    bench_mapper_backends(c, "kernel_backend_bs", "BS", 50);
 }
 
 /// Host-guard elision on the native backend: the same subscript- and
@@ -160,6 +173,7 @@ criterion_group!(
     bench_map_kernel,
     bench_scan,
     bench_kernel_backend,
+    bench_kernel_backend_bs,
     bench_check_elision
 );
 criterion_main!(benches);

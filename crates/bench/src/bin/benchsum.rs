@@ -202,19 +202,25 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
                 ),
             );
             // Interpreter-vs-native-backend speedup on the same annotated
-            // C mapper (the kernel_backend criterion group).
-            if let (Some(i), Some(n)) = (
-                entries.get("kernel_backend/interp"),
-                entries.get("kernel_backend/native"),
-            ) {
-                kernels_obj = kernels_obj.raw(
-                    "interp_vs_native",
-                    JsonObj::new()
-                        .float("interp_s", i.mean_s)
-                        .float("native_s", n.mean_s)
-                        .float("speedup", i.mean_s / n.mean_s.max(1e-12))
-                        .build(),
-                );
+            // C mapper: wordcount (`kernel_backend`, builtin-bound) and
+            // BlackScholes (`kernel_backend_bs`, dispatch-bound).
+            for (group, key) in [
+                ("kernel_backend", "interp_vs_native"),
+                ("kernel_backend_bs", "interp_vs_native_bs"),
+            ] {
+                if let (Some(i), Some(n)) = (
+                    entries.get(&format!("{group}/interp")),
+                    entries.get(&format!("{group}/native")),
+                ) {
+                    kernels_obj = kernels_obj.raw(
+                        key,
+                        JsonObj::new()
+                            .float("interp_s", i.mean_s)
+                            .float("native_s", n.mean_s)
+                            .float("speedup", i.mean_s / n.mean_s.max(1e-12))
+                            .build(),
+                    );
+                }
             }
             // Guard-elision speedup on the native backend: all guards
             // kept vs analysis-proven guards removed (the check_elision
@@ -486,6 +492,28 @@ mod tests {
         // …and the explicit speedup entry records interp_s / native_s.
         assert!(kern.contains("\"interp_vs_native\""), "{kern}");
         assert!(kern.contains("\"speedup\": 4"), "{kern}");
+    }
+
+    #[test]
+    fn bs_backend_pair_yields_its_own_speedup_section() {
+        let s = Scratch::new("backend-bs");
+        s.write(
+            "stub.jsonl",
+            concat!(
+                "{\"id\": \"kernel_backend/interp\", \"mean_s\": 0.08, \"iters\": 10}\n",
+                "{\"id\": \"kernel_backend/native\", \"mean_s\": 0.04, \"iters\": 10}\n",
+                "{\"id\": \"kernel_backend_bs/interp\", \"mean_s\": 0.05, \"iters\": 10}\n",
+                "{\"id\": \"kernel_backend_bs/native\", \"mean_s\": 0.01, \"iters\": 10}\n",
+            ),
+        );
+        summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
+        let kern = s.read("BENCH_kernels.json");
+        assert!(kern.contains("kernel_backend_bs/native"), "{kern}");
+        let wc = extract_value(&kern, "interp_vs_native").unwrap();
+        assert!(wc.contains("\"speedup\": 2"), "{wc}");
+        let bs = extract_value(&kern, "interp_vs_native_bs").unwrap();
+        assert!(bs.contains("\"interp_s\": 0.05"), "{bs}");
+        assert!(bs.contains("\"speedup\": 5"), "{bs}");
     }
 
     #[test]

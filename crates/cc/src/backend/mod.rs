@@ -6,25 +6,43 @@
 //! * [`InterpBackend`] — the tree-walking interpreter
 //!   ([`crate::interp::Interp`]), the executable specification of the
 //!   C subset.
-//! * [`NativeBackend`] — the closure-compiled backend
-//!   ([`native`]): the AST is lowered **once per program** to a tree of
-//!   boxed Rust closures with names resolved to frame-slot offsets and
-//!   `printf`/`scanf` formats pre-parsed, then reused across records.
+//! * [`NativeBackend`] — the register-bytecode engine: the AST is
+//!   lowered **once per program** (`lower`) to flat, `Copy`
+//!   instructions over frame registers and a constant pool
+//!   (`bytecode`), with names, formats, call targets and guard
+//!   decisions resolved, and one `match` loop (`vm`) executes it for
+//!   every record.
 //!
 //! The two are contractually equivalent: byte-identical stdout,
 //! identical `InterpStats` (so gpusim cost charging is bit-identical),
-//! and identical error messages. The differential test stack
-//! (`tests/differential_gen.rs`, `tests/edge_cases.rs`, and the
-//! 8-benchmark matrix in `hetero-core`) pins this contract.
+//! and identical error messages — including *which* error when the
+//! step budget runs out next to a fault. The differential test stack
+//! (`tests/differential_gen.rs`, `tests/edge_cases.rs`,
+//! `tests/fuel_boundary.rs`, and the 8-benchmark matrix in
+//! `hetero-core`) pins this contract.
+//!
+//! One documented divergence, outside the supported subset (the
+//! program generator never emits it, see [`crate::testgen`]): a
+//! `&scalar` reference that escapes its function activation, or is held
+//! across a redeclaration, observes different aliasing — the
+//! interpreter never frees slots, while the VM reuses a frame's
+//! registers for the next call and across loop iterations. (For the
+//! same reason a declaration that is the unbraced body of a skipped
+//! `if` is still in scope afterwards here, and unknown there.)
 //!
 //! Select at runtime with the `HETERO_BACKEND` environment variable
 //! (`interp` or `native`); the default is `native`.
 
-pub mod native;
+mod bytecode;
+mod lower;
+mod vm;
+
+pub use bytecode::LoweringCounts;
 
 use crate::ast::Program;
 use crate::error::CcError;
 use crate::interp::{Interp, InterpStats, StreamIo, DEFAULT_MAX_STEPS};
+use crate::lint::absint::SafetyFacts;
 
 /// A way to execute a kernel program against streaming I/O.
 pub trait KernelBackend: Send + Sync {
@@ -46,7 +64,7 @@ pub trait KernelBackend: Send + Sync {
 pub enum BackendKind {
     /// Tree-walking interpreter (the executable spec).
     Interp,
-    /// Closure-compiled native backend (the default).
+    /// Register-bytecode native backend (the default).
     #[default]
     Native,
 }
@@ -136,7 +154,7 @@ impl ElisionMode {
 }
 
 /// Build a backend of the given kind over `prog`. The native backend
-/// compiles the whole program here, once; running it is then
+/// lowers the whole program here, once; running it is then
 /// allocation-light per record batch. Elision follows `HETERO_ELIDE`.
 pub fn make_backend(kind: BackendKind, prog: &Program) -> Box<dyn KernelBackend> {
     make_backend_with_mode(kind, prog, ElisionMode::from_env())
@@ -163,14 +181,12 @@ pub fn make_backend_with_mode(
 pub fn make_backend_with_facts(
     kind: BackendKind,
     prog: &Program,
-    facts: &crate::lint::absint::SafetyFacts,
+    facts: &SafetyFacts,
     mode: ElisionMode,
 ) -> Box<dyn KernelBackend> {
     match kind {
         BackendKind::Interp => Box::new(InterpBackend::new(prog.clone())),
-        BackendKind::Native => Box::new(NativeBackend {
-            prog: native::NativeProgram::compile_with_facts(prog, facts, mode),
-        }),
+        BackendKind::Native => Box::new(NativeBackend::with_facts(prog, facts, mode)),
     }
 }
 
@@ -198,32 +214,52 @@ impl KernelBackend for InterpBackend {
     }
 }
 
-/// Backend that runs the closure-compiled [`native::NativeProgram`].
+/// Backend that runs the program lowered to register bytecode.
 pub struct NativeBackend {
-    prog: native::NativeProgram,
+    code: bytecode::Bytecode,
 }
 
 impl NativeBackend {
-    /// Lower `prog` to closures (no errors: ill-formed constructs
-    /// compile to deferred-error closures so laziness matches the
-    /// interpreter). Elision follows `HETERO_ELIDE`.
+    /// Lower `prog` (never fails: ill-formed constructs lower to traps
+    /// that raise the interpreter's message only if reached). Elision
+    /// follows `HETERO_ELIDE`.
     pub fn compile(prog: &Program) -> Self {
+        Self::with_mode(prog, ElisionMode::from_env())
+    }
+
+    /// [`compile`](Self::compile) with an explicit [`ElisionMode`],
+    /// running the value analysis here to obtain the safety facts.
+    pub fn with_mode(prog: &Program, mode: ElisionMode) -> Self {
+        Self::with_facts(prog, &SafetyFacts::for_program(prog), mode)
+    }
+
+    /// Lower `prog` reusing an already-computed [`SafetyFacts`] table.
+    /// Facts are keyed by AST node identity, so a table computed for a
+    /// *different* `Program` value (a clone, say) is stale; when
+    /// [`SafetyFacts::matches`] rejects the pairing they are recomputed
+    /// rather than applied.
+    pub fn with_facts(prog: &Program, facts: &SafetyFacts, mode: ElisionMode) -> Self {
         NativeBackend {
-            prog: native::NativeProgram::compile(prog),
+            code: lower::lower(prog, facts, mode),
         }
     }
 
-    /// [`compile`](Self::compile) with an explicit [`ElisionMode`].
-    pub fn with_mode(prog: &Program, mode: ElisionMode) -> Self {
-        NativeBackend {
-            prog: native::NativeProgram::compile_with_mode(prog, mode),
-        }
+    /// Stable text listing of the lowered program: per function its
+    /// blocks with their `(steps, ops)` sums and instructions, then
+    /// the constant pool and side tables.
+    pub fn disasm(&self) -> String {
+        self.code.disasm()
+    }
+
+    /// Size of the lowered program and how its guarded sites lowered.
+    pub fn lowering_counts(&self) -> LoweringCounts {
+        self.code.counts()
     }
 }
 
 impl KernelBackend for NativeBackend {
     fn run_capped(&self, io: &mut StreamIo, max_steps: u64) -> Result<InterpStats, CcError> {
-        self.prog.run(io, max_steps)
+        vm::run(&self.code, io, max_steps)
     }
 
     fn name(&self) -> &'static str {

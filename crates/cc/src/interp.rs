@@ -10,13 +10,13 @@
 //! *same* computation the program actually performed.
 //!
 //! The interpreter is the **executable specification** of the C subset:
-//! the native backend ([`crate::backend::native`]) must agree with it on
-//! every program, byte for byte and stat for stat. To keep the two from
-//! drifting, everything semantic that both need — value arithmetic, the
-//! buffer heap, and the builtin library (`printf`/`scanf`/`getline`/
-//! string ops/SFUs) — lives here as shared `pub(crate)` functions; the
-//! interpreter and the native backend are both thin drivers over this
-//! common core.
+//! the native backend (the register-bytecode engine in
+//! [`crate::backend`]) must agree with it on every program, byte for
+//! byte and stat for stat. To keep the two from drifting, everything
+//! semantic that both need — value arithmetic, the buffer heap, and the
+//! builtin library (`printf`/`scanf`/`getline`/string ops/SFUs) — lives
+//! here as shared `pub(crate)` functions; the interpreter and the
+//! bytecode VM are both thin drivers over this common core.
 
 use crate::ast::*;
 use crate::error::CcError;
@@ -80,21 +80,30 @@ impl StreamIo {
         }
     }
 
-    /// Parse the emitted stdout as tab-separated `key\tvalue` lines.
-    pub fn emitted_kvs(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// The emitted stdout as tab-separated `key\tvalue` lines, borrowed
+    /// from the buffer (a line without a tab is a key with an empty
+    /// value).
+    pub fn emitted_pairs(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         self.stdout
             .split(|&b| b == b'\n')
             .filter(|l| !l.is_empty())
             .map(|l| match l.iter().position(|&b| b == b'\t') {
-                Some(t) => (l[..t].to_vec(), l[t + 1..].to_vec()),
-                None => (l.to_vec(), Vec::new()),
+                Some(t) => (&l[..t], &l[t + 1..]),
+                None => (l, &l[l.len()..]),
             })
+    }
+
+    /// [`emitted_pairs`](Self::emitted_pairs), copied out.
+    pub fn emitted_kvs(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.emitted_pairs()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
 }
 
-/// Values.
-#[derive(Debug, Clone)]
+/// Values. `Copy`: both engines pass them by value (the bytecode VM
+/// keeps them in a flat register stack).
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum V {
     I(i64),
     F(f64),
@@ -193,27 +202,24 @@ pub(crate) fn alloc_buffer(heap: &mut Vec<Buffer>, elem: &CType, n: usize) -> us
     heap.len() - 1
 }
 
-/// Read a NUL-terminated string starting at a pointer, up to `limit`
-/// bytes.
-pub(crate) fn cstr_n(heap: &[Buffer], p: &V, limit: usize) -> Result<Vec<u8>, CcError> {
+/// Borrow the NUL-terminated string starting at a pointer, up to
+/// `limit` bytes.
+pub(crate) fn cstr_ref<'h>(heap: &'h [Buffer], p: &V, limit: usize) -> Result<&'h [u8], CcError> {
     match p {
         V::Ptr { buf, off } => match &heap[*buf] {
             Buffer::Bytes(b) => {
                 let end = b.len().min(off.saturating_add(limit));
-                let slice = &b[*off..end];
+                let slice = b
+                    .get(*off..end)
+                    .ok_or_else(|| CcError::interp("string op out of bounds"))?;
                 let n = slice.iter().position(|&c| c == 0).unwrap_or(slice.len());
-                Ok(slice[..n].to_vec())
+                Ok(&slice[..n])
             }
             _ => Err(CcError::interp("string op on non-char buffer")),
         },
         V::Null => Err(CcError::interp("string op on NULL")),
         _ => Err(CcError::interp("string op on non-pointer")),
     }
-}
-
-/// Read a NUL-terminated string starting at a pointer.
-pub(crate) fn cstr(heap: &[Buffer], p: &V) -> Result<Vec<u8>, CcError> {
-    cstr_n(heap, p, usize::MAX)
 }
 
 /// Write a NUL-terminated string through a pointer (truncating to the
@@ -276,7 +282,8 @@ pub(crate) fn getline_read(
             if io.cursor >= lines.len() {
                 return Ok(None);
             }
-            let r = lines[io.cursor].clone();
+            // The record is consumed exactly once: move it out.
+            let r = std::mem::take(&mut lines[io.cursor]);
             io.cursor += 1;
             r
         }
@@ -328,29 +335,34 @@ pub(crate) fn scan_token(
     let offset = offset as usize;
     let read = read as usize;
     let max_len = max_len as usize;
-    let buf = cstr_n(heap, line, read)?;
-    let is_sep = |b: u8| {
-        if word_mode {
-            !(b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
-        } else {
-            b.is_ascii_whitespace()
+    // Only the token is copied out: the line stays borrowed from the
+    // heap until the destination (possibly the same buffer) is written.
+    let (w, consumed) = {
+        let buf = cstr_ref(heap, line, read)?;
+        let is_sep = |b: u8| {
+            if word_mode {
+                !(b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
+            } else {
+                b.is_ascii_whitespace()
+            }
+        };
+        let mut i = offset.min(buf.len());
+        while i < buf.len() && is_sep(buf[i]) {
+            i += 1;
         }
+        if i >= buf.len() {
+            return Ok(-1);
+        }
+        let start = i;
+        while i < buf.len() && !is_sep(buf[i]) {
+            i += 1;
+        }
+        let w = buf[start..i.min(start + max_len.saturating_sub(1))].to_vec();
+        (w, (i - offset) as i64)
     };
-    let mut i = offset.min(buf.len());
-    while i < buf.len() && is_sep(buf[i]) {
-        i += 1;
-    }
-    if i >= buf.len() {
-        return Ok(-1);
-    }
-    let start = i;
-    while i < buf.len() && !is_sep(buf[i]) {
-        i += 1;
-    }
-    let w = buf[start..i.min(start + max_len.saturating_sub(1))].to_vec();
     stats.mem += w.len() as u64;
     write_cstr(heap, stats, dst, &w)?;
-    Ok((i - offset) as i64)
+    Ok(consumed)
 }
 
 /// One parsed `printf` format segment.
@@ -414,71 +426,88 @@ pub(crate) fn parse_printf(fmt: &str) -> Vec<PSeg> {
     segs
 }
 
-/// Backend-specific context for [`render_printf`]: lazily evaluates the
-/// next argument and resolves `%s` pointers.
-pub(crate) trait PrintfCx {
-    /// Evaluate the next argument (errors with "printf: not enough
-    /// arguments" when exhausted).
-    fn next(&mut self, io: &mut StreamIo) -> Result<V, CcError>;
-    /// Resolve a value as a C string for `%s`.
-    fn str_of(&self, p: &V) -> Result<Vec<u8>, CcError>;
-    /// Stats sink for the rendered output.
-    fn stats(&mut self) -> &mut InterpStats;
-}
-
-/// Render parsed `printf` segments: evaluate arguments lazily in
-/// conversion order, then charge `lines_out`/`mem` and append to stdout
-/// only on full success.
-pub(crate) fn render_printf<C: PrintfCx>(
-    segs: &[PSeg],
-    cx: &mut C,
-    io: &mut StreamIo,
-) -> Result<V, CcError> {
-    let mut out = String::new();
-    for seg in segs {
-        match seg {
-            PSeg::Lit(s) => out.push_str(s),
-            PSeg::Conv { prec, conv } => {
-                let v = cx.next(io)?;
-                match conv {
-                    b'd' | b'i' | b'u' => {
-                        let _ = write!(out, "{}", as_int(&v)?);
-                    }
-                    b'c' => out.push(as_int(&v)? as u8 as char),
-                    b's' => {
-                        let s = cx.str_of(&v)?;
-                        out.push_str(&String::from_utf8_lossy(&s));
-                    }
-                    b'f' | b'e' | b'g' => {
-                        let x = as_f64(&v)?;
-                        let p = prec.unwrap_or(6);
-                        match conv {
-                            b'f' => {
-                                let _ = write!(out, "{x:.p$}", p = p);
-                            }
-                            b'e' => {
-                                let _ = write!(out, "{x:.p$e}", p = p);
-                            }
-                            _ => {
-                                let _ = write!(out, "{x}");
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(CcError::interp(format!(
-                            "printf: unsupported conversion %{}",
-                            *other as char
-                        )))
-                    }
+/// Render one `printf` conversion of `v` into `out`. `%s` resolves the
+/// pointer against `heap`. Both engines evaluate the argument lazily,
+/// immediately before this call, so a conversion error pre-empts the
+/// evaluation of every later argument.
+pub(crate) fn render_conv(
+    out: &mut String,
+    prec: Option<usize>,
+    conv: u8,
+    v: &V,
+    heap: &[Buffer],
+) -> Result<(), CcError> {
+    match conv {
+        b'd' | b'i' | b'u' => {
+            let _ = write!(out, "{}", as_int(v)?);
+        }
+        b'c' => out.push(as_int(v)? as u8 as char),
+        b's' => out.push_str(&String::from_utf8_lossy(cstr(heap, v)?)),
+        b'f' | b'e' | b'g' => {
+            let x = as_f64(v)?;
+            let p = prec.unwrap_or(6);
+            match conv {
+                b'f' => {
+                    let _ = write!(out, "{x:.p$}", p = p);
+                }
+                b'e' => {
+                    let _ = write!(out, "{x:.p$e}", p = p);
+                }
+                _ => {
+                    let _ = write!(out, "{x}");
                 }
             }
         }
+        other => {
+            return Err(CcError::interp(format!(
+                "printf: unsupported conversion %{}",
+                other as char
+            )))
+        }
     }
-    let stats = cx.stats();
+    Ok(())
+}
+
+/// The error for a conversion with no argument left.
+pub(crate) fn printf_missing_arg() -> CcError {
+    CcError::interp("printf: not enough arguments")
+}
+
+/// Commit a fully rendered `printf`: charge `lines_out`/`mem` and
+/// append to stdout (only reached when every conversion succeeded).
+/// Returns the byte count, `printf`'s value.
+pub(crate) fn printf_finish(out: &str, stats: &mut InterpStats, io: &mut StreamIo) -> V {
     stats.lines_out += out.bytes().filter(|&b| b == b'\n').count() as u64;
     stats.mem += out.len() as u64;
     io.stdout.extend_from_slice(out.as_bytes());
-    Ok(V::I(out.len() as i64))
+    V::I(out.len() as i64)
+}
+
+/// One `scanf` conversion, classified once per format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScanConv {
+    /// `%s`: copy the field through the destination pointer.
+    Str,
+    /// `%d` family: lenient integer parse (0 on failure).
+    Int,
+    /// `%f` family: lenient float parse (0.0 on failure).
+    Float,
+}
+
+impl ScanConv {
+    /// Classify one whitespace-separated conversion; the error is the
+    /// one `scanf` raises when it *reaches* an unsupported conversion
+    /// (after evaluating that conversion's destination).
+    pub(crate) fn parse(conv: &str) -> Result<ScanConv, CcError> {
+        match conv {
+            "%s" => Ok(ScanConv::Str),
+            "%d" | "%ld" | "%i" | "%u" => Ok(ScanConv::Int),
+            "%f" | "%lf" | "%g" | "%e" => Ok(ScanConv::Float),
+            other => Err(CcError::interp(format!(
+                "scanf: unsupported conversion {other}"
+            ))),
+        }
+    }
 }
 
 /// Parse a `scanf` format into its whitespace-separated conversions.
@@ -486,70 +515,50 @@ pub(crate) fn parse_scanf(fmt: &str) -> Vec<String> {
     fmt.split_whitespace().map(str::to_string).collect()
 }
 
-/// Backend-specific context for [`run_scanf`].
-pub(crate) trait ScanfCx {
-    /// Evaluate the next destination argument.
-    fn next(&mut self, io: &mut StreamIo) -> Result<V, CcError>;
-    /// `%s`: copy a field through the destination pointer.
-    fn write_str(&mut self, dst: &V, s: &[u8]) -> Result<(), CcError>;
-    /// `%d`/`%f` family: store a scalar through the destination.
-    fn store(&mut self, dst: &V, v: V) -> Result<(), CcError>;
-    /// Stats sink for the consumed record.
-    fn stats(&mut self) -> &mut InterpStats;
-}
-
-/// Run one `scanf` call: consume the next KV record and convert it into
-/// the destinations. `nargs` is the total call argument count including
-/// the format. Returns the match count, or `-1` at end of input.
-pub(crate) fn run_scanf<C: ScanfCx>(
-    convs: &[String],
-    nargs: usize,
-    cx: &mut C,
+/// `scanf` front half: consume the next KV record as `[key, value]`,
+/// or `None` at end of input (the call then returns `-1` without
+/// evaluating any destination).
+pub(crate) fn scanf_read(
     io: &mut StreamIo,
-) -> Result<V, CcError> {
+    stats: &mut InterpStats,
+) -> Result<Option<[Vec<u8>; 2]>, CcError> {
     let (k, v) = match &mut io.input {
         Input::Kvs(kvs) => {
             if io.cursor >= kvs.len() {
-                return Ok(V::I(-1));
+                return Ok(None);
             }
-            let p = kvs[io.cursor].clone();
+            let p = std::mem::take(&mut kvs[io.cursor]);
             io.cursor += 1;
             p
         }
         Input::Lines(_) => return Err(CcError::interp("scanf on line input")),
     };
-    {
-        let stats = cx.stats();
-        stats.records_in += 1;
-        stats.mem += (k.len() + v.len()) as u64;
-    }
-    let fields = [k, v];
-    let mut matched = 0i64;
-    for (ci, conv) in convs.iter().enumerate().take(nargs.saturating_sub(1)) {
-        let dst = cx.next(io)?;
-        let field = &fields[ci.min(1)];
-        let text = String::from_utf8_lossy(field).to_string();
-        match conv.as_str() {
-            "%s" => {
-                cx.write_str(&dst, field)?;
-            }
-            "%d" | "%ld" | "%i" | "%u" => {
-                let n = text.trim().parse::<i64>().unwrap_or(0);
-                cx.store(&dst, V::I(n))?;
-            }
-            "%f" | "%lf" | "%g" | "%e" => {
-                let x = text.trim().parse::<f64>().unwrap_or(0.0);
-                cx.store(&dst, V::F(x))?;
-            }
-            other => {
-                return Err(CcError::interp(format!(
-                    "scanf: unsupported conversion {other}"
-                )))
-            }
+    stats.records_in += 1;
+    stats.mem += (k.len() + v.len()) as u64;
+    Ok(Some([k, v]))
+}
+
+/// Convert one field of the record into its (already evaluated)
+/// destination. Conversion `ci` reads field `min(ci, 1)`.
+pub(crate) fn scanf_store(
+    conv: ScanConv,
+    field: &[u8],
+    dst: &V,
+    heap: &mut [Buffer],
+    slots: &mut [V],
+    stats: &mut InterpStats,
+) -> Result<(), CcError> {
+    match conv {
+        ScanConv::Str => write_cstr(heap, stats, dst, field),
+        ScanConv::Int => {
+            let n = String::from_utf8_lossy(field).trim().parse::<i64>();
+            store_through(heap, slots, stats, dst, V::I(n.unwrap_or(0)))
         }
-        matched += 1;
+        ScanConv::Float => {
+            let x = String::from_utf8_lossy(field).trim().parse::<f64>();
+            store_through(heap, slots, stats, dst, V::F(x.unwrap_or(0.0)))
+        }
     }
-    Ok(V::I(matched))
 }
 
 /// `strfind` core: index of `needle` in `hay`, or `-1` (empty needle
@@ -565,17 +574,180 @@ pub(crate) fn str_find(hay: &[u8], needle: &[u8]) -> i64 {
     }
 }
 
-/// Apply a one-argument special function by name.
-pub(crate) fn sfu1(name: &str, x: f64) -> f64 {
-    match name {
-        "sqrt" => x.sqrt(),
-        "exp" => x.exp(),
-        "log" => x.ln(),
-        "fabs" => x.abs(),
-        "floor" => x.floor(),
-        "ceil" => x.ceil(),
-        "erf" => erf(x),
-        _ => unreachable!("not a 1-arg SFU: {name}"),
+/// The one-argument special functions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sfu1 {
+    Sqrt,
+    Exp,
+    Log,
+    Fabs,
+    Floor,
+    Ceil,
+    Erf,
+}
+
+impl Sfu1 {
+    /// The builtin of that name, if it is a one-argument SFU.
+    pub(crate) fn from_name(name: &str) -> Option<Sfu1> {
+        Some(match name {
+            "sqrt" => Sfu1::Sqrt,
+            "exp" => Sfu1::Exp,
+            "log" => Sfu1::Log,
+            "fabs" => Sfu1::Fabs,
+            "floor" => Sfu1::Floor,
+            "ceil" => Sfu1::Ceil,
+            "erf" => Sfu1::Erf,
+            _ => return None,
+        })
+    }
+
+    /// Apply the function.
+    #[inline]
+    pub(crate) fn apply(self, x: f64) -> f64 {
+        match self {
+            Sfu1::Sqrt => x.sqrt(),
+            Sfu1::Exp => x.exp(),
+            Sfu1::Log => x.ln(),
+            Sfu1::Fabs => x.abs(),
+            Sfu1::Floor => x.floor(),
+            Sfu1::Ceil => x.ceil(),
+            Sfu1::Erf => erf(x),
+        }
+    }
+}
+
+/// `malloc(n)` / `calloc(n, m)`: a zeroed byte buffer of `n` (`n * m`)
+/// bytes, at least one. Negative sizes, an overflowing product and a
+/// reservation the allocator refuses are errors, not panics.
+pub(crate) fn malloc_bytes(
+    heap: &mut Vec<Buffer>,
+    name: &str,
+    n: i64,
+    m: Option<i64>,
+) -> Result<V, CcError> {
+    let invalid = |why: &str| {
+        let size = match m {
+            Some(m) => format!("{n} * {m}"),
+            None => n.to_string(),
+        };
+        CcError::interp(format!("{name}: invalid size {size} ({why})"))
+    };
+    let count = usize::try_from(n).map_err(|_| invalid("negative"))?;
+    let width = usize::try_from(m.unwrap_or(1)).map_err(|_| invalid("negative"))?;
+    let total = count
+        .checked_mul(width)
+        .ok_or_else(|| invalid("overflow"))?
+        .max(1);
+    let mut bytes = Vec::new();
+    bytes
+        .try_reserve_exact(total)
+        .map_err(|_| invalid("allocation failed"))?;
+    bytes.resize(total, 0);
+    heap.push(Buffer::Bytes(bytes));
+    Ok(V::Ptr {
+        buf: heap.len() - 1,
+        off: 0,
+    })
+}
+
+/// The borrowed, unbounded C string at `p`.
+fn cstr<'h>(heap: &'h [Buffer], p: &V) -> Result<&'h [u8], CcError> {
+    cstr_ref(heap, p, usize::MAX)
+}
+
+// Builtin bodies over already-evaluated arguments (each engine
+// evaluates the arguments its own way, then calls these).
+
+/// `strfind(hay, needle)`.
+pub(crate) fn builtin_strfind(
+    heap: &[Buffer],
+    stats: &mut InterpStats,
+    hay: &V,
+    needle: &V,
+) -> Result<V, CcError> {
+    let (hay, needle) = (cstr(heap, hay)?, cstr(heap, needle)?);
+    stats.mem += (hay.len() + needle.len()) as u64;
+    Ok(V::I(str_find(hay, needle)))
+}
+
+/// `strcmp(a, b)` as `-1`/`0`/`1`.
+pub(crate) fn builtin_strcmp(
+    heap: &[Buffer],
+    stats: &mut InterpStats,
+    a: &V,
+    b: &V,
+) -> Result<V, CcError> {
+    let (sa, sb) = (cstr(heap, a)?, cstr(heap, b)?);
+    stats.mem += (sa.len() + sb.len()) as u64;
+    Ok(V::I(sa.cmp(sb) as i64))
+}
+
+/// `strcpy(dst, src)`; evaluates to `dst`.
+pub(crate) fn builtin_strcpy(
+    heap: &mut [Buffer],
+    stats: &mut InterpStats,
+    dst: &V,
+    src: &V,
+) -> Result<V, CcError> {
+    let s = cstr(heap, src)?.to_vec();
+    stats.mem += s.len() as u64;
+    write_cstr(heap, stats, dst, &s)?;
+    Ok(*dst)
+}
+
+/// `strlen(p)`.
+pub(crate) fn builtin_strlen(heap: &[Buffer], p: &V) -> Result<V, CcError> {
+    Ok(V::I(cstr(heap, p)?.len() as i64))
+}
+
+/// `atoi(p)`: lenient, 0 on failure.
+pub(crate) fn builtin_atoi(heap: &[Buffer], p: &V) -> Result<V, CcError> {
+    let n = String::from_utf8_lossy(cstr(heap, p)?)
+        .trim()
+        .parse::<i64>();
+    Ok(V::I(n.unwrap_or(0)))
+}
+
+/// `atof(p)`: lenient, 0.0 on failure.
+pub(crate) fn builtin_atof(heap: &[Buffer], p: &V) -> Result<V, CcError> {
+    let x = String::from_utf8_lossy(cstr(heap, p)?)
+        .trim()
+        .parse::<f64>();
+    Ok(V::F(x.unwrap_or(0.0)))
+}
+
+/// `*p`: a buffer element (one `mem` touch) or the scalar a slot
+/// reference names.
+pub(crate) fn load_through(
+    heap: &[Buffer],
+    slots: &[V],
+    stats: &mut InterpStats,
+    p: &V,
+) -> Result<V, CcError> {
+    match p {
+        V::Ptr { buf, off } => {
+            stats.mem += 1;
+            read_buf(heap, *buf, *off)
+        }
+        V::SlotRef(s) => Ok(slots[*s]),
+        _ => Err(CcError::interp("dereference of non-pointer")),
+    }
+}
+
+/// Unary `-`.
+pub(crate) fn neg(v: V) -> Result<V, CcError> {
+    match v {
+        V::I(v) => Ok(V::I(v.wrapping_neg())),
+        V::F(v) => Ok(V::F(-v)),
+        _ => Err(CcError::interp("negate non-number")),
+    }
+}
+
+/// Unary `~`.
+pub(crate) fn bit_not(v: V) -> Result<V, CcError> {
+    match v {
+        V::I(v) => Ok(V::I(!v)),
+        _ => Err(CcError::interp("~ on non-int")),
     }
 }
 
@@ -866,7 +1038,7 @@ impl<'p> Interp<'p> {
                 let slot = self
                     .lookup(name)
                     .ok_or_else(|| CcError::interp(format!("unknown variable {name}")))?;
-                Ok(self.slots[slot].clone())
+                Ok(self.slots[slot])
             }
             Expr::Unary(op, x) => self.eval_unary(*op, x, io),
             Expr::PostInc(x) => {
@@ -916,7 +1088,7 @@ impl<'p> Interp<'p> {
                     };
                     binary(bop, old, rv)?
                 };
-                self.assign_to(lhs, nv.clone(), io)?;
+                self.assign_to(lhs, nv, io)?;
                 Ok(nv)
             }
             Expr::Cond(c, t, f) => {
@@ -952,7 +1124,7 @@ impl<'p> Interp<'p> {
                     // reference (so getline(&line, ...) can replace the
                     // pointer).
                     if self.array_slots.contains(&slot) {
-                        Ok(self.slots[slot].clone())
+                        Ok(self.slots[slot])
                     } else {
                         Ok(V::SlotRef(slot))
                     }
@@ -964,34 +1136,20 @@ impl<'p> Interp<'p> {
                 _ => Err(CcError::interp("unsupported address-of target")),
             },
             UnOp::Deref => {
-                let v = self.eval(x, io)?;
-                match v {
-                    V::Ptr { buf, off } => {
-                        self.stats.mem += 1;
-                        read_buf(&self.heap, buf, off)
-                    }
-                    V::SlotRef(s) => Ok(self.slots[s].clone()),
-                    _ => Err(CcError::interp("dereference of non-pointer")),
-                }
+                let p = self.eval(x, io)?;
+                load_through(&self.heap, &self.slots, &mut self.stats, &p)
             }
-            UnOp::Neg => match self.eval(x, io)? {
-                V::I(v) => Ok(V::I(v.wrapping_neg())),
-                V::F(v) => Ok(V::F(-v)),
-                _ => Err(CcError::interp("negate non-number")),
-            },
+            UnOp::Neg => neg(self.eval(x, io)?),
             UnOp::Not => Ok(V::I(!truthy(&self.eval(x, io)?) as i64)),
-            UnOp::BitNot => match self.eval(x, io)? {
-                V::I(v) => Ok(V::I(!v)),
-                _ => Err(CcError::interp("~ on non-int")),
-            },
+            UnOp::BitNot => bit_not(self.eval(x, io)?),
             UnOp::PreInc => {
                 let v = num_add(&self.eval(x, io)?, 1)?;
-                self.assign_to(x, v.clone(), io)?;
+                self.assign_to(x, v, io)?;
                 Ok(v)
             }
             UnOp::PreDec => {
                 let v = num_add(&self.eval(x, io)?, -1)?;
-                self.assign_to(x, v.clone(), io)?;
+                self.assign_to(x, v, io)?;
                 Ok(v)
             }
         }
@@ -1011,7 +1169,7 @@ impl<'p> Interp<'p> {
                 if let Some(slot) = self.lookup(name) {
                     if let Some(&stride) = self.strides.get(&slot) {
                         let row = as_int(&self.eval(inner_idx, io)?)? as isize;
-                        if let V::Ptr { buf, off } = self.slots[slot].clone() {
+                        if let V::Ptr { buf, off } = self.slots[slot] {
                             let pos = off as isize + row * stride as isize + i;
                             return check_bounds(&self.heap, buf, pos);
                         }
@@ -1044,14 +1202,7 @@ impl<'p> Interp<'p> {
             }
             Expr::Unary(UnOp::Deref, x) => {
                 let target = self.eval(x, io)?;
-                match target {
-                    V::Ptr { buf, off } => write_buf(&mut self.heap, &mut self.stats, buf, off, &v),
-                    V::SlotRef(s) => {
-                        self.slots[s] = v;
-                        Ok(())
-                    }
-                    _ => Err(CcError::interp("store through non-pointer")),
-                }
+                store_through(&mut self.heap, &mut self.slots, &mut self.stats, &target, v)
             }
             Expr::Cast(_, inner) => self.assign_to(inner, v, io),
             _ => Err(CcError::interp("unsupported assignment target")),
@@ -1080,57 +1231,24 @@ impl<'p> Interp<'p> {
             "getline" => self.builtin_getline(args, io),
             "getWord" => self.builtin_scan_token(args, io, true),
             "getTok" => self.builtin_scan_token(args, io, false),
-            "strfind" => {
-                let h = self.eval(&args[0], io)?;
-                let n = self.eval(&args[1], io)?;
-                let hay = cstr(&self.heap, &h)?;
-                let needle = cstr(&self.heap, &n)?;
-                self.stats.mem += (hay.len() + needle.len()) as u64;
-                Ok(V::I(str_find(&hay, &needle)))
+            "strfind" | "strcmp" | "strcpy" => {
+                let a = self.eval(&args[0], io)?;
+                let b = self.eval(&args[1], io)?;
+                match name {
+                    "strfind" => builtin_strfind(&self.heap, &mut self.stats, &a, &b),
+                    "strcmp" => builtin_strcmp(&self.heap, &mut self.stats, &a, &b),
+                    _ => builtin_strcpy(&mut self.heap, &mut self.stats, &a, &b),
+                }
             }
             "printf" => self.builtin_printf(args, io),
             "scanf" => self.builtin_scanf(args, io),
-            "strcmp" => {
-                let a = self.eval(&args[0], io)?;
-                let b = self.eval(&args[1], io)?;
-                let sa = cstr(&self.heap, &a)?;
-                let sb = cstr(&self.heap, &b)?;
-                self.stats.mem += (sa.len() + sb.len()) as u64;
-                Ok(V::I(match sa.cmp(&sb) {
-                    std::cmp::Ordering::Less => -1,
-                    std::cmp::Ordering::Equal => 0,
-                    std::cmp::Ordering::Greater => 1,
-                }))
-            }
-            "strcpy" => {
-                let dst = self.eval(&args[0], io)?;
-                let src = self.eval(&args[1], io)?;
-                let s = cstr(&self.heap, &src)?;
-                self.stats.mem += s.len() as u64;
-                write_cstr(&mut self.heap, &mut self.stats, &dst, &s)?;
-                Ok(dst)
-            }
-            "strlen" => {
+            "strlen" | "atoi" | "atof" => {
                 let p = self.eval(&args[0], io)?;
-                let s = cstr(&self.heap, &p)?;
-                Ok(V::I(s.len() as i64))
-            }
-            "atoi" => {
-                let p = self.eval(&args[0], io)?;
-                let s = cstr(&self.heap, &p)?;
-                let txt = String::from_utf8_lossy(&s);
-                Ok(V::I(txt.trim().parse::<i64>().unwrap_or(0)))
-            }
-            "atof" => {
-                let p = self.eval(&args[0], io)?;
-                let s = cstr(&self.heap, &p)?;
-                let txt = String::from_utf8_lossy(&s);
-                Ok(V::F(txt.trim().parse::<f64>().unwrap_or(0.0)))
-            }
-            "sqrt" | "exp" | "log" | "fabs" | "floor" | "ceil" | "erf" => {
-                self.stats.sfu += 1;
-                let x = as_f64(&self.eval(&args[0], io)?)?;
-                Ok(V::F(sfu1(name, x)))
+                match name {
+                    "strlen" => builtin_strlen(&self.heap, &p),
+                    "atoi" => builtin_atoi(&self.heap, &p),
+                    _ => builtin_atof(&self.heap, &p),
+                }
             }
             "pow" => {
                 self.stats.sfu += 1;
@@ -1139,17 +1257,13 @@ impl<'p> Interp<'p> {
                 Ok(V::F(a.powf(b)))
             }
             "malloc" | "calloc" => {
-                let n = as_int(&self.eval(&args[0], io)?)? as usize;
-                let n = if name == "calloc" {
-                    n * as_int(&self.eval(&args[1], io)?)? as usize
+                let n = as_int(&self.eval(&args[0], io)?)?;
+                let m = if name == "calloc" {
+                    Some(as_int(&self.eval(&args[1], io)?)?)
                 } else {
-                    n
+                    None
                 };
-                self.heap.push(Buffer::Bytes(vec![0; n.max(1)]));
-                Ok(V::Ptr {
-                    buf: self.heap.len() - 1,
-                    off: 0,
-                })
+                malloc_bytes(&mut self.heap, name, n, m)
             }
             "free" => {
                 for a in args {
@@ -1161,7 +1275,14 @@ impl<'p> Interp<'p> {
                 let v = as_int(&self.eval(&args[0], io)?)?;
                 Ok(V::I(v.wrapping_abs()))
             }
-            _ => Err(CcError::interp(format!("unknown function {name}"))),
+            _ => match Sfu1::from_name(name) {
+                Some(f) => {
+                    self.stats.sfu += 1;
+                    let x = as_f64(&self.eval(&args[0], io)?)?;
+                    Ok(V::F(f.apply(x)))
+                }
+                None => Err(CcError::interp(format!("unknown function {name}"))),
+            },
         }
     }
 
@@ -1203,80 +1324,50 @@ impl<'p> Interp<'p> {
     }
 
     fn builtin_printf(&mut self, args: &'p [Expr], io: &mut StreamIo) -> Result<V, CcError> {
-        let fmt = match &args[0] {
-            Expr::StrLit(s) => s.clone(),
-            _ => return Err(CcError::interp("printf needs a literal format")),
+        let Expr::StrLit(fmt) = &args[0] else {
+            return Err(CcError::interp("printf needs a literal format"));
         };
-        let segs = parse_printf(&fmt);
-        struct Cx<'a, 'p> {
-            it: &'a mut Interp<'p>,
-            args: &'p [Expr],
-            idx: usize,
-        }
-        impl PrintfCx for Cx<'_, '_> {
-            fn next(&mut self, io: &mut StreamIo) -> Result<V, CcError> {
-                let a = self
-                    .args
-                    .get(self.idx)
-                    .ok_or_else(|| CcError::interp("printf: not enough arguments"))?;
-                self.idx += 1;
-                self.it.eval(a, io)
-            }
-            fn str_of(&self, p: &V) -> Result<Vec<u8>, CcError> {
-                cstr(&self.it.heap, p)
-            }
-            fn stats(&mut self) -> &mut InterpStats {
-                &mut self.it.stats
+        // Arguments are evaluated lazily, one per conversion, so a
+        // conversion error pre-empts every later argument and surplus
+        // arguments are never evaluated.
+        let mut out = String::new();
+        let mut rest = args[1..].iter();
+        for seg in parse_printf(fmt) {
+            match seg {
+                PSeg::Lit(s) => out.push_str(&s),
+                PSeg::Conv { prec, conv } => {
+                    let a = rest.next().ok_or_else(printf_missing_arg)?;
+                    let v = self.eval(a, io)?;
+                    render_conv(&mut out, prec, conv, &v, &self.heap)?;
+                }
             }
         }
-        let mut cx = Cx {
-            it: self,
-            args,
-            idx: 1,
-        };
-        render_printf(&segs, &mut cx, io)
+        Ok(printf_finish(&out, &mut self.stats, io))
     }
 
     fn builtin_scanf(&mut self, args: &'p [Expr], io: &mut StreamIo) -> Result<V, CcError> {
         // scanf("<kfmt> <vfmt>", kdst, vdst): reads the next KV pair.
-        let fmt = match &args[0] {
-            Expr::StrLit(s) => s.clone(),
-            _ => return Err(CcError::interp("scanf needs a literal format")),
+        let Expr::StrLit(fmt) = &args[0] else {
+            return Err(CcError::interp("scanf needs a literal format"));
         };
-        let convs = parse_scanf(&fmt);
-        struct Cx<'a, 'p> {
-            it: &'a mut Interp<'p>,
-            args: &'p [Expr],
-            idx: usize,
-        }
-        impl ScanfCx for Cx<'_, '_> {
-            fn next(&mut self, io: &mut StreamIo) -> Result<V, CcError> {
-                let a = &self.args[self.idx];
-                self.idx += 1;
-                self.it.eval(a, io)
-            }
-            fn write_str(&mut self, dst: &V, s: &[u8]) -> Result<(), CcError> {
-                write_cstr(&mut self.it.heap, &mut self.it.stats, dst, s)
-            }
-            fn store(&mut self, dst: &V, v: V) -> Result<(), CcError> {
-                store_through(
-                    &mut self.it.heap,
-                    &mut self.it.slots,
-                    &mut self.it.stats,
-                    dst,
-                    v,
-                )
-            }
-            fn stats(&mut self) -> &mut InterpStats {
-                &mut self.it.stats
-            }
-        }
-        let mut cx = Cx {
-            it: self,
-            args,
-            idx: 1,
+        let Some(fields) = scanf_read(io, &mut self.stats)? else {
+            return Ok(V::I(-1));
         };
-        run_scanf(&convs, args.len(), &mut cx, io)
+        let mut matched = 0i64;
+        // One conversion per destination actually passed.
+        for (ci, (conv, a)) in parse_scanf(fmt).iter().zip(&args[1..]).enumerate() {
+            let dst = self.eval(a, io)?;
+            scanf_store(
+                ScanConv::parse(conv)?,
+                &fields[ci.min(1)],
+                &dst,
+                &mut self.heap,
+                &mut self.slots,
+                &mut self.stats,
+            )?;
+            matched += 1;
+        }
+        Ok(V::I(matched))
     }
 }
 
@@ -1333,20 +1424,21 @@ pub(crate) fn num_add(v: &V, d: i64) -> Result<V, CcError> {
 }
 
 pub(crate) fn binary(op: BinOp, a: V, b: V) -> Result<V, CcError> {
-    binary_impl::<true>(op, a, b)
+    binary_inline::<true>(op, a, b)
 }
 
-/// [`binary`] with the integer div/mod zero guard elided. Only for
+/// The one definition of binary-operator semantics. `#[inline(always)]`
+/// so the bytecode VM's per-operator opcodes, which pass a constant
+/// `op`, each fold to that operator's arm.
+///
+/// `CHECK_DIV = false` elides the integer div/mod zero guard. Only for
 /// sites the value analysis proved never see a zero denominator; if
 /// such a proof were ever wrong, `wrapping_div`/`wrapping_rem` panic
 /// (Rust's own zero check) instead of corrupting state. The guard
 /// charges no [`InterpStats`], so eliding it cannot perturb simulated
 /// cost.
-pub(crate) fn binary_unchecked(op: BinOp, a: V, b: V) -> Result<V, CcError> {
-    binary_impl::<false>(op, a, b)
-}
-
-fn binary_impl<const CHECK_DIV: bool>(op: BinOp, a: V, b: V) -> Result<V, CcError> {
+#[inline(always)]
+pub(crate) fn binary_inline<const CHECK_DIV: bool>(op: BinOp, a: V, b: V) -> Result<V, CcError> {
     use BinOp::*;
     // Pointer arithmetic.
     if let (V::Ptr { buf, off }, V::I(i)) = (&a, &b) {
@@ -1422,13 +1514,13 @@ pub(crate) fn cast(v: &V, ty: &CType) -> V {
     match ty {
         CType::Float | CType::Double => match v {
             V::I(x) => V::F(*x as f64),
-            other => other.clone(),
+            other => *other,
         },
         CType::Int | CType::Char => match v {
             V::F(x) => V::I(*x as i64),
-            other => other.clone(),
+            other => *other,
         },
-        _ => v.clone(),
+        _ => *v,
     }
 }
 

@@ -67,8 +67,8 @@ pub struct Analysis {
     pub regions: Vec<RegionInfo>,
     /// Per-site safety proofs from the value analysis
     /// ([`crate::lint::absint`]); the native backend consumes these via
-    /// [`crate::backend::native::NativeProgram::compile_with_facts`] to
-    /// elide host-side guards. Keyed by AST node identity — valid for
+    /// [`crate::backend::NativeBackend::with_facts`] to pick the guarded
+    /// or unguarded opcode at each site. Keyed by AST node identity — valid for
     /// the exact `Program` analyzed (and moves of it), not for clones;
     /// [`SafetyFacts::matches`] detects staleness.
     pub safety: SafetyFacts,

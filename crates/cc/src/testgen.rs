@@ -52,16 +52,17 @@
 //!
 //! * `&scalar` references escaping their function activation or held
 //!   across a loop-body redeclaration (the backends differ on slot
-//!   reuse — see `backend::native` module docs).
+//!   reuse — see the `backend` module docs).
 //! * Writes through a string-literal pointer held across evaluations
 //!   (each evaluation allocates a fresh buffer in both backends, but
 //!   aliasing patterns are not part of the spec).
 //! * Ill-formed programs beyond the deliberate error-parity cases: the
-//!   native backend compiles unknown names eagerly into deferred-error
-//!   closures, so *unexecuted* ill-formed code is fine, but the
+//!   native backend lowers unknown names to traps that fire only when
+//!   reached, so *unexecuted* ill-formed code is fine, but the
 //!   generator keeps all emitted code executable.
-//! * `calloc`/`malloc` with huge or negative sizes (allocation is real
-//!   in both backends).
+//! * `calloc`/`malloc` with huge sizes (allocation is real in both
+//!   backends; negative and overflowing sizes are an error in both,
+//!   pinned in `tests/edge_cases.rs`).
 
 use crate::interp::StreamIo;
 

@@ -1,16 +1,19 @@
 //! Generative differential suite: random well-typed programs from
 //! `hetero_cc::testgen` must behave identically under the interpreter
-//! and the closure-compiled native backend — byte-identical stdout,
+//! and the register-bytecode native backend — byte-identical stdout,
 //! identical `InterpStats`, identical error text.
 //!
 //! Deterministic by default: `HETERO_TESTGEN_SEED` (default pinned) and
 //! `HETERO_TESTGEN_CASES` (default 256) control the sweep, so CI runs
 //! reproduce locally with the same two env vars. On a mismatch the case
 //! is shrunk by greedily dropping independent segments and the minimal
-//! counterexample (source + input) is written to
-//! `target/testgen-failures/` for artifact upload.
+//! counterexample (source + input + the native backend's bytecode
+//! listing) is written to `target/testgen-failures/` for artifact
+//! upload.
 
-use hetero_cc::backend::{make_backend, make_backend_with_mode, BackendKind, ElisionMode};
+use hetero_cc::backend::{
+    make_backend, make_backend_with_mode, BackendKind, ElisionMode, NativeBackend,
+};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
 use hetero_cc::testgen::{generate, GenCase};
@@ -122,8 +125,15 @@ fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
     let _ = std::fs::create_dir_all(dir);
     let src_path = dir.join(format!("seed-{}.c", case.seed));
     let input_path = dir.join(format!("seed-{}.input.txt", case.seed));
-    let _ = std::fs::write(&src_path, case.source_with(mask));
+    let src = case.source_with(mask);
+    let _ = std::fs::write(&src_path, &src);
     let _ = std::fs::write(&input_path, format!("# why: {why}\n{}", case.input_dump()));
+    // What the native backend actually ran, so the divergence can be
+    // read and not just reproduced.
+    if let Ok(prog) = parse(&src) {
+        let listing = NativeBackend::compile(&prog).disasm();
+        let _ = std::fs::write(dir.join(format!("seed-{}.disasm", case.seed)), listing);
+    }
     src_path.display().to_string()
 }
 

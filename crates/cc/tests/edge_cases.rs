@@ -437,6 +437,55 @@ fn zero_iteration_and_degenerate_loops() {
 }
 
 #[test]
+fn tick_only_code_before_a_join_is_charged_on_its_own_path() {
+    // A statement that costs steps but lowers to no instruction (`;`,
+    // `{}`, `x;`, `free(p);`, the entry of a cond-less `for`), sitting
+    // right after a branch or a call and right before a join: only the
+    // path that runs it pays for it.
+    let thens = ["free(p);", ";", "{}", "n;", "{ ; n; }", "; else ;"];
+    for then in thens {
+        for c in 0..2 {
+            let src = format!(
+                r#"int main() {{ char *p; int c, n; c = {c}; n = 0; p = malloc(4);
+                   if (c) {then}
+                   n = n + 1; printf("n\t%d\n", n); return 0; }}"#
+            );
+            let r = agree(&format!("if (c) {then} with c = {c}"), &src, &In::None);
+            assert!(r.is_ok(), "{src}: {r:?}");
+        }
+    }
+    let cases: &[(&str, &str)] = &[
+        (
+            "condless_for_after_call",
+            r#"int f(int x) { return x + 1; }
+               int main() { int i; i = 0; f(1); for (;;) { i++; if (i > 3) break; } printf("i\t%d\n", i); return 0; }"#,
+        ),
+        (
+            "condless_for_first_in_function",
+            r#"int main() { for (;;) { break; } return 0; }"#,
+        ),
+        (
+            "empty_else_after_return",
+            r#"int f(int c) { if (c) return 1; else ; return 2; }
+               int main() { printf("f\t%d\t%d\n", f(0), f(1)); return 0; }"#,
+        ),
+        (
+            "empty_statements_after_break",
+            r#"int main() { int i; for (i = 0; i < 3; i++) { if (i == 1) { break; ; } ; } printf("i\t%d\n", i); return 0; }"#,
+        ),
+        (
+            "empty_ternary_arms_after_call",
+            r#"int f(int x) { return x; }
+               int main() { int i, n; n = 0; for (i = 0; i < 3; i++) { f(i) ? n : i; while (f(0)) ; } printf("n\t%d\n", n); return 0; }"#,
+        ),
+    ];
+    for (name, src) in cases {
+        let r = agree(name, src, &In::None);
+        assert!(r.is_ok(), "case `{name}` should succeed: {r:?}");
+    }
+}
+
+#[test]
 fn misc_semantics_agree() {
     let cases: &[(&str, &str)] = &[
         // Compound assignment evaluates rhs first, then lhs, and an
@@ -500,5 +549,82 @@ fn misc_semantics_agree() {
     ] {
         let r = agree(name, src, &In::None);
         assert!(r.is_err(), "case `{name}` should fail: {r:?}");
+    }
+}
+
+#[test]
+fn allocation_size_edges() {
+    // Sizes come from the record: a negative, overflowing or
+    // unsatisfiable one is a runtime error with the same text in both
+    // engines, never a panic in the worker.
+    for (name, src, expect) in [
+        (
+            "malloc_negative",
+            "int main() { char *p; p = malloc(0 - 1); return 0; }",
+            "malloc: invalid size -1 (negative)",
+        ),
+        (
+            "calloc_negative_count",
+            "int main() { char *p; p = calloc(0 - 2, 4); return 0; }",
+            "calloc: invalid size -2 * 4 (negative)",
+        ),
+        (
+            "calloc_negative_width",
+            "int main() { char *p; p = calloc(4, 0 - 2); return 0; }",
+            "calloc: invalid size 4 * -2 (negative)",
+        ),
+        (
+            "calloc_overflow",
+            "int main() { char *p; p = calloc(4611686018427387904, 4); return 0; }",
+            "calloc: invalid size 4611686018427387904 * 4 (overflow)",
+        ),
+        (
+            "malloc_unsatisfiable",
+            "int main() { char *p; p = malloc(9223372036854775807); return 0; }",
+            "malloc: invalid size 9223372036854775807 (allocation failed)",
+        ),
+    ] {
+        let r = agree(name, src, &In::None);
+        assert_eq!(
+            r.unwrap_err(),
+            format!("interpreter error: {expect}"),
+            "case `{name}`"
+        );
+    }
+    // Zero still yields a one-byte buffer.
+    let src = r#"int main() { char *p; p = malloc(0); p[0] = 7; printf("x\t%d\n", p[0] + strlen(calloc(0, 8))); return 0; }"#;
+    let (out, _) = agree("malloc_zero", src, &In::None).unwrap();
+    assert_eq!(out, b"x\t7\n");
+}
+
+#[test]
+fn value_of_an_indexed_update_is_assigned_after_its_store() {
+    // `x = a[x]++` and friends: the store re-evaluates the index with
+    // the *old* `x`; only then does the outer assignment land.
+    let cases: &[(&str, &str)] = &[
+        (
+            "post_inc_indexed_by_target",
+            r#"int main() { int a[4]; int x; x = 1; a[1] = 3; x = a[x]++; printf("x\t%d\t%d\t%d\n", x, a[1], a[3]); return 0; }"#,
+        ),
+        (
+            "pre_inc_indexed_by_target",
+            r#"int main() { int a[4]; int x; x = 1; a[1] = 2; x = ++a[x]; printf("x\t%d\t%d\t%d\n", x, a[1], a[3]); return 0; }"#,
+        ),
+        (
+            "compound_indexed_by_target",
+            r#"int main() { int a[4]; int x; x = 1; a[1] = 1; x = (a[x] += 2); printf("x\t%d\t%d\t%d\n", x, a[1], a[3]); return 0; }"#,
+        ),
+        (
+            "operand_survives_later_write",
+            r#"int main() { int x, y; x = 2; y = x + (x = 5) * x + x++ - (x -= 1); printf("y\t%d\t%d\n", y, x); return 0; }"#,
+        ),
+        (
+            "call_args_survive_nested_calls",
+            r#"int f(int a, int b, int c) { return a * 100 + b * 10 + c; } int main() { int x; x = 1; printf("f\t%d\n", f(x, f(x, x = 2, x), x++)); return 0; }"#,
+        ),
+    ];
+    for (name, src) in cases {
+        let r = agree(name, src, &In::None);
+        assert!(r.is_ok(), "case `{name}` should succeed: {r:?}");
     }
 }

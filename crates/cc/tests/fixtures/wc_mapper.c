@@ -1,0 +1,20 @@
+int main()
+{
+  char word[30], *line;
+  size_t nbytes = 10000;
+  int read, linePtr, offset, one;
+  line = (char*) malloc(nbytes*sizeof(char));
+  #pragma mapreduce mapper key(word) value(one) \
+    keylength(30) vallength(1)
+  while( (read = getline(&line, &nbytes, stdin)) != -1) {
+    linePtr = 0;
+    offset = 0;
+    one = 1;
+    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
+      printf("%s\t%d\n", word, one);
+      offset += linePtr;
+    }
+  }
+  free(line);
+  return 0;
+}

@@ -4,17 +4,15 @@
 //! central programmability claim.
 //!
 //! Kernel execution goes through a [`KernelBackend`]: either the tree
-//! walking interpreter or the closure-compiled native backend (see
+//! walking interpreter or the register-bytecode native backend (see
 //! `hetero_cc::backend`). Both charge identical [`InterpStats`], so the
 //! cost models — and therefore every simulated cycle downstream — are
 //! bit-identical regardless of backend. `HETERO_BACKEND=interp|native`
 //! selects the default; [`InterpMapper::with_backend`] pins one
 //! explicitly.
-//!
-//! [`InterpStats`]: hetero_cc::interp::InterpStats
 
 use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, KernelBackend};
-use hetero_cc::interp::StreamIo;
+use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::{CcError, Compiled};
 use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
 use std::sync::Arc;
@@ -66,23 +64,28 @@ impl InterpMapper {
 
 impl Mapper for InterpMapper {
     fn map(&self, record: &[u8], out: &mut dyn Emit) {
-        let mut io = StreamIo::lines(vec![record.to_vec()]);
-        match self.backend.run(&mut io) {
-            Ok(stats) => {
-                // Interpreter op counts → abstract cost units. The /4
-                // discounts interpreter dispatch versus compiled code.
-                out.charge(OpCount::new(stats.ops / 4 + stats.mem / 2, stats.sfu));
-                for (k, v) in io.emitted_kvs() {
-                    if !out.emit(&k, &v) {
-                        return;
-                    }
-                }
-            }
-            Err(_) => {
-                // A runtime error in user code drops the record (Hadoop
-                // Streaming would fail the task; task-level failure is
-                // exercised separately).
-            }
+        // One copy of the record, with room for the `\n` and NUL that
+        // `getline` appends to the buffer it takes over.
+        let mut line = Vec::with_capacity(record.len() + 2);
+        line.extend_from_slice(record);
+        let mut io = StreamIo::lines(vec![line]);
+        // A runtime error in user code drops the record (Hadoop
+        // Streaming would fail the task; task-level failure is
+        // exercised separately).
+        if let Ok(stats) = self.backend.run(&mut io) {
+            emit_run(&stats, &io, out);
+        }
+    }
+}
+
+/// Charge one kernel run's cost and forward its emitted pairs.
+fn emit_run(stats: &InterpStats, io: &StreamIo, out: &mut dyn Emit) {
+    // Interpreter op counts → abstract cost units. The /4 discounts
+    // interpreter dispatch versus compiled code.
+    out.charge(OpCount::new(stats.ops / 4 + stats.mem / 2, stats.sfu));
+    for (k, v) in io.emitted_pairs() {
+        if !out.emit(k, v) {
+            return;
         }
     }
 }
@@ -136,12 +139,7 @@ impl Combiner for InterpCombiner {
             .collect();
         let mut io = StreamIo::kvs(kvs);
         if let Ok(stats) = self.backend.run(&mut io) {
-            out.charge(OpCount::new(stats.ops / 4 + stats.mem / 2, stats.sfu));
-            for (k, v) in io.emitted_kvs() {
-                if !out.emit(&k, &v) {
-                    return;
-                }
-            }
+            emit_run(&stats, &io, out);
         }
     }
 }

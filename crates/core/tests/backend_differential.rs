@@ -1,7 +1,7 @@
 //! Backend-matrix differential test: every benchmark's annotated C
 //! sources, run as a *whole functional job* (HDFS splits → map/combine
 //! on CPU and simulated GPU → shuffle → reduce), must produce the same
-//! bits under the tree-walking interpreter and the closure-compiled
+//! bits under the tree-walking interpreter and the register-bytecode
 //! native backend — at any worker-pool width, and under every
 //! guard-elision mode of the native backend.
 //!

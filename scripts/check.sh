@@ -21,6 +21,12 @@ echo "== kernel backend smoke (interp vs native differential + elision modes, re
 HETERO_TESTGEN_CASES=32 cargo test -q -p hetero-cc --test differential_gen
 cargo test -q -p heterodoop --test backend_differential
 
+echo "== e2e ledger (its own tests, then all six workloads at smoke size: outputs verified, fingerprints stable)"
+# A package of its own (empty [workspace], own Cargo.lock and target/):
+# the workspace commands above do not reach it.
+cargo test --release --offline -q --manifest-path e2e/Cargo.toml
+cargo run --release --offline -q --manifest-path e2e/Cargo.toml -- --all --smoke
+
 echo "== heterolint --deny-warnings (bundled benchmarks)"
 mkdir -p results
 cargo run -q -p hetero-bench --bin heterolint -- --deny-warnings --json results/lint.json
