@@ -13,9 +13,10 @@
 //!    executor to prove the final job *output bytes* match an
 //!    uninterrupted run.
 //!
-//! Writes `results/chaos.json` (per-run records) and the repo-root
-//! `BENCH_faults.json` (recovery-overhead distribution of a master
-//! crash, the committed perf-trajectory artifact).
+//! Writes `results/chaos.json` (per-run records) and, from the full
+//! sweep only, the repo-root `BENCH_faults.json` (recovery-overhead
+//! distribution of a master crash, the committed perf-trajectory
+//! artifact — a smoke run must not replace it with a two-seed sample).
 //!
 //! Usage: `chaos [--smoke] [--threads N]` — `--smoke` is the bounded CI
 //! mode (seconds, not minutes); the full sweep runs from
@@ -397,16 +398,19 @@ fn main() {
         .build();
     std::fs::write("results/chaos.json", chaos + "\n").expect("write results/chaos.json");
 
-    let bench = JsonObj::new()
-        .str("artifact", "BENCH_faults")
-        .str("mode", if smoke { "smoke" } else { "full" })
-        .int("runs", runs)
-        .raw("recovery_overhead", dist)
-        .build();
-    std::fs::write("BENCH_faults.json", bench + "\n").expect("write BENCH_faults.json");
+    if !smoke {
+        let bench = JsonObj::new()
+            .str("artifact", "BENCH_faults")
+            .str("mode", "full")
+            .int("runs", runs)
+            .raw("recovery_overhead", dist)
+            .build();
+        std::fs::write("BENCH_faults.json", bench + "\n").expect("write BENCH_faults.json");
+    }
 
     println!(
         "chaos: {runs} runs, 0 hangs, 0 lost tasks, {violations} audit violations \
-         — wrote results/chaos.json and BENCH_faults.json"
+         — wrote results/chaos.json{}",
+        if smoke { "" } else { " and BENCH_faults.json" }
     );
 }

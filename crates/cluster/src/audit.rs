@@ -1,9 +1,10 @@
 //! The invariant auditor: after **every** DES event, cross-check the
-//! indexed scheduler's incremental structures — [`PendingIndex`
-//! views](crate::sim), free-slot free-lists, the lazy expiry heap, the
-//! speculation pool, and the `usable_nodes` / `cluster_live_gpus` /
-//! `node_attempts` / `node_winners` aggregates — against a ground-truth
-//! recomputation from the attempt/task/node tables.
+//! event loop's counters and the indexed scheduler's incremental
+//! structures — `PendingIndex` views, free-slot free-lists, the lazy
+//! expiry heap, the speculation pool, and the `usable_nodes` /
+//! `cluster_live_gpus` / `node_attempts` / `node_winners` aggregates —
+//! against a ground-truth recomputation from the attempt/task/node
+//! tables.
 //!
 //! The per-event hook is compiled only under `debug_assertions` or the
 //! `audit` cargo feature, so release benches pay nothing; within an

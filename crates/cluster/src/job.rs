@@ -1,5 +1,6 @@
 //! Job descriptions consumed by the cluster simulator.
 
+use crate::config::ConfigError;
 use hetero_hdfs::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +62,31 @@ impl JobSpec {
             maps,
             reduces: Vec::new(),
         }
+    }
+
+    /// Check that every duration is finite and non-negative (zero is a
+    /// legal duration). The simulator adds durations to its clock: an
+    /// infinite one never completes, a negative or NaN one runs the clock
+    /// backwards or poisons it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let check = |kind: &str, id: u32, field: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                Err(ConfigError(format!(
+                    "job {}: {kind} task {id}: {field} {v} must be finite and non-negative",
+                    self.name
+                )))
+            }
+        };
+        for m in &self.maps {
+            check("map", m.id, "cpu_s", m.cpu_s)?;
+            check("map", m.id, "gpu_s", m.gpu_s)?;
+        }
+        for r in &self.reduces {
+            check("reduce", r.id, "compute_s", r.compute_s)?;
+        }
+        Ok(())
     }
 
     /// Total map work in CPU-seconds.

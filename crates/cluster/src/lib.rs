@@ -14,6 +14,7 @@
 
 pub mod audit;
 pub mod config;
+mod index;
 pub mod job;
 pub mod journal;
 pub mod reference;

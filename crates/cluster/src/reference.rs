@@ -1,225 +1,32 @@
-//! The **retained scan-based scheduler**: a line-for-line copy of the
-//! discrete-event simulator *before* its hot paths were replaced with
-//! indexed structures ([`crate::sim`]). This module is the executable
-//! specification the indexed scheduler is differentially tested against —
-//! every `JobStats` field, per-task `(id, attempt, node, outcome)` tuple,
-//! and trace JSON byte must match [`crate::sim::simulate`] exactly.
+//! The **scan-based scheduler index** — the executable specification of
+//! [`SchedIndex`]. There is one event loop ([`crate::sim`]); this module
+//! only supplies the naive way to answer its questions: walk the whole
+//! pending list, the whole attempt table, the whole task table or every
+//! node, every time. [`simulate_reference`] runs the shared loop over
+//! these scans, and the differential suites require every `JobStats`
+//! field, per-task `(id, attempt, node, outcome)` tuple and trace JSON
+//! byte to match [`crate::sim::simulate`], which runs it over the
+//! incremental structures of `crate::index`. What that comparison can
+//! catch is exactly an index that drifts from a scan; the event handlers
+//! themselves exist once and are covered by the auditor, the recovery and
+//! invariant suites and the figure tests.
 //!
 //! It is kept runnable (not `#[cfg(test)]`) so the criterion benches can
-//! record the before/after DES throughput delta, but it is **not** the
-//! production path: every scheduling decision scans the full pending
-//! list, the full attempt table, or every node, which is O(n·m) at the
-//! 10k-node / million-task scale the indexed path targets. Do not add
-//! features here; behavior changes land in `sim.rs` first and this copy
-//! only ever changes to stay semantically identical.
+//! record the indexed-vs-scan DES throughput delta, but it is **not** a
+//! production path: the scans are O(n·m) at the 10k-node / million-task
+//! scale the indexed path targets. The only state here is what no table
+//! records — the order of the pending queue and which slots are taken —
+//! held in the plainest form (a `Vec` in queue order, busy flags).
 
-use crate::config::{ClusterConfig, Scheduler};
+use crate::config::ClusterConfig;
 use crate::job::JobSpec;
-use crate::journal::{Journal, JtRecord};
-use crate::sim::{fault_unit, reduce_finish_time, Event, Scheduled};
-use crate::stats::{Device, JobStats, Outcome};
-use hetero_hdfs::{Locality, NodeId, Topology};
-use hetero_trace::{ArgValue, Category, Tracer};
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use crate::sim::{run, AttemptState, SchedIndex, Slot, Tables};
+use crate::stats::JobStats;
+use hetero_hdfs::{Locality, NodeId};
+use hetero_trace::Tracer;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AttemptState {
-    /// Waiting in a GPU driver queue.
-    Queued,
-    Running,
-    Succeeded,
-    Failed,
-    /// Node declared dead under it.
-    Lost,
-    /// Another attempt of the task finished first.
-    Killed,
-}
-
-/// One execution attempt of a map task.
-struct Attempt {
-    task: u32,
-    node: u32,
-    device: Device,
-    /// Slot index on the node: CPU-slot index for CPU attempts, GPU
-    /// index for GPU attempts.
-    slot: u32,
-    /// Effective duration (straggler factor applied).
-    dur: f64,
-    start: f64,
-    /// When the attempt actually began executing (for GPU-queued
-    /// attempts this is later than `start`). Tracing only.
-    run_start: Option<f64>,
-    /// Pre-drawn fault: fail at `start + frac * dur` with this outcome.
-    fail_frac: Option<(f64, Outcome)>,
-    state: AttemptState,
-    /// Index of the stats record.
-    rec: usize,
-}
-
-impl Attempt {
-    fn live(&self) -> bool {
-        matches!(self.state, AttemptState::Running | AttemptState::Queued)
-    }
-}
-
-#[derive(Default)]
-struct TaskState {
-    done: bool,
-    /// Node that ran the winning attempt (for output-loss re-execution).
-    winner_node: Option<u32>,
-    /// Failures charged against `max_attempts`.
-    failed_count: u32,
-    /// Attempt indices, in launch order.
-    attempts: Vec<usize>,
-}
-
-struct NodeState {
-    /// Ground truth: false once the crash event fires.
-    alive: bool,
-    /// JobTracker's view: declared dead + blacklisted after expiry.
-    dead_declared: bool,
-    last_heartbeat: f64,
-    /// Per-CPU-slot busy flags (slot identity matters for the trace).
-    cpu_busy: Vec<bool>,
-    gpu_busy: Vec<bool>,
-    gpu_dead: Vec<bool>,
-    gpu_queue: VecDeque<usize>, // queued attempt indices (forced tasks)
-    /// Per-reduce-slot busy flags.
-    reduce_busy: Vec<bool>,
-    cpu_samples: (f64, u32), // (total task seconds, count)
-    gpu_samples: (f64, u32),
-}
-
-impl NodeState {
-    fn free_cpu(&self) -> u32 {
-        self.cpu_busy.iter().filter(|b| !**b).count() as u32
-    }
-
-    /// Claim the lowest-numbered free CPU slot.
-    fn grab_cpu(&mut self) -> u32 {
-        let i = self
-            .cpu_busy
-            .iter()
-            .position(|b| !*b)
-            .expect("grab_cpu with no free slot");
-        self.cpu_busy[i] = true;
-        i as u32
-    }
-
-    fn release_cpu(&mut self, slot: u32) {
-        self.cpu_busy[slot as usize] = false;
-    }
-
-    fn free_reduce(&self) -> u32 {
-        self.reduce_busy.iter().filter(|b| !**b).count() as u32
-    }
-
-    fn grab_reduce(&mut self) -> u32 {
-        let i = self
-            .reduce_busy
-            .iter()
-            .position(|b| !*b)
-            .expect("grab_reduce with no free slot");
-        self.reduce_busy[i] = true;
-        i as u32
-    }
-
-    fn release_reduce(&mut self, slot: u32) {
-        self.reduce_busy[slot as usize] = false;
-    }
-    fn ave_speedup(&self, fallback: f64) -> f64 {
-        if self.cpu_samples.1 > 0 && self.gpu_samples.1 > 0 {
-            let cpu = self.cpu_samples.0 / self.cpu_samples.1 as f64;
-            let gpu = self.gpu_samples.0 / self.gpu_samples.1 as f64;
-            if gpu > 0.0 {
-                cpu / gpu
-            } else {
-                fallback
-            }
-        } else {
-            fallback
-        }
-    }
-
-    fn usable(&self) -> bool {
-        self.alive && !self.dead_declared
-    }
-
-    fn live_gpus(&self) -> u32 {
-        self.gpu_dead.iter().filter(|d| !**d).count() as u32
-    }
-
-    fn free_live_gpu(&self) -> Option<usize> {
-        self.gpu_busy
-            .iter()
-            .zip(&self.gpu_dead)
-            .position(|(b, d)| !*b && !*d)
-    }
-
-    fn free_live_gpu_count(&self) -> u32 {
-        self.gpu_busy
-            .iter()
-            .zip(&self.gpu_dead)
-            .filter(|(b, d)| !**b && !**d)
-            .count() as u32
-    }
-}
-
-/// A reduce task currently holding a slot.
-#[derive(Debug, Clone, Copy)]
-struct RunningReduce {
-    task: u32,
-    node: u32,
-    slot: u32,
-    start: f64,
-}
-
-struct Sim<'a> {
-    cfg: &'a ClusterConfig,
-    job: &'a JobSpec,
-    topo: Topology,
-    nodes: Vec<NodeState>,
-    tasks: Vec<TaskState>,
-    attempts: Vec<Attempt>,
-    pending: Vec<u32>,
-    pending_reduces: VecDeque<u32>,
-    running_reduces: Vec<RunningReduce>,
-    maps_done: usize,
-    /// Bumped whenever a completed map is invalidated (node loss), so
-    /// stale scheduled ReduceDone events are ignored on pop.
-    maps_epoch: u32,
-    reduces_done: usize,
-    last_map_done_t: f64,
-    max_speedup: f64,
-    shuffle_per_reduce_s: f64,
-    planned_crashes: u32,
-    /// Whether the master is currently crash-stopped.
-    jt_down: bool,
-    /// TaskTracker reports that arrived while the master was down, in
-    /// their original `(time, seq)` order; drained at recovery.
-    deferred: Vec<Scheduled>,
-    /// The master's write-ahead journal — the same [`Journal`] the
-    /// indexed scheduler keeps, because journaling is part of the JT
-    /// spec (record counts are differentially compared).
-    journal: Journal,
-    /// Per-node heartbeat counter — the identity the loss/jitter dice
-    /// are drawn from.
-    hb_beat: Vec<u64>,
-    /// The plan injects faults that can silence a live tracker (or the
-    /// master), so expiry checks must keep running even after every
-    /// planned node crash has been detected.
-    silencing_faults: bool,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    now: f64,
-    stats: JobStats,
-    tracer: &'a Tracer,
-    /// `tracer.is_enabled() && cfg.trace.enabled`, cached.
-    trace_on: bool,
-}
-
-/// Run `job` through the retained scan-based scheduler; returns the job
-/// statistics. Must stay bit-identical to [`crate::sim::simulate`].
+/// Run `job` through the scan-based index; returns the job statistics.
+/// Must stay bit-identical to [`crate::sim::simulate`].
 pub fn simulate_reference(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
     simulate_reference_traced(cfg, job, &Tracer::off())
 }
@@ -228,1229 +35,158 @@ pub fn simulate_reference(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
 /// `tracer` — the byte-level comparison target for the indexed
 /// scheduler's trace output.
 pub fn simulate_reference_traced(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
-    let mut sim = Sim::new(cfg, job, tracer);
-    sim.run();
-    sim.stats
+    run::<ScanIndex>(cfg, job, tracer, None)
 }
 
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a ClusterConfig, job: &'a JobSpec, tracer: &'a Tracer) -> Self {
-        let gpus = cfg.effective_gpus();
-        // Full config validation (cluster shape plus the fault plan —
-        // against the physical GPU count: a fault on a GPU the scheduler
-        // ignores is valid, but a fault on hardware that does not exist
-        // is a plan bug). Identical to the indexed simulator's check.
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
-        let nodes: Vec<NodeState> = (0..cfg.num_slaves)
-            .map(|_| NodeState {
-                alive: true,
-                dead_declared: false,
-                last_heartbeat: 0.0,
-                cpu_busy: vec![false; cfg.map_slots_per_node as usize],
-                gpu_busy: vec![false; gpus as usize],
-                gpu_dead: vec![false; gpus as usize],
-                gpu_queue: VecDeque::new(),
-                reduce_busy: vec![false; cfg.reduce_slots_per_node as usize],
-                cpu_samples: (0.0, 0),
-                gpu_samples: (0.0, 0),
-            })
-            .collect();
+/// [`SchedIndex`] by full scans of the [`Tables`].
+#[derive(Default)]
+pub(crate) struct ScanIndex {
+    /// Pending map tasks in queue order.
+    pending: Vec<u32>,
+    /// Busy flag per slot, by [`Slot`] kind then node (slot identity
+    /// matters for the trace). A dead GPU's flag is left as it was.
+    busy: [Vec<Vec<bool>>; 3],
+}
 
-        let total_shuffle_bytes: u64 = job.maps.iter().map(|m| m.output_bytes).sum();
-        let shuffle_per_reduce_s = if job.reduces.is_empty() {
-            0.0
-        } else {
-            total_shuffle_bytes as f64 / job.reduces.len() as f64 / cfg.shuffle_bw
-        };
-
-        let mut sim = Sim {
-            cfg,
-            job,
-            topo: Topology::new(cfg.num_slaves, cfg.nodes_per_rack),
-            nodes,
-            tasks: (0..job.maps.len()).map(|_| TaskState::default()).collect(),
-            attempts: Vec::new(),
-            pending: (0..job.maps.len() as u32).collect(),
-            pending_reduces: (0..job.reduces.len() as u32).collect(),
-            running_reduces: Vec::new(),
-            maps_done: 0,
-            maps_epoch: 0,
-            reduces_done: 0,
-            last_map_done_t: 0.0,
-            max_speedup: 1.0,
-            shuffle_per_reduce_s,
-            planned_crashes: 0,
-            jt_down: false,
-            deferred: Vec::new(),
-            journal: Journal::new(job.maps.len(), cfg.num_slaves as usize, job.reduces.len()),
-            hb_beat: vec![0; cfg.num_slaves as usize],
-            silencing_faults: !cfg.faults.partitions.is_empty()
-                || cfg.faults.heartbeat_loss_p > 0.0
-                || cfg.faults.heartbeat_jitter_s > 0.0
-                || !cfg.faults.jobtracker_crashes.is_empty(),
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0.0,
-            stats: JobStats::new(&job.name),
-            tracer,
-            trace_on: tracer.is_enabled() && cfg.trace.enabled,
-        };
-        sim.trace_name_lanes();
-
-        // Stagger initial heartbeats so nodes do not thundering-herd the JT.
-        for n in 0..cfg.num_slaves {
-            sim.push(
-                (n as f64 / cfg.num_slaves as f64) * cfg.heartbeat_s,
-                Event::Heartbeat(n),
-            );
-        }
-        // Inject the fault plan as first-class events. Rack failures are
-        // correlated node crashes: they expand to one crash event per
-        // member node, after the singleton crashes, sharing the dedup set
-        // so a node named both ways crashes exactly once (first event
-        // wins, as in the physical world).
-        let mut crash_nodes = HashSet::new();
-        for &(n, t) in &cfg.faults.node_crashes {
-            if n < cfg.num_slaves && crash_nodes.insert(n) {
-                sim.push(t, Event::NodeCrash(n));
-            }
-        }
-        for &(r, t) in &cfg.faults.rack_failures {
-            for n in 0..cfg.num_slaves {
-                if sim.topo.rack_of(NodeId(n)).0 == r && crash_nodes.insert(n) {
-                    sim.push(t, Event::NodeCrash(n));
-                }
-            }
-        }
-        sim.planned_crashes = crash_nodes.len() as u32;
-        for &(n, g, t) in &cfg.faults.gpu_faults {
-            sim.push(t, Event::GpuFault { node: n, gpu: g });
-        }
-        for &t in &cfg.faults.jobtracker_crashes {
-            sim.push(t, Event::JobTrackerCrash);
-        }
-        if sim.planned_crashes > 0 || sim.silencing_faults {
-            sim.push(cfg.heartbeat_s, Event::ExpiryCheck);
-        }
-        sim
-    }
-
-    fn push(&mut self, time: f64, event: Event) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-    }
-
-    // ---------------------------------------------------------- tracing
-    //
-    // Lane layout: pid = node id, one pid past the last node = the
-    // JobTracker. Within a node, tids are CPU map slots, then GPUs, then
-    // reduce slots, then one "events" lane for instants.
-
-    fn lane_cpu(&self, slot: u32) -> u32 {
-        slot
-    }
-
-    fn lane_gpu(&self, g: u32) -> u32 {
-        self.cfg.map_slots_per_node + g
-    }
-
-    fn lane_reduce(&self, slot: u32) -> u32 {
-        self.cfg.map_slots_per_node + self.cfg.effective_gpus() + slot
-    }
-
-    fn lane_events(&self) -> u32 {
-        self.cfg.map_slots_per_node + self.cfg.effective_gpus() + self.cfg.reduce_slots_per_node
-    }
-
-    fn jobtracker_pid(&self) -> u32 {
-        self.cfg.num_slaves
-    }
-
-    fn trace_name_lanes(&self) {
-        if !self.trace_on {
-            return;
-        }
-        for n in 0..self.cfg.num_slaves {
-            self.tracer.name_process(n, format!("node {n}"));
-            for s in 0..self.cfg.map_slots_per_node {
-                self.tracer
-                    .name_lane(n, self.lane_cpu(s), format!("cpu slot {s}"));
-            }
-            for g in 0..self.cfg.effective_gpus() {
-                self.tracer
-                    .name_lane(n, self.lane_gpu(g), format!("gpu {g}"));
-            }
-            for r in 0..self.cfg.reduce_slots_per_node {
-                self.tracer
-                    .name_lane(n, self.lane_reduce(r), format!("reduce slot {r}"));
-            }
-            self.tracer.name_lane(n, self.lane_events(), "events");
-        }
-        self.tracer
-            .name_process(self.jobtracker_pid(), "jobtracker");
-        self.tracer.name_lane(self.jobtracker_pid(), 0, "events");
-    }
-
-    /// The lane an attempt executes on.
-    fn attempt_lane(&self, a: &Attempt) -> u32 {
-        match a.device {
-            Device::Cpu => self.lane_cpu(a.slot),
-            Device::Gpu => self.lane_gpu(a.slot),
-        }
-    }
-
-    /// Emit the execution span of a finished attempt (however it ended).
-    fn trace_attempt_end(&self, aidx: usize, outcome: Outcome) {
-        if !self.trace_on {
-            return;
-        }
-        let a = &self.attempts[aidx];
-        let Some(run_start) = a.run_start else {
-            return; // never executed (died in a GPU queue)
-        };
-        let attempt_no = self.tasks[a.task as usize]
-            .attempts
+impl ScanIndex {
+    /// Free slots of `kind` on `n`, lowest-numbered first.
+    fn free_slots<'s>(
+        &'s self,
+        kind: Slot,
+        t: &'s Tables,
+        n: u32,
+    ) -> impl Iterator<Item = usize> + 's {
+        let dead = &t.nodes[n as usize].gpu_dead;
+        self.busy[kind as usize][n as usize]
             .iter()
-            .position(|&ai| ai == aidx)
-            .unwrap_or(0);
-        let cat = match outcome {
-            Outcome::Success => Category::Task,
-            Outcome::SpeculativeKilled => Category::Speculation,
-            _ => Category::Fault,
-        };
-        self.tracer.span(
-            cat,
-            format!("map {} a{}", a.task, attempt_no),
-            a.node,
-            self.attempt_lane(a),
-            run_start,
-            self.now,
-            vec![
-                ("task", ArgValue::from(a.task)),
-                ("attempt", ArgValue::from(attempt_no)),
-                (
-                    "device",
-                    ArgValue::from(match a.device {
-                        Device::Cpu => "cpu",
-                        Device::Gpu => "gpu",
-                    }),
-                ),
-                ("outcome", ArgValue::from(format!("{outcome:?}"))),
-            ],
-        );
+            .enumerate()
+            .filter(move |&(i, &taken)| !(taken || kind == Slot::Gpu && dead[i]))
+            .map(|(i, _)| i)
     }
+}
 
-    /// Emit an instant on a node's events lane.
-    fn trace_node_instant(&self, cat: Category, name: &str, node: u32) {
-        if !self.trace_on {
-            return;
-        }
-        self.tracer
-            .instant(cat, name, node, self.lane_events(), self.now, vec![]);
-    }
-
-    /// Emit an instant on the JobTracker lane.
-    fn trace_jt_instant(&self, cat: Category, name: String, args: Vec<(&'static str, ArgValue)>) {
-        if !self.trace_on {
-            return;
-        }
-        self.tracer
-            .instant(cat, name, self.jobtracker_pid(), 0, self.now, args);
-    }
-
-    fn work_remains(&self) -> bool {
-        self.maps_done < self.job.maps.len() || self.reduces_done < self.job.reduces.len()
-    }
-
-    fn run(&mut self) {
-        // A cluster with zero capacity for a task kind the job needs can
-        // never finish: heartbeats would re-arm forever while
-        // `work_remains()` stays true. Abort up front instead of hanging.
-        let map_capacity = self.cfg.map_slots_per_node + self.cfg.effective_gpus();
-        if (!self.job.maps.is_empty() && map_capacity == 0)
-            || (!self.job.reduces.is_empty() && self.cfg.reduce_slots_per_node == 0)
-        {
-            self.stats.aborted = true;
-            self.stats.makespan_s = self.now;
-            self.stats.map_phase_s = self.last_map_done_t;
-            self.stats.max_speedup_seen = self.max_speedup;
-            self.stats.journal_records = self.journal.records_written();
-            self.stats.journal_snapshots = self.journal.snapshots_taken();
-            return;
-        }
-        while let Some(sch) = self.heap.pop() {
-            let Scheduled { time, event, .. } = sch;
-            self.now = time;
-            if self.jt_down {
-                match event {
-                    // TaskTracker reports cannot reach a dead master: the
-                    // trackers buffer them and re-deliver after recovery,
-                    // in their original order.
-                    Event::MapDone { .. }
-                    | Event::MapFail { .. }
-                    | Event::ReduceDone { .. }
-                    | Event::GpuFault { .. } => {
-                        self.deferred.push(sch);
-                        continue;
-                    }
-                    // The master's expiry timer died with it; recovery
-                    // re-arms it.
-                    Event::ExpiryCheck => continue,
-                    // Heartbeats (unanswered but re-arming), node crashes
-                    // (physical), and the master's own crash/recover
-                    // events proceed.
-                    _ => {}
-                }
-            }
-            match event {
-                Event::Heartbeat(n) => self.heartbeat(n),
-                Event::ExpiryCheck => self.expiry_check(),
-                Event::NodeCrash(n) => {
-                    self.nodes[n as usize].alive = false;
-                    self.trace_node_instant(Category::Fault, "node crash", n);
-                }
-                Event::GpuFault { node, gpu } => self.gpu_fault(node, gpu),
-                Event::MapDone { attempt } => self.map_done(attempt),
-                Event::MapFail { attempt, outcome } => self.map_fail(attempt, outcome),
-                Event::ReduceDone { node, task, epoch } => self.reduce_done_ev(node, task, epoch),
-                Event::JobTrackerCrash => self.jobtracker_crash(),
-                Event::JobTrackerRecover => self.jobtracker_recover(),
-            }
-            if self.stats.aborted || !self.work_remains() {
-                break;
-            }
-        }
-        if self.work_remains() {
-            self.stats.aborted = true;
-        }
-        self.stats.makespan_s = self.now;
-        self.stats.map_phase_s = self.last_map_done_t;
-        self.stats.max_speedup_seen = self.max_speedup;
-        self.stats.journal_records = self.journal.records_written();
-        self.stats.journal_snapshots = self.journal.snapshots_taken();
-    }
-
-    // ---------------------------------------------------------- heartbeats
-
-    /// Whether `node` sits inside an active partition window right now.
-    /// Windows are half-open `[start, end)`: the first beat at or after
-    /// `end` is the one that heals the partition.
-    fn partitioned(&self, node: u32) -> bool {
-        self.cfg
-            .faults
-            .partitions
-            .iter()
-            .any(|(nodes, start, end)| {
-                self.now >= *start && self.now < *end && nodes.contains(&node)
-            })
-    }
-
-    fn heartbeat(&mut self, n: u32) {
-        let ni = n as usize;
-        if !self.nodes[ni].alive {
-            return; // crashed: the tracker falls silent
-        }
-        let fp = &self.cfg.faults;
-        let beat = self.hb_beat[ni];
-        self.hb_beat[ni] += 1;
-        // Delivery: a beat is dropped inside a partition window or by the
-        // per-beat loss die, and goes unanswered while the master is down
-        // (the tracker keeps beating either way).
-        let lost = self.partitioned(n)
-            || (fp.heartbeat_loss_p > 0.0
-                && fault_unit(fp.seed ^ 0x4C4F_5353_4C4F_5353, n as u64, beat, 0)
-                    < fp.heartbeat_loss_p);
-        if lost {
-            self.stats.heartbeats_lost += 1;
-            self.trace_node_instant(Category::Partition, "heartbeat dropped", n);
-        } else if !self.jt_down {
-            self.nodes[ni].last_heartbeat = self.now;
-            if self.trace_on && self.cfg.trace.heartbeats {
-                self.trace_node_instant(Category::Heartbeat, "heartbeat", n);
-            }
-            if self.nodes[ni].dead_declared {
-                // A blacklisted tracker proved it is alive: the partition
-                // healed (or the loss streak ended). Re-admit it.
-                self.readmit(n);
-            }
-            if !self.nodes[ni].dead_declared {
-                self.assign_reduces(n);
-                self.assign_maps(n);
-                if self.cfg.speculative {
-                    self.try_speculate(n);
-                }
-            }
-        }
-        if self.work_remains() {
-            let mut next = self.now + self.cfg.heartbeat_s;
-            if fp.heartbeat_jitter_s > 0.0 {
-                next += fp.heartbeat_jitter_s
-                    * fault_unit(fp.seed ^ 0x4A49_5454_4A49_5454, n as u64, beat, 1);
-            }
-            self.push(next, Event::Heartbeat(n));
-        }
-    }
-
-    /// Re-admit a falsely-expired, still-alive tracker on its first
-    /// delivered heartbeat: lift the blacklist, reset its slots (the
-    /// tracker killed its orphaned work when it learned it had been
-    /// declared dead — its old attempts are already marked `Lost`).
-    fn readmit(&mut self, n: u32) {
-        let ni = n as usize;
-        self.nodes[ni].dead_declared = false;
-        self.nodes[ni].cpu_busy = vec![false; self.cfg.map_slots_per_node as usize];
-        self.nodes[ni].gpu_busy = vec![false; self.cfg.effective_gpus() as usize];
-        self.nodes[ni].gpu_queue.clear();
-        self.nodes[ni].reduce_busy = vec![false; self.cfg.reduce_slots_per_node as usize];
-        self.stats.nodes_readmitted += 1;
-        self.journal.append(JtRecord::NodeReadmitted { node: n });
-        self.trace_jt_instant(
-            Category::Recovery,
-            format!("node {n} re-admitted"),
-            vec![("node", ArgValue::from(n))],
-        );
-    }
-
-    // ------------------------------------------------- master recovery
-
-    fn jobtracker_crash(&mut self) {
-        if self.jt_down {
-            return; // a crash scheduled inside another outage is moot
-        }
-        self.jt_down = true;
-        self.stats.jobtracker_crashes_seen += 1;
-        self.trace_jt_instant(Category::Fault, "jobtracker crash".to_string(), vec![]);
-        self.push(
-            self.now + self.cfg.jobtracker_recovery_s,
-            Event::JobTrackerRecover,
-        );
-    }
-
-    /// The master restarts: every scrap of JT-logical state is discarded
-    /// and rebuilt from the journal replay plus the re-registration
-    /// heartbeats of the trackers that can reach it (see
-    /// [`crate::sim`]'s recovery doc for the full protocol). The scan
-    /// flavor of the same rebuild: everything recomputed from the plain
-    /// tables, in the same deterministic orders.
-    fn jobtracker_recover(&mut self) {
-        let rec = self.journal.replay();
-        let replayed = self.journal.records_written();
-
-        // (a) Journal-derived task/reduce/blacklist state.
-        self.maps_done = 0;
-        for (t, ts) in self.tasks.iter_mut().enumerate() {
-            ts.winner_node = rec.winner[t];
-            ts.done = rec.winner[t].is_some();
-            ts.failed_count = rec.failed_count[t];
-            if ts.done {
-                self.maps_done += 1;
-            }
-        }
-        self.reduces_done = rec.reduces_done.iter().filter(|&&d| d).count();
-        for (n, nd) in self.nodes.iter_mut().enumerate() {
-            nd.dead_declared = rec.blacklisted[n];
-        }
-
-        // (b) Re-registration: alive, reachable trackers report in now;
-        // silent ones keep their stale heartbeat and face expiry.
-        for n in 0..self.cfg.num_slaves {
-            if self.nodes[n as usize].alive && !self.partitioned(n) {
-                self.nodes[n as usize].last_heartbeat = self.now;
-            }
-        }
-
-        // Slot occupancy from the re-reported attempt table. Queued GPU
-        // attempts hold no slot (they wait in the tracker-side driver
-        // queue, which survives).
-        for nd in self.nodes.iter_mut() {
-            nd.cpu_busy = vec![false; self.cfg.map_slots_per_node as usize];
-            nd.gpu_busy = vec![false; self.cfg.effective_gpus() as usize];
-            nd.reduce_busy = vec![false; self.cfg.reduce_slots_per_node as usize];
-        }
-        for a in &self.attempts {
+impl SchedIndex for ScanIndex {
+    fn build(t: &Tables) -> Self {
+        let flags = |slots: u32| vec![vec![false; slots as usize]; t.nodes.len()];
+        let mut busy = [
+            flags(t.cfg.map_slots_per_node),
+            flags(t.cfg.effective_gpus()),
+            flags(t.cfg.reduce_slots_per_node),
+        ];
+        for a in &t.attempts {
             if a.state == AttemptState::Running {
-                let ni = a.node as usize;
-                match a.device {
-                    Device::Cpu => self.nodes[ni].cpu_busy[a.slot as usize] = true,
-                    Device::Gpu => self.nodes[ni].gpu_busy[a.slot as usize] = true,
-                }
+                busy[Slot::of(a.device) as usize][a.node as usize][a.slot as usize] = true;
             }
         }
-        for rr in &self.running_reduces {
-            if !self.stats.reduce_done(rr.task) {
-                self.nodes[rr.node as usize].reduce_busy[rr.slot as usize] = true;
-            }
+        for rr in &t.running_reduces {
+            busy[Slot::Reduce as usize][rr.node as usize][rr.slot as usize] = true;
         }
-
-        // Queues, in task-id order: undone maps with no live attempt, and
-        // unfinished reduces not currently holding a slot.
-        self.pending = (0..self.job.maps.len() as u32)
-            .filter(|&t| {
-                !self.tasks[t as usize].done
-                    && !self.tasks[t as usize]
-                        .attempts
-                        .iter()
-                        .any(|&ai| self.attempts[ai].live())
-            })
-            .collect();
-        let running: HashSet<u32> = self.running_reduces.iter().map(|rr| rr.task).collect();
-        self.pending_reduces = (0..self.job.reduces.len() as u32)
-            .filter(|&r| !rec.reduces_done[r as usize] && !running.contains(&r))
-            .collect();
-
-        // The speedup census, from the re-registration reports.
-        self.max_speedup = 1.0;
-        for nd in self.nodes.iter().filter(|nd| nd.alive) {
-            let ave = nd.ave_speedup(1.0);
-            if ave > self.max_speedup {
-                self.max_speedup = ave;
-            }
-        }
-
-        self.stats.jobtracker_recoveries.push((self.now, replayed));
-        self.trace_jt_instant(
-            Category::Recovery,
-            "jobtracker recovered".to_string(),
-            vec![
-                ("journal_records", ArgValue::from(replayed)),
-                ("deferred_reports", ArgValue::from(self.deferred.len())),
-            ],
-        );
-
-        // Back in business: re-arm the expiry timer and drain the
-        // buffered tracker reports in their original (time, seq) order.
-        self.jt_down = false;
-        self.push(self.now + self.cfg.heartbeat_s, Event::ExpiryCheck);
-        let deferred = std::mem::take(&mut self.deferred);
-        for sch in deferred {
-            match sch.event {
-                Event::MapDone { attempt } => self.map_done(attempt),
-                Event::MapFail { attempt, outcome } => self.map_fail(attempt, outcome),
-                Event::ReduceDone { node, task, epoch } => self.reduce_done_ev(node, task, epoch),
-                Event::GpuFault { node, gpu } => self.gpu_fault(node, gpu),
-                _ => unreachable!("only tracker reports are deferred"),
-            }
+        ScanIndex {
+            pending: (0..t.tasks.len() as u32)
+                .filter(|&task| !t.tasks[task as usize].done && !t.has_live(task))
+                .collect(),
+            busy,
         }
     }
 
-    fn assign_reduces(&mut self, n: u32) {
-        let ni = n as usize;
-        if (self.maps_done as f64) < self.cfg.reduce_start_frac * self.job.maps.len() as f64 {
-            return;
-        }
-        while self.nodes[ni].free_reduce() > 0 && !self.pending_reduces.is_empty() {
-            let r = self.pending_reduces.pop_front().unwrap();
-            let slot = self.nodes[ni].grab_reduce();
-            self.running_reduces.push(RunningReduce {
-                task: r,
-                node: n,
-                slot,
-                start: self.now,
-            });
-            if self.maps_done == self.job.maps.len() {
-                let done_t = reduce_finish_time(
-                    self.now,
-                    self.now,
-                    self.shuffle_per_reduce_s,
-                    self.job.reduces[r as usize].compute_s,
-                );
-                self.push(
-                    done_t,
-                    Event::ReduceDone {
-                        node: n,
-                        task: r,
-                        epoch: self.maps_epoch,
-                    },
-                );
-            }
-            // Otherwise the completion is scheduled when the last map
-            // finishes.
+    fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn is_pending(&self, task: u32) -> bool {
+        self.pending.contains(&task)
+    }
+
+    fn push_pending(&mut self, _t: &Tables, task: u32) {
+        self.pending.push(task);
+    }
+
+    fn remove_pending(&mut self, _t: &Tables, task: u32) {
+        if let Some(i) = self.pending.iter().position(|&p| p == task) {
+            self.pending.remove(i);
         }
     }
 
-    /// Map assignment (Algorithm 2, JobTracker side), with both tail
-    /// thresholds derived from the surviving cluster.
-    fn assign_maps(&mut self, n: u32) {
-        let ni = n as usize;
-        if self.pending.is_empty() {
-            return;
-        }
-        let live_nodes = self.nodes.iter().filter(|nd| nd.usable()).count().max(1) as f64;
-        let cluster_live_gpus: u32 = self
-            .nodes
-            .iter()
-            .filter(|nd| nd.usable())
-            .map(|nd| nd.live_gpus())
-            .sum();
-        let remaining = self.pending.len() as f64;
-        let job_tail = cluster_live_gpus as f64 * self.max_speedup;
-        let in_job_tail = self.cfg.scheduler == Scheduler::TailScheduling && remaining <= job_tail;
-        let node_live_gpus = self.nodes[ni].live_gpus();
-        let free_gpus = self.nodes[ni].free_live_gpu_count();
-        // scheduleNumGPUTasksAtMax vs default (fill all slots).
-        let max_assign = if in_job_tail {
-            if node_live_gpus > 0 {
-                node_live_gpus.min(free_gpus.max(1))
-            } else {
-                self.nodes[ni].free_cpu()
-            }
-        } else {
-            self.nodes[ni].free_cpu() + free_gpus
-        };
-        let remaining_per_node = remaining / live_nodes;
-
-        for _ in 0..max_assign {
-            if self.pending.is_empty() {
-                break;
-            }
-            // Locality-aware FCFS pick.
-            let (idx, loc) = self.pick_task(n);
-            let task = self.pending.remove(idx);
-            self.stats.record_locality(loc);
-
-            // --- TaskTracker side placement. ---
-            let ave = self.nodes[ni].ave_speedup(self.max_speedup);
-            let task_tail = node_live_gpus as f64 * ave;
-            let force_gpu = self.cfg.scheduler == Scheduler::TailScheduling
-                && node_live_gpus > 0
-                && remaining_per_node <= task_tail;
-            let gpu_free = self.nodes[ni].free_live_gpu();
-
-            let placed = match (self.cfg.scheduler, gpu_free) {
-                (Scheduler::CpuOnly, _) => Device::Cpu,
-                (_, Some(_)) => Device::Gpu,
-                (Scheduler::GpuFirst, None) => Device::Cpu,
-                (Scheduler::TailScheduling, None) => {
-                    if force_gpu {
-                        Device::Gpu // queued on the driver
-                    } else {
-                        Device::Cpu
-                    }
-                }
-            };
-            match placed {
-                Device::Cpu => {
-                    if self.nodes[ni].free_cpu() == 0 {
-                        // No CPU slot after all: requeue task.
-                        self.pending.push(task);
-                        continue;
-                    }
-                    self.launch(task, n, Device::Cpu, None, false);
-                }
-                Device::Gpu => self.launch(task, n, Device::Gpu, gpu_free, false),
-            }
-        }
-    }
-
-    /// Choose a pending task for `node`: node-local, then rack-local, then
-    /// the queue head. Replicas on crashed nodes are unreadable and do not
-    /// count toward locality.
-    fn pick_task(&self, n: u32) -> (usize, Locality) {
-        let node = NodeId(n);
-        let mut rack_pick: Option<usize> = None;
+    fn pick(&self, t: &Tables, node: u32) -> (u32, Locality) {
+        let mut rack_pick: Option<u32> = None;
         let mut live_replicas: Vec<NodeId> = Vec::new();
-        for (i, &t) in self.pending.iter().enumerate() {
+        for &task in &self.pending {
             live_replicas.clear();
-            live_replicas.extend(
-                self.job.maps[t as usize]
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|r| self.nodes.get(r.0 as usize).is_some_and(|nd| nd.alive)),
-            );
-            match self.topo.locality(node, &live_replicas) {
-                Locality::NodeLocal => return (i, Locality::NodeLocal),
-                Locality::RackLocal if rack_pick.is_none() => rack_pick = Some(i),
+            live_replicas.extend(t.live_replicas(task));
+            match t.topo.locality(NodeId(node), &live_replicas) {
+                Locality::NodeLocal => return (task, Locality::NodeLocal),
+                Locality::RackLocal if rack_pick.is_none() => rack_pick = Some(task),
                 _ => {}
             }
         }
         match rack_pick {
-            Some(i) => (i, Locality::RackLocal),
-            None => (0, Locality::OffRack),
+            Some(task) => (task, Locality::RackLocal),
+            None => (self.pending[0], Locality::OffRack),
         }
     }
 
-    // ---------------------------------------------------------- attempts
-
-    /// Start (or queue) a new attempt of `task` on `n`. Fault decisions
-    /// are drawn deterministically from the plan seed here.
-    fn launch(&mut self, task: u32, n: u32, device: Device, gpu: Option<usize>, speculative: bool) {
-        let ni = n as usize;
-        let ti = task as usize;
-        let attempt_no = self.tasks[ti].attempts.len() as u32;
-        let spec = &self.job.maps[ti];
-        let base = match device {
-            Device::Cpu => spec.cpu_s,
-            Device::Gpu => spec.gpu_s,
-        };
-        let dur = base * self.cfg.faults.straggler_factor(n);
-
-        let fp = &self.cfg.faults;
-        let fail_frac = if fp.corrupt_task_inputs.contains(&task) && attempt_no == 0 {
-            // First read hits the corrupt replica: the CRC check fails
-            // fast and the retry reads a healthy replica (the HDFS-level
-            // behavior lives in `hetero-hdfs`; here only the schedule
-            // effect is modeled).
-            Some((0.05, Outcome::ChecksumFail))
-        } else if fp.transient_fail_p > 0.0
-            && fault_unit(fp.seed, task as u64, attempt_no as u64, n as u64) < fp.transient_fail_p
-        {
-            let frac = 0.1
-                + 0.8
-                    * fault_unit(
-                        fp.seed ^ 0xA5A5_A5A5_A5A5_A5A5,
-                        task as u64,
-                        attempt_no as u64,
-                        n as u64,
-                    );
-            Some((frac, Outcome::TransientFail))
-        } else {
-            None
-        };
-
-        let rec = self
-            .stats
-            .start_attempt(task, attempt_no, n, device, speculative, self.now);
-        self.journal
-            .append(JtRecord::AttemptStarted { task, node: n });
-        if speculative {
-            self.stats.speculative_attempts += 1;
-        }
-        let aidx = self.attempts.len();
-        self.attempts.push(Attempt {
-            task,
-            node: n,
-            device,
-            slot: gpu.unwrap_or(0) as u32,
-            dur,
-            start: self.now,
-            run_start: None,
-            fail_frac,
-            state: AttemptState::Queued,
-            rec,
-        });
-        self.tasks[ti].attempts.push(aidx);
-        match device {
-            Device::Cpu => {
-                let slot = self.nodes[ni].grab_cpu();
-                self.attempts[aidx].slot = slot;
-                self.ignite(aidx);
-            }
-            Device::Gpu => match gpu {
-                Some(g) => {
-                    self.nodes[ni].gpu_busy[g] = true;
-                    self.ignite(aidx);
-                }
-                None => self.nodes[ni].gpu_queue.push_back(aidx),
-            },
-        }
+    fn free(&self, kind: Slot, t: &Tables, n: u32) -> u32 {
+        self.free_slots(kind, t, n).count() as u32
     }
 
-    /// Begin executing an attempt: schedule its completion or pre-drawn
-    /// failure.
-    fn ignite(&mut self, aidx: usize) {
-        self.attempts[aidx].state = AttemptState::Running;
-        self.attempts[aidx].run_start = Some(self.now);
-        let dur = self.attempts[aidx].dur;
-        match self.attempts[aidx].fail_frac {
-            Some((frac, outcome)) => self.push(
-                self.now + frac * dur,
-                Event::MapFail {
-                    attempt: aidx,
-                    outcome,
-                },
-            ),
-            None => self.push(self.now + dur, Event::MapDone { attempt: aidx }),
-        }
+    fn grab(&mut self, kind: Slot, t: &Tables, n: u32) -> u32 {
+        let slot = self
+            .free_slots(kind, t, n)
+            .next()
+            .expect("grab with no free slot");
+        self.busy[kind as usize][n as usize][slot] = true;
+        slot as u32
     }
 
-    /// Free a GPU: start the next still-valid queued attempt, else idle it.
-    fn release_gpu(&mut self, ni: usize, g: usize) {
-        if self.nodes[ni].gpu_dead[g] {
-            return;
-        }
-        while let Some(next) = self.nodes[ni].gpu_queue.pop_front() {
-            if self.attempts[next].state == AttemptState::Queued {
-                self.attempts[next].slot = g as u32;
-                self.ignite(next);
-                return;
-            }
-        }
-        self.nodes[ni].gpu_busy[g] = false;
+    fn release(&mut self, kind: Slot, n: u32, slot: u32) {
+        self.busy[kind as usize][n as usize][slot as usize] = false;
     }
 
-    fn map_done(&mut self, aidx: usize) {
-        // Stale-event validation: the attempt may have been killed, lost,
-        // or its node crashed since this completion was scheduled.
-        if self.attempts[aidx].state != AttemptState::Running {
-            return;
-        }
-        let (task, n, device, slot, dur) = {
-            let a = &self.attempts[aidx];
-            (a.task, a.node, a.device, a.slot, a.dur)
-        };
-        let ni = n as usize;
-        if !self.nodes[ni].alive {
-            return; // died mid-run; the expiry check will reap it
-        }
-        if self.tasks[task as usize].done {
-            return; // another attempt already won (guard; losers are killed)
-        }
-        self.attempts[aidx].state = AttemptState::Succeeded;
-        let rec = self.attempts[aidx].rec;
-        self.stats.finish_attempt(rec, self.now, Outcome::Success);
-        self.trace_attempt_end(aidx, Outcome::Success);
-        self.tasks[task as usize].done = true;
-        self.tasks[task as usize].winner_node = Some(n);
-        self.journal
-            .append(JtRecord::TaskCompleted { task, node: n });
-        self.maps_done += 1;
-        self.last_map_done_t = self.now;
-        self.kill_losers(task, aidx);
-        match device {
-            Device::Cpu => {
-                self.nodes[ni].release_cpu(slot);
-                self.nodes[ni].cpu_samples.0 += dur;
-                self.nodes[ni].cpu_samples.1 += 1;
-            }
-            Device::Gpu => {
-                self.nodes[ni].gpu_samples.0 += dur;
-                self.nodes[ni].gpu_samples.1 += 1;
-                self.stats.gpu_busy_s += dur;
-                self.release_gpu(ni, slot as usize);
-            }
-        }
-        // TTs report their speedup; the JT remembers the max (§6.2).
-        let ave = self.nodes[ni].ave_speedup(self.max_speedup);
-        if ave > self.max_speedup {
-            self.max_speedup = ave;
-        }
-        // When the final map finishes, running reduces can complete.
-        if self.maps_done == self.job.maps.len() {
-            self.schedule_running_reduce_completions();
-        }
+    fn census(&self, t: &Tables) -> (u32, u32) {
+        let usable = || t.nodes.iter().filter(|nd| nd.usable());
+        (
+            usable().count() as u32,
+            usable().map(|nd| nd.live_gpus()).sum(),
+        )
     }
 
-    /// First finisher wins: kill every other live attempt of the task and
-    /// free its slot right away.
-    fn kill_losers(&mut self, task: u32, winner: usize) {
-        let idxs = self.tasks[task as usize].attempts.clone();
-        for ai in idxs {
-            if ai == winner || !self.attempts[ai].live() {
-                continue;
-            }
-            let was_running = self.attempts[ai].state == AttemptState::Running;
-            self.attempts[ai].state = AttemptState::Killed;
-            let rec = self.attempts[ai].rec;
-            self.stats
-                .finish_attempt(rec, self.now, Outcome::SpeculativeKilled);
-            self.trace_attempt_end(ai, Outcome::SpeculativeKilled);
-            let ni = self.attempts[ai].node as usize;
-            if was_running && self.nodes[ni].alive {
-                match self.attempts[ai].device {
-                    Device::Cpu => {
-                        let slot = self.attempts[ai].slot;
-                        self.nodes[ni].release_cpu(slot);
-                    }
-                    Device::Gpu => {
-                        let g = self.attempts[ai].slot as usize;
-                        self.release_gpu(ni, g);
-                    }
-                }
-            }
-            // Queued losers stay in their gpu_queue; release_gpu skips
-            // non-Queued entries lazily.
-        }
+    fn live_gpus(&self, t: &Tables, n: u32) -> u32 {
+        t.nodes[n as usize].live_gpus()
     }
 
-    fn map_fail(&mut self, aidx: usize, outcome: Outcome) {
-        if self.attempts[aidx].state != AttemptState::Running {
-            return;
-        }
-        let (task, n, device, slot) = {
-            let a = &self.attempts[aidx];
-            (a.task, a.node, a.device, a.slot)
-        };
-        let ni = n as usize;
-        if !self.nodes[ni].alive {
-            return; // the node death supersedes the task failure
-        }
-        self.attempts[aidx].state = AttemptState::Failed;
-        let rec = self.attempts[aidx].rec;
-        self.stats.finish_attempt(rec, self.now, outcome);
-        self.trace_attempt_end(aidx, outcome);
-        match device {
-            Device::Cpu => self.nodes[ni].release_cpu(slot),
-            Device::Gpu => self.release_gpu(ni, slot as usize),
-        }
-        if outcome == Outcome::ChecksumFail {
-            self.stats.checksum_failures += 1;
-        }
-        self.task_attempt_failed(task, outcome);
+    fn expired(&mut self, t: &Tables, now: f64) -> Vec<u32> {
+        (0..t.nodes.len() as u32)
+            .filter(|&n| {
+                let nd = &t.nodes[n as usize];
+                !nd.dead_declared && now - nd.last_heartbeat > t.cfg.heartbeat_timeout_s
+            })
+            .collect()
     }
 
-    /// Charge a failed attempt to its task and re-queue or abort.
-    fn task_attempt_failed(&mut self, task: u32, outcome: Outcome) {
-        let ti = task as usize;
-        if self.tasks[ti].done {
-            return;
-        }
-        // Task-caused failures count toward `max_attempts`; environment
-        // faults (GPU death, node loss) do not — Hadoop charges those to
-        // the tracker (blacklisting), not the task.
-        let charged = matches!(outcome, Outcome::TransientFail | Outcome::ChecksumFail);
-        self.journal
-            .append(JtRecord::AttemptFailed { task, charged });
-        if charged {
-            self.tasks[ti].failed_count += 1;
-            if self.tasks[ti].failed_count >= self.cfg.max_attempts {
-                // mapred.map.max.attempts exhausted: the job fails.
-                self.stats.aborted = true;
-                return;
-            }
-        }
-        let has_live = self.tasks[ti]
-            .attempts
-            .iter()
-            .any(|&ai| self.attempts[ai].live());
-        if !has_live && !self.pending.contains(&task) {
-            self.pending.push(task);
-        }
+    fn live_attempts(&self, t: &Tables, n: u32) -> Vec<usize> {
+        (0..t.attempts.len())
+            .filter(|&ai| t.attempts[ai].node == n && t.attempts[ai].live())
+            .collect()
     }
 
-    // ---------------------------------------------------------- faults
-
-    fn gpu_fault(&mut self, node: u32, gpu: u32) {
-        let ni = node as usize;
-        let g = gpu as usize;
-        if ni >= self.nodes.len() || g >= self.nodes[ni].gpu_dead.len() {
-            return;
-        }
-        if self.nodes[ni].gpu_dead[g] {
-            return;
-        }
-        self.nodes[ni].gpu_dead[g] = true;
-        self.stats.gpu_faults_seen += 1;
-        if self.trace_on {
-            self.tracer.instant(
-                Category::Fault,
-                "gpu fault",
-                node,
-                self.lane_gpu(gpu),
-                self.now,
-                vec![("gpu", ArgValue::from(gpu))],
-            );
-        }
-        // The attempt on the device dies with it.
-        let victim = self.attempts.iter().position(|a| {
-            a.state == AttemptState::Running
-                && a.node == node
-                && a.device == Device::Gpu
-                && a.slot == gpu
-        });
-        if let Some(ai) = victim {
-            self.attempts[ai].state = AttemptState::Failed;
-            let rec = self.attempts[ai].rec;
-            let task = self.attempts[ai].task;
-            self.stats.finish_attempt(rec, self.now, Outcome::GpuFault);
-            self.trace_attempt_end(ai, Outcome::GpuFault);
-            self.task_attempt_failed(task, Outcome::GpuFault);
-        }
-        // With no GPU left on the node, queued-for-GPU attempts go back
-        // to the JobTracker; the node degrades to its CPU slots.
-        if self.nodes[ni].live_gpus() == 0 {
-            while let Some(ai) = self.nodes[ni].gpu_queue.pop_front() {
-                if self.attempts[ai].state != AttemptState::Queued {
-                    continue;
-                }
-                self.attempts[ai].state = AttemptState::Failed;
-                let rec = self.attempts[ai].rec;
-                let task = self.attempts[ai].task;
-                self.stats.finish_attempt(rec, self.now, Outcome::GpuFault);
-                self.task_attempt_failed(task, Outcome::GpuFault);
-            }
-        }
+    fn take_winners(&mut self, t: &Tables, n: u32) -> Vec<u32> {
+        (0..t.tasks.len() as u32)
+            .filter(|&task| {
+                let ts = &t.tasks[task as usize];
+                ts.done && ts.winner_node == Some(n)
+            })
+            .collect()
     }
 
-    fn expiry_check(&mut self) {
-        for n in 0..self.nodes.len() as u32 {
-            if !self.nodes[n as usize].dead_declared
-                && self.now - self.nodes[n as usize].last_heartbeat > self.cfg.heartbeat_timeout_s
-            {
-                self.declare_dead(n);
-            }
-        }
-        // Keep checking until every planned crash has been detected —
-        // forever when the plan can silence a live tracker (partitions,
-        // heartbeat loss/jitter) or the master itself (trackers may
-        // still need expiring after any recovery).
-        if (self.stats.nodes_lost < self.planned_crashes || self.silencing_faults)
-            && !self.stats.aborted
-        {
-            self.push(self.now + self.cfg.heartbeat_s, Event::ExpiryCheck);
-        }
+    fn spec_candidates(&self, t: &Tables) -> Vec<u32> {
+        (0..t.tasks.len() as u32)
+            .filter(|&task| !t.tasks[task as usize].done && t.has_live(task))
+            .collect()
     }
 
-    /// The JobTracker declares a silent TaskTracker dead: blacklist it,
-    /// lose its in-flight attempts, and re-execute its completed maps if
-    /// reduces still need their outputs.
-    fn declare_dead(&mut self, n: u32) {
-        let ni = n as usize;
-        self.nodes[ni].dead_declared = true;
-        self.journal.append(JtRecord::NodeDeclaredDead { node: n });
-        self.stats.nodes_lost += 1;
-        self.stats.node_loss_detected.push((n, self.now));
-        self.trace_jt_instant(
-            Category::Fault,
-            format!("node {n} declared dead"),
-            vec![("node", ArgValue::from(n))],
-        );
-        // Reap in-flight map attempts; node loss is not the task's fault,
-        // so nothing is charged against max_attempts.
-        for ai in 0..self.attempts.len() {
-            if self.attempts[ai].node != n || !self.attempts[ai].live() {
-                continue;
-            }
-            self.attempts[ai].state = AttemptState::Lost;
-            let rec = self.attempts[ai].rec;
-            self.stats.finish_attempt(rec, self.now, Outcome::NodeLost);
-            self.trace_attempt_end(ai, Outcome::NodeLost);
-            let task = self.attempts[ai].task;
-            let ti = task as usize;
-            let has_live = self.tasks[ti]
-                .attempts
-                .iter()
-                .any(|&a2| self.attempts[a2].live());
-            if !self.tasks[ti].done && !has_live && !self.pending.contains(&task) {
-                self.pending.push(task);
-            }
-        }
-        self.nodes[ni].gpu_queue.clear();
-        // Map outputs live on the tracker's local disk: completed maps
-        // must re-run while reduces still need to fetch them. Map-only
-        // jobs write straight to HDFS and lose nothing (Hadoop 1.x).
-        if !self.job.reduces.is_empty() && self.reduces_done < self.job.reduces.len() {
-            let mut re_ran = false;
-            for t in 0..self.tasks.len() {
-                if self.tasks[t].done && self.tasks[t].winner_node == Some(n) {
-                    self.tasks[t].done = false;
-                    self.tasks[t].winner_node = None;
-                    let id = t as u32;
-                    self.journal.append(JtRecord::TaskInvalidated { task: id });
-                    self.maps_done -= 1;
-                    self.stats.re_executed += 1;
-                    re_ran = true;
-                    if !self.pending.contains(&id) {
-                        self.pending.push(id);
-                    }
-                }
-            }
-            if re_ran {
-                self.maps_epoch += 1; // invalidate scheduled reduce finishes
-            }
-        }
-        // Reduces running on the dead node restart elsewhere. In-place,
-        // order-preserving removal: the surviving entries keep their
-        // relative order (which downstream event scheduling depends on
-        // for determinism) and no per-declaration Vec is allocated.
-        let mut i = 0;
-        while i < self.running_reduces.len() {
-            let rr = self.running_reduces[i];
-            if rr.node == n && !self.stats.reduce_done(rr.task) {
-                self.running_reduces.remove(i);
-                self.pending_reduces.push_back(rr.task);
-                self.stats.reduce_attempts_lost += 1;
-                if self.trace_on {
-                    self.tracer.instant(
-                        Category::Fault,
-                        format!("reduce {} lost", rr.task),
-                        n,
-                        self.lane_reduce(rr.slot),
-                        self.now,
-                        vec![("task", ArgValue::from(rr.task))],
-                    );
-                }
-            } else {
-                i += 1;
-            }
-        }
-        // With nobody left the job can never finish. Declared-dead
-        // trackers that are physically alive (false expiry under a
-        // partition or loss streak) still count as a future: they will
-        // re-register and be re-admitted — only an all-crashed cluster
-        // is hopeless. (With legacy plans declared ⇒ crashed, so this is
-        // the old usable-nodes abort exactly.)
-        if self.work_remains()
-            && !self.nodes.iter().any(|nd| nd.usable())
-            && self.nodes.iter().all(|nd| !nd.alive)
-        {
-            self.stats.aborted = true;
-        }
-    }
-
-    // ---------------------------------------------------------- reduces
-
-    fn schedule_running_reduce_completions(&mut self) {
-        let epoch = self.maps_epoch;
-        // Indexed iteration over Copy entries: this runs on the final
-        // map-done heartbeat path and must not clone the whole vec.
-        for i in 0..self.running_reduces.len() {
-            let rr = self.running_reduces[i];
-            if self.stats.reduce_done(rr.task) {
-                continue;
-            }
-            let done_t = reduce_finish_time(
-                rr.start,
-                self.now,
-                self.shuffle_per_reduce_s,
-                self.job.reduces[rr.task as usize].compute_s,
-            );
-            self.push(
-                done_t.max(self.now),
-                Event::ReduceDone {
-                    node: rr.node,
-                    task: rr.task,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    fn reduce_done_ev(&mut self, node: u32, task: u32, epoch: u32) {
-        // Stale if a completed map was invalidated since scheduling, if
-        // the map phase regressed, or if the node died under the reduce.
-        if epoch != self.maps_epoch
-            || self.maps_done != self.job.maps.len()
-            || !self.nodes[node as usize].alive
-        {
-            return;
-        }
-        if self.stats.mark_reduce_done(task, self.now) {
-            self.reduces_done += 1;
-            self.journal.append(JtRecord::ReduceCompleted { task });
-            // Release the slot this reduce held (and drop its entry —
-            // it no longer needs rescheduling or rescue).
-            if let Some(i) = self
-                .running_reduces
-                .iter()
-                .position(|rr| rr.task == task && rr.node == node)
-            {
-                let rr = self.running_reduces.remove(i);
-                self.nodes[node as usize].release_reduce(rr.slot);
-                if self.trace_on {
-                    let compute_s = self.job.reduces[task as usize].compute_s;
-                    let shuffle_end =
-                        (rr.start + self.shuffle_per_reduce_s).min(self.now - compute_s);
-                    let lane = self.lane_reduce(rr.slot);
-                    self.tracer.span(
-                        Category::Shuffle,
-                        format!("shuffle r{task}"),
-                        node,
-                        lane,
-                        rr.start,
-                        shuffle_end.max(rr.start),
-                        vec![("task", ArgValue::from(task))],
-                    );
-                    self.tracer.span(
-                        Category::Task,
-                        format!("reduce {task}"),
-                        node,
-                        lane,
-                        self.now - compute_s,
-                        self.now,
-                        vec![("task", ArgValue::from(task))],
-                    );
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------- speculation
-
-    /// Hadoop-style speculative execution: once no fresh work is pending,
-    /// back up the slowest task whose progress trails the job average by
-    /// more than `cfg.speculative_lag`, on a node other than the one
-    /// running it.
-    fn try_speculate(&mut self, n: u32) {
-        if !self.pending.is_empty() || self.maps_done == self.job.maps.len() {
-            return;
-        }
-        let ni = n as usize;
-        loop {
-            let has_cpu = self.nodes[ni].free_cpu() > 0;
-            let gpu_free = if self.cfg.scheduler == Scheduler::CpuOnly {
-                None
-            } else {
-                self.nodes[ni].free_live_gpu()
-            };
-            if !has_cpu && gpu_free.is_none() {
-                return;
-            }
-            // Done tasks contribute exactly 1.0 progress each; seeding the
-            // sum with their count (instead of interleaving `+= 1.0` into
-            // the scan) fixes one summation order that the indexed
-            // scheduler reproduces term-for-term — float addition is not
-            // associative, so the order is part of the spec.
-            let mut sum = self.maps_done as f64;
-            let mut cnt = self.maps_done as u32;
-            // Slowest backup candidate: single live attempt, off-node.
-            let mut cand: Option<(u32, f64)> = None;
-            for (t, ts) in self.tasks.iter().enumerate() {
-                if ts.done {
-                    continue;
-                }
-                let live: Vec<usize> = ts
-                    .attempts
-                    .iter()
-                    .copied()
-                    .filter(|&ai| self.attempts[ai].live())
-                    .collect();
-                if live.is_empty() {
-                    continue;
-                }
-                let p = live
-                    .iter()
-                    .map(|&ai| {
-                        let a = &self.attempts[ai];
-                        ((self.now - a.start) / a.dur.max(1e-9)).clamp(0.0, 1.0)
-                    })
-                    .fold(0.0f64, f64::max);
-                sum += p;
-                cnt += 1;
-                if live.len() == 1 && self.attempts[live[0]].node != n {
-                    match cand {
-                        Some((_, cp)) if cp <= p => {}
-                        _ => cand = Some((t as u32, p)),
-                    }
-                }
-            }
-            if cnt == 0 {
-                return;
-            }
-            let avg = sum / cnt as f64;
-            let Some((t, p)) = cand else { return };
-            if p >= avg - self.cfg.speculative_lag {
-                return;
-            }
-            self.trace_jt_instant(
-                Category::Speculation,
-                format!("speculate map {t}"),
-                vec![
-                    ("task", ArgValue::from(t)),
-                    ("progress", ArgValue::from(p)),
-                    ("job_avg", ArgValue::from(avg)),
-                ],
-            );
-            match gpu_free {
-                Some(g) => self.launch(t, n, Device::Gpu, Some(g), true),
-                None => self.launch(t, n, Device::Cpu, None, true),
-            }
+    fn node_readmitted(&mut self, _t: &Tables, n: u32) {
+        for pool in &mut self.busy {
+            pool[n as usize].fill(false);
         }
     }
 }

@@ -36,13 +36,12 @@
 
 use crate::config::{ClusterConfig, ConfigError, FaultPlan};
 use crate::job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
-use crate::sim::{mix64, simulate};
+use crate::sim::{mix64, simulate, EventQueue};
 use crate::stats::JobStats;
 use hetero_hdfs::NodeId;
 use hetero_trace::{Category, MetricsRegistry, Tracer};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 // ------------------------------------------------------------ tenants
 
@@ -505,34 +504,6 @@ enum Event {
     Finish(u32),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, o: &Self) -> bool {
-        self.time == o.time && self.seq == o.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap: earlier time first; seq breaks ties deterministically.
-        o.time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then(o.seq.cmp(&self.seq))
-    }
-}
-
 struct RunningJob {
     req: u32,
     tenant: u32,
@@ -545,8 +516,7 @@ struct Service<'a> {
     cfg: &'a ServiceConfig,
     reqs: &'a [JobRequest],
     tracer: &'a Tracer,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+    events: EventQueue<Event>,
     now: f64,
     /// Per-tenant FIFO of admitted-but-waiting request indices.
     queues: Vec<VecDeque<u32>>,
@@ -612,8 +582,7 @@ pub fn run_service_traced(
         cfg,
         reqs: requests,
         tracer,
-        heap: BinaryHeap::new(),
-        seq: 0,
+        events: EventQueue::new(),
         now: 0.0,
         queues: vec![VecDeque::new(); nt],
         granted: vec![0; nt],
@@ -632,26 +601,20 @@ pub fn run_service_traced(
     };
     for &ri in &order {
         let t = requests[ri as usize].arrive_s;
-        svc.push(t, Event::Arrival(ri));
+        svc.events.push(t, Event::Arrival(ri));
     }
     svc.run();
     Ok(svc.finish())
 }
 
 impl<'a> Service<'a> {
-    fn push(&mut self, time: f64, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
     fn tasks_of(&self, req: u32) -> u64 {
         let s = &self.reqs[req as usize].spec;
         (s.maps.len() + s.reduces.len()) as u64
     }
 
     fn run(&mut self) {
-        while let Some(Scheduled { time, event, .. }) = self.heap.pop() {
+        while let Some((time, event)) = self.events.pop() {
             self.now = time;
             match event {
                 Event::Arrival(ri) => self.arrival(ri),
@@ -685,10 +648,14 @@ impl<'a> Service<'a> {
                 ac.max_outstanding_tasks
             ))
         } else {
-            // Validate the job's effective config against its grant —
-            // the fail-fast the single-job path gets from `simulate`'s
-            // panic, delivered here as a rejection.
-            self.job_config(ri).validate().err().map(|e| e.to_string())
+            // Validate the job's effective config against its grant, and
+            // its spec — the fail-fast the single-job path gets from
+            // `simulate`'s panic, delivered here as a rejection.
+            self.job_config(ri)
+                .validate()
+                .and_then(|()| req.spec.validate())
+                .err()
+                .map(|e| e.to_string())
         };
         if let Some(reason) = reject_reason {
             self.tracer.instant(
@@ -795,7 +762,7 @@ impl<'a> Service<'a> {
             start_s: self.now,
             stats: Some(stats),
         });
-        self.push(finish, Event::Finish(run));
+        self.events.push(finish, Event::Finish(run));
     }
 
     fn finish_job(&mut self, run: u32) {

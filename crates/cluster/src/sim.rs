@@ -35,18 +35,30 @@
 //!   falls [`ClusterConfig::speculative_lag`] (default 0.2) below the
 //!   job average; the first finisher wins and the losers are killed
 //!   immediately.
+//!
+//! **One core, two indexes.** Everything above is one event loop,
+//! [`Sim`], over plain [`Tables`] (nodes, tasks, attempts, running
+//! reduces). What a scheduler has to *look up* — the next pending task
+//! for a node, a free slot, the live-cluster census, a node's live
+//! attempts and winning outputs, the speculation pool, the trackers that
+//! just expired — it asks a [`SchedIndex`]. [`simulate`] runs the loop
+//! over the incremental structures of `crate::index`;
+//! [`crate::reference::simulate_reference`] runs the same loop over an
+//! index that answers every question by scanning the tables, and the
+//! differential suites require the two to agree bit for bit.
 
 use crate::config::{ClusterConfig, Scheduler};
+use crate::index::Indexed;
 use crate::job::JobSpec;
 use crate::journal::{Journal, JtRecord};
 use crate::stats::{Device, JobStats, Outcome};
 use hetero_hdfs::{Locality, NodeId, Topology};
 use hetero_trace::{ArgValue, Category, Tracer};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Event {
+enum Event {
     Heartbeat(u32),
     ExpiryCheck,
     NodeCrash(u32),
@@ -72,25 +84,25 @@ pub(crate) enum Event {
     JobTrackerRecover,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Scheduled {
-    pub(crate) time: f64,
-    pub(crate) seq: u64,
-    pub(crate) event: Event,
+/// An event due at simulated `time`; `seq` is its push order.
+struct Scheduled<E> {
+    time: f64,
+    seq: u64,
+    event: E,
 }
 
-impl PartialEq for Scheduled {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, o: &Self) -> bool {
         self.time == o.time && self.seq == o.seq
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
         Some(self.cmp(o))
     }
 }
-impl Ord for Scheduled {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, o: &Self) -> Ordering {
         // Min-heap: earlier time first; seq breaks ties deterministically.
         o.time
@@ -100,8 +112,39 @@ impl Ord for Scheduled {
     }
 }
 
+/// The `(time, seq)` event queue of both DES levels (this job simulator
+/// and the multi-tenant service around it): pops in time order, and in
+/// push order among events due at the same instant.
+pub(crate) struct EventQueue<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    seq: u64,
+}
+
+impl<E> EventQueue<E> {
+    pub(crate) fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, time: f64, event: E) {
+        self.seq += 1;
+        self.heap.push(Scheduled {
+            time,
+            seq: self.seq,
+            event,
+        });
+    }
+
+    /// The next event and its time.
+    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
+        self.heap.pop().map(|s| (s.time, s.event))
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum AttemptState {
+pub(crate) enum AttemptState {
     /// Waiting in a GPU driver queue.
     Queued,
     Running,
@@ -114,13 +157,13 @@ enum AttemptState {
 }
 
 /// One execution attempt of a map task.
-struct Attempt {
+pub(crate) struct Attempt {
     task: u32,
-    node: u32,
-    device: Device,
+    pub(crate) node: u32,
+    pub(crate) device: Device,
     /// Slot index on the node: CPU-slot index for CPU attempts, GPU
     /// index for GPU attempts.
-    slot: u32,
+    pub(crate) slot: u32,
     /// Effective duration (straggler factor applied).
     dur: f64,
     start: f64,
@@ -129,79 +172,42 @@ struct Attempt {
     run_start: Option<f64>,
     /// Pre-drawn fault: fail at `start + frac * dur` with this outcome.
     fail_frac: Option<(f64, Outcome)>,
-    state: AttemptState,
+    pub(crate) state: AttemptState,
     /// Index of the stats record.
     rec: usize,
 }
 
 impl Attempt {
-    fn live(&self) -> bool {
+    pub(crate) fn live(&self) -> bool {
         matches!(self.state, AttemptState::Running | AttemptState::Queued)
     }
 }
 
 #[derive(Default)]
-struct TaskState {
-    done: bool,
+pub(crate) struct TaskState {
+    pub(crate) done: bool,
     /// Node that ran the winning attempt (for output-loss re-execution).
-    winner_node: Option<u32>,
+    pub(crate) winner_node: Option<u32>,
     /// Failures charged against `max_attempts`.
     failed_count: u32,
     /// Attempt indices, in launch order.
     attempts: Vec<usize>,
 }
 
-struct NodeState {
+pub(crate) struct NodeState {
     /// Ground truth: false once the crash event fires.
-    alive: bool,
+    pub(crate) alive: bool,
     /// JobTracker's view: declared dead + blacklisted after expiry.
-    dead_declared: bool,
-    last_heartbeat: f64,
-    /// Free CPU map slots. Ascending order makes `grab_cpu` claim the
-    /// lowest-numbered slot, exactly like the reference's left-to-right
-    /// busy-flag scan (slot identity matters for the trace).
-    cpu_free: BTreeSet<u32>,
-    /// GPUs that are both idle and alive (the lowest is claimed first).
-    gpu_free: BTreeSet<u32>,
-    gpu_dead: Vec<bool>,
-    /// Live GPU count, kept in sync with `gpu_dead`.
-    gpu_live: u32,
-    gpu_queue: VecDeque<usize>, // queued attempt indices (forced tasks)
-    /// Free reduce slots.
-    reduce_free: BTreeSet<u32>,
+    pub(crate) dead_declared: bool,
+    pub(crate) last_heartbeat: f64,
+    pub(crate) gpu_dead: Vec<bool>,
+    /// Queued attempt indices (forced tasks waiting on the GPU driver).
+    pub(crate) gpu_queue: VecDeque<usize>,
     cpu_samples: (f64, u32), // (total task seconds, count)
     gpu_samples: (f64, u32),
 }
 
 impl NodeState {
-    fn free_cpu(&self) -> u32 {
-        self.cpu_free.len() as u32
-    }
-
-    /// Claim the lowest-numbered free CPU slot.
-    fn grab_cpu(&mut self) -> u32 {
-        self.cpu_free
-            .pop_first()
-            .expect("grab_cpu with no free slot")
-    }
-
-    fn release_cpu(&mut self, slot: u32) {
-        self.cpu_free.insert(slot);
-    }
-
-    fn free_reduce(&self) -> u32 {
-        self.reduce_free.len() as u32
-    }
-
-    fn grab_reduce(&mut self) -> u32 {
-        self.reduce_free
-            .pop_first()
-            .expect("grab_reduce with no free slot")
-    }
-
-    fn release_reduce(&mut self, slot: u32) {
-        self.reduce_free.insert(slot);
-    }
     fn ave_speedup(&self, fallback: f64) -> f64 {
         if self.cpu_samples.1 > 0 && self.gpu_samples.1 > 0 {
             let cpu = self.cpu_samples.0 / self.cpu_samples.1 as f64;
@@ -216,171 +222,154 @@ impl NodeState {
         }
     }
 
-    fn usable(&self) -> bool {
+    pub(crate) fn usable(&self) -> bool {
         self.alive && !self.dead_declared
     }
 
-    fn live_gpus(&self) -> u32 {
-        self.gpu_live
-    }
-
-    fn free_live_gpu(&self) -> Option<usize> {
-        self.gpu_free.first().map(|&g| g as usize)
-    }
-
-    fn free_live_gpu_count(&self) -> u32 {
-        self.gpu_free.len() as u32
+    pub(crate) fn live_gpus(&self) -> u32 {
+        self.gpu_dead.iter().filter(|d| !**d).count() as u32
     }
 }
 
-/// The JobTracker's pending-map queue, indexed for O(log n) locality-aware
-/// picks instead of the reference's full-queue scan.
-///
-/// Queue order is materialized as a monotonically increasing entry
-/// sequence number, so "first task in queue order satisfying X" becomes
-/// "smallest `(seq, task)` pair in the index for X". Three views are kept
-/// in lockstep:
-///
-/// * `queue`   — every pending task in queue order (the off-rack pick and
-///   the FIFO head);
-/// * `by_node` — per node, the pending tasks with a readable replica on
-///   it (that node's node-local candidates);
-/// * `by_rack` — per rack, the pending tasks with a readable replica in
-///   it (the rack-local candidates for every node of the rack).
-///
-/// Invariants: a task is in `queue` iff `seq_of[task]` is `Some`; its
-/// `by_node` entries cover exactly its replicas on nodes that were alive
-/// at enqueue time and have not crashed since; a `by_rack[r]` entry
-/// exists iff the task still has a replica on an alive node in rack `r`.
-/// Replicas on crashed nodes are unreadable, so [`PendingIndex::node_crashed`]
-/// prunes them the moment the crash event fires — the same liveness
-/// filter the reference scan applies on every pick, paid once per crash
-/// instead of once per pick.
-struct PendingIndex {
-    next_seq: u64,
-    /// Per task: its live entry sequence, `None` when not pending.
-    seq_of: Vec<Option<u64>>,
-    queue: BTreeSet<(u64, u32)>,
-    by_node: Vec<BTreeSet<(u64, u32)>>,
-    by_rack: Vec<BTreeSet<(u64, u32)>>,
+/// A reduce task currently holding a slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunningReduce {
+    task: u32,
+    pub(crate) node: u32,
+    pub(crate) slot: u32,
+    start: f64,
 }
 
-impl PendingIndex {
-    fn new(num_tasks: usize, num_nodes: u32, num_racks: u32) -> Self {
-        PendingIndex {
-            next_seq: 0,
-            seq_of: vec![None; num_tasks],
-            queue: BTreeSet::new(),
-            by_node: (0..num_nodes).map(|_| BTreeSet::new()).collect(),
-            by_rack: (0..num_racks).map(|_| BTreeSet::new()).collect(),
-        }
+/// The plain tables of the simulation — the ground truth. A
+/// [`SchedIndex`] never owns facts, only faster routes to them: each of
+/// its answers must equal what a scan of these tables gives.
+pub(crate) struct Tables<'a> {
+    pub(crate) cfg: &'a ClusterConfig,
+    pub(crate) job: &'a JobSpec,
+    pub(crate) topo: Topology,
+    pub(crate) nodes: Vec<NodeState>,
+    pub(crate) tasks: Vec<TaskState>,
+    pub(crate) attempts: Vec<Attempt>,
+    /// Reduces holding a slot, in assignment order.
+    pub(crate) running_reduces: Vec<RunningReduce>,
+}
+
+impl Tables<'_> {
+    /// Whether `task` has a queued or running attempt.
+    pub(crate) fn has_live(&self, task: u32) -> bool {
+        self.tasks[task as usize]
+            .attempts
+            .iter()
+            .any(|&ai| self.attempts[ai].live())
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn contains(&self, task: u32) -> bool {
-        self.seq_of[task as usize].is_some()
-    }
-
-    /// Append `task` at the queue tail. `live_replicas` must already be
-    /// filtered to in-range, currently-alive nodes.
-    fn push(&mut self, task: u32, live_replicas: &[NodeId], topo: &Topology) {
-        debug_assert!(self.seq_of[task as usize].is_none(), "double-queued task");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.seq_of[task as usize] = Some(seq);
-        self.queue.insert((seq, task));
-        for &r in live_replicas {
-            self.by_node[r.0 as usize].insert((seq, task));
-            self.by_rack[topo.rack_of(r).0 as usize].insert((seq, task));
-        }
-    }
-
-    /// Remove `task` from the queue (claimed, or no longer runnable).
-    /// `replicas` may be the raw unfiltered replica list — removing an
-    /// entry that was never inserted is a no-op.
-    fn remove(&mut self, task: u32, replicas: &[NodeId], topo: &Topology) {
-        let Some(seq) = self.seq_of[task as usize].take() else {
-            return;
-        };
-        self.queue.remove(&(seq, task));
-        for &r in replicas {
-            if (r.0 as usize) < self.by_node.len() {
-                self.by_node[r.0 as usize].remove(&(seq, task));
-                self.by_rack[topo.rack_of(r).0 as usize].remove(&(seq, task));
-            }
-        }
-    }
-
-    /// The locality-aware FCFS pick for `node`: its oldest node-local
-    /// task, else the oldest task rack-local to it, else the queue head —
-    /// the same task the reference scan returns, found in O(log n).
-    /// Panics if the queue is empty.
-    fn pick(&self, node: NodeId, topo: &Topology) -> (u32, Locality) {
-        if let Some(&(_, t)) = self.by_node[node.0 as usize].first() {
-            return (t, Locality::NodeLocal);
-        }
-        if let Some(&(_, t)) = self.by_rack[topo.rack_of(node).0 as usize].first() {
-            return (t, Locality::RackLocal);
-        }
-        let &(_, t) = self.queue.first().expect("pick from an empty queue");
-        (t, Locality::OffRack)
-    }
-
-    /// Node `n` crashed: every replica it held is now unreadable. Its
-    /// node-local index empties wholesale, and each of its pending tasks
-    /// keeps its rack-local entry only while another alive replica
-    /// remains in the rack (`alive` reports post-crash liveness).
-    fn node_crashed(
-        &mut self,
-        n: u32,
-        job: &JobSpec,
-        topo: &Topology,
-        alive: impl Fn(u32) -> bool,
-    ) {
-        let entries = std::mem::take(&mut self.by_node[n as usize]);
-        let rack = topo.rack_of(NodeId(n)).0 as usize;
-        for (seq, t) in entries {
-            let still_rack_local = job.maps[t as usize].replicas.iter().any(|r| {
-                (r.0 as usize) < self.by_node.len()
-                    && alive(r.0)
-                    && topo.rack_of(*r).0 as usize == rack
-            });
-            if !still_rack_local {
-                self.by_rack[rack].remove(&(seq, t));
-            }
-        }
+    /// The replicas of `task`'s split that can still be read: those on
+    /// in-range nodes that have not crashed.
+    pub(crate) fn live_replicas(&self, task: u32) -> impl Iterator<Item = NodeId> + '_ {
+        self.job.maps[task as usize]
+            .replicas
+            .iter()
+            .copied()
+            .filter(|r| self.nodes.get(r.0 as usize).is_some_and(|nd| nd.alive))
     }
 }
 
-/// A TaskTracker expiry deadline in the lazy expiry heap (min-heap by
-/// deadline, node id breaking ties).
+/// The three per-node slot pools.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct ExpiryEntry {
-    deadline: f64,
-    node: u32,
+pub(crate) enum Slot {
+    /// CPU map slots, `map_slots_per_node` of them.
+    Cpu,
+    /// One slot per GPU; a dead GPU's slot is never free.
+    Gpu,
+    /// Reduce slots.
+    Reduce,
 }
 
-impl Eq for ExpiryEntry {}
-impl PartialOrd for ExpiryEntry {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
+impl Slot {
+    /// The pool a map attempt on `device` runs in.
+    pub(crate) fn of(device: Device) -> Slot {
+        match device {
+            Device::Cpu => Slot::Cpu,
+            Device::Gpu => Slot::Gpu,
+        }
     }
 }
-impl Ord for ExpiryEntry {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap: earliest deadline first.
-        o.deadline
-            .partial_cmp(&self.deadline)
-            .unwrap_or(Ordering::Equal)
-            .then(o.node.cmp(&self.node))
-    }
+
+/// The questions the event loop asks about its own [`Tables`], and the
+/// notices it gives so an implementation can keep its answers current.
+/// Every notice is given right after the tables changed.
+///
+/// The contract is the scan: [`crate::reference::ScanIndex`] answers each
+/// question by walking the tables, and any other implementation must
+/// return the same values in the same order (orders are part of the
+/// answers — slot identity reaches the trace, and float sums over
+/// candidates are not associative).
+pub(crate) trait SchedIndex: Default {
+    /// The index of `t` as it stands. Pending maps are the undone tasks
+    /// with no live attempt, in task order; running attempts and reduces
+    /// hold their slots. Used at time zero and again at JobTracker
+    /// recovery, which rebuilds the master's books from the tables.
+    fn build(t: &Tables) -> Self;
+
+    // ------------------------------------------- the pending-map queue
+    fn pending_len(&self) -> usize;
+    fn is_pending(&self, task: u32) -> bool;
+    /// Append `task` at the tail.
+    fn push_pending(&mut self, t: &Tables, task: u32);
+    fn remove_pending(&mut self, t: &Tables, task: u32);
+    /// The locality-aware FCFS pick for `node`: its oldest node-local
+    /// task, else the oldest rack-local one, else the queue head; only
+    /// [`Tables::live_replicas`] count. The queue is not empty.
+    fn pick(&self, t: &Tables, node: u32) -> (u32, Locality);
+
+    // ------------------------------------------------------ slot pools
+    /// Free slots of `kind` on `n`.
+    fn free(&self, kind: Slot, t: &Tables, n: u32) -> u32;
+    /// Claim the lowest-numbered free slot.
+    fn grab(&mut self, kind: Slot, t: &Tables, n: u32) -> u32;
+    fn release(&mut self, kind: Slot, n: u32, slot: u32);
+
+    // ---------------------------------------------------------- census
+    /// Usable nodes (alive and not blacklisted), and the live GPUs on them.
+    fn census(&self, t: &Tables) -> (u32, u32);
+    fn live_gpus(&self, t: &Tables, n: u32) -> u32;
+    /// Trackers to declare dead at `now`: not yet declared, silent for
+    /// longer than the timeout; ascending node id.
+    fn expired(&mut self, t: &Tables, now: f64) -> Vec<u32>;
+
+    // ------------------------------------------------ attempts and tasks
+    /// Live attempts placed on `n`, in attempt order.
+    fn live_attempts(&self, t: &Tables, n: u32) -> Vec<usize>;
+    /// Done tasks whose winning output sits on `n`, in task order. The
+    /// caller invalidates every one of them.
+    fn take_winners(&mut self, t: &Tables, n: u32) -> Vec<u32>;
+    /// Undone tasks with a live attempt, in task order. A `Vec`, not an
+    /// iterator: the walk over it is the hottest loop of a speculative
+    /// run, and a slice keeps the index's cursor code out of that loop.
+    fn spec_candidates(&self, t: &Tables) -> Vec<u32>;
+
+    // --------------------------------------------------------- notices
+    /// `n` was re-admitted: all its slots are free again.
+    fn node_readmitted(&mut self, t: &Tables, n: u32);
+    fn node_crashed(&mut self, _t: &Tables, _n: u32) {}
+    fn node_declared_dead(&mut self, _t: &Tables, _n: u32) {}
+    fn gpu_died(&mut self, _t: &Tables, _n: u32, _g: u32) {}
+    fn attempt_started(&mut self, _task: u32, _n: u32, _aidx: usize) {}
+    /// The attempt left the live states (any way).
+    fn attempt_ended(&mut self, _n: u32, _aidx: usize) {}
+    fn task_won(&mut self, _task: u32, _n: u32) {}
+    /// `task`'s last live attempt is gone and it did not win.
+    fn task_idle(&mut self, _task: u32) {}
+
+    /// Whether audited builds re-check the run after every event. Not
+    /// for the scan index: it is the ground truth, an audit of it would
+    /// compare each answer with itself.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    const AUDITED: bool = false;
+    /// Cross-check whatever state the index keeps against the tables;
+    /// panics through [`crate::audit::check`] on drift.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    fn audit(&self, _t: &Tables, _ctx: &str) {}
 }
 
 /// splitmix64 finalizer — the deterministic fault die.
@@ -392,18 +381,9 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// Uniform value in [0, 1) hashed from the fault seed and attempt identity.
-pub(crate) fn fault_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+fn fault_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let h = mix64(seed ^ mix64(a ^ mix64(b ^ mix64(c))));
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// A reduce task currently holding a slot.
-#[derive(Debug, Clone, Copy)]
-struct RunningReduce {
-    task: u32,
-    node: u32,
-    slot: u32,
-    start: f64,
 }
 
 /// Control-plane → data-plane bridge: the DES calls this as the schedule
@@ -418,16 +398,10 @@ pub trait ExecHook {
     fn map_completed(&mut self, task: u32, node: u32, device: Device, time_s: f64);
 }
 
-struct Sim<'a> {
-    cfg: &'a ClusterConfig,
-    job: &'a JobSpec,
-    topo: Topology,
-    nodes: Vec<NodeState>,
-    tasks: Vec<TaskState>,
-    attempts: Vec<Attempt>,
-    pending: PendingIndex,
+struct Sim<'a, I> {
+    t: Tables<'a>,
+    ix: I,
     pending_reduces: VecDeque<u32>,
-    running_reduces: Vec<RunningReduce>,
     maps_done: usize,
     /// Bumped whenever a completed map is invalidated (node loss), so
     /// stale scheduled ReduceDone events are ignored on pop.
@@ -437,31 +411,12 @@ struct Sim<'a> {
     max_speedup: f64,
     shuffle_per_reduce_s: f64,
     planned_crashes: u32,
-    /// Nodes with `alive && !dead_declared`, maintained incrementally so
-    /// heartbeats stop paying an O(nodes) census each.
-    usable_nodes: u32,
-    /// Live GPUs across usable nodes (the job-tail threshold input).
-    cluster_live_gpus: u32,
-    /// Tasks that are not done and have ≥1 live attempt — the speculation
-    /// candidate pool, iterated in task order like the reference's full
-    /// task-table scan.
-    undone_live: BTreeSet<u32>,
-    /// Live (queued or running) attempt indices per node, in attempt
-    /// order: dead-node reaping and GPU-fault victim lookup read these
-    /// instead of scanning the whole attempt table.
-    node_attempts: Vec<BTreeSet<usize>>,
-    /// Completed tasks whose winning map output lives on each node (the
-    /// re-execution set when a tracker dies mid-shuffle).
-    node_winners: Vec<BTreeSet<u32>>,
-    /// Lazy min-heap of TaskTracker expiry deadlines; entries go stale
-    /// when a node heartbeats and are refreshed on pop.
-    expiry: BinaryHeap<ExpiryEntry>,
     /// Whether the master is currently crash-stopped.
     jt_down: bool,
     /// TaskTracker reports (map/reduce completions, failures, GPU
     /// faults) that arrived while the master was down, in their original
     /// `(time, seq)` order; drained at recovery.
-    deferred: Vec<Scheduled>,
+    deferred: Vec<Event>,
     /// The master's write-ahead journal (snapshot + tail); recovery
     /// replays it instead of trusting any live bookkeeping.
     journal: Journal,
@@ -479,8 +434,7 @@ struct Sim<'a> {
     /// (how the chaos harness and CI run).
     #[cfg(any(debug_assertions, feature = "audit"))]
     audit_default: bool,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+    events: EventQueue<Event>,
     now: f64,
     stats: JobStats,
     tracer: &'a Tracer,
@@ -498,9 +452,7 @@ pub fn simulate(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
 /// Events are recorded only when both the tracer and `cfg.trace.enabled`
 /// are on; either way the schedule is identical to an untraced run.
 pub fn simulate_traced(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
-    let mut sim = Sim::new(cfg, job, tracer);
-    sim.run();
-    sim.stats
+    run::<Indexed>(cfg, job, tracer, None)
 }
 
 /// [`simulate_traced`] with an [`ExecHook`] observing winning map
@@ -512,35 +464,41 @@ pub fn simulate_hooked(
     tracer: &Tracer,
     hook: &mut dyn ExecHook,
 ) -> JobStats {
-    let mut sim = Sim::new(cfg, job, tracer);
-    sim.hook = Some(hook);
+    run::<Indexed>(cfg, job, tracer, Some(hook))
+}
+
+/// Run the event loop over index `I`.
+pub(crate) fn run<'a, I: SchedIndex>(
+    cfg: &'a ClusterConfig,
+    job: &'a JobSpec,
+    tracer: &'a Tracer,
+    hook: Option<&'a mut dyn ExecHook>,
+) -> JobStats {
+    let mut sim = Sim::<I>::new(cfg, job, tracer);
+    sim.hook = hook;
     sim.run();
     sim.stats
 }
 
-impl<'a> Sim<'a> {
+impl<'a, I: SchedIndex> Sim<'a, I> {
     fn new(cfg: &'a ClusterConfig, job: &'a JobSpec, tracer: &'a Tracer) -> Self {
-        let gpus = cfg.effective_gpus();
-        // Full config validation (cluster shape plus the fault plan —
-        // against the physical GPU count: a fault on a GPU the scheduler
-        // ignores is valid, but a fault on hardware that does not exist
-        // is a plan bug). Direct callers keep the fail-fast panic; the
-        // service admission path calls `cfg.validate()` itself and turns
-        // an `Err` into a rejection.
-        if let Err(e) = cfg.validate() {
+        // Full input validation: cluster shape, the fault plan (against
+        // the physical GPU count: a fault on a GPU the scheduler ignores
+        // is valid, but a fault on hardware that does not exist is a plan
+        // bug) and the job's durations. Direct callers keep the fail-fast
+        // panic; the service admission path runs the same checks itself
+        // and turns an `Err` into a rejection.
+        if let Err(e) = cfg.validate().and_then(|()| job.validate()) {
             panic!("{e}");
         }
+        let gpus = cfg.effective_gpus();
         let nodes: Vec<NodeState> = (0..cfg.num_slaves)
             .map(|_| NodeState {
                 alive: true,
                 dead_declared: false,
                 last_heartbeat: 0.0,
-                cpu_free: (0..cfg.map_slots_per_node).collect(),
-                gpu_free: (0..gpus).collect(),
                 gpu_dead: vec![false; gpus as usize],
-                gpu_live: gpus,
                 gpu_queue: VecDeque::new(),
-                reduce_free: (0..cfg.reduce_slots_per_node).collect(),
                 cpu_samples: (0.0, 0),
                 gpu_samples: (0.0, 0),
             })
@@ -553,26 +511,19 @@ impl<'a> Sim<'a> {
             total_shuffle_bytes as f64 / job.reduces.len() as f64 / cfg.shuffle_bw
         };
 
-        let topo = Topology::new(cfg.num_slaves, cfg.nodes_per_rack);
-        let mut pending = PendingIndex::new(job.maps.len(), cfg.num_slaves, topo.num_racks());
-        // Initial fill in task order — the reference's `(0..n).collect()`.
-        let mut live: Vec<NodeId> = Vec::new();
-        for (t, m) in job.maps.iter().enumerate() {
-            live.clear();
-            live.extend(m.replicas.iter().copied().filter(|r| r.0 < cfg.num_slaves));
-            pending.push(t as u32, &live, &topo);
-        }
-
-        let mut sim = Sim {
+        let t = Tables {
             cfg,
             job,
-            topo,
+            topo: Topology::new(cfg.num_slaves, cfg.nodes_per_rack),
             nodes,
             tasks: (0..job.maps.len()).map(|_| TaskState::default()).collect(),
             attempts: Vec::new(),
-            pending,
-            pending_reduces: (0..job.reduces.len() as u32).collect(),
             running_reduces: Vec::new(),
+        };
+        let mut sim = Sim {
+            ix: I::build(&t),
+            t,
+            pending_reduces: (0..job.reduces.len() as u32).collect(),
             maps_done: 0,
             maps_epoch: 0,
             reduces_done: 0,
@@ -580,12 +531,6 @@ impl<'a> Sim<'a> {
             max_speedup: 1.0,
             shuffle_per_reduce_s,
             planned_crashes: 0,
-            usable_nodes: cfg.num_slaves,
-            cluster_live_gpus: cfg.num_slaves * gpus,
-            undone_live: BTreeSet::new(),
-            node_attempts: (0..cfg.num_slaves).map(|_| BTreeSet::new()).collect(),
-            node_winners: (0..cfg.num_slaves).map(|_| BTreeSet::new()).collect(),
-            expiry: BinaryHeap::new(),
             jt_down: false,
             deferred: Vec::new(),
             journal: Journal::new(job.maps.len(), cfg.num_slaves as usize, job.reduces.len()),
@@ -596,8 +541,7 @@ impl<'a> Sim<'a> {
                 || !cfg.faults.jobtracker_crashes.is_empty(),
             #[cfg(any(debug_assertions, feature = "audit"))]
             audit_default: (cfg.num_slaves as usize).saturating_mul(job.maps.len()) <= 16_384,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             now: 0.0,
             stats: JobStats::new(&job.name),
             tracer,
@@ -608,7 +552,7 @@ impl<'a> Sim<'a> {
 
         // Stagger initial heartbeats so nodes do not thundering-herd the JT.
         for n in 0..cfg.num_slaves {
-            sim.push(
+            sim.events.push(
                 (n as f64 / cfg.num_slaves as f64) * cfg.heartbeat_s,
                 Event::Heartbeat(n),
             );
@@ -621,62 +565,27 @@ impl<'a> Sim<'a> {
         let mut crash_nodes = HashSet::new();
         for &(n, t) in &cfg.faults.node_crashes {
             if n < cfg.num_slaves && crash_nodes.insert(n) {
-                sim.push(t, Event::NodeCrash(n));
+                sim.events.push(t, Event::NodeCrash(n));
             }
         }
         for &(r, t) in &cfg.faults.rack_failures {
             for n in 0..cfg.num_slaves {
-                if sim.topo.rack_of(NodeId(n)).0 == r && crash_nodes.insert(n) {
-                    sim.push(t, Event::NodeCrash(n));
+                if sim.t.topo.rack_of(NodeId(n)).0 == r && crash_nodes.insert(n) {
+                    sim.events.push(t, Event::NodeCrash(n));
                 }
             }
         }
         sim.planned_crashes = crash_nodes.len() as u32;
         for &(n, g, t) in &cfg.faults.gpu_faults {
-            sim.push(t, Event::GpuFault { node: n, gpu: g });
+            sim.events.push(t, Event::GpuFault { node: n, gpu: g });
         }
         for &t in &cfg.faults.jobtracker_crashes {
-            sim.push(t, Event::JobTrackerCrash);
+            sim.events.push(t, Event::JobTrackerCrash);
         }
         if sim.planned_crashes > 0 || sim.silencing_faults {
-            sim.push(cfg.heartbeat_s, Event::ExpiryCheck);
-            // Arm the expiry heap: every node's first deadline is one
-            // timeout past its (virtual) time-zero heartbeat.
-            for n in 0..cfg.num_slaves {
-                sim.expiry.push(ExpiryEntry {
-                    deadline: cfg.heartbeat_timeout_s,
-                    node: n,
-                });
-            }
+            sim.events.push(cfg.heartbeat_s, Event::ExpiryCheck);
         }
         sim
-    }
-
-    /// Re-queue `task` at the back of the pending queue, indexing the
-    /// replicas that are still readable (alive, in-range nodes).
-    fn queue_pending(&mut self, task: u32) {
-        let live: Vec<NodeId> = self.job.maps[task as usize]
-            .replicas
-            .iter()
-            .copied()
-            .filter(|r| self.nodes.get(r.0 as usize).is_some_and(|nd| nd.alive))
-            .collect();
-        self.pending.push(task, &live, &self.topo);
-    }
-
-    /// Drop `task` from the pending queue and every locality index.
-    fn unqueue_pending(&mut self, task: u32) {
-        self.pending
-            .remove(task, &self.job.maps[task as usize].replicas, &self.topo);
-    }
-
-    fn push(&mut self, time: f64, event: Event) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
     }
 
     // ---------------------------------------------------------- tracing
@@ -690,36 +599,37 @@ impl<'a> Sim<'a> {
     }
 
     fn lane_gpu(&self, g: u32) -> u32 {
-        self.cfg.map_slots_per_node + g
+        self.t.cfg.map_slots_per_node + g
     }
 
     fn lane_reduce(&self, slot: u32) -> u32 {
-        self.cfg.map_slots_per_node + self.cfg.effective_gpus() + slot
+        self.t.cfg.map_slots_per_node + self.t.cfg.effective_gpus() + slot
     }
 
     fn lane_events(&self) -> u32 {
-        self.cfg.map_slots_per_node + self.cfg.effective_gpus() + self.cfg.reduce_slots_per_node
+        self.lane_reduce(self.t.cfg.reduce_slots_per_node)
     }
 
     fn jobtracker_pid(&self) -> u32 {
-        self.cfg.num_slaves
+        self.t.cfg.num_slaves
     }
 
     fn trace_name_lanes(&self) {
         if !self.trace_on {
             return;
         }
-        for n in 0..self.cfg.num_slaves {
+        let cfg = self.t.cfg;
+        for n in 0..cfg.num_slaves {
             self.tracer.name_process(n, format!("node {n}"));
-            for s in 0..self.cfg.map_slots_per_node {
+            for s in 0..cfg.map_slots_per_node {
                 self.tracer
                     .name_lane(n, self.lane_cpu(s), format!("cpu slot {s}"));
             }
-            for g in 0..self.cfg.effective_gpus() {
+            for g in 0..cfg.effective_gpus() {
                 self.tracer
                     .name_lane(n, self.lane_gpu(g), format!("gpu {g}"));
             }
-            for r in 0..self.cfg.reduce_slots_per_node {
+            for r in 0..cfg.reduce_slots_per_node {
                 self.tracer
                     .name_lane(n, self.lane_reduce(r), format!("reduce slot {r}"));
             }
@@ -743,11 +653,11 @@ impl<'a> Sim<'a> {
         if !self.trace_on {
             return;
         }
-        let a = &self.attempts[aidx];
+        let a = &self.t.attempts[aidx];
         let Some(run_start) = a.run_start else {
             return; // never executed (died in a GPU queue)
         };
-        let attempt_no = self.tasks[a.task as usize]
+        let attempt_no = self.t.tasks[a.task as usize]
             .attempts
             .iter()
             .position(|&ai| ai == aidx)
@@ -798,70 +708,19 @@ impl<'a> Sim<'a> {
     }
 
     fn work_remains(&self) -> bool {
-        self.maps_done < self.job.maps.len() || self.reduces_done < self.job.reduces.len()
+        self.maps_done < self.t.job.maps.len() || self.reduces_done < self.t.job.reduces.len()
     }
 
     fn run(&mut self) {
         // A cluster with zero capacity for a task kind the job needs can
         // never finish: heartbeats would re-arm forever while
         // `work_remains()` stays true. Abort up front instead of hanging.
-        let map_capacity = self.cfg.map_slots_per_node + self.cfg.effective_gpus();
-        if (!self.job.maps.is_empty() && map_capacity == 0)
-            || (!self.job.reduces.is_empty() && self.cfg.reduce_slots_per_node == 0)
-        {
-            self.stats.aborted = true;
-            self.stats.makespan_s = self.now;
-            self.stats.map_phase_s = self.last_map_done_t;
-            self.stats.max_speedup_seen = self.max_speedup;
-            self.stats.journal_records = self.journal.records_written();
-            self.stats.journal_snapshots = self.journal.snapshots_taken();
-            return;
-        }
-        while let Some(sch) = self.heap.pop() {
-            let Scheduled { time, event, .. } = sch;
-            self.now = time;
-            if self.jt_down {
-                match event {
-                    // TaskTracker reports cannot reach a dead master: the
-                    // trackers buffer them and re-deliver after recovery,
-                    // in their original order.
-                    Event::MapDone { .. }
-                    | Event::MapFail { .. }
-                    | Event::ReduceDone { .. }
-                    | Event::GpuFault { .. } => {
-                        self.deferred.push(sch);
-                        continue;
-                    }
-                    // The master's expiry timer died with it; recovery
-                    // re-arms it.
-                    Event::ExpiryCheck => continue,
-                    // Heartbeats (unanswered but re-arming), node crashes
-                    // (physical), and the master's own crash/recover
-                    // events proceed.
-                    _ => {}
-                }
-            }
-            match event {
-                Event::Heartbeat(n) => self.heartbeat(n),
-                Event::ExpiryCheck => self.expiry_check(),
-                Event::NodeCrash(n) => self.node_crash(n),
-                Event::GpuFault { node, gpu } => self.gpu_fault(node, gpu),
-                Event::MapDone { attempt } => self.map_done(attempt),
-                Event::MapFail { attempt, outcome } => self.map_fail(attempt, outcome),
-                Event::ReduceDone { node, task, epoch } => self.reduce_done_ev(node, task, epoch),
-                Event::JobTrackerCrash => self.jobtracker_crash(),
-                Event::JobTrackerRecover => self.jobtracker_recover(),
-            }
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            if (self.audit_default || crate::audit::forced_on())
-                && crate::audit::enabled()
-                && !self.stats.aborted
-            {
-                self.audit_invariants(&event);
-            }
-            if self.stats.aborted || !self.work_remains() {
-                break;
-            }
+        let (cfg, job) = (self.t.cfg, self.t.job);
+        let map_capacity = cfg.map_slots_per_node + cfg.effective_gpus();
+        let starved = (!job.maps.is_empty() && map_capacity == 0)
+            || (!job.reduces.is_empty() && cfg.reduce_slots_per_node == 0);
+        if !starved {
+            self.event_loop();
         }
         if self.work_remains() {
             self.stats.aborted = true;
@@ -873,24 +732,64 @@ impl<'a> Sim<'a> {
         self.stats.journal_snapshots = self.journal.snapshots_taken();
     }
 
-    fn node_crash(&mut self, n: u32) {
-        let ni = n as usize;
-        self.nodes[ni].alive = false;
-        // The usable census excludes crashed-but-undeclared
-        // nodes (`usable()` checks `alive`), so the aggregates
-        // drop here, not at declaration time.
-        if !self.nodes[ni].dead_declared {
-            self.usable_nodes -= 1;
-            self.cluster_live_gpus -= self.nodes[ni].gpu_live;
+    fn event_loop(&mut self) {
+        while let Some((time, event)) = self.events.pop() {
+            self.now = time;
+            if self.jt_down {
+                match event {
+                    // TaskTracker reports cannot reach a dead master: the
+                    // trackers buffer them and re-deliver after recovery,
+                    // in their original order.
+                    Event::MapDone { .. }
+                    | Event::MapFail { .. }
+                    | Event::ReduceDone { .. }
+                    | Event::GpuFault { .. } => {
+                        self.deferred.push(event);
+                        continue;
+                    }
+                    // The master's expiry timer died with it; recovery
+                    // re-arms it.
+                    Event::ExpiryCheck => continue,
+                    // Heartbeats (unanswered but re-arming), node crashes
+                    // (physical), and the master's own crash/recover
+                    // events proceed.
+                    _ => {}
+                }
+            }
+            self.handle(event);
+            #[cfg(any(debug_assertions, feature = "audit"))]
+            if I::AUDITED
+                && (self.audit_default || crate::audit::forced_on())
+                && crate::audit::enabled()
+                && !self.stats.aborted
+            {
+                self.audit_invariants(&event);
+            }
+            if self.stats.aborted || !self.work_remains() {
+                break;
+            }
         }
-        // Replicas on the crashed node are unreadable: prune
-        // its locality-index entries (alive is already false).
-        let job = self.job;
-        let topo = self.topo.clone();
-        let alive: Vec<bool> = self.nodes.iter().map(|nd| nd.alive).collect();
-        self.pending.node_crashed(n, job, &topo, |r| {
-            alive.get(r as usize).copied().unwrap_or(false)
-        });
+    }
+
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Heartbeat(n) => self.heartbeat(n),
+            Event::ExpiryCheck => self.expiry_check(),
+            Event::NodeCrash(n) => self.node_crash(n),
+            Event::GpuFault { node, gpu } => self.gpu_fault(node, gpu),
+            Event::MapDone { attempt } => self.map_done(attempt),
+            Event::MapFail { attempt, outcome } => self.map_fail(attempt, outcome),
+            Event::ReduceDone { node, task, epoch } => self.reduce_done_ev(node, task, epoch),
+            Event::JobTrackerCrash => self.jobtracker_crash(),
+            Event::JobTrackerRecover => self.jobtracker_recover(),
+        }
+    }
+
+    /// The node falls silent. Its replicas are unreadable from now on;
+    /// the JobTracker only learns of the loss through expiry.
+    fn node_crash(&mut self, n: u32) {
+        self.t.nodes[n as usize].alive = false;
+        self.ix.node_crashed(&self.t, n);
         self.trace_node_instant(Category::Fault, "node crash", n);
     }
 
@@ -900,7 +799,8 @@ impl<'a> Sim<'a> {
     /// Windows are half-open `[start, end)`: the first beat at or after
     /// `end` is the one that heals the partition.
     fn partitioned(&self, node: u32) -> bool {
-        self.cfg
+        self.t
+            .cfg
             .faults
             .partitions
             .iter()
@@ -911,10 +811,11 @@ impl<'a> Sim<'a> {
 
     fn heartbeat(&mut self, n: u32) {
         let ni = n as usize;
-        if !self.nodes[ni].alive {
+        if !self.t.nodes[ni].alive {
             return; // crashed: the tracker falls silent
         }
-        let fp = &self.cfg.faults;
+        let cfg = self.t.cfg;
+        let fp = &cfg.faults;
         let beat = self.hb_beat[ni];
         self.hb_beat[ni] += 1;
         // Delivery: a beat is dropped inside a partition window or by the
@@ -928,53 +829,42 @@ impl<'a> Sim<'a> {
             self.stats.heartbeats_lost += 1;
             self.trace_node_instant(Category::Partition, "heartbeat dropped", n);
         } else if !self.jt_down {
-            self.nodes[ni].last_heartbeat = self.now;
-            if self.trace_on && self.cfg.trace.heartbeats {
+            self.t.nodes[ni].last_heartbeat = self.now;
+            if self.trace_on && cfg.trace.heartbeats {
                 self.trace_node_instant(Category::Heartbeat, "heartbeat", n);
             }
-            if self.nodes[ni].dead_declared {
+            if self.t.nodes[ni].dead_declared {
                 // A blacklisted tracker proved it is alive: the partition
                 // healed (or the loss streak ended). Re-admit it.
                 self.readmit(n);
             }
-            if !self.nodes[ni].dead_declared {
+            if !self.t.nodes[ni].dead_declared {
                 self.assign_reduces(n);
                 self.assign_maps(n);
-                if self.cfg.speculative {
+                if cfg.speculative {
                     self.try_speculate(n);
                 }
             }
         }
         if self.work_remains() {
-            let mut next = self.now + self.cfg.heartbeat_s;
+            let mut next = self.now + cfg.heartbeat_s;
             if fp.heartbeat_jitter_s > 0.0 {
                 next += fp.heartbeat_jitter_s
                     * fault_unit(fp.seed ^ 0x4A49_5454_4A49_5454, n as u64, beat, 1);
             }
-            self.push(next, Event::Heartbeat(n));
+            self.events.push(next, Event::Heartbeat(n));
         }
     }
 
     /// Re-admit a falsely-expired, still-alive tracker on its first
-    /// delivered heartbeat: lift the blacklist, reset its slots (the
+    /// delivered heartbeat: lift the blacklist and reset its slots (the
     /// tracker killed its orphaned work when it learned it had been
-    /// declared dead — its old attempts are already marked `Lost`), and
-    /// re-arm its expiry deadline.
+    /// declared dead — its old attempts are already marked `Lost`).
     fn readmit(&mut self, n: u32) {
         let ni = n as usize;
-        self.nodes[ni].dead_declared = false;
-        self.usable_nodes += 1;
-        self.cluster_live_gpus += self.nodes[ni].gpu_live;
-        self.nodes[ni].cpu_free = (0..self.cfg.map_slots_per_node).collect();
-        self.nodes[ni].gpu_free = (0..self.cfg.effective_gpus())
-            .filter(|&g| !self.nodes[ni].gpu_dead[g as usize])
-            .collect();
-        self.nodes[ni].gpu_queue.clear();
-        self.nodes[ni].reduce_free = (0..self.cfg.reduce_slots_per_node).collect();
-        self.expiry.push(ExpiryEntry {
-            deadline: self.now + self.cfg.heartbeat_timeout_s,
-            node: n,
-        });
+        self.t.nodes[ni].dead_declared = false;
+        self.t.nodes[ni].gpu_queue.clear();
+        self.ix.node_readmitted(&self.t, n);
         self.stats.nodes_readmitted += 1;
         self.journal.append(JtRecord::NodeReadmitted { node: n });
         self.trace_jt_instant(
@@ -993,8 +883,8 @@ impl<'a> Sim<'a> {
         self.jt_down = true;
         self.stats.jobtracker_crashes_seen += 1;
         self.trace_jt_instant(Category::Fault, "jobtracker crash".to_string(), vec![]);
-        self.push(
-            self.now + self.cfg.jobtracker_recovery_s,
+        self.events.push(
+            self.now + self.t.cfg.jobtracker_recovery_s,
             Event::JobTrackerRecover,
         );
     }
@@ -1015,7 +905,7 @@ impl<'a> Sim<'a> {
 
         // (a) Journal-derived task/reduce/blacklist state.
         self.maps_done = 0;
-        for (t, ts) in self.tasks.iter_mut().enumerate() {
+        for (t, ts) in self.t.tasks.iter_mut().enumerate() {
             ts.winner_node = rec.winner[t];
             ts.done = rec.winner[t].is_some();
             ts.failed_count = rec.failed_count[t];
@@ -1024,107 +914,43 @@ impl<'a> Sim<'a> {
             }
         }
         self.reduces_done = rec.reduces_done.iter().filter(|&&d| d).count();
-        for (n, nd) in self.nodes.iter_mut().enumerate() {
+        for (n, nd) in self.t.nodes.iter_mut().enumerate() {
             nd.dead_declared = rec.blacklisted[n];
         }
 
         // (b) Re-registration: alive, reachable trackers report in now;
         // silent ones keep their stale heartbeat and face expiry.
-        self.usable_nodes = 0;
-        self.cluster_live_gpus = 0;
-        self.expiry.clear();
-        for n in 0..self.cfg.num_slaves {
-            let reachable = self.nodes[n as usize].alive && !self.partitioned(n);
-            if reachable {
-                self.nodes[n as usize].last_heartbeat = self.now;
-            }
-            let nd = &self.nodes[n as usize];
-            if nd.usable() {
-                self.usable_nodes += 1;
-                self.cluster_live_gpus += nd.gpu_live;
-            }
-            if !nd.dead_declared {
-                self.expiry.push(ExpiryEntry {
-                    deadline: nd.last_heartbeat + self.cfg.heartbeat_timeout_s,
-                    node: n,
-                });
+        for n in 0..self.t.cfg.num_slaves {
+            if self.t.nodes[n as usize].alive && !self.partitioned(n) {
+                self.t.nodes[n as usize].last_heartbeat = self.now;
             }
         }
+        // A reduce can finish through a late report from a falsely
+        // expired tracker while its re-run sits on another node; that
+        // re-run's entry holds no slot on the rebuilt books.
+        let stats = &self.stats;
+        self.t
+            .running_reduces
+            .retain(|rr| !stats.reduce_done(rr.task));
 
-        // Slot occupancy and the per-node live-attempt sets, from the
-        // re-reported attempt table. Queued GPU attempts hold no slot
-        // (they wait in the tracker-side driver queue, which survives).
-        for (n, nd) in self.nodes.iter_mut().enumerate() {
-            self.node_attempts[n].clear();
-            nd.cpu_free = (0..self.cfg.map_slots_per_node).collect();
-            nd.gpu_free = (0..self.cfg.effective_gpus())
-                .filter(|&g| !nd.gpu_dead[g as usize])
-                .collect();
-            nd.reduce_free = (0..self.cfg.reduce_slots_per_node).collect();
-        }
-        for (ai, a) in self.attempts.iter().enumerate() {
-            if !a.live() {
-                continue;
-            }
-            let ni = a.node as usize;
-            self.node_attempts[ni].insert(ai);
-            if a.state == AttemptState::Running {
-                match a.device {
-                    Device::Cpu => {
-                        self.nodes[ni].cpu_free.remove(&a.slot);
-                    }
-                    Device::Gpu => {
-                        self.nodes[ni].gpu_free.remove(&a.slot);
-                    }
-                }
-            }
-        }
-        for rr in &self.running_reduces {
-            if !self.stats.reduce_done(rr.task) {
-                self.nodes[rr.node as usize].reduce_free.remove(&rr.slot);
-            }
-        }
-
-        // Queues, in task-id order (reference sorts its Vec identically):
-        // undone maps with no live attempt, and unfinished reduces not
-        // currently holding a slot.
-        self.pending = PendingIndex::new(
-            self.job.maps.len(),
-            self.cfg.num_slaves,
-            self.topo.num_racks(),
-        );
-        self.undone_live.clear();
-        for t in 0..self.job.maps.len() as u32 {
-            if self.tasks[t as usize].done {
-                continue;
-            }
-            let has_live = self.tasks[t as usize]
-                .attempts
-                .iter()
-                .any(|&ai| self.attempts[ai].live());
-            if has_live {
-                self.undone_live.insert(t);
-            } else {
-                self.queue_pending(t);
-            }
-        }
-        let running: HashSet<u32> = self.running_reduces.iter().map(|rr| rr.task).collect();
-        self.pending_reduces = (0..self.job.reduces.len() as u32)
+        // Slot occupancy, the map queue (undone maps with no live
+        // attempt, in task-id order) and every per-node set, from the
+        // re-reported tables. Queued GPU attempts hold no slot (they wait
+        // in the tracker-side driver queue, which survives).
+        // The old books go first: on a large job the pending views are
+        // the biggest structure there is, and two copies alive at once
+        // would set the run's memory peak.
+        drop(std::mem::take(&mut self.ix));
+        self.ix = I::build(&self.t);
+        // Unfinished reduces not currently holding a slot, likewise.
+        let running: HashSet<u32> = self.t.running_reduces.iter().map(|rr| rr.task).collect();
+        self.pending_reduces = (0..self.t.job.reduces.len() as u32)
             .filter(|&r| !rec.reduces_done[r as usize] && !running.contains(&r))
             .collect();
 
-        // Winner placement (which node holds each finished map's output)
-        // and the speedup census, from the re-registration reports.
-        for nw in &mut self.node_winners {
-            nw.clear();
-        }
-        for (t, ts) in self.tasks.iter().enumerate() {
-            if let (true, Some(w)) = (ts.done, ts.winner_node) {
-                self.node_winners[w as usize].insert(t as u32);
-            }
-        }
+        // The speedup census, from the re-registration reports.
         self.max_speedup = 1.0;
-        for nd in self.nodes.iter().filter(|nd| nd.alive) {
+        for nd in self.t.nodes.iter().filter(|nd| nd.alive) {
             let ave = nd.ave_speedup(1.0);
             if ave > self.max_speedup {
                 self.max_speedup = ave;
@@ -1144,41 +970,37 @@ impl<'a> Sim<'a> {
         // Back in business: re-arm the expiry timer and drain the
         // buffered tracker reports in their original (time, seq) order.
         self.jt_down = false;
-        self.push(self.now + self.cfg.heartbeat_s, Event::ExpiryCheck);
-        let deferred = std::mem::take(&mut self.deferred);
-        for sch in deferred {
-            match sch.event {
-                Event::MapDone { attempt } => self.map_done(attempt),
-                Event::MapFail { attempt, outcome } => self.map_fail(attempt, outcome),
-                Event::ReduceDone { node, task, epoch } => self.reduce_done_ev(node, task, epoch),
-                Event::GpuFault { node, gpu } => self.gpu_fault(node, gpu),
-                _ => unreachable!("only tracker reports are deferred"),
-            }
+        self.events
+            .push(self.now + self.t.cfg.heartbeat_s, Event::ExpiryCheck);
+        for event in std::mem::take(&mut self.deferred) {
+            self.handle(event);
         }
     }
 
     fn assign_reduces(&mut self, n: u32) {
-        let ni = n as usize;
-        if (self.maps_done as f64) < self.cfg.reduce_start_frac * self.job.maps.len() as f64 {
+        let job = self.t.job;
+        if (self.maps_done as f64) < self.t.cfg.reduce_start_frac * job.maps.len() as f64 {
             return;
         }
-        while self.nodes[ni].free_reduce() > 0 && !self.pending_reduces.is_empty() {
-            let r = self.pending_reduces.pop_front().unwrap();
-            let slot = self.nodes[ni].grab_reduce();
-            self.running_reduces.push(RunningReduce {
+        while self.ix.free(Slot::Reduce, &self.t, n) > 0 {
+            let Some(r) = self.pending_reduces.pop_front() else {
+                break;
+            };
+            let slot = self.ix.grab(Slot::Reduce, &self.t, n);
+            self.t.running_reduces.push(RunningReduce {
                 task: r,
                 node: n,
                 slot,
                 start: self.now,
             });
-            if self.maps_done == self.job.maps.len() {
+            if self.maps_done == job.maps.len() {
                 let done_t = reduce_finish_time(
                     self.now,
                     self.now,
                     self.shuffle_per_reduce_s,
-                    self.job.reduces[r as usize].compute_s,
+                    job.reduces[r as usize].compute_s,
                 );
-                self.push(
+                self.events.push(
                     done_t,
                     Event::ReduceDone {
                         node: n,
@@ -1193,55 +1015,54 @@ impl<'a> Sim<'a> {
     }
 
     /// Map assignment (Algorithm 2, JobTracker side), with both tail
-    /// thresholds derived from the surviving cluster. The live-cluster
-    /// census and the locality-aware FCFS pick are answered from the
-    /// incrementally-maintained counters and [`PendingIndex`] — no scan
-    /// over nodes or the pending queue.
+    /// thresholds derived from the surviving cluster.
     fn assign_maps(&mut self, n: u32) {
         let ni = n as usize;
-        if self.pending.is_empty() {
+        if self.ix.pending_len() == 0 {
             return;
         }
-        let live_nodes = self.usable_nodes.max(1) as f64;
-        let remaining = self.pending.len() as f64;
-        let job_tail = self.cluster_live_gpus as f64 * self.max_speedup;
-        let in_job_tail = self.cfg.scheduler == Scheduler::TailScheduling && remaining <= job_tail;
-        let node_live_gpus = self.nodes[ni].live_gpus();
-        let free_gpus = self.nodes[ni].free_live_gpu_count();
+        let scheduler = self.t.cfg.scheduler;
+        let (usable_nodes, cluster_live_gpus) = self.ix.census(&self.t);
+        let live_nodes = usable_nodes.max(1) as f64;
+        let remaining = self.ix.pending_len() as f64;
+        let job_tail = cluster_live_gpus as f64 * self.max_speedup;
+        let in_job_tail = scheduler == Scheduler::TailScheduling && remaining <= job_tail;
+        let node_live_gpus = self.ix.live_gpus(&self.t, n);
+        let free_gpus = self.ix.free(Slot::Gpu, &self.t, n);
         // scheduleNumGPUTasksAtMax vs default (fill all slots).
         let max_assign = if in_job_tail {
             if node_live_gpus > 0 {
                 node_live_gpus.min(free_gpus.max(1))
             } else {
-                self.nodes[ni].free_cpu()
+                self.ix.free(Slot::Cpu, &self.t, n)
             }
         } else {
-            self.nodes[ni].free_cpu() + free_gpus
+            self.ix.free(Slot::Cpu, &self.t, n) + free_gpus
         };
         let remaining_per_node = remaining / live_nodes;
 
         for _ in 0..max_assign {
-            if self.pending.is_empty() {
+            if self.ix.pending_len() == 0 {
                 break;
             }
             // Locality-aware FCFS pick.
-            let (task, loc) = self.pending.pick(NodeId(n), &self.topo);
-            self.unqueue_pending(task);
+            let (task, loc) = self.ix.pick(&self.t, n);
+            self.ix.remove_pending(&self.t, task);
             self.stats.record_locality(loc);
 
             // --- TaskTracker side placement. ---
-            let ave = self.nodes[ni].ave_speedup(self.max_speedup);
+            let ave = self.t.nodes[ni].ave_speedup(self.max_speedup);
             let task_tail = node_live_gpus as f64 * ave;
-            let force_gpu = self.cfg.scheduler == Scheduler::TailScheduling
+            let force_gpu = scheduler == Scheduler::TailScheduling
                 && node_live_gpus > 0
                 && remaining_per_node <= task_tail;
-            let gpu_free = self.nodes[ni].free_live_gpu();
+            let gpu_free = self.ix.free(Slot::Gpu, &self.t, n) > 0;
 
-            let placed = match (self.cfg.scheduler, gpu_free) {
+            let placed = match (scheduler, gpu_free) {
                 (Scheduler::CpuOnly, _) => Device::Cpu,
-                (_, Some(_)) => Device::Gpu,
-                (Scheduler::GpuFirst, None) => Device::Cpu,
-                (Scheduler::TailScheduling, None) => {
+                (_, true) => Device::Gpu,
+                (Scheduler::GpuFirst, false) => Device::Cpu,
+                (Scheduler::TailScheduling, false) => {
                     if force_gpu {
                         Device::Gpu // queued on the driver
                     } else {
@@ -1249,37 +1070,33 @@ impl<'a> Sim<'a> {
                     }
                 }
             };
-            match placed {
-                Device::Cpu => {
-                    if self.nodes[ni].free_cpu() == 0 {
-                        // No CPU slot after all: requeue task (at the
-                        // back, like the reference's Vec push).
-                        self.queue_pending(task);
-                        continue;
-                    }
-                    self.launch(task, n, Device::Cpu, None, false);
-                }
-                Device::Gpu => self.launch(task, n, Device::Gpu, gpu_free, false),
+            if placed == Device::Cpu && self.ix.free(Slot::Cpu, &self.t, n) == 0 {
+                // No CPU slot after all: requeue task (at the back).
+                self.ix.push_pending(&self.t, task);
+                continue;
             }
+            self.launch(task, n, placed, false);
         }
     }
 
     // ---------------------------------------------------------- attempts
 
-    /// Start (or queue) a new attempt of `task` on `n`. Fault decisions
-    /// are drawn deterministically from the plan seed here.
-    fn launch(&mut self, task: u32, n: u32, device: Device, gpu: Option<usize>, speculative: bool) {
+    /// Start a new attempt of `task` on `n`: it takes a free slot of
+    /// `device`, or — a GPU attempt finding every GPU busy — waits in the
+    /// driver queue. Fault decisions are drawn deterministically from the
+    /// plan seed here.
+    fn launch(&mut self, task: u32, n: u32, device: Device, speculative: bool) {
         let ni = n as usize;
         let ti = task as usize;
-        let attempt_no = self.tasks[ti].attempts.len() as u32;
-        let spec = &self.job.maps[ti];
+        let attempt_no = self.t.tasks[ti].attempts.len() as u32;
+        let spec = &self.t.job.maps[ti];
+        let fp = &self.t.cfg.faults;
         let base = match device {
             Device::Cpu => spec.cpu_s,
             Device::Gpu => spec.gpu_s,
         };
-        let dur = base * self.cfg.faults.straggler_factor(n);
+        let dur = base * fp.straggler_factor(n);
 
-        let fp = &self.cfg.faults;
         let fail_frac = if fp.corrupt_task_inputs.contains(&task) && attempt_no == 0 {
             // First read hits the corrupt replica: the CRC check fails
             // fast and the retry reads a healthy replica (the HDFS-level
@@ -1310,12 +1127,12 @@ impl<'a> Sim<'a> {
         if speculative {
             self.stats.speculative_attempts += 1;
         }
-        let aidx = self.attempts.len();
-        self.attempts.push(Attempt {
+        let aidx = self.t.attempts.len();
+        self.t.attempts.push(Attempt {
             task,
             node: n,
             device,
-            slot: gpu.unwrap_or(0) as u32,
+            slot: 0,
             dur,
             start: self.now,
             run_start: None,
@@ -1323,112 +1140,113 @@ impl<'a> Sim<'a> {
             state: AttemptState::Queued,
             rec,
         });
-        self.tasks[ti].attempts.push(aidx);
-        self.node_attempts[ni].insert(aidx);
-        self.undone_live.insert(task);
-        match device {
-            Device::Cpu => {
-                let slot = self.nodes[ni].grab_cpu();
-                self.attempts[aidx].slot = slot;
-                self.ignite(aidx);
-            }
-            Device::Gpu => match gpu {
-                Some(g) => {
-                    self.nodes[ni].gpu_free.remove(&(g as u32));
-                    self.ignite(aidx);
-                }
-                None => self.nodes[ni].gpu_queue.push_back(aidx),
-            },
+        self.t.tasks[ti].attempts.push(aidx);
+        self.ix.attempt_started(task, n, aidx);
+        if device == Device::Gpu && self.ix.free(Slot::Gpu, &self.t, n) == 0 {
+            self.t.nodes[ni].gpu_queue.push_back(aidx);
+        } else {
+            self.t.attempts[aidx].slot = self.ix.grab(Slot::of(device), &self.t, n);
+            self.ignite(aidx);
         }
     }
 
     /// Begin executing an attempt: schedule its completion or pre-drawn
     /// failure.
     fn ignite(&mut self, aidx: usize) {
-        self.attempts[aidx].state = AttemptState::Running;
-        self.attempts[aidx].run_start = Some(self.now);
-        let dur = self.attempts[aidx].dur;
-        match self.attempts[aidx].fail_frac {
-            Some((frac, outcome)) => self.push(
-                self.now + frac * dur,
+        let a = &mut self.t.attempts[aidx];
+        a.state = AttemptState::Running;
+        a.run_start = Some(self.now);
+        let (time, event) = match a.fail_frac {
+            Some((frac, outcome)) => (
+                self.now + frac * a.dur,
                 Event::MapFail {
                     attempt: aidx,
                     outcome,
                 },
             ),
-            None => self.push(self.now + dur, Event::MapDone { attempt: aidx }),
-        }
+            None => (self.now + a.dur, Event::MapDone { attempt: aidx }),
+        };
+        self.events.push(time, event);
     }
 
-    /// Free a GPU: start the next still-valid queued attempt, else idle it.
-    fn release_gpu(&mut self, ni: usize, g: usize) {
-        if self.nodes[ni].gpu_dead[g] {
+    /// Close attempt `aidx`: final state, stats record, trace span.
+    fn end_attempt(&mut self, aidx: usize, state: AttemptState, outcome: Outcome) {
+        let a = &mut self.t.attempts[aidx];
+        a.state = state;
+        let (n, rec) = (a.node, a.rec);
+        self.ix.attempt_ended(n, aidx);
+        self.stats.finish_attempt(rec, self.now, outcome);
+        self.trace_attempt_end(aidx, outcome);
+    }
+
+    /// Give back the slot a no-longer-running attempt held. A freed GPU
+    /// starts the next still-valid queued attempt, else idles.
+    fn release_slot(&mut self, aidx: usize) {
+        let a = &self.t.attempts[aidx];
+        let (n, ni, slot) = (a.node, a.node as usize, a.slot);
+        if a.device == Device::Cpu {
+            self.ix.release(Slot::Cpu, n, slot);
             return;
         }
-        while let Some(next) = self.nodes[ni].gpu_queue.pop_front() {
-            if self.attempts[next].state == AttemptState::Queued {
-                self.attempts[next].slot = g as u32;
+        if self.t.nodes[ni].gpu_dead[slot as usize] {
+            return;
+        }
+        while let Some(next) = self.t.nodes[ni].gpu_queue.pop_front() {
+            if self.t.attempts[next].state == AttemptState::Queued {
+                self.t.attempts[next].slot = slot;
                 self.ignite(next);
                 return;
             }
         }
-        self.nodes[ni].gpu_free.insert(g as u32);
+        self.ix.release(Slot::Gpu, n, slot);
     }
 
     fn map_done(&mut self, aidx: usize) {
         // Stale-event validation: the attempt may have been killed, lost,
         // or its node crashed since this completion was scheduled.
-        if self.attempts[aidx].state != AttemptState::Running {
+        if self.t.attempts[aidx].state != AttemptState::Running {
             return;
         }
-        let (task, n, device, slot, dur) = {
-            let a = &self.attempts[aidx];
-            (a.task, a.node, a.device, a.slot, a.dur)
+        let (task, n, device, dur) = {
+            let a = &self.t.attempts[aidx];
+            (a.task, a.node, a.device, a.dur)
         };
         let ni = n as usize;
-        if !self.nodes[ni].alive {
+        if !self.t.nodes[ni].alive {
             return; // died mid-run; the expiry check will reap it
         }
-        if self.tasks[task as usize].done {
+        if self.t.tasks[task as usize].done {
             return; // another attempt already won (guard; losers are killed)
         }
-        self.attempts[aidx].state = AttemptState::Succeeded;
-        self.node_attempts[ni].remove(&aidx);
-        let rec = self.attempts[aidx].rec;
-        self.stats.finish_attempt(rec, self.now, Outcome::Success);
-        self.trace_attempt_end(aidx, Outcome::Success);
-        self.tasks[task as usize].done = true;
-        self.tasks[task as usize].winner_node = Some(n);
+        self.end_attempt(aidx, AttemptState::Succeeded, Outcome::Success);
+        self.t.tasks[task as usize].done = true;
+        self.t.tasks[task as usize].winner_node = Some(n);
         self.journal
             .append(JtRecord::TaskCompleted { task, node: n });
-        self.undone_live.remove(&task);
-        self.node_winners[ni].insert(task);
+        self.ix.task_won(task, n);
         self.maps_done += 1;
         self.last_map_done_t = self.now;
         if let Some(h) = self.hook.as_mut() {
             h.map_completed(task, n, device, self.now);
         }
         self.kill_losers(task, aidx);
-        match device {
-            Device::Cpu => {
-                self.nodes[ni].release_cpu(slot);
-                self.nodes[ni].cpu_samples.0 += dur;
-                self.nodes[ni].cpu_samples.1 += 1;
-            }
+        let samples = match device {
+            Device::Cpu => &mut self.t.nodes[ni].cpu_samples,
             Device::Gpu => {
-                self.nodes[ni].gpu_samples.0 += dur;
-                self.nodes[ni].gpu_samples.1 += 1;
                 self.stats.gpu_busy_s += dur;
-                self.release_gpu(ni, slot as usize);
+                &mut self.t.nodes[ni].gpu_samples
             }
-        }
+        };
+        samples.0 += dur;
+        samples.1 += 1;
+        self.release_slot(aidx);
         // TTs report their speedup; the JT remembers the max (§6.2).
-        let ave = self.nodes[ni].ave_speedup(self.max_speedup);
+        let ave = self.t.nodes[ni].ave_speedup(self.max_speedup);
         if ave > self.max_speedup {
             self.max_speedup = ave;
         }
         // When the final map finishes, running reduces can complete.
-        if self.maps_done == self.job.maps.len() {
+        if self.maps_done == self.t.job.maps.len() {
             self.schedule_running_reduce_completions();
         }
     }
@@ -1436,57 +1254,32 @@ impl<'a> Sim<'a> {
     /// First finisher wins: kill every other live attempt of the task and
     /// free its slot right away.
     fn kill_losers(&mut self, task: u32, winner: usize) {
-        let idxs = self.tasks[task as usize].attempts.clone();
+        let idxs = self.t.tasks[task as usize].attempts.clone();
         for ai in idxs {
-            if ai == winner || !self.attempts[ai].live() {
+            if ai == winner || !self.t.attempts[ai].live() {
                 continue;
             }
-            let was_running = self.attempts[ai].state == AttemptState::Running;
-            self.attempts[ai].state = AttemptState::Killed;
-            self.node_attempts[self.attempts[ai].node as usize].remove(&ai);
-            let rec = self.attempts[ai].rec;
-            self.stats
-                .finish_attempt(rec, self.now, Outcome::SpeculativeKilled);
-            self.trace_attempt_end(ai, Outcome::SpeculativeKilled);
-            let ni = self.attempts[ai].node as usize;
-            if was_running && self.nodes[ni].alive {
-                match self.attempts[ai].device {
-                    Device::Cpu => {
-                        let slot = self.attempts[ai].slot;
-                        self.nodes[ni].release_cpu(slot);
-                    }
-                    Device::Gpu => {
-                        let g = self.attempts[ai].slot as usize;
-                        self.release_gpu(ni, g);
-                    }
-                }
+            let was_running = self.t.attempts[ai].state == AttemptState::Running;
+            self.end_attempt(ai, AttemptState::Killed, Outcome::SpeculativeKilled);
+            if was_running && self.t.nodes[self.t.attempts[ai].node as usize].alive {
+                self.release_slot(ai);
             }
-            // Queued losers stay in their gpu_queue; release_gpu skips
+            // Queued losers stay in their gpu_queue; release_slot skips
             // non-Queued entries lazily.
         }
     }
 
     fn map_fail(&mut self, aidx: usize, outcome: Outcome) {
-        if self.attempts[aidx].state != AttemptState::Running {
+        let a = &self.t.attempts[aidx];
+        if a.state != AttemptState::Running {
             return;
         }
-        let (task, n, device, slot) = {
-            let a = &self.attempts[aidx];
-            (a.task, a.node, a.device, a.slot)
-        };
-        let ni = n as usize;
-        if !self.nodes[ni].alive {
+        let task = a.task;
+        if !self.t.nodes[a.node as usize].alive {
             return; // the node death supersedes the task failure
         }
-        self.attempts[aidx].state = AttemptState::Failed;
-        self.node_attempts[ni].remove(&aidx);
-        let rec = self.attempts[aidx].rec;
-        self.stats.finish_attempt(rec, self.now, outcome);
-        self.trace_attempt_end(aidx, outcome);
-        match device {
-            Device::Cpu => self.nodes[ni].release_cpu(slot),
-            Device::Gpu => self.release_gpu(ni, slot as usize),
-        }
+        self.end_attempt(aidx, AttemptState::Failed, outcome);
+        self.release_slot(aidx);
         if outcome == Outcome::ChecksumFail {
             self.stats.checksum_failures += 1;
         }
@@ -1496,7 +1289,7 @@ impl<'a> Sim<'a> {
     /// Charge a failed attempt to its task and re-queue or abort.
     fn task_attempt_failed(&mut self, task: u32, outcome: Outcome) {
         let ti = task as usize;
-        if self.tasks[ti].done {
+        if self.t.tasks[ti].done {
             return;
         }
         // Task-caused failures count toward `max_attempts`; environment
@@ -1506,22 +1299,25 @@ impl<'a> Sim<'a> {
         self.journal
             .append(JtRecord::AttemptFailed { task, charged });
         if charged {
-            self.tasks[ti].failed_count += 1;
-            if self.tasks[ti].failed_count >= self.cfg.max_attempts {
+            self.t.tasks[ti].failed_count += 1;
+            if self.t.tasks[ti].failed_count >= self.t.cfg.max_attempts {
                 // mapred.map.max.attempts exhausted: the job fails.
                 self.stats.aborted = true;
                 return;
             }
         }
-        let has_live = self.tasks[ti]
-            .attempts
-            .iter()
-            .any(|&ai| self.attempts[ai].live());
-        if !has_live {
-            self.undone_live.remove(&task);
-            if !self.pending.contains(task) {
-                self.queue_pending(task);
-            }
+        self.requeue_if_idle(task);
+    }
+
+    /// A task that just lost an attempt goes back to the pending queue
+    /// unless another attempt is still live or it is already done.
+    fn requeue_if_idle(&mut self, task: u32) {
+        if self.t.has_live(task) {
+            return;
+        }
+        self.ix.task_idle(task);
+        if !self.t.tasks[task as usize].done && !self.ix.is_pending(task) {
+            self.ix.push_pending(&self.t, task);
         }
     }
 
@@ -1530,18 +1326,14 @@ impl<'a> Sim<'a> {
     fn gpu_fault(&mut self, node: u32, gpu: u32) {
         let ni = node as usize;
         let g = gpu as usize;
-        if ni >= self.nodes.len() || g >= self.nodes[ni].gpu_dead.len() {
+        if ni >= self.t.nodes.len() || g >= self.t.nodes[ni].gpu_dead.len() {
             return;
         }
-        if self.nodes[ni].gpu_dead[g] {
+        if self.t.nodes[ni].gpu_dead[g] {
             return;
         }
-        self.nodes[ni].gpu_dead[g] = true;
-        self.nodes[ni].gpu_free.remove(&gpu);
-        self.nodes[ni].gpu_live -= 1;
-        if self.nodes[ni].usable() {
-            self.cluster_live_gpus -= 1;
-        }
+        self.t.nodes[ni].gpu_dead[g] = true;
+        self.ix.gpu_died(&self.t, node, gpu);
         self.stats.gpu_faults_seen += 1;
         if self.trace_on {
             self.tracer.instant(
@@ -1553,78 +1345,35 @@ impl<'a> Sim<'a> {
                 vec![("gpu", ArgValue::from(gpu))],
             );
         }
-        // The attempt on the device dies with it. At most one running
-        // attempt occupies a given GPU, and the node's live-attempt set
-        // iterates in attempt order, so its first match is the same one
-        // the reference's global `position()` scan finds.
-        let victim = self.node_attempts[ni].iter().copied().find(|&ai| {
-            let a = &self.attempts[ai];
-            a.state == AttemptState::Running && a.device == Device::Gpu && a.slot == gpu
-        });
+        // The attempt on the device dies with it (at most one running
+        // attempt occupies a given GPU).
+        let victim = self
+            .ix
+            .live_attempts(&self.t, node)
+            .into_iter()
+            .find(|&ai| {
+                let a = &self.t.attempts[ai];
+                a.state == AttemptState::Running && a.device == Device::Gpu && a.slot == gpu
+            });
         if let Some(ai) = victim {
-            self.attempts[ai].state = AttemptState::Failed;
-            self.node_attempts[ni].remove(&ai);
-            let rec = self.attempts[ai].rec;
-            let task = self.attempts[ai].task;
-            self.stats.finish_attempt(rec, self.now, Outcome::GpuFault);
-            self.trace_attempt_end(ai, Outcome::GpuFault);
-            self.task_attempt_failed(task, Outcome::GpuFault);
+            self.end_attempt(ai, AttemptState::Failed, Outcome::GpuFault);
+            self.task_attempt_failed(self.t.attempts[ai].task, Outcome::GpuFault);
         }
         // With no GPU left on the node, queued-for-GPU attempts go back
         // to the JobTracker; the node degrades to its CPU slots.
-        if self.nodes[ni].live_gpus() == 0 {
-            while let Some(ai) = self.nodes[ni].gpu_queue.pop_front() {
-                if self.attempts[ai].state != AttemptState::Queued {
+        if self.ix.live_gpus(&self.t, node) == 0 {
+            while let Some(ai) = self.t.nodes[ni].gpu_queue.pop_front() {
+                if self.t.attempts[ai].state != AttemptState::Queued {
                     continue;
                 }
-                self.attempts[ai].state = AttemptState::Failed;
-                self.node_attempts[ni].remove(&ai);
-                let rec = self.attempts[ai].rec;
-                let task = self.attempts[ai].task;
-                self.stats.finish_attempt(rec, self.now, Outcome::GpuFault);
-                self.task_attempt_failed(task, Outcome::GpuFault);
+                self.end_attempt(ai, AttemptState::Failed, Outcome::GpuFault);
+                self.task_attempt_failed(self.t.attempts[ai].task, Outcome::GpuFault);
             }
         }
     }
 
     fn expiry_check(&mut self) {
-        // Lazy deadline heap instead of the reference's all-node sweep.
-        // Entries go stale when a node heartbeats (its deadline moved
-        // later); the heap is only a conservative candidate filter — the
-        // reference's own expression decides, so floating-point rounding
-        // between `last_heartbeat + timeout` (the key) and
-        // `now - last_heartbeat > timeout` (the test) cannot change the
-        // verdict. The half-heartbeat margin makes the filter inclusive.
-        let margin = 0.5 * self.cfg.heartbeat_s;
-        let horizon = self.now + margin;
-        let mut candidates: Vec<ExpiryEntry> = Vec::new();
-        while let Some(&e) = self.expiry.peek() {
-            if e.deadline >= horizon {
-                break;
-            }
-            candidates.push(self.expiry.pop().unwrap());
-        }
-        let mut expired: Vec<u32> = Vec::new();
-        for e in candidates {
-            let nd = &self.nodes[e.node as usize];
-            if nd.dead_declared {
-                continue; // entry retired with the node
-            }
-            if self.now - nd.last_heartbeat > self.cfg.heartbeat_timeout_s {
-                expired.push(e.node);
-            } else {
-                // Stale or not-yet-expired: refresh from the current
-                // heartbeat and re-arm (processed outside the pop loop,
-                // so an unchanged deadline cannot spin).
-                self.expiry.push(ExpiryEntry {
-                    deadline: nd.last_heartbeat + self.cfg.heartbeat_timeout_s,
-                    node: e.node,
-                });
-            }
-        }
-        // The reference sweeps nodes in ascending id order per tick.
-        expired.sort_unstable();
-        for n in expired {
+        for n in self.ix.expired(&self.t, self.now) {
             self.declare_dead(n);
         }
         // Keep checking until every planned crash has been detected —
@@ -1634,7 +1383,8 @@ impl<'a> Sim<'a> {
         if (self.stats.nodes_lost < self.planned_crashes || self.silencing_faults)
             && !self.stats.aborted
         {
-            self.push(self.now + self.cfg.heartbeat_s, Event::ExpiryCheck);
+            self.events
+                .push(self.now + self.t.cfg.heartbeat_s, Event::ExpiryCheck);
         }
     }
 
@@ -1643,13 +1393,8 @@ impl<'a> Sim<'a> {
     /// reduces still need their outputs.
     fn declare_dead(&mut self, n: u32) {
         let ni = n as usize;
-        // Keep the usable census exact even if declaration ever precedes
-        // the crash event (a still-alive node falling silent).
-        if self.nodes[ni].alive && !self.nodes[ni].dead_declared {
-            self.usable_nodes -= 1;
-            self.cluster_live_gpus -= self.nodes[ni].gpu_live;
-        }
-        self.nodes[ni].dead_declared = true;
+        self.t.nodes[ni].dead_declared = true;
+        self.ix.node_declared_dead(&self.t, n);
         self.journal.append(JtRecord::NodeDeclaredDead { node: n });
         self.stats.nodes_lost += 1;
         self.stats.node_loss_detected.push((n, self.now));
@@ -1659,48 +1404,31 @@ impl<'a> Sim<'a> {
             vec![("node", ArgValue::from(n))],
         );
         // Reap in-flight map attempts; node loss is not the task's fault,
-        // so nothing is charged against max_attempts. The per-node live
-        // set iterates in attempt order — the same order the reference's
-        // whole-table scan visits this node's live attempts in.
-        for ai in std::mem::take(&mut self.node_attempts[ni]) {
-            self.attempts[ai].state = AttemptState::Lost;
-            let rec = self.attempts[ai].rec;
-            self.stats.finish_attempt(rec, self.now, Outcome::NodeLost);
-            self.trace_attempt_end(ai, Outcome::NodeLost);
-            let task = self.attempts[ai].task;
-            let ti = task as usize;
-            let has_live = self.tasks[ti]
-                .attempts
-                .iter()
-                .any(|&a2| self.attempts[a2].live());
-            if !has_live {
-                self.undone_live.remove(&task);
-                if !self.tasks[ti].done && !self.pending.contains(task) {
-                    self.queue_pending(task);
-                }
-            }
+        // so nothing is charged against max_attempts.
+        for ai in self.ix.live_attempts(&self.t, n) {
+            self.end_attempt(ai, AttemptState::Lost, Outcome::NodeLost);
+            self.requeue_if_idle(self.t.attempts[ai].task);
         }
-        self.nodes[ni].gpu_queue.clear();
+        self.t.nodes[ni].gpu_queue.clear();
         // Map outputs live on the tracker's local disk: completed maps
         // must re-run while reduces still need to fetch them. Map-only
         // jobs write straight to HDFS and lose nothing (Hadoop 1.x).
-        if !self.job.reduces.is_empty() && self.reduces_done < self.job.reduces.len() {
-            let winners = std::mem::take(&mut self.node_winners[ni]);
-            let re_ran = !winners.is_empty();
+        if self.reduces_done < self.t.job.reduces.len() {
+            let winners = self.ix.take_winners(&self.t, n);
+            if !winners.is_empty() {
+                self.maps_epoch += 1; // invalidate scheduled reduce finishes
+            }
             for id in winners {
-                let t = id as usize;
-                debug_assert_eq!(self.tasks[t].winner_node, Some(n));
-                self.tasks[t].done = false;
-                self.tasks[t].winner_node = None;
+                let ts = &mut self.t.tasks[id as usize];
+                debug_assert_eq!((ts.done, ts.winner_node), (true, Some(n)));
+                ts.done = false;
+                ts.winner_node = None;
                 self.journal.append(JtRecord::TaskInvalidated { task: id });
                 self.maps_done -= 1;
                 self.stats.re_executed += 1;
-                if !self.pending.contains(id) {
-                    self.queue_pending(id);
+                if !self.ix.is_pending(id) {
+                    self.ix.push_pending(&self.t, id);
                 }
-            }
-            if re_ran {
-                self.maps_epoch += 1; // invalidate scheduled reduce finishes
             }
         }
         // Reduces running on the dead node restart elsewhere. In-place,
@@ -1708,10 +1436,10 @@ impl<'a> Sim<'a> {
         // relative order (which downstream event scheduling depends on
         // for determinism) and no per-declaration Vec is allocated.
         let mut i = 0;
-        while i < self.running_reduces.len() {
-            let rr = self.running_reduces[i];
+        while i < self.t.running_reduces.len() {
+            let rr = self.t.running_reduces[i];
             if rr.node == n && !self.stats.reduce_done(rr.task) {
-                self.running_reduces.remove(i);
+                self.t.running_reduces.remove(i);
                 self.pending_reduces.push_back(rr.task);
                 self.stats.reduce_attempts_lost += 1;
                 if self.trace_on {
@@ -1733,8 +1461,11 @@ impl<'a> Sim<'a> {
         // partition or loss streak) still count as a future: they will
         // re-register and be re-admitted — only an all-crashed cluster
         // is hopeless. (With legacy plans declared ⇒ crashed, so this is
-        // the old `usable_nodes == 0` abort exactly.)
-        if self.work_remains() && self.usable_nodes == 0 && self.nodes.iter().all(|nd| !nd.alive) {
+        // the old "no usable node" abort exactly.)
+        if self.work_remains()
+            && self.ix.census(&self.t).0 == 0
+            && self.t.nodes.iter().all(|nd| !nd.alive)
+        {
             self.stats.aborted = true;
         }
     }
@@ -1745,8 +1476,8 @@ impl<'a> Sim<'a> {
         let epoch = self.maps_epoch;
         // Indexed iteration over Copy entries: this runs on the final
         // map-done heartbeat path and must not clone the whole vec.
-        for i in 0..self.running_reduces.len() {
-            let rr = self.running_reduces[i];
+        for i in 0..self.t.running_reduces.len() {
+            let rr = self.t.running_reduces[i];
             if self.stats.reduce_done(rr.task) {
                 continue;
             }
@@ -1754,9 +1485,9 @@ impl<'a> Sim<'a> {
                 rr.start,
                 self.now,
                 self.shuffle_per_reduce_s,
-                self.job.reduces[rr.task as usize].compute_s,
+                self.t.job.reduces[rr.task as usize].compute_s,
             );
-            self.push(
+            self.events.push(
                 done_t.max(self.now),
                 Event::ReduceDone {
                     node: rr.node,
@@ -1771,8 +1502,8 @@ impl<'a> Sim<'a> {
         // Stale if a completed map was invalidated since scheduling, if
         // the map phase regressed, or if the node died under the reduce.
         if epoch != self.maps_epoch
-            || self.maps_done != self.job.maps.len()
-            || !self.nodes[node as usize].alive
+            || self.maps_done != self.t.job.maps.len()
+            || !self.t.nodes[node as usize].alive
         {
             return;
         }
@@ -1782,14 +1513,15 @@ impl<'a> Sim<'a> {
             // Release the slot this reduce held (and drop its entry —
             // it no longer needs rescheduling or rescue).
             if let Some(i) = self
+                .t
                 .running_reduces
                 .iter()
                 .position(|rr| rr.task == task && rr.node == node)
             {
-                let rr = self.running_reduces.remove(i);
-                self.nodes[node as usize].release_reduce(rr.slot);
+                let rr = self.t.running_reduces.remove(i);
+                self.ix.release(Slot::Reduce, node, rr.slot);
                 if self.trace_on {
-                    let compute_s = self.job.reduces[task as usize].compute_s;
+                    let compute_s = self.t.job.reduces[task as usize].compute_s;
                     let shuffle_end =
                         (rr.start + self.shuffle_per_reduce_s).min(self.now - compute_s);
                     let lane = self.lane_reduce(rr.slot);
@@ -1823,36 +1555,35 @@ impl<'a> Sim<'a> {
     /// more than `cfg.speculative_lag`, on a node other than the one
     /// running it.
     fn try_speculate(&mut self, n: u32) {
-        if !self.pending.is_empty() || self.maps_done == self.job.maps.len() {
+        if self.ix.pending_len() > 0 || self.maps_done == self.t.job.maps.len() {
             return;
         }
-        let ni = n as usize;
         loop {
-            let has_cpu = self.nodes[ni].free_cpu() > 0;
-            let gpu_free = if self.cfg.scheduler == Scheduler::CpuOnly {
-                None
+            let device = if self.t.cfg.scheduler != Scheduler::CpuOnly
+                && self.ix.free(Slot::Gpu, &self.t, n) > 0
+            {
+                Device::Gpu
+            } else if self.ix.free(Slot::Cpu, &self.t, n) > 0 {
+                Device::Cpu
             } else {
-                self.nodes[ni].free_live_gpu()
-            };
-            if !has_cpu && gpu_free.is_none() {
                 return;
-            }
-            // Every done task contributes exactly 1.0 progress; only the
-            // undone-with-live-attempts pool needs walking. The pool is a
-            // BTreeSet, so iteration is in task order — the same visit
-            // order (and thus min-progress tie-break) as the reference's
-            // full table scan.
+            };
+            // Every done task contributes exactly 1.0 progress; seeding
+            // the sum with their count and then adding the candidates in
+            // task order fixes one summation order — float addition is
+            // not associative, so the order is part of the spec (as is
+            // the min-progress tie-break it implies).
             let mut sum = self.maps_done as f64;
             let mut cnt = self.maps_done as u32;
             // Slowest backup candidate: single live attempt, off-node.
             let mut cand: Option<(u32, f64)> = None;
-            for &t in &self.undone_live {
-                let ts = &self.tasks[t as usize];
+            for t in self.ix.spec_candidates(&self.t) {
+                let ts = &self.t.tasks[t as usize];
                 let mut live_cnt = 0u32;
                 let mut only_live: usize = 0;
                 let mut p = 0.0f64;
                 for &ai in &ts.attempts {
-                    let a = &self.attempts[ai];
+                    let a = &self.t.attempts[ai];
                     if !a.live() {
                         continue;
                     }
@@ -1860,10 +1591,10 @@ impl<'a> Sim<'a> {
                     only_live = ai;
                     p = p.max(((self.now - a.start) / a.dur.max(1e-9)).clamp(0.0, 1.0));
                 }
-                debug_assert!(live_cnt > 0, "stale undone_live entry");
+                debug_assert!(live_cnt > 0, "speculation candidate with no live attempt");
                 sum += p;
                 cnt += 1;
-                if live_cnt == 1 && self.attempts[only_live].node != n {
+                if live_cnt == 1 && self.t.attempts[only_live].node != n {
                     match cand {
                         Some((_, cp)) if cp <= p => {}
                         _ => cand = Some((t, p)),
@@ -1875,7 +1606,7 @@ impl<'a> Sim<'a> {
             }
             let avg = sum / cnt as f64;
             let Some((t, p)) = cand else { return };
-            if p >= avg - self.cfg.speculative_lag {
+            if p >= avg - self.t.cfg.speculative_lag {
                 return;
             }
             self.trace_jt_instant(
@@ -1887,116 +1618,30 @@ impl<'a> Sim<'a> {
                     ("job_avg", ArgValue::from(avg)),
                 ],
             );
-            match gpu_free {
-                Some(g) => self.launch(t, n, Device::Gpu, Some(g), true),
-                None => self.launch(t, n, Device::Cpu, None, true),
-            }
+            self.launch(t, n, device, true);
         }
     }
 
     // ------------------------------------------------------------ audit
 
-    /// Cross-check every incrementally-maintained structure against a
-    /// ground-truth recomputation from the task/attempt/node tables.
-    /// Called after each DES event in audited builds; panics (via
-    /// [`crate::audit::violation`]) at the first drifted index.
+    /// Called after each DES event in audited builds: check the core's
+    /// own counters against its tables, then let the index cross-check
+    /// whatever it maintains. Panics (via [`crate::audit::violation`]) at
+    /// the first drift.
     #[cfg(any(debug_assertions, feature = "audit"))]
     fn audit_invariants(&self, event: &Event) {
         use crate::audit::check;
         let ctx = format!("after {:?} @ t={}", event, self.now);
-
-        // Node census and per-node slot free-lists.
-        let mut usable = 0u32;
-        let mut live_gpus = 0u32;
-        for (n, nd) in self.nodes.iter().enumerate() {
-            let true_gpu_live = nd.gpu_dead.iter().filter(|&&d| !d).count() as u32;
-            check(nd.gpu_live == true_gpu_live, &ctx, || {
-                format!(
-                    "node {n}: gpu_live {} != live count {true_gpu_live}",
-                    nd.gpu_live
-                )
-            });
-            if nd.usable() {
-                usable += 1;
-                live_gpus += nd.gpu_live;
-                let mut cpu_busy: BTreeSet<u32> = BTreeSet::new();
-                let mut gpu_busy: BTreeSet<u32> = BTreeSet::new();
-                for &ai in &self.node_attempts[n] {
-                    let a = &self.attempts[ai];
-                    if a.state == AttemptState::Running {
-                        match a.device {
-                            Device::Cpu => {
-                                cpu_busy.insert(a.slot);
-                            }
-                            Device::Gpu => {
-                                gpu_busy.insert(a.slot);
-                            }
-                        }
-                    }
-                }
-                let cpu_truth: BTreeSet<u32> = (0..self.cfg.map_slots_per_node)
-                    .filter(|s| !cpu_busy.contains(s))
-                    .collect();
-                check(nd.cpu_free == cpu_truth, &ctx, || {
-                    format!("node {n}: cpu_free {:?} != {:?}", nd.cpu_free, cpu_truth)
-                });
-                let gpu_truth: BTreeSet<u32> = (0..self.cfg.effective_gpus())
-                    .filter(|&g| !nd.gpu_dead[g as usize] && !gpu_busy.contains(&g))
-                    .collect();
-                check(nd.gpu_free == gpu_truth, &ctx, || {
-                    format!("node {n}: gpu_free {:?} != {:?}", nd.gpu_free, gpu_truth)
-                });
-                let red_busy: BTreeSet<u32> = self
-                    .running_reduces
-                    .iter()
-                    .filter(|rr| rr.node as usize == n)
-                    .map(|rr| rr.slot)
-                    .collect();
-                let red_truth: BTreeSet<u32> = (0..self.cfg.reduce_slots_per_node)
-                    .filter(|s| !red_busy.contains(s))
-                    .collect();
-                check(nd.reduce_free == red_truth, &ctx, || {
-                    format!(
-                        "node {n}: reduce_free {:?} != {:?}",
-                        nd.reduce_free, red_truth
-                    )
-                });
-            }
-        }
-        check(self.usable_nodes == usable, &ctx, || {
-            format!("usable_nodes {} != census {usable}", self.usable_nodes)
-        });
-        check(self.cluster_live_gpus == live_gpus, &ctx, || {
-            format!(
-                "cluster_live_gpus {} != census {live_gpus}",
-                self.cluster_live_gpus
-            )
-        });
-
-        // Per-node live-attempt sets and the GPU driver queues — one pass
-        // over the attempt table builds every node's ground truth.
-        let mut attempts_truth: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.nodes.len()];
-        for (ai, a) in self.attempts.iter().enumerate() {
-            if a.live() {
-                attempts_truth[a.node as usize].insert(ai);
-            }
+        for (ai, a) in self.t.attempts.iter().enumerate() {
             if a.state == AttemptState::Queued {
                 check(
-                    self.nodes[a.node as usize].gpu_queue.contains(&ai),
+                    self.t.nodes[a.node as usize].gpu_queue.contains(&ai),
                     &ctx,
                     || format!("queued attempt {ai} missing from node {} gpu_queue", a.node),
                 );
             }
         }
-        for (n, set) in self.node_attempts.iter().enumerate() {
-            check(*set == attempts_truth[n], &ctx, || {
-                format!("node {n}: node_attempts {set:?} != {:?}", attempts_truth[n])
-            });
-        }
-
-        // Task bookkeeping: completion census, winner placement, the
-        // speculation pool, and queue/liveness totality.
-        let done_count = self.tasks.iter().filter(|t| t.done).count();
+        let done_count = self.t.tasks.iter().filter(|t| t.done).count();
         check(self.maps_done == done_count, &ctx, || {
             format!("maps_done {} != census {done_count}", self.maps_done)
         });
@@ -2011,104 +1656,29 @@ impl<'a> Sim<'a> {
                 )
             },
         );
-        let mut winners_truth: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); self.nodes.len()];
-        for (t, ts) in self.tasks.iter().enumerate() {
-            if let (true, Some(w)) = (ts.done, ts.winner_node) {
-                winners_truth[w as usize].insert(t as u32);
-            }
-        }
-        for (n, nw) in self.node_winners.iter().enumerate() {
-            check(*nw == winners_truth[n], &ctx, || {
-                format!("node {n}: node_winners {nw:?} != {:?}", winners_truth[n])
-            });
-        }
-        let undone_truth: BTreeSet<u32> = (0..self.tasks.len() as u32)
-            .filter(|&t| {
-                !self.tasks[t as usize].done
-                    && self.tasks[t as usize]
-                        .attempts
-                        .iter()
-                        .any(|&ai| self.attempts[ai].live())
-            })
-            .collect();
-        check(self.undone_live == undone_truth, &ctx, || {
-            format!("undone_live {:?} != {undone_truth:?}", self.undone_live)
-        });
-        for t in 0..self.tasks.len() as u32 {
-            let ts = &self.tasks[t as usize];
-            let has_live = ts.attempts.iter().any(|&ai| self.attempts[ai].live());
-            if self.pending.contains(t) {
-                check(!ts.done && !has_live, &ctx, || {
-                    format!("task {t} pending while done={} live={has_live}", ts.done)
+        for t in 0..self.t.tasks.len() as u32 {
+            let done = self.t.tasks[t as usize].done;
+            let has_live = self.t.has_live(t);
+            if self.ix.is_pending(t) {
+                check(!done && !has_live, &ctx, || {
+                    format!("task {t} pending while done={done} live={has_live}")
                 });
             } else if !self.jt_down {
                 // Totality: an undone task with no live attempt must be
                 // queued (while the master is up to queue it).
-                check(ts.done || has_live, &ctx, || {
+                check(done || has_live, &ctx, || {
                     format!("task {t} is neither done, live, nor pending")
                 });
             }
         }
-
-        // PendingIndex locality views against a fresh recomputation — one
-        // pass over the queue × replicas builds every view's ground truth.
-        let mut by_node_truth: Vec<BTreeSet<(u64, u32)>> =
-            vec![BTreeSet::new(); self.pending.by_node.len()];
-        let mut by_rack_truth: Vec<BTreeSet<(u64, u32)>> =
-            vec![BTreeSet::new(); self.pending.by_rack.len()];
-        for &(seq, t) in &self.pending.queue {
-            for rep in &self.job.maps[t as usize].replicas {
-                let n = rep.0 as usize;
-                if n < self.nodes.len() && self.nodes[n].alive {
-                    by_node_truth[n].insert((seq, t));
-                    by_rack_truth[self.topo.rack_of(*rep).0 as usize].insert((seq, t));
-                }
-            }
-        }
-        for (n, view) in self.pending.by_node.iter().enumerate() {
-            check(*view == by_node_truth[n], &ctx, || {
-                format!("pending.by_node[{n}] {view:?} != {:?}", by_node_truth[n])
-            });
-        }
-        for (r, view) in self.pending.by_rack.iter().enumerate() {
-            check(*view == by_rack_truth[r], &ctx, || {
-                format!("pending.by_rack[{r}] {view:?} != {:?}", by_rack_truth[r])
-            });
-        }
-        for t in 0..self.tasks.len() as u32 {
-            let in_queue = self.pending.seq_of[t as usize]
-                .map(|s| self.pending.queue.contains(&(s, t)))
-                .unwrap_or(false);
-            check(in_queue == self.pending.contains(t), &ctx, || {
-                format!("task {t}: seq_of/queue views disagree")
-            });
-        }
-
-        // The lazy expiry heap must cover every not-yet-declared node
-        // whenever expiry is armed, or a silent tracker could escape
-        // detection forever.
-        if (self.planned_crashes > 0 || self.silencing_faults) && !self.jt_down {
-            let covered: HashSet<u32> = self.expiry.iter().map(|e| e.node).collect();
-            for (n, nd) in self.nodes.iter().enumerate() {
-                if !nd.dead_declared {
-                    check(covered.contains(&(n as u32)), &ctx, || {
-                        format!("node {n} not covered by any expiry-heap entry")
-                    });
-                }
-            }
-        }
+        self.ix.audit(&self.t, &ctx);
     }
 }
 
 /// A reduce that started shuffling at `start` completes its shuffle+merge
 /// `shuffle_s` after start (overlapped with the map phase) but its compute
 /// can only run once every map is done (`maps_done_t`).
-pub(crate) fn reduce_finish_time(
-    start: f64,
-    maps_done_t: f64,
-    shuffle_s: f64,
-    compute_s: f64,
-) -> f64 {
+fn reduce_finish_time(start: f64, maps_done_t: f64, shuffle_s: f64, compute_s: f64) -> f64 {
     (start + shuffle_s).max(maps_done_t) + compute_s
 }
 
@@ -2116,6 +1686,7 @@ pub(crate) fn reduce_finish_time(
 mod tests {
     use super::*;
     use crate::config::FaultPlan;
+    use crate::reference::ScanIndex;
 
     /// The Fig. 3 scenario: 19 tasks, one 6x GPU, two CPU slots, one node.
     fn fig3_cluster(s: Scheduler) -> ClusterConfig {
@@ -2146,6 +1717,81 @@ mod tests {
         );
         assert_eq!(gf.completed_maps(), 19);
         assert_eq!(ts.completed_maps(), 19);
+    }
+
+    /// A [`SchedIndex`] that lies in one answer: `pick` ignores the
+    /// node-local and rack-local tiers and hands out the lowest-numbered
+    /// pending task as off-rack. Every other answer is the scan index's.
+    #[derive(Default)]
+    struct FifoPick(ScanIndex);
+
+    impl SchedIndex for FifoPick {
+        fn build(t: &Tables) -> Self {
+            FifoPick(ScanIndex::build(t))
+        }
+        fn pick(&self, t: &Tables, _node: u32) -> (u32, Locality) {
+            let head = (0..t.tasks.len() as u32).find(|&task| self.is_pending(task));
+            (head.expect("pick from an empty queue"), Locality::OffRack)
+        }
+        fn pending_len(&self) -> usize {
+            self.0.pending_len()
+        }
+        fn is_pending(&self, task: u32) -> bool {
+            self.0.is_pending(task)
+        }
+        fn push_pending(&mut self, t: &Tables, task: u32) {
+            self.0.push_pending(t, task)
+        }
+        fn remove_pending(&mut self, t: &Tables, task: u32) {
+            self.0.remove_pending(t, task)
+        }
+        fn free(&self, kind: Slot, t: &Tables, n: u32) -> u32 {
+            self.0.free(kind, t, n)
+        }
+        fn grab(&mut self, kind: Slot, t: &Tables, n: u32) -> u32 {
+            self.0.grab(kind, t, n)
+        }
+        fn release(&mut self, kind: Slot, n: u32, slot: u32) {
+            self.0.release(kind, n, slot)
+        }
+        fn census(&self, t: &Tables) -> (u32, u32) {
+            self.0.census(t)
+        }
+        fn live_gpus(&self, t: &Tables, n: u32) -> u32 {
+            self.0.live_gpus(t, n)
+        }
+        fn expired(&mut self, t: &Tables, now: f64) -> Vec<u32> {
+            self.0.expired(t, now)
+        }
+        fn live_attempts(&self, t: &Tables, n: u32) -> Vec<usize> {
+            self.0.live_attempts(t, n)
+        }
+        fn take_winners(&mut self, t: &Tables, n: u32) -> Vec<u32> {
+            self.0.take_winners(t, n)
+        }
+        fn spec_candidates(&self, t: &Tables) -> Vec<u32> {
+            self.0.spec_candidates(t)
+        }
+        fn node_readmitted(&mut self, t: &Tables, n: u32) {
+            self.0.node_readmitted(t, n)
+        }
+    }
+
+    /// The differential suites compare the indexed run with the scan run.
+    /// That comparison has teeth only if a wrong index changes the
+    /// result: here one lying answer, on the Fig. 3 job, must show up in
+    /// the fingerprint the suites compare — while the two honest indexes
+    /// agree on it.
+    #[test]
+    fn differential_oracle_catches_a_lying_index() {
+        let cfg = fig3_cluster(Scheduler::TailScheduling);
+        let job = fig3_job();
+        let tracer = Tracer::off();
+        let scan = run::<ScanIndex>(&cfg, &job, &tracer, None).fingerprint();
+        let indexed = run::<Indexed>(&cfg, &job, &tracer, None).fingerprint();
+        let lying = run::<FifoPick>(&cfg, &job, &tracer, None).fingerprint();
+        assert_eq!(indexed, scan);
+        assert_ne!(lying, scan, "a wrong pick went unnoticed");
     }
 
     #[test]

@@ -186,3 +186,46 @@ fn degenerate_shapes_survive_speculation_and_stragglers() {
     assert!(!st.aborted);
     assert_eq!(st.completed_maps(), 2);
 }
+
+/// Durations the clock cannot absorb: an infinite task never completes
+/// (the run used to spin on heartbeats forever), a negative one ran the
+/// makespan backwards, NaN poisoned it. Each must be refused up front by
+/// both entry points, with a message naming the job, task and field.
+#[test]
+fn non_finite_or_negative_durations_fail_fast_from_both_simulators() {
+    type Entry = fn(&ClusterConfig, &JobSpec) -> hetero_cluster::JobStats;
+    let entries: [(&str, Entry); 2] = [
+        ("simulate", simulate),
+        ("simulate_reference", simulate_reference),
+    ];
+    let cfg = ClusterConfig::small(4, Scheduler::CpuOnly);
+    let bad_map = |cpu_s: f64| JobSpec::uniform("bad", 8, 4, 1, cpu_s, 0.5);
+    let mut bad_gpu = JobSpec::uniform("bad", 8, 4, 1, 1.0, 0.5);
+    bad_gpu.maps[3].gpu_s = f64::NAN;
+    let mut bad_reduce = reduce_only(2);
+    bad_reduce.reduces[1].compute_s = f64::NEG_INFINITY;
+    let cases = [
+        (bad_map(f64::INFINITY), "map task 0: cpu_s inf"),
+        (bad_map(-5.0), "map task 0: cpu_s -5"),
+        (bad_map(f64::NAN), "map task 0: cpu_s NaN"),
+        (bad_gpu, "map task 3: gpu_s NaN"),
+        (bad_reduce, "reduce task 1: compute_s -inf"),
+    ];
+    for (job, expect) in &cases {
+        assert!(job.validate().is_err(), "{expect}");
+        for (name, entry) in entries {
+            let panic = std::panic::catch_unwind(|| entry(&cfg, job))
+                .expect_err("a bad duration must not produce JobStats");
+            let msg = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "<non-string panic>".into());
+            assert!(
+                msg.contains(expect) && msg.contains("finite and non-negative"),
+                "{name}: {msg}"
+            );
+        }
+    }
+    // Zero stays legal (see `zero_duration_tasks_complete`).
+    assert!(JobSpec::uniform("zd", 5, 4, 1, 0.0, 0.0).validate().is_ok());
+}

@@ -164,3 +164,36 @@ fn per_job_faults_validate_and_inject() {
     assert_eq!(crashy.stats.nodes_lost, 1);
     assert_eq!(crashy.stats.completed_maps(), 16);
 }
+
+#[test]
+fn bad_job_durations_are_rejected_and_the_run_continues() {
+    // The single-job path panics on these (tests/degenerate.rs); through
+    // the service they must cost one job, not the run — an infinite
+    // duration used to hang the whole service inside `simulate`.
+    let svc = two_tenant_service(8);
+    let mk = |name: &str, cpu_s: f64| JobRequest {
+        tenant: 0,
+        arrive_s: 0.0,
+        spec: JobSpec::uniform(name, 16, 4, 2, cpu_s, 0.6),
+        faults: FaultPlan::none(),
+    };
+    let reqs = vec![
+        mk("endless", f64::INFINITY),
+        mk("fine", 3.0),
+        mk("backwards", -5.0),
+        mk("poisoned", f64::NAN),
+    ];
+    let stats = run_service(&svc, &reqs).unwrap();
+    assert_eq!(stats.jobs.len(), 1);
+    assert_eq!(stats.jobs[0].name, "fine");
+    assert_eq!(stats.jobs[0].stats.completed_maps(), 16);
+    let rejected: Vec<&str> = stats.rejections.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(rejected, ["endless", "backwards", "poisoned"]);
+    for r in &stats.rejections {
+        assert!(
+            r.reason.contains("cpu_s") && r.reason.contains("finite and non-negative"),
+            "{}",
+            r.reason
+        );
+    }
+}

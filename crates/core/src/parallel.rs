@@ -8,11 +8,10 @@
 //! trace events) exactly as the serial path would and stay byte-identical
 //! to it.
 //!
-//! The workspace's `rayon` is a sequential stand-in, so real parallelism
-//! comes from `std::thread::scope` plus an atomic work index: workers
-//! claim jobs first-come-first-served (good load balancing for skewed
-//! task costs) while results land in per-job slots indexed by submission
-//! position (determinism).
+//! Parallelism comes from `std::thread::scope` plus an atomic work index:
+//! workers claim jobs first-come-first-served (good load balancing for
+//! skewed task costs) while results land in per-job slots indexed by
+//! submission position (determinism).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

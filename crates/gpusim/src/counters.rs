@@ -1,8 +1,8 @@
 //! Performance counters accumulated during kernel execution.
 //!
-//! Counters are kept per threadblock during execution (so the rayon-parallel
-//! block loop needs no synchronization) and merged into kernel-level and
-//! device-level totals afterwards.
+//! Counters are kept per threadblock during execution (so the block loop
+//! touches no shared state) and merged into kernel-level and device-level
+//! totals afterwards.
 
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;

@@ -3,8 +3,8 @@
 //!
 //! # Execution & timing model
 //!
-//! Kernels execute *functionally* in plain Rust, block by block (blocks run
-//! in parallel on the host via rayon). Inside a block, work is expressed in
+//! Kernels execute *functionally* in plain Rust, block by block on the
+//! launching host thread. Inside a block, work is expressed in
 //! **warp rounds**: the kernel asks the [`BlockCtx`] to run a closure once
 //! per lane of a warp, and the simulator folds the 32 per-lane cycle counts
 //! into one warp-level cost using the SIMD rule

@@ -7,7 +7,6 @@ use crate::error::GpuError;
 use crate::mem::{DevPtr, MemTracker};
 use crate::spec::GpuSpec;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Grid/block geometry for a kernel launch, mirroring the paper's `blocks`
@@ -368,8 +367,9 @@ impl Device {
     /// mutable work — typically disjoint output slices). `payloads.len()`
     /// defines the grid size.
     ///
-    /// Blocks execute in parallel on the host via rayon; the timing model
-    /// assigns blocks round-robin to the device's SMs and takes the
+    /// Blocks execute one after another on the calling host thread (host
+    /// parallelism is across tasks, in the core's worker pool); the timing
+    /// model assigns blocks round-robin to the device's SMs and takes the
     /// critical path:
     ///
     /// ```text
@@ -424,7 +424,7 @@ impl Device {
         let tex_sizes = Arc::clone(&self.state.lock().tex_sizes);
 
         let per_block: Vec<Result<(f64, f64, Counters), GpuError>> = payloads
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(i, payload)| {
                 let mut ctx = BlockCtx {

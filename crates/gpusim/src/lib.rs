@@ -4,8 +4,8 @@
 //! substrate for the HeteroDoop reproduction.
 //!
 //! The paper evaluates on Tesla K40 and M2090 devices; here kernels run
-//! *functionally* on the host (real data, real results, blocks in parallel
-//! via rayon) while a cycle-cost model charges for the architectural
+//! *functionally* on the host (real data, real results, one block after
+//! another) while a cycle-cost model charges for the architectural
 //! mechanisms the paper's optimizations exploit:
 //!
 //! * warp-lockstep SIMD execution (warp cost = slowest lane),

@@ -18,8 +18,8 @@ struct Inner {
 /// returns immediately when the tracer is disabled, so instrumented
 /// hot paths pay (almost) nothing when tracing is off. All mutability is
 /// interior (a `parking_lot::Mutex`), so a `&Tracer` can be threaded
-/// through code that also holds `&mut` simulator state, and shared with
-/// the rayon-parallel GPU block loop.
+/// through code that also holds `&mut` simulator state, and shared
+/// across the worker pool's threads.
 ///
 /// Timestamps are supplied by the **caller** in simulated seconds — the
 /// tracer has no clock of its own, which is what keeps traces

@@ -43,4 +43,15 @@ HETERO_AUDIT=1 cargo run --release -q -p hetero-bench --features audit --bin cha
 echo "== service smoke (multi-tenant sweep point under a wall-clock budget)"
 cargo run --release -q -p hetero-bench --bin service -- --smoke --budget-s 30
 
+# The smoke steps above may rewrite results/, never the committed perf
+# record: BENCH_*.json come from full-mode scripts/bench.sh runs only.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "== committed BENCH_*.json untouched by the smoke steps"
+    git diff --quiet -- 'BENCH_*.json' || {
+        echo "error: a smoke step modified a committed perf artifact:" >&2
+        git diff --stat -- 'BENCH_*.json' >&2
+        exit 1
+    }
+fi
+
 echo "All checks passed."
