@@ -1,10 +1,9 @@
 //! The benchmark-application interface and shared building blocks.
 
 use hetero_runtime::types::{trim_key, Combiner, Emit, Mapper, OpCount, Reducer};
-use serde::{Deserialize, Serialize};
 
 /// IO- or compute-intensive, the paper's Table 2 classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intensiveness {
     /// Bound by input/output volume.
     Io,
@@ -13,7 +12,7 @@ pub enum Intensiveness {
 }
 
 /// Static description of a benchmark (the columns of Table 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppSpec {
     /// Full name, e.g. `"Wordcount"`.
     pub name: &'static str,

@@ -3,7 +3,7 @@
 //! two kernel-execution backends (tree-walking interpreter vs the
 //! register-bytecode native backend) on the same annotated C mappers.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetero_cc::backend::{make_backend, make_backend_with_mode, BackendKind, ElisionMode};
+use hetero_cc::backend::{make_backend, make_backend_with_facts, BackendKind, ElisionMode};
 use hetero_cc::interp::StreamIo;
 use hetero_gpusim::{Device, GpuSpec};
 use hetero_runtime::map_kernel::{run_map, MapConfig};
@@ -130,7 +130,8 @@ fn bench_kernel_backend_bs(c: &mut Criterion) {
 
 /// Host-guard elision on the native backend: the same subscript- and
 /// division-heavy kernel with every bounds/zero guard kept (`unelided`,
-/// `HETERO_ELIDE=off`) versus guards at analysis-proven sites removed
+/// `HETERO_ELIDE=checked`: the guards run, and a proven one that fired
+/// would panic) versus guards at analysis-proven sites removed
 /// (`elided`, the default). The delta is the pure host-side cost of
 /// checks the abstract interpreter can discharge statically — the
 /// number behind BENCH_kernels.json's `check_elision` speedup entry.
@@ -151,13 +152,17 @@ int main() {
 }
 "#;
     let prog = hetero_cc::parse::parse(src).unwrap();
+    let facts = hetero_cc::sema::analyze(&prog).unwrap().safety;
     let mut g = c.benchmark_group("check_elision");
     // The per-guard saving is nanoseconds against a millisecond kernel;
     // more samples than the stub default keep the delta above run-to-run
     // noise.
     g.sample_size(60);
-    for (name, mode) in [("unelided", ElisionMode::Off), ("elided", ElisionMode::On)] {
-        let backend = make_backend_with_mode(BackendKind::Native, &prog, mode);
+    for (name, mode) in [
+        ("unelided", ElisionMode::Checked),
+        ("elided", ElisionMode::On),
+    ] {
+        let backend = make_backend_with_facts(BackendKind::Native, &prog, &facts, mode);
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut io = StreamIo::lines(vec![]);

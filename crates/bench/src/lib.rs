@@ -31,8 +31,10 @@ pub fn pool_from_args() -> ParallelRunner {
 }
 
 /// Minimal deterministic JSON emitter for bench artifacts: objects keep
-/// insertion order, floats print with `{:?}` (shortest round-trip form),
-/// so the same simulated results always serialize to the same bytes.
+/// insertion order, finite floats print with `{:?}` (shortest
+/// round-trip form) and non-finite ones as `null`, keys and strings are
+/// escaped per RFC 8259, so the same simulated results always serialize
+/// to the same, loadable bytes.
 #[derive(Debug, Default)]
 pub struct JsonObj {
     fields: Vec<(String, String)>,
@@ -45,9 +47,8 @@ impl JsonObj {
     }
 
     /// Add a string field.
-    pub fn str(mut self, key: &str, v: &str) -> Self {
-        self.fields.push((key.to_string(), format!("{v:?}")));
-        self
+    pub fn str(self, key: &str, v: &str) -> Self {
+        self.raw(key, json_string(v))
     }
 
     /// Add an integer field.
@@ -57,9 +58,13 @@ impl JsonObj {
     }
 
     /// Add a float field (exact shortest round-trip formatting).
-    pub fn float(mut self, key: &str, v: f64) -> Self {
-        self.fields.push((key.to_string(), format!("{v:?}")));
-        self
+    pub fn float(self, key: &str, v: f64) -> Self {
+        let v = if v.is_finite() {
+            format!("{v:?}")
+        } else {
+            "null".to_string()
+        };
+        self.raw(key, v)
     }
 
     /// Add an already-serialized JSON value (e.g. a nested object).
@@ -73,10 +78,16 @@ impl JsonObj {
         let body: Vec<String> = self
             .fields
             .into_iter()
-            .map(|(k, v)| format!("{k:?}: {v}"))
+            .map(|(k, v)| format!("{}: {v}", json_string(&k)))
             .collect();
         format!("{{{}}}", body.join(", "))
     }
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    hetero_trace::json::push_str_literal(&mut out, s);
+    out
 }
 
 /// Serialize a list of JSON values into an array.
@@ -100,7 +111,18 @@ mod tests {
             o,
             "{\"app\": \"WC\", \"kernels\": 42, \"speedup\": 0.3333333333333333}"
         );
-        let arr = json_array([o.clone(), o]);
+        // What Rust's `{:?}` gets wrong for JSON: `\u{1}`-style escapes,
+        // an escaped `'`, and `inf`/`NaN` as numbers.
+        let hostile = JsonObj::new()
+            .str("ctl\u{1}\u{7f}", "it's \"quoted\"\n")
+            .float("inf", f64::INFINITY)
+            .float("nan", f64::NAN)
+            .build();
+        assert_eq!(
+            hostile,
+            "{\"ctl\\u0001\u{7f}\": \"it's \\\"quoted\\\"\\n\", \"inf\": null, \"nan\": null}"
+        );
+        let arr = json_array([o.clone(), o, hostile]);
         hetero_trace::json::validate(&arr).unwrap();
     }
 

@@ -158,6 +158,33 @@ pub enum AssignOp {
     Rem,
 }
 
+/// Dense index of a *guard site* — an expression whose evaluation the
+/// kernel engines guard at run time: a subscript (bounds), an integer
+/// `/` or `%` (zero denominator), a call (argument dispatch). The
+/// parser numbers the sites of each kind `0..n` in creation order
+/// ([`Program::sites`] records the three `n`s), so a table indexed by
+/// `SiteId` describes a program *and every clone of it* — see
+/// [`crate::lint::absint::SafetyFacts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteId(pub u32);
+
+impl SiteId {
+    /// Carried by `Binary` nodes whose operator cannot fault (everything
+    /// but `/` and `%`); indexes no table.
+    pub const NONE: SiteId = SiteId(u32::MAX);
+}
+
+/// How many guard sites of each kind the parser numbered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SiteCounts {
+    /// `Expr::Index` nodes.
+    pub subscripts: u32,
+    /// `Expr::Binary` nodes with `/` or `%`.
+    pub divisions: u32,
+    /// `Expr::Call` nodes.
+    pub calls: u32,
+}
+
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -177,21 +204,34 @@ pub enum Expr {
     PostInc(Box<Expr>),
     /// Postfix `x--`.
     PostDec(Box<Expr>),
-    /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    /// Binary operation; the [`SiteId`] is a division site for `/` and
+    /// `%` and [`SiteId::NONE`] otherwise.
+    Binary(BinOp, Box<Expr>, Box<Expr>, SiteId),
     /// Assignment, possibly compound. Evaluates to the stored value
     /// (C semantics — the paper's listings rely on `(read = getline(..))`).
     Assign(AssignOp, Box<Expr>, Box<Expr>),
     /// Ternary conditional.
     Cond(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// Function call.
-    Call(String, Vec<Expr>),
-    /// Array indexing `a[i]` (possibly multi-dim via nesting).
-    Index(Box<Expr>, Box<Expr>),
+    /// Function call (a call site).
+    Call(String, Vec<Expr>, SiteId),
+    /// Array indexing `a[i]` (possibly multi-dim via nesting; each
+    /// nesting level is its own subscript site).
+    Index(Box<Expr>, Box<Expr>, SiteId),
     /// Type cast.
     Cast(CType, Box<Expr>),
     /// `sizeof(type)`.
     SizeOf(CType),
+}
+
+impl Expr {
+    /// The guard-site id this node carries ([`SiteId::NONE`] when it
+    /// is not a guard site).
+    pub fn site(&self) -> SiteId {
+        match self {
+            Expr::Binary(.., site) | Expr::Call(.., site) | Expr::Index(.., site) => *site,
+            _ => SiteId::NONE,
+        }
+    }
 }
 
 /// One declarator within a declaration statement.
@@ -286,9 +326,25 @@ pub struct Program {
     /// All `#pragma mapreduce` directives found, referenced by
     /// [`StmtKind::Annotated`].
     pub directives: Vec<Directive>,
+    /// Guard sites numbered while parsing; every [`SiteId`] in `funcs`
+    /// is below its kind's count.
+    pub(crate) sites: SiteCounts,
+    /// FNV-1a hash of the source text this program was parsed from.
+    pub(crate) fingerprint: u64,
 }
 
 impl Program {
+    /// How many guard sites of each kind the program has.
+    pub fn sites(&self) -> SiteCounts {
+        self.sites
+    }
+
+    /// Content fingerprint of the source text. Clones share it; two
+    /// different texts differ in it (up to a 64-bit hash collision).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// Find a function by name.
     pub fn func(&self, name: &str) -> Option<&FuncDef> {
         self.funcs.iter().find(|f| f.name == name)
@@ -359,7 +415,7 @@ fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
         Expr::Unary(_, x) | Expr::PostInc(x) | Expr::PostDec(x) | Expr::Cast(_, x) => {
             walk_expr(x, f)
         }
-        Expr::Binary(_, a, b) | Expr::Assign(_, a, b) | Expr::Index(a, b) => {
+        Expr::Binary(_, a, b, _) | Expr::Assign(_, a, b) | Expr::Index(a, b, _) => {
             walk_expr(a, f);
             walk_expr(b, f);
         }
@@ -368,7 +424,7 @@ fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
             walk_expr(t, f);
             walk_expr(x, f);
         }
-        Expr::Call(_, args) => {
+        Expr::Call(_, args, _) => {
             for a in args {
                 walk_expr(a, f);
             }

@@ -32,16 +32,9 @@ use crate::interp::{
 use crate::lint::absint::SafetyFacts;
 use std::collections::{HashMap, HashSet};
 
-/// Lower `prog`. Stale `facts` (computed for a different `Program`
-/// value) are detected and recomputed, never silently applied.
+/// Lower `prog`, picking each guarded site's opcode from `facts` —
+/// which the caller has checked with [`SafetyFacts::matches`].
 pub(crate) fn lower(prog: &Program, facts: &SafetyFacts, mode: ElisionMode) -> Bytecode {
-    let recomputed;
-    let facts = if facts.matches(prog) {
-        facts
-    } else {
-        recomputed = SafetyFacts::for_program(prog);
-        &recomputed
-    };
     // First function with a given name wins, like `Program::func`.
     let mut fn_indices: HashMap<&str, usize> = HashMap::new();
     for (i, f) in prog.funcs.iter().enumerate() {
@@ -183,7 +176,7 @@ fn mark_effects(e: &Expr, set: &mut HashSet<usize>) -> bool {
         Expr::Unary(_, x) | Expr::PostInc(x) | Expr::PostDec(x) | Expr::Cast(_, x) => {
             mark_effects(x, set)
         }
-        Expr::Binary(_, a, b) | Expr::Assign(_, a, b) | Expr::Index(a, b) => {
+        Expr::Binary(_, a, b, _) | Expr::Assign(_, a, b) | Expr::Index(a, b, _) => {
             let (x, y) = (mark_effects(a, set), mark_effects(b, set));
             x || y
         }
@@ -195,7 +188,7 @@ fn mark_effects(e: &Expr, set: &mut HashSet<usize>) -> bool {
             );
             x || y || z
         }
-        Expr::Call(_, args) => args.iter().fold(false, |acc, a| mark_effects(a, set) | acc),
+        Expr::Call(_, args, _) => args.iter().fold(false, |acc, a| mark_effects(a, set) | acc),
         _ => false,
     };
     let own = matches!(
@@ -520,7 +513,7 @@ impl<'a> Lower<'a> {
 
     fn guard(&self, proven: bool) -> Guard {
         match (proven, self.mode) {
-            (false, _) | (_, ElisionMode::Off) => Guard::Keep,
+            (false, _) => Guard::Keep,
             (true, ElisionMode::On) => Guard::Elide,
             (true, ElisionMode::Checked) => Guard::Check,
         }
@@ -773,7 +766,7 @@ impl<'a> Lower<'a> {
                 let d = if matches!(e, Expr::PostInc(_)) { 1 } else { -1 };
                 self.inc_dec(x, d, true, hint)
             }
-            Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+            Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _) => {
                 // Value of `&&` / `||`: 0/1 through the branch form.
                 let dst = self.dst(hint);
                 let (lshort, lend) = (self.new_label(), self.new_label());
@@ -789,15 +782,15 @@ impl<'a> Lower<'a> {
                 self.bind(lend);
                 dst
             }
-            Expr::Binary(op, x, y) => {
+            Expr::Binary(op, x, y, site) => {
                 let dst = self.dst(hint);
                 let a = self.operand(x, self.has_effects(y));
                 let b = self.operand(y, false);
-                // The value analysis keys division facts by this
-                // `Binary` node. (Compound `a /= b` has no `Binary`
-                // node and always keeps its guard.)
+                // Only `/` and `%` nodes are division sites. (Compound
+                // `a /= b` has no `Binary` node and always keeps its
+                // guard.)
                 let guard = if matches!(op, BinOp::Div | BinOp::Rem) {
-                    self.guard(self.facts.division_safe(e))
+                    self.guard(self.facts.division_safe(*site))
                 } else {
                     Guard::Keep
                 };
@@ -817,10 +810,10 @@ impl<'a> Lower<'a> {
                 self.bind(lend);
                 dst
             }
-            Expr::Call(name, args) => self.call(name, args, hint),
-            Expr::Index(base, idx) => {
+            Expr::Call(name, args, _) => self.call(name, args, hint),
+            Expr::Index(base, idx, site) => {
                 let dst = self.dst(hint);
-                let place = self.place(e, base, idx);
+                let place = self.place(*site, base, idx);
                 self.access(place, Access::Load(dst));
                 dst
             }
@@ -865,9 +858,9 @@ impl<'a> Lower<'a> {
                     }
                     None => self.trap(format!("unknown variable {name}")),
                 },
-                Expr::Index(base, idx) => {
+                Expr::Index(base, idx, site) => {
                     let dst = self.dst(hint);
-                    let place = self.place(x, base, idx);
+                    let place = self.place(*site, base, idx);
                     self.access(place, Access::Addr(dst));
                     dst
                 }
@@ -986,9 +979,9 @@ impl<'a> Lower<'a> {
                     self.trap(format!("unknown variable {name}"));
                 }
             },
-            Expr::Index(base, idx) => {
+            Expr::Index(base, idx, site) => {
                 let mark = self.f.tmp_top;
-                let place = self.place(lhs, base, idx);
+                let place = self.place(*site, base, idx);
                 self.access(place, Access::Store(val));
                 self.f.tmp_top = mark;
             }
@@ -1024,11 +1017,11 @@ impl<'a> Lower<'a> {
     /// takes the strided path, where the inner `Index` node is never
     /// charged, only its row index.
     ///
-    /// `site` is the `Index` node the value analysis keyed its bounds
-    /// fact by.
-    fn place(&mut self, site: &'a Expr, base: &'a Expr, idx: &'a Expr) -> Place<'a> {
-        let guard = self.guard(self.facts.subscript_safe(site));
-        if let Expr::Index(inner_base, row_e) = base {
+    /// `id` is the `Index` node's subscript site, which the value
+    /// analysis filed its bounds verdict under.
+    fn place(&mut self, id: SiteId, base: &'a Expr, idx: &'a Expr) -> Place<'a> {
+        let guard = self.guard(self.facts.subscript_safe(id));
+        if let Expr::Index(inner_base, row_e, _) = base {
             if let Expr::Ident(name) = inner_base.as_ref() {
                 if let Some(Local {
                     reg: slot,
@@ -1123,13 +1116,13 @@ impl<'a> Lower<'a> {
     /// number: "indexing non-pointer" unless the inner access faults
     /// first.
     fn two_dim_fallback(&mut self, inner: &'a Expr) {
-        let Expr::Index(inner_base, row_e) = inner else {
+        let Expr::Index(inner_base, row_e, inner_site) = inner else {
             unreachable!("a strided place is built from an Index base")
         };
         let mark = self.f.tmp_top;
         self.tick(1, 1);
         let dst = self.alloc_tmp();
-        let place = self.place(inner, inner_base, row_e);
+        let place = self.place(*inner_site, inner_base, row_e);
         self.access(place, Access::Load(dst));
         self.trap("indexing non-pointer");
         self.f.tmp_top = mark;
@@ -1146,7 +1139,7 @@ impl<'a> Lower<'a> {
         self.tick(1, 1);
         let mark = self.f.tmp_top;
         match e {
-            Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+            Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _) => {
                 // `a && b` is false as soon as `a` is; `a || b` true.
                 let short_on = *op == BinOp::Or;
                 if sense == short_on {
@@ -1160,7 +1153,7 @@ impl<'a> Lower<'a> {
                 }
             }
             Expr::Unary(UnOp::Not, x) => self.branch(x, target, !sense),
-            Expr::Binary(op, x, y) if cmp_of(*op).is_some() => {
+            Expr::Binary(op, x, y, _) if cmp_of(*op).is_some() => {
                 let a = self.operand(x, self.has_effects(y));
                 let b = self.operand(y, false);
                 let to = self.to(target);

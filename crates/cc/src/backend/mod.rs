@@ -32,6 +32,13 @@
 //!
 //! Select at runtime with the `HETERO_BACKEND` environment variable
 //! (`interp` or `native`); the default is `native`.
+//!
+//! **Construction.** [`make_backend_with_facts`] is the one
+//! full-control path: program, the [`SafetyFacts`] table its analysis
+//! produced ([`crate::sema::Analysis::safety`]), and an
+//! [`ElisionMode`]. [`make_backend`] is the convenience for a program
+//! that was only parsed: it offers no table, so the program is analysed
+//! here, and takes the mode from `HETERO_ELIDE`.
 
 mod bytecode;
 mod lower;
@@ -106,27 +113,25 @@ impl BackendKind {
 /// Guards (bounds checks, integer div/mod zero tests) charge nothing to
 /// [`InterpStats`], so every mode produces bit-identical stats, stdout,
 /// and error text; only wall-clock changes. Select at runtime with the
-/// `HETERO_ELIDE` environment variable.
+/// `HETERO_ELIDE` environment variable (`on` or `checked`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElisionMode {
     /// Elide guards at proven-safe sites (the default).
     #[default]
     On,
-    /// Keep every guard (pre-elision behavior).
-    Off,
-    /// Elide nothing, but at proven-safe sites **panic** if the guard
-    /// would have fired — a live soundness oracle for the analyzer,
-    /// used by the generative differential suite as a fuzzer.
+    /// Keep every guard, and at proven-safe sites **panic** if the
+    /// guard fires — a live soundness oracle for the analyzer, used by
+    /// the generative differential suite as a fuzzer. While the
+    /// analysis is sound this *is* the all-guards-kept engine.
     Checked,
 }
 
 impl ElisionMode {
-    /// Parse a mode name (`"on"`/`"elide"`/`"1"`, `"off"`/`"0"`,
+    /// Parse a mode name (`"on"`/`"elide"`/`"1"` or
     /// `"checked"`/`"check"`).
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "on" | "elide" | "1" => Some(ElisionMode::On),
-            "off" | "0" => Some(ElisionMode::Off),
             "checked" | "check" => Some(ElisionMode::Checked),
             _ => None,
         }
@@ -147,37 +152,22 @@ impl ElisionMode {
     pub fn name(self) -> &'static str {
         match self {
             ElisionMode::On => "on",
-            ElisionMode::Off => "off",
             ElisionMode::Checked => "checked",
         }
     }
 }
 
-/// Build a backend of the given kind over `prog`. The native backend
-/// lowers the whole program here, once; running it is then
-/// allocation-light per record batch. Elision follows `HETERO_ELIDE`.
+/// Build a backend of the given kind over a program that was only
+/// parsed: no table is offered, so the native backend analyses `prog`
+/// itself; elision follows `HETERO_ELIDE`.
 pub fn make_backend(kind: BackendKind, prog: &Program) -> Box<dyn KernelBackend> {
-    make_backend_with_mode(kind, prog, ElisionMode::from_env())
+    make_backend_with_facts(kind, prog, &SafetyFacts::default(), ElisionMode::from_env())
 }
 
-/// [`make_backend`] with an explicit [`ElisionMode`] (tests and the
-/// differential matrix use this to avoid environment races).
-pub fn make_backend_with_mode(
-    kind: BackendKind,
-    prog: &Program,
-    mode: ElisionMode,
-) -> Box<dyn KernelBackend> {
-    match kind {
-        BackendKind::Interp => Box::new(InterpBackend::new(prog.clone())),
-        BackendKind::Native => Box::new(NativeBackend::with_mode(prog, mode)),
-    }
-}
-
-/// [`make_backend_with_mode`] reusing an already-computed
-/// [`SafetyFacts`] table — typically the one [`crate::sema::Analysis`]
-/// carries — instead of re-running the value analysis. Stale facts
-/// (computed for a different `Program` value) are detected and
-/// recomputed, never silently applied.
+/// Build a backend of the given kind over `prog`, guards chosen from
+/// `facts` — typically the table [`crate::sema::Analysis`] carries —
+/// under `mode`. The native backend lowers the whole program here,
+/// once; running it is then allocation-light per record batch.
 pub fn make_backend_with_facts(
     kind: BackendKind,
     prog: &Program,
@@ -221,24 +211,23 @@ pub struct NativeBackend {
 
 impl NativeBackend {
     /// Lower `prog` (never fails: ill-formed constructs lower to traps
-    /// that raise the interpreter's message only if reached). Elision
-    /// follows `HETERO_ELIDE`.
-    pub fn compile(prog: &Program) -> Self {
-        Self::with_mode(prog, ElisionMode::from_env())
-    }
-
-    /// [`compile`](Self::compile) with an explicit [`ElisionMode`],
-    /// running the value analysis here to obtain the safety facts.
-    pub fn with_mode(prog: &Program, mode: ElisionMode) -> Self {
-        Self::with_facts(prog, &SafetyFacts::for_program(prog), mode)
-    }
-
-    /// Lower `prog` reusing an already-computed [`SafetyFacts`] table.
-    /// Facts are keyed by AST node identity, so a table computed for a
-    /// *different* `Program` value (a clone, say) is stale; when
-    /// [`SafetyFacts::matches`] rejects the pairing they are recomputed
-    /// rather than applied.
+    /// that raise the interpreter's message only if reached), choosing
+    /// each guarded site's opcode from `facts` and `mode`.
+    ///
+    /// A table that does not describe `prog`
+    /// ([`SafetyFacts::matches`]: other source text, other site counts,
+    /// or the empty default) is refused and `prog` is analysed afresh;
+    /// when that analysis rejects the program every guard stays.
     pub fn with_facts(prog: &Program, facts: &SafetyFacts, mode: ElisionMode) -> Self {
+        let own;
+        let facts = if facts.matches(prog) {
+            facts
+        } else {
+            own = crate::sema::analyze(prog)
+                .map(|a| a.safety)
+                .unwrap_or_default();
+            &own
+        };
         NativeBackend {
             code: lower::lower(prog, facts, mode),
         }
@@ -281,6 +270,69 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Native);
         assert_eq!(BackendKind::Interp.name(), "interp");
         assert_eq!(BackendKind::Native.name(), "native");
+    }
+
+    #[test]
+    fn elision_mode_has_no_off() {
+        assert_eq!(ElisionMode::parse("on"), Some(ElisionMode::On));
+        assert_eq!(ElisionMode::parse("Checked"), Some(ElisionMode::Checked));
+        assert_eq!(ElisionMode::parse("off"), None);
+        assert_eq!(ElisionMode::parse("0"), None);
+        assert_eq!(ElisionMode::default(), ElisionMode::On);
+    }
+
+    // Same shape, same site counts, same allocation pattern: only the
+    // source text tells the two apart. In `PROVEN` the analysis proves
+    // both subscripts; in `FAULTS` the store is out of bounds.
+    const PROVEN: &str =
+        "int main() { int a[8]; int i; i = 4; a[i] = 1; printf(\"%d\\n\", a[i]); return 0; }";
+    const FAULTS: &str =
+        "int main() { int a[4]; int i; i = 4; a[i] = 1; printf(\"%d\\n\", a[i]); return 0; }";
+
+    /// Lower `FAULTS` offering `offered`; it must come out as it does
+    /// with its own table and fail like the interpreter, not panic.
+    fn faults_lowers_with_its_own_verdicts(offered: &SafetyFacts) {
+        let prog = parse(FAULTS).unwrap();
+        assert!(!offered.matches(&prog));
+        let own = crate::sema::analyze(&prog).unwrap().safety;
+        let native = NativeBackend::with_facts(&prog, offered, ElisionMode::On);
+        let honest = NativeBackend::with_facts(&prog, &own, ElisionMode::On);
+        assert_eq!(native.disasm(), honest.disasm());
+        assert_eq!(native.lowering_counts().sites_elided, 0);
+        let run = |b: &dyn KernelBackend| b.run(&mut StreamIo::lines(vec![])).unwrap_err();
+        let err = run(&native).to_string();
+        assert_eq!(err, run(&InterpBackend::new(prog.clone())).to_string());
+        assert!(
+            err.contains("index 4 out of bounds for buffer of 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn facts_that_outlive_their_program_are_refused() {
+        // The allocator hands the second parse the nodes the first one
+        // just freed; a table matched by address would be accepted here
+        // and elide the guard of an out-of-bounds store.
+        for _ in 0..64 {
+            let stale = {
+                let gone = parse(PROVEN).unwrap();
+                crate::sema::analyze(&gone).unwrap().safety
+            };
+            assert_eq!(stale.proven_counts().0, 2);
+            faults_lowers_with_its_own_verdicts(&stale);
+        }
+    }
+
+    #[test]
+    fn facts_for_other_source_text_are_refused() {
+        // A forged proof for one text is not a proof for another, even
+        // with both programs alive and every site count equal.
+        let other = parse(PROVEN).unwrap();
+        let mut forged = SafetyFacts::blank(&other);
+        forged.claim_subscript(crate::ast::SiteId(0));
+        forged.claim_subscript(crate::ast::SiteId(1));
+        assert!(forged.matches(&other));
+        faults_lowers_with_its_own_verdicts(&forged);
     }
 
     #[test]

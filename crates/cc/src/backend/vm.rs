@@ -508,11 +508,11 @@ mod tests {
     use crate::backend::lower::lower;
     use crate::backend::ElisionMode;
     use crate::interp::Interp;
-    use crate::lint::absint::SafetyFacts;
+    use crate::lint::absint::{analyze_main, SafetyFacts};
     use crate::parse::parse;
 
     fn compile(prog: &Program, mode: ElisionMode) -> Bytecode {
-        lower(prog, &SafetyFacts::for_program(prog), mode)
+        lower(prog, &analyze_main(prog).facts, mode)
     }
 
     /// Run a source under both backends on the same input and demand
@@ -732,14 +732,14 @@ int main() {
                 Expr::Unary(_, x) | Expr::PostInc(x) | Expr::PostDec(x) | Expr::Cast(_, x) => {
                     in_expr(x, pred)
                 }
-                Expr::Binary(_, a, b) | Expr::Index(a, b) => {
+                Expr::Binary(_, a, b, _) | Expr::Index(a, b, _) => {
                     in_expr(a, pred).or_else(|| in_expr(b, pred))
                 }
                 Expr::Assign(_, a, b) => in_expr(a, pred).or_else(|| in_expr(b, pred)),
                 Expr::Cond(c, t, f) => in_expr(c, pred)
                     .or_else(|| in_expr(t, pred))
                     .or_else(|| in_expr(f, pred)),
-                Expr::Call(_, args) => args.iter().find_map(|a| in_expr(a, pred)),
+                Expr::Call(_, args, _) => args.iter().find_map(|a| in_expr(a, pred)),
                 _ => None,
             }
         }
@@ -764,8 +764,8 @@ int main() {
         // must trip the checked-elision oracle, not read wild.
         let src = "int main() { int a[2]; int i; i = 9; printf(\"%d\\n\", a[i]); return 0; }";
         let prog = parse(src).unwrap();
-        let mut facts = SafetyFacts::forged_for(&prog);
-        facts.claim_subscript(find_expr(&prog, &|e| matches!(e, Expr::Index(..))));
+        let mut facts = SafetyFacts::blank(&prog);
+        facts.claim_subscript(find_expr(&prog, &|e| matches!(e, Expr::Index(..))).site());
         let native = lower(&prog, &facts, ElisionMode::Checked);
         let _ = run(&native, &mut StreamIo::lines(vec![]), 100_000);
     }
@@ -775,28 +775,32 @@ int main() {
     fn checked_mode_panics_on_forged_division_fact() {
         let src = "int main() { int d; d = 0; printf(\"%d\\n\", 7 / d); return 0; }";
         let prog = parse(src).unwrap();
-        let mut facts = SafetyFacts::forged_for(&prog);
-        facts.claim_division(find_expr(&prog, &|e| {
-            matches!(e, Expr::Binary(BinOp::Div, _, _))
-        }));
+        let mut facts = SafetyFacts::blank(&prog);
+        facts.claim_division(
+            find_expr(&prog, &|e| matches!(e, Expr::Binary(BinOp::Div, ..))).site(),
+        );
         let native = lower(&prog, &facts, ElisionMode::Checked);
         let _ = run(&native, &mut StreamIo::lines(vec![]), 100_000);
     }
 
     #[test]
-    fn stale_facts_are_recomputed_not_trusted() {
-        // Facts forged for one program must not apply to a clone: the
-        // token mismatch forces a recompute, so the wrong claim is
-        // discarded and the guard stays (interp-identical error).
-        let src = "int main() { int a[2]; int i; i = 9; printf(\"%d\\n\", a[i]); return 0; }";
+    fn facts_lower_a_clone_like_the_original() {
+        // Site ids and the fingerprint travel with `Program::clone`, so
+        // one table serves the program and its clones — `lower` runs no
+        // analysis of its own.
+        let src = "int main() { int a[4]; int i; int s; s = 0; \
+                   for (i = 0; i < 4; i++) { a[i] = i; s += a[i] / (i + 1); } \
+                   printf(\"%d\\n\", s + a[s & 3]); return 0; }";
         let prog = parse(src).unwrap();
+        let facts = analyze_main(&prog).facts;
         let clone = prog.clone();
-        let mut facts = SafetyFacts::forged_for(&prog);
-        facts.claim_subscript(find_expr(&prog, &|e| matches!(e, Expr::Index(..))));
-        assert!(!facts.matches(&clone));
-        let native = lower(&clone, &facts, ElisionMode::Checked);
-        let err = run(&native, &mut StreamIo::lines(vec![]), 100_000).unwrap_err();
-        assert!(err.to_string().contains("out of bounds"), "{err}");
+        assert!(facts.matches(&clone));
+        for mode in [ElisionMode::On, ElisionMode::Checked] {
+            let (a, b) = (lower(&prog, &facts, mode), lower(&clone, &facts, mode));
+            assert_eq!(a.disasm(), b.disasm(), "{mode:?}");
+            assert_eq!(a.counts(), b.counts(), "{mode:?}");
+            assert!(a.counts().sites_elided + a.counts().sites_checked >= 3);
+        }
     }
 
     #[test]
@@ -817,7 +821,7 @@ int main() {
 "#;
         let prog = parse(src).unwrap();
         let mut base: Option<(Vec<u8>, InterpStats)> = None;
-        for mode in [ElisionMode::Off, ElisionMode::On, ElisionMode::Checked] {
+        for mode in [ElisionMode::On, ElisionMode::Checked] {
             let native = compile(&prog, mode);
             let mut io = StreamIo::lines(vec![]);
             let stats = run(&native, &mut io, 1_000_000).unwrap();
@@ -830,8 +834,7 @@ int main() {
             }
         }
         // And the proofs actually covered sites to elide.
-        let facts = SafetyFacts::for_program(&prog);
-        let (subs, divs, _) = facts.proven_counts();
+        let (subs, divs, _) = analyze_main(&prog).facts.proven_counts();
         assert!(subs >= 4, "subscripts proven: {subs}");
         assert!(divs >= 2, "divisions proven: {divs}");
     }
@@ -878,14 +881,13 @@ int main() {
                    printf(\"%d\\n\", s + a[s & 3]); return 0; }";
         let prog = parse(src).unwrap();
         let on = compile(&prog, ElisionMode::On).counts();
-        let off = compile(&prog, ElisionMode::Off).counts();
         let checked = compile(&prog, ElisionMode::Checked).counts();
         assert!(on.sites_elided >= 3, "{on:?}");
         assert_eq!(on.sites_checked, 0);
-        assert_eq!(off.sites_kept, on.sites_kept + on.sites_elided);
-        assert_eq!((off.sites_elided, off.sites_checked), (0, 0));
+        assert_eq!(checked.sites_kept, on.sites_kept);
+        assert_eq!(checked.sites_elided, 0);
         assert_eq!(checked.sites_checked, on.sites_elided);
-        assert_eq!((on.insns, on.blocks), (off.insns, off.blocks));
+        assert_eq!((on.insns, on.blocks), (checked.insns, checked.blocks));
         assert!(on.blocks >= 3 && on.insns > on.blocks, "{on:?}");
     }
 

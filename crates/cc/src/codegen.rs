@@ -310,7 +310,7 @@ fn emit_expr(e: &Expr) -> String {
         }
         Expr::PostInc(x) => format!("{}++", emit_expr(x)),
         Expr::PostDec(x) => format!("{}--", emit_expr(x)),
-        Expr::Binary(op, a, b) => {
+        Expr::Binary(op, a, b, _) => {
             let sym = match op {
                 BinOp::Add => "+",
                 BinOp::Sub => "-",
@@ -345,11 +345,11 @@ fn emit_expr(e: &Expr) -> String {
             format!("{} {sym} {}", emit_expr(a), emit_expr(b))
         }
         Expr::Cond(c, t, f) => format!("({} ? {} : {})", emit_expr(c), emit_expr(t), emit_expr(f)),
-        Expr::Call(n, args) => format!(
+        Expr::Call(n, args, _) => format!(
             "{n}({})",
             args.iter().map(emit_expr).collect::<Vec<_>>().join(", ")
         ),
-        Expr::Index(a, b) => format!("{}[{}]", emit_expr(a), emit_expr(b)),
+        Expr::Index(a, b, _) => format!("{}[{}]", emit_expr(a), emit_expr(b)),
         Expr::Cast(t, x) => format!("({}){}", t.c_name(), emit_expr(x)),
         Expr::SizeOf(t) => format!("sizeof({})", t.c_name()),
     }

@@ -1053,7 +1053,7 @@ impl<'p> Interp<'p> {
                 self.assign_to(x, new, io)?;
                 Ok(old)
             }
-            Expr::Binary(op, a, b) => {
+            Expr::Binary(op, a, b, _) => {
                 let va = self.eval(a, io)?;
                 if *op == BinOp::And {
                     if !truthy(&va) {
@@ -1098,8 +1098,8 @@ impl<'p> Interp<'p> {
                     self.eval(f, io)
                 }
             }
-            Expr::Call(name, args) => self.call(name, args, io),
-            Expr::Index(base, idx) => {
+            Expr::Call(name, args, _) => self.call(name, args, io),
+            Expr::Index(base, idx, _) => {
                 let (buf, off) = self.index_target(base, idx, io)?;
                 self.stats.mem += 1;
                 read_buf(&self.heap, buf, off)
@@ -1129,7 +1129,7 @@ impl<'p> Interp<'p> {
                         Ok(V::SlotRef(slot))
                     }
                 }
-                Expr::Index(base, idx) => {
+                Expr::Index(base, idx, _) => {
                     let (buf, off) = self.index_target(base, idx, io)?;
                     Ok(V::Ptr { buf, off })
                 }
@@ -1164,7 +1164,7 @@ impl<'p> Interp<'p> {
     ) -> Result<(usize, usize), CcError> {
         let i = as_int(&self.eval(idx, io)?)? as isize;
         // 2-D: base is itself an Index over a strided variable.
-        if let Expr::Index(inner_base, inner_idx) = base {
+        if let Expr::Index(inner_base, inner_idx, _) = base {
             if let Expr::Ident(name) = inner_base.as_ref() {
                 if let Some(slot) = self.lookup(name) {
                     if let Some(&stride) = self.strides.get(&slot) {
@@ -1196,7 +1196,7 @@ impl<'p> Interp<'p> {
                 self.slots[slot] = v;
                 Ok(())
             }
-            Expr::Index(base, idx) => {
+            Expr::Index(base, idx, _) => {
                 let (buf, off) = self.index_target(base, idx, io)?;
                 write_buf(&mut self.heap, &mut self.stats, buf, off, &v)
             }

@@ -46,10 +46,18 @@
 //! backend may skip the guard without changing observable behavior.
 //! Guards charge nothing to `InterpStats`, so elision is
 //! stats-neutral by construction.
+//!
+//! ## One run, two consumers
+//!
+//! `analyze_main` runs once per program, from
+//! [`crate::sema::analyze`], which keeps both halves of the result on
+//! its `Analysis`: the [`SafetyFacts`] table (indexed by the parser's
+//! [`SiteId`]s, so it also fits every clone of the program) for the
+//! backend, the HD016–HD021 findings for `lint_program`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{AssignOp, BinOp, CType, Declarator, Expr, Program, Stmt, StmtKind, UnOp};
+use crate::ast::{AssignOp, BinOp, CType, Declarator, Expr, Program, SiteId, Stmt, StmtKind, UnOp};
 use crate::error::Span;
 use crate::interp::{builtin_min_args, parse_printf, parse_scanf, PSeg};
 
@@ -67,71 +75,90 @@ pub(crate) const MAX_FIXPOINT_ITERS: usize = 64;
 // Safety facts — the analyzer→backend contract.
 // ====================================================================
 
-/// Per-site safety verdicts exported from the value analysis.
+/// Per-site safety verdicts exported from the value analysis: one
+/// plain vector per site kind, indexed by the [`SiteId`] the parser
+/// gave the `Expr::Index`, `Expr::Binary(Div|Rem)` or `Expr::Call`
+/// node, under the [`Program::fingerprint`] of the analyzed source.
+/// Ids and fingerprint survive `Program::clone`, so a table is valid
+/// for the program it was computed from and for every clone of it;
+/// [`SafetyFacts::matches`] refuses it for anything else by content.
 ///
-/// Sites are keyed by AST node *identity* (the address of the
-/// `Expr::Index`, `Expr::Binary(Div|Rem)`, or `Expr::Call` node).
-/// Node addresses are stable across moves of the owning [`Program`]
-/// (the boxes live on the heap) but not across clones; [`SafetyFacts::matches`]
-/// checks a fingerprint of the program so a stale table is detected
-/// and recomputed rather than silently misapplied.
-///
-/// `true` means proven safe: every execution reaching the site with
-/// operand values satisfies the guard the native backend would
-/// otherwise evaluate. `false` (or absence) means unknown — the guard
-/// stays. Call-site facts are recorded for completeness of the table
-/// (a proven call's own argument dispatch cannot fault) but are not
-/// yet consumed by the backend.
+/// `Some(true)` means proven safe: every execution reaching the site
+/// with operand values satisfies the guard the native backend would
+/// otherwise evaluate. `Some(false)` means visited but unknown, `None`
+/// never reached by the reporting pass — either way the guard stays.
+/// Call-site facts are recorded for completeness of the table (a
+/// proven call's own argument dispatch cannot fault) but are not yet
+/// consumed by the backend.
 #[derive(Clone, Debug, Default)]
 pub struct SafetyFacts {
-    token: usize,
-    subscripts: HashMap<usize, bool>,
-    divisions: HashMap<usize, bool>,
-    calls: HashMap<usize, bool>,
+    fingerprint: u64,
+    subscripts: Vec<Option<bool>>,
+    divisions: Vec<Option<bool>>,
+    calls: Vec<Option<bool>>,
 }
 
 impl SafetyFacts {
-    /// Run the value analysis on `prog` and keep only the facts.
-    pub fn for_program(prog: &Program) -> SafetyFacts {
-        analyze_main(prog).facts
+    /// An all-unvisited table shaped for `prog`.
+    pub(crate) fn blank(prog: &Program) -> SafetyFacts {
+        let n = prog.sites();
+        SafetyFacts {
+            fingerprint: prog.fingerprint(),
+            subscripts: vec![None; n.subscripts as usize],
+            divisions: vec![None; n.divisions as usize],
+            calls: vec![None; n.calls as usize],
+        }
     }
 
-    /// Whether this table was computed for exactly this `Program`
-    /// value (moves preserve the fingerprint, clones do not).
+    /// Whether this table describes `prog`: same source fingerprint and
+    /// the same number of sites of every kind.
     pub fn matches(&self, prog: &Program) -> bool {
-        self.token != 0 && self.token == prog.funcs.as_ptr() as usize
+        let n = prog.sites();
+        self.fingerprint == prog.fingerprint()
+            && self.subscripts.len() == n.subscripts as usize
+            && self.divisions.len() == n.divisions as usize
+            && self.calls.len() == n.calls as usize
     }
 
-    /// Whether the subscript site `e` is proven in-bounds.
-    pub fn subscript_safe(&self, e: &Expr) -> bool {
-        self.subscripts.get(&key(e)).copied().unwrap_or(false)
+    /// Whether the subscript site is proven in-bounds.
+    pub fn subscript_safe(&self, site: SiteId) -> bool {
+        proven(&self.subscripts, site)
     }
 
-    /// Whether the division/remainder site `e` is proven to never see
-    /// an integer zero denominator.
-    pub fn division_safe(&self, e: &Expr) -> bool {
-        self.divisions.get(&key(e)).copied().unwrap_or(false)
+    /// Whether the division/remainder site is proven to never see an
+    /// integer zero denominator.
+    pub fn division_safe(&self, site: SiteId) -> bool {
+        proven(&self.divisions, site)
     }
 
-    /// Whether the call site `e`'s own argument dispatch is proven
+    /// Whether the call site's own argument dispatch is proven
     /// fault-free.
-    pub fn call_safe(&self, e: &Expr) -> bool {
-        self.calls.get(&key(e)).copied().unwrap_or(false)
+    pub fn call_safe(&self, site: SiteId) -> bool {
+        proven(&self.calls, site)
     }
 
     /// `(subscripts, divisions, calls)` — sites the analysis visited.
     pub fn site_counts(&self) -> (usize, usize, usize) {
-        (
-            self.subscripts.len(),
-            self.divisions.len(),
-            self.calls.len(),
-        )
+        let n = |v: &[Option<bool>]| v.iter().flatten().count();
+        (n(&self.subscripts), n(&self.divisions), n(&self.calls))
     }
 
     /// `(subscripts, divisions, calls)` — sites proven safe.
     pub fn proven_counts(&self) -> (usize, usize, usize) {
-        let n = |m: &HashMap<usize, bool>| m.values().filter(|v| **v).count();
+        let n = |v: &[Option<bool>]| v.iter().filter(|x| **x == Some(true)).count();
         (n(&self.subscripts), n(&self.divisions), n(&self.calls))
+    }
+}
+
+fn proven(table: &[Option<bool>], site: SiteId) -> bool {
+    table.get(site.0 as usize) == Some(&Some(true))
+}
+
+/// A visit's verdict: a site stays proven only while every visit
+/// proves it.
+fn record(table: &mut [Option<bool>], site: SiteId, safe: bool) {
+    if let Some(slot) = table.get_mut(site.0 as usize) {
+        *slot = Some(slot.unwrap_or(true) && safe);
     }
 }
 
@@ -139,27 +166,15 @@ impl SafetyFacts {
 /// proof and assert the checked-elision oracle catches it.
 #[cfg(test)]
 impl SafetyFacts {
-    /// An empty table whose token claims it was computed for `prog`.
-    pub(crate) fn forged_for(prog: &Program) -> SafetyFacts {
-        SafetyFacts {
-            token: prog.funcs.as_ptr() as usize,
-            ..SafetyFacts::default()
-        }
+    /// Claim the subscript site is proven in-bounds.
+    pub(crate) fn claim_subscript(&mut self, site: SiteId) {
+        self.subscripts[site.0 as usize] = Some(true);
     }
 
-    /// Claim the subscript site `e` is proven in-bounds.
-    pub(crate) fn claim_subscript(&mut self, e: &Expr) {
-        self.subscripts.insert(key(e), true);
+    /// Claim the division site is proven nonzero.
+    pub(crate) fn claim_division(&mut self, site: SiteId) {
+        self.divisions[site.0 as usize] = Some(true);
     }
-
-    /// Claim the division site `e` is proven nonzero.
-    pub(crate) fn claim_division(&mut self, e: &Expr) {
-        self.divisions.insert(key(e), true);
-    }
-}
-
-fn key(e: &Expr) -> usize {
-    e as *const Expr as usize
 }
 
 /// One diagnostic produced by the analysis (wired into the lint report
@@ -449,10 +464,7 @@ pub(crate) fn analyze_main(prog: &Program) -> ValueAnalysis {
         cur_span: Span::default(),
         findings: Vec::new(),
         finding_keys: BTreeSet::new(),
-        facts: SafetyFacts {
-            token: prog.funcs.as_ptr() as usize,
-            ..SafetyFacts::default()
-        },
+        facts: SafetyFacts::blank(prog),
         max_fixpoint_iters: 0,
     };
     if let Some(main) = prog.func("main") {
@@ -619,24 +631,21 @@ impl<'p> Analyzer<'p> {
 
     // ---- fact recording (reporting pass only) ----
 
-    fn record_subscript(&mut self, site: usize, safe: bool) {
+    fn record_subscript(&mut self, site: SiteId, safe: bool) {
         if self.report {
-            let e = self.facts.subscripts.entry(site).or_insert(safe);
-            *e = *e && safe;
+            record(&mut self.facts.subscripts, site, safe);
         }
     }
 
-    fn record_division(&mut self, site: usize, safe: bool) {
+    fn record_division(&mut self, site: SiteId, safe: bool) {
         if self.report {
-            let e = self.facts.divisions.entry(site).or_insert(safe);
-            *e = *e && safe;
+            record(&mut self.facts.divisions, site, safe);
         }
     }
 
-    fn record_call(&mut self, site: usize, safe: bool) {
+    fn record_call(&mut self, site: SiteId, safe: bool) {
         if self.report {
-            let e = self.facts.calls.entry(site).or_insert(safe);
-            *e = *e && safe;
+            record(&mut self.facts.calls, site, safe);
         }
     }
 
@@ -1009,7 +1018,7 @@ impl<'p> Analyzer<'p> {
                 self.assign_to(x, new);
                 old
             }
-            Expr::Binary(op, a, b) => self.eval_binary(e, *op, a, b),
+            Expr::Binary(op, a, b, site) => self.eval_binary(*site, *op, a, b),
             Expr::Assign(op, lhs, rhs) => {
                 let rv = self.eval(rhs);
                 let nv = if *op == AssignOp::None {
@@ -1057,8 +1066,8 @@ impl<'p> Analyzer<'p> {
                     (None, None) => AVal::Top,
                 }
             }
-            Expr::Call(name, args) => self.eval_call(e, name, args),
-            Expr::Index(base, idx) => self.subscript(e, base, idx),
+            Expr::Call(name, args, site) => self.eval_call(*site, name, args),
+            Expr::Index(base, idx, _) => self.subscript(e, base, idx),
             Expr::Cast(ty, x) => {
                 let v = self.eval(x);
                 match ty {
@@ -1087,7 +1096,7 @@ impl<'p> Analyzer<'p> {
                         AVal::Top
                     }
                 },
-                Expr::Index(base, idx) => {
+                Expr::Index(base, idx, _) => {
                     // `&a[i]` resolves the same checked position and
                     // yields a pointer into the same buffer.
                     self.subscript_place(x, base, idx)
@@ -1172,7 +1181,7 @@ impl<'p> Analyzer<'p> {
         }
     }
 
-    fn eval_binary(&mut self, site: &'p Expr, op: BinOp, a: &'p Expr, b: &'p Expr) -> AVal {
+    fn eval_binary(&mut self, site: SiteId, op: BinOp, a: &'p Expr, b: &'p Expr) -> AVal {
         let va = self.eval(a);
         if op == BinOp::And || op == BinOp::Or {
             let skip_b = matches!(
@@ -1195,14 +1204,14 @@ impl<'p> Analyzer<'p> {
         }
         let vb = self.eval(b);
         if matches!(op, BinOp::Div | BinOp::Rem) {
-            self.division_effect(Some(key(site)), &va, &vb);
+            self.division_effect(Some(site), &va, &vb);
         }
         abinary(op, &va, &vb)
     }
 
     /// Shared HD017/fact logic for `/` and `%` (expression sites and
     /// compound assignments; only the former are elidable).
-    fn division_effect(&mut self, site: Option<usize>, num: &AVal, den: &AVal) {
+    fn division_effect(&mut self, site: Option<SiteId>, num: &AVal, den: &AVal) {
         let safe = matches!(den, AVal::Int(i) if !i.contains_zero());
         if let Some(k) = site {
             self.record_division(k, safe);
@@ -1269,7 +1278,7 @@ impl<'p> Analyzer<'p> {
         let iv = self.eval(idx);
         let i = iv.int_itv();
         // 2-D strided fast path.
-        if let Expr::Index(inner_base, inner_idx) = base {
+        if let Expr::Index(inner_base, inner_idx, _) = base {
             if let Expr::Ident(name) = inner_base.as_ref() {
                 let info = self
                     .get(name)
@@ -1293,7 +1302,7 @@ impl<'p> Analyzer<'p> {
                     // whose side effects over-approximate both paths,
                     // and leave the site unknown.
                     self.eval(base);
-                    self.record_subscript(key(site), false);
+                    self.record_subscript(site.site(), false);
                     return None;
                 }
             }
@@ -1307,12 +1316,12 @@ impl<'p> Analyzer<'p> {
                 Some((f, pos))
             }
             AVal::Ptr(_) | AVal::Top => {
-                self.record_subscript(key(site), false);
+                self.record_subscript(site.site(), false);
                 None
             }
             AVal::Null | AVal::Int(_) | AVal::Float | AVal::SlotRef(_) => {
                 // Definite "indexing non-pointer" fault.
-                self.record_subscript(key(site), false);
+                self.record_subscript(site.site(), false);
                 self.env = None;
                 None
             }
@@ -1324,7 +1333,7 @@ impl<'p> Analyzer<'p> {
     fn check_site(&mut self, site: &'p Expr, f: &PtrFact, pos: Interval) {
         let extent = f.extent.map(|e| e.min(i64::MAX as usize) as i64);
         let safe = pos.lo >= 0 && extent.is_some_and(|e| pos.hi < e);
-        self.record_subscript(key(site), safe);
+        self.record_subscript(site.site(), safe);
         let oob_low = pos.hi < 0;
         let oob_high = extent.is_some_and(|e| pos.lo >= e);
         if oob_low || oob_high {
@@ -1354,7 +1363,7 @@ impl<'p> Analyzer<'p> {
         }
         match lhs {
             Expr::Ident(name) => self.write_var(name, v),
-            Expr::Index(base, idx) => {
+            Expr::Index(base, idx, _) => {
                 // Buffer contents are not tracked; resolving records
                 // the site fact and any definite fault.
                 self.resolve_place(lhs, base, idx);
@@ -1379,7 +1388,7 @@ impl<'p> Analyzer<'p> {
 
     // ---- calls ----
 
-    fn eval_call(&mut self, site: &'p Expr, name: &'p str, args: &'p [Expr]) -> AVal {
+    fn eval_call(&mut self, site: SiteId, name: &'p str, args: &'p [Expr]) -> AVal {
         // User-defined functions shadow builtins.
         if let Some(f) = self.prog.func(name) {
             let mut vals = Vec::with_capacity(args.len());
@@ -1394,7 +1403,7 @@ impl<'p> Analyzer<'p> {
                     self.havoc_var(&n);
                 }
             }
-            self.record_call(key(site), false);
+            self.record_call(site, false);
             if vals.len() != f.params.len() {
                 self.env = None; // definite arity fault
             }
@@ -1403,15 +1412,14 @@ impl<'p> Analyzer<'p> {
         if let Some(need) = builtin_min_args(name) {
             if args.len() < need {
                 // Arity fault before any argument evaluates.
-                self.record_call(key(site), false);
+                self.record_call(site, false);
                 self.env = None;
                 return AVal::Top;
             }
         }
-        let sitek = key(site);
         match name {
-            "printf" => self.eval_printf(sitek, args),
-            "scanf" => self.eval_scanf(sitek, args),
+            "printf" => self.eval_printf(site, args),
+            "scanf" => self.eval_scanf(site, args),
             "getline" => {
                 // EOF returns -1 without touching the target; otherwise
                 // the first argument's slot is rebound to a fresh line
@@ -1435,58 +1443,58 @@ impl<'p> Analyzer<'p> {
                     _ => self.env = None, // definite "getline needs &var"
                 }
                 self.env = join_opt(self.env.take(), eof_env);
-                self.record_call(sitek, proven);
+                self.record_call(site, proven);
                 AVal::Int(Interval::at_least(-1))
             }
             "getWord" | "getTok" => {
                 for a in args.iter().take(5) {
                     self.eval(a);
                 }
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Int(Interval::at_least(-1))
             }
             "strfind" => {
                 self.eval(&args[0]);
                 self.eval(&args[1]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Int(Interval::at_least(-1))
             }
             "strcmp" => {
                 self.eval(&args[0]);
                 self.eval(&args[1]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Int(Interval::range(-1, 1))
             }
             "strcpy" => {
                 let dst = self.eval(&args[0]);
                 self.eval(&args[1]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 dst
             }
             "strlen" => {
                 self.eval(&args[0]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Int(Interval::at_least(0))
             }
             "atoi" => {
                 self.eval(&args[0]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Int(Interval::FULL)
             }
             "atof" => {
                 self.eval(&args[0]);
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 AVal::Float
             }
             "sqrt" | "exp" | "log" | "fabs" | "floor" | "ceil" | "erf" => {
                 let v = self.eval(&args[0]);
-                self.numeric_arg_effect(sitek, &[v]);
+                self.numeric_arg_effect(site, &[v]);
                 AVal::Float
             }
             "pow" => {
                 let a = self.eval(&args[0]);
                 let b = self.eval(&args[1]);
-                self.numeric_arg_effect(sitek, &[a, b]);
+                self.numeric_arg_effect(site, &[a, b]);
                 AVal::Float
             }
             "malloc" | "calloc" => {
@@ -1500,7 +1508,7 @@ impl<'p> Analyzer<'p> {
                     .map(const_nonneg)
                     .try_fold(1usize, |acc, c| c.and_then(|c| acc.checked_mul(c)));
                 // `as_int` faults on a definite pointer/slot-ref count.
-                self.numeric_arg_effect(sitek, &counts);
+                self.numeric_arg_effect(site, &counts);
                 AVal::Ptr(PtrFact {
                     null: Nullness::NonNull,
                     extent: total.map(|t| t.max(1)),
@@ -1512,7 +1520,7 @@ impl<'p> Analyzer<'p> {
                 for a in args {
                     self.eval(a);
                 }
-                self.record_call(sitek, true);
+                self.record_call(site, true);
                 AVal::Int(Interval::constant(0))
             }
             "abs" => {
@@ -1531,13 +1539,13 @@ impl<'p> Analyzer<'p> {
                     }
                     _ => Interval::FULL,
                 };
-                self.numeric_arg_effect(sitek, &[v]);
+                self.numeric_arg_effect(site, &[v]);
                 AVal::Int(out)
             }
             _ => {
                 // Unknown function: definite error, arguments never
                 // evaluated.
-                self.record_call(sitek, false);
+                self.record_call(site, false);
                 self.env = None;
                 AVal::Top
             }
@@ -1547,7 +1555,7 @@ impl<'p> Analyzer<'p> {
     /// `as_int`/`as_f64` coercion effect for numeric builtins: a
     /// definite pointer/slot-ref argument always faults; definite
     /// numerics prove the call site.
-    fn numeric_arg_effect(&mut self, site: usize, vals: &[AVal]) {
+    fn numeric_arg_effect(&mut self, site: SiteId, vals: &[AVal]) {
         let mut proven = true;
         for v in vals {
             match v {
@@ -1562,7 +1570,7 @@ impl<'p> Analyzer<'p> {
         self.record_call(site, proven);
     }
 
-    fn eval_printf(&mut self, site: usize, args: &'p [Expr]) -> AVal {
+    fn eval_printf(&mut self, site: SiteId, args: &'p [Expr]) -> AVal {
         let Expr::StrLit(fmt) = &args[0] else {
             // Definite "printf needs a literal format".
             self.record_call(site, false);
@@ -1717,7 +1725,7 @@ impl<'p> Analyzer<'p> {
         AVal::Int(Interval::at_least(0))
     }
 
-    fn eval_scanf(&mut self, site: usize, args: &'p [Expr]) -> AVal {
+    fn eval_scanf(&mut self, site: SiteId, args: &'p [Expr]) -> AVal {
         let Expr::StrLit(fmt) = &args[0] else {
             self.record_call(site, false);
             self.env = None;
@@ -1826,15 +1834,15 @@ impl<'p> Analyzer<'p> {
         match cond {
             Expr::Unary(UnOp::Not, x) => self.refine(x, !want),
             Expr::Cast(_, x) => self.refine(x, want),
-            Expr::Binary(BinOp::And, a, b) if want => {
+            Expr::Binary(BinOp::And, a, b, _) if want => {
                 self.refine(a, true);
                 self.refine(b, true);
             }
-            Expr::Binary(BinOp::Or, a, b) if !want => {
+            Expr::Binary(BinOp::Or, a, b, _) if !want => {
                 self.refine(a, false);
                 self.refine(b, false);
             }
-            Expr::Binary(op, a, b)
+            Expr::Binary(op, a, b, _)
                 if matches!(
                     op,
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
@@ -2064,7 +2072,7 @@ fn peek_int(a: &Analyzer, e: &Expr) -> Option<Interval> {
             _ => None,
         },
         Expr::Unary(UnOp::Neg, x) => Some(peek_int(a, x)?.neg()),
-        Expr::Binary(op, x, y)
+        Expr::Binary(op, x, y, _)
             if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::BitAnd) =>
         {
             let ix = peek_int(a, x)?;
@@ -2131,7 +2139,7 @@ fn const_nonneg(v: &AVal) -> Option<usize> {
 /// Root array/pointer name of a subscript chain, for diagnostics.
 fn base_name(e: &Expr) -> Option<String> {
     match e {
-        Expr::Index(base, _) => match base.as_ref() {
+        Expr::Index(base, ..) => match base.as_ref() {
             Expr::Ident(n) => Some(n.clone()),
             inner => base_name(inner),
         },
@@ -2177,7 +2185,7 @@ fn collect_printf_spans(s: &Stmt, out: &mut Vec<Span>) {
                 return;
             }
             match e {
-                Expr::Call(name, args) => {
+                Expr::Call(name, args, _) => {
                     if name == "printf" {
                         *found = true;
                         return;
@@ -2189,7 +2197,7 @@ fn collect_printf_spans(s: &Stmt, out: &mut Vec<Span>) {
                 Expr::Unary(_, x) | Expr::PostInc(x) | Expr::PostDec(x) | Expr::Cast(_, x) => {
                     walk(x, found)
                 }
-                Expr::Binary(_, a, b) | Expr::Assign(_, a, b) | Expr::Index(a, b) => {
+                Expr::Binary(_, a, b, _) | Expr::Assign(_, a, b) | Expr::Index(a, b, _) => {
                     walk(a, found);
                     walk(b, found);
                 }

@@ -362,9 +362,9 @@ impl Collector {
                     self.event(&n, EventKind::Write, element, None);
                 }
             }
-            Expr::Call(name, args) => self.call(name, args),
+            Expr::Call(name, args, _) => self.call(name, args),
             Expr::Unary(_, x) | Expr::Cast(_, x) => self.expr(x),
-            Expr::Binary(_, a, b) => {
+            Expr::Binary(_, a, b, _) => {
                 self.expr(a);
                 self.expr(b);
             }
@@ -464,7 +464,7 @@ impl Collector {
             self.index_site(e);
         }
         match e {
-            Expr::Index(b, i) => {
+            Expr::Index(b, i, _) => {
                 self.expr(i);
                 self.lvalue_subscripts(b);
             }
@@ -476,7 +476,7 @@ impl Collector {
     /// Visit subscript expressions of a read chain (the root read event
     /// is emitted separately).
     fn subscript_exprs(&mut self, e: &Expr) {
-        if let Expr::Index(b, i) = e {
+        if let Expr::Index(b, i, _) = e {
             self.expr(i);
             self.subscript_exprs(b);
         }
@@ -486,7 +486,7 @@ impl Collector {
 fn root_name(e: &Expr) -> Option<String> {
     match e {
         Expr::Ident(n) => Some(n.clone()),
-        Expr::Index(b, _) => root_name(b),
+        Expr::Index(b, ..) => root_name(b),
         Expr::Unary(UnOp::Deref, x) => root_name(x),
         Expr::Cast(_, x) => root_name(x),
         _ => None,
@@ -501,7 +501,7 @@ fn strip_addr_root(e: &Expr) -> Option<String> {
 }
 
 fn collect_subscripts(e: &Expr, f: &mut dyn FnMut(&Expr)) {
-    if let Expr::Index(b, i) = e {
+    if let Expr::Index(b, i, _) = e {
         f(i);
         collect_subscripts(b, f);
     }
@@ -513,7 +513,7 @@ fn walk_expr_idents(e: &Expr, f: &mut dyn FnMut(&str)) {
         Expr::Unary(_, x) | Expr::Cast(_, x) | Expr::PostInc(x) | Expr::PostDec(x) => {
             walk_expr_idents(x, f)
         }
-        Expr::Binary(_, a, b) | Expr::Assign(_, a, b) | Expr::Index(a, b) => {
+        Expr::Binary(_, a, b, _) | Expr::Assign(_, a, b) | Expr::Index(a, b, _) => {
             walk_expr_idents(a, f);
             walk_expr_idents(b, f);
         }
@@ -522,7 +522,7 @@ fn walk_expr_idents(e: &Expr, f: &mut dyn FnMut(&str)) {
             walk_expr_idents(t, f);
             walk_expr_idents(x, f);
         }
-        Expr::Call(_, args) => {
+        Expr::Call(_, args, _) => {
             for a in args {
                 walk_expr_idents(a, f);
             }

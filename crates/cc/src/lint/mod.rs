@@ -247,7 +247,7 @@ impl LintReport {
     }
 
     /// Machine-readable JSON report (hand-rolled; the workspace has no
-    /// full serde).
+    /// serializer dependency).
     pub fn to_json(&self, unit: &str) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"schema\":{REPORT_SCHEMA},"));
@@ -295,8 +295,9 @@ pub fn lint_program(src: &str, program: &Program, analysis: &Analysis) -> LintRe
             classify_check::check(unit, region, &mut report.diags);
         }
     }
-    // Value analysis over the whole of `main` (regions included).
-    for f in absint::analyze_main(program).findings {
+    // Value analysis over the whole of `main` (regions included),
+    // already run by `sema::analyze`.
+    for f in analysis.value_findings.iter().cloned() {
         push(&mut report.diags, f.code, f.span, f.focus, f.msg);
     }
     // Stable order: by severity rank, then line, then code.

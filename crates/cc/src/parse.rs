@@ -12,6 +12,7 @@ pub fn parse(src: &str) -> Result<Program, CcError> {
         toks,
         pos: 0,
         directives: Vec::new(),
+        sites: SiteCounts::default(),
     };
     let mut funcs = Vec::new();
     while !p.at_eof() {
@@ -25,7 +26,23 @@ pub fn parse(src: &str) -> Result<Program, CcError> {
     Ok(Program {
         funcs,
         directives: p.directives,
+        sites: p.sites,
+        fingerprint: fnv1a(src.as_bytes()),
     })
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Hand out the next id of one site kind.
+fn next_site(count: &mut u32) -> SiteId {
+    let id = SiteId(*count);
+    *count += 1;
+    id
 }
 
 const TYPE_KWS: &[&str] = &[
@@ -37,6 +54,8 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     directives: Vec<crate::pragma::Directive>,
+    /// Guard sites numbered so far (see [`SiteId`]).
+    sites: SiteCounts,
 }
 
 impl Parser {
@@ -448,7 +467,11 @@ impl Parser {
             }
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            let site = match op {
+                BinOp::Div | BinOp::Rem => next_site(&mut self.sites.divisions),
+                _ => SiteId::NONE,
+            };
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), site);
         }
         Ok(lhs)
     }
@@ -544,11 +567,12 @@ impl Parser {
                     }
                     self.expect_punct(")")?;
                 }
-                e = Expr::Call(name, args);
+                e = Expr::Call(name, args, next_site(&mut self.sites.calls));
             } else if self.eat_punct("[") {
                 let idx = self.expr()?;
                 self.expect_punct("]")?;
-                e = Expr::Index(Box::new(e), Box::new(idx));
+                let site = next_site(&mut self.sites.subscripts);
+                e = Expr::Index(Box::new(e), Box::new(idx), site);
             } else if self.eat_punct("++") {
                 e = Expr::PostInc(Box::new(e));
             } else if self.eat_punct("--") {
@@ -667,9 +691,9 @@ int main() {
         let p = parse("int main() { int x; x = 1 + 2 * 3; }").unwrap();
         match &p.funcs[0].body[1].kind {
             StmtKind::Expr(Expr::Assign(_, _, rhs)) => match rhs.as_ref() {
-                Expr::Binary(BinOp::Add, a, b) => {
+                Expr::Binary(BinOp::Add, a, b, SiteId::NONE) => {
                     assert_eq!(**a, Expr::IntLit(1));
-                    assert!(matches!(**b, Expr::Binary(BinOp::Mul, _, _)));
+                    assert!(matches!(**b, Expr::Binary(BinOp::Mul, ..)));
                 }
                 e => panic!("bad precedence: {e:?}"),
             },

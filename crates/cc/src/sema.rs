@@ -10,10 +10,16 @@
 //!    table, and
 //! 4. emits the paper's aliasing warning when privatization inference may
 //!    be inaccurate (§3.2).
+//!
+//! [`analyze`] is also where the value analysis ([`crate::lint::absint`])
+//! runs — once per program — so one [`Analysis`] carries everything
+//! later stages consume: placements for the translator, the safety
+//! table for the kernel backend, the HD016–HD021 findings for the lint
+//! report.
 
 use crate::ast::*;
 use crate::error::{CcError, Warning};
-use crate::lint::absint::SafetyFacts;
+use crate::lint::absint::{self, SafetyFacts};
 use crate::pragma::{Directive, DirectiveKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,10 +74,12 @@ pub struct Analysis {
     /// Per-site safety proofs from the value analysis
     /// ([`crate::lint::absint`]); the native backend consumes these via
     /// [`crate::backend::NativeBackend::with_facts`] to pick the guarded
-    /// or unguarded opcode at each site. Keyed by AST node identity — valid for
-    /// the exact `Program` analyzed (and moves of it), not for clones;
-    /// [`SafetyFacts::matches`] detects staleness.
+    /// or unguarded opcode at each site. Indexed by the parser's site
+    /// ids: valid for the `Program` analyzed and for its clones.
     pub safety: SafetyFacts,
+    /// The same run's HD016–HD021 findings, for
+    /// [`crate::lint::lint_program`].
+    pub(crate) value_findings: Vec<absint::Finding>,
 }
 
 /// Analyze every annotated region in `prog`.
@@ -97,9 +105,11 @@ pub fn analyze(prog: &Program) -> Result<Analysis, CcError> {
             .ok_or_else(|| CcError::sema(dir.span, "directive is not attached to a statement"))?;
         regions.push(analyze_region(dir, idx, region, &types)?);
     }
+    let value = absint::analyze_main(prog);
     Ok(Analysis {
         regions,
-        safety: SafetyFacts::for_program(prog),
+        safety: value.facts,
+        value_findings: value.findings,
     })
 }
 
@@ -420,7 +430,7 @@ impl Usage {
                     self.write(&n);
                 }
             }
-            Expr::Call(name, args) => {
+            Expr::Call(name, args, _) => {
                 // Builtins that write through specific arguments.
                 let write_args = builtin_write_args(name);
                 for (i, a) in args.iter().enumerate() {
@@ -437,11 +447,11 @@ impl Usage {
                 }
             }
             Expr::Unary(_, x) | Expr::Cast(_, x) => self.visit_expr(x, tys),
-            Expr::Binary(_, a, b) => {
+            Expr::Binary(_, a, b, _) => {
                 self.visit_expr(a, tys);
                 self.visit_expr(b, tys);
             }
-            Expr::Index(a, b) => {
+            Expr::Index(a, b, _) => {
                 self.visit_expr(a, tys);
                 self.visit_expr(b, tys);
             }
@@ -458,7 +468,7 @@ impl Usage {
     /// treating the root identifier as a read.
     fn visit_lhs_subscripts(&mut self, e: &Expr, tys: &BTreeMap<String, CType>) {
         match e {
-            Expr::Index(b, i) => {
+            Expr::Index(b, i, _) => {
                 self.visit_expr(i, tys);
                 self.visit_lhs_subscripts(b, tys);
             }
@@ -491,7 +501,7 @@ pub(crate) fn builtin_write_args(name: &str) -> &'static [usize] {
 fn root_ident(e: &Expr) -> Option<&str> {
     match e {
         Expr::Ident(n) => Some(n),
-        Expr::Index(b, _) => root_ident(b),
+        Expr::Index(b, ..) => root_ident(b),
         Expr::Unary(UnOp::Deref, x) => root_ident(x),
         Expr::Cast(_, x) => root_ident(x),
         _ => None,

@@ -357,10 +357,11 @@ fn rewrite_expr(e: &Expr, renames: &BTreeMap<String, String>, is_mapper: bool) -
         Expr::Unary(op, x) => Expr::Unary(*op, Box::new(rewrite_expr(x, renames, is_mapper))),
         Expr::PostInc(x) => Expr::PostInc(Box::new(rewrite_expr(x, renames, is_mapper))),
         Expr::PostDec(x) => Expr::PostDec(Box::new(rewrite_expr(x, renames, is_mapper))),
-        Expr::Binary(op, a, b) => Expr::Binary(
+        Expr::Binary(op, a, b, site) => Expr::Binary(
             *op,
             Box::new(rewrite_expr(a, renames, is_mapper)),
             Box::new(rewrite_expr(b, renames, is_mapper)),
+            *site,
         ),
         Expr::Assign(op, a, b) => Expr::Assign(
             *op,
@@ -372,12 +373,13 @@ fn rewrite_expr(e: &Expr, renames: &BTreeMap<String, String>, is_mapper: bool) -
             Box::new(rewrite_expr(t, renames, is_mapper)),
             Box::new(rewrite_expr(f, renames, is_mapper)),
         ),
-        Expr::Index(a, b) => Expr::Index(
+        Expr::Index(a, b, site) => Expr::Index(
             Box::new(rewrite_expr(a, renames, is_mapper)),
             Box::new(rewrite_expr(b, renames, is_mapper)),
+            *site,
         ),
         Expr::Cast(t, x) => Expr::Cast(t.clone(), Box::new(rewrite_expr(x, renames, is_mapper))),
-        Expr::Call(name, args) => {
+        Expr::Call(name, args, site) => {
             let args: Vec<Expr> = args
                 .iter()
                 .map(|a| rewrite_expr(a, renames, is_mapper))
@@ -394,7 +396,7 @@ fn rewrite_expr(e: &Expr, renames: &BTreeMap<String, String>, is_mapper: bool) -
                 ("strlen", _) => "strlenGPU",
                 (n, _) => n,
             };
-            Expr::Call(new_name.to_string(), args)
+            Expr::Call(new_name.to_string(), args, *site)
         }
         other => other.clone(),
     }
@@ -472,7 +474,7 @@ int main()
         let tmp = [spec.body.clone()];
         walk_stmts(&tmp, &mut |s| {
             walk_exprs(s, &mut |e| {
-                if let Expr::Call(n, _) = e {
+                if let Expr::Call(n, ..) = e {
                     calls.push(n.clone());
                 }
             });
@@ -552,7 +554,7 @@ int main()
         let tmp = [spec.body.clone()];
         walk_stmts(&tmp, &mut |s| {
             walk_exprs(s, &mut |e| {
-                if let Expr::Call(n, _) = e {
+                if let Expr::Call(n, ..) = e {
                     calls.push(n.clone());
                 }
             });

@@ -11,11 +11,10 @@
 //! listing) is written to `target/testgen-failures/` for artifact
 //! upload.
 
-use hetero_cc::backend::{
-    make_backend, make_backend_with_mode, BackendKind, ElisionMode, NativeBackend,
-};
+use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, NativeBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
+use hetero_cc::sema::analyze;
 use hetero_cc::testgen::{generate, GenCase};
 
 /// Pinned default seed (paper venue date) — change deliberately, never
@@ -38,12 +37,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 type RunResult = Result<(Vec<u8>, InterpStats), String>;
 
 fn run_backend(kind: BackendKind, src: &str, io: &mut StreamIo) -> RunResult {
-    let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
-    let backend = make_backend(kind, &prog);
-    match backend.run_capped(io, MAX_STEPS) {
-        Ok(stats) => Ok((io.stdout.clone(), stats)),
-        Err(e) => Err(e.to_string()),
-    }
+    run_backend_mode(kind, ElisionMode::from_env(), src, io)
 }
 
 fn run_backend_mode(
@@ -53,7 +47,8 @@ fn run_backend_mode(
     io: &mut StreamIo,
 ) -> RunResult {
     let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
-    let backend = make_backend_with_mode(kind, &prog, mode);
+    let facts = analyze(&prog).map_err(|e| format!("sema: {e}"))?.safety;
+    let backend = make_backend_with_facts(kind, &prog, &facts, mode);
     match backend.run_capped(io, MAX_STEPS) {
         Ok(stats) => Ok((io.stdout.clone(), stats)),
         Err(e) => Err(e.to_string()),
@@ -131,8 +126,14 @@ fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
     // What the native backend actually ran, so the divergence can be
     // read and not just reproduced.
     if let Ok(prog) = parse(&src) {
-        let listing = NativeBackend::compile(&prog).disasm();
-        let _ = std::fs::write(dir.join(format!("seed-{}.disasm", case.seed)), listing);
+        if let Ok(analysis) = analyze(&prog) {
+            let native =
+                NativeBackend::with_facts(&prog, &analysis.safety, ElisionMode::from_env());
+            let _ = std::fs::write(
+                dir.join(format!("seed-{}.disasm", case.seed)),
+                native.disasm(),
+            );
+        }
     }
     src_path.display().to_string()
 }
@@ -177,7 +178,7 @@ fn generated_programs_survive_checked_elision() {
     // have fired. A panic here means `SafetyFacts` proved something
     // false — an analyzer bug, not a generator or backend one. The
     // checked run must also agree bit-for-bit with the interpreter so
-    // the three elision modes stay observationally identical on the
+    // both elision modes stay observationally identical on the
     // whole random corpus, not just on the curated benchmarks.
     let seed = env_u64("HETERO_TESTGEN_SEED", DEFAULT_SEED);
     let cases = env_u64("HETERO_TESTGEN_CASES", DEFAULT_CASES);

@@ -5,9 +5,10 @@
 //! wins or loses exactly as in the interpreter), and on `Ok` the same
 //! `InterpStats` and stdout.
 
-use hetero_cc::backend::{make_backend_with_mode, BackendKind, ElisionMode};
+use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
+use hetero_cc::sema::analyze;
 
 const STEP_LIMIT: &str = "interpreter error: step limit exceeded (infinite loop?)";
 
@@ -15,7 +16,8 @@ type Outcome = Result<(InterpStats, Vec<u8>), String>;
 
 fn run(kind: BackendKind, src: &str, io: &dyn Fn() -> StreamIo, max_steps: u64) -> Outcome {
     let prog = parse(src).unwrap();
-    let backend = make_backend_with_mode(kind, &prog, ElisionMode::On);
+    let facts = analyze(&prog).unwrap().safety;
+    let backend = make_backend_with_facts(kind, &prog, &facts, ElisionMode::On);
     let mut io = io();
     match backend.run_capped(&mut io, max_steps) {
         Ok(stats) => Ok((stats, io.stdout)),

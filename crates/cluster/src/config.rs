@@ -1,10 +1,8 @@
 //! Cluster configuration (the knobs of the paper's Table 3) and the
 //! deterministic fault-injection plan.
 
-use serde::{Deserialize, Serialize};
-
 /// Which task-placement policy the cluster runs (paper §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Baseline Hadoop: CPUs only, GPUs unused.
     CpuOnly,
@@ -18,7 +16,7 @@ pub enum Scheduler {
 /// A seeded, deterministic plan of faults injected into a simulated run
 /// as first-class DES events. The same plan (same seed) reproduces the
 /// same schedule, which is what makes recovery costs measurable.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all probabilistic decisions (transient failures pick
     /// their victims and failure points from hashes of this seed).
@@ -292,7 +290,7 @@ impl FaultPlan {
 /// `enabled == false` the simulator never records an event, and a traced
 /// run produces the exact same schedule as an untraced one — tracing is
 /// pure observation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record span/instant events into the tracer passed to
     /// [`crate::sim::simulate_traced`].
@@ -313,7 +311,7 @@ impl TraceConfig {
 }
 
 /// Static cluster configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of slave nodes (the master is implicit).
     pub num_slaves: u32,

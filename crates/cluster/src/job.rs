@@ -2,12 +2,11 @@
 
 use crate::config::ConfigError;
 use hetero_hdfs::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One map task: which nodes hold its fileSplit and how long it takes on
 /// each device class. Durations come from the task-level simulators
 /// (`hetero-runtime`); the DES only decides *where and when* tasks run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MapTaskSpec {
     /// Task id.
     pub id: u32,
@@ -22,7 +21,7 @@ pub struct MapTaskSpec {
 }
 
 /// One reduce task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReduceTaskSpec {
     /// Task id.
     pub id: u32,
@@ -31,7 +30,7 @@ pub struct ReduceTaskSpec {
 }
 
 /// A complete job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Human-readable name.
     pub name: String,

@@ -40,13 +40,12 @@ use crate::sim::{mix64, simulate, EventQueue};
 use crate::stats::JobStats;
 use hetero_hdfs::NodeId;
 use hetero_trace::{Category, MetricsRegistry, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 // ------------------------------------------------------------ tenants
 
 /// One tenant of the shared cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Human-readable tenant name (appears in metrics keys).
     pub name: String,
@@ -88,7 +87,7 @@ impl TenantSpec {
 
 /// Admission-control bounds checked at job arrival. A job failing any
 /// bound is rejected with a descriptive reason (never queued).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AdmissionControl {
     /// Maximum queued (admitted, not yet started) jobs per tenant
     /// (0 = unbounded).
@@ -100,7 +99,7 @@ pub struct AdmissionControl {
 
 /// Service configuration: the shared cluster, its tenants, and the
 /// admission bounds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The physical cluster every grant is carved from. Its own
     /// `FaultPlan` must be empty — faults ride on each [`JobRequest`]
@@ -173,7 +172,7 @@ impl ServiceConfig {
 // ------------------------------------------------------------ workload
 
 /// One job submitted to the service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Index into [`ServiceConfig::tenants`].
     pub tenant: u32,
@@ -189,7 +188,7 @@ pub struct JobRequest {
 }
 
 /// The arrival process of a generated workload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant mean rate (jobs per second).
     Poisson {
@@ -210,7 +209,7 @@ pub enum ArrivalProcess {
 }
 
 /// Knobs of the seeded workload generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Seed for every draw (arrival gaps, tenant choice, job shape).
     pub seed: u64,
@@ -329,7 +328,7 @@ pub fn generate_workload(w: &WorkloadConfig, svc: &ServiceConfig) -> Vec<JobRequ
 // ------------------------------------------------------------- results
 
 /// Outcome of one admitted, completed job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// Job name.
     pub name: String,
@@ -361,7 +360,7 @@ impl JobOutcome {
 }
 
 /// A job the admission controller turned away.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rejection {
     /// Job name.
     pub name: String,
@@ -374,7 +373,7 @@ pub struct Rejection {
 }
 
 /// Per-tenant SLO summary (nearest-rank percentiles).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantSlo {
     /// Tenant name.
     pub name: String,
@@ -399,7 +398,7 @@ pub struct TenantSlo {
 }
 
 /// Everything a service run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// Completed jobs, in completion order.
     pub jobs: Vec<JobOutcome>,

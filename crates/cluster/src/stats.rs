@@ -3,11 +3,10 @@
 //! first-class measurements.
 
 use hetero_hdfs::Locality;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Which device class executed a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Device {
     /// A CPU map slot.
     Cpu,
@@ -16,7 +15,7 @@ pub enum Device {
 }
 
 /// How a map-task attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Still running when the simulation ended (aborted jobs).
     Running,
@@ -35,7 +34,7 @@ pub enum Outcome {
 }
 
 /// Execution record of one map-task *attempt*.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaskRecord {
     /// Task id.
     pub id: u32,
@@ -65,7 +64,7 @@ impl TaskRecord {
 }
 
 /// Statistics of one simulated job run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobStats {
     /// Job name.
     pub name: String,

@@ -8,45 +8,34 @@
 //! `hetero_cc::backend`). Both charge identical [`InterpStats`], so the
 //! cost models — and therefore every simulated cycle downstream — are
 //! bit-identical regardless of backend. `HETERO_BACKEND=interp|native`
-//! selects the default; [`InterpMapper::with_backend`] pins one
-//! explicitly.
+//! and `HETERO_ELIDE=on|checked` select the defaults;
+//! [`CompiledKernel::with_backend_mode`] pins both explicitly.
 
 use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, KernelBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::{CcError, Compiled};
 use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
-use std::sync::Arc;
 
-/// A mapper backed by a kernel backend over an annotated C program.
-/// The program is compiled to its executable form once, at construction;
-/// `map` reuses it for every record.
-pub struct InterpMapper {
+/// A kernel backend over one annotated C program, usable as the
+/// runtime's [`Mapper`] (when the program's `main` has the Listing 1
+/// shape) or [`Combiner`] (Listing 2 shape). The program is brought to
+/// its executable form once, at construction; every record or run
+/// reuses it.
+pub struct CompiledKernel {
     backend: Box<dyn KernelBackend>,
 }
 
-impl InterpMapper {
-    /// Wrap a compiled program whose `main` is a mapper (Listing 1
-    /// shape), using the backend selected by `HETERO_BACKEND` (native
-    /// when unset).
-    pub fn new(compiled: Arc<Compiled>) -> Self {
-        Self::with_backend(compiled, BackendKind::from_env())
+impl CompiledKernel {
+    /// Wrap a compiled program on the backend `HETERO_BACKEND` selects
+    /// (native when unset), with guard elision following `HETERO_ELIDE`.
+    pub fn new(compiled: &Compiled) -> Self {
+        Self::with_backend_mode(compiled, BackendKind::from_env(), ElisionMode::from_env())
     }
 
-    /// Wrap a compiled mapper program on an explicit backend, with
-    /// guard elision following `HETERO_ELIDE`.
-    pub fn with_backend(compiled: Arc<Compiled>, kind: BackendKind) -> Self {
-        Self::with_backend_mode(compiled, kind, ElisionMode::from_env())
-    }
-
-    /// Wrap a compiled mapper program on an explicit backend and
-    /// elision mode, reusing the safety facts `sema::analyze` already
-    /// proved for this program.
-    pub fn with_backend_mode(
-        compiled: Arc<Compiled>,
-        kind: BackendKind,
-        mode: ElisionMode,
-    ) -> Self {
-        InterpMapper {
+    /// Wrap a compiled program on an explicit backend and elision mode,
+    /// handing the backend the safety facts `compile` already proved.
+    pub fn with_backend_mode(compiled: &Compiled, kind: BackendKind, mode: ElisionMode) -> Self {
+        CompiledKernel {
             backend: make_backend_with_facts(
                 kind,
                 &compiled.program,
@@ -56,13 +45,13 @@ impl InterpMapper {
         }
     }
 
-    /// Which backend executes this mapper (`"interp"` or `"native"`).
+    /// Which backend executes this kernel (`"interp"` or `"native"`).
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }
 }
 
-impl Mapper for InterpMapper {
+impl Mapper for CompiledKernel {
     fn map(&self, record: &[u8], out: &mut dyn Emit) {
         // One copy of the record, with room for the `\n` and NUL that
         // `getline` appends to the buffer it takes over.
@@ -90,48 +79,7 @@ fn emit_run(stats: &InterpStats, io: &StreamIo, out: &mut dyn Emit) {
     }
 }
 
-/// A combiner backed by a kernel backend over an annotated C program
-/// (Listing 2 shape).
-pub struct InterpCombiner {
-    backend: Box<dyn KernelBackend>,
-}
-
-impl InterpCombiner {
-    /// Wrap a compiled combiner program on the `HETERO_BACKEND` default.
-    pub fn new(compiled: Arc<Compiled>) -> Self {
-        Self::with_backend(compiled, BackendKind::from_env())
-    }
-
-    /// Wrap a compiled combiner program on an explicit backend, with
-    /// guard elision following `HETERO_ELIDE`.
-    pub fn with_backend(compiled: Arc<Compiled>, kind: BackendKind) -> Self {
-        Self::with_backend_mode(compiled, kind, ElisionMode::from_env())
-    }
-
-    /// Wrap a compiled combiner program on an explicit backend and
-    /// elision mode.
-    pub fn with_backend_mode(
-        compiled: Arc<Compiled>,
-        kind: BackendKind,
-        mode: ElisionMode,
-    ) -> Self {
-        InterpCombiner {
-            backend: make_backend_with_facts(
-                kind,
-                &compiled.program,
-                &compiled.analysis.safety,
-                mode,
-            ),
-        }
-    }
-
-    /// Which backend executes this combiner (`"interp"` or `"native"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-}
-
-impl Combiner for InterpCombiner {
+impl Combiner for CompiledKernel {
     fn combine(&self, run: &[(&[u8], &[u8])], out: &mut dyn Emit) {
         let kvs: Vec<(Vec<u8>, Vec<u8>)> = run
             .iter()
@@ -159,23 +107,15 @@ pub struct CompiledApp {
     inner: Box<dyn hetero_apps::App>,
     kind: BackendKind,
     mode: ElisionMode,
-    mapper: Arc<Compiled>,
-    combiner: Option<Arc<Compiled>>,
+    mapper: Compiled,
+    combiner: Option<Compiled>,
 }
 
 impl CompiledApp {
     /// Compile `inner`'s C sources; kernels execute on the
     /// `HETERO_BACKEND` default with the `HETERO_ELIDE` elision mode.
     pub fn new(inner: Box<dyn hetero_apps::App>) -> Result<Self, CcError> {
-        Self::with_backend(inner, BackendKind::from_env())
-    }
-
-    /// Compile `inner`'s C sources; kernels execute on `kind`.
-    pub fn with_backend(
-        inner: Box<dyn hetero_apps::App>,
-        kind: BackendKind,
-    ) -> Result<Self, CcError> {
-        Self::with_backend_mode(inner, kind, ElisionMode::from_env())
+        Self::with_backend_mode(inner, BackendKind::from_env(), ElisionMode::from_env())
     }
 
     /// Compile `inner`'s C sources; kernels execute on `kind` with the
@@ -185,11 +125,11 @@ impl CompiledApp {
         kind: BackendKind,
         mode: ElisionMode,
     ) -> Result<Self, CcError> {
-        let mapper = Arc::new(hetero_cc::compile(inner.mapper_source())?);
-        let combiner = match inner.combiner_source() {
-            Some(src) => Some(Arc::new(hetero_cc::compile(src)?)),
-            None => None,
-        };
+        let mapper = hetero_cc::compile(inner.mapper_source())?;
+        let combiner = inner
+            .combiner_source()
+            .map(hetero_cc::compile)
+            .transpose()?;
         Ok(CompiledApp {
             inner,
             kind,
@@ -204,9 +144,8 @@ impl CompiledApp {
         self.kind
     }
 
-    /// The guard-elision mode kernels run with.
-    pub fn elision(&self) -> ElisionMode {
-        self.mode
+    fn kernel(&self, compiled: &Compiled) -> CompiledKernel {
+        CompiledKernel::with_backend_mode(compiled, self.kind, self.mode)
     }
 }
 
@@ -216,21 +155,13 @@ impl hetero_apps::App for CompiledApp {
     }
 
     fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(InterpMapper::with_backend_mode(
-            self.mapper.clone(),
-            self.kind,
-            self.mode,
-        ))
+        Box::new(self.kernel(&self.mapper))
     }
 
     fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        self.combiner.as_ref().map(|c| {
-            Box::new(InterpCombiner::with_backend_mode(
-                c.clone(),
-                self.kind,
-                self.mode,
-            )) as Box<dyn Combiner>
-        })
+        self.combiner
+            .as_ref()
+            .map(|c| Box::new(self.kernel(c)) as Box<dyn Combiner>)
     }
 
     fn reducer(&self) -> Option<Box<dyn hetero_runtime::types::Reducer>> {
@@ -273,8 +204,8 @@ mod tests {
     fn run_both(app: &dyn App, records: usize, seed: u64) -> (Pairs, Pairs) {
         let split = app.generate_split(records, seed);
         let native = app.mapper();
-        let compiled = Arc::new(hetero_cc::compile(app.mapper_source()).unwrap());
-        let interp = InterpMapper::new(compiled);
+        let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
+        let interp = CompiledKernel::new(&compiled);
         let mut a = VecEmit(Vec::new(), OpCount::default());
         let mut b = VecEmit(Vec::new(), OpCount::default());
         for line in split.split(|&x| x == b'\n').filter(|l| !l.is_empty()) {
@@ -357,9 +288,8 @@ mod tests {
             (b"plum", b"4"),
             (b"plum", b"1"),
         ];
-        let compiled =
-            Arc::new(hetero_cc::compile(hetero_apps::common::INT_SUM_COMBINER_C).unwrap());
-        let ic = InterpCombiner::new(compiled);
+        let compiled = hetero_cc::compile(hetero_apps::common::INT_SUM_COMBINER_C).unwrap();
+        let ic = CompiledKernel::new(&compiled);
         let mut a = VecEmit(Vec::new(), OpCount::default());
         let mut b = VecEmit(Vec::new(), OpCount::default());
         IntSumCombiner.combine(&run, &mut a);
@@ -370,8 +300,8 @@ mod tests {
     #[test]
     fn interp_charges_cost() {
         let app = app_by_code("WC").unwrap();
-        let compiled = Arc::new(hetero_cc::compile(app.mapper_source()).unwrap());
-        let m = InterpMapper::new(compiled);
+        let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
+        let m = CompiledKernel::new(&compiled);
         let mut out = VecEmit(Vec::new(), OpCount::default());
         m.map(b"hello world again", &mut out);
         assert!(out.1.alu > 0, "interpreted map must charge ops");
@@ -380,9 +310,10 @@ mod tests {
     #[test]
     fn explicit_backends_emit_identical_pairs_and_charges() {
         let app = app_by_code("WC").unwrap();
-        let compiled = Arc::new(hetero_cc::compile(app.mapper_source()).unwrap());
-        let mi = InterpMapper::with_backend(compiled.clone(), BackendKind::Interp);
-        let mn = InterpMapper::with_backend(compiled, BackendKind::Native);
+        let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
+        let on = ElisionMode::On;
+        let mi = CompiledKernel::with_backend_mode(&compiled, BackendKind::Interp, on);
+        let mn = CompiledKernel::with_backend_mode(&compiled, BackendKind::Native, on);
         assert_eq!(mi.backend_name(), "interp");
         assert_eq!(mn.backend_name(), "native");
         let mut a = VecEmit(Vec::new(), OpCount::default());
@@ -399,7 +330,7 @@ mod tests {
     fn compiled_app_delegates_and_compiles_all_eight() {
         for app in hetero_apps::all_apps() {
             let code = app.spec().code;
-            let capp = CompiledApp::with_backend(app, BackendKind::Native)
+            let capp = CompiledApp::with_backend_mode(app, BackendKind::Native, ElisionMode::On)
                 .unwrap_or_else(|e| panic!("{code}: {e}"));
             assert_eq!(capp.spec().code, code);
             assert_eq!(capp.backend(), BackendKind::Native);

@@ -4,10 +4,9 @@ use hetero_cluster::{ClusterConfig, FaultPlan, Scheduler, TraceConfig};
 use hetero_gpusim::GpuSpec;
 use hetero_runtime::cpu::CpuCostModel;
 use hetero_runtime::TaskEnv;
-use serde::{Deserialize, Serialize};
 
 /// A complete platform description: cluster layout + node hardware.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Preset {
     /// Display name.
     pub name: &'static str,

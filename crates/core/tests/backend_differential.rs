@@ -15,9 +15,9 @@
 //!
 //! The elision dimension pins the zero-perturbation contract: guards
 //! proven safe by the value analysis charge nothing to `InterpStats`,
-//! so eliding them (On), keeping them (Off), or panic-checking them
-//! (Checked — the soundness oracle) must be invisible in every bit of
-//! job output.
+//! so eliding them (On) or keeping and panic-checking them (Checked —
+//! the soundness oracle) must be invisible in every bit of job output.
+//! The interpreter, which has no elision, is the reference.
 
 use hetero_cc::backend::{BackendKind, ElisionMode};
 use hetero_gpusim::Device;
@@ -54,16 +54,15 @@ fn run(code: &str, kind: BackendKind, mode: ElisionMode, threads: usize) -> RunB
 #[test]
 fn all_benchmarks_are_bit_identical_across_backends_pools_and_elision() {
     for code in hetero_apps::CODES {
-        let (out_ref, secs_ref, trace_ref) = run(code, BackendKind::Interp, ElisionMode::Off, 1);
+        let (out_ref, secs_ref, trace_ref) = run(code, BackendKind::Interp, ElisionMode::On, 1);
         let pairs: usize = out_ref.iter().map(|p| p.len()).sum();
         assert!(pairs > 0, "{code}: compiled job produced no output");
         for (kind, mode, threads) in [
-            (BackendKind::Interp, ElisionMode::Off, 4),
-            (BackendKind::Native, ElisionMode::Off, 1),
-            (BackendKind::Native, ElisionMode::Off, 4),
+            (BackendKind::Interp, ElisionMode::On, 4),
             (BackendKind::Native, ElisionMode::On, 1),
             (BackendKind::Native, ElisionMode::On, 4),
             (BackendKind::Native, ElisionMode::Checked, 1),
+            (BackendKind::Native, ElisionMode::Checked, 4),
         ] {
             let (out, secs, trace) = run(code, kind, mode, threads);
             assert_eq!(
@@ -107,10 +106,7 @@ fn env_var_selects_the_job_backend() {
 fn env_var_selects_the_elision_mode() {
     std::env::set_var("HETERO_ELIDE", "checked");
     let sel = ElisionMode::from_env();
-    std::env::set_var("HETERO_ELIDE", "off");
-    let off = ElisionMode::from_env();
     std::env::remove_var("HETERO_ELIDE");
     assert_eq!(sel, ElisionMode::Checked);
-    assert_eq!(off, ElisionMode::Off);
     assert_eq!(ElisionMode::from_env(), ElisionMode::On, "default");
 }

@@ -4,11 +4,10 @@
 //! touches no shared state) and merged into kernel-level and device-level
 //! totals afterwards.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Event counts observed while executing simulated GPU code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Counters {
     /// Warp-wide ALU instructions issued.
     pub alu_ops: u64,
@@ -85,7 +84,7 @@ impl AddAssign for Counters {
 }
 
 /// Result of one kernel launch: simulated time plus merged counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct KernelStats {
     /// Simulated kernel execution time in seconds (includes launch
     /// overhead, excludes PCIe transfers — those are separate events).

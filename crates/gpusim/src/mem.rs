@@ -8,11 +8,10 @@
 //! cudaFree semantics with hard capacity limits.
 
 use crate::error::GpuError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Handle to a device allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DevPtr(pub u64);
 
 /// Tracks allocations against the device's fixed capacity.

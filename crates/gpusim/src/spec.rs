@@ -8,11 +8,9 @@
 //! over-allocation, texture working sets, out-of-memory boundaries — are
 //! preserved at laptop scale.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU micro-architecture family. Affects a handful of cost parameters
 /// (Fermi has slower atomics and a smaller texture cache than Kepler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// Tesla K40-class device (Compute Capability 3.5).
     Kepler,
@@ -21,7 +19,7 @@ pub enum Arch {
 }
 
 /// Static description of a simulated GPU device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"Tesla K40"`.
     pub name: String,
@@ -62,7 +60,7 @@ pub struct GpuSpec {
 /// Cycle costs charged by the execution engine. All values are per-warp
 /// unless stated otherwise; the engine aggregates lane activity into warp
 /// events (see [`crate::warp`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostParams {
     /// One warp-wide ALU instruction (int/fp add, compare, shift...).
     pub alu_cycles: f64,

@@ -1,18 +1,16 @@
 //! Cluster topology: nodes grouped into racks, with the locality levels
 //! Hadoop's scheduler distinguishes (node-local / rack-local / off-rack).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a (slave) node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RackId(pub u32);
 
 /// Data-locality level of a task placement, ordered best-first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Locality {
     /// A replica lives on the executing node.
     NodeLocal,
@@ -23,7 +21,7 @@ pub enum Locality {
 }
 
 /// Static cluster layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     nodes_per_rack: u32,
     num_nodes: u32,

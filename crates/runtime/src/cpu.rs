@@ -9,10 +9,9 @@
 
 use crate::task::{TaskBreakdown, TaskEnv};
 use crate::types::{default_partition, Combiner, Emit, Mapper, OpCount};
-use serde::{Deserialize, Serialize};
 
 /// Time model of one CPU core running a streaming task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuCostModel {
     /// Seconds per plain ALU operation (includes the streaming-pipe and
     /// interpreter-free gcc-compiled-C overheads).

@@ -1,10 +1,8 @@
 //! Optimization switches of the HeteroDoop compiler/runtime — the
 //! individually ablatable effects of the paper's Fig. 7.
 
-use serde::{Deserialize, Serialize};
-
 /// Which compiler/runtime optimizations are active for a GPU task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptFlags {
     /// Vectorized (char4-style, coalesced) KV writes in the map kernel
     /// (Fig. 7c).

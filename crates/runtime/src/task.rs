@@ -9,11 +9,10 @@ use crate::record::locate_records;
 use crate::sort::sort_partition;
 use crate::types::{trim_key, Combiner, Mapper};
 use hetero_gpusim::{Device, GpuError};
-use serde::{Deserialize, Serialize};
 
 /// Storage/IO environment of the node executing tasks (Table 3: Cluster1
 /// has 500 GB disks; Cluster2 is in-memory).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskEnv {
     /// Sequential read bandwidth of input storage, bytes/s.
     pub read_bw: f64,
@@ -51,7 +50,7 @@ impl TaskEnv {
 }
 
 /// Per-stage execution time of one GPU task, the categories of Fig. 6.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TaskBreakdown {
     /// Reading the fileSplit from HDFS + copying it to the device.
     pub input_read_s: f64,

@@ -1,10 +1,8 @@
 //! Trace event model: categories, spans, instants, and their arguments.
 
-use serde::{Deserialize, Serialize};
-
 /// What subsystem an event belongs to. Categories map 1:1 onto the `cat`
 /// field of the Chrome trace format, so viewers can filter by them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
     /// A map/reduce task attempt (span) or attempt-lifecycle instant.
     Task,
@@ -52,7 +50,7 @@ impl Category {
 }
 
 /// Span (has a duration) or instant (a point in simulated time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A complete span: Chrome phase `"X"` with `dur` in microseconds.
     Span {
@@ -64,7 +62,7 @@ pub enum EventKind {
 }
 
 /// One structured argument value attached to an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// A string argument.
     Str(String),
@@ -114,7 +112,7 @@ impl From<bool> for ArgValue {
 /// One recorded event. Timestamps are **simulated** time converted to
 /// integer microseconds (the Chrome trace unit), so identical simulations
 /// produce identical events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Subsystem category.
     pub cat: Category,

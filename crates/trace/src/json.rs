@@ -1,8 +1,7 @@
 //! A minimal deterministic JSON writer (and, for tests, a validator).
 //!
-//! The offline `serde` stand-in cannot serialize (its derives are no-op
-//! markers), so every exporter in this crate writes JSON through these
-//! helpers instead. Determinism rules: map keys are emitted in a fixed
+//! The workspace has no serializer dependency, so every exporter in
+//! this crate writes JSON through these helpers. Determinism rules: map keys are emitted in a fixed
 //! (sorted or insertion) order, floats use Rust's shortest round-trip
 //! `{}` formatting, and strings are escaped per RFC 8259.
 

@@ -31,10 +31,8 @@
 //! trace, which makes traces diffable artifacts and lets tests golden
 //! them.
 //!
-//! The event types derive the workspace's (stubbed, offline) `serde`
-//! markers for API parity, but actual serialization goes through the
-//! hand-rolled deterministic JSON writer in [`json`] — the offline serde
-//! stand-in has no serializer (see `third_party/README.md`).
+//! Serialization goes through the hand-rolled deterministic JSON writer
+//! in [`json`]; the workspace has no serializer dependency.
 
 #![warn(missing_docs)]
 

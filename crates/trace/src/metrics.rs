@@ -1,12 +1,11 @@
 //! A flat, deterministically ordered metrics snapshot.
 
 use crate::json::{push_f64, push_str_literal};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One metric value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A counter / integer gauge.
     U64(u64),
@@ -49,7 +48,7 @@ impl From<String> for MetricValue {
 
 /// A flat name → value registry. Keys are stored in a `BTreeMap`, so the
 /// JSON snapshot is emitted in sorted key order — same run, same bytes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     entries: BTreeMap<String, MetricValue>,
 }

@@ -5,12 +5,11 @@
 
 use crate::json::{push_f64, push_str_literal};
 use hetero_gpusim::KernelStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Aggregated statistics for one kernel (or memcpy) name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelProfileRow {
     /// Number of launches recorded under this name.
     pub launches: u64,
@@ -56,7 +55,7 @@ impl KernelProfileRow {
 }
 
 /// Aggregates [`KernelStats`] by kernel name into an nvprof-like profile.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelProfile {
     rows: BTreeMap<String, KernelProfileRow>,
 }

@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 use hetero_runtime::OptFlags;
-use heterodoop::{measure_task, InterpMapper, Preset};
-use std::sync::Arc;
+use heterodoop::{measure_task, CompiledKernel, Preset};
 
 fn main() {
     // 1. Compile the annotated sequential C program (paper Listing 1).
@@ -14,7 +13,7 @@ fn main() {
     println!("== generated CUDA-like kernel ==\n{}", compiled.sources[0]);
 
     // 2. The same source runs functionally through the interpreter.
-    let mapper = InterpMapper::new(Arc::new(compiled));
+    let mapper = CompiledKernel::new(&compiled);
     let mut pairs = Vec::new();
     struct Collect<'a>(&'a mut Vec<(Vec<u8>, Vec<u8>)>);
     impl hetero_runtime::Emit for Collect<'_> {

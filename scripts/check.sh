@@ -4,6 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The engine selectors fall back to their defaults on a value they do
+# not recognise, so a typo (or a retired value such as HETERO_ELIDE=off)
+# would re-test the default engine under the wrong label. Refuse it here.
+check_env() { # name, extended regex the value must match, what to say
+    local value="${!1-}"
+    if [ -n "${!1+set}" ] && ! [[ "$value" =~ ^($2)$ ]]; then
+        echo "error: $1='$value': expected $3" >&2
+        exit 2
+    fi
+}
+check_env HETERO_BACKEND 'interp|native' 'interp or native'
+check_env HETERO_ELIDE 'on|checked' 'on or checked'
+check_env HETERO_THREADS '[1-9][0-9]*' 'a positive integer'
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -16,7 +30,7 @@ cargo test -q --workspace
 echo "== kernel backend smoke (interp vs native differential + elision modes, reduced sweep)"
 # differential_gen sweeps interp-vs-native parity AND the checked-elision
 # soundness oracle (proven guards re-checked, panic on violation) over
-# the generated corpus; backend_differential pins the elide=on/off/checked
+# the generated corpus; backend_differential pins the elide=on/checked
 # matrix bit-identical on whole jobs.
 HETERO_TESTGEN_CASES=32 cargo test -q -p hetero-cc --test differential_gen
 cargo test -q -p heterodoop --test backend_differential

@@ -92,8 +92,8 @@ fn compiled_sources_match_native_mappers() {
     }
     for code in ["WC", "GR", "HS", "HR", "KM", "CL"] {
         let app = hetero_apps::app_by_code(code).unwrap();
-        let compiled = std::sync::Arc::new(heterodoop::compile(app.mapper_source()).unwrap());
-        let interp = heterodoop::InterpMapper::new(compiled);
+        let compiled = heterodoop::compile(app.mapper_source()).unwrap();
+        let interp = heterodoop::CompiledKernel::new(&compiled);
         let native = app.mapper();
         let split = app.generate_split(40, 23);
         let mut a = VecEmit(Vec::new());
