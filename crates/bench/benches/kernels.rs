@@ -1,73 +1,13 @@
 //! Criterion wall-clock benchmarks of the simulator's hot kernels: the
-//! map kernel with/without record stealing, the scan primitive, and the
-//! two kernel-execution backends (tree-walking interpreter vs the
-//! register-bytecode native backend) on the same annotated C mappers.
+//! scan primitive and the two kernel-execution backends (tree-walking
+//! interpreter vs the register-bytecode native backend) on the same
+//! annotated C mappers. (The map-kernel driver is timed end to end by the
+//! `e2e` ledger's `wc_rust_gpu`.)
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetero_cc::backend::{make_backend, make_backend_with_facts, BackendKind, ElisionMode};
 use hetero_cc::interp::StreamIo;
 use hetero_gpusim::{Device, GpuSpec};
-use hetero_runtime::map_kernel::{run_map, MapConfig};
-use hetero_runtime::record::{locate_records, Record};
 use hetero_runtime::scan::exclusive_scan;
-use hetero_runtime::types::{Emit, Mapper, OpCount};
-use hetero_runtime::OptFlags;
-
-struct WcMap;
-impl Mapper for WcMap {
-    fn map(&self, record: &[u8], out: &mut dyn Emit) {
-        for w in record
-            .split(|&b| !b.is_ascii_alphanumeric())
-            .filter(|w| !w.is_empty())
-        {
-            out.charge(OpCount::new(w.len() as u64, 0));
-            if !out.emit(w, b"1") {
-                return;
-            }
-        }
-    }
-}
-
-fn input(lines: usize) -> (Vec<u8>, Vec<Record>) {
-    let buf = hetero_apps::datagen::text_corpus(lines, 7);
-    let recs: Vec<Record> = {
-        let dev = Device::new(GpuSpec::tesla_k40());
-        locate_records(&dev, &buf).unwrap().records
-    };
-    (buf, recs)
-}
-
-fn bench_map_kernel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("map_kernel");
-    for &lines in &[1000usize, 4000] {
-        let (buf, recs) = input(lines);
-        for steal in [true, false] {
-            let mut cfg = MapConfig {
-                blocks: 15,
-                threads_per_block: 128,
-                stores_per_thread: 64,
-                key_len: 16,
-                val_len: 4,
-                num_reducers: 4,
-                opts: OptFlags::all(),
-                ro_bytes: 0,
-                kvpairs_per_record: 12,
-            };
-            cfg.opts.record_stealing = steal;
-            let name = if steal { "steal" } else { "static" };
-            g.bench_with_input(
-                BenchmarkId::new(name, lines),
-                &(&buf, &recs, cfg),
-                |b, (buf, recs, cfg)| {
-                    b.iter(|| {
-                        let dev = Device::new(GpuSpec::tesla_k40());
-                        run_map(&dev, buf, recs, &WcMap, cfg).unwrap()
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
 
 fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
@@ -175,7 +115,6 @@ int main() {
 
 criterion_group!(
     benches,
-    bench_map_kernel,
     bench_scan,
     bench_kernel_backend,
     bench_kernel_backend_bs,

@@ -16,7 +16,7 @@
 //! Usage: `benchsum [--log <file>] [--out-dir <dir>] [--results-dir <dir>]`
 //! (defaults: `target/criterion-stub.jsonl`, repo root, `results` — as
 //! driven by `scripts/bench.sh`).
-use hetero_bench::{json_array, JsonObj};
+use hetero_trace::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// One parsed log line.
@@ -27,54 +27,26 @@ struct Entry {
     iters: u64,
 }
 
-/// Extract a `"key": value` field from a single-line JSON object. The
-/// stub writes these lines itself, so a targeted parse is enough — no
-/// JSON library needed offline.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
+fn parse_entry(line: &str) -> Option<Entry> {
+    let v = json::parse(line).ok()?;
+    Some(Entry {
+        id: v.get("id")?.as_str()?.to_string(),
+        mean_s: v.get("mean_s")?.as_f64()?,
+        iters: v.get("iters")?.as_u64()?,
+    })
 }
 
-fn parse(line: &str) -> Option<Entry> {
-    let id = field(line, "id")?.trim_matches('"').to_string();
-    let mean_s: f64 = field(line, "mean_s")?.parse().ok()?;
-    let iters: u64 = field(line, "iters")?.parse().ok()?;
-    Some(Entry { id, mean_s, iters })
+/// Read and parse one JSON file. `None` when it is absent; an
+/// unparsable one is reported and treated as absent.
+fn read_json(path: &str) -> Option<Json> {
+    let text = std::fs::read_to_string(path).ok()?;
+    json::parse(&text)
+        .map_err(|e| eprintln!("benchsum: ignoring {path}: {e}"))
+        .ok()
 }
 
-/// Extract the balanced JSON value (object `{...}` or array `[...]`) of
-/// `key` from `src`. The bench artifacts are written by our own stable
-/// emitter, so a bracket scan is exact — strings in them never contain
-/// brackets.
-fn extract_value(src: &str, key: &str) -> Option<String> {
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let pat = format!("\"{key}\": {open}");
-        let Some(start) = src.find(&pat).map(|i| i + pat.len() - 1) else {
-            continue;
-        };
-        let mut depth = 0usize;
-        for (i, c) in src[start..].char_indices() {
-            if c == open {
-                depth += 1;
-            } else if c == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(src[start..=start + i].to_string());
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Extract a scalar (number / quoted string / bool) field from a
-/// possibly multi-line JSON text. Complement of [`extract_value`] —
-/// only consulted when the balanced-bracket scan found nothing.
-fn scalar_field(src: &str, key: &str) -> Option<String> {
-    src.lines().find_map(|l| field(l, key)).map(str::to_string)
+fn write_json(path: &str, v: &Json) {
+    std::fs::write(path, json::write(v)).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 fn flag_value(name: &str) -> Option<String> {
@@ -90,43 +62,53 @@ fn flag_value(name: &str) -> Option<String> {
     None
 }
 
-fn entries_json(entries: &BTreeMap<String, Entry>, prefixes: &[&str]) -> String {
-    json_array(
+fn entries_json(entries: &BTreeMap<String, Entry>, prefixes: &[&str]) -> Json {
+    Json::arr(
         entries
             .values()
             .filter(|e| prefixes.iter().any(|p| e.id.starts_with(p)))
             .map(|e| {
-                JsonObj::new()
-                    .str("id", &e.id)
-                    .float("mean_s", e.mean_s)
-                    .int("iters", e.iters)
-                    .build()
+                Json::obj()
+                    .with("id", e.id.as_str())
+                    .with("mean_s", e.mean_s)
+                    .with("iters", e.iters)
             }),
     )
 }
 
-/// Assemble one artifact from `(key, fresh_value)` sections: a section
-/// whose fresh input is absent falls back to the value recorded in the
-/// existing artifact file (the merge that keeps partial runs from
-/// clobbering earlier full runs). Returns `None` when no section has a
-/// value from either source.
+/// `{<slow>_s, <fast>_s, speedup}` for a pair of benches measuring the
+/// same work two ways; `None` unless both ran.
+fn speedup(entries: &BTreeMap<String, Entry>, group: &str, slow: &str, fast: &str) -> Option<Json> {
+    let s = entries.get(&format!("{group}/{slow}"))?;
+    let f = entries.get(&format!("{group}/{fast}"))?;
+    Some(
+        Json::obj()
+            .with(&format!("{slow}_s"), s.mean_s)
+            .with(&format!("{fast}_s"), f.mean_s)
+            .with("speedup", s.mean_s / f.mean_s.max(1e-12)),
+    )
+}
+
+/// Assemble one artifact from `(key, source)` sections: each takes the
+/// top-level field `key` of its freshly written source file, or — when
+/// that input is absent — of the existing artifact (the merge that keeps
+/// partial runs from clobbering earlier full runs). Returns `None` when
+/// no section has a value from either side.
 fn merge_sections(
-    existing: Option<&str>,
+    existing: Option<&Json>,
     name: &str,
-    sections: &[(&str, Option<String>)],
-) -> Option<String> {
-    let mut obj = JsonObj::new().str("artifact", name);
+    sections: &[(&str, &Option<Json>)],
+) -> Option<Json> {
+    let mut obj = Json::obj().with("artifact", name);
     let mut any = false;
-    for (key, fresh) in sections {
-        let value = fresh.clone().or_else(|| {
-            existing.and_then(|e| extract_value(e, key).or_else(|| scalar_field(e, key)))
-        });
-        if let Some(v) = value {
-            obj = obj.raw(key, v);
+    for (key, source) in sections {
+        let fresh = source.as_ref().and_then(|s| s.get(key));
+        if let Some(v) = fresh.or_else(|| existing?.get(key)) {
+            obj = obj.with(key, v.clone());
             any = true;
         }
     }
-    any.then(|| obj.build())
+    any.then_some(obj)
 }
 
 /// The whole summarization, parameterized for tests. Returns the list
@@ -135,9 +117,9 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
     let mut written = Vec::new();
 
     // ---- criterion-stub log → BENCH_scheduler / BENCH_kernels -------
-    // A missing log no longer aborts the run (and no longer clobbers
-    // previously recorded artifacts): the fault/service sections below
-    // still fold their own inputs.
+    // A missing log neither aborts the run nor clobbers previously
+    // recorded artifacts: the fault/service sections below still fold
+    // their own inputs.
     match std::fs::read_to_string(log) {
         Err(e) => {
             eprintln!("benchsum: no bench log at {log} ({e}); keeping existing scheduler/kernel artifacts");
@@ -147,7 +129,7 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
             // (BTreeMap also gives deterministic output order).
             let mut entries: BTreeMap<String, Entry> = BTreeMap::new();
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match parse(line) {
+                match parse_entry(line) {
                     Some(e) => {
                         entries.insert(e.id.clone(), e);
                     }
@@ -157,43 +139,36 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
 
             // Indexed-vs-reference delta on the workloads measured both
             // ways: des/<s> vs des_ref/<s>, and the des_1k pair.
-            let mut deltas = Vec::new();
-            let pairs: Vec<(String, String, String)> = entries
+            let pairs = entries
                 .keys()
                 .filter_map(|id| {
                     let s = id.strip_prefix("des/")?;
-                    Some((id.clone(), format!("des_ref/{s}"), format!("des/{s}")))
+                    Some((id.clone(), format!("des_ref/{s}")))
                 })
                 .chain(entries.keys().filter_map(|id| {
                     let s = id.strip_suffix("-reference")?;
-                    Some((s.to_string(), id.clone(), s.to_string()))
-                }))
-                .collect();
-            for (indexed_id, ref_id, label) in pairs {
-                let (Some(a), Some(b)) = (entries.get(&indexed_id), entries.get(&ref_id)) else {
-                    continue;
-                };
-                deltas.push(
-                    JsonObj::new()
-                        .str("case", &label)
-                        .float("indexed_s", a.mean_s)
-                        .float("reference_s", b.mean_s)
-                        .float("speedup", b.mean_s / a.mean_s.max(1e-12))
-                        .build(),
-                );
-            }
+                    Some((s.to_string(), id.clone()))
+                }));
+            let deltas = pairs.filter_map(|(indexed_id, ref_id)| {
+                let (a, b) = (entries.get(&indexed_id)?, entries.get(&ref_id)?);
+                Some(
+                    Json::obj()
+                        .with("case", indexed_id)
+                        .with("indexed_s", a.mean_s)
+                        .with("reference_s", b.mean_s)
+                        .with("speedup", b.mean_s / a.mean_s.max(1e-12)),
+                )
+            });
 
-            let scheduler = JsonObj::new()
-                .str("artifact", "BENCH_scheduler")
-                .raw("benches", entries_json(&entries, &["des"]))
-                .raw("indexed_vs_reference", json_array(deltas))
-                .build();
-            let mut kernels_obj = JsonObj::new().str("artifact", "BENCH_kernels").raw(
+            let scheduler = Json::obj()
+                .with("artifact", "BENCH_scheduler")
+                .with("benches", entries_json(&entries, &["des"]))
+                .with("indexed_vs_reference", Json::arr(deltas));
+            let mut kernels = Json::obj().with("artifact", "BENCH_kernels").with(
                 "benches",
                 entries_json(
                     &entries,
                     &[
-                        "map_kernel",
                         "scan",
                         "indirection_sort",
                         "kernel_backend",
@@ -202,48 +177,29 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
                 ),
             );
             // Interpreter-vs-native-backend speedup on the same annotated
-            // C mapper: wordcount (`kernel_backend`, builtin-bound) and
-            // BlackScholes (`kernel_backend_bs`, dispatch-bound).
-            for (group, key) in [
-                ("kernel_backend", "interp_vs_native"),
-                ("kernel_backend_bs", "interp_vs_native_bs"),
+            // C mapper — wordcount (`kernel_backend`, builtin-bound) and
+            // BlackScholes (`kernel_backend_bs`, dispatch-bound) — and the
+            // guard-elision speedup on the native backend: all guards
+            // kept vs analysis-proven guards removed.
+            for (key, group, slow, fast) in [
+                ("interp_vs_native", "kernel_backend", "interp", "native"),
+                (
+                    "interp_vs_native_bs",
+                    "kernel_backend_bs",
+                    "interp",
+                    "native",
+                ),
+                ("check_elision", "check_elision", "unelided", "elided"),
             ] {
-                if let (Some(i), Some(n)) = (
-                    entries.get(&format!("{group}/interp")),
-                    entries.get(&format!("{group}/native")),
-                ) {
-                    kernels_obj = kernels_obj.raw(
-                        key,
-                        JsonObj::new()
-                            .float("interp_s", i.mean_s)
-                            .float("native_s", n.mean_s)
-                            .float("speedup", i.mean_s / n.mean_s.max(1e-12))
-                            .build(),
-                    );
+                if let Some(section) = speedup(&entries, group, slow, fast) {
+                    kernels = kernels.with(key, section);
                 }
             }
-            // Guard-elision speedup on the native backend: all guards
-            // kept vs analysis-proven guards removed (the check_elision
-            // criterion group).
-            if let (Some(u), Some(e)) = (
-                entries.get("check_elision/unelided"),
-                entries.get("check_elision/elided"),
-            ) {
-                kernels_obj = kernels_obj.raw(
-                    "check_elision",
-                    JsonObj::new()
-                        .float("unelided_s", u.mean_s)
-                        .float("elided_s", e.mean_s)
-                        .float("speedup", u.mean_s / e.mean_s.max(1e-12))
-                        .build(),
-                );
-            }
-            let kernels = kernels_obj.build();
 
             let sched_path = format!("{out_dir}/BENCH_scheduler.json");
             let kern_path = format!("{out_dir}/BENCH_kernels.json");
-            std::fs::write(&sched_path, scheduler + "\n").expect("write BENCH_scheduler.json");
-            std::fs::write(&kern_path, kernels + "\n").expect("write BENCH_kernels.json");
+            write_json(&sched_path, &scheduler);
+            write_json(&kern_path, &kernels);
             println!(
                 "wrote {sched_path} and {kern_path} from {} benches",
                 entries.len()
@@ -255,77 +211,39 @@ fn summarize(log: &str, out_dir: &str, results_dir: &str) -> Vec<String> {
 
     // ---- results/{chaos,faults}.json → BENCH_faults -----------------
     // The chaos sweep's recovery-overhead distribution plus the faults
-    // bin's master-crash sweep and correlated-fault numbers. Sections
-    // whose input is absent are carried over from the existing artifact.
-    let chaos = std::fs::read_to_string(format!("{results_dir}/chaos.json")).ok();
-    let faults = std::fs::read_to_string(format!("{results_dir}/faults.json")).ok();
-    let faults_path = format!("{out_dir}/BENCH_faults.json");
-    let existing = std::fs::read_to_string(&faults_path).ok();
-    let sections = [
-        (
-            "mode",
-            chaos.as_deref().and_then(|s| scalar_field(s, "mode")),
-        ),
-        (
-            "runs",
-            chaos.as_deref().and_then(|s| scalar_field(s, "runs")),
-        ),
-        (
-            "recovery_overhead",
-            chaos
-                .as_deref()
-                .and_then(|s| extract_value(s, "recovery_overhead")),
-        ),
-        (
-            "jobtracker_crash_sweep",
-            faults
-                .as_deref()
-                .and_then(|s| extract_value(s, "jobtracker_crash_sweep")),
-        ),
-        (
-            "rack_failure",
-            faults
-                .as_deref()
-                .and_then(|s| extract_value(s, "rack_failure")),
-        ),
-        (
-            "partition",
-            faults
-                .as_deref()
-                .and_then(|s| extract_value(s, "partition")),
-        ),
-    ];
-    if let Some(out) = merge_sections(existing.as_deref(), "BENCH_faults", &sections) {
-        std::fs::write(&faults_path, out + "\n").expect("write BENCH_faults.json");
-        println!("wrote {faults_path}");
-        written.push(faults_path);
-    }
-
-    // ---- results/service.json → BENCH_service -----------------------
-    let service = std::fs::read_to_string(format!("{results_dir}/service.json")).ok();
-    let service_path = format!("{out_dir}/BENCH_service.json");
-    let existing = std::fs::read_to_string(&service_path).ok();
-    let sections = [
-        (
-            "capacity_jobs_per_s",
-            service
-                .as_deref()
-                .and_then(|s| scalar_field(s, "capacity_jobs_per_s")),
-        ),
-        (
-            "sweep",
-            service.as_deref().and_then(|s| extract_value(s, "sweep")),
-        ),
-        (
-            "knee",
-            service.as_deref().and_then(|s| extract_value(s, "knee")),
-        ),
-    ];
-    if let Some(out) = merge_sections(existing.as_deref(), "BENCH_service", &sections) {
-        std::fs::write(&service_path, out + "\n").expect("write BENCH_service.json");
-        println!("wrote {service_path}");
-        written.push(service_path);
-    }
+    // bin's master-crash sweep and correlated-fault numbers; then
+    // results/service.json → BENCH_service. Sections whose input is
+    // absent are carried over from the existing artifact.
+    let chaos = read_json(&format!("{results_dir}/chaos.json"));
+    let faults = read_json(&format!("{results_dir}/faults.json"));
+    let service = read_json(&format!("{results_dir}/service.json"));
+    let mut merge = |name: &str, sections: &[(&str, &Option<Json>)]| {
+        let path = format!("{out_dir}/{name}.json");
+        if let Some(out) = merge_sections(read_json(&path).as_ref(), name, sections) {
+            write_json(&path, &out);
+            println!("wrote {path}");
+            written.push(path);
+        }
+    };
+    merge(
+        "BENCH_faults",
+        &[
+            ("mode", &chaos),
+            ("runs", &chaos),
+            ("recovery_overhead", &chaos),
+            ("jobtracker_crash_sweep", &faults),
+            ("rack_failure", &faults),
+            ("partition", &faults),
+        ],
+    );
+    merge(
+        "BENCH_service",
+        &[
+            ("capacity_jobs_per_s", &service),
+            ("sweep", &service),
+            ("knee", &service),
+        ],
+    );
 
     written
 }
@@ -362,6 +280,12 @@ mod tests {
         fn read(&self, rel: &str) -> String {
             std::fs::read_to_string(self.0.join(rel)).unwrap()
         }
+        fn json(&self, rel: &str) -> Json {
+            json::parse(&self.read(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+        }
+        fn summarize(&self, log: &str) -> Vec<String> {
+            summarize(&self.path(log), &self.path(""), &self.path("results"))
+        }
     }
 
     impl Drop for Scratch {
@@ -370,37 +294,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn log_lines_parse() {
-        let e = parse(r#"{"id": "des/48", "mean_s": 0.125, "iters": 10}"#).unwrap();
-        assert_eq!(e.id, "des/48");
-        assert_eq!(e.iters, 10);
-        assert!((e.mean_s - 0.125).abs() < 1e-12);
-        assert!(parse("not json").is_none());
+    /// `doc.a.b.c` for `path = ["a", "b", "c"]`.
+    fn at<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+        path.iter().fold(doc, |v, k| {
+            v.get(k).unwrap_or_else(|| panic!("no {k} in {v:?}"))
+        })
+    }
+
+    fn ids(benches: &Json) -> Vec<&str> {
+        let rows = benches.as_arr().unwrap().iter();
+        rows.map(|b| at(b, &["id"]).as_str().unwrap()).collect()
     }
 
     #[test]
-    fn extract_value_handles_objects_and_arrays() {
-        let src = r#"{"a": {"x": 1, "y": {"z": 2}}, "b": [1, 2, [3]], "c": 4}"#;
-        assert_eq!(
-            extract_value(src, "a"),
-            Some(r#"{"x": 1, "y": {"z": 2}}"#.into())
-        );
-        assert_eq!(extract_value(src, "b"), Some("[1, 2, [3]]".into()));
-        assert_eq!(extract_value(src, "c"), None);
+    fn log_lines_parse() {
+        let e = parse_entry(r#"{"id": "des/48", "mean_s": 0.125, "iters": 10}"#).unwrap();
+        assert_eq!(e.id, "des/48");
+        assert_eq!(e.iters, 10);
+        assert!((e.mean_s - 0.125).abs() < 1e-12);
+        assert!(parse_entry("not json").is_none());
+        assert!(parse_entry(r#"{"id": "des/48", "mean_s": "fast", "iters": 10}"#).is_none());
     }
 
     #[test]
     fn missing_log_does_not_panic_or_clobber() {
         let s = Scratch::new("nolog");
-        s.write(
-            "BENCH_scheduler.json",
-            "{\"artifact\": \"BENCH_scheduler\", \"benches\": []}\n",
-        );
-        let written = summarize(&s.path("no-such.jsonl"), &s.path(""), &s.path("results"));
-        assert!(written.iter().all(|w| !w.contains("BENCH_scheduler")));
+        let before = "{\"artifact\":\"BENCH_scheduler\",\"benches\":[]}\n";
+        s.write("BENCH_scheduler.json", before);
+        let written = s.summarize("no-such.jsonl");
+        assert!(written.is_empty(), "{written:?}");
         // The pre-existing artifact survives untouched.
-        assert!(s.read("BENCH_scheduler.json").contains("BENCH_scheduler"));
+        assert_eq!(s.read("BENCH_scheduler.json"), before);
     }
 
     #[test]
@@ -421,13 +345,64 @@ mod tests {
             "results/chaos.json",
             "{\"recovery_overhead\": {\"p50_s\": 0.5}}\n",
         );
-        summarize(&s.path("no-such.jsonl"), &s.path(""), &s.path("results"));
-        let merged = s.read("BENCH_faults.json");
+        s.summarize("no-such.jsonl");
+        let merged = s.json("BENCH_faults.json");
         // Fresh section updated…
-        assert!(merged.contains("\"p50_s\": 0.5"), "{merged}");
+        assert_eq!(
+            at(&merged, &["recovery_overhead", "p50_s"]),
+            &Json::F64(0.5)
+        );
         // …absent-input sections carried over, not dropped.
-        assert!(merged.contains("jobtracker_crash_sweep"), "{merged}");
-        assert!(merged.contains("\"overhead_s\": 9.0"), "{merged}");
+        assert_eq!(
+            at(&merged, &["jobtracker_crash_sweep"]),
+            &Json::arr([Json::obj().with("t", 1u64)])
+        );
+        assert_eq!(
+            at(&merged, &["rack_failure", "overhead_s"]),
+            &Json::F64(9.0)
+        );
+    }
+
+    #[test]
+    fn carry_over_is_a_top_level_lookup_not_a_substring_scan() {
+        let s = Scratch::new("nested");
+        // `knee` also occurs one level down, before the real one, and a
+        // string holds every byte a bracket-counting scan trips over.
+        let label = "a], b}, \"c\": [{";
+        let sweep = Json::arr([Json::obj()
+            .with("knee", Json::obj().with("load_factor", 99.0))
+            .with("label", label)]);
+        let existing = Json::obj()
+            .with("artifact", "BENCH_service")
+            .with("capacity_jobs_per_s", 0.25)
+            .with("sweep", sweep.clone())
+            .with("knee", Json::obj().with("load_factor", 2.0));
+        s.write("BENCH_service.json", &json::write(&existing));
+
+        // No fresh inputs: every section is carried over intact, and the
+        // rewrite is a byte-for-byte no-op — twice.
+        for _ in 0..2 {
+            s.summarize("no-such.jsonl");
+            assert_eq!(s.read("BENCH_service.json"), json::write(&existing));
+        }
+        let kept = s.json("BENCH_service.json");
+        assert_eq!(at(&kept, &["knee", "load_factor"]), &Json::F64(2.0));
+        assert_eq!(at(&kept, &["sweep"]), &sweep);
+
+        // A fresh input whose own `sweep` nests a `capacity_jobs_per_s`
+        // replaces exactly its top-level sections.
+        let fresh = Json::obj()
+            .with(
+                "sweep",
+                Json::arr([Json::obj().with("capacity_jobs_per_s", 7.0)]),
+            )
+            .with("capacity_jobs_per_s", 0.5);
+        s.write("results/service.json", &json::write(&fresh));
+        s.summarize("no-such.jsonl");
+        let merged = s.json("BENCH_service.json");
+        assert_eq!(at(&merged, &["capacity_jobs_per_s"]), &Json::F64(0.5));
+        assert_eq!(at(&merged, &["sweep"]), at(&fresh, &["sweep"]));
+        assert_eq!(at(&merged, &["knee", "load_factor"]), &Json::F64(2.0));
     }
 
     #[test]
@@ -441,18 +416,18 @@ mod tests {
                 "\"knee\": {\"load_factor\": 2.0}}\n",
             ),
         );
-        summarize(&s.path("no-such.jsonl"), &s.path(""), &s.path("results"));
-        let out = s.read("BENCH_service.json");
-        assert!(out.contains("\"artifact\": \"BENCH_service\""), "{out}");
-        assert!(out.contains("\"sweep\": [{\"load_factor\": 1.0}]"), "{out}");
-        assert!(out.contains("\"knee\""), "{out}");
-        assert!(out.contains("0.264"), "{out}");
+        s.summarize("no-such.jsonl");
+        let expected = Json::obj()
+            .with("artifact", "BENCH_service")
+            .with("capacity_jobs_per_s", 0.264)
+            .with("sweep", Json::arr([Json::obj().with("load_factor", 1.0)]))
+            .with("knee", Json::obj().with("load_factor", 2.0));
+        assert_eq!(s.json("BENCH_service.json"), expected);
 
         // A later run with no service results keeps the artifact as-is.
         std::fs::remove_file(s.0.join("results/service.json")).unwrap();
-        summarize(&s.path("no-such.jsonl"), &s.path(""), &s.path("results"));
-        let kept = s.read("BENCH_service.json");
-        assert!(kept.contains("\"knee\""), "{kept}");
+        s.summarize("no-such.jsonl");
+        assert_eq!(s.json("BENCH_service.json"), expected);
     }
 
     #[test]
@@ -466,37 +441,20 @@ mod tests {
                 "{\"id\": \"scan/1k\", \"mean_s\": 0.01, \"iters\": 50}\n",
             ),
         );
-        let written = summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
+        let written = s.summarize("stub.jsonl");
         assert_eq!(written.len(), 2);
-        let sched = s.read("BENCH_scheduler.json");
-        assert!(sched.contains("\"speedup\": 4"), "{sched}");
-        let kern = s.read("BENCH_kernels.json");
-        assert!(kern.contains("scan/1k"), "{kern}");
+        let sched = s.json("BENCH_scheduler.json");
+        let deltas = at(&sched, &["indexed_vs_reference"]).as_arr().unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(at(&deltas[0], &["case"]).as_str(), Some("des/48"));
+        assert_eq!(at(&deltas[0], &["speedup"]), &Json::F64(4.0));
+        let kern = s.json("BENCH_kernels.json");
+        assert_eq!(ids(at(&kern, &["benches"])), ["scan/1k"]);
     }
 
     #[test]
-    fn kernel_backend_pair_yields_speedup_section() {
-        let s = Scratch::new("backend");
-        s.write(
-            "stub.jsonl",
-            concat!(
-                "{\"id\": \"kernel_backend/interp\", \"mean_s\": 0.08, \"iters\": 10}\n",
-                "{\"id\": \"kernel_backend/native\", \"mean_s\": 0.02, \"iters\": 10}\n",
-            ),
-        );
-        summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
-        let kern = s.read("BENCH_kernels.json");
-        // Both backends fold into the benches list…
-        assert!(kern.contains("kernel_backend/interp"), "{kern}");
-        assert!(kern.contains("kernel_backend/native"), "{kern}");
-        // …and the explicit speedup entry records interp_s / native_s.
-        assert!(kern.contains("\"interp_vs_native\""), "{kern}");
-        assert!(kern.contains("\"speedup\": 4"), "{kern}");
-    }
-
-    #[test]
-    fn bs_backend_pair_yields_its_own_speedup_section() {
-        let s = Scratch::new("backend-bs");
+    fn measured_pairs_yield_speedup_sections() {
+        let s = Scratch::new("pairs");
         s.write(
             "stub.jsonl",
             concat!(
@@ -504,36 +462,36 @@ mod tests {
                 "{\"id\": \"kernel_backend/native\", \"mean_s\": 0.04, \"iters\": 10}\n",
                 "{\"id\": \"kernel_backend_bs/interp\", \"mean_s\": 0.05, \"iters\": 10}\n",
                 "{\"id\": \"kernel_backend_bs/native\", \"mean_s\": 0.01, \"iters\": 10}\n",
-            ),
-        );
-        summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
-        let kern = s.read("BENCH_kernels.json");
-        assert!(kern.contains("kernel_backend_bs/native"), "{kern}");
-        let wc = extract_value(&kern, "interp_vs_native").unwrap();
-        assert!(wc.contains("\"speedup\": 2"), "{wc}");
-        let bs = extract_value(&kern, "interp_vs_native_bs").unwrap();
-        assert!(bs.contains("\"interp_s\": 0.05"), "{bs}");
-        assert!(bs.contains("\"speedup\": 5"), "{bs}");
-    }
-
-    #[test]
-    fn check_elision_pair_yields_speedup_section() {
-        let s = Scratch::new("elision");
-        s.write(
-            "stub.jsonl",
-            concat!(
                 "{\"id\": \"check_elision/unelided\", \"mean_s\": 0.06, \"iters\": 10}\n",
                 "{\"id\": \"check_elision/elided\", \"mean_s\": 0.05, \"iters\": 10}\n",
             ),
         );
-        summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
-        let kern = s.read("BENCH_kernels.json");
-        // Both rows fold into the benches list…
-        assert!(kern.contains("check_elision/unelided"), "{kern}");
-        assert!(kern.contains("check_elision/elided"), "{kern}");
-        // …and the explicit speedup entry records unelided_s / elided_s.
-        assert!(kern.contains("\"check_elision\": {"), "{kern}");
-        assert!(kern.contains("\"speedup\": 1.2"), "{kern}");
+        s.summarize("stub.jsonl");
+        let kern = s.json("BENCH_kernels.json");
+        // Every row folds into the benches list…
+        assert_eq!(ids(at(&kern, &["benches"])).len(), 6);
+        // …and each pair gets its explicit slow_s / fast_s / speedup entry.
+        assert_eq!(
+            at(&kern, &["interp_vs_native"]),
+            &Json::obj()
+                .with("interp_s", 0.08)
+                .with("native_s", 0.04)
+                .with("speedup", 2.0)
+        );
+        assert_eq!(
+            at(&kern, &["interp_vs_native_bs", "interp_s"]),
+            &Json::F64(0.05)
+        );
+        assert_eq!(
+            at(&kern, &["interp_vs_native_bs", "speedup"]),
+            &Json::F64(5.0)
+        );
+        assert_eq!(
+            at(&kern, &["check_elision", "unelided_s"]),
+            &Json::F64(0.06)
+        );
+        let gain = at(&kern, &["check_elision", "speedup"]).as_f64().unwrap();
+        assert!((gain - 1.2).abs() < 1e-9, "{gain}");
     }
 
     #[test]
@@ -543,9 +501,9 @@ mod tests {
             "stub.jsonl",
             "{\"id\": \"kernel_backend/native\", \"mean_s\": 0.02, \"iters\": 10}\n",
         );
-        summarize(&s.path("stub.jsonl"), &s.path(""), &s.path("results"));
-        let kern = s.read("BENCH_kernels.json");
-        assert!(kern.contains("kernel_backend/native"), "{kern}");
-        assert!(!kern.contains("interp_vs_native"), "{kern}");
+        s.summarize("stub.jsonl");
+        let kern = s.json("BENCH_kernels.json");
+        assert_eq!(ids(at(&kern, &["benches"])), ["kernel_backend/native"]);
+        assert!(kern.get("interp_vs_native").is_none(), "{kern:?}");
     }
 }

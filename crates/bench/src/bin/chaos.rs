@@ -21,13 +21,14 @@
 //! Usage: `chaos [--smoke] [--threads N]` — `--smoke` is the bounded CI
 //! mode (seconds, not minutes); the full sweep runs from
 //! `scripts/bench.sh`.
-use hetero_bench::{json_array, pool_from_args, JsonObj};
+use hetero_bench::pool_from_args;
 use hetero_cluster::{
     audit, simulate, simulate_reference, ClusterConfig, FaultPlan, JobSpec, JobStats,
     ReduceTaskSpec, Scheduler,
 };
 use hetero_gpusim::Device;
 use hetero_runtime::OptFlags;
+use hetero_trace::json::{self, Json};
 use hetero_trace::Tracer;
 use heterodoop::{run_cluster_functional_job, Preset};
 use std::sync::mpsc;
@@ -265,7 +266,7 @@ fn main() {
     );
 
     let violations_at_start = audit::violations();
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     let mut overheads: Vec<f64> = Vec::new();
     let mut runs = 0u64;
 
@@ -301,20 +302,19 @@ fn main() {
                         overheads.push(overhead);
                     }
                     rows.push(
-                        JsonObj::new()
-                            .str("shape", shape.name)
-                            .str("scheduler", &format!("{sched:?}"))
-                            .str("archetype", archetype)
-                            .int("seed", seed)
-                            .float("makespan_s", stats.makespan_s)
-                            .float("overhead_s", overhead)
-                            .int("attempts", stats.tasks.len() as u64)
-                            .int("recoveries", stats.jobtracker_recoveries.len() as u64)
-                            .int("nodes_lost", stats.nodes_lost as u64)
-                            .int("nodes_readmitted", stats.nodes_readmitted as u64)
-                            .int("heartbeats_lost", stats.heartbeats_lost.into())
-                            .int("journal_records", stats.journal_records)
-                            .build(),
+                        Json::obj()
+                            .with("shape", shape.name)
+                            .with("scheduler", format!("{sched:?}"))
+                            .with("archetype", *archetype)
+                            .with("seed", seed)
+                            .with("makespan_s", stats.makespan_s)
+                            .with("overhead_s", overhead)
+                            .with("attempts", stats.tasks.len())
+                            .with("recoveries", stats.jobtracker_recoveries.len())
+                            .with("nodes_lost", stats.nodes_lost)
+                            .with("nodes_readmitted", stats.nodes_readmitted)
+                            .with("heartbeats_lost", stats.heartbeats_lost)
+                            .with("journal_records", stats.journal_records),
                     );
                 }
             }
@@ -377,35 +377,32 @@ fn main() {
     } else {
         overheads.iter().sum::<f64>() / overheads.len() as f64
     };
-    let dist = JsonObj::new()
-        .int("count", overheads.len() as u64)
-        .float("min_s", overheads.first().copied().unwrap_or(0.0))
-        .float("p50_s", percentile(&overheads, 0.5))
-        .float("p90_s", percentile(&overheads, 0.9))
-        .float("max_s", overheads.last().copied().unwrap_or(0.0))
-        .float("mean_s", mean)
-        .build();
+    let dist = Json::obj()
+        .with("count", overheads.len())
+        .with("min_s", overheads.first().copied().unwrap_or(0.0))
+        .with("p50_s", percentile(&overheads, 0.5))
+        .with("p90_s", percentile(&overheads, 0.9))
+        .with("max_s", overheads.last().copied().unwrap_or(0.0))
+        .with("mean_s", mean);
 
     std::fs::create_dir_all("results").expect("create results/");
-    let chaos = JsonObj::new()
-        .str("artifact", "chaos")
-        .str("mode", if smoke { "smoke" } else { "full" })
-        .int("runs", runs)
-        .int("audit_compiled", audit_compiled as u64)
-        .int("audit_violations", violations)
-        .raw("recovery_overhead", dist.clone())
-        .raw("combos", json_array(rows))
-        .build();
-    std::fs::write("results/chaos.json", chaos + "\n").expect("write results/chaos.json");
+    let chaos = Json::obj()
+        .with("artifact", "chaos")
+        .with("mode", if smoke { "smoke" } else { "full" })
+        .with("runs", runs)
+        .with("audit_compiled", audit_compiled as u64)
+        .with("audit_violations", violations)
+        .with("recovery_overhead", dist.clone())
+        .with("combos", Json::Arr(rows));
+    std::fs::write("results/chaos.json", json::write(&chaos)).expect("write results/chaos.json");
 
     if !smoke {
-        let bench = JsonObj::new()
-            .str("artifact", "BENCH_faults")
-            .str("mode", "full")
-            .int("runs", runs)
-            .raw("recovery_overhead", dist)
-            .build();
-        std::fs::write("BENCH_faults.json", bench + "\n").expect("write BENCH_faults.json");
+        let bench = Json::obj()
+            .with("artifact", "BENCH_faults")
+            .with("mode", "full")
+            .with("runs", runs)
+            .with("recovery_overhead", dist);
+        std::fs::write("BENCH_faults.json", json::write(&bench)).expect("write BENCH_faults.json");
     }
 
     println!(

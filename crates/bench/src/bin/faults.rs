@@ -9,13 +9,14 @@
 //! JobTracker crash-recovery overhead sweep, a whole-rack failure, and a
 //! network partition with lossy heartbeats (false expiry + re-admission).
 //! All measured numbers land in `results/faults.json` for `benchsum`.
-use hetero_bench::{json_array, pool_from_args, JsonObj};
+use hetero_bench::pool_from_args;
 use hetero_cluster::{
     simulate, ClusterConfig, FaultPlan, JobSpec, JobStats, ReduceTaskSpec, Scheduler,
 };
 use hetero_gpusim::Device;
 use hetero_hdfs::{Hdfs, Topology};
 use hetero_runtime::OptFlags;
+use hetero_trace::json::{self, Json};
 use hetero_trace::Tracer;
 use heterodoop::{run_cluster_functional_job, run_functional_job_pooled, Preset};
 
@@ -247,13 +248,12 @@ fn main() {
             st.makespan_s
         );
         jt_rows.push(
-            JsonObj::new()
-                .float("crash_frac", frac)
-                .float("makespan_s", st.makespan_s)
-                .float("overhead_s", overhead)
-                .int("journal_replayed", replayed)
-                .int("journal_records", st.journal_records)
-                .build(),
+            Json::obj()
+                .with("crash_frac", frac)
+                .with("makespan_s", st.makespan_s)
+                .with("overhead_s", overhead)
+                .with("journal_replayed", replayed)
+                .with("journal_records", st.journal_records),
         );
     }
 
@@ -298,32 +298,29 @@ fn main() {
 
     // Everything measured above, as a stable artifact for benchsum.
     std::fs::create_dir_all("results").expect("create results/");
-    let json = JsonObj::new()
-        .str("artifact", "faults")
-        .float("clean_makespan_s", clean.makespan_s)
-        .float("storm_makespan_s", faulted.makespan_s)
-        .float("storm_overhead_pct", overhead)
-        .int("storm_failed_attempts", faulted.failed_attempts as u64)
-        .int("storm_re_executed", faulted.re_executed as u64)
-        .raw("jobtracker_crash_sweep", json_array(jt_rows))
-        .raw(
+    let json = Json::obj()
+        .with("artifact", "faults")
+        .with("clean_makespan_s", clean.makespan_s)
+        .with("storm_makespan_s", faulted.makespan_s)
+        .with("storm_overhead_pct", overhead)
+        .with("storm_failed_attempts", faulted.failed_attempts)
+        .with("storm_re_executed", faulted.re_executed)
+        .with("jobtracker_crash_sweep", Json::Arr(jt_rows))
+        .with(
             "rack_failure",
-            JsonObj::new()
-                .float("makespan_s", rack_st.makespan_s)
-                .int("nodes_lost", rack_st.nodes_lost as u64)
-                .int("re_executed", rack_st.re_executed as u64)
-                .int("recoveries", rack_st.jobtracker_recoveries.len() as u64)
-                .build(),
+            Json::obj()
+                .with("makespan_s", rack_st.makespan_s)
+                .with("nodes_lost", rack_st.nodes_lost)
+                .with("re_executed", rack_st.re_executed)
+                .with("recoveries", rack_st.jobtracker_recoveries.len()),
         )
-        .raw(
+        .with(
             "partition",
-            JsonObj::new()
-                .float("makespan_s", part_st.makespan_s)
-                .int("heartbeats_lost", part_st.heartbeats_lost.into())
-                .int("nodes_readmitted", part_st.nodes_readmitted as u64)
-                .build(),
-        )
-        .build();
-    std::fs::write("results/faults.json", json + "\n").expect("write results/faults.json");
+            Json::obj()
+                .with("makespan_s", part_st.makespan_s)
+                .with("heartbeats_lost", part_st.heartbeats_lost)
+                .with("nodes_readmitted", part_st.nodes_readmitted),
+        );
+    std::fs::write("results/faults.json", json::write(&json)).expect("write results/faults.json");
     println!("\nwrote results/faults.json");
 }

@@ -5,32 +5,31 @@
 //! independent measurements (8 apps × 2 flag sets) fan across the worker
 //! pool. `results/fig5.json` — including every simulated cycle count and
 //! device counter — is byte-identical at any thread count.
-use hetero_bench::{json_array, pool_from_args, JsonObj};
+use hetero_bench::pool_from_args;
 use hetero_runtime::OptFlags;
+use hetero_trace::json::{self, Json};
 use heterodoop::{measure_task, Preset, TaskMeasurement};
 use std::fs;
 
-fn row_json(code: &str, base: &TaskMeasurement, opt: &TaskMeasurement) -> String {
+fn row_json(code: &str, base: &TaskMeasurement, opt: &TaskMeasurement) -> Json {
     let counters = |m: &TaskMeasurement| {
-        JsonObj::new()
-            .int("kernels", m.gpu_kernels)
-            .float("device_s", m.gpu_device_s)
-            .int("alu_ops", m.gpu_counters.alu_ops)
-            .int("sfu_ops", m.gpu_counters.sfu_ops)
-            .int("dram_bytes", m.gpu_counters.dram_bytes)
-            .int("shared_ops", m.gpu_counters.shared_ops)
-            .build()
+        Json::obj()
+            .with("kernels", m.gpu_kernels)
+            .with("device_s", m.gpu_device_s)
+            .with("alu_ops", m.gpu_counters.alu_ops)
+            .with("sfu_ops", m.gpu_counters.sfu_ops)
+            .with("dram_bytes", m.gpu_counters.dram_bytes)
+            .with("shared_ops", m.gpu_counters.shared_ops)
     };
-    JsonObj::new()
-        .str("app", code)
-        .float("baseline_speedup", base.speedup)
-        .float("optimized_speedup", opt.speedup)
-        .float("opt_gain", opt.speedup / base.speedup)
-        .float("gpu_task_s", opt.gpu.total_s())
-        .float("cpu_task_s", opt.cpu.total_s())
-        .raw("baseline_gpu", counters(base))
-        .raw("optimized_gpu", counters(opt))
-        .build()
+    Json::obj()
+        .with("app", code)
+        .with("baseline_speedup", base.speedup)
+        .with("optimized_speedup", opt.speedup)
+        .with("opt_gain", opt.speedup / base.speedup)
+        .with("gpu_task_s", opt.gpu.total_s())
+        .with("cpu_task_s", opt.cpu.total_s())
+        .with("baseline_gpu", counters(base))
+        .with("optimized_gpu", counters(opt))
 }
 
 fn main() {
@@ -71,8 +70,7 @@ fn main() {
         rows.push(row_json(code, base, opt));
     }
     fs::create_dir_all("results").expect("results dir");
-    let json = json_array(rows);
-    hetero_trace::json::validate(&json).expect("valid fig5 json");
+    let json = json::write(&Json::Arr(rows));
     fs::write("results/fig5.json", &json).expect("write fig5.json");
     println!("wrote results/fig5.json ({} bytes)", json.len());
     println!("(paper: 2x..47x, increasing GR<HS<WC<HR<KM<CL<LR<BS; optimizations matter most for GR, KM, CL, LR)");

@@ -11,8 +11,8 @@
 //! * `--smoke` — single 1 000-node / 100 000-task run under a wall-clock
 //!   budget (default 30 s, `--budget-s N`); exits non-zero on overrun —
 //!   the cheap regression gate wired into `scripts/check.sh`.
-use hetero_bench::{json_array, JsonObj};
 use hetero_cluster::{simulate, ClusterConfig, JobSpec, Scheduler};
+use hetero_trace::json::{self, Json};
 use std::time::Instant;
 
 /// One sweep point: `nodes` nodes, 100 map tasks per node.
@@ -122,24 +122,22 @@ fn main() {
     }
 
     std::fs::create_dir_all("results").expect("create results/");
-    let json = JsonObj::new()
-        .str("experiment", "scale")
-        .str("scheduler", "TailScheduling")
-        .int("tasks_per_node", 100)
-        .raw(
+    let json = Json::obj()
+        .with("experiment", "scale")
+        .with("scheduler", "TailScheduling")
+        .with("tasks_per_node", 100u64)
+        .with(
             "points",
-            json_array(rows.iter().map(|r| {
-                JsonObj::new()
-                    .int("nodes", r.nodes as u64)
-                    .int("tasks", r.tasks as u64)
-                    .float("wall_s", r.wall_s)
-                    .float("makespan_s", r.makespan_s)
-                    .int("attempts", r.attempts as u64)
-                    .float("tasks_per_wall_s", r.tasks as f64 / r.wall_s)
-                    .build()
+            Json::arr(rows.iter().map(|r| {
+                Json::obj()
+                    .with("nodes", r.nodes)
+                    .with("tasks", r.tasks)
+                    .with("wall_s", r.wall_s)
+                    .with("makespan_s", r.makespan_s)
+                    .with("attempts", r.attempts)
+                    .with("tasks_per_wall_s", r.tasks as f64 / r.wall_s)
             })),
-        )
-        .build();
-    std::fs::write("results/scale.json", json + "\n").expect("write results/scale.json");
+        );
+    std::fs::write("results/scale.json", json::write(&json)).expect("write results/scale.json");
     println!("\nwrote results/scale.json");
 }

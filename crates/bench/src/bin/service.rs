@@ -18,11 +18,11 @@
 //! * `--quick` — 5 points × 120 jobs (CI's bench job);
 //! * `--smoke` — 1 point × 60 jobs under a wall-clock budget (default
 //!   30 s, `--budget-s N`); exits non-zero on overrun.
-use hetero_bench::{json_array, JsonObj};
 use hetero_cluster::{
     generate_workload, run_service, simulate, AdmissionControl, ArrivalProcess, ClusterConfig,
     JobRequest, Scheduler, ServiceConfig, ServiceStats, TenantSpec, WorkloadConfig,
 };
+use hetero_trace::json::{self, Json};
 use std::time::Instant;
 
 const SEED: u64 = 0xD00B;
@@ -124,31 +124,29 @@ fn knee_index(points: &[Point]) -> usize {
         .unwrap_or(points.len() - 1)
 }
 
-fn point_json(p: &Point) -> String {
-    JsonObj::new()
-        .float("load_factor", p.load_factor)
-        .float("offered_jobs_per_s", p.rate_per_s)
-        .int("completed", p.stats.jobs.len() as u64)
-        .int("rejected", p.stats.rejections.len() as u64)
-        .float("p99_latency_s", p99_latency(&p.stats))
-        .float("mean_utilization", p.stats.mean_utilization)
-        .float("makespan_s", p.stats.makespan_s)
-        .raw(
+fn point_json(p: &Point) -> Json {
+    Json::obj()
+        .with("load_factor", p.load_factor)
+        .with("offered_jobs_per_s", p.rate_per_s)
+        .with("completed", p.stats.jobs.len())
+        .with("rejected", p.stats.rejections.len())
+        .with("p99_latency_s", p99_latency(&p.stats))
+        .with("mean_utilization", p.stats.mean_utilization)
+        .with("makespan_s", p.stats.makespan_s)
+        .with(
             "tenants",
-            json_array(p.stats.tenants.iter().map(|t| {
-                JsonObj::new()
-                    .str("name", &t.name)
-                    .int("completed", u64::from(t.completed))
-                    .int("rejected", u64::from(t.rejected))
-                    .float("p50_wait_s", t.p50_wait_s)
-                    .float("p99_wait_s", t.p99_wait_s)
-                    .float("p50_latency_s", t.p50_latency_s)
-                    .float("p99_latency_s", t.p99_latency_s)
-                    .float("mean_latency_s", t.mean_latency_s)
-                    .build()
+            Json::arr(p.stats.tenants.iter().map(|t| {
+                Json::obj()
+                    .with("name", t.name.as_str())
+                    .with("completed", t.completed)
+                    .with("rejected", t.rejected)
+                    .with("p50_wait_s", t.p50_wait_s)
+                    .with("p99_wait_s", t.p99_wait_s)
+                    .with("p50_latency_s", t.p50_latency_s)
+                    .with("p99_latency_s", t.p99_latency_s)
+                    .with("mean_latency_s", t.mean_latency_s)
             })),
         )
-        .build()
 }
 
 fn flag(name: &str) -> bool {
@@ -249,23 +247,21 @@ fn main() {
 
     // Simulated quantities only — byte-identical across runs.
     std::fs::create_dir_all("results").expect("create results/");
-    let json = JsonObj::new()
-        .str("experiment", "service")
-        .int("nodes", 1_000)
-        .int("jobs_per_point", jobs_per_point as u64)
-        .int("seed", SEED)
-        .float("capacity_jobs_per_s", capacity)
-        .raw("sweep", json_array(points.iter().map(point_json)))
-        .raw(
+    let json = Json::obj()
+        .with("experiment", "service")
+        .with("nodes", 1_000u64)
+        .with("jobs_per_point", jobs_per_point as u64)
+        .with("seed", SEED)
+        .with("capacity_jobs_per_s", capacity)
+        .with("sweep", Json::arr(points.iter().map(point_json)))
+        .with(
             "knee",
-            JsonObj::new()
-                .float("load_factor", points[knee].load_factor)
-                .float("offered_jobs_per_s", points[knee].rate_per_s)
-                .float("p99_latency_s", p99_latency(&points[knee].stats))
-                .float("mean_utilization", points[knee].stats.mean_utilization)
-                .build(),
-        )
-        .build();
-    std::fs::write("results/service.json", json + "\n").expect("write results/service.json");
+            Json::obj()
+                .with("load_factor", points[knee].load_factor)
+                .with("offered_jobs_per_s", points[knee].rate_per_s)
+                .with("p99_latency_s", p99_latency(&points[knee].stats))
+                .with("mean_utilization", points[knee].stats.mean_utilization),
+        );
+    std::fs::write("results/service.json", json::write(&json)).expect("write results/service.json");
     println!("wrote results/service.json");
 }

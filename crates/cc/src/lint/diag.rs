@@ -1,4 +1,4 @@
-//! Diagnostic type, snippet rendering, and JSON serialization.
+//! Diagnostic type and snippet rendering.
 
 use crate::error::Span;
 use std::fmt;
@@ -51,26 +51,6 @@ pub struct Diag {
     pub focus: Option<String>,
     /// Human-readable message.
     pub msg: String,
-}
-
-impl Diag {
-    /// Serialize to a JSON object.
-    pub fn to_json(&self) -> String {
-        let focus = match &self.focus {
-            Some(fo) => format!("\"{}\"", json_escape(fo)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"line\":{},\"start\":{},\"end\":{},\"focus\":{},\"message\":\"{}\"}}",
-            self.code,
-            self.severity,
-            self.span.line,
-            self.span.start,
-            self.span.end,
-            focus,
-            json_escape(&self.msg)
-        )
-    }
 }
 
 impl fmt::Display for Diag {
@@ -201,23 +181,6 @@ fn find_ident(hay: &str, ident: &str) -> Option<usize> {
     None
 }
 
-/// Minimal JSON string escaping.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,20 +224,5 @@ mod tests {
     fn ident_boundary_respected() {
         assert_eq!(find_ident("nbytes + n", "n"), Some(9));
         assert_eq!(find_ident("nbytes", "n"), None);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn diag_json_shape() {
-        let d = diag(Span::new(3, 5, 8), Some("x"));
-        let j = d.to_json();
-        assert!(j.contains("\"code\":\"HD001\""));
-        assert!(j.contains("\"severity\":\"error\""));
-        assert!(j.contains("\"line\":3"));
-        assert!(j.contains("\"focus\":\"x\""));
     }
 }

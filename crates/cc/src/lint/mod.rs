@@ -161,9 +161,10 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     ),
 ];
 
-/// Version of the JSON report shape emitted by [`LintReport::to_json`]
-/// and the `heterolint` CLI wrapper. Bump on any key addition, removal,
-/// or meaning change so CI artifact consumers can detect drift.
+/// Version of the JSON report shape the `heterolint` CLI renders from a
+/// [`LintReport`] (this crate holds the data, not a serializer). Bump on
+/// any key addition, removal, or meaning change so CI artifact consumers
+/// can detect drift.
 pub const REPORT_SCHEMA: u32 = 1;
 
 /// Severity a code is registered with in [`CODES`].
@@ -244,30 +245,6 @@ impl LintReport {
             out.push('\n');
         }
         out
-    }
-
-    /// Machine-readable JSON report (hand-rolled; the workspace has no
-    /// serializer dependency).
-    pub fn to_json(&self, unit: &str) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"schema\":{REPORT_SCHEMA},"));
-        s.push_str(&format!("\"unit\":\"{}\",", diag::json_escape(unit)));
-        s.push_str(&format!("\"regions\":{},", self.regions));
-        s.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"perf_notes\":{},",
-            self.error_count(),
-            self.warning_count(),
-            self.perf_notes().count()
-        ));
-        s.push_str("\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -362,44 +339,6 @@ mod tests {
         // ...nor is a different code at the same span.
         push(&mut diags, "HD017", span(4, 10, 14), None, "y".into());
         assert_eq!(diags.len(), 3);
-    }
-
-    #[test]
-    fn json_report_shape_is_golden() {
-        // Pins the full versioned report shape: key order, the schema
-        // field, counts, and every per-diagnostic key. Any change here
-        // must come with a REPORT_SCHEMA bump.
-        let mut report = LintReport {
-            diags: Vec::new(),
-            regions: 1,
-        };
-        push(
-            &mut report.diags,
-            "HD016",
-            span(6, 42, 46),
-            Some("a".into()),
-            "subscript is provably out of bounds".into(),
-        );
-        push(
-            &mut report.diags,
-            "HD018",
-            span(3, 17, 18),
-            None,
-            "`x` is read before it is ever assigned".into(),
-        );
-        let expected = concat!(
-            "{\"schema\":1,\"unit\":\"unit.c\",\"regions\":1,",
-            "\"errors\":1,\"warnings\":1,\"perf_notes\":0,",
-            "\"diagnostics\":[",
-            "{\"code\":\"HD016\",\"severity\":\"error\",\"line\":6,",
-            "\"start\":42,\"end\":46,\"focus\":\"a\",",
-            "\"message\":\"subscript is provably out of bounds\"},",
-            "{\"code\":\"HD018\",\"severity\":\"warning\",\"line\":3,",
-            "\"start\":17,\"end\":18,\"focus\":null,",
-            "\"message\":\"`x` is read before it is ever assigned\"}",
-            "]}"
-        );
-        assert_eq!(report.to_json("unit.c"), expected);
     }
 
     #[test]

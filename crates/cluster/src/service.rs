@@ -1123,7 +1123,7 @@ mod tests {
         let m = stats.metrics();
         assert_eq!(
             m.get("service.jobs_completed"),
-            Some(&hetero_trace::MetricValue::U64(1))
+            Some(&hetero_trace::json::Json::U64(1))
         );
         assert!(m.get("tenant.default.p99_latency_s").is_some());
         assert!(m.get("tenant.default.busy_slot_s").is_some());

@@ -383,8 +383,7 @@ impl Device {
         body: F,
     ) -> Result<KernelStats, GpuError>
     where
-        T: Send,
-        F: Fn(&mut BlockCtx<'_>, T) -> Result<(), GpuError> + Sync,
+        F: FnMut(&mut BlockCtx<'_>, T) -> Result<(), GpuError>,
     {
         self.launch_named("[unnamed kernel]", threads_per_block, payloads, body)
     }
@@ -396,11 +395,10 @@ impl Device {
         name: &'static str,
         threads_per_block: u32,
         payloads: Vec<T>,
-        body: F,
+        mut body: F,
     ) -> Result<KernelStats, GpuError>
     where
-        T: Send,
-        F: Fn(&mut BlockCtx<'_>, T) -> Result<(), GpuError> + Sync,
+        F: FnMut(&mut BlockCtx<'_>, T) -> Result<(), GpuError>,
     {
         {
             let mut st = self.state.lock();

@@ -16,10 +16,6 @@ use crate::kvstore::KvStore;
 use crate::opts::OptFlags;
 use crate::types::{trim_key, Combiner, Emit, OpCount};
 use hetero_gpusim::{Access, Device, GpuError, KernelStats};
-use std::sync::Mutex;
-
-/// Partially combined output of one threadblock: `(block_no, pairs)`.
-type BlockPairs = Vec<(usize, Vec<(Vec<u8>, Vec<u8>)>)>;
 
 /// Configuration for a combine-kernel launch over one partition.
 #[derive(Debug, Clone)]
@@ -104,13 +100,11 @@ pub fn run_combine(
     let chunks: Vec<&[u32]> = live.chunks(kvs_per_warp).collect();
 
     // Distribute warp chunks over blocks.
-    let block_chunks: Vec<(usize, Vec<&[u32]>)> = chunks
-        .chunks(warps_per_block)
-        .enumerate()
-        .map(|(i, c)| (i, c.to_vec()))
-        .collect();
+    let block_chunks: Vec<&[&[u32]]> = chunks.chunks(warps_per_block).collect();
 
-    let results: Mutex<BlockPairs> = Mutex::new(Vec::new());
+    // Blocks run in order and warps within a block in order, so the
+    // partially combined pairs land here in partition order.
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let vectorize = cfg.opts.vectorize_combine;
     let (key_len, val_len) = (cfg.key_len, cfg.val_len);
     let in_key = store.key_len;
@@ -120,13 +114,11 @@ pub fn run_combine(
         "combine_kernel",
         cfg.threads_per_block,
         block_chunks,
-        |blk, (block_no, warp_chunks)| {
+        |blk, warp_chunks| {
             // Per-warp shared-memory buffers for the private arrays
             // (Listing 4 lines 9–10).
             blk.alloc_shared((warps_per_block * (key_len + in_key)) as u32)?;
-            let mut block_out: BlockPairs = Vec::new();
-            for (w, chunk) in warp_chunks.iter().enumerate() {
-                let mut pairs = Vec::new();
+            for chunk in warp_chunks {
                 let run: Vec<(&[u8], &[u8])> = chunk
                     .iter()
                     .map(|&i| (trim_key(store.key(i as usize)), store.val(i as usize)))
@@ -136,7 +128,6 @@ pub fn run_combine(
                 if vectorize {
                     // All 32 lanes active: redundant compute, cooperative
                     // vectorized getKV (coalesced per-lane shares).
-                    let mut done = false;
                     blk.warp_round(|lane, t| {
                         for _ in 0..chunk.len() {
                             t.gld(load_bytes.div_ceil(32).max(1), Access::Coalesced);
@@ -155,14 +146,12 @@ pub fn run_combine(
                             };
                             combiner.combine(&run, &mut em);
                             ops = em.ops;
-                            done = true;
                         } else {
                             // Redundant lanes charge the same user-compute
                             // cost so the warp max reflects it.
                             t.alu(ops.alu);
                             t.sfu(ops.sfu);
                         }
-                        let _ = done;
                     });
                 } else {
                     // Only one lane per warp is active (paper: single
@@ -188,16 +177,11 @@ pub fn run_combine(
                         t.sfu(o.sfu);
                     });
                 }
-                block_out.push((block_no * warps_per_block + w, pairs));
             }
-            results.lock().unwrap().append(&mut block_out);
             Ok(())
         },
     )?;
 
-    let mut per_chunk = results.into_inner().unwrap();
-    per_chunk.sort_by_key(|(i, _)| *i);
-    let pairs = per_chunk.into_iter().flat_map(|(_, p)| p).collect();
     Ok(CombineOutcome { pairs, stats })
 }
 

@@ -18,7 +18,7 @@ use crate::opts::OptFlags;
 use crate::record::Record;
 use crate::types::{default_partition, Emit, Mapper, OpCount};
 use hetero_gpusim::{Access, Device, GpuError, KernelStats, LaneCtx, TexBinding};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// One thread's mutable view of the KV store: key bytes, value bytes,
 /// partition ids, and the thread's emitted-pair counter.
@@ -171,7 +171,7 @@ pub fn run_map(
         })
         .collect();
 
-    let dropped = std::sync::atomic::AtomicUsize::new(0);
+    let dropped = Cell::new(0usize);
     let tpb = cfg.threads_per_block as usize;
     let spt = cfg.stores_per_thread;
     let (key_len, val_len) = (cfg.key_len, cfg.val_len);
@@ -241,7 +241,7 @@ pub fn run_map(
                     };
                     mapper.map(data, &mut em);
                     if em.hit_full {
-                        dropped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        dropped.set(dropped.get() + 1);
                     }
                     !em.hit_full && (*em.count as usize) < spt
                 };
@@ -278,8 +278,7 @@ pub fn run_map(
                         }
                         let Some(tid) = pick else {
                             // Every thread is full; remaining records drop.
-                            dropped
-                                .fetch_add(recs.len() - next, std::sync::atomic::Ordering::Relaxed);
+                            dropped.set(dropped.get() + recs.len() - next);
                             break;
                         };
                         let rec = &recs[next];
@@ -330,7 +329,7 @@ pub fn run_map(
     Ok(MapOutcome {
         store,
         stats,
-        dropped_records: dropped.into_inner(),
+        dropped_records: dropped.get(),
     })
 }
 

@@ -48,33 +48,30 @@ pub fn locate_records(dev: &Device, input: &[u8]) -> Result<RecordLocator, GpuEr
         .enumerate()
         .map(|(i, c)| (i * chunk, c))
         .collect();
-    let found: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
+    // Blocks run in input order, so positions arrive sorted.
+    let mut newlines: Vec<usize> = Vec::new();
     let stats = dev.launch_named("record_scan_kernel", 128, chunks, |blk, (base, data)| {
         // Streaming scan: every byte loaded once, coalesced; one compare
         // per byte.
         let lanes = blk.warp_size() as u64 * blk.num_warps() as u64;
         let per_lane = (data.len() as u64).div_ceil(lanes).max(1);
-        for w in 0..blk.num_warps() {
-            let _ = w;
+        for _ in 0..blk.num_warps() {
             blk.warp_round(|_, t| {
                 t.gld(per_lane, Access::Coalesced);
                 t.alu(per_lane);
             });
         }
-        let mut local: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .map(|(i, _)| base + i)
-            .collect();
+        newlines.extend(
+            data.iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .map(|(i, _)| base + i),
+        );
         // Newline positions are written out compacted (one store each).
         blk.warp_round(|_, t| t.gst(4, Access::Coalesced));
-        found.lock().unwrap().append(&mut local);
         Ok(())
     })?;
 
-    let mut newlines = found.into_inner().unwrap();
-    newlines.sort_unstable();
     let mut records = Vec::with_capacity(newlines.len() + 1);
     let mut start = 0usize;
     for nl in newlines {

@@ -34,17 +34,17 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
     }
     let threads_per_block = (BLOCK_ITEMS / 2) as u32;
 
-    // Phase 1: per-block Blelloch scan. Each payload is (chunk copy in,
-    // scanned chunk out, block total).
+    // Phase 1: per-block Blelloch scan. Each payload is a chunk copy;
+    // `per_block` collects, in block order, the scanned chunk and its
+    // total.
     let chunks: Vec<Vec<u32>> = input.chunks(BLOCK_ITEMS).map(|c| c.to_vec()).collect();
     let n_blocks = chunks.len();
-    let results: std::sync::Mutex<Vec<(usize, Vec<u64>, u64)>> =
-        std::sync::Mutex::new(Vec::with_capacity(n_blocks));
+    let mut per_block: Vec<(Vec<u64>, u64)> = Vec::with_capacity(n_blocks);
     let stats1 = dev.launch_named(
         "scan_reduce_kernel",
         threads_per_block,
-        chunks.into_iter().enumerate().collect::<Vec<_>>(),
-        |blk, (i, chunk)| {
+        chunks,
+        |blk, chunk| {
             let n = chunk.len();
             // Load phase: each thread loads two adjacent elements —
             // coalesced.
@@ -89,16 +89,13 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
             buf.truncate(n);
             // Store phase.
             blk.warp_round(|_, t| t.gst(8, Access::Coalesced));
-            results.lock().unwrap().push((i, buf, total));
+            per_block.push((buf, total));
             Ok(())
         },
     )?;
 
-    let mut per_block = results.into_inner().unwrap();
-    per_block.sort_by_key(|(i, _, _)| *i);
-
     // Phase 2: scan of block totals (tiny; single block on device).
-    let block_totals: Vec<u64> = per_block.iter().map(|(_, _, t)| *t).collect();
+    let block_totals: Vec<u64> = per_block.iter().map(|(_, t)| *t).collect();
     let mut block_offsets = vec![0u64; n_blocks];
     let mut acc = 0u64;
     for (i, t) in block_totals.iter().enumerate() {
@@ -135,7 +132,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
     )?;
 
     let mut prefix = Vec::with_capacity(input.len());
-    for (i, (_, chunk, _)) in per_block.iter().enumerate() {
+    for (i, (chunk, _)) in per_block.iter().enumerate() {
         for v in chunk {
             prefix.push(v + block_offsets[i]);
         }

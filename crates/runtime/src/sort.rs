@@ -57,8 +57,7 @@ pub fn sort_partition(
         // the indirection (random, uncoalesced)...
         let lanes = (blk.warp_size() * blk.num_warps()) as u64;
         let per_lane_elems = chunk.div_ceil(lanes).max(1);
-        for w in 0..blk.num_warps() {
-            let _ = w;
+        for _ in 0..blk.num_warps() {
             blk.warp_round(|_, t| {
                 for _ in 0..per_lane_elems {
                     t.gld(kb, Access::Random);
@@ -69,8 +68,7 @@ pub fn sort_partition(
         // storage: shared-memory traffic + ALU only.
         let stages = log_c * log_c;
         let per_lane_cmp = (chunk * stages).div_ceil(lanes).max(1);
-        for w in 0..blk.num_warps() {
-            let _ = w;
+        for _ in 0..blk.num_warps() {
             blk.warp_round(|_, t| {
                 for _ in 0..per_lane_cmp {
                     t.shared(2);
@@ -96,8 +94,7 @@ pub fn sort_partition(
                 let lanes = (blk.warp_size() * blk.num_warps()) as u64;
                 let items = (n as u64).div_ceil(blocks as u64);
                 let per_lane = items.div_ceil(lanes).max(1);
-                for w in 0..blk.num_warps() {
-                    let _ = w;
+                for _ in 0..blk.num_warps() {
                     blk.warp_round(|_, t| {
                         for _ in 0..per_lane {
                             t.gld(4, Access::Coalesced); // index in

@@ -12,74 +12,57 @@
 //! * spans are phase `"X"` (complete events, `ts` + `dur` in µs);
 //! * instants are phase `"i"` with thread scope.
 //!
-//! The writer is fully deterministic: events are emitted in recording
-//! order, object keys in a fixed order, floats via Rust's shortest
-//! round-trip formatting. Same simulation seed ⇒ byte-identical file.
+//! The export is fully deterministic: events are emitted in recording
+//! order, object keys in a fixed order, one event per line (the
+//! [`crate::json`] table layout). Same simulation seed ⇒ byte-identical
+//! file.
 
 use crate::event::{ArgValue, EventKind, TraceEvent};
-use crate::json::push_str_literal;
-use std::fmt::Write as _;
+use crate::json::{self, Json};
 
-fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The two `"M"` (metadata) events that label a process (`tid` is
+/// `None`) or one of its lanes and pin its sort position — Perfetto would
+/// otherwise order by name.
+fn metadata(rows: &mut Vec<Json>, kind: &str, pid: u32, tid: Option<u32>, label: &str) {
+    let sort_index = Json::from(tid.unwrap_or(pid));
+    for (arg, value) in [("name", Json::from(label)), ("sort_index", sort_index)] {
+        let mut e = Json::obj()
+            .with("ph", "M")
+            .with("name", format!("{kind}_{arg}"))
+            .with("pid", pid);
+        if let Some(tid) = tid {
+            e = e.with("tid", tid);
         }
-        push_str_literal(out, k);
-        out.push(':');
-        match v {
-            ArgValue::Str(s) => push_str_literal(out, s),
-            ArgValue::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
-            ArgValue::F64(f) => crate::json::push_f64(out, *f),
-        }
+        rows.push(e.with("args", Json::obj().with(arg, value)));
     }
-    out.push('}');
 }
 
-fn push_metadata(out: &mut String, name: &str, pid: u32, tid: Option<u32>, label: &str) {
-    out.push_str("{\"ph\":\"M\",\"name\":");
-    push_str_literal(out, name);
-    let _ = write!(out, ",\"pid\":{pid}");
-    if let Some(tid) = tid {
-        let _ = write!(out, ",\"tid\":{tid}");
-    }
-    out.push_str(",\"args\":{\"name\":");
-    push_str_literal(out, label);
-    out.push_str("}}");
-}
-
-fn push_event(out: &mut String, e: &TraceEvent) {
-    match e.kind {
-        EventKind::Span { dur_us } => {
-            out.push_str("{\"ph\":\"X\",\"name\":");
-            push_str_literal(out, &e.name);
-            out.push_str(",\"cat\":");
-            push_str_literal(out, e.cat.as_str());
-            let _ = write!(
-                out,
-                ",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}",
-                e.pid, e.tid, e.ts_us, dur_us
-            );
-        }
-        EventKind::Instant => {
-            out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":");
-            push_str_literal(out, &e.name);
-            out.push_str(",\"cat\":");
-            push_str_literal(out, e.cat.as_str());
-            let _ = write!(
-                out,
-                ",\"pid\":{},\"tid\":{},\"ts\":{}",
-                e.pid, e.tid, e.ts_us
-            );
-        }
+fn event(e: &TraceEvent) -> Json {
+    let head = match e.kind {
+        EventKind::Span { .. } => Json::obj().with("ph", "X"),
+        EventKind::Instant => Json::obj().with("ph", "i").with("s", "t"),
+    };
+    let mut out = head
+        .with("name", e.name.as_str())
+        .with("cat", e.cat.as_str())
+        .with("pid", e.pid)
+        .with("tid", e.tid)
+        .with("ts", e.ts_us);
+    if let EventKind::Span { dur_us } = e.kind {
+        out = out.with("dur", dur_us);
     }
     if !e.args.is_empty() {
-        push_args(out, &e.args);
+        let args = e.args.iter().map(|(k, v)| {
+            let v = match v {
+                ArgValue::Str(s) => Json::from(s.as_str()),
+                ArgValue::U64(u) => Json::U64(*u),
+                ArgValue::F64(f) => Json::F64(*f),
+            };
+            (k.to_string(), v)
+        });
+        out = out.with("args", Json::Obj(args.collect()));
     }
-    out.push('}');
+    out
 }
 
 /// Serialize events plus process/thread labels as a Chrome trace JSON
@@ -89,38 +72,19 @@ pub fn to_chrome_json(
     processes: &[(u32, String)],
     lanes: &[(u32, u32, String)],
 ) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-    };
+    let mut rows = Vec::with_capacity(2 * (processes.len() + lanes.len()) + events.len());
     for (pid, label) in processes {
-        sep(&mut out);
-        push_metadata(&mut out, "process_name", *pid, None, label);
-        sep(&mut out);
-        // Keep Perfetto's process list ordered by pid, not by name.
-        out.push_str("{\"ph\":\"M\",\"name\":\"process_sort_index\"");
-        let _ = write!(out, ",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}");
+        metadata(&mut rows, "process", *pid, None, label);
     }
     for (pid, tid, label) in lanes {
-        sep(&mut out);
-        push_metadata(&mut out, "thread_name", *pid, Some(*tid), label);
-        sep(&mut out);
-        out.push_str("{\"ph\":\"M\",\"name\":\"thread_sort_index\"");
-        let _ = write!(
-            out,
-            ",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
-        );
+        metadata(&mut rows, "thread", *pid, Some(*tid), label);
     }
-    for e in events {
-        sep(&mut out);
-        push_event(&mut out, e);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    rows.extend(events.iter().map(event));
+    json::write(
+        &Json::obj()
+            .with("traceEvents", Json::Arr(rows))
+            .with("displayTimeUnit", "ms"),
+    )
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@
 //! trace, which makes traces diffable artifacts and lets tests golden
 //! them.
 //!
-//! Serialization goes through the hand-rolled deterministic JSON writer
-//! in [`json`]; the workspace has no serializer dependency.
+//! Serialization goes through [`json`] — the workspace's one `Json`
+//! value, writer and reader; there is no serializer dependency.
 
 #![warn(missing_docs)]
 
@@ -44,6 +44,6 @@ mod profile;
 mod tracer;
 
 pub use event::{ArgValue, Category, EventKind, TraceEvent};
-pub use metrics::{MetricValue, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use profile::{KernelProfile, KernelProfileRow};
 pub use tracer::Tracer;

@@ -1,56 +1,14 @@
 //! A flat, deterministically ordered metrics snapshot.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{self, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// One metric value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// A counter / integer gauge.
-    U64(u64),
-    /// A real-valued gauge (seconds, ratios, …).
-    F64(f64),
-    /// A label (scheduler name, device kind, …).
-    Str(String),
-}
-
-impl From<u64> for MetricValue {
-    fn from(v: u64) -> Self {
-        MetricValue::U64(v)
-    }
-}
-impl From<u32> for MetricValue {
-    fn from(v: u32) -> Self {
-        MetricValue::U64(v as u64)
-    }
-}
-impl From<usize> for MetricValue {
-    fn from(v: usize) -> Self {
-        MetricValue::U64(v as u64)
-    }
-}
-impl From<f64> for MetricValue {
-    fn from(v: f64) -> Self {
-        MetricValue::F64(v)
-    }
-}
-impl From<&str> for MetricValue {
-    fn from(v: &str) -> Self {
-        MetricValue::Str(v.to_string())
-    }
-}
-impl From<String> for MetricValue {
-    fn from(v: String) -> Self {
-        MetricValue::Str(v)
-    }
-}
-
-/// A flat name → value registry. Keys are stored in a `BTreeMap`, so the
+/// A flat name → value registry: counters, real-valued gauges and labels
+/// held as [`Json`] scalars. Keys are stored in a `BTreeMap`, so the
 /// JSON snapshot is emitted in sorted key order — same run, same bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    entries: BTreeMap<String, MetricValue>,
+    entries: BTreeMap<String, Json>,
 }
 
 impl MetricsRegistry {
@@ -60,12 +18,12 @@ impl MetricsRegistry {
     }
 
     /// Insert or overwrite a metric.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<MetricValue>) {
+    pub fn set(&mut self, name: impl Into<String>, value: impl Into<Json>) {
         self.entries.insert(name.into(), value.into());
     }
 
     /// Look up a metric by name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+    pub fn get(&self, name: &str) -> Option<&Json> {
         self.entries.get(name)
     }
 
@@ -80,31 +38,14 @@ impl MetricsRegistry {
     }
 
     /// Iterate entries in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Json)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Serialize as a single JSON object, keys in sorted order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.entries.len() * 32 + 8);
-        out.push_str("{\n");
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
-            push_str_literal(&mut out, k);
-            out.push_str(": ");
-            match v {
-                MetricValue::U64(u) => {
-                    let _ = write!(out, "{u}");
-                }
-                MetricValue::F64(f) => push_f64(&mut out, *f),
-                MetricValue::Str(s) => push_str_literal(&mut out, s),
-            }
-        }
-        out.push_str("\n}\n");
-        out
+        let fields = self.entries.iter().map(|(k, v)| (k.clone(), v.clone()));
+        json::write(&Json::Obj(fields.collect()))
     }
 }
 
@@ -133,7 +74,7 @@ mod tests {
         m.set("k", 1u64);
         m.set("k", 2u64);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.get("k"), Some(&MetricValue::U64(2)));
+        assert_eq!(m.get("k"), Some(&Json::U64(2)));
     }
 
     #[test]

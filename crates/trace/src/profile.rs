@@ -3,7 +3,7 @@
 //! Rows are keyed by kernel name in a `BTreeMap`, so both the text table
 //! and the JSON export are deterministic.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{self, Json};
 use hetero_gpusim::KernelStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -138,37 +138,23 @@ impl KernelProfile {
 
     /// Serialize as a JSON object keyed by kernel name (sorted).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.rows.len() * 256 + 8);
-        out.push_str("{\n");
-        for (i, (name, r)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
-            push_str_literal(&mut out, name);
-            out.push_str(": {");
-            let _ = write!(out, "\"launches\":{},", r.launches);
-            out.push_str("\"time_s\":");
-            push_f64(&mut out, r.time_s);
-            out.push_str(",\"cycles\":");
-            push_f64(&mut out, r.cycles);
-            out.push_str(",\"compute_cycles\":");
-            push_f64(&mut out, r.compute_cycles);
-            out.push_str(",\"memory_cycles\":");
-            push_f64(&mut out, r.memory_cycles);
-            let _ = write!(out, ",\"blocks\":{},", r.blocks);
-            out.push_str("\"coalesced_txns\":");
-            push_f64(&mut out, r.coalesced_txns);
-            out.push_str(",\"random_txns\":");
-            push_f64(&mut out, r.random_txns);
-            let _ = write!(
-                out,
-                ",\"shared_atomics\":{},\"global_atomics\":{},\"divergent_lanes\":{},\"dram_bytes\":{}}}",
-                r.shared_atomics, r.global_atomics, r.divergent_lanes, r.dram_bytes
-            );
-        }
-        out.push_str("\n}\n");
-        out
+        let rows = self.rows.iter().map(|(name, r)| {
+            let row = Json::obj()
+                .with("launches", r.launches)
+                .with("time_s", r.time_s)
+                .with("cycles", r.cycles)
+                .with("compute_cycles", r.compute_cycles)
+                .with("memory_cycles", r.memory_cycles)
+                .with("blocks", r.blocks)
+                .with("coalesced_txns", r.coalesced_txns)
+                .with("random_txns", r.random_txns)
+                .with("shared_atomics", r.shared_atomics)
+                .with("global_atomics", r.global_atomics)
+                .with("divergent_lanes", r.divergent_lanes)
+                .with("dram_bytes", r.dram_bytes);
+            (name.clone(), row)
+        });
+        json::write(&Json::Obj(rows.collect()))
     }
 }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Perf harness: run the criterion benches (DES scheduler, map kernel,
-# scan, sort) plus the large-cluster scale sweep, then summarize into the
-# repo-root perf-trajectory artifacts BENCH_scheduler.json and
-# BENCH_kernels.json.
+# Perf harness: run the criterion benches (DES scheduler indexed vs
+# reference, kernel backends, guard elision, scan, sort) plus the
+# large-cluster scale sweep, then summarize into the repo-root
+# perf-trajectory artifacts BENCH_scheduler.json and BENCH_kernels.json.
+# Whole-job throughput (the former des_10k and map_kernel groups) is the
+# e2e ledger's job: des_tail_8k and wc_rust_gpu.
 #
 #   scripts/bench.sh          full run (the committed numbers)
 #   scripts/bench.sh --quick  reduced iterations + sweep capped at 1k
