@@ -13,22 +13,22 @@
 //!    executor to prove the final job *output bytes* match an
 //!    uninterrupted run.
 //!
-//! Writes `results/chaos.json` (per-run records) and, from the full
-//! sweep only, the repo-root `BENCH_faults.json` (recovery-overhead
-//! distribution of a master crash, the committed perf-trajectory
-//! artifact — a smoke run must not replace it with a two-seed sample).
+//! Writes `chaos.json`: per-run records plus the recovery-overhead
+//! distribution of a single master crash. The full sweep (from
+//! `scripts/bench.sh`) writes the tracked `results/chaos.json`; `--smoke`
+//! writes `target/results/chaos.json`, so a two-seed sample never
+//! replaces the committed 435-run record.
 //!
 //! Usage: `chaos [--smoke] [--threads N]` — `--smoke` is the bounded CI
-//! mode (seconds, not minutes); the full sweep runs from
-//! `scripts/bench.sh`.
-use hetero_bench::pool_from_args;
+//! mode (seconds, not minutes).
+use hetero_bench::{write_artifact, Args};
 use hetero_cluster::{
     audit, simulate, simulate_reference, ClusterConfig, FaultPlan, JobSpec, JobStats,
     ReduceTaskSpec, Scheduler,
 };
 use hetero_gpusim::Device;
 use hetero_runtime::OptFlags;
-use hetero_trace::json::{self, Json};
+use hetero_trace::json::Json;
 use hetero_trace::Tracer;
 use heterodoop::{run_cluster_functional_job, Preset};
 use std::sync::mpsc;
@@ -250,8 +250,9 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let pool = pool_from_args();
+    let args = Args::from_env(&["--smoke"]);
+    let smoke = args.flag("--smoke");
+    let pool = args.pool();
     let seeds_per_combo: u64 = if smoke { 2 } else { 12 };
     let watchdog = Duration::from_secs(if smoke { 15 } else { 60 });
     let audit_compiled = cfg!(any(debug_assertions, feature = "audit"));
@@ -385,29 +386,14 @@ fn main() {
         .with("max_s", overheads.last().copied().unwrap_or(0.0))
         .with("mean_s", mean);
 
-    std::fs::create_dir_all("results").expect("create results/");
     let chaos = Json::obj()
         .with("artifact", "chaos")
         .with("mode", if smoke { "smoke" } else { "full" })
         .with("runs", runs)
         .with("audit_compiled", audit_compiled as u64)
         .with("audit_violations", violations)
-        .with("recovery_overhead", dist.clone())
+        .with("recovery_overhead", dist)
         .with("combos", Json::Arr(rows));
-    std::fs::write("results/chaos.json", json::write(&chaos)).expect("write results/chaos.json");
-
-    if !smoke {
-        let bench = Json::obj()
-            .with("artifact", "BENCH_faults")
-            .with("mode", "full")
-            .with("runs", runs)
-            .with("recovery_overhead", dist);
-        std::fs::write("BENCH_faults.json", json::write(&bench)).expect("write BENCH_faults.json");
-    }
-
-    println!(
-        "chaos: {runs} runs, 0 hangs, 0 lost tasks, {violations} audit violations \
-         — wrote results/chaos.json{}",
-        if smoke { "" } else { " and BENCH_faults.json" }
-    );
+    println!("chaos: {runs} runs, 0 hangs, 0 lost tasks, {violations} audit violations");
+    write_artifact("chaos.json", !smoke, &chaos);
 }

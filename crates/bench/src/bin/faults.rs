@@ -8,15 +8,15 @@
 //! Fault model v2 adds the correlated faults and master outages: a
 //! JobTracker crash-recovery overhead sweep, a whole-rack failure, and a
 //! network partition with lossy heartbeats (false expiry + re-admission).
-//! All measured numbers land in `results/faults.json` for `benchsum`.
-use hetero_bench::pool_from_args;
+//! All measured numbers land in `results/faults.json`.
+use hetero_bench::{write_artifact, Args};
 use hetero_cluster::{
     simulate, ClusterConfig, FaultPlan, JobSpec, JobStats, ReduceTaskSpec, Scheduler,
 };
 use hetero_gpusim::Device;
 use hetero_hdfs::{Hdfs, Topology};
 use hetero_runtime::OptFlags;
-use hetero_trace::json::{self, Json};
+use hetero_trace::json::Json;
 use hetero_trace::Tracer;
 use heterodoop::{run_cluster_functional_job, run_functional_job_pooled, Preset};
 
@@ -55,7 +55,7 @@ fn storm() -> FaultPlan {
 }
 
 fn main() {
-    let pool = pool_from_args();
+    let pool = Args::from_env(&[]).pool();
     println!("Fault injection — recovery cost on an 8-node cluster (200 maps, 8 reduces)");
     println!("[{} worker thread(s)]", pool.threads());
 
@@ -296,8 +296,7 @@ fn main() {
         part_st.nodes_readmitted
     );
 
-    // Everything measured above, as a stable artifact for benchsum.
-    std::fs::create_dir_all("results").expect("create results/");
+    // Everything measured above (no reduced mode: always a full run).
     let json = Json::obj()
         .with("artifact", "faults")
         .with("clean_makespan_s", clean.makespan_s)
@@ -321,6 +320,5 @@ fn main() {
                 .with("heartbeats_lost", part_st.heartbeats_lost)
                 .with("nodes_readmitted", part_st.nodes_readmitted),
         );
-    std::fs::write("results/faults.json", json::write(&json)).expect("write results/faults.json");
-    println!("\nwrote results/faults.json");
+    write_artifact("faults.json", true, &json);
 }

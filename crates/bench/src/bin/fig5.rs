@@ -5,7 +5,7 @@
 //! independent measurements (8 apps × 2 flag sets) fan across the worker
 //! pool. `results/fig5.json` — including every simulated cycle count and
 //! device counter — is byte-identical at any thread count.
-use hetero_bench::pool_from_args;
+use hetero_bench::Args;
 use hetero_runtime::OptFlags;
 use hetero_trace::json::{self, Json};
 use heterodoop::{measure_task, Preset, TaskMeasurement};
@@ -34,7 +34,7 @@ fn row_json(code: &str, base: &TaskMeasurement, opt: &TaskMeasurement) -> Json {
 
 fn main() {
     let p = Preset::cluster1();
-    let pool = pool_from_args();
+    let pool = Args::from_env(&[]).pool();
     println!("Fig. 5 — Speedup of a single GPU task over a CPU task (Cluster1)");
     println!("[{} worker thread(s)]", pool.threads());
     println!(

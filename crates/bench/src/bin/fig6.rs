@@ -2,13 +2,13 @@
 //!
 //! Accepts `--threads N`; the eight per-app measurements fan across the
 //! worker pool and the table prints in fixed app order regardless.
-use hetero_bench::pool_from_args;
+use hetero_bench::Args;
 use hetero_runtime::OptFlags;
 use heterodoop::{measure_task, Preset};
 
 fn main() {
     let p = Preset::cluster1();
-    let pool = pool_from_args();
+    let pool = Args::from_env(&[]).pool();
     println!("Fig. 6 — Execution time breakdown of a GPU task (% of task time)");
     println!("[{} worker thread(s)]", pool.threads());
     println!(

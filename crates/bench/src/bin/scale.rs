@@ -2,17 +2,21 @@
 //! the paper's 48 nodes up to 10 000 nodes / 1 000 000 map tasks, all
 //! under `TailScheduling`. Reports wall-clock time, simulated makespan,
 //! and scheduling throughput (attempts and heartbeats per wall second),
-//! and writes `results/scale.json`.
+//! and writes `scale.json`.
 //!
 //! Modes:
 //!
-//! * default — sweep 48 → 10 000 nodes (the EXPERIMENTS.md numbers);
-//! * `--quick` — stop at 1 000 nodes (CI's bench job);
+//! * default — sweep 48 → 10 000 nodes, written to `results/` (the
+//!   EXPERIMENTS.md numbers);
+//! * `--quick` — stop at 1 000 nodes, written to `target/results/` (CI's
+//!   bench job);
 //! * `--smoke` — single 1 000-node / 100 000-task run under a wall-clock
 //!   budget (default 30 s, `--budget-s N`); exits non-zero on overrun —
-//!   the cheap regression gate wired into `scripts/check.sh`.
+//!   the cheap regression gate wired into `scripts/check.sh`. Writes
+//!   nothing.
+use hetero_bench::{nproc, write_artifact, Args};
 use hetero_cluster::{simulate, ClusterConfig, JobSpec, Scheduler};
-use hetero_trace::json::{self, Json};
+use hetero_trace::json::Json;
 use std::time::Instant;
 
 /// One sweep point: `nodes` nodes, 100 map tasks per node.
@@ -54,28 +58,10 @@ fn run_point(nodes: u32) -> Row {
     }
 }
 
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
-    if flag("--smoke") {
-        let budget_s: f64 = flag_value("--budget-s")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30.0);
+    let args = Args::from_env(&["--smoke", "--quick", "--budget-s="]);
+    if args.flag("--smoke") {
+        let budget_s: f64 = args.flag_value("--budget-s").unwrap_or(30.0);
         let r = run_point(1_000);
         println!(
             "scale smoke: 1000 nodes / {} tasks in {:.2}s wall (budget {budget_s}s), \
@@ -96,7 +82,8 @@ fn main() {
         return;
     }
 
-    let sizes: &[u32] = if flag("--quick") {
+    let quick = args.flag("--quick");
+    let sizes: &[u32] = if quick {
         &[48, 200, 1_000]
     } else {
         &[48, 200, 1_000, 4_000, 10_000]
@@ -121,9 +108,9 @@ fn main() {
         rows.push(r);
     }
 
-    std::fs::create_dir_all("results").expect("create results/");
     let json = Json::obj()
         .with("experiment", "scale")
+        .with("nproc", nproc())
         .with("scheduler", "TailScheduling")
         .with("tasks_per_node", 100u64)
         .with(
@@ -138,6 +125,5 @@ fn main() {
                     .with("tasks_per_wall_s", r.tasks as f64 / r.wall_s)
             })),
         );
-    std::fs::write("results/scale.json", json::write(&json)).expect("write results/scale.json");
-    println!("\nwrote results/scale.json");
+    write_artifact("scale.json", !quick, &json);
 }

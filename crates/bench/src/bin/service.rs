@@ -8,21 +8,24 @@
 //! Each point reports completed/rejected jobs, per-tenant p50/p99
 //! wait and latency, and mean node-grant utilization.
 //!
-//! `results/service.json` contains **simulated quantities only** (no
+//! `service.json` contains **simulated quantities only** (no
 //! wall-clock), so a fixed seed reproduces it byte-for-byte. Wall time
 //! goes to stdout and, in `--smoke` mode, gates a wall-clock budget.
 //!
 //! Modes:
 //!
-//! * default — 6 load points × 200 jobs, 1000 nodes (< 60 s wall);
-//! * `--quick` — 5 points × 120 jobs (CI's bench job);
+//! * default — 8 load points × 200 jobs, 1000 nodes (< 60 s wall),
+//!   written to `results/`;
+//! * `--quick` — 5 points × 120 jobs, written to `target/results/` (CI's
+//!   bench job);
 //! * `--smoke` — 1 point × 60 jobs under a wall-clock budget (default
-//!   30 s, `--budget-s N`); exits non-zero on overrun.
+//!   30 s, `--budget-s N`); exits non-zero on overrun. Writes nothing.
+use hetero_bench::{write_artifact, Args};
 use hetero_cluster::{
     generate_workload, run_service, simulate, AdmissionControl, ArrivalProcess, ClusterConfig,
     JobRequest, Scheduler, ServiceConfig, ServiceStats, TenantSpec, WorkloadConfig,
 };
-use hetero_trace::json::{self, Json};
+use hetero_trace::json::Json;
 use std::time::Instant;
 
 const SEED: u64 = 0xD00B;
@@ -149,30 +152,10 @@ fn point_json(p: &Point) -> Json {
         )
 }
 
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
-    let _threads = hetero_bench::threads_from_args();
-
-    if flag("--smoke") {
-        let budget_s: f64 = flag_value("--budget-s")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30.0);
+    let args = Args::from_env(&["--smoke", "--quick", "--budget-s="]);
+    if args.flag("--smoke") {
+        let budget_s: f64 = args.flag_value("--budget-s").unwrap_or(30.0);
         let svc = service_config(1_000);
         let start = Instant::now();
         let capacity = capacity_jobs_per_s(&svc, 8);
@@ -200,7 +183,8 @@ fn main() {
         return;
     }
 
-    let (factors, jobs_per_point): (&[f64], u32) = if flag("--quick") {
+    let quick = args.flag("--quick");
+    let (factors, jobs_per_point): (&[f64], u32) = if quick {
         (&[0.4, 0.8, 1.2, 1.6, 2.0], 120)
     } else {
         (&[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], 200)
@@ -246,7 +230,6 @@ fn main() {
     println!("total wall: {wall_s:.1}s");
 
     // Simulated quantities only — byte-identical across runs.
-    std::fs::create_dir_all("results").expect("create results/");
     let json = Json::obj()
         .with("experiment", "service")
         .with("nodes", 1_000u64)
@@ -262,6 +245,5 @@ fn main() {
                 .with("p99_latency_s", p99_latency(&points[knee].stats))
                 .with("mean_utilization", points[knee].stats.mean_utilization),
         );
-    std::fs::write("results/service.json", json::write(&json)).expect("write results/service.json");
-    println!("wrote results/service.json");
+    write_artifact("service.json", !quick, &json);
 }

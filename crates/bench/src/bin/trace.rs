@@ -4,9 +4,9 @@
 //!
 //! Everything here is deterministic: the tracer has no wall clock, so
 //! the same `FaultPlan` seed produces byte-identical trace files.
-use hetero_bench::pool_from_args;
+use hetero_bench::Args;
 use hetero_cluster::{
-    simulate_traced, ClusterConfig, FaultPlan, JobSpec, ReduceTaskSpec, Scheduler, TraceConfig,
+    simulate_traced, ClusterConfig, FaultPlan, JobSpec, ReduceTaskSpec, Scheduler,
 };
 use hetero_gpusim::Device;
 use hetero_runtime::OptFlags;
@@ -22,7 +22,6 @@ fn fig3_cfg(s: Scheduler) -> ClusterConfig {
     c.map_slots_per_node = 2;
     c.reduce_slots_per_node = 0;
     c.heartbeat_s = 0.01;
-    c.trace = TraceConfig::on();
     c
 }
 
@@ -45,7 +44,7 @@ fn write(path: &str, bytes: &str) {
 }
 
 fn main() {
-    let pool = pool_from_args();
+    let pool = Args::from_env(&[]).pool();
     println!("[{} worker thread(s)]", pool.threads());
     fs::create_dir_all("results").expect("results dir");
     assert!(Path::new("results").is_dir());
@@ -73,7 +72,6 @@ fn main() {
     cfg.map_slots_per_node = 4;
     cfg.speculative = true;
     cfg.faults = storm();
-    cfg.trace = TraceConfig::on();
     let mut j = JobSpec::uniform("faults", 200, 8, 3, 12.0, 2.0);
     j.reduces = (0..8)
         .map(|id| ReduceTaskSpec { id, compute_s: 2.0 })

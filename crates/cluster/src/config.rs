@@ -286,28 +286,15 @@ impl FaultPlan {
     }
 }
 
-/// Observability knobs for a simulated run. All off by default: with
-/// `enabled == false` the simulator never records an event, and a traced
-/// run produces the exact same schedule as an untraced one — tracing is
-/// pure observation.
+/// Observability knobs for a simulated run. The tracer is the switch:
+/// [`crate::sim::simulate_traced`] records into a live `Tracer` and
+/// nothing into `Tracer::off()` (what [`crate::sim::simulate`] passes);
+/// either way the schedule is identical — tracing is pure observation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record span/instant events into the tracer passed to
-    /// [`crate::sim::simulate_traced`].
-    pub enabled: bool,
-    /// Also record one instant per TaskTracker heartbeat. Off by default
-    /// even when tracing: heartbeats dominate event counts on long runs.
+    /// Also record one instant per TaskTracker heartbeat. Off by default:
+    /// heartbeats dominate event counts on long runs.
     pub heartbeats: bool,
-}
-
-impl TraceConfig {
-    /// Tracing on (without per-heartbeat events).
-    pub fn on() -> Self {
-        TraceConfig {
-            enabled: true,
-            heartbeats: false,
-        }
-    }
 }
 
 /// Static cluster configuration.

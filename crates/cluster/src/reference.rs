@@ -11,7 +11,8 @@
 //! themselves exist once and are covered by the auditor, the recovery and
 //! invariant suites and the figure tests.
 //!
-//! It is kept runnable (not `#[cfg(test)]`) so the criterion benches can
+//! It is kept runnable (not `#[cfg(test)]`) so `hetero-bench`'s `chaos`
+//! sweep can compare every faulted schedule against it and `micro` can
 //! record the indexed-vs-scan DES throughput delta, but it is **not** a
 //! production path: the scans are O(n·m) at the 10k-node / million-task
 //! scale the indexed path targets. The only state here is what no table

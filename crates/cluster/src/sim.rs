@@ -438,7 +438,7 @@ struct Sim<'a, I> {
     now: f64,
     stats: JobStats,
     tracer: &'a Tracer,
-    /// `tracer.is_enabled() && cfg.trace.enabled`, cached.
+    /// `tracer.is_enabled()`, cached.
     trace_on: bool,
     hook: Option<&'a mut dyn ExecHook>,
 }
@@ -448,9 +448,9 @@ pub fn simulate(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
     simulate_traced(cfg, job, &Tracer::off())
 }
 
-/// [`simulate`], recording a simulated-time event log into `tracer`.
-/// Events are recorded only when both the tracer and `cfg.trace.enabled`
-/// are on; either way the schedule is identical to an untraced run.
+/// [`simulate`], recording a simulated-time event log into `tracer`
+/// (nothing when it is `Tracer::off()`); either way the schedule is
+/// identical to an untraced run.
 pub fn simulate_traced(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
     run::<Indexed>(cfg, job, tracer, None)
 }
@@ -545,7 +545,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             now: 0.0,
             stats: JobStats::new(&job.name),
             tracer,
-            trace_on: tracer.is_enabled() && cfg.trace.enabled,
+            trace_on: tracer.is_enabled(),
             hook: None,
         };
         sim.trace_name_lanes();
@@ -2041,7 +2041,6 @@ mod tests {
     fn trace_is_deterministic_for_the_same_fault_seed() {
         use hetero_trace::Tracer;
         let mut cfg = ClusterConfig::small(4, Scheduler::TailScheduling);
-        cfg.trace = crate::config::TraceConfig::on();
         cfg.faults = FaultPlan {
             seed: 42,
             node_crashes: vec![(2, 5.0)],
@@ -2084,10 +2083,8 @@ mod tests {
         };
         let job = JobSpec::uniform("j", 80, 4, 4, 2.0, 1.0);
         let untraced = simulate(&cfg, &job);
-        let mut cfg_on = cfg.clone();
-        cfg_on.trace = crate::config::TraceConfig::on();
         let tracer = Tracer::new();
-        let traced = simulate_traced(&cfg_on, &job, &tracer);
+        let traced = simulate_traced(&cfg, &job, &tracer);
         assert!(!tracer.is_empty());
         // Bit-identical schedule: every attempt record, both phases.
         assert_eq!(
@@ -2096,10 +2093,12 @@ mod tests {
         );
         assert_eq!(untraced.makespan_s, traced.makespan_s);
         assert_eq!(untraced.map_phase_s, traced.map_phase_s);
-        // And an enabled TraceConfig with a disabled tracer records
-        // nothing but also changes nothing.
+        // The tracer is the only switch: a disabled one records nothing,
+        // per-heartbeat instants included, and changes nothing.
+        let mut cfg_beats = cfg.clone();
+        cfg_beats.trace.heartbeats = true;
         let off = Tracer::off();
-        let silent = simulate_traced(&cfg_on, &job, &off);
+        let silent = simulate_traced(&cfg_beats, &job, &off);
         assert!(off.is_empty());
         assert_eq!(silent.makespan_s, untraced.makespan_s);
     }

@@ -169,10 +169,7 @@ fn check(cfg: &ClusterConfig, job: &JobSpec, ctx: &str) {
     assert_stats_identical(&a, &b, ctx);
 
     let mut traced = cfg.clone();
-    traced.trace = TraceConfig {
-        enabled: true,
-        heartbeats: true,
-    };
+    traced.trace = TraceConfig { heartbeats: true };
     let ta = Tracer::new();
     let tb = Tracer::new();
     let sa = simulate_traced(&traced, job, &ta);

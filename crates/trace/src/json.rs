@@ -2,10 +2,10 @@
 //!
 //! The workspace has no serializer dependency, so every artifact —
 //! Chrome traces, metrics snapshots, kernel profiles, the bench bins'
-//! `results/*.json`, `BENCH_*.json`, the lint report — is a [`Json`]
-//! tree rendered by [`write`], and everything read back (`benchsum`, the
-//! artifact gate, tests) goes through [`parse`]. Nothing else in the
-//! workspace pushes a brace or escapes a string.
+//! `results/*.json`, the lint report — is a [`Json`] tree rendered by
+//! [`write`], and everything read back (`micro --markdown`, the artifact
+//! gate, tests) goes through [`parse`]. Nothing else in the workspace
+//! pushes a brace or escapes a string.
 //!
 //! [`write`] has one layout: compact (`"k":v`, `,`, no spaces), except
 //! that a *table* — an array that is the document root or a direct field

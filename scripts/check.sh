@@ -57,13 +57,17 @@ HETERO_AUDIT=1 cargo run --release -q -p hetero-bench --features audit --bin cha
 echo "== service smoke (multi-tenant sweep point under a wall-clock budget)"
 cargo run --release -q -p hetero-bench --bin service -- --smoke --budget-s 30
 
-# The smoke steps above may rewrite results/, never the committed perf
-# record: BENCH_*.json come from full-mode scripts/bench.sh runs only.
+echo "== micro smoke (every wall-clock pair, one timed call a side)"
+cargo run --release -q -p hetero-bench --bin micro -- --quick
+
+# results/ holds full-mode runs only: the reduced modes above write under
+# target/results/, and this script's one writer into results/
+# (heterolint --json) is byte-deterministic.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-    echo "== committed BENCH_*.json untouched by the smoke steps"
-    git diff --quiet -- 'BENCH_*.json' || {
-        echo "error: a smoke step modified a committed perf artifact:" >&2
-        git diff --stat -- 'BENCH_*.json' >&2
+    echo "== tracked results/ untouched"
+    git diff --quiet -- results/ || {
+        echo "error: a check step modified a tracked artifact:" >&2
+        git diff --stat -- results/ >&2
         exit 1
     }
 fi
