@@ -127,6 +127,15 @@ pub fn nproc() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
+/// This process's peak resident set so far, in MB (`VmHWM` of
+/// `/proc/self/status`); `None` where the kernel does not report it.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

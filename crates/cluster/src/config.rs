@@ -413,6 +413,33 @@ impl ClusterConfig {
                 self.heartbeat_timeout_s
             )));
         }
+        // The remaining floats all reach the clock or a scheduling test.
+        // A recovery delay the clock cannot absorb leaves the master down
+        // for good while the trackers' heartbeats re-arm forever.
+        if !self.jobtracker_recovery_s.is_finite() || self.jobtracker_recovery_s < 0.0 {
+            return Err(ConfigError(format!(
+                "jobtracker_recovery_s {} must be finite and non-negative",
+                self.jobtracker_recovery_s
+            )));
+        }
+        if !self.shuffle_bw.is_finite() || self.shuffle_bw <= 0.0 {
+            return Err(ConfigError(format!(
+                "shuffle_bw {} must be finite and positive",
+                self.shuffle_bw
+            )));
+        }
+        if !(0.0..=1.0).contains(&self.reduce_start_frac) {
+            return Err(ConfigError(format!(
+                "reduce_start_frac {} must be within [0, 1]",
+                self.reduce_start_frac
+            )));
+        }
+        if !self.speculative_lag.is_finite() {
+            return Err(ConfigError(format!(
+                "speculative_lag {} must be finite",
+                self.speculative_lag
+            )));
+        }
         self.faults
             .validate(self.num_slaves, self.num_racks(), self.gpus_per_node)?;
         Ok(())
@@ -586,6 +613,73 @@ mod tests {
         c.faults = FaultPlan::none().with_node_crash(9, 1.0);
         let msg = c.validate().expect_err("oob crash").to_string();
         assert!(msg.contains("out of range"), "{msg}");
+    }
+
+    /// `small(4, GpuFirst)` with one field set by `edit`; its error text.
+    fn reject_config(edit: impl Fn(&mut ClusterConfig)) -> String {
+        let mut c = ClusterConfig::small(4, Scheduler::GpuFirst);
+        edit(&mut c);
+        c.validate().expect_err("config should be rejected").0
+    }
+
+    #[test]
+    fn validate_rejects_unusable_jobtracker_recovery_s() {
+        for v in [f64::INFINITY, f64::NAN, -1.0] {
+            let msg = reject_config(|c| c.jobtracker_recovery_s = v);
+            assert!(msg.contains("jobtracker_recovery_s"), "{v}: {msg}");
+        }
+        // An instant restart is legal.
+        let mut c = ClusterConfig::small(4, Scheduler::GpuFirst);
+        c.jobtracker_recovery_s = 0.0;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_unusable_shuffle_bw() {
+        for v in [0.0, -1e9, f64::INFINITY, f64::NAN] {
+            let msg = reject_config(|c| c.shuffle_bw = v);
+            assert!(msg.contains("shuffle_bw"), "{v}: {msg}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_reduce_start_frac_outside_unit_interval() {
+        for v in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let msg = reject_config(|c| c.reduce_start_frac = v);
+            assert!(msg.contains("reduce_start_frac"), "{v}: {msg}");
+        }
+        // Both ends are legal: reduces at once, or only after every map.
+        for v in [0.0, 1.0] {
+            let mut c = ClusterConfig::small(4, Scheduler::GpuFirst);
+            c.reduce_start_frac = v;
+            assert!(c.validate().is_ok(), "{v}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_speculative_lag() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let msg = reject_config(|c| c.speculative_lag = v);
+            assert!(msg.contains("speculative_lag"), "{v}: {msg}");
+        }
+    }
+
+    /// The hang this closes: with the master down for an infinite (or
+    /// NaN) time, heartbeats re-armed forever and `simulate` on 4 nodes /
+    /// 40 maps never returned. Now the config is refused before a run.
+    #[test]
+    fn a_jobtracker_that_never_recovers_is_refused_not_simulated() {
+        for v in [f64::INFINITY, f64::NAN] {
+            let mut c = ClusterConfig::small(4, Scheduler::GpuFirst);
+            c.faults = FaultPlan::none().with_jobtracker_crash(0.5);
+            c.jobtracker_recovery_s = v;
+            assert!(c.validate().is_err(), "{v}");
+            let job = crate::JobSpec::uniform("hang", 40, 4, 2, 2.0, 0.5);
+            let panic = std::panic::catch_unwind(|| crate::simulate(&c, &job))
+                .expect_err("simulate must fail fast, not run");
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("jobtracker_recovery_s"), "{msg}");
+        }
     }
 
     #[test]

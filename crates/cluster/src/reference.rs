@@ -102,13 +102,13 @@ impl SchedIndex for ScanIndex {
         self.pending.push(task);
     }
 
-    fn remove_pending(&mut self, _t: &Tables, task: u32) {
+    fn remove_pending(&mut self, task: u32) {
         if let Some(i) = self.pending.iter().position(|&p| p == task) {
             self.pending.remove(i);
         }
     }
 
-    fn pick(&self, t: &Tables, node: u32) -> (u32, Locality) {
+    fn pick(&mut self, t: &Tables, node: u32) -> (u32, Locality) {
         let mut rack_pick: Option<u32> = None;
         let mut live_replicas: Vec<NodeId> = Vec::new();
         for &task in &self.pending {

@@ -174,8 +174,29 @@ pub(crate) struct Attempt {
     fail_frac: Option<(f64, Outcome)>,
     pub(crate) state: AttemptState,
     /// Index of the stats record.
-    rec: usize,
+    rec: u32,
+    /// The task's next attempt in launch order ([`NO_ATTEMPT`] on its
+    /// newest): each task's attempts are a chain through this slab, so a
+    /// task owns no list of its own.
+    next: u32,
 }
+
+/// End of a task's attempt chain.
+const NO_ATTEMPT: u32 = u32::MAX;
+
+/// An attempt or stats-record index as the slab stores it.
+fn slab_index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&l| l != NO_ATTEMPT)
+        .expect("more attempts than a u32 link can address")
+}
+
+// The per-task footprint of a run: one `Attempt` and one `TaskState` a
+// task, and at the peak one `Scheduled<Event>` an attempt in flight.
+const _: () = assert!(std::mem::size_of::<Attempt>() <= 72);
+const _: () = assert!(std::mem::size_of::<TaskState>() <= 28);
+const _: () = assert!(std::mem::size_of::<Scheduled<Event>>() <= 32);
 
 impl Attempt {
     pub(crate) fn live(&self) -> bool {
@@ -183,15 +204,31 @@ impl Attempt {
     }
 }
 
-#[derive(Default)]
 pub(crate) struct TaskState {
     pub(crate) done: bool,
     /// Node that ran the winning attempt (for output-loss re-execution).
     pub(crate) winner_node: Option<u32>,
     /// Failures charged against `max_attempts`.
     failed_count: u32,
-    /// Attempt indices, in launch order.
-    attempts: Vec<usize>,
+    /// Oldest and newest attempt (slab indices, [`NO_ATTEMPT`] before the
+    /// first launch) and how many there are; [`Attempt::next`] links them
+    /// in launch order.
+    first_attempt: u32,
+    last_attempt: u32,
+    n_attempts: u32,
+}
+
+impl Default for TaskState {
+    fn default() -> Self {
+        TaskState {
+            done: false,
+            winner_node: None,
+            failed_count: 0,
+            first_attempt: NO_ATTEMPT,
+            last_attempt: NO_ATTEMPT,
+            n_attempts: 0,
+        }
+    }
 }
 
 pub(crate) struct NodeState {
@@ -254,13 +291,46 @@ pub(crate) struct Tables<'a> {
     pub(crate) running_reduces: Vec<RunningReduce>,
 }
 
-impl Tables<'_> {
+impl<'a> Tables<'a> {
+    /// The tables at time zero: every node up, nothing launched.
+    pub(crate) fn new(cfg: &'a ClusterConfig, job: &'a JobSpec) -> Self {
+        let node = || NodeState {
+            alive: true,
+            dead_declared: false,
+            last_heartbeat: 0.0,
+            gpu_dead: vec![false; cfg.effective_gpus() as usize],
+            gpu_queue: VecDeque::new(),
+            cpu_samples: (0.0, 0),
+            gpu_samples: (0.0, 0),
+        };
+        Tables {
+            cfg,
+            job,
+            topo: Topology::new(cfg.num_slaves, cfg.nodes_per_rack),
+            nodes: (0..cfg.num_slaves).map(|_| node()).collect(),
+            tasks: (0..job.maps.len()).map(|_| TaskState::default()).collect(),
+            // One attempt per map unless something fails: reserved
+            // exactly, so a fault-free run never reallocates the slab.
+            attempts: Vec::with_capacity(job.maps.len()),
+            running_reduces: Vec::new(),
+        }
+    }
+
+    /// `task`'s attempts (slab indices), in launch order.
+    fn attempts_of(&self, task: u32) -> impl Iterator<Item = usize> + '_ {
+        let mut next = self.tasks[task as usize].first_attempt;
+        std::iter::from_fn(move || {
+            (next != NO_ATTEMPT).then(|| {
+                let ai = next as usize;
+                next = self.attempts[ai].next;
+                ai
+            })
+        })
+    }
+
     /// Whether `task` has a queued or running attempt.
     pub(crate) fn has_live(&self, task: u32) -> bool {
-        self.tasks[task as usize]
-            .attempts
-            .iter()
-            .any(|&ai| self.attempts[ai].live())
+        self.attempts_of(task).any(|ai| self.attempts[ai].live())
     }
 
     /// The replicas of `task`'s split that can still be read: those on
@@ -316,11 +386,12 @@ pub(crate) trait SchedIndex: Default {
     fn is_pending(&self, task: u32) -> bool;
     /// Append `task` at the tail.
     fn push_pending(&mut self, t: &Tables, task: u32);
-    fn remove_pending(&mut self, t: &Tables, task: u32);
+    fn remove_pending(&mut self, task: u32);
     /// The locality-aware FCFS pick for `node`: its oldest node-local
     /// task, else the oldest rack-local one, else the queue head; only
-    /// [`Tables::live_replicas`] count. The queue is not empty.
-    fn pick(&self, t: &Tables, node: u32) -> (u32, Locality);
+    /// [`Tables::live_replicas`] count. The queue is not empty. (`&mut`:
+    /// an index may discard entries it finds stale on the way.)
+    fn pick(&mut self, t: &Tables, node: u32) -> (u32, Locality);
 
     // ------------------------------------------------------ slot pools
     /// Free slots of `kind` on `n`.
@@ -491,19 +562,6 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         if let Err(e) = cfg.validate().and_then(|()| job.validate()) {
             panic!("{e}");
         }
-        let gpus = cfg.effective_gpus();
-        let nodes: Vec<NodeState> = (0..cfg.num_slaves)
-            .map(|_| NodeState {
-                alive: true,
-                dead_declared: false,
-                last_heartbeat: 0.0,
-                gpu_dead: vec![false; gpus as usize],
-                gpu_queue: VecDeque::new(),
-                cpu_samples: (0.0, 0),
-                gpu_samples: (0.0, 0),
-            })
-            .collect();
-
         let total_shuffle_bytes: u64 = job.maps.iter().map(|m| m.output_bytes).sum();
         let shuffle_per_reduce_s = if job.reduces.is_empty() {
             0.0
@@ -511,15 +569,9 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             total_shuffle_bytes as f64 / job.reduces.len() as f64 / cfg.shuffle_bw
         };
 
-        let t = Tables {
-            cfg,
-            job,
-            topo: Topology::new(cfg.num_slaves, cfg.nodes_per_rack),
-            nodes,
-            tasks: (0..job.maps.len()).map(|_| TaskState::default()).collect(),
-            attempts: Vec::new(),
-            running_reduces: Vec::new(),
-        };
+        let t = Tables::new(cfg, job);
+        let mut stats = JobStats::new(&job.name);
+        stats.tasks.reserve_exact(job.maps.len());
         let mut sim = Sim {
             ix: I::build(&t),
             t,
@@ -543,7 +595,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             audit_default: (cfg.num_slaves as usize).saturating_mul(job.maps.len()) <= 16_384,
             events: EventQueue::new(),
             now: 0.0,
-            stats: JobStats::new(&job.name),
+            stats,
             tracer,
             trace_on: tracer.is_enabled(),
             hook: None,
@@ -657,11 +709,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         let Some(run_start) = a.run_start else {
             return; // never executed (died in a GPU queue)
         };
-        let attempt_no = self.t.tasks[a.task as usize]
-            .attempts
-            .iter()
-            .position(|&ai| ai == aidx)
-            .unwrap_or(0);
+        let attempt_no = self.stats.tasks[a.rec as usize].attempt;
         let cat = match outcome {
             Outcome::Success => Category::Task,
             Outcome::SpeculativeKilled => Category::Speculation,
@@ -730,6 +778,10 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         self.stats.max_speedup_seen = self.max_speedup;
         self.stats.journal_records = self.journal.records_written();
         self.stats.journal_snapshots = self.journal.snapshots_taken();
+        // A faulted run outgrows the exact reservation and doubles; the
+        // record outlives the run (the service keeps one per job), so it
+        // must not keep the slack.
+        self.stats.tasks.shrink_to_fit();
     }
 
     fn event_loop(&mut self) {
@@ -1047,7 +1099,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             }
             // Locality-aware FCFS pick.
             let (task, loc) = self.ix.pick(&self.t, n);
-            self.ix.remove_pending(&self.t, task);
+            self.ix.remove_pending(task);
             self.stats.record_locality(loc);
 
             // --- TaskTracker side placement. ---
@@ -1088,7 +1140,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
     fn launch(&mut self, task: u32, n: u32, device: Device, speculative: bool) {
         let ni = n as usize;
         let ti = task as usize;
-        let attempt_no = self.t.tasks[ti].attempts.len() as u32;
+        let attempt_no = self.t.tasks[ti].n_attempts;
         let spec = &self.t.job.maps[ti];
         let fp = &self.t.cfg.faults;
         let base = match device {
@@ -1128,6 +1180,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             self.stats.speculative_attempts += 1;
         }
         let aidx = self.t.attempts.len();
+        let link = slab_index(aidx);
         self.t.attempts.push(Attempt {
             task,
             node: n,
@@ -1138,9 +1191,16 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             run_start: None,
             fail_frac,
             state: AttemptState::Queued,
-            rec,
+            rec: slab_index(rec),
+            next: NO_ATTEMPT,
         });
-        self.t.tasks[ti].attempts.push(aidx);
+        let ts = &mut self.t.tasks[ti];
+        match ts.last_attempt {
+            NO_ATTEMPT => ts.first_attempt = link,
+            last => self.t.attempts[last as usize].next = link,
+        }
+        ts.last_attempt = link;
+        ts.n_attempts += 1;
         self.ix.attempt_started(task, n, aidx);
         if device == Device::Gpu && self.ix.free(Slot::Gpu, &self.t, n) == 0 {
             self.t.nodes[ni].gpu_queue.push_back(aidx);
@@ -1175,7 +1235,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         a.state = state;
         let (n, rec) = (a.node, a.rec);
         self.ix.attempt_ended(n, aidx);
-        self.stats.finish_attempt(rec, self.now, outcome);
+        self.stats.finish_attempt(rec as usize, self.now, outcome);
         self.trace_attempt_end(aidx, outcome);
     }
 
@@ -1254,11 +1314,14 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
     /// First finisher wins: kill every other live attempt of the task and
     /// free its slot right away.
     fn kill_losers(&mut self, task: u32, winner: usize) {
-        let idxs = self.t.tasks[task as usize].attempts.clone();
-        for ai in idxs {
-            if ai == winner || !self.t.attempts[ai].live() {
-                continue;
-            }
+        // Almost always empty (it takes speculation to have a loser),
+        // and an empty `Vec` allocates nothing.
+        let losers: Vec<usize> = self
+            .t
+            .attempts_of(task)
+            .filter(|&ai| ai != winner && self.t.attempts[ai].live())
+            .collect();
+        for ai in losers {
             let was_running = self.t.attempts[ai].state == AttemptState::Running;
             self.end_attempt(ai, AttemptState::Killed, Outcome::SpeculativeKilled);
             if was_running && self.t.nodes[self.t.attempts[ai].node as usize].alive {
@@ -1578,11 +1641,10 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             // Slowest backup candidate: single live attempt, off-node.
             let mut cand: Option<(u32, f64)> = None;
             for t in self.ix.spec_candidates(&self.t) {
-                let ts = &self.t.tasks[t as usize];
                 let mut live_cnt = 0u32;
                 let mut only_live: usize = 0;
                 let mut p = 0.0f64;
-                for &ai in &ts.attempts {
+                for ai in self.t.attempts_of(t) {
                     let a = &self.t.attempts[ai];
                     if !a.live() {
                         continue;
@@ -1729,7 +1791,7 @@ mod tests {
         fn build(t: &Tables) -> Self {
             FifoPick(ScanIndex::build(t))
         }
-        fn pick(&self, t: &Tables, _node: u32) -> (u32, Locality) {
+        fn pick(&mut self, t: &Tables, _node: u32) -> (u32, Locality) {
             let head = (0..t.tasks.len() as u32).find(|&task| self.is_pending(task));
             (head.expect("pick from an empty queue"), Locality::OffRack)
         }
@@ -1742,8 +1804,8 @@ mod tests {
         fn push_pending(&mut self, t: &Tables, task: u32) {
             self.0.push_pending(t, task)
         }
-        fn remove_pending(&mut self, t: &Tables, task: u32) {
-            self.0.remove_pending(t, task)
+        fn remove_pending(&mut self, task: u32) {
+            self.0.remove_pending(task)
         }
         fn free(&self, kind: Slot, t: &Tables, n: u32) -> u32 {
             self.0.free(kind, t, n)
@@ -1916,6 +1978,30 @@ mod tests {
         assert!(st.failed_attempts > 0, "10% of 100+ attempts should fail");
         assert_eq!(st.map_attempts(), 100 + st.failed_attempts as usize);
         assert!(st.wasted_work_s > 0.0);
+    }
+
+    /// The record outlives the run — the service keeps one per job — so
+    /// it must hold exactly its attempts: neither the doubling a faulted
+    /// run's overflow of the exact reservation causes, nor the unused
+    /// part of the reservation of a job that aborts early.
+    #[test]
+    fn a_finished_run_keeps_no_slack_in_its_attempt_records() {
+        let job = JobSpec::uniform("j", 100, 4, 2, 3.0, 0.5);
+        let mut cfg = ClusterConfig::small(4, Scheduler::GpuFirst);
+        let clean = simulate(&cfg, &job);
+        assert_eq!(clean.tasks.len(), 100);
+        assert_eq!(clean.tasks.capacity(), clean.tasks.len());
+        cfg.faults = FaultPlan::seeded(42).with_transient_p(0.10);
+        let faulted = simulate(&cfg, &job);
+        assert!(
+            faulted.tasks.len() > 100,
+            "no retry overflowed the reservation"
+        );
+        assert_eq!(faulted.tasks.capacity(), faulted.tasks.len());
+        (cfg.faults.transient_fail_p, cfg.max_attempts) = (1.0, 1);
+        let aborted = simulate(&cfg, &job);
+        assert!(aborted.aborted && aborted.tasks.len() < 100);
+        assert_eq!(aborted.tasks.capacity(), aborted.tasks.len());
     }
 
     #[test]

@@ -197,3 +197,20 @@ fn bad_job_durations_are_rejected_and_the_run_continues() {
         );
     }
 }
+
+#[test]
+fn a_cluster_whose_jobtracker_never_recovers_is_refused_up_front() {
+    // The shared cluster config is validated before any job is admitted:
+    // a master that stays down forever used to hang the first job whose
+    // plan crashed it (and with it the whole service).
+    let mut svc = two_tenant_service(8);
+    svc.cluster.jobtracker_recovery_s = f64::INFINITY;
+    let reqs = vec![JobRequest {
+        tenant: 0,
+        arrive_s: 0.0,
+        spec: JobSpec::uniform("crashes-the-master", 16, 4, 2, 3.0, 0.6),
+        faults: FaultPlan::none().with_jobtracker_crash(0.5),
+    }];
+    let err = run_service(&svc, &reqs).expect_err("the run must be refused");
+    assert!(err.0.contains("jobtracker_recovery_s"), "{err}");
+}
