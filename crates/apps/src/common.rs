@@ -63,6 +63,43 @@ pub trait App: Sync + Send {
     fn combiner_source(&self) -> Option<&'static str>;
 }
 
+/// One row of the benchmark table: Table 2's columns, the annotated C
+/// sources, and beside them the hand-written Rust twin of each kernel —
+/// the column ROADMAP item 1 retires row by row.
+pub(crate) struct Benchmark {
+    pub(crate) spec: AppSpec,
+    pub(crate) mapper_c: &'static str,
+    pub(crate) combiner_c: Option<&'static str>,
+    pub(crate) twin_mapper: fn() -> Box<dyn Mapper>,
+    pub(crate) twin_combiner: Option<fn() -> Box<dyn Combiner>>,
+    pub(crate) reducer: Option<fn() -> Box<dyn Reducer>>,
+    pub(crate) generate: fn(usize, u64) -> Vec<u8>,
+}
+
+impl App for Benchmark {
+    fn spec(&self) -> &AppSpec {
+        &self.spec
+    }
+    fn mapper(&self) -> Box<dyn Mapper> {
+        (self.twin_mapper)()
+    }
+    fn combiner(&self) -> Option<Box<dyn Combiner>> {
+        self.twin_combiner.map(|make| make())
+    }
+    fn reducer(&self) -> Option<Box<dyn Reducer>> {
+        self.reducer.map(|make| make())
+    }
+    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
+        (self.generate)(records, seed)
+    }
+    fn mapper_source(&self) -> &'static str {
+        self.mapper_c
+    }
+    fn combiner_source(&self) -> Option<&'static str> {
+        self.combiner_c
+    }
+}
+
 /// Parse an ASCII integer value slot.
 pub fn parse_i64(v: &[u8]) -> i64 {
     String::from_utf8_lossy(trim_key(v))
@@ -226,24 +263,15 @@ int main()
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, _: OpCount) {}
-        fn read_ro(&mut self, _: u64) {}
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn int_sum_combiner_sums_runs() {
         let run: Vec<(&[u8], &[u8])> = vec![(b"a", b"1"), (b"a", b"2"), (b"b", b"5")];
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         IntSumCombiner.combine(&run, &mut out);
         assert_eq!(
-            out.0,
+            out.pairs,
             vec![
                 (b"a".to_vec(), b"3".to_vec()),
                 (b"b".to_vec(), b"5".to_vec())
@@ -254,10 +282,10 @@ mod tests {
     #[test]
     fn float_sum_combiner_sums_runs() {
         let run: Vec<(&[u8], &[u8])> = vec![(b"x", b"1.5"), (b"x", b"2.25")];
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         FloatSumCombiner.combine(&run, &mut out);
-        assert_eq!(out.0.len(), 1);
-        assert!((parse_f64(&out.0[0].1) - 3.75).abs() < 1e-9);
+        assert_eq!(out.pairs.len(), 1);
+        assert!((parse_f64(&out.pairs[0].1) - 3.75).abs() < 1e-9);
     }
 
     #[test]

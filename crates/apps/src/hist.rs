@@ -9,7 +9,7 @@
 
 use crate::common::*;
 use crate::datagen;
-use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount, Reducer};
+use hetero_runtime::types::{Emit, Mapper, OpCount};
 
 /// Parse a `movieId:r1,r2,...` record into its ratings.
 pub fn parse_ratings(record: &[u8]) -> impl Iterator<Item = i64> + '_ {
@@ -25,31 +25,29 @@ pub fn parse_ratings(record: &[u8]) -> impl Iterator<Item = i64> + '_ {
 // ---------------------------------------------------------------- HS ----
 
 /// Histmovies: bins each movie's *average* rating.
-pub struct Histmovies {
-    spec: AppSpec,
-}
-
-impl Default for Histmovies {
-    fn default() -> Self {
-        Histmovies {
-            spec: AppSpec {
-                name: "Histmovies",
-                code: "HS",
-                pct_map_combine: 91,
-                intensiveness: Intensiveness::Io,
-                has_combiner: true,
-                map_only: false,
-                key_len: 8,
-                val_len: 8,
-                ro_bytes: 0,
-                reduce_tasks: (8, 8),
-                map_tasks: (4800, Some(640)),
-                input_gb: (1190.0, Some(159.0)),
-                kvpairs_per_record: 1,
-            },
-        }
-    }
-}
+pub(crate) const HS: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Histmovies",
+        code: "HS",
+        pct_map_combine: 91,
+        intensiveness: Intensiveness::Io,
+        has_combiner: true,
+        map_only: false,
+        key_len: 8,
+        val_len: 8,
+        ro_bytes: 0,
+        reduce_tasks: (8, 8),
+        map_tasks: (4800, Some(640)),
+        input_gb: (1190.0, Some(159.0)),
+        kvpairs_per_record: 1,
+    },
+    mapper_c: HS_MAPPER_C,
+    combiner_c: Some(INT_SUM_COMBINER_C),
+    twin_mapper: || Box::new(HistmoviesMapper),
+    twin_combiner: Some(|| Box::new(IntSumCombiner)),
+    reducer: Some(|| Box::new(IntSumReducer)),
+    generate: datagen::ratings_corpus,
+};
 
 /// HS map function: average the record's ratings, emit `<bin, 1>`.
 pub struct HistmoviesMapper;
@@ -69,30 +67,6 @@ impl Mapper for HistmoviesMapper {
             let bin = (avg2 - 2).clamp(0, 8);
             out.emit(format!("bin{bin}").as_bytes(), b"1");
         }
-    }
-}
-
-impl App for Histmovies {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(HistmoviesMapper)
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        Some(Box::new(IntSumCombiner))
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(IntSumReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::ratings_corpus(records, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        HS_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        Some(INT_SUM_COMBINER_C)
     }
 }
 
@@ -138,32 +112,30 @@ int main()
 // ---------------------------------------------------------------- HR ----
 
 /// Histratings: bins every individual rating.
-pub struct Histratings {
-    spec: AppSpec,
-}
-
-impl Default for Histratings {
-    fn default() -> Self {
-        Histratings {
-            spec: AppSpec {
-                name: "Histratings",
-                code: "HR",
-                pct_map_combine: 92,
-                intensiveness: Intensiveness::Compute,
-                has_combiner: true,
-                map_only: false,
-                key_len: 8,
-                val_len: 8,
-                ro_bytes: 0,
-                reduce_tasks: (5, 5),
-                map_tasks: (4800, Some(2560)),
-                input_gb: (591.0, Some(160.0)),
-                // The ratings generator's maximum per-record review count.
-                kvpairs_per_record: 64,
-            },
-        }
-    }
-}
+pub(crate) const HR: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Histratings",
+        code: "HR",
+        pct_map_combine: 92,
+        intensiveness: Intensiveness::Compute,
+        has_combiner: true,
+        map_only: false,
+        key_len: 8,
+        val_len: 8,
+        ro_bytes: 0,
+        reduce_tasks: (5, 5),
+        map_tasks: (4800, Some(2560)),
+        input_gb: (591.0, Some(160.0)),
+        // The ratings generator's maximum per-record review count.
+        kvpairs_per_record: 64,
+    },
+    mapper_c: HR_MAPPER_C,
+    combiner_c: Some(INT_SUM_COMBINER_C),
+    twin_mapper: || Box::new(HistratingsMapper),
+    twin_combiner: Some(|| Box::new(IntSumCombiner)),
+    reducer: Some(|| Box::new(IntSumReducer)),
+    generate: datagen::ratings_corpus,
+};
 
 /// HR map function: `<rating, 1>` per rating.
 pub struct HistratingsMapper;
@@ -177,30 +149,6 @@ impl Mapper for HistratingsMapper {
                 return;
             }
         }
-    }
-}
-
-impl App for Histratings {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(HistratingsMapper)
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        Some(Box::new(IntSumCombiner))
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(IntSumReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::ratings_corpus(records, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        HR_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        Some(INT_SUM_COMBINER_C)
     }
 }
 
@@ -237,16 +185,7 @@ int main()
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, _: OpCount) {}
-        fn read_ro(&mut self, _: u64) {}
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn parse_ratings_extracts_values() {
@@ -258,31 +197,31 @@ mod tests {
 
     #[test]
     fn histmovies_bins_average() {
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         HistmoviesMapper.map(b"1:4,4,4", &mut out); // avg 4.0 -> bin 6
-        assert_eq!(out.0, vec![(b"bin6".to_vec(), b"1".to_vec())]);
-        let mut out2 = VecEmit(Vec::new());
+        assert_eq!(out.pairs, vec![(b"bin6".to_vec(), b"1".to_vec())]);
+        let mut out2 = VecEmit::default();
         HistmoviesMapper.map(b"2:1,1", &mut out2); // avg 1.0 -> bin 0
-        assert_eq!(out2.0[0].0, b"bin0");
+        assert_eq!(out2.pairs[0].0, b"bin0");
     }
 
     #[test]
     fn histratings_bins_each_rating() {
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         HistratingsMapper.map(b"9:5,5,2", &mut out);
-        assert_eq!(out.0.len(), 3);
-        assert_eq!(out.0[0].0, b"r5");
-        assert_eq!(out.0[2].0, b"r2");
+        assert_eq!(out.pairs.len(), 3);
+        assert_eq!(out.pairs[0].0, b"r5");
+        assert_eq!(out.pairs[2].0, b"r2");
     }
 
     #[test]
     fn hr_emits_more_than_hs_per_record() {
         // The reason HR is the more compute-intensive benchmark.
         let rec = b"3:4,5,3,2,1,4,4";
-        let mut hs = VecEmit(Vec::new());
+        let mut hs = VecEmit::default();
         HistmoviesMapper.map(rec, &mut hs);
-        let mut hr = VecEmit(Vec::new());
+        let mut hr = VecEmit::default();
         HistratingsMapper.map(rec, &mut hr);
-        assert!(hr.0.len() > 5 * hs.0.len());
+        assert!(hr.pairs.len() > 5 * hs.pairs.len());
     }
 }

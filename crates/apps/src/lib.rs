@@ -2,15 +2,18 @@
 //!
 //! The eight benchmarks of the HeteroDoop evaluation (Table 2) — Grep,
 //! Histmovies, Wordcount, Histratings, Linear Regression, Kmeans,
-//! Classification, and BlackScholes — each available as
+//! Classification, and BlackScholes — as one table ([`registry`]). A row
+//! holds, side by side,
 //!
-//! * a **native** [`Mapper`](hetero_runtime::Mapper)/combiner/reducer
-//!   implementation executed by the runtime's CPU and GPU paths, and
-//! * an **annotated mini-C source** (Listing-1/2 style) consumed by the
-//!   `hetero-cc` directive compiler,
+//! * the **annotated mini-C sources** (Listing-1/2 style) consumed by the
+//!   `hetero-cc` directive compiler, and
+//! * their hand-written Rust **twin**: a
+//!   [`Mapper`](hetero_runtime::Mapper)/combiner/reducer the runtime's
+//!   CPU and GPU paths execute directly,
 //!
-//! plus synthetic workload generators ([`datagen`]) standing in for the
-//! PUMA datasets.
+//! plus the row's Table 2 metadata and its synthetic workload generator
+//! ([`datagen`], standing in for the PUMA datasets). [`App`] is how the
+//! rest of the workspace sees a row.
 
 #![warn(missing_docs)]
 

@@ -16,7 +16,7 @@
 use crate::common::*;
 use crate::datagen;
 use crate::hist::parse_ratings;
-use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount, Reducer};
+use hetero_runtime::types::{Emit, Mapper, OpCount, Reducer};
 
 /// Number of cluster rating profiles.
 pub const SIM_K: usize = 48;
@@ -80,57 +80,37 @@ fn classify(record: &[u8], profs: &[f64], out: &mut dyn Emit) -> Option<(usize, 
     Some((best, ratings))
 }
 
-fn ml_spec(
-    name: &'static str,
-    code: &'static str,
-    pct: u32,
-    reduce: (u32, u32),
-    map_tasks: (u32, Option<u32>),
-    input_gb: (f64, Option<f64>),
-    val_len: usize,
-) -> AppSpec {
-    AppSpec {
-        name,
-        code,
-        pct_map_combine: pct,
+// ---------------------------------------------------------------- KM ----
+
+/// One iteration of Lloyd-style clustering over rating histories.
+pub(crate) const KM: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Kmeans",
+        code: "KM",
+        pct_map_combine: 89,
         intensiveness: Intensiveness::Compute,
         has_combiner: false,
         map_only: false,
         key_len: 8,
-        val_len,
+        val_len: 24,
         ro_bytes: (SIM_K * 8) as u64,
-        reduce_tasks: reduce,
-        map_tasks,
-        input_gb,
+        reduce_tasks: (16, 16),
+        // Table 2: KM does not run on Cluster2 (GPU memory exceeded).
+        map_tasks: (4800, None),
+        input_gb: (923.0, None),
         kvpairs_per_record: 1,
-    }
-}
-
-// ---------------------------------------------------------------- KM ----
-
-/// One iteration of Lloyd-style clustering over rating histories.
-pub struct Kmeans {
-    spec: AppSpec,
-    profiles: Vec<f64>,
-}
-
-impl Default for Kmeans {
-    fn default() -> Self {
-        Kmeans {
-            // Table 2: KM does not run on Cluster2 (GPU memory exceeded).
-            spec: ml_spec(
-                "Kmeans",
-                "KM",
-                89,
-                (16, 16),
-                (4800, None),
-                (923.0, None),
-                24,
-            ),
+    },
+    mapper_c: KM_MAPPER_C,
+    combiner_c: None,
+    twin_mapper: || {
+        Box::new(KmeansMapper {
             profiles: profiles(),
-        }
-    }
-}
+        })
+    },
+    twin_combiner: None,
+    reducer: Some(|| Box::new(KmeansReducer)),
+    generate: |records, seed| datagen::ratings_corpus_scaled(records, RATING_SCALE, seed),
+};
 
 /// KM map function: emit `<cluster, "sum count">` partials.
 pub struct KmeansMapper {
@@ -165,32 +145,6 @@ impl Reducer for KmeansReducer {
         if count > 0 {
             out(key, format!("{:.4}", sum as f64 / count as f64).as_bytes());
         }
-    }
-}
-
-impl App for Kmeans {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(KmeansMapper {
-            profiles: self.profiles.clone(),
-        })
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        None
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(KmeansReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::ratings_corpus_scaled(records, RATING_SCALE, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        KM_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        None
     }
 }
 
@@ -247,27 +201,33 @@ int main()
 // ---------------------------------------------------------------- CL ----
 
 /// Classification: one-pass assignment of rating histories to profiles.
-pub struct Classification {
-    spec: AppSpec,
-    profiles: Vec<f64>,
-}
-
-impl Default for Classification {
-    fn default() -> Self {
-        Classification {
-            spec: ml_spec(
-                "Classification",
-                "CL",
-                92,
-                (16, 16),
-                (4800, Some(3200)),
-                (923.0, Some(72.0)),
-                16,
-            ),
+pub(crate) const CL: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Classification",
+        code: "CL",
+        pct_map_combine: 92,
+        intensiveness: Intensiveness::Compute,
+        has_combiner: false,
+        map_only: false,
+        key_len: 8,
+        val_len: 16,
+        ro_bytes: (SIM_K * 8) as u64,
+        reduce_tasks: (16, 16),
+        map_tasks: (4800, Some(3200)),
+        input_gb: (923.0, Some(72.0)),
+        kvpairs_per_record: 1,
+    },
+    mapper_c: CL_MAPPER_C,
+    combiner_c: None,
+    twin_mapper: || {
+        Box::new(ClassificationMapper {
             profiles: profiles(),
-        }
-    }
-}
+        })
+    },
+    twin_combiner: None,
+    reducer: None,
+    generate: |records, seed| datagen::ratings_corpus_scaled(records, RATING_SCALE, seed),
+};
 
 /// CL map function: emit `<cluster, movieId>`.
 pub struct ClassificationMapper {
@@ -280,32 +240,6 @@ impl Mapper for ClassificationMapper {
         if let Some((best, _)) = classify(record, &self.profiles, out) {
             out.emit(format!("c{best:02}").as_bytes(), &id);
         }
-    }
-}
-
-impl App for Classification {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(ClassificationMapper {
-            profiles: self.profiles.clone(),
-        })
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        None
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        None
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::ratings_corpus_scaled(records, RATING_SCALE, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        CL_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        None
     }
 }
 
@@ -357,18 +291,7 @@ int main()
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>, u64);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, _: OpCount) {}
-        fn read_ro(&mut self, b: u64) {
-            self.1 += b;
-        }
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn nearest_profile_picks_matching_mean() {
@@ -384,25 +307,23 @@ mod tests {
 
     #[test]
     fn km_mapper_emits_sum_and_count() {
-        let km = Kmeans::default();
-        let m = km.mapper();
-        let mut out = VecEmit(Vec::new(), 0);
+        let m = KM.mapper();
+        let mut out = VecEmit::default();
         m.map(b"7:4,4,4,4", &mut out);
-        assert_eq!(out.0.len(), 1);
-        let val = String::from_utf8(out.0[0].1.clone()).unwrap();
+        assert_eq!(out.pairs.len(), 1);
+        let val = String::from_utf8(out.pairs[0].1.clone()).unwrap();
         assert_eq!(val, "16 4");
-        assert!(out.1 > 0, "must read the profile table via read_ro");
+        assert!(out.ro_bytes > 0, "must read the profile table via read_ro");
     }
 
     #[test]
     fn cl_mapper_emits_movie_id() {
-        let cl = Classification::default();
-        let m = cl.mapper();
-        let mut out = VecEmit(Vec::new(), 0);
+        let m = CL.mapper();
+        let mut out = VecEmit::default();
         m.map(b"42:1,1,1", &mut out);
-        assert_eq!(out.0.len(), 1);
-        assert_eq!(out.0[0].0, b"c00"); // all-ones -> profile 0
-        assert_eq!(out.0[0].1, b"42");
+        assert_eq!(out.pairs.len(), 1);
+        assert_eq!(out.pairs[0].0, b"c00"); // all-ones -> profile 0
+        assert_eq!(out.pairs[0].1, b"42");
     }
 
     #[test]
@@ -418,15 +339,13 @@ mod tests {
 
     #[test]
     fn km_not_runnable_on_cluster2() {
-        let km = Kmeans::default();
-        assert!(km.spec().map_tasks.1.is_none());
-        assert!(km.spec().input_gb.1.is_none());
+        assert!(KM.spec().map_tasks.1.is_none());
+        assert!(KM.spec().input_gb.1.is_none());
     }
 
     #[test]
     fn clustering_corpus_has_long_skewed_records() {
-        let km = Kmeans::default();
-        let split = km.generate_split(300, 11);
+        let split = KM.generate_split(300, 11);
         let lens: Vec<usize> = split
             .split(|&b| b == b'\n')
             .filter(|l| !l.is_empty())
@@ -444,13 +363,12 @@ mod tests {
 
     #[test]
     fn every_record_classified() {
-        let cl = Classification::default();
-        let split = cl.generate_split(100, 12);
-        let m = cl.mapper();
-        let mut out = VecEmit(Vec::new(), 0);
+        let split = CL.generate_split(100, 12);
+        let m = CL.mapper();
+        let mut out = VecEmit::default();
         for line in split.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
             m.map(line, &mut out);
         }
-        assert_eq!(out.0.len(), 100);
+        assert_eq!(out.pairs.len(), 100);
     }
 }

@@ -1,33 +1,38 @@
 //! Registry of the eight paper benchmarks (Table 2), keyed by the
 //! paper's two-letter codes.
 
-use crate::common::App;
-use crate::hist::{Histmovies, Histratings};
-use crate::ml::{Classification, Kmeans};
-use crate::sci::{BlackScholes, LinearRegression};
-use crate::text::{Grep, Wordcount};
+use crate::common::{App, Benchmark};
+use crate::{hist, ml, sci, text};
 
 /// The paper's benchmark codes, in Table 2 order.
 pub const CODES: [&str; 8] = ["GR", "HS", "WC", "HR", "LR", "KM", "CL", "BS"];
 
+/// The benchmark table, in Table 2 order.
+const TABLE: [Benchmark; 8] = [
+    text::GR,
+    hist::HS,
+    text::WC,
+    hist::HR,
+    sci::LR,
+    ml::KM,
+    ml::CL,
+    sci::BS,
+];
+
 /// Construct every benchmark, in Table 2 order.
 pub fn all_apps() -> Vec<Box<dyn App>> {
-    CODES.iter().map(|c| app_by_code(c).unwrap()).collect()
+    TABLE
+        .into_iter()
+        .map(|b| Box::new(b) as Box<dyn App>)
+        .collect()
 }
 
 /// Construct a benchmark by its paper code.
 pub fn app_by_code(code: &str) -> Option<Box<dyn App>> {
-    Some(match code {
-        "GR" => Box::new(Grep::default()) as Box<dyn App>,
-        "HS" => Box::new(Histmovies::default()),
-        "WC" => Box::new(Wordcount::default()),
-        "HR" => Box::new(Histratings::default()),
-        "LR" => Box::new(LinearRegression::default()),
-        "KM" => Box::new(Kmeans::default()),
-        "CL" => Box::new(Classification::default()),
-        "BS" => Box::new(BlackScholes::default()),
-        _ => return None,
-    })
+    TABLE
+        .into_iter()
+        .find(|b| b.spec.code == code)
+        .map(|b| Box::new(b) as Box<dyn App>)
 }
 
 /// Render Table 2 ("Description of the Benchmarks Used") from the specs.
@@ -131,24 +136,15 @@ mod tests {
 
     #[test]
     fn every_mapper_emits_something_on_generated_data() {
-        use hetero_runtime::types::{Emit, OpCount};
-        struct CountEmit(usize);
-        impl Emit for CountEmit {
-            fn emit(&mut self, _: &[u8], _: &[u8]) -> bool {
-                self.0 += 1;
-                true
-            }
-            fn charge(&mut self, _: OpCount) {}
-            fn read_ro(&mut self, _: u64) {}
-        }
+        use hetero_runtime::types::VecEmit;
         for app in all_apps() {
             let split = app.generate_split(30, 7);
             let m = app.mapper();
-            let mut out = CountEmit(0);
+            let mut out = VecEmit::default();
             for line in split.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
                 m.map(line, &mut out);
             }
-            assert!(out.0 > 0, "{} emitted nothing", app.spec().code);
+            assert!(!out.pairs.is_empty(), "{} emitted nothing", app.spec().code);
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::common::*;
 use crate::datagen;
-use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount, Reducer};
+use hetero_runtime::types::{Emit, Mapper, OpCount};
 
 /// Regressors per row (paper §7.1: 12 regressors, 32 rows per file).
 pub const REGRESSORS: usize = 12;
@@ -13,31 +13,29 @@ pub const REGRESSORS: usize = 12;
 /// Linear regression via normal-equation partial sums: the mapper emits
 /// `<bi, x_i*y>` and `<aij, x_i*x_j>` partials; combiner and reducer sum
 /// them.
-pub struct LinearRegression {
-    spec: AppSpec,
-}
-
-impl Default for LinearRegression {
-    fn default() -> Self {
-        LinearRegression {
-            spec: AppSpec {
-                name: "Linear Regression",
-                code: "LR",
-                pct_map_combine: 86,
-                intensiveness: Intensiveness::Compute,
-                has_combiner: true,
-                map_only: false,
-                key_len: 8,
-                val_len: 16,
-                ro_bytes: 0,
-                reduce_tasks: (16, 16),
-                map_tasks: (2560, Some(3840)),
-                input_gb: (714.0, Some(356.0)),
-                kvpairs_per_record: REGRESSORS + REGRESSORS * (REGRESSORS + 1) / 2,
-            },
-        }
-    }
-}
+pub(crate) const LR: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Linear Regression",
+        code: "LR",
+        pct_map_combine: 86,
+        intensiveness: Intensiveness::Compute,
+        has_combiner: true,
+        map_only: false,
+        key_len: 8,
+        val_len: 16,
+        ro_bytes: 0,
+        reduce_tasks: (16, 16),
+        map_tasks: (2560, Some(3840)),
+        input_gb: (714.0, Some(356.0)),
+        kvpairs_per_record: REGRESSORS + REGRESSORS * (REGRESSORS + 1) / 2,
+    },
+    mapper_c: LR_MAPPER_C,
+    combiner_c: Some(FLOAT_SUM_COMBINER_C),
+    twin_mapper: || Box::new(LinRegMapper),
+    twin_combiner: Some(|| Box::new(FloatSumCombiner)),
+    reducer: Some(|| Box::new(FloatSumReducer)),
+    generate: |rows, seed| datagen::regression_corpus(rows, REGRESSORS, seed),
+};
 
 /// LR map function.
 pub struct LinRegMapper;
@@ -86,30 +84,6 @@ impl Mapper for LinRegMapper {
     }
 }
 
-impl App for LinearRegression {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(LinRegMapper)
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        Some(Box::new(FloatSumCombiner))
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(FloatSumReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::regression_corpus(records, REGRESSORS, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        LR_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        Some(FLOAT_SUM_COMBINER_C)
-    }
-}
-
 /// LR mapper in annotated C (emits the X'y partials; the X'X triangle is
 /// emitted the same way and omitted here for brevity of the generated
 /// kernel used in teaching examples).
@@ -153,31 +127,29 @@ int main()
 pub const BS_ITERATIONS: usize = 128;
 
 /// BlackScholes option pricing — map-only (0 reduce tasks, Table 2).
-pub struct BlackScholes {
-    spec: AppSpec,
-}
-
-impl Default for BlackScholes {
-    fn default() -> Self {
-        BlackScholes {
-            spec: AppSpec {
-                name: "BlackScholes",
-                code: "BS",
-                pct_map_combine: 100,
-                intensiveness: Intensiveness::Compute,
-                has_combiner: false,
-                map_only: true,
-                key_len: 12,
-                val_len: 24,
-                ro_bytes: 0,
-                reduce_tasks: (0, 0),
-                map_tasks: (3600, Some(5120)),
-                input_gb: (890.0, Some(210.0)),
-                kvpairs_per_record: 1,
-            },
-        }
-    }
-}
+pub(crate) const BS: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "BlackScholes",
+        code: "BS",
+        pct_map_combine: 100,
+        intensiveness: Intensiveness::Compute,
+        has_combiner: false,
+        map_only: true,
+        key_len: 12,
+        val_len: 24,
+        ro_bytes: 0,
+        reduce_tasks: (0, 0),
+        map_tasks: (3600, Some(5120)),
+        input_gb: (890.0, Some(210.0)),
+        kvpairs_per_record: 1,
+    },
+    mapper_c: BS_MAPPER_C,
+    combiner_c: None,
+    twin_mapper: || Box::new(BlackScholesMapper),
+    twin_combiner: None,
+    reducer: None,
+    generate: datagen::options_corpus,
+};
 
 /// Standard normal CDF via erf.
 pub fn norm_cdf(x: f64) -> f64 {
@@ -242,30 +214,6 @@ impl Mapper for BlackScholesMapper {
     }
 }
 
-impl App for BlackScholes {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(BlackScholesMapper)
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        None
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        None
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::options_corpus(records, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        BS_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        None
-    }
-}
-
 /// BS mapper in annotated C.
 pub const BS_MAPPER_C: &str = r#"
 double normCdf(double x) {
@@ -310,16 +258,7 @@ int main()
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, _: OpCount) {}
-        fn read_ro(&mut self, _: u64) {}
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn bs_call_reference_point() {
@@ -331,34 +270,32 @@ mod tests {
 
     #[test]
     fn bs_mapper_prices_each_option_once() {
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         BlackScholesMapper.map(b"3 100.00 100.00 0.0500 0.200 1.00", &mut out);
-        assert_eq!(out.0.len(), 1);
-        assert_eq!(out.0[0].0, b"opt000003");
-        let price: f64 = String::from_utf8_lossy(&out.0[0].1).parse().unwrap();
+        assert_eq!(out.pairs.len(), 1);
+        assert_eq!(out.pairs[0].0, b"opt000003");
+        let price: f64 = String::from_utf8_lossy(&out.pairs[0].1).parse().unwrap();
         // Volatility sweep averages slightly above the base price.
         assert!(price > 10.0 && price < 11.5, "got {price}");
     }
 
     #[test]
     fn lr_mapper_emits_all_partials() {
-        let lr = LinearRegression::default();
-        let split = lr.generate_split(1, 3);
+        let split = LR.generate_split(1, 3);
         let line = split.split(|&b| b == b'\n').next().unwrap();
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         LinRegMapper.map(line, &mut out);
         // 12 b-partials + 78 upper-triangle a-partials.
-        assert_eq!(out.0.len(), 12 + 78);
-        assert!(out.0[0].0.starts_with(b"b"));
-        assert!(out.0[12].0.starts_with(b"a"));
+        assert_eq!(out.pairs.len(), 12 + 78);
+        assert!(out.pairs[0].0.starts_with(b"b"));
+        assert!(out.pairs[12].0.starts_with(b"a"));
     }
 
     #[test]
     fn lr_partials_match_direct_sums_exactly() {
         // The emitted partials, summed, must equal sums computed
         // directly from the raw rows (up to the %.6f formatting).
-        let lr = LinearRegression::default();
-        let split = lr.generate_split(500, 9);
+        let split = LR.generate_split(500, 9);
         let mut bsum = [0.0f64; REGRESSORS];
         let mut direct = [0.0f64; REGRESSORS];
         for line in split.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
@@ -370,9 +307,9 @@ mod tests {
             for i in 0..REGRESSORS {
                 direct[i] += vals[i] * vals[REGRESSORS];
             }
-            let mut out = VecEmit(Vec::new());
+            let mut out = VecEmit::default();
             LinRegMapper.map(line, &mut out);
-            for (k, v) in out.0 {
+            for (k, v) in out.pairs {
                 let key = String::from_utf8(k).unwrap();
                 let val: f64 = String::from_utf8_lossy(&v).parse().unwrap();
                 if let Some(i) = key.strip_prefix('b').and_then(|s| s.parse::<usize>().ok()) {
@@ -392,11 +329,10 @@ mod tests {
 
     #[test]
     fn bs_is_map_only_with_zero_reducers() {
-        let bs = BlackScholes::default();
-        assert!(bs.spec().map_only);
-        assert_eq!(bs.spec().reduce_tasks, (0, 0));
-        assert!(bs.combiner().is_none());
-        assert!(bs.reducer().is_none());
+        assert!(BS.spec().map_only);
+        assert_eq!(BS.spec().reduce_tasks, (0, 0));
+        assert!(BS.combiner().is_none());
+        assert!(BS.reducer().is_none());
     }
 
     #[test]

@@ -2,36 +2,34 @@
 
 use crate::common::*;
 use crate::datagen;
-use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount, Reducer};
+use hetero_runtime::types::{Emit, Mapper, OpCount};
 
 // ---------------------------------------------------------------- WC ----
 
 /// Wordcount: counts occurrences of every word (paper Listings 1 and 2).
-pub struct Wordcount {
-    spec: AppSpec,
-}
-
-impl Default for Wordcount {
-    fn default() -> Self {
-        Wordcount {
-            spec: AppSpec {
-                name: "Wordcount",
-                code: "WC",
-                pct_map_combine: 91,
-                intensiveness: Intensiveness::Io,
-                has_combiner: true,
-                map_only: false,
-                key_len: 30,
-                val_len: 8,
-                ro_bytes: 0,
-                reduce_tasks: (48, 32),
-                map_tasks: (5760, Some(1024)),
-                input_gb: (844.0, Some(151.0)),
-                kvpairs_per_record: 12,
-            },
-        }
-    }
-}
+pub(crate) const WC: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Wordcount",
+        code: "WC",
+        pct_map_combine: 91,
+        intensiveness: Intensiveness::Io,
+        has_combiner: true,
+        map_only: false,
+        key_len: 30,
+        val_len: 8,
+        ro_bytes: 0,
+        reduce_tasks: (48, 32),
+        map_tasks: (5760, Some(1024)),
+        input_gb: (844.0, Some(151.0)),
+        kvpairs_per_record: 12,
+    },
+    mapper_c: WC_MAPPER_C,
+    combiner_c: Some(INT_SUM_COMBINER_C),
+    twin_mapper: || Box::new(WcMapper),
+    twin_combiner: Some(|| Box::new(IntSumCombiner)),
+    reducer: Some(|| Box::new(IntSumReducer)),
+    generate: datagen::text_corpus,
+};
 
 /// The WC map function: one `<word, 1>` per word.
 pub struct WcMapper;
@@ -45,30 +43,6 @@ impl Mapper for WcMapper {
                 return;
             }
         }
-    }
-}
-
-impl App for Wordcount {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(WcMapper)
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        Some(Box::new(IntSumCombiner))
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(IntSumReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::text_corpus(records, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        WC_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        Some(INT_SUM_COMBINER_C)
     }
 }
 
@@ -98,35 +72,31 @@ int main()
 
 // ---------------------------------------------------------------- GR ----
 
-/// Grep: emits `<pattern, 1>` per line containing the pattern.
-pub struct Grep {
-    spec: AppSpec,
-    /// Search pattern (the PUMA default searches a fixed literal).
-    pub pattern: &'static str,
-}
-
-impl Default for Grep {
-    fn default() -> Self {
-        Grep {
-            spec: AppSpec {
-                name: "Grep",
-                code: "GR",
-                pct_map_combine: 69,
-                intensiveness: Intensiveness::Io,
-                has_combiner: true,
-                map_only: false,
-                key_len: 30,
-                val_len: 8,
-                ro_bytes: 0,
-                reduce_tasks: (16, 16),
-                map_tasks: (7632, Some(2880)),
-                input_gb: (902.0, Some(340.0)),
-                kvpairs_per_record: 1,
-            },
-            pattern: "the",
-        }
-    }
-}
+/// Grep: emits `<pattern, 1>` per line containing the pattern (the PUMA
+/// default searches a fixed literal).
+pub(crate) const GR: Benchmark = Benchmark {
+    spec: AppSpec {
+        name: "Grep",
+        code: "GR",
+        pct_map_combine: 69,
+        intensiveness: Intensiveness::Io,
+        has_combiner: true,
+        map_only: false,
+        key_len: 30,
+        val_len: 8,
+        ro_bytes: 0,
+        reduce_tasks: (16, 16),
+        map_tasks: (7632, Some(2880)),
+        input_gb: (902.0, Some(340.0)),
+        kvpairs_per_record: 1,
+    },
+    mapper_c: GR_MAPPER_C,
+    combiner_c: Some(INT_SUM_COMBINER_C),
+    twin_mapper: || Box::new(GrepMapper { pattern: "the" }),
+    twin_combiner: Some(|| Box::new(IntSumCombiner)),
+    reducer: Some(|| Box::new(IntSumReducer)),
+    generate: datagen::text_corpus,
+};
 
 /// The GR map function.
 pub struct GrepMapper {
@@ -142,32 +112,6 @@ impl Mapper for GrepMapper {
         if hit {
             out.emit(pat, b"1");
         }
-    }
-}
-
-impl App for Grep {
-    fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-    fn mapper(&self) -> Box<dyn Mapper> {
-        Box::new(GrepMapper {
-            pattern: self.pattern,
-        })
-    }
-    fn combiner(&self) -> Option<Box<dyn Combiner>> {
-        Some(Box::new(IntSumCombiner))
-    }
-    fn reducer(&self) -> Option<Box<dyn Reducer>> {
-        Some(Box::new(IntSumReducer))
-    }
-    fn generate_split(&self, records: usize, seed: u64) -> Vec<u8> {
-        datagen::text_corpus(records, seed)
-    }
-    fn mapper_source(&self) -> &'static str {
-        GR_MAPPER_C
-    }
-    fn combiner_source(&self) -> Option<&'static str> {
-        Some(INT_SUM_COMBINER_C)
     }
 }
 
@@ -197,57 +141,44 @@ int main()
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, _: OpCount) {}
-        fn read_ro(&mut self, _: u64) {}
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn wc_mapper_emits_every_word() {
-        let mut out = VecEmit(Vec::new());
+        let mut out = VecEmit::default();
         WcMapper.map(b"the quick the", &mut out);
-        assert_eq!(out.0.len(), 3);
-        assert_eq!(out.0[0].0, b"the");
-        assert_eq!(out.0[1].0, b"quick");
+        assert_eq!(out.pairs.len(), 3);
+        assert_eq!(out.pairs[0].0, b"the");
+        assert_eq!(out.pairs[1].0, b"quick");
     }
 
     #[test]
     fn grep_mapper_hits_and_misses() {
-        let g = Grep::default();
-        let m = g.mapper();
-        let mut hit = VecEmit(Vec::new());
+        let m = GR.mapper();
+        let mut hit = VecEmit::default();
         m.map(b"over the lazy dog", &mut hit);
-        assert_eq!(hit.0.len(), 1);
-        let mut miss = VecEmit(Vec::new());
+        assert_eq!(hit.pairs.len(), 1);
+        let mut miss = VecEmit::default();
         m.map(b"quick brown fox", &mut miss);
-        assert!(miss.0.is_empty());
+        assert!(miss.pairs.is_empty());
     }
 
     #[test]
     fn specs_match_table2() {
-        let wc = Wordcount::default();
-        assert_eq!(wc.spec().reduce_tasks, (48, 32));
-        assert_eq!(wc.spec().map_tasks.0, 5760);
-        let gr = Grep::default();
-        assert_eq!(gr.spec().pct_map_combine, 69);
-        assert!(gr.spec().has_combiner);
+        assert_eq!(WC.spec().reduce_tasks, (48, 32));
+        assert_eq!(WC.spec().map_tasks.0, 5760);
+        assert_eq!(GR.spec().pct_map_combine, 69);
+        assert!(GR.spec().has_combiner);
     }
 
     #[test]
     fn generated_split_contains_pattern() {
-        let g = Grep::default();
-        let split = g.generate_split(200, 9);
-        let m = g.mapper();
-        let mut out = VecEmit(Vec::new());
+        let split = GR.generate_split(200, 9);
+        let m = GR.mapper();
+        let mut out = VecEmit::default();
         for line in split.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
             m.map(line, &mut out);
         }
-        assert!(!out.0.is_empty(), "zipf text should contain 'the'");
+        assert!(!out.pairs.is_empty(), "zipf text should contain 'the'");
     }
 }

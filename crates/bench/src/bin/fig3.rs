@@ -1,6 +1,6 @@
 //! Regenerates Fig. 3: GPU-first vs tail scheduling on the paper's
 //! worked example — 19 tasks, one 6x GPU, two CPU slots.
-use hetero_cluster::{simulate, ClusterConfig, FaultPlan, JobSpec, Scheduler, TraceConfig};
+use hetero_cluster::{simulate, ClusterConfig, FaultPlan, JobSpec, Scheduler};
 
 fn cfg(s: Scheduler) -> ClusterConfig {
     ClusterConfig {
@@ -19,7 +19,6 @@ fn cfg(s: Scheduler) -> ClusterConfig {
         heartbeat_timeout_s: 3.0,
         jobtracker_recovery_s: 2.0,
         faults: FaultPlan::none(),
-        trace: TraceConfig::default(),
     }
 }
 

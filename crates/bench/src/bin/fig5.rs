@@ -5,11 +5,10 @@
 //! independent measurements (8 apps × 2 flag sets) fan across the worker
 //! pool. `results/fig5.json` — including every simulated cycle count and
 //! device counter — is byte-identical at any thread count.
-use hetero_bench::Args;
+use hetero_bench::{write_artifact, Args};
 use hetero_runtime::OptFlags;
-use hetero_trace::json::{self, Json};
+use hetero_trace::json::Json;
 use heterodoop::{measure_task, Preset, TaskMeasurement};
-use std::fs;
 
 fn row_json(code: &str, base: &TaskMeasurement, opt: &TaskMeasurement) -> Json {
     let counters = |m: &TaskMeasurement| {
@@ -36,7 +35,7 @@ fn main() {
     let p = Preset::cluster1();
     let pool = Args::from_env(&[]).pool();
     println!("Fig. 5 — Speedup of a single GPU task over a CPU task (Cluster1)");
-    println!("[{} worker thread(s)]", pool.threads());
+    eprintln!("[{} worker thread(s)]", pool.threads());
     println!(
         "{:<6}{:>12}{:>14}{:>10}",
         "app", "baseline", "+optimized", "opt gain"
@@ -69,9 +68,6 @@ fn main() {
         );
         rows.push(row_json(code, base, opt));
     }
-    fs::create_dir_all("results").expect("results dir");
-    let json = json::write(&Json::Arr(rows));
-    fs::write("results/fig5.json", &json).expect("write fig5.json");
-    println!("wrote results/fig5.json ({} bytes)", json.len());
+    write_artifact("fig5.json", true, &Json::Arr(rows));
     println!("(paper: 2x..47x, increasing GR<HS<WC<HR<KM<CL<LR<BS; optimizations matter most for GR, KM, CL, LR)");
 }

@@ -10,7 +10,7 @@ fn main() {
     let p = Preset::cluster1();
     let pool = Args::from_env(&[]).pool();
     println!("Fig. 6 — Execution time breakdown of a GPU task (% of task time)");
-    println!("[{} worker thread(s)]", pool.threads());
+    eprintln!("[{} worker thread(s)]", pool.threads());
     println!(
         "{:<6}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}",
         "app", "input", "reccnt", "map", "agg", "sort", "combine", "output"

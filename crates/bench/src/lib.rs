@@ -112,14 +112,15 @@ pub fn artifact_path(name: &str, full: bool) -> PathBuf {
 }
 
 /// Write `value` to [`artifact_path`]`(name, full)` in `json::write`'s
-/// layout, creating the directory.
+/// layout, creating the directory. The notice goes to stderr: it is run
+/// status, and the figure bins' stdout is pinned to `results/*.txt`.
 pub fn write_artifact(name: &str, full: bool, value: &Json) {
     let path = artifact_path(name, full);
     let dir = path.parent().expect("artifact_path has a directory");
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
     std::fs::write(&path, json::write(value))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+    eprintln!("wrote {}", path.display());
 }
 
 /// Host core count, stamped on every wall-clock artifact.

@@ -1,7 +1,8 @@
 //! The bench bins' command-line contract, checked on the built bins: an
 //! unknown flag is a usage error (exit 2, nothing run, nothing written);
-//! a reduced mode writes only under `target/results/`; and the `micro`
-//! block of EXPERIMENTS.md is `micro --markdown results/micro.json`.
+//! a reduced mode writes only under `target/results/`; the `micro` block
+//! of EXPERIMENTS.md is `micro --markdown results/micro.json`; and each
+//! tracked `results/<bin>.txt` is that table or figure bin's stdout.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -84,6 +85,50 @@ fn a_reduced_mode_writes_only_under_target_results() {
     let mut expected: Vec<&str> = driven.iter().map(|(_, _, name)| *name).collect();
     expected.sort();
     assert_eq!(entries(&cwd.join("target/results")), expected);
+}
+
+/// The tracked tables and figures are what the bins print: a capture
+/// that drifts from its bin (or a change that moves a figure) fails here.
+/// `scripts/bench.sh` rewrites all ten.
+#[test]
+fn tracked_captures_are_the_bins_stdout() {
+    // Unoptimized, the six measuring figures take minutes: a debug test
+    // run drives the four instant bins, a `cargo test --release` run all
+    // ten.
+    let all = [
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+        ("table3", env!("CARGO_BIN_EXE_table3")),
+        ("fig3", env!("CARGO_BIN_EXE_fig3")),
+        ("fig4a", env!("CARGO_BIN_EXE_fig4a")),
+        ("fig4b", env!("CARGO_BIN_EXE_fig4b")),
+        ("fig5", env!("CARGO_BIN_EXE_fig5")),
+        ("fig6", env!("CARGO_BIN_EXE_fig6")),
+        ("fig7", env!("CARGO_BIN_EXE_fig7")),
+        ("ablation", env!("CARGO_BIN_EXE_ablation")),
+    ];
+    let driven = if cfg!(debug_assertions) {
+        &all[..4]
+    } else {
+        &all[..]
+    };
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let cwd = scratch("captures");
+    for (name, exe) in driven {
+        let out = run(exe, &[], &cwd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+        let tracked = std::fs::read(results.join(format!("{name}.txt"))).unwrap();
+        assert!(
+            out.stdout == tracked,
+            "results/{name}.txt is not `{name}`'s stdout — scripts/bench.sh rewrites it:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    // `fig5` also leaves its JSON twin, which must be the tracked one.
+    if let Ok(json) = std::fs::read(cwd.join("results/fig5.json")) {
+        assert!(json == std::fs::read(results.join("fig5.json")).unwrap());
+    }
 }
 
 /// EXPERIMENTS.md quotes the committed record by construction: editing

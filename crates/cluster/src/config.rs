@@ -286,17 +286,6 @@ impl FaultPlan {
     }
 }
 
-/// Observability knobs for a simulated run. The tracer is the switch:
-/// [`crate::sim::simulate_traced`] records into a live `Tracer` and
-/// nothing into `Tracer::off()` (what [`crate::sim::simulate`] passes);
-/// either way the schedule is identical — tracing is pure observation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Also record one instant per TaskTracker heartbeat. Off by default:
-    /// heartbeats dominate event counts on long runs.
-    pub heartbeats: bool,
-}
-
 /// Static cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -338,8 +327,6 @@ pub struct ClusterConfig {
     pub jobtracker_recovery_s: f64,
     /// Injected faults (empty = perfect cluster).
     pub faults: FaultPlan,
-    /// Observability: event tracing for this run (all off by default).
-    pub trace: TraceConfig,
 }
 
 impl ClusterConfig {
@@ -361,7 +348,6 @@ impl ClusterConfig {
             heartbeat_timeout_s: 3.0,
             jobtracker_recovery_s: 2.0,
             faults: FaultPlan::none(),
-            trace: TraceConfig::default(),
         }
     }
 

@@ -22,7 +22,7 @@ pub mod service;
 pub mod sim;
 pub mod stats;
 
-pub use config::{ClusterConfig, ConfigError, FaultPlan, FaultPlanError, Scheduler, TraceConfig};
+pub use config::{ClusterConfig, ConfigError, FaultPlan, FaultPlanError, Scheduler};
 pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
 pub use journal::{Journal, JtRecord, RecoveredState};
 pub use reference::{simulate_reference, simulate_reference_traced};
@@ -31,5 +31,5 @@ pub use service::{
     JobOutcome, JobRequest, Rejection, ServiceConfig, ServiceStats, TenantSlo, TenantSpec,
     WorkloadConfig,
 };
-pub use sim::{simulate, simulate_hooked, simulate_traced, ExecHook};
+pub use sim::{simulate, simulate_traced};
 pub use stats::{Device, JobStats, Outcome, TaskRecord};

@@ -36,7 +36,7 @@ pub fn simulate_reference(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
 /// `tracer` — the byte-level comparison target for the indexed
 /// scheduler's trace output.
 pub fn simulate_reference_traced(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
-    run::<ScanIndex>(cfg, job, tracer, None)
+    run::<ScanIndex>(cfg, job, tracer)
 }
 
 /// [`SchedIndex`] by full scans of the [`Tables`].

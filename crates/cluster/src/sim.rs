@@ -457,18 +457,6 @@ fn fault_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Control-plane → data-plane bridge: the DES calls this as the schedule
-/// unfolds so a functional executor can mirror the *simulated* placement
-/// with *real* task execution (see `heterodoop::cluster_exec`).
-pub trait ExecHook {
-    /// A map task's winning attempt completed on `device` of `node` at
-    /// simulated time `time_s`. A task can complete more than once: when
-    /// a node loss invalidates a finished map, the re-execution reports a
-    /// new winner — implementations should treat the *last* call per task
-    /// as authoritative.
-    fn map_completed(&mut self, task: u32, node: u32, device: Device, time_s: f64);
-}
-
 struct Sim<'a, I> {
     t: Tables<'a>,
     ix: I,
@@ -511,7 +499,6 @@ struct Sim<'a, I> {
     tracer: &'a Tracer,
     /// `tracer.is_enabled()`, cached.
     trace_on: bool,
-    hook: Option<&'a mut dyn ExecHook>,
 }
 
 /// Run `job` on a cluster described by `cfg`; returns the job statistics.
@@ -523,30 +510,12 @@ pub fn simulate(cfg: &ClusterConfig, job: &JobSpec) -> JobStats {
 /// (nothing when it is `Tracer::off()`); either way the schedule is
 /// identical to an untraced run.
 pub fn simulate_traced(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
-    run::<Indexed>(cfg, job, tracer, None)
-}
-
-/// [`simulate_traced`] with an [`ExecHook`] observing winning map
-/// completions. The hook is observation-only: the schedule, stats and
-/// trace are identical to an unhooked run.
-pub fn simulate_hooked(
-    cfg: &ClusterConfig,
-    job: &JobSpec,
-    tracer: &Tracer,
-    hook: &mut dyn ExecHook,
-) -> JobStats {
-    run::<Indexed>(cfg, job, tracer, Some(hook))
+    run::<Indexed>(cfg, job, tracer)
 }
 
 /// Run the event loop over index `I`.
-pub(crate) fn run<'a, I: SchedIndex>(
-    cfg: &'a ClusterConfig,
-    job: &'a JobSpec,
-    tracer: &'a Tracer,
-    hook: Option<&'a mut dyn ExecHook>,
-) -> JobStats {
+pub(crate) fn run<I: SchedIndex>(cfg: &ClusterConfig, job: &JobSpec, tracer: &Tracer) -> JobStats {
     let mut sim = Sim::<I>::new(cfg, job, tracer);
-    sim.hook = hook;
     sim.run();
     sim.stats
 }
@@ -598,7 +567,6 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             stats,
             tracer,
             trace_on: tracer.is_enabled(),
-            hook: None,
         };
         sim.trace_name_lanes();
 
@@ -882,9 +850,6 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             self.trace_node_instant(Category::Partition, "heartbeat dropped", n);
         } else if !self.jt_down {
             self.t.nodes[ni].last_heartbeat = self.now;
-            if self.trace_on && cfg.trace.heartbeats {
-                self.trace_node_instant(Category::Heartbeat, "heartbeat", n);
-            }
             if self.t.nodes[ni].dead_declared {
                 // A blacklisted tracker proved it is alive: the partition
                 // healed (or the loss streak ended). Re-admit it.
@@ -1286,9 +1251,6 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         self.ix.task_won(task, n);
         self.maps_done += 1;
         self.last_map_done_t = self.now;
-        if let Some(h) = self.hook.as_mut() {
-            h.map_completed(task, n, device, self.now);
-        }
         self.kill_losers(task, aidx);
         let samples = match device {
             Device::Cpu => &mut self.t.nodes[ni].cpu_samples,
@@ -1849,9 +1811,9 @@ mod tests {
         let cfg = fig3_cluster(Scheduler::TailScheduling);
         let job = fig3_job();
         let tracer = Tracer::off();
-        let scan = run::<ScanIndex>(&cfg, &job, &tracer, None).fingerprint();
-        let indexed = run::<Indexed>(&cfg, &job, &tracer, None).fingerprint();
-        let lying = run::<FifoPick>(&cfg, &job, &tracer, None).fingerprint();
+        let scan = run::<ScanIndex>(&cfg, &job, &tracer).fingerprint();
+        let indexed = run::<Indexed>(&cfg, &job, &tracer).fingerprint();
+        let lying = run::<FifoPick>(&cfg, &job, &tracer).fingerprint();
         assert_eq!(indexed, scan);
         assert_ne!(lying, scan, "a wrong pick went unnoticed");
     }
@@ -2179,12 +2141,10 @@ mod tests {
         );
         assert_eq!(untraced.makespan_s, traced.makespan_s);
         assert_eq!(untraced.map_phase_s, traced.map_phase_s);
-        // The tracer is the only switch: a disabled one records nothing,
-        // per-heartbeat instants included, and changes nothing.
-        let mut cfg_beats = cfg.clone();
-        cfg_beats.trace.heartbeats = true;
+        // The tracer is the only switch: a disabled one records nothing
+        // and changes nothing.
         let off = Tracer::off();
-        let silent = simulate_traced(&cfg_beats, &job, &off);
+        let silent = simulate_traced(&cfg, &job, &off);
         assert!(off.is_empty());
         assert_eq!(silent.makespan_s, untraced.makespan_s);
     }

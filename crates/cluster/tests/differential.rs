@@ -12,7 +12,7 @@
 
 use hetero_cluster::{
     simulate, simulate_reference, simulate_reference_traced, simulate_traced, ClusterConfig,
-    FaultPlan, JobSpec, JobStats, MapTaskSpec, ReduceTaskSpec, Scheduler, TraceConfig,
+    FaultPlan, JobSpec, JobStats, MapTaskSpec, ReduceTaskSpec, Scheduler,
 };
 use hetero_hdfs::NodeId;
 use hetero_trace::Tracer;
@@ -168,12 +168,10 @@ fn check(cfg: &ClusterConfig, job: &JobSpec, ctx: &str) {
     let b = simulate_reference(cfg, job);
     assert_stats_identical(&a, &b, ctx);
 
-    let mut traced = cfg.clone();
-    traced.trace = TraceConfig { heartbeats: true };
     let ta = Tracer::new();
     let tb = Tracer::new();
-    let sa = simulate_traced(&traced, job, &ta);
-    let sb = simulate_reference_traced(&traced, job, &tb);
+    let sa = simulate_traced(cfg, job, &ta);
+    let sb = simulate_reference_traced(cfg, job, &tb);
     assert_stats_identical(&sa, &sb, &format!("{ctx} (traced)"));
     // Tracing must also not perturb the schedule itself.
     assert_stats_identical(&a, &sa, &format!("{ctx} (traced vs untraced)"));

@@ -6,7 +6,7 @@
 //! This closes the control-plane/data-plane loop: `hetero-cluster` alone
 //! schedules opaque durations, `run_functional_job` alone uses a fixed
 //! modulo placement. Here the placement comes out of the simulated
-//! schedule (through [`hetero_cluster::ExecHook`]) and the data plane
+//! schedule (each task's winning attempt in [`JobStats::tasks`]) and the data plane
 //! reproduces it, so experiments can ask "what would this cluster
 //! actually have computed, and on which devices?"
 
@@ -14,7 +14,7 @@ use crate::job_runner::{run_functional_job_placed, FunctionalJob};
 use crate::parallel::ParallelRunner;
 use crate::presets::Preset;
 use hetero_apps::App;
-use hetero_cluster::{simulate_hooked, ClusterConfig, ExecHook, JobSpec, JobStats};
+use hetero_cluster::{simulate, ClusterConfig, JobSpec, JobStats};
 use hetero_gpusim::{Device, GpuError};
 use hetero_hdfs::{Hdfs, Topology};
 use hetero_runtime::OptFlags;
@@ -25,27 +25,6 @@ use hetero_trace::Tracer;
 /// computes real results and real simulated task times.
 const NOMINAL_CPU_S: f64 = 8.0;
 const NOMINAL_GPU_S: f64 = 2.0;
-
-/// Remembers, per map task, whether the attempt that won in the DES ran
-/// on a GPU. Re-executions (a node loss invalidating a finished map)
-/// overwrite: the last winner is the placement.
-struct PlacementRecorder {
-    gpu: Vec<bool>,
-    completions: usize,
-}
-
-impl ExecHook for PlacementRecorder {
-    fn map_completed(
-        &mut self,
-        task: u32,
-        _node: u32,
-        device: hetero_cluster::Device,
-        _time_s: f64,
-    ) {
-        self.gpu[task as usize] = matches!(device, hetero_cluster::Device::Gpu);
-        self.completions += 1;
-    }
-}
 
 /// Outcome of a cluster-driven functional job.
 #[derive(Debug)]
@@ -91,22 +70,27 @@ pub fn run_cluster_functional_job(
         NOMINAL_CPU_S,
         NOMINAL_GPU_S,
     );
-    let mut rec = PlacementRecorder {
-        gpu: vec![false; n_maps as usize],
-        completions: 0,
-    };
-    let stats = simulate_hooked(cfg, &spec, &Tracer::off(), &mut rec);
-    debug_assert!(
-        rec.completions >= n_maps as usize,
-        "DES must complete every map at least once"
+    let stats = simulate(cfg, &spec);
+    // A task's placement is the device of its last winning attempt. A
+    // re-execution (node loss invalidating a finished map) starts after
+    // the winner it replaces finished, so record order is completion
+    // order and the last `Success` overwrites.
+    debug_assert_eq!(
+        stats.completed_maps(),
+        n_maps as usize,
+        "DES must complete every map"
     );
+    let mut gpu_placed = vec![false; n_maps as usize];
+    for r in stats.tasks.iter().filter(|r| r.succeeded()) {
+        gpu_placed[r.id as usize] = r.device == hetero_cluster::Device::Gpu;
+    }
 
-    let place = |i: usize| rec.gpu[i];
+    let place = |i: usize| gpu_placed[i];
     let job = run_functional_job_placed(app, preset, input, &place, opts, dev, tracer, pool)?;
     Ok(ClusterFunctionalJob {
         job,
         stats,
-        gpu_placed: rec.gpu,
+        gpu_placed,
     })
 }
 

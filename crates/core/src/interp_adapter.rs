@@ -185,126 +185,16 @@ impl hetero_apps::App for CompiledApp {
 mod tests {
     use super::*;
     use hetero_apps::{app_by_code, App};
-    use std::collections::BTreeMap;
-
-    struct VecEmit(Vec<(Vec<u8>, Vec<u8>)>, OpCount);
-    impl Emit for VecEmit {
-        fn emit(&mut self, k: &[u8], v: &[u8]) -> bool {
-            self.0.push((k.to_vec(), v.to_vec()));
-            true
-        }
-        fn charge(&mut self, o: OpCount) {
-            self.1 += o;
-        }
-        fn read_ro(&mut self, _: u64) {}
-    }
-
-    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
-
-    fn run_both(app: &dyn App, records: usize, seed: u64) -> (Pairs, Pairs) {
-        let split = app.generate_split(records, seed);
-        let native = app.mapper();
-        let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
-        let interp = CompiledKernel::new(&compiled);
-        let mut a = VecEmit(Vec::new(), OpCount::default());
-        let mut b = VecEmit(Vec::new(), OpCount::default());
-        for line in split.split(|&x| x == b'\n').filter(|l| !l.is_empty()) {
-            native.map(line, &mut a);
-            interp.map(line, &mut b);
-        }
-        (a.0, b.0)
-    }
-
-    fn histo(kvs: &[(Vec<u8>, Vec<u8>)]) -> BTreeMap<Vec<u8>, usize> {
-        let mut m = BTreeMap::new();
-        for (k, _) in kvs {
-            *m.entry(k.clone()).or_insert(0) += 1;
-        }
-        m
-    }
-
-    #[test]
-    fn interpreted_wc_mapper_matches_native() {
-        let app = app_by_code("WC").unwrap();
-        let (native, interp) = run_both(app.as_ref(), 60, 5);
-        assert_eq!(
-            native, interp,
-            "WC native and interpreted KV streams differ"
-        );
-    }
-
-    #[test]
-    fn interpreted_grep_mapper_matches_native() {
-        let app = app_by_code("GR").unwrap();
-        let (native, interp) = run_both(app.as_ref(), 80, 6);
-        assert_eq!(native, interp);
-    }
-
-    #[test]
-    fn interpreted_hr_mapper_matches_native_key_histogram() {
-        let app = app_by_code("HR").unwrap();
-        let (native, interp) = run_both(app.as_ref(), 50, 7);
-        assert_eq!(histo(&native), histo(&interp));
-    }
-
-    #[test]
-    fn interpreted_cl_mapper_assigns_same_centroids() {
-        let app = app_by_code("CL").unwrap();
-        let (native, interp) = run_both(app.as_ref(), 40, 8);
-        assert_eq!(native.len(), interp.len());
-        // Same centroid keys in the same order.
-        let nk: Vec<&Vec<u8>> = native.iter().map(|(k, _)| k).collect();
-        let ik: Vec<&Vec<u8>> = interp.iter().map(|(k, _)| k).collect();
-        assert_eq!(nk, ik);
-    }
-
-    #[test]
-    fn interpreted_bs_prices_match_native_within_formatting() {
-        let app = app_by_code("BS").unwrap();
-        let (native, interp) = run_both(app.as_ref(), 20, 9);
-        assert_eq!(native.len(), interp.len());
-        for ((nk, nv), (ik, iv)) in native.iter().zip(&interp) {
-            // Keys differ only by zero padding (opt000003 vs 3).
-            let nkey = String::from_utf8_lossy(nk);
-            let ikey = String::from_utf8_lossy(ik);
-            assert_eq!(
-                nkey.trim_start_matches("opt").trim_start_matches('0'),
-                ikey.trim_start_matches("opt").trim_start_matches('0'),
-                "key mismatch"
-            );
-            let np: f64 = String::from_utf8_lossy(nv).parse().unwrap();
-            let ip: f64 = String::from_utf8_lossy(iv).parse().unwrap();
-            assert!((np - ip).abs() < 1e-3, "price mismatch: {np} vs {ip}");
-        }
-    }
-
-    #[test]
-    fn interpreted_combiner_matches_native() {
-        use hetero_apps::common::IntSumCombiner;
-        let run: Vec<(&[u8], &[u8])> = vec![
-            (b"apple", b"2"),
-            (b"apple", b"3"),
-            (b"pear", b"1"),
-            (b"plum", b"4"),
-            (b"plum", b"1"),
-        ];
-        let compiled = hetero_cc::compile(hetero_apps::common::INT_SUM_COMBINER_C).unwrap();
-        let ic = CompiledKernel::new(&compiled);
-        let mut a = VecEmit(Vec::new(), OpCount::default());
-        let mut b = VecEmit(Vec::new(), OpCount::default());
-        IntSumCombiner.combine(&run, &mut a);
-        ic.combine(&run, &mut b);
-        assert_eq!(a.0, b.0);
-    }
+    use hetero_runtime::types::VecEmit;
 
     #[test]
     fn interp_charges_cost() {
         let app = app_by_code("WC").unwrap();
         let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
         let m = CompiledKernel::new(&compiled);
-        let mut out = VecEmit(Vec::new(), OpCount::default());
+        let mut out = VecEmit::default();
         m.map(b"hello world again", &mut out);
-        assert!(out.1.alu > 0, "interpreted map must charge ops");
+        assert!(out.ops.alu > 0, "interpreted map must charge ops");
     }
 
     #[test]
@@ -316,14 +206,14 @@ mod tests {
         let mn = CompiledKernel::with_backend_mode(&compiled, BackendKind::Native, on);
         assert_eq!(mi.backend_name(), "interp");
         assert_eq!(mn.backend_name(), "native");
-        let mut a = VecEmit(Vec::new(), OpCount::default());
-        let mut b = VecEmit(Vec::new(), OpCount::default());
+        let mut a = VecEmit::default();
+        let mut b = VecEmit::default();
         for rec in [&b"hello world hello"[..], b"a b c", b"", b"  spaced  out "] {
             mi.map(rec, &mut a);
             mn.map(rec, &mut b);
         }
-        assert_eq!(a.0, b.0, "emitted KV streams must match");
-        assert_eq!(a.1, b.1, "charged costs must be identical");
+        assert_eq!(a.pairs, b.pairs, "emitted KV streams must match");
+        assert_eq!(a.ops, b.ops, "charged costs must be identical");
     }
 
     #[test]
@@ -342,11 +232,14 @@ mod tests {
             // The compiled mapper must actually emit on generated data.
             let split = capp.generate_split(30, 11);
             let m = capp.mapper();
-            let mut out = VecEmit(Vec::new(), OpCount::default());
+            let mut out = VecEmit::default();
             for line in split.split(|&x| x == b'\n').filter(|l| !l.is_empty()) {
                 m.map(line, &mut out);
             }
-            assert!(!out.0.is_empty(), "{code}: compiled mapper emitted nothing");
+            assert!(
+                !out.pairs.is_empty(),
+                "{code}: compiled mapper emitted nothing"
+            );
         }
     }
 }

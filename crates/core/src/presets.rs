@@ -1,6 +1,6 @@
 //! The two evaluation platforms of the paper's Table 3.
 
-use hetero_cluster::{ClusterConfig, FaultPlan, Scheduler, TraceConfig};
+use hetero_cluster::{ClusterConfig, FaultPlan, Scheduler};
 use hetero_gpusim::GpuSpec;
 use hetero_runtime::cpu::CpuCostModel;
 use hetero_runtime::TaskEnv;
@@ -46,7 +46,6 @@ impl Preset {
                 heartbeat_timeout_s: 3.0,
                 jobtracker_recovery_s: 2.0,
                 faults: FaultPlan::none(),
-                trace: TraceConfig::default(),
             },
             gpu: GpuSpec::tesla_k40(),
             env: TaskEnv::disk(),
@@ -77,7 +76,6 @@ impl Preset {
                 heartbeat_timeout_s: 3.0,
                 jobtracker_recovery_s: 2.0,
                 faults: FaultPlan::none(),
-                trace: TraceConfig::default(),
             },
             gpu: GpuSpec::tesla_m2090(),
             env: TaskEnv::in_memory(),

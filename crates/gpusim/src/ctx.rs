@@ -369,11 +369,6 @@ impl<'a> BlockCtx<'a> {
         max_cycles
     }
 
-    /// Charge raw compute cycles to the block (for pre-folded costs).
-    pub fn charge_cycles(&mut self, cycles: f64) {
-        self.fold_round(cycles);
-    }
-
     /// Memory-pipe cycles implied by the counters accumulated so far.
     pub(crate) fn memory_cycles(&self) -> f64 {
         self.counters.global_txns() * self.spec.costs.global_txn_cycles

@@ -6,33 +6,7 @@ use crate::ctx::{BlockCtx, TexBinding};
 use crate::error::GpuError;
 use crate::mem::{DevPtr, MemTracker};
 use crate::spec::GpuSpec;
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Grid/block geometry for a kernel launch, mirroring the paper's `blocks`
-/// and `threads` clauses (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchConfig {
-    /// Number of threadblocks in the grid.
-    pub blocks: u32,
-    /// Threads per threadblock.
-    pub threads_per_block: u32,
-}
-
-impl LaunchConfig {
-    /// Convenience constructor.
-    pub fn new(blocks: u32, threads_per_block: u32) -> Self {
-        LaunchConfig {
-            blocks,
-            threads_per_block,
-        }
-    }
-
-    /// Total threads in the grid.
-    pub fn total_threads(&self) -> u64 {
-        self.blocks as u64 * self.threads_per_block as u64
-    }
-}
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One entry in the device's optional kernel log: a named launch (or
 /// memcpy) with its start time on the device clock and full stats.
@@ -92,6 +66,13 @@ pub struct Device {
 }
 
 impl Device {
+    /// Lock the device state. Every critical section in this file is a
+    /// few field updates with no call that can panic (kernel bodies run
+    /// outside the lock), so the mutex is never poisoned.
+    fn st(&self) -> MutexGuard<'_, DevState> {
+        self.state.lock().expect("device state lock poisoned")
+    }
+
     /// Create a device from a hardware spec.
     pub fn new(spec: GpuSpec) -> Self {
         let mem = MemTracker::new(spec.global_mem_bytes);
@@ -118,7 +99,7 @@ impl Device {
     /// never share mutable device state. Fold a finished fork back with
     /// [`Device::merge_from`].
     pub fn fork(&self) -> Device {
-        let st = self.state.lock();
+        let st = self.st();
         Device {
             spec: self.spec.clone(),
             state: Mutex::new(DevState {
@@ -146,8 +127,8 @@ impl Device {
             !std::ptr::eq(self, child),
             "cannot merge a device into itself"
         );
-        let mut c = child.state.lock();
-        let mut st = self.state.lock();
+        let mut c = child.st();
+        let mut st = self.st();
         st.totals += c.totals;
         st.kernels_launched += c.kernels_launched;
         st.h2d_bytes += c.h2d_bytes;
@@ -175,17 +156,17 @@ impl Device {
     /// cudaMalloc: reserve `bytes` of device memory.
     pub fn alloc(&self, bytes: u64) -> Result<DevPtr, GpuError> {
         self.check_fault()?;
-        self.state.lock().mem.alloc(bytes)
+        self.st().mem.alloc(bytes)
     }
 
     /// cudaFree.
     pub fn free(&self, ptr: DevPtr) -> Result<(), GpuError> {
-        self.state.lock().mem.free(ptr)
+        self.st().mem.free(ptr)
     }
 
     /// Free all allocations and texture bindings (end-of-task cleanup).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         st.mem.free_all();
         Arc::make_mut(&mut st.tex_sizes).clear();
     }
@@ -193,18 +174,18 @@ impl Device {
     /// Free device memory in bytes — what the host driver grabs for the
     /// global KV store when no `kvpairs` hint exists (paper §4.3).
     pub fn available(&self) -> u64 {
-        self.state.lock().mem.available()
+        self.st().mem.available()
     }
 
     /// Bytes currently allocated on the device.
     pub fn used(&self) -> u64 {
-        self.state.lock().mem.used()
+        self.st().mem.used()
     }
 
     /// cudaBindTexture: register a read-only footprint of `bytes` with the
     /// texture unit (Algorithm 1, lines 11–15).
     pub fn bind_texture(&self, bytes: u64) -> TexBinding {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         Arc::make_mut(&mut st.tex_sizes).push(bytes);
         TexBinding((st.tex_sizes.len() - 1) as u32)
     }
@@ -222,7 +203,7 @@ impl Device {
 
     fn memcpy(&self, name: &'static str, bytes: u64, to_device: bool) -> Result<f64, GpuError> {
         let t = self.spec.pcie_transfer_seconds(bytes);
-        let mut st = self.state.lock();
+        let mut st = self.st();
         if let Some(msg) = &st.fault {
             return Err(GpuError::DeviceFault(msg.clone()));
         }
@@ -255,7 +236,7 @@ impl Device {
     /// retrievable with [`Device::take_kernel_log`]. Off by default — the
     /// log is pure observability and never affects timing.
     pub fn enable_kernel_log(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         if st.kernel_log.is_none() {
             st.kernel_log = Some(Vec::new());
         }
@@ -266,13 +247,13 @@ impl Device {
     /// log this way for tracing, leaving the entries in place for
     /// [`Device::merge_from`] to move onto the parent's clock.
     pub fn kernel_log_snapshot(&self) -> Vec<KernelLogEntry> {
-        self.state.lock().kernel_log.clone().unwrap_or_default()
+        self.st().kernel_log.clone().unwrap_or_default()
     }
 
     /// Drain and return the accumulated kernel log (empty if logging was
     /// never enabled). Logging stays enabled once turned on.
     pub fn take_kernel_log(&self) -> Vec<KernelLogEntry> {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         match st.kernel_log.as_mut() {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
@@ -283,7 +264,7 @@ impl Device {
     /// [`Device::revive`] — exercising the paper's GPU-driver fault
     /// tolerance (§5.1).
     pub fn inject_fault(&self, reason: impl Into<String>) {
-        self.state.lock().fault = Some(reason.into());
+        self.st().fault = Some(reason.into());
     }
 
     /// Arm a delayed fault: the next `ops` transfers/launches succeed and
@@ -292,7 +273,7 @@ impl Device {
     /// kernels already executed — the scenario where attempt rollback
     /// matters.
     pub fn inject_fault_after(&self, ops: u64, reason: impl Into<String>) {
-        self.state.lock().fault_fuse = Some((ops, reason.into()));
+        self.st().fault_fuse = Some((ops, reason.into()));
     }
 
     fn spend_fuse(st: &mut DevState) -> Result<(), GpuError> {
@@ -312,14 +293,14 @@ impl Device {
     /// Clear an injected fault (the driver "revives" the GPU); also
     /// disarms a pending [`Device::inject_fault_after`] fuse.
     pub fn revive(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         st.fault = None;
         st.fault_fuse = None;
     }
 
     /// Snapshot the device accounting at the start of a task attempt.
     pub fn begin_attempt(&self) -> AttemptMark {
-        let st = self.state.lock();
+        let st = self.st();
         AttemptMark {
             totals: st.totals,
             kernels_launched: st.kernels_launched,
@@ -337,7 +318,7 @@ impl Device {
     /// bindings and allocations. A retried task then accounts exactly
     /// like a clean first run.
     pub fn rollback_attempt(&self, mark: &AttemptMark) {
-        let mut st = self.state.lock();
+        let mut st = self.st();
         st.totals = mark.totals;
         st.kernels_launched = mark.kernels_launched;
         st.sim_time_s = mark.sim_time_s;
@@ -352,11 +333,11 @@ impl Device {
 
     /// Whether the device currently has an injected fault.
     pub fn is_faulted(&self) -> bool {
-        self.state.lock().fault.is_some()
+        self.st().fault.is_some()
     }
 
     fn check_fault(&self) -> Result<(), GpuError> {
-        match &self.state.lock().fault {
+        match &self.st().fault {
             Some(msg) => Err(GpuError::DeviceFault(msg.clone())),
             None => Ok(()),
         }
@@ -401,7 +382,7 @@ impl Device {
         F: FnMut(&mut BlockCtx<'_>, T) -> Result<(), GpuError>,
     {
         {
-            let mut st = self.state.lock();
+            let mut st = self.st();
             if let Some(msg) = &st.fault {
                 return Err(GpuError::DeviceFault(msg.clone()));
             }
@@ -419,7 +400,7 @@ impl Device {
         let blocks = payloads.len() as u32;
         // Refcount bump, not a Vec clone: the launch keeps this snapshot
         // alive even if a concurrent bind copy-on-writes a new one.
-        let tex_sizes = Arc::clone(&self.state.lock().tex_sizes);
+        let tex_sizes = Arc::clone(&self.st().tex_sizes);
 
         let per_block: Vec<Result<(f64, f64, Counters), GpuError>> = payloads
             .into_iter()
@@ -469,7 +450,7 @@ impl Device {
             threads_per_block,
             counters: totals,
         };
-        let mut st = self.state.lock();
+        let mut st = self.st();
         st.totals += totals;
         st.kernels_launched += 1;
         let start_s = st.sim_time_s;
@@ -486,23 +467,23 @@ impl Device {
 
     /// Cumulative counters across all launches on this device.
     pub fn totals(&self) -> Counters {
-        self.state.lock().totals
+        self.st().totals
     }
 
     /// Number of kernels launched so far.
     pub fn kernels_launched(&self) -> u64 {
-        self.state.lock().kernels_launched
+        self.st().kernels_launched
     }
 
     /// Total simulated time spent on this device (kernels + transfers).
     pub fn sim_time_s(&self) -> f64 {
-        self.state.lock().sim_time_s
+        self.st().sim_time_s
     }
 
     /// Cumulative PCIe traffic as `(host→device, device→host)` bytes.
     /// Failed attempts that were rolled back contribute nothing.
     pub fn transfer_bytes(&self) -> (u64, u64) {
-        let st = self.state.lock();
+        let st = self.st();
         (st.h2d_bytes, st.d2h_bytes)
     }
 }
@@ -684,21 +665,21 @@ mod tests {
         assert!(stats.counters.tex_misses > 0, "tex reads went uncounted");
         // Idle device: the state holds the only reference (the launch's
         // snapshot was a refcount bump that has since been dropped).
-        assert_eq!(Arc::strong_count(&dev.state.lock().tex_sizes), 1);
+        assert_eq!(Arc::strong_count(&dev.st().tex_sizes), 1);
         // Copy-on-write: a bind while a snapshot is outstanding must not
         // disturb the snapshot, and later binds must not keep copying.
-        let snapshot = Arc::clone(&dev.state.lock().tex_sizes);
+        let snapshot = Arc::clone(&dev.st().tex_sizes);
         dev.bind_texture(123);
         assert_eq!(snapshot.len(), 1, "outstanding snapshot was mutated");
-        assert_eq!(dev.state.lock().tex_sizes.len(), 2);
+        assert_eq!(dev.st().tex_sizes.len(), 2);
         assert_eq!(Arc::strong_count(&snapshot), 1, "state still aliases it");
         // Rollback and reset still manage bindings exactly as before.
         let mark = dev.begin_attempt();
         dev.bind_texture(55);
         dev.rollback_attempt(&mark);
-        assert_eq!(dev.state.lock().tex_sizes.len(), 2);
+        assert_eq!(dev.st().tex_sizes.len(), 2);
         dev.reset();
-        assert!(dev.state.lock().tex_sizes.is_empty());
+        assert!(dev.st().tex_sizes.is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod spec;
 
 pub use counters::{Counters, KernelStats};
 pub use ctx::{Access, BlockCtx, LaneCtx, TexBinding};
-pub use device::{AttemptMark, Device, KernelLogEntry, LaunchConfig};
+pub use device::{AttemptMark, Device, KernelLogEntry};
 pub use error::GpuError;
 pub use mem::{DevPtr, MemTracker};
 pub use spec::{Arch, CostParams, GpuSpec};

@@ -15,9 +15,8 @@
 use crate::checksum::crc32;
 use crate::error::HdfsError;
 use crate::topology::{NodeId, Topology};
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identifier of a stored block (a fileSplit is one block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,9 +59,9 @@ pub struct HdfsHealth {
 struct Inner {
     files: BTreeMap<String, Vec<BlockId>>,
     splits: HashMap<BlockId, FileSplit>,
-    /// Per-replica stored bytes. `Bytes` is Arc-backed, so healthy
-    /// replicas of one block share a single buffer.
-    data: HashMap<BlockId, HashMap<NodeId, Bytes>>,
+    /// Per-replica stored bytes; healthy replicas of one block share a
+    /// single buffer.
+    data: HashMap<BlockId, HashMap<NodeId, Arc<[u8]>>>,
     dead_nodes: HashSet<NodeId>,
     checksum_events: u64,
     re_replications: u64,
@@ -96,6 +95,18 @@ impl Hdfs {
         })
     }
 
+    /// Lock the namespace for reading. The critical sections in this
+    /// file panic only on a broken internal invariant (a listed block
+    /// without its split), never on input, so the lock is never poisoned.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().expect("namespace lock poisoned")
+    }
+
+    /// Lock the namespace for writing; see [`Hdfs::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().expect("namespace lock poisoned")
+    }
+
     /// Cluster topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -115,7 +126,7 @@ impl Hdfs {
     /// replicas on live nodes. HDFS files are write-once; rewriting a
     /// path is an error.
     pub fn put(&self, path: &str, contents: &[u8]) -> Result<Vec<FileSplit>, HdfsError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if inner.files.contains_key(path) {
             return Err(HdfsError::AlreadyExists(path.to_string()));
         }
@@ -141,7 +152,7 @@ impl Hdfs {
                 .find(|c| !inner.dead_nodes.contains(c))
                 .expect("checked above: at least one live node");
             let replicas = self.place_replicas(first, &inner.dead_nodes);
-            let bytes = Bytes::copy_from_slice(chunk);
+            let bytes: Arc<[u8]> = Arc::from(*chunk);
             let split = FileSplit {
                 id,
                 path: path.to_string(),
@@ -151,7 +162,7 @@ impl Hdfs {
                 replicas: replicas.clone(),
                 checksum: crc32(chunk),
             };
-            let copies: HashMap<NodeId, Bytes> =
+            let copies: HashMap<NodeId, Arc<[u8]>> =
                 replicas.iter().map(|&r| (r, bytes.clone())).collect();
             inner.data.insert(id, copies);
             inner.splits.insert(id, split.clone());
@@ -199,7 +210,7 @@ impl Hdfs {
 
     /// All fileSplits of a file, in order.
     pub fn splits(&self, path: &str) -> Result<Vec<FileSplit>, HdfsError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let ids = inner
             .files
             .get(path)
@@ -214,8 +225,8 @@ impl Hdfs {
     /// next one, and a successful read re-replicates the block if the
     /// replication factor degraded. Errors only when no healthy live
     /// replica remains.
-    pub fn read_block(&self, id: BlockId) -> Result<Bytes, HdfsError> {
-        let mut inner = self.inner.write();
+    pub fn read_block(&self, id: BlockId) -> Result<Arc<[u8]>, HdfsError> {
+        let mut inner = self.write();
         let split = inner
             .splits
             .get(&id)
@@ -223,7 +234,7 @@ impl Hdfs {
             .clone();
         let mut bad: Vec<NodeId> = Vec::new();
         let mut last_corrupt: Option<HdfsError> = None;
-        let mut healthy: Option<(NodeId, Bytes)> = None;
+        let mut healthy: Option<(NodeId, Arc<[u8]>)> = None;
         for (i, &r) in split.replicas.iter().enumerate() {
             if inner.dead_nodes.contains(&r) {
                 if i == 0 {
@@ -274,7 +285,7 @@ impl Hdfs {
 
     /// Restore the replication factor of `id` by copying `bytes` from
     /// `source` onto live nodes that hold no replica.
-    fn re_replicate(&self, inner: &mut Inner, id: BlockId, source: NodeId, bytes: &Bytes) {
+    fn re_replicate(&self, inner: &mut Inner, id: BlockId, source: NodeId, bytes: &Arc<[u8]>) {
         let n = self.topology.num_nodes();
         loop {
             let Some(split) = inner.splits.get(&id) else {
@@ -311,13 +322,12 @@ impl Hdfs {
 
     /// Whether the path exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.read().files.contains_key(path)
+        self.read().files.contains_key(path)
     }
 
     /// List paths with the given prefix (job output directories).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .read()
+        self.read()
             .files
             .keys()
             .filter(|p| p.starts_with(prefix))
@@ -329,17 +339,17 @@ impl Hdfs {
     /// unavailable until it is revived or the blocks re-replicate on
     /// the next verified read.
     pub fn kill_node(&self, node: NodeId) {
-        self.inner.write().dead_nodes.insert(node);
+        self.write().dead_nodes.insert(node);
     }
 
     /// Bring a node back.
     pub fn revive_node(&self, node: NodeId) {
-        self.inner.write().dead_nodes.remove(&node);
+        self.write().dead_nodes.remove(&node);
     }
 
     /// Whether a node is currently marked dead.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.inner.read().dead_nodes.contains(&node)
+        self.read().dead_nodes.contains(&node)
     }
 
     /// Corrupt one replica of a block (fault injection for checksum
@@ -347,7 +357,7 @@ impl Hdfs {
     /// others.
     pub fn corrupt_block(&self, id: BlockId) -> Result<(), HdfsError> {
         let first = {
-            let inner = self.inner.read();
+            let inner = self.read();
             let split = inner.splits.get(&id).ok_or(HdfsError::BlockMissing(id.0))?;
             *split
                 .replicas
@@ -359,7 +369,7 @@ impl Hdfs {
 
     /// Corrupt a specific replica of a block.
     pub fn corrupt_replica(&self, id: BlockId, node: NodeId) -> Result<(), HdfsError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let copies = inner
             .data
             .get_mut(&id)
@@ -371,13 +381,13 @@ impl Hdfs {
         } else {
             v[0] ^= 0xFF;
         }
-        copies.insert(node, Bytes::from(v));
+        copies.insert(node, Arc::from(v));
         Ok(())
     }
 
     /// Fault-recovery health counters.
     pub fn health(&self) -> HdfsHealth {
-        let inner = self.inner.read();
+        let inner = self.read();
         HdfsHealth {
             checksum_events: inner.checksum_events,
             re_replications: inner.re_replications,
@@ -388,8 +398,7 @@ impl Hdfs {
 
     /// Total bytes stored across every replica.
     pub fn used_bytes(&self) -> u64 {
-        self.inner
-            .read()
+        self.read()
             .data
             .values()
             .flat_map(|m| m.values())

@@ -15,8 +15,6 @@
 //! CPU streaming path both consume, guaranteeing that CPU and GPU tasks
 //! agree on record ownership.
 
-use crate::namenode::FileSplit;
-
 /// Byte range of one record (excluding the trailing newline) within the
 /// logical file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +56,6 @@ pub fn records_for_range(file: &[u8], offset: u64, len: u64) -> Vec<RecordSpan> 
         pos = end + 1;
     }
     out
-}
-
-/// Records owned by `split` of the file `file`.
-pub fn records_for_split(file: &[u8], split: &FileSplit) -> Vec<RecordSpan> {
-    records_for_range(file, split.offset, split.len)
 }
 
 /// The raw bytes a split's task must fetch: its own block plus the spill

@@ -188,38 +188,7 @@ pub fn run_combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Wordcount-style summing combiner over textual integer values.
-    pub struct SumCombiner;
-    impl Combiner for SumCombiner {
-        fn combine(&self, run: &[(&[u8], &[u8])], out: &mut dyn Emit) {
-            let mut prev: Option<Vec<u8>> = None;
-            let mut acc: i64 = 0;
-            for (k, v) in run {
-                let val: i64 = String::from_utf8_lossy(trim_key(v))
-                    .trim()
-                    .parse()
-                    .unwrap_or(0);
-                out.charge(OpCount::new(k.len() as u64 + 2, 0));
-                match &prev {
-                    Some(p) if p.as_slice() == *k => acc += val,
-                    Some(p) => {
-                        let key = p.clone();
-                        out.emit(&key, acc.to_string().as_bytes());
-                        prev = Some(k.to_vec());
-                        acc = val;
-                    }
-                    None => {
-                        prev = Some(k.to_vec());
-                        acc = val;
-                    }
-                }
-            }
-            if let Some(p) = prev {
-                out.emit(&p, acc.to_string().as_bytes());
-            }
-        }
-    }
+    use crate::fixtures::SumComb;
 
     fn sorted_store(keys: &[&str]) -> (KvStore, Vec<u32>) {
         let mut s = KvStore::new(1, keys.len().max(1), 16, 8, 1);
@@ -261,7 +230,7 @@ mod tests {
             .chain(vec!["c"; 7])
             .collect::<Vec<_>>();
         let (s, idx) = sorted_store(&keys);
-        let out = run_combine(&dev, &s, &idx, &SumCombiner, &cfg()).unwrap();
+        let out = run_combine(&dev, &s, &idx, &SumComb, &cfg()).unwrap();
         // Chunk boundaries may split a key's run (partial combining is
         // legal, §4.2) but totals must be preserved.
         let t = totals(&out.pairs);
@@ -280,7 +249,7 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(|s| s.as_str()).collect();
         let (s, idx) = sorted_store(&refs);
         let c = cfg();
-        let out = run_combine(&dev, &s, &idx, &SumCombiner, &c).unwrap();
+        let out = run_combine(&dev, &s, &idx, &SumComb, &c).unwrap();
         let total_warps = (c.blocks * c.threads_per_block / 32) as usize;
         assert!(out.pairs.len() <= 4 * total_warps + 4);
         let t = totals(&out.pairs);
@@ -297,8 +266,8 @@ mod tests {
         v.opts.vectorize_combine = true;
         let mut nv = cfg();
         nv.opts.vectorize_combine = false;
-        let a = run_combine(&dev, &s, &idx, &SumCombiner, &v).unwrap();
-        let b = run_combine(&dev, &s, &idx, &SumCombiner, &nv).unwrap();
+        let a = run_combine(&dev, &s, &idx, &SumComb, &v).unwrap();
+        let b = run_combine(&dev, &s, &idx, &SumComb, &nv).unwrap();
         assert!(
             b.stats.cycles > 1.5 * a.stats.cycles,
             "non-vectorized {} should far exceed vectorized {}",
@@ -312,7 +281,7 @@ mod tests {
     fn empty_partition_is_free() {
         let dev = Device::new(hetero_gpusim::GpuSpec::tesla_k40());
         let (s, _) = sorted_store(&[]);
-        let out = run_combine(&dev, &s, &[], &SumCombiner, &cfg()).unwrap();
+        let out = run_combine(&dev, &s, &[], &SumComb, &cfg()).unwrap();
         assert!(out.pairs.is_empty());
         assert_eq!(out.stats.cycles, 0.0);
     }
@@ -322,7 +291,7 @@ mod tests {
         let dev = Device::new(hetero_gpusim::GpuSpec::tesla_k40());
         let (s, _) = sorted_store(&["x", "x", "y"]);
         let idx = vec![0u32, 1, 2, u32::MAX, u32::MAX];
-        let out = run_combine(&dev, &s, &idx, &SumCombiner, &cfg()).unwrap();
+        let out = run_combine(&dev, &s, &idx, &SumComb, &cfg()).unwrap();
         let t = totals(&out.pairs);
         assert_eq!(t["x"], 2);
         assert_eq!(t["y"], 1);

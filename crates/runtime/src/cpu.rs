@@ -8,7 +8,7 @@
 //! single-task speedups land in the paper's reported bands (Fig. 5).
 
 use crate::task::{TaskBreakdown, TaskEnv};
-use crate::types::{default_partition, Combiner, Emit, Mapper, OpCount};
+use crate::types::{default_partition, Combiner, Mapper, VecEmit};
 
 /// Time model of one CPU core running a streaming task.
 #[derive(Debug, Clone)]
@@ -50,26 +50,6 @@ pub struct CpuTaskResult {
     pub records: usize,
 }
 
-/// Emitter that buffers pairs and accumulates op counts.
-struct CpuEmit {
-    pairs: Vec<(Vec<u8>, Vec<u8>)>,
-    ops: OpCount,
-    ro_bytes: u64,
-}
-
-impl Emit for CpuEmit {
-    fn emit(&mut self, key: &[u8], value: &[u8]) -> bool {
-        self.pairs.push((key.to_vec(), value.to_vec()));
-        true
-    }
-    fn charge(&mut self, ops: OpCount) {
-        self.ops += ops;
-    }
-    fn read_ro(&mut self, bytes: u64) {
-        self.ro_bytes += bytes;
-    }
-}
-
 /// Run the full CPU streaming task over a fileSplit.
 pub fn run_cpu_task(
     env: &TaskEnv,
@@ -86,11 +66,7 @@ pub fn run_cpu_task(
     };
 
     // --- Map phase: stream records through the map filter. ---
-    let mut em = CpuEmit {
-        pairs: Vec::new(),
-        ops: OpCount::default(),
-        ro_bytes: 0,
-    };
+    let mut em = VecEmit::default();
     let mut records = 0usize;
     for rec in split.split(|&b| b == b'\n') {
         if rec.is_empty() && records > 0 {
@@ -139,11 +115,7 @@ pub fn run_cpu_task(
                     .iter()
                     .map(|(k, v)| (k.as_slice(), v.as_slice()))
                     .collect();
-                let mut cem = CpuEmit {
-                    pairs: Vec::new(),
-                    ops: OpCount::default(),
-                    ro_bytes: 0,
-                };
+                let mut cem = VecEmit::default();
                 c.combine(&run, &mut cem);
                 let in_bytes: u64 = part.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
                 combine_time += cem.ops.alu as f64 * model.alu_s
@@ -181,52 +153,9 @@ pub fn run_cpu_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{SumComb, WcMap};
     use crate::types::trim_key;
     use std::collections::BTreeMap;
-
-    struct WcMap;
-    impl Mapper for WcMap {
-        fn map(&self, record: &[u8], out: &mut dyn Emit) {
-            for w in record
-                .split(|&b| !b.is_ascii_alphanumeric())
-                .filter(|w| !w.is_empty())
-            {
-                out.charge(OpCount::new(w.len() as u64, 0));
-                out.emit(w, b"1");
-            }
-        }
-    }
-
-    struct SumComb;
-    impl Combiner for SumComb {
-        fn combine(&self, run: &[(&[u8], &[u8])], out: &mut dyn Emit) {
-            let mut prev: Option<Vec<u8>> = None;
-            let mut acc = 0i64;
-            for (k, v) in run {
-                let val: i64 = String::from_utf8_lossy(trim_key(v))
-                    .trim()
-                    .parse()
-                    .unwrap_or(0);
-                out.charge(OpCount::new(4, 0));
-                match &prev {
-                    Some(p) if p.as_slice() == *k => acc += val,
-                    Some(p) => {
-                        let key = p.clone();
-                        out.emit(&key, acc.to_string().as_bytes());
-                        prev = Some(k.to_vec());
-                        acc = val;
-                    }
-                    None => {
-                        prev = Some(k.to_vec());
-                        acc = val;
-                    }
-                }
-            }
-            if let Some(p) = prev {
-                out.emit(&p, acc.to_string().as_bytes());
-            }
-        }
-    }
 
     fn split_text(n: usize) -> Vec<u8> {
         let mut s = Vec::new();

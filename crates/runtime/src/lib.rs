@@ -24,6 +24,8 @@
 pub mod aggregate;
 pub mod combine_kernel;
 pub mod cpu;
+#[cfg(test)]
+mod fixtures;
 pub mod kvstore;
 pub mod map_kernel;
 pub mod opts;

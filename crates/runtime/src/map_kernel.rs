@@ -336,25 +336,10 @@ pub fn run_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::WcMap;
     use crate::types::trim_key;
     use hetero_gpusim::GpuSpec;
     use std::collections::BTreeMap;
-
-    /// Wordcount mapper used across the runtime tests.
-    struct WcMap;
-    impl Mapper for WcMap {
-        fn map(&self, record: &[u8], out: &mut dyn Emit) {
-            for w in record
-                .split(|&b| !b.is_ascii_alphanumeric())
-                .filter(|w| !w.is_empty())
-            {
-                out.charge(OpCount::new(w.len() as u64, 0));
-                if !out.emit(w, b"1") {
-                    return;
-                }
-            }
-        }
-    }
 
     fn cfg() -> MapConfig {
         MapConfig {

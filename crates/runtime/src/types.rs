@@ -53,6 +53,32 @@ pub trait Emit {
     fn read_ro(&mut self, bytes: u64);
 }
 
+/// The collecting emitter: buffers every pair and accumulates the
+/// charges. The CPU task path maps and combines into one; tests use it to
+/// look at what a mapper or combiner emitted.
+#[derive(Debug, Default)]
+pub struct VecEmit {
+    /// Emitted pairs, in emission order.
+    pub pairs: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Sum of every [`Emit::charge`].
+    pub ops: OpCount,
+    /// Sum of every [`Emit::read_ro`].
+    pub ro_bytes: u64,
+}
+
+impl Emit for VecEmit {
+    fn emit(&mut self, key: &[u8], value: &[u8]) -> bool {
+        self.pairs.push((key.to_vec(), value.to_vec()));
+        true
+    }
+    fn charge(&mut self, ops: OpCount) {
+        self.ops += ops;
+    }
+    fn read_ro(&mut self, bytes: u64) {
+        self.ro_bytes += bytes;
+    }
+}
+
 /// A map function: applied to every record of a fileSplit (paper §2.2).
 pub trait Mapper: Sync + Send {
     /// Apply the elementary map operation to one record.

@@ -6,8 +6,6 @@
 pub enum Category {
     /// A map/reduce task attempt (span) or attempt-lifecycle instant.
     Task,
-    /// A TaskTracker heartbeat reaching the JobTracker.
-    Heartbeat,
     /// An injected or detected fault (crash, GPU fault, checksum, expiry).
     Fault,
     /// Speculative-execution decisions (backup launches, kills).
@@ -35,7 +33,6 @@ impl Category {
     pub fn as_str(&self) -> &'static str {
         match self {
             Category::Task => "task",
-            Category::Heartbeat => "heartbeat",
             Category::Fault => "fault",
             Category::Speculation => "speculation",
             Category::Shuffle => "shuffle",

@@ -1,7 +1,7 @@
 //! The event sink threaded through the simulators.
 
 use crate::event::{us, ArgValue, Category, EventKind, TraceEvent};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -17,7 +17,7 @@ struct Inner {
 /// Cheap to consult: every record method first checks one boolean and
 /// returns immediately when the tracer is disabled, so instrumented
 /// hot paths pay (almost) nothing when tracing is off. All mutability is
-/// interior (a `parking_lot::Mutex`), so a `&Tracer` can be threaded
+/// interior (a `Mutex`), so a `&Tracer` can be threaded
 /// through code that also holds `&mut` simulator state, and shared
 /// across the worker pool's threads.
 ///
@@ -45,6 +45,13 @@ impl Default for Tracer {
 }
 
 impl Tracer {
+    /// Lock the log. Every critical section here is a push, clone, clear
+    /// or append on plain vectors — nothing that can panic while holding
+    /// the guard — so the mutex is never poisoned.
+    fn locked(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("trace log lock poisoned")
+    }
+
     /// An enabled tracer with an empty event log.
     pub fn new() -> Self {
         Tracer {
@@ -68,7 +75,7 @@ impl Tracer {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.locked().events.len()
     }
 
     /// Whether no events have been recorded.
@@ -81,7 +88,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.inner.lock().processes.push((pid, name.into()));
+        self.locked().processes.push((pid, name.into()));
     }
 
     /// Label a thread lane within a process (a CPU slot, a GPU, …).
@@ -89,7 +96,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.inner.lock().lanes.push((pid, tid, name.into()));
+        self.locked().lanes.push((pid, tid, name.into()));
     }
 
     /// Record a complete span `[start_s, end_s]` (simulated seconds).
@@ -111,7 +118,7 @@ impl Tracer {
         }
         let ts_us = us(start_s);
         let dur_us = us(end_s.max(start_s)) - ts_us;
-        self.inner.lock().events.push(TraceEvent {
+        self.locked().events.push(TraceEvent {
             cat,
             name: name.into(),
             pid,
@@ -135,7 +142,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.inner.lock().events.push(TraceEvent {
+        self.locked().events.push(TraceEvent {
             cat,
             name: name.into(),
             pid,
@@ -148,13 +155,13 @@ impl Tracer {
 
     /// Snapshot of all recorded events, in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        self.locked().events.clone()
     }
 
     /// Drop all recorded events and lane labels (the tracer stays
     /// enabled/disabled as constructed).
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.locked();
         g.events.clear();
         g.processes.clear();
         g.lanes.clear();
@@ -163,7 +170,7 @@ impl Tracer {
     /// Export the full log in Chrome Trace Event format. See
     /// [`crate::chrome::to_chrome_json`].
     pub fn to_chrome_json(&self) -> String {
-        let g = self.inner.lock();
+        let g = self.locked();
         crate::chrome::to_chrome_json(&g.events, &g.processes, &g.lanes)
     }
 
@@ -176,8 +183,8 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let mut theirs = other.inner.lock();
-        let mut ours = self.inner.lock();
+        let mut theirs = other.locked();
+        let mut ours = self.locked();
         ours.events.append(&mut theirs.events);
         ours.processes.append(&mut theirs.processes);
         ours.lanes.append(&mut theirs.lanes);
@@ -249,8 +256,8 @@ mod tests {
     #[test]
     fn events_keep_recording_order() {
         let t = Tracer::new();
-        t.instant(Category::Heartbeat, "h1", 0, 0, 5.0, vec![]);
-        t.instant(Category::Heartbeat, "h0", 0, 0, 1.0, vec![]);
+        t.instant(Category::Task, "h1", 0, 0, 5.0, vec![]);
+        t.instant(Category::Task, "h0", 0, 0, 1.0, vec![]);
         let names: Vec<_> = t.events().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["h1", "h0"]);
         t.clear();

@@ -2,7 +2,7 @@
 //! speedups: when does forcing the tail onto the GPU pay off?
 //!
 //! Run with: `cargo run --example scheduler_study`
-use hetero_cluster::{simulate, ClusterConfig, FaultPlan, JobSpec, Scheduler, TraceConfig};
+use hetero_cluster::{simulate, ClusterConfig, FaultPlan, JobSpec, Scheduler};
 
 fn main() {
     // The paper's worked example: 19 tasks, 6x GPU, 2 CPU slots.
@@ -22,7 +22,6 @@ fn main() {
         heartbeat_timeout_s: 3.0,
         jobtracker_recovery_s: 2.0,
         faults: FaultPlan::none(),
-        trace: TraceConfig::default(),
     };
     let job = JobSpec::uniform("fig3", 19, 1, 1, 6.0, 1.0);
     let gf = simulate(&cfg(Scheduler::GpuFirst), &job);

@@ -27,14 +27,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "== kernel backend smoke (interp vs native differential + elision modes, reduced sweep)"
-# differential_gen sweeps interp-vs-native parity AND the checked-elision
-# soundness oracle (proven guards re-checked, panic on violation) over
-# the generated corpus; backend_differential pins the elide=on/checked
-# matrix bit-identical on whole jobs.
-HETERO_TESTGEN_CASES=32 cargo test -q -p hetero-cc --test differential_gen
-cargo test -q -p heterodoop --test backend_differential
-
 echo "== e2e ledger (its own tests, then all six workloads at smoke size: outputs verified, fingerprints stable)"
 # A package of its own (empty [workspace], own Cargo.lock and target/):
 # the workspace commands above do not reach it.
