@@ -1,6 +1,7 @@
 //! The wall-clock micro record: the ratios the `e2e` ledger cannot see
-//! (it times whole jobs on one engine, one index, one elision mode) and
-//! the two `hetero-runtime` primitives ROADMAP item 2 works on.
+//! (it times whole jobs on one engine, one index, one elision mode), the
+//! two `hetero-runtime` primitives ROADMAP item 4 works on and the host
+//! cost of one `hetero-gpusim` warp round.
 //!
 //! The sides of a case are timed **interleaved** — slow, fast, slow,
 //! fast … — so host drift lands on both alike. Each side's first call is
@@ -16,7 +17,7 @@ use hetero_cc::backend::ElisionMode::{self, Checked, On};
 use hetero_cc::backend::{make_backend_with_facts, KernelBackend};
 use hetero_cc::interp::StreamIo;
 use hetero_cluster::{simulate, simulate_reference, ClusterConfig, JobSpec, JobStats, Scheduler};
-use hetero_gpusim::{Device, GpuSpec};
+use hetero_gpusim::{Access, BlockCtx, Device, GpuSpec, LaneCtx};
 use hetero_runtime::{kvstore::KvStore, scan::exclusive_scan, sort::sort_partition};
 use hetero_trace::json::{self, Json};
 use std::hint::black_box;
@@ -207,6 +208,35 @@ fn scan(n: u32) -> Vec<Side> {
     vec![side("k40", move || exclusive_scan(&dev, &data).unwrap())]
 }
 
+/// 10 000 warp rounds of the `e2e` launch probe's shape (4 ALU + one
+/// coalesced 4-byte load a lane; 50 blocks × 200 rounds), charged lane
+/// by lane and as one lane class: a call's time ÷ 10⁴ is the host cost
+/// of a round. Both sides charge the same bits.
+fn warp_rounds() -> Vec<Side> {
+    fn probe(t: &mut LaneCtx<'_>) {
+        t.alu(4);
+        t.gld(4, Access::Coalesced);
+    }
+    let spelt = |name, rounds: fn(&mut BlockCtx<'_>)| {
+        let dev = Device::new(GpuSpec::tesla_k40());
+        side(name, move || {
+            dev.launch_named("micro_probe_kernel", 128, vec![(); 50], |blk, ()| {
+                (0..200).for_each(|_| rounds(blk));
+                Ok(())
+            })
+            .unwrap()
+        })
+    };
+    vec![
+        spelt("per_lane", |blk| {
+            blk.warp_round(|_, t| probe(t));
+        }),
+        spelt("lane_class", |blk| {
+            blk.uniform_rounds(1, probe);
+        }),
+    ]
+}
+
 fn main() {
     let args = Args::from_env(&["--quick", "--markdown="]);
     if let Some(file) = args.flag_value::<String>("--markdown") {
@@ -238,6 +268,7 @@ fn main() {
         ("des_1k", 5, des(large, 8.0, 1.0)),
         ("sort_10k", 40, sort(10_000)),
         ("exclusive_scan_65536", 40, scan(65_536)),
+        ("warp_round_10k", 40, warp_rounds()),
     ];
     let run = |(case, calls, sides)| entry(case, &time(if quick { 1 } else { calls }, sides));
     let doc = Json::obj().with("artifact", "micro").with("nproc", nproc());

@@ -64,6 +64,25 @@ impl Counters {
     pub fn coalesced_txns(&self) -> f64 {
         (self.global_txns() - self.random_txns()).max(0.0)
     }
+
+    /// These counts `n` times over: what `n` lanes (or warps) doing the
+    /// same thing add up to.
+    pub fn times(self, n: u64) -> Counters {
+        Counters {
+            alu_ops: self.alu_ops * n,
+            sfu_ops: self.sfu_ops * n,
+            gld_txn_milli: self.gld_txn_milli * n,
+            gst_txn_milli: self.gst_txn_milli * n,
+            shared_ops: self.shared_ops * n,
+            shared_atomics: self.shared_atomics * n,
+            global_atomics: self.global_atomics * n,
+            tex_hits: self.tex_hits * n,
+            tex_misses: self.tex_misses * n,
+            dram_bytes: self.dram_bytes * n,
+            random_txn_milli: self.random_txn_milli * n,
+            divergent_lanes: self.divergent_lanes * n,
+        }
+    }
 }
 
 impl AddAssign for Counters {
@@ -123,7 +142,9 @@ mod tests {
             random_txn_milli: 11,
             divergent_lanes: 12,
         };
+        let one = a;
         a += a;
+        assert_eq!(a, one.times(2));
         assert_eq!(a.alu_ops, 2);
         assert_eq!(a.dram_bytes, 20);
         assert_eq!(a.tex_misses, 18);

@@ -5,14 +5,21 @@
 //!
 //! Kernels execute *functionally* in plain Rust, block by block on the
 //! launching host thread. Inside a block, work is expressed in
-//! **warp rounds**: the kernel asks the [`BlockCtx`] to run a closure once
-//! per lane of a warp, and the simulator folds the 32 per-lane cycle counts
-//! into one warp-level cost using the SIMD rule
+//! **warp rounds**, and a round is a list of **lane classes**: `lanes`
+//! lanes that all do what one closure does. The closure of a class runs
+//! *once*; its event counts are added `lanes` times and the round costs
+//! the SIMD rule
 //!
 //! > warp cycles = max over lanes
 //!
 //! which captures the lockstep property that a warp only advances when its
-//! slowest lane has finished (paper §2.1). Per-block totals are then
+//! slowest lane has finished (paper §2.1). Most kernels of the runtime are
+//! one class of 32 ([`BlockCtx::uniform_rounds`]); the redundantly
+//! executed combiner is a leader and 31 followers
+//! ([`BlockCtx::round`]); a kernel whose lanes really differ asks for the
+//! closure to run per lane ([`BlockCtx::warp_round`]). Host time follows
+//! the number of *distinct* lanes, simulated cost does not change: see
+//! the exactness contract on [`ClassRound`]. Per-block totals are then
 //!
 //! * compute cycles  = Σ over warp rounds of max-lane cycles,
 //! * memory cycles   = global transactions × transaction cost,
@@ -27,7 +34,7 @@
 
 use crate::counters::Counters;
 use crate::error::GpuError;
-use crate::spec::GpuSpec;
+use crate::spec::{GpuSpec, MAX_WARP_SIZE};
 
 /// Warp-level global-memory access pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,39 +235,92 @@ impl<'a> BlockCtx<'a> {
         Ok(())
     }
 
-    /// Execute one **warp round**: `f` runs once per lane and the round
-    /// costs the warp `max(lane cycles)` — the SIMD lockstep rule. Returns
-    /// the folded warp cycles for this round.
-    pub fn warp_round<F>(&mut self, mut f: F) -> f64
+    fn lane_ctx(&self) -> LaneCtx<'a> {
+        LaneCtx {
+            lane: 0,
+            cycles: 0.0,
+            counters: Counters::default(),
+            tex_miss_accum: 0.0,
+            spec: self.spec,
+            tex_sizes: self.tex_sizes,
+        }
+    }
+
+    /// Run `f` on lanes `0..active` of one warp, each starting from zero
+    /// cycles, and merge their event counters into the block. Returns the
+    /// slowest lane's cycles; `each` sees every lane's.
+    fn run_lanes<F>(&mut self, active: u32, mut f: F, mut each: impl FnMut(u32, f64)) -> f64
     where
         F: FnMut(u32, &mut LaneCtx<'_>),
     {
+        // One context for the round: the counters are integers, so adding
+        // them to the block once is what adding them lane by lane gave.
+        let mut ctx = self.lane_ctx();
         let mut max_cycles = 0.0f64;
-        for lane in 0..self.spec.warp_size {
-            let mut ctx = LaneCtx {
-                lane,
-                cycles: 0.0,
-                counters: Counters::default(),
-                tex_miss_accum: 0.0,
-                spec: self.spec,
-                tex_sizes: self.tex_sizes,
-            };
+        for lane in 0..active {
+            ctx.lane = lane;
+            ctx.cycles = 0.0;
+            ctx.tex_miss_accum = 0.0;
             f(lane, &mut ctx);
+            each(lane, ctx.cycles);
             max_cycles = max_cycles.max(ctx.cycles);
-            self.counters += ctx.counters;
         }
-        self.fold_round(max_cycles);
+        self.counters += ctx.counters;
         max_cycles
     }
 
-    fn fold_round(&mut self, cycles: f64) {
-        self.compute_cycles += cycles;
+    /// The block's warp chains, sized to its warp count.
+    fn chains(&mut self) -> &mut [f64] {
         let w = self.num_warps().max(1) as usize;
         if self.warp_totals.len() != w {
             self.warp_totals.resize(w, 0.0);
         }
-        self.warp_totals[self.rr % w] += cycles;
+        &mut self.warp_totals
+    }
+
+    /// Fold one round of `cycles` into the block, attributed to the next
+    /// warp in round-robin order.
+    fn fold_round(&mut self, cycles: f64) {
+        self.compute_cycles += cycles;
+        let rr = self.rr;
+        let chains = self.chains();
+        chains[rr % chains.len()] += cycles;
         self.rr += 1;
+    }
+
+    /// Execute one **warp round** whose lanes differ: `f` runs once per
+    /// lane and the round costs the warp `max(lane cycles)` — the SIMD
+    /// lockstep rule. Returns the folded warp cycles for this round. When
+    /// `f` ignores its lane id, [`BlockCtx::uniform_rounds`] charges the
+    /// same for one call of it.
+    pub fn warp_round<F>(&mut self, f: F) -> f64
+    where
+        F: FnMut(u32, &mut LaneCtx<'_>),
+    {
+        let max_cycles = self.run_lanes(self.spec.warp_size, f, |_, _| {});
+        self.fold_round(max_cycles);
+        max_cycles
+    }
+
+    /// Start a round described by lane classes; see [`ClassRound`].
+    pub fn round(&mut self) -> ClassRound<'_, 'a> {
+        ClassRound {
+            blk: self,
+            max_cycles: 0.0,
+            counters: Counters::default(),
+        }
+    }
+
+    /// `warps` identical rounds in which every lane does what `f` does:
+    /// `f` runs once. Charges exactly what `warps` calls of
+    /// [`BlockCtx::warp_round`] with a lane-blind closure charge. Returns
+    /// the cycles of one round.
+    pub fn uniform_rounds<F>(&mut self, warps: u32, f: F) -> f64
+    where
+        F: FnOnce(&mut LaneCtx<'_>),
+    {
+        let lanes = self.spec.warp_size;
+        self.round().class(lanes, f).fold(warps)
     }
 
     /// Run `f` with a fresh lane context, merging its event counters into
@@ -272,14 +332,7 @@ impl<'a> BlockCtx<'a> {
     where
         F: FnOnce(&mut LaneCtx<'_>),
     {
-        let mut ctx = LaneCtx {
-            lane: 0,
-            cycles: 0.0,
-            counters: Counters::default(),
-            tex_miss_accum: 0.0,
-            spec: self.spec,
-            tex_sizes: self.tex_sizes,
-        };
+        let mut ctx = self.lane_ctx();
         f(&mut ctx);
         self.counters += ctx.counters;
         ctx.cycles
@@ -290,53 +343,31 @@ impl<'a> BlockCtx<'a> {
     /// slot throughout).
     pub fn charge_warp_chain(&mut self, w: u32, cycles: f64) {
         self.compute_cycles += cycles;
-        let n = self.num_warps().max(1) as usize;
-        if self.warp_totals.len() != n {
-            self.warp_totals.resize(n, 0.0);
-        }
-        self.warp_totals[(w as usize) % n] += cycles;
+        let chains = self.chains();
+        chains[(w as usize) % chains.len()] += cycles;
     }
 
     /// Like [`BlockCtx::warp_round`] but attributes the round to an
     /// explicit warp `w` — required when warps make uneven progress
     /// (e.g. record stealing, where fast warps take more rounds).
-    pub fn warp_round_for<F>(&mut self, w: u32, mut f: F) -> f64
+    pub fn warp_round_for<F>(&mut self, w: u32, f: F) -> f64
     where
         F: FnMut(u32, &mut LaneCtx<'_>),
     {
-        let mut max_cycles = 0.0f64;
-        let mut lane_cycles = [0.0f64; 64];
-        for lane in 0..self.spec.warp_size {
-            let mut ctx = LaneCtx {
-                lane,
-                cycles: 0.0,
-                counters: Counters::default(),
-                tex_miss_accum: 0.0,
-                spec: self.spec,
-                tex_sizes: self.tex_sizes,
-            };
-            f(lane, &mut ctx);
-            lane_cycles[(lane as usize) % 64] = ctx.cycles;
-            max_cycles = max_cycles.max(ctx.cycles);
-            self.counters += ctx.counters;
-        }
+        let mut lane_cycles = [0.0f64; MAX_WARP_SIZE as usize];
+        let lanes = self.spec.warp_size;
+        let max_cycles = self.run_lanes(lanes, f, |lane, c| lane_cycles[lane as usize] = c);
         // Lanes that finish before the slowest lane idle in SIMD
         // lockstep for the rest of the round; count them as divergent
         // (time accounting is unchanged — the round already costs
         // max-lane cycles).
         if max_cycles > 0.0 {
-            self.counters.divergent_lanes += lane_cycles
+            self.counters.divergent_lanes += lane_cycles[..lanes as usize]
                 .iter()
-                .take(self.spec.warp_size as usize)
                 .filter(|&&c| c < max_cycles)
                 .count() as u64;
         }
-        self.compute_cycles += max_cycles;
-        let n = self.num_warps().max(1) as usize;
-        if self.warp_totals.len() != n {
-            self.warp_totals.resize(n, 0.0);
-        }
-        self.warp_totals[(w as usize) % n] += max_cycles;
+        self.charge_warp_chain(w, max_cycles);
         max_cycles
     }
 
@@ -345,26 +376,13 @@ impl<'a> BlockCtx<'a> {
     /// round still costs max-lane cycles. Used for non-vectorizable
     /// sections of the combiner where a single lane per warp is active
     /// (paper §4.2).
-    pub fn warp_round_partial<F>(&mut self, active: u32, mut f: F) -> f64
+    pub fn warp_round_partial<F>(&mut self, active: u32, f: F) -> f64
     where
         F: FnMut(u32, &mut LaneCtx<'_>),
     {
         let active = active.min(self.spec.warp_size);
         self.counters.divergent_lanes += (self.spec.warp_size - active) as u64;
-        let mut max_cycles = 0.0f64;
-        for lane in 0..active {
-            let mut ctx = LaneCtx {
-                lane,
-                cycles: 0.0,
-                counters: Counters::default(),
-                tex_miss_accum: 0.0,
-                spec: self.spec,
-                tex_sizes: self.tex_sizes,
-            };
-            f(lane, &mut ctx);
-            max_cycles = max_cycles.max(ctx.cycles);
-            self.counters += ctx.counters;
-        }
+        let max_cycles = self.run_lanes(active, f, |_, _| {});
         self.fold_round(max_cycles);
         max_cycles
     }
@@ -387,14 +405,74 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// A warp round described by **lane classes** (built by
+/// [`BlockCtx::round`]): each [`ClassRound::class`] stands for `lanes`
+/// lanes that do identical work, and its closure runs once instead of
+/// once per lane.
+///
+/// # Exactness contract
+///
+/// A class round charges, bit for bit, what the per-lane spelling
+/// charges — no `f64` is multiplied or re-associated:
+///
+/// * a class's cycles are the sequence of additions one lane performs,
+///   so the round's `max` sees the same values;
+/// * event counters are integers, and `lanes × warps` of them are added
+///   by multiplication;
+/// * [`ClassRound::fold`] repeats the per-round fold (`compute_cycles +=`,
+///   round-robin warp chain `+=`) once per simulated round, in order,
+///   and never replaces it by `warps × cycles` — the M2090's 1.2-cycle
+///   shared access is not dyadic, so a closed form would round
+///   differently.
+///
+/// Lanes no class covers idle through the round uncharged.
+pub struct ClassRound<'b, 'a> {
+    blk: &'b mut BlockCtx<'a>,
+    max_cycles: f64,
+    counters: Counters,
+}
+
+impl ClassRound<'_, '_> {
+    /// Add a class: `lanes` lanes that each do what `f` does. `f` runs
+    /// now, once, on a fresh lane context (lane id 0) — or not at all for
+    /// a class of no lanes.
+    pub fn class<F>(mut self, lanes: u32, f: F) -> Self
+    where
+        F: FnOnce(&mut LaneCtx<'_>),
+    {
+        if lanes == 0 {
+            return self;
+        }
+        let mut ctx = self.blk.lane_ctx();
+        f(&mut ctx);
+        self.max_cycles = self.max_cycles.max(ctx.cycles);
+        self.counters += ctx.counters.times(lanes as u64);
+        self
+    }
+
+    /// Charge the round to the block as `warps` consecutive, identical
+    /// warp rounds. Returns the cycles of one round.
+    pub fn fold(self, warps: u32) -> f64 {
+        self.blk.counters += self.counters.times(warps as u64);
+        for _ in 0..warps {
+            self.blk.fold_round(self.max_cycles);
+        }
+        self.max_cycles
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn block<'a>(spec: &'a GpuSpec, tex: &'a [u64]) -> BlockCtx<'a> {
+        block_of(spec, tex, 64)
+    }
+
+    fn block_of<'a>(spec: &'a GpuSpec, tex: &'a [u64], threads: u32) -> BlockCtx<'a> {
         BlockCtx {
             block_idx: 0,
-            threads_per_block: 64,
+            threads_per_block: threads,
             spec,
             tex_sizes: tex,
             compute_cycles: 0.0,
@@ -518,6 +596,83 @@ mod tests {
         assert_eq!(b.counters.alu_ops, 5);
         // The other 31 lanes idled through the round: branch divergence.
         assert_eq!(b.counters.divergent_lanes, 31);
+    }
+
+    /// One lane-uniform charge, decoded from a `(kind, n)` draw. Textures:
+    /// binding 0 fits both presets' caches, binding 1 overflows both.
+    fn charge(t: &mut LaneCtx<'_>, (kind, n): (u8, u64)) {
+        const ACCESS: [Access; 3] = [Access::Coalesced, Access::Random, Access::Broadcast];
+        match kind {
+            0 => t.alu(n),
+            1 => t.sfu(n),
+            2..=4 => t.gld(n, ACCESS[kind as usize - 2]),
+            5..=7 => t.gst(n, ACCESS[kind as usize - 5]),
+            8 => t.shared(n),
+            9 => t.shared_atomic(),
+            10 => t.global_atomic(),
+            11 => t.tex(TexBinding(0), n).unwrap(),
+            _ => t.tex(TexBinding(1), n).unwrap(),
+        }
+    }
+
+    /// Everything a block's cost is made of, floats by bits.
+    fn books(b: &BlockCtx<'_>) -> (u64, Vec<u64>, u64, Counters) {
+        (
+            b.compute_cycles.to_bits(),
+            b.warp_totals.iter().map(|c| c.to_bits()).collect(),
+            b.block_cycles().to_bits(),
+            b.counters,
+        )
+    }
+
+    proptest::proptest! {
+        /// The exactness contract of [`ClassRound`]: a class round charges
+        /// the bits of the per-lane spelling it replaces — `lead` lanes
+        /// doing one op list and the rest another, folded for 1..n warps,
+        /// on both presets (the M2090's costs are not dyadic).
+        #[test]
+        fn class_round_charges_what_the_per_lane_round_charges(
+            lead_ops in proptest::collection::vec((0u8..13, 0u64..300), 0..40),
+            rest_ops in proptest::collection::vec((0u8..13, 0u64..300), 0..40),
+            lead in 0u32..=32,
+            warps in 1u32..7,
+            block_warps in 1u32..6,
+            fermi in proptest::prelude::any::<bool>(),
+        ) {
+            let spec = if fermi { GpuSpec::tesla_m2090() } else { GpuSpec::tesla_k40() };
+            let tex = [1024u64, 10 << 20];
+            let run = |t: &mut LaneCtx<'_>, ops: &[(u8, u64)]| {
+                for &op in ops {
+                    charge(t, op);
+                }
+            };
+
+            let mut per_lane = block_of(&spec, &tex, 32 * block_warps);
+            let mut classes = block_of(&spec, &tex, 32 * block_warps);
+            // A round before, so the fold starts mid round-robin.
+            per_lane.warp_round(|_, t| t.alu(3));
+            classes.warp_round(|_, t| t.alu(3));
+            let mut want = 0.0;
+            for _ in 0..warps {
+                want = per_lane.warp_round(|lane, t| {
+                    run(t, if lane < lead { &lead_ops } else { &rest_ops })
+                });
+            }
+            let got = classes
+                .round()
+                .class(lead, |t| run(t, &lead_ops))
+                .class(32 - lead, |t| run(t, &rest_ops))
+                .fold(warps);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            proptest::prop_assert_eq!(books(&classes), books(&per_lane));
+
+            // The one-class shorthand against a lane-blind closure.
+            for _ in 0..warps {
+                per_lane.warp_round(|_, t| run(t, &rest_ops));
+            }
+            classes.uniform_rounds(warps, |t| run(t, &rest_ops));
+            proptest::prop_assert_eq!(books(&classes), books(&per_lane));
+        }
     }
 
     #[test]

@@ -388,6 +388,7 @@ impl Device {
             }
             Self::spend_fuse(&mut st)?;
         }
+        self.spec.check_launchable()?;
         if threads_per_block == 0 || threads_per_block > self.spec.max_threads_per_block {
             return Err(GpuError::BadLaunch(format!(
                 "threads_per_block {} outside 1..={}",
@@ -568,6 +569,55 @@ mod tests {
             dev.launch(32, empty, |_, _| Ok(())),
             Err(GpuError::BadLaunch(_))
         ));
+    }
+
+    /// A spec field the block loop divides by or indexes with holds a
+    /// value it cannot use: the launch is refused, naming the field.
+    fn assert_spec_refused(edit: fn(&mut GpuSpec), field: &str) {
+        let mut spec = GpuSpec::tesla_k40();
+        edit(&mut spec);
+        let dev = Device::new(spec);
+        let r = dev.launch(32, vec![(); 3], |blk, _| {
+            blk.warp_round_for(0, |_, t| t.gld(4, Access::Coalesced));
+            Ok(())
+        });
+        match r {
+            Err(GpuError::BadLaunch(msg)) => {
+                assert!(msg.contains(field), "{msg:?} should name {field}")
+            }
+            other => panic!("{field}: expected BadLaunch, got {other:?}"),
+        }
+        assert_eq!(dev.kernels_launched(), 0);
+    }
+
+    #[test]
+    fn zero_sms_is_a_bad_launch() {
+        assert_spec_refused(|s| s.num_sms = 0, "num_sms");
+    }
+
+    #[test]
+    fn zero_warp_size_is_a_bad_launch() {
+        assert_spec_refused(|s| s.warp_size = 0, "warp_size");
+    }
+
+    #[test]
+    fn zero_txn_bytes_is_a_bad_launch() {
+        assert_spec_refused(|s| s.costs.txn_bytes = 0, "txn_bytes");
+    }
+
+    #[test]
+    fn warp_wider_than_the_lane_bookkeeping_is_a_bad_launch() {
+        assert_spec_refused(|s| s.warp_size = 65, "warp_size");
+        // The widest warp it holds still launches and counts every lane.
+        let mut wide = GpuSpec::tesla_k40();
+        wide.warp_size = 64;
+        let stats = Device::new(wide)
+            .launch(64, vec![()], |blk, _| {
+                blk.warp_round_for(0, |lane, t| t.alu(lane as u64));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(stats.counters.divergent_lanes, 63);
     }
 
     #[test]

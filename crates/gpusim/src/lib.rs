@@ -29,7 +29,7 @@ mod mem;
 mod spec;
 
 pub use counters::{Counters, KernelStats};
-pub use ctx::{Access, BlockCtx, LaneCtx, TexBinding};
+pub use ctx::{Access, BlockCtx, ClassRound, LaneCtx, TexBinding};
 pub use device::{AttemptMark, Device, KernelLogEntry};
 pub use error::GpuError;
 pub use mem::{DevPtr, MemTracker};

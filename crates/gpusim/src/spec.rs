@@ -8,6 +8,8 @@
 //! over-allocation, texture working sets, out-of-memory boundaries — are
 //! preserved at laptop scale.
 
+use crate::error::GpuError;
+
 /// GPU micro-architecture family. Affects a handful of cost parameters
 /// (Fermi has slower atomics and a smaller texture cache than Kepler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +84,25 @@ pub struct CostParams {
     pub tex_hit_cycles: f64,
 }
 
+/// Widest warp the engine's per-lane bookkeeping holds.
+pub(crate) const MAX_WARP_SIZE: u32 = 64;
+
 impl GpuSpec {
+    /// Refuse a spec the block loop would divide by or index past. The
+    /// fields are public, so a hand-built spec can hold such values.
+    pub(crate) fn check_launchable(&self) -> Result<(), GpuError> {
+        let why = if self.num_sms == 0 {
+            "num_sms is 0".to_string()
+        } else if self.warp_size == 0 || self.warp_size > MAX_WARP_SIZE {
+            format!("warp_size {} outside 1..={MAX_WARP_SIZE}", self.warp_size)
+        } else if self.costs.txn_bytes == 0 {
+            "costs.txn_bytes is 0".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(GpuError::BadLaunch(format!("GpuSpec: {why}")))
+    }
+
     /// Tesla K40 (Kepler) — the one-per-node GPU of Cluster1 (Table 3).
     ///
     /// Memory capacity is scaled 1:1024 versus the physical 12 GB so that

@@ -15,7 +15,8 @@
 use crate::kvstore::KvStore;
 use crate::opts::OptFlags;
 use crate::types::{trim_key, Combiner, Emit, OpCount};
-use hetero_gpusim::{Access, Device, GpuError, KernelStats};
+use hetero_gpusim::{Access, Device, GpuError, KernelStats, LaneCtx};
+use std::borrow::Cow;
 
 /// Configuration for a combine-kernel launch over one partition.
 #[derive(Debug, Clone)]
@@ -44,7 +45,7 @@ pub struct CombineOutcome {
 /// Emitter that buffers combined pairs and charges storeKV costs.
 struct CombineEmit<'a, 'b> {
     out: &'a mut Vec<(Vec<u8>, Vec<u8>)>,
-    lane: &'a mut hetero_gpusim::LaneCtx<'b>,
+    lane: &'a mut LaneCtx<'b>,
     key_len: usize,
     val_len: usize,
     vectorize: bool,
@@ -87,7 +88,12 @@ pub fn run_combine(
     combiner: &dyn Combiner,
     cfg: &CombineConfig,
 ) -> Result<CombineOutcome, GpuError> {
-    let live: Vec<u32> = sorted.iter().copied().filter(|&i| i != u32::MAX).collect();
+    // An aggregated partition holds no whitespace: borrow it as it is.
+    let live: Cow<'_, [u32]> = if sorted.contains(&u32::MAX) {
+        sorted.iter().copied().filter(|&i| i != u32::MAX).collect()
+    } else {
+        Cow::Borrowed(sorted)
+    };
     if live.is_empty() {
         return Ok(CombineOutcome {
             pairs: Vec::new(),
@@ -103,8 +109,10 @@ pub fn run_combine(
     let block_chunks: Vec<&[&[u32]]> = chunks.chunks(warps_per_block).collect();
 
     // Blocks run in order and warps within a block in order, so the
-    // partially combined pairs land here in partition order.
-    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    // partially combined pairs land here in partition order (reserved
+    // for one pair a chunk, the least a non-empty run combines to).
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(chunks.len());
+    let mut run: Vec<(&[u8], &[u8])> = Vec::with_capacity(kvs_per_warp);
     let vectorize = cfg.opts.vectorize_combine;
     let (key_len, val_len) = (cfg.key_len, cfg.val_len);
     let in_key = store.key_len;
@@ -119,23 +127,29 @@ pub fn run_combine(
             // (Listing 4 lines 9–10).
             blk.alloc_shared((warps_per_block * (key_len + in_key)) as u32)?;
             for chunk in warp_chunks {
-                let run: Vec<(&[u8], &[u8])> = chunk
-                    .iter()
-                    .map(|&i| (trim_key(store.key(i as usize)), store.val(i as usize)))
-                    .collect();
-                let mut ops = OpCount::default();
+                run.clear();
+                run.extend(
+                    chunk
+                        .iter()
+                        .map(|&i| (trim_key(store.key(i as usize)), store.val(i as usize))),
+                );
                 let load_bytes = (in_key + in_val) as u64;
                 if vectorize {
                     // All 32 lanes active: redundant compute, cooperative
                     // vectorized getKV (coalesced per-lane shares).
-                    blk.warp_round(|lane, t| {
+                    let get_kvs = |t: &mut LaneCtx<'_>| {
                         for _ in 0..chunk.len() {
                             t.gld(load_bytes.div_ceil(32).max(1), Access::Coalesced);
                             t.alu(2); // loop + compare bookkeeping
                         }
-                        if lane == 0 {
-                            // Functional execution once; lanes 1..31 are
-                            // redundant (identical work, identical cost).
+                    };
+                    let followers = blk.warp_size() - 1;
+                    let mut ops = OpCount::default();
+                    blk.round()
+                        // Functional execution once, on the lane whose
+                        // storeKV charges count.
+                        .class(1, |t| {
+                            get_kvs(t);
                             let mut em = CombineEmit {
                                 out: &mut pairs,
                                 lane: t,
@@ -146,13 +160,15 @@ pub fn run_combine(
                             };
                             combiner.combine(&run, &mut em);
                             ops = em.ops;
-                        } else {
-                            // Redundant lanes charge the same user-compute
-                            // cost so the warp max reflects it.
+                        })
+                        // The redundant lanes charge the same user-compute
+                        // cost so the warp max reflects it.
+                        .class(followers, |t| {
+                            get_kvs(t);
                             t.alu(ops.alu);
                             t.sfu(ops.sfu);
-                        }
-                    });
+                        })
+                        .fold(1);
                 } else {
                     // Only one lane per warp is active (paper: single
                     // active thread for non-array KV or the baseline).

@@ -18,11 +18,13 @@ use crate::opts::OptFlags;
 use crate::record::Record;
 use crate::types::{default_partition, Emit, Mapper, OpCount};
 use hetero_gpusim::{Access, Device, GpuError, KernelStats, LaneCtx, TexBinding};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One thread's mutable view of the KV store: key bytes, value bytes,
 /// partition ids, and the thread's emitted-pair counter.
-type Region<'a> = RefCell<(&'a mut [u8], &'a mut [u8], &'a mut [u32], &'a mut u32)>;
+type Region<'a> = (&'a mut [u8], &'a mut [u8], &'a mut [u32], &'a mut u32);
 
 /// Configuration for one map-kernel launch.
 #[derive(Debug, Clone)]
@@ -139,6 +141,42 @@ impl Emit for GpuEmit<'_, '_, '_> {
     }
 }
 
+/// The greedy schedule that stands for record stealing: each of `n_recs`
+/// records, in order, goes to the lane with the smallest virtual clock
+/// among those with room (lowest thread id on a tie), which yields the
+/// balanced totals real stealing achieves. `run(rec, tid)` maps the
+/// record on that lane and returns the cycles it cost and whether the
+/// lane has room for another worst-case record. Returns every lane's
+/// final clock and the number of records left when no lane had room.
+///
+/// The pick is a min-heap on `(clock bits, tid)`: only the lane that just
+/// ran changes its clock or fill level, so it alone is re-keyed, and a
+/// lane without room is simply not pushed back. Clocks are sums of
+/// non-negative cycles, for which `f64::to_bits` is order-preserving.
+fn steal_records(
+    has_room: &[bool],
+    n_recs: usize,
+    mut run: impl FnMut(usize, usize) -> (f64, bool),
+) -> (Vec<f64>, usize) {
+    let mut lane_clock = vec![0.0f64; has_room.len()];
+    let mut idle: BinaryHeap<Reverse<(u64, usize)>> = (0..has_room.len())
+        .filter(|&tid| has_room[tid])
+        .map(|tid| Reverse((0.0f64.to_bits(), tid)))
+        .collect();
+    for rec in 0..n_recs {
+        let Some(Reverse((_, tid))) = idle.pop() else {
+            // Every thread is full; remaining records drop.
+            return (lane_clock, n_recs - rec);
+        };
+        let (cost, room_left) = run(rec, tid);
+        lane_clock[tid] += cost;
+        if room_left {
+            idle.push(Reverse((lane_clock[tid].to_bits(), tid)));
+        }
+    }
+    (lane_clock, 0)
+}
+
 /// Run the map kernel over `records` of `input` with `mapper`.
 pub fn run_map(
     dev: &Device,
@@ -191,9 +229,8 @@ pub fn run_map(
                 blk.alloc_shared(4)?;
                 let (keys, vals, parts, counts) = view;
 
-                // Per-thread region views, interior-mutable so warp_round
-                // closures can reach the right lane's region.
-                let regions: Vec<Region<'_>> = {
+                // Per-thread region views.
+                let mut regions: Vec<Region<'_>> = {
                     let mut v = Vec::with_capacity(tpb);
                     let mut k_rest = keys;
                     let mut v_rest = vals;
@@ -204,7 +241,7 @@ pub fn run_map(
                         let (va, vr) = v_rest.split_at_mut(spt * val_len);
                         let (p, pr) = p_rest.split_at_mut(spt);
                         let (c, cr) = c_rest.split_at_mut(1);
-                        v.push(RefCell::new((k, va, p, &mut c[0])));
+                        v.push((k, va, p, &mut c[0]));
                         k_rest = kr;
                         v_rest = vr;
                         p_rest = pr;
@@ -216,81 +253,58 @@ pub fn run_map(
                 let warps = blk.num_warps();
                 let ws = blk.warp_size() as usize;
 
-                let map_one = |lane: &mut LaneCtx<'_>, rec: &Record, region: &Region<'_>| -> bool {
-                    let data = &input[rec.start..rec.start + rec.len];
-                    // Fetching the record: streamed bytes + per-byte scan work
-                    // (getRecord + the mapper's own parsing loop).
-                    lane.gld(rec.len.max(1) as u64, Access::Coalesced);
-                    lane.alu((rec.len as u64) / 4 + 1);
-                    let mut guard = region.borrow_mut();
-                    let (k, v, p, c) = &mut *guard;
-                    let mut em = GpuEmit {
-                        lane,
-                        keys: k,
-                        vals: v,
-                        part: p,
-                        count: c,
-                        key_len,
-                        val_len,
-                        num_reducers,
-                        stores_per_thread: spt,
-                        vectorize: opts.vectorize_map,
-                        texture,
-                        hit_full: false,
-                        _marker: std::marker::PhantomData,
+                // Map one record on a lane; `false` once its region cannot
+                // take another pair.
+                let map_one =
+                    |lane: &mut LaneCtx<'_>, rec: &Record, region: &mut Region<'_>| -> bool {
+                        let data = &input[rec.start..rec.start + rec.len];
+                        // Fetching the record: streamed bytes + per-byte scan work
+                        // (getRecord + the mapper's own parsing loop).
+                        lane.gld(rec.len.max(1) as u64, Access::Coalesced);
+                        lane.alu((rec.len as u64) / 4 + 1);
+                        let (k, v, p, c) = region;
+                        let mut em = GpuEmit {
+                            lane,
+                            keys: k,
+                            vals: v,
+                            part: p,
+                            count: c,
+                            key_len,
+                            val_len,
+                            num_reducers,
+                            stores_per_thread: spt,
+                            vectorize: opts.vectorize_map,
+                            texture,
+                            hit_full: false,
+                            _marker: std::marker::PhantomData,
+                        };
+                        mapper.map(data, &mut em);
+                        if em.hit_full {
+                            dropped.set(dropped.get() + 1);
+                        }
+                        !em.hit_full && (*em.count as usize) < spt
                     };
-                    mapper.map(data, &mut em);
-                    if em.hit_full {
-                        dropped.set(dropped.get() + 1);
-                    }
-                    !em.hit_full && (*em.count as usize) < spt
-                };
 
                 if opts.record_stealing {
                     // Dynamic distribution: a lane that finishes its record
                     // immediately steals the next one from the block pool via
                     // the shared-memory counter (SIMT divergence lets lanes
-                    // progress through different record counts). Simulated
-                    // with greedy per-lane virtual clocks: the least-loaded
-                    // lane with space steals next, yielding the balanced
-                    // totals real stealing achieves. Warp chains are the max
-                    // lane clock per warp.
-                    let mut lane_clock = vec![0.0f64; n_threads];
-                    let mut full = vec![false; n_threads];
-                    let mut next = 0usize;
-                    while next < recs.len() {
-                        let mut pick: Option<usize> = None;
-                        for tid in 0..n_threads {
-                            if full[tid] {
-                                continue;
-                            }
-                            let used = *regions[tid].borrow().3 as usize;
-                            if spt - used < kv_max {
-                                full[tid] = true;
-                                continue;
-                            }
-                            if pick
-                                .map(|p| lane_clock[tid] < lane_clock[p])
-                                .unwrap_or(true)
-                            {
-                                pick = Some(tid);
-                            }
-                        }
-                        let Some(tid) = pick else {
-                            // Every thread is full; remaining records drop.
-                            dropped.set(dropped.get() + recs.len() - next);
-                            break;
-                        };
-                        let rec = &recs[next];
-                        next += 1;
-                        let cost = blk.with_lane(|t| {
-                            t.shared_atomic(); // the steal
-                            if !map_one(t, rec, &regions[tid]) {
-                                full[tid] = true;
-                            }
+                    // progress through different record counts). A lane
+                    // stops stealing once its region cannot fit a worst-case
+                    // record. Warp chains are the max lane clock per warp.
+                    let room = |region: &Region<'_>| spt - *region.3 as usize >= kv_max;
+                    let has_room: Vec<bool> = regions.iter().map(room).collect();
+                    let (lane_clock, unmapped) =
+                        steal_records(&has_room, recs.len(), |rec, tid| {
+                            let region = &mut regions[tid];
+                            let mut mapped = false;
+                            let cost = blk.with_lane(|t| {
+                                t.shared_atomic(); // the steal
+                                mapped = map_one(t, &recs[rec], region);
+                            });
+                            (cost, mapped && room(region))
                         });
-                        lane_clock[tid] += cost;
-                    }
+                    dropped.set(dropped.get() + unmapped);
                     for w in 0..warps {
                         let lo = w as usize * ws;
                         let hi = (lo + ws).min(n_threads);
@@ -311,16 +325,14 @@ pub fn run_map(
                             for rec in &recs[lo..hi] {
                                 // map_one counts truncated records itself; a
                                 // false return just means the region is full.
-                                let _ = map_one(t, rec, &regions[tid]);
+                                let _ = map_one(t, rec, &mut regions[tid]);
                             }
                         });
                     }
                 }
 
                 // mapFinish: write per-thread counts (Listing 3 line 25).
-                for _ in 0..warps {
-                    blk.warp_round(|_, t| t.gst(4, Access::Coalesced));
-                }
+                blk.uniform_rounds(warps, |t| t.gst(4, Access::Coalesced));
                 Ok(())
             },
         )?
@@ -487,6 +499,82 @@ mod tests {
         c.stores_per_thread = 2; // way too small
         let out = run_map(&dev, &buf, &recs, &WcMap, &c).unwrap();
         assert!(out.dropped_records > 0);
+    }
+
+    /// The O(threads) scan `steal_records`' heap replaced, kept as the
+    /// model it must replay: every record rescans all lanes for the
+    /// smallest clock among those with room, lowest thread id on a tie.
+    fn steal_records_by_scan(
+        has_room: &[bool],
+        n_recs: usize,
+        mut run: impl FnMut(usize, usize) -> (f64, bool),
+    ) -> (Vec<f64>, usize) {
+        let mut lane_clock = vec![0.0f64; has_room.len()];
+        let mut full: Vec<bool> = has_room.iter().map(|&r| !r).collect();
+        for rec in 0..n_recs {
+            let mut pick: Option<usize> = None;
+            for tid in 0..full.len() {
+                if !full[tid] && pick.is_none_or(|p| lane_clock[tid] < lane_clock[p]) {
+                    pick = Some(tid);
+                }
+            }
+            let Some(tid) = pick else {
+                return (lane_clock, n_recs - rec);
+            };
+            let (cost, room_left) = run(rec, tid);
+            lane_clock[tid] += cost;
+            full[tid] = !room_left;
+        }
+        (lane_clock, 0)
+    }
+
+    /// `steal_records` or its model, behind one signature.
+    type Schedule = fn(&[bool], usize, &mut dyn FnMut(usize, usize) -> (f64, bool)) -> Stolen;
+    type Stolen = (Vec<f64>, usize);
+
+    proptest::proptest! {
+        /// The heap pick is the linear scan: same record → lane
+        /// assignment, same dropped records, same lane clocks by bits —
+        /// with regions small enough that lanes fill up mid-run, records
+        /// truncate and the tail of the pool drops, and record lengths
+        /// from a small set so that clocks tie.
+        #[test]
+        fn heap_pick_replays_the_linear_scan(
+            recs in proptest::collection::vec((0u64..6, 0usize..7), 0..200),
+            n_threads in 1usize..40,
+            spt in 1usize..80,
+            kv_max in 1usize..6,
+            prefilled in proptest::collection::vec(0usize..40, 40),
+        ) {
+            // One lane model, run under each scheduler: a record costs a
+            // non-dyadic function of its length and emits `pairs` pairs
+            // into the lane's `spt`-slot region; the lane keeps stealing
+            // while a worst-case (`kv_max`-pair) record still fits.
+            let replay = |schedule: Schedule| {
+                let mut used: Vec<usize> =
+                    prefilled[..n_threads].iter().map(|&u| u.min(spt)).collect();
+                let has_room: Vec<bool> = used.iter().map(|&u| spt - u >= kv_max).collect();
+                let mut assignment = Vec::new();
+                let mut truncated = 0usize;
+                let (clock, unmapped) = schedule(&has_room, recs.len(), &mut |rec, tid| {
+                    assignment.push(tid);
+                    let (len, pairs) = recs[rec];
+                    let cost = 14.0 + 1.2 * len as f64 + 0.1 * pairs as f64;
+                    if used[tid] + pairs > spt {
+                        used[tid] = spt;
+                        truncated += 1;
+                        return (cost, false);
+                    }
+                    used[tid] += pairs;
+                    (cost, spt - used[tid] >= kv_max)
+                });
+                let bits: Vec<u64> = clock.iter().map(|c| c.to_bits()).collect();
+                (assignment, bits, unmapped + truncated, used)
+            };
+            let heap = replay(|room, n, run| steal_records(room, n, run));
+            let scan = replay(|room, n, run| steal_records_by_scan(room, n, run));
+            proptest::prop_assert_eq!(heap, scan);
+        }
     }
 
     impl MapConfig {

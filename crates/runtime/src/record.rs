@@ -34,7 +34,7 @@ pub fn locate_records(dev: &Device, input: &[u8]) -> Result<RecordLocator, GpuEr
         // A kernel still launches (the host does not know the split is
         // trivial), but finds nothing.
         let stats = dev.launch_named("record_scan_kernel", 32, vec![()], |blk, _| {
-            blk.warp_round(|_, t| t.alu(1));
+            blk.uniform_rounds(1, |t| t.alu(1));
             Ok(())
         })?;
         return Ok(RecordLocator {
@@ -55,12 +55,10 @@ pub fn locate_records(dev: &Device, input: &[u8]) -> Result<RecordLocator, GpuEr
         // per byte.
         let lanes = blk.warp_size() as u64 * blk.num_warps() as u64;
         let per_lane = (data.len() as u64).div_ceil(lanes).max(1);
-        for _ in 0..blk.num_warps() {
-            blk.warp_round(|_, t| {
-                t.gld(per_lane, Access::Coalesced);
-                t.alu(per_lane);
-            });
-        }
+        blk.uniform_rounds(blk.num_warps(), |t| {
+            t.gld(per_lane, Access::Coalesced);
+            t.alu(per_lane);
+        });
         newlines.extend(
             data.iter()
                 .enumerate()
@@ -68,7 +66,7 @@ pub fn locate_records(dev: &Device, input: &[u8]) -> Result<RecordLocator, GpuEr
                 .map(|(i, _)| base + i),
         );
         // Newline positions are written out compacted (one store each).
-        blk.warp_round(|_, t| t.gst(4, Access::Coalesced));
+        blk.uniform_rounds(1, |t| t.gst(4, Access::Coalesced));
         Ok(())
     })?;
 

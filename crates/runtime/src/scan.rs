@@ -48,7 +48,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
             let n = chunk.len();
             // Load phase: each thread loads two adjacent elements —
             // coalesced.
-            blk.warp_round(|_, t| t.gld(8, Access::Coalesced));
+            blk.uniform_rounds(1, |t| t.gld(8, Access::Coalesced));
             // Blelloch tree: 2*log2(n) sweep steps of shared-memory
             // adds; the actual arithmetic below mirrors the hardware
             // algorithm.
@@ -58,7 +58,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
             let mut d = 1;
             while d < m {
                 // One tree level: m/(2d) active adds.
-                blk.warp_round(|_, t| {
+                blk.uniform_rounds(1, |t| {
                     t.shared(2);
                     t.alu(1);
                 });
@@ -73,7 +73,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
             buf[m - 1] = 0;
             let mut d = m / 2;
             while d >= 1 {
-                blk.warp_round(|_, t| {
+                blk.uniform_rounds(1, |t| {
                     t.shared(2);
                     t.alu(1);
                 });
@@ -88,7 +88,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
             }
             buf.truncate(n);
             // Store phase.
-            blk.warp_round(|_, t| t.gst(8, Access::Coalesced));
+            blk.uniform_rounds(1, |t| t.gst(8, Access::Coalesced));
             per_block.push((buf, total));
             Ok(())
         },
@@ -107,7 +107,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
         threads_per_block.min(32),
         vec![()],
         |blk, _| {
-            blk.warp_round(|_, t| {
+            blk.uniform_rounds(1, |t| {
                 t.gld(8, Access::Coalesced);
                 t.alu(2);
                 t.gst(8, Access::Coalesced);
@@ -122,7 +122,7 @@ pub fn exclusive_scan(dev: &Device, input: &[u32]) -> Result<ScanResult, GpuErro
         threads_per_block,
         vec![(); n_blocks],
         |blk, _| {
-            blk.warp_round(|_, t| {
+            blk.uniform_rounds(1, |t| {
                 t.gld(8, Access::Coalesced);
                 t.alu(2);
                 t.gst(8, Access::Coalesced);

@@ -29,6 +29,38 @@ fn cmp_bytes(key_len: usize) -> u64 {
     key_len.clamp(1, 12) as u64
 }
 
+/// The functional result: `indices` stably sorted by key bytes, whitespace
+/// (`u32::MAX`) last.
+///
+/// Sorts `(first 8 key bytes as a big-endian u64, slot)` pairs, so a
+/// comparison is one integer compare with no trip through the store; the
+/// full slots are compared only when the prefixes tie. Whitespace takes
+/// the largest prefix and still loses every tie, so it sorts after an
+/// all-`0xFF` key too.
+fn key_order(store: &KvStore, indices: &[u32]) -> Vec<u32> {
+    use std::cmp::Ordering;
+    let prefix = |slot: u32| {
+        if slot == u32::MAX {
+            return u64::MAX;
+        }
+        let key = store.key(slot as usize);
+        let mut head = [0u8; 8];
+        let n = key.len().min(8);
+        head[..n].copy_from_slice(&key[..n]);
+        u64::from_be_bytes(head)
+    };
+    let mut keyed: Vec<(u64, u32)> = indices.iter().map(|&i| (prefix(i), i)).collect();
+    keyed.sort_by(|&(pa, a), &(pb, b)| {
+        pa.cmp(&pb).then_with(|| match (a, b) {
+            (u32::MAX, u32::MAX) => Ordering::Equal,
+            (u32::MAX, _) => Ordering::Greater,
+            (_, u32::MAX) => Ordering::Less,
+            (a, b) => store.key(a as usize).cmp(store.key(b as usize)),
+        })
+    });
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Sort `indices` (slot numbers into `store`) by key bytes on the device.
 pub fn sort_partition(
     dev: &Device,
@@ -57,25 +89,21 @@ pub fn sort_partition(
         // the indirection (random, uncoalesced)...
         let lanes = (blk.warp_size() * blk.num_warps()) as u64;
         let per_lane_elems = chunk.div_ceil(lanes).max(1);
-        for _ in 0..blk.num_warps() {
-            blk.warp_round(|_, t| {
-                for _ in 0..per_lane_elems {
-                    t.gld(kb, Access::Random);
-                }
-            });
-        }
+        blk.uniform_rounds(blk.num_warps(), |t| {
+            for _ in 0..per_lane_elems {
+                t.gld(kb, Access::Random);
+            }
+        });
         // ...then the log²c bitonic stages compare out of on-chip
         // storage: shared-memory traffic + ALU only.
         let stages = log_c * log_c;
         let per_lane_cmp = (chunk * stages).div_ceil(lanes).max(1);
-        for _ in 0..blk.num_warps() {
-            blk.warp_round(|_, t| {
-                for _ in 0..per_lane_cmp {
-                    t.shared(2);
-                    t.alu(kb / 2 + 1);
-                }
-            });
-        }
+        blk.uniform_rounds(blk.num_warps(), |t| {
+            for _ in 0..per_lane_cmp {
+                t.shared(2);
+                t.alu(kb / 2 + 1);
+            }
+        });
         Ok(())
     })?;
 
@@ -94,21 +122,19 @@ pub fn sort_partition(
                 let lanes = (blk.warp_size() * blk.num_warps()) as u64;
                 let items = (n as u64).div_ceil(blocks as u64);
                 let per_lane = items.div_ceil(lanes).max(1);
-                for _ in 0..blk.num_warps() {
-                    blk.warp_round(|_, t| {
-                        for _ in 0..per_lane {
-                            t.gld(4, Access::Coalesced); // index in
-                                                         // Own key via indirection (random, word-wise);
-                                                         // the rival run's key stays staged on-chip.
-                            for _ in 0..kb.div_ceil(8) {
-                                t.gld(8, Access::Random);
-                            }
-                            t.shared(2);
-                            t.alu(kb + 2);
-                            t.gst(4, Access::Coalesced); // index out
+                blk.uniform_rounds(blk.num_warps(), |t| {
+                    for _ in 0..per_lane {
+                        t.gld(4, Access::Coalesced); // index in
+                                                     // Own key via indirection (random, word-wise);
+                                                     // the rival run's key stays staged on-chip.
+                        for _ in 0..kb.div_ceil(8) {
+                            t.gld(8, Access::Random);
                         }
-                    });
-                }
+                        t.shared(2);
+                        t.alu(kb + 2);
+                        t.gst(4, Access::Coalesced); // index out
+                    }
+                });
                 Ok(())
             })?;
             stats2.time_s += s.time_s;
@@ -119,14 +145,7 @@ pub fn sort_partition(
         }
     }
 
-    // Functional result: stable sort by key bytes; whitespace sorts last.
-    let mut order = indices.to_vec();
-    order.sort_by(|&a, &b| match (a, b) {
-        (u32::MAX, u32::MAX) => std::cmp::Ordering::Equal,
-        (u32::MAX, _) => std::cmp::Ordering::Greater,
-        (_, u32::MAX) => std::cmp::Ordering::Less,
-        (a, b) => store.key(a as usize).cmp(store.key(b as usize)),
-    });
+    let order = key_order(store, indices);
 
     let mut stats = stats1;
     stats.time_s += stats2.time_s;

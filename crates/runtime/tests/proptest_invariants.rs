@@ -56,6 +56,48 @@ proptest! {
         }
     }
 
+    /// The prefix-keyed sort is the plain one: `order` equals a stable
+    /// sort that compares whole key slots, on stores built to collide —
+    /// slots narrower than the 8-byte prefix, keys sharing their first 8
+    /// bytes, duplicates, all-`0xFF` keys (the prefix whitespace takes)
+    /// and whitespace interleaved among them.
+    #[test]
+    fn sort_order_is_the_full_key_stable_sort(
+        key_len in 1usize..=12,
+        draws in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(0u8..3, 0..5)),
+            0..60,
+        ),
+        whitespace in proptest::collection::vec(0usize..60, 0..12),
+    ) {
+        const ALPHABET: [u8; 3] = [b'a', b'b', 0xFF];
+        let mut s = KvStore::new(1, draws.len().max(1), key_len, 4, 1);
+        for (kind, tail) in &draws {
+            let tail: Vec<u8> = tail.iter().map(|&c| ALPHABET[c as usize]).collect();
+            let key = match kind {
+                0 => [&b"sameeigh"[..], &tail].concat(),
+                1 => vec![0xFF; key_len],
+                2 => [&[0xFF; 8][..], &tail].concat(),
+                _ => tail,
+            };
+            prop_assert!(s.emit(0, &key, b"1"));
+        }
+        let mut idx: Vec<u32> = (0..draws.len() as u32).collect();
+        for &at in &whitespace {
+            idx.insert(at % (idx.len() + 1), u32::MAX);
+        }
+
+        let mut want = idx.clone();
+        want.sort_by(|&a, &b| match (a, b) {
+            (u32::MAX, u32::MAX) => std::cmp::Ordering::Equal,
+            (u32::MAX, _) => std::cmp::Ordering::Greater,
+            (_, u32::MAX) => std::cmp::Ordering::Less,
+            (a, b) => s.key(a as usize).cmp(s.key(b as usize)),
+        });
+        let dev = Device::new(GpuSpec::tesla_k40());
+        prop_assert_eq!(sort_partition(&dev, &s, &idx).unwrap().order, want);
+    }
+
     /// The device scan agrees with the one-line serial prefix sum.
     #[test]
     fn scan_matches_serial_prefix_sum(

@@ -24,6 +24,9 @@ cargo fmt --all --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Includes the cost golden captured from the parent of the lane-class
+# change (hetero-runtime's charge_golden) and the property tests (pinned
+# seed, fixed case count; a failing case lands under crates/*/target/).
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
