@@ -130,7 +130,17 @@ fn main() {
     // device with the kernel log left to accumulate.
     let dev2 = Device::new(p.gpu.clone());
     dev2.enable_kernel_log();
-    heterodoop::run_functional_job_on(app.as_ref(), &p, &input, 2, OptFlags::all(), &dev2).unwrap();
+    run_functional_job_pooled(
+        app.as_ref(),
+        &p,
+        &input,
+        2,
+        OptFlags::all(),
+        &dev2,
+        &Tracer::off(),
+        &pool,
+    )
+    .unwrap();
     let mut profile = KernelProfile::new();
     for e in dev2.take_kernel_log() {
         profile.record(e.name, &e.stats);

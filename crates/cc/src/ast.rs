@@ -349,6 +349,19 @@ impl Program {
     pub fn func(&self, name: &str) -> Option<&FuncDef> {
         self.funcs.iter().find(|f| f.name == name)
     }
+
+    /// The statement of `main` that directive `idx` annotates.
+    pub fn region(&self, idx: usize) -> Option<&Stmt> {
+        let mut found = None;
+        walk_stmts(&self.func("main")?.body, &mut |s| {
+            if let StmtKind::Annotated(i, inner) = &s.kind {
+                if *i == idx {
+                    found = Some(inner.as_ref());
+                }
+            }
+        });
+        found
+    }
 }
 
 /// Walk all statements of a function (pre-order), calling `f` on each.
@@ -382,34 +395,39 @@ fn walk_stmt<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Stmt)) {
 
 /// Walk all expressions within a statement subtree (pre-order).
 pub fn walk_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
-    walk_stmt(s, &mut |st| {
-        let mut visit = |e: &'a Expr| walk_expr(e, f);
-        match &st.kind {
-            StmtKind::Decl(ds) => {
-                for d in ds {
-                    if let Some(i) = &d.init {
-                        visit(i);
-                    }
-                }
-            }
-            StmtKind::Expr(e) => visit(e),
-            StmtKind::While { cond, .. } => visit(cond),
-            StmtKind::For { cond, step, .. } => {
-                if let Some(c) = cond {
-                    visit(c);
-                }
-                if let Some(st2) = step {
-                    visit(st2);
-                }
-            }
-            StmtKind::If { cond, .. } => visit(cond),
-            StmtKind::Return(Some(e)) => visit(e),
-            _ => {}
-        }
-    });
+    walk_stmt(s, &mut |st| own_exprs(st, f));
 }
 
-fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
+/// Walk the expressions `s` owns directly (pre-order) — not those of the
+/// statements nested in it.
+pub fn own_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
+    let mut visit = |e: &'a Expr| walk_expr(e, f);
+    match &s.kind {
+        StmtKind::Decl(ds) => {
+            for d in ds {
+                if let Some(i) = &d.init {
+                    visit(i);
+                }
+            }
+        }
+        StmtKind::Expr(e) => visit(e),
+        StmtKind::While { cond, .. } => visit(cond),
+        StmtKind::For { cond, step, .. } => {
+            if let Some(c) = cond {
+                visit(c);
+            }
+            if let Some(st) = step {
+                visit(st);
+            }
+        }
+        StmtKind::If { cond, .. } => visit(cond),
+        StmtKind::Return(Some(e)) => visit(e),
+        _ => {}
+    }
+}
+
+/// Walk `e` and every expression under it (pre-order).
+pub fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     f(e);
     match e {
         Expr::Unary(_, x) | Expr::PostInc(x) | Expr::PostDec(x) | Expr::Cast(_, x) => {

@@ -510,6 +510,7 @@ mod tests {
     use crate::interp::Interp;
     use crate::lint::absint::{analyze_main, SafetyFacts};
     use crate::parse::parse;
+    use crate::test_listings::{LISTING1, LISTING2};
 
     fn compile(prog: &Program, mode: ElisionMode) -> Bytecode {
         lower(prog, &analyze_main(prog).facts, mode)
@@ -548,27 +549,7 @@ mod tests {
 
     #[test]
     fn wordcount_mapper_parity() {
-        let src = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-        differential(src, || {
+        differential(LISTING1, || {
             StreamIo::lines(lines(&[
                 "the quick brown fox",
                 "",
@@ -580,27 +561,7 @@ int main()
 
     #[test]
     fn combiner_scanf_parity() {
-        let src = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  while( (read = scanf("%s %d", word, &val)) == 2 ) {
-    if(strcmp(word, prevWord) == 0 ) {
-      count += val;
-    } else {
-      if(prevWord[0] != '\0')
-        printf("%s\t%d\n", prevWord, count);
-      strcpy(prevWord, word);
-      count = val;
-    }
-  }
-  if(prevWord[0] != '\0')
-    printf("%s\t%d\n", prevWord, count);
-  return 0;
-}
-"#;
-        differential(src, || {
+        differential(LISTING2, || {
             StreamIo::kvs(
                 [("a", "1"), ("a", "2"), ("b", "5"), ("c", "1"), ("c", "1")]
                     .iter()

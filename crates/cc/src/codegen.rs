@@ -379,6 +379,7 @@ mod tests {
     use super::*;
     use crate::parse::parse;
     use crate::sema::analyze;
+    use crate::test_listings::{LISTING1, LISTING2};
     use crate::translate::translate;
 
     fn gen(src: &str) -> String {
@@ -388,31 +389,37 @@ mod tests {
         kernel_source(&specs[0])
     }
 
-    const WC_MAP: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
+    #[test]
+    fn generated_cuda_text_is_pinned() {
+        // Captured from the last commit with two Algorithm-1
+        // implementations. A deliberate change to classification,
+        // translation or the printer rewrites the `.cu` files with the
+        // text this prints.
+        for (name, src, want) in [
+            (
+                "wc_mapper",
+                LISTING1,
+                include_str!("../tests/fixtures/wc_mapper.cu"),
+            ),
+            (
+                "km_mapper",
+                include_str!("../tests/fixtures/km_mapper.c"),
+                include_str!("../tests/fixtures/km_mapper.cu"),
+            ),
+            (
+                "int_sum_combiner",
+                LISTING2,
+                include_str!("../tests/fixtures/int_sum_combiner.cu"),
+            ),
+        ] {
+            let cu = gen(src);
+            assert_eq!(cu, want, "{name}.cu changed:\n{cu}");
+        }
     }
-  }
-  free(line);
-  return 0;
-}
-"#;
 
     #[test]
     fn generated_mapper_matches_listing3_structure() {
-        let cu = gen(WC_MAP);
+        let cu = gen(LISTING1);
         assert!(cu.starts_with("__global__ void gpu_mapper("));
         assert!(cu.contains("char gpu_word[30];"));
         assert!(cu.contains("__shared__ unsigned int recordIndex;"));
@@ -424,31 +431,9 @@ int main()
         assert!(!cu.contains("printf("));
     }
 
-    const WC_COMBINE: &str = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) keyin(word) valuein(val) \
-    keylength(30) vallength(1) firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) { count += val; }
-      else {
-        if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
-
     #[test]
     fn generated_combiner_matches_listing4_structure() {
-        let cu = gen(WC_COMBINE);
+        let cu = gen(LISTING2);
         assert!(cu.starts_with("__global__ void gpu_combiner("));
         assert!(cu.contains("__shared__ char gpu_prevWord[WARPS_IN_TB][30];"));
         assert!(cu.contains("combineSetup("));
@@ -463,7 +448,7 @@ int main()
 
     #[test]
     fn host_driver_reflects_fig1() {
-        let prog = parse(WC_MAP).unwrap();
+        let prog = parse(LISTING1).unwrap();
         let a = analyze(&prog).unwrap();
         let specs = translate(&prog, &a).unwrap();
         let drv = host_driver_source(&specs[0], None);
@@ -494,7 +479,7 @@ int main() {
 
     #[test]
     fn expr_precedence_parenthesized() {
-        let cu = gen(WC_MAP);
+        let cu = gen(LISTING1);
         // Output must be reparseable C; spot-check an expression.
         assert!(cu.contains("gpu_offset += gpu_linePtr") || cu.contains("gpu_offset"));
     }

@@ -1542,6 +1542,7 @@ pub(crate) fn erf(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::parse::parse;
+    use crate::test_listings::{LISTING1, LISTING2};
 
     fn run_lines(src: &str, lines: &[&str]) -> (Vec<(String, String)>, InterpStats) {
         let prog = parse(src).unwrap();
@@ -1560,32 +1561,9 @@ mod tests {
         (kvs, stats)
     }
 
-    const WORDCOUNT_MAP: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) \
-    keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-
     #[test]
     fn wordcount_mapper_runs_paper_listing_1() {
-        let (kvs, stats) = run_lines(WORDCOUNT_MAP, &["the quick brown fox", "the lazy dog"]);
+        let (kvs, stats) = run_lines(LISTING1, &["the quick brown fox", "the lazy dog"]);
         let expect = [
             ("the", "1"),
             ("quick", "1"),
@@ -1606,35 +1584,9 @@ int main()
         assert_eq!(stats.lines_out, 7);
     }
 
-    const WORDCOUNT_COMBINE: &str = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) \
-    keyin(word) valuein(val) keylength(30) vallength(1) \
-    firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) {
-        count += val;
-      } else {
-        if(prevWord[0] != '\0')
-          printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0')
-      printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
-
     #[test]
     fn wordcount_combiner_runs_paper_listing_2() {
-        let prog = parse(WORDCOUNT_COMBINE).unwrap();
+        let prog = parse(LISTING2).unwrap();
         let kvs: Vec<(Vec<u8>, Vec<u8>)> =
             [("a", "1"), ("a", "1"), ("b", "1"), ("c", "2"), ("c", "3")]
                 .iter()
@@ -1804,7 +1756,7 @@ int main() {
 
     #[test]
     fn stats_count_work() {
-        let (_, stats) = run_lines(WORDCOUNT_MAP, &["a b c", "d e"]);
+        let (_, stats) = run_lines(LISTING1, &["a b c", "d e"]);
         assert!(stats.ops > 20);
         assert!(stats.mem > 5);
         assert_eq!(stats.records_in, 2);

@@ -285,6 +285,7 @@ fn unescape(c: u8) -> char {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_listings::LISTING1;
 
     fn kinds(src: &str) -> Vec<Tok> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
@@ -397,29 +398,7 @@ mod tests {
 
     #[test]
     fn paper_listing_1_lexes() {
-        let src = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) \
-    keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-        let toks = lex(src).unwrap();
+        let toks = lex(LISTING1).unwrap();
         assert!(toks
             .iter()
             .any(|t| matches!(&t.tok, Tok::Pragma(p) if p.contains("keylength"))));

@@ -5,8 +5,9 @@
 //! directives (paper §3–§4), plus an interpreter so the *same* annotated
 //! source executes on the simulated CPU and GPU paths.
 //!
-//! Pipeline: [`parse::parse`] → [`sema::analyze`] (Algorithm 1 variable
-//! classification, privatization inference, alias warnings) →
+//! Pipeline: [`parse::parse`] → [`sema::analyze`] (the region fact base
+//! of [`region`], collected once; Algorithm 1 variable classification,
+//! privatization inference, alias warnings) →
 //! [`translate::translate`] (kernel extraction, I/O call replacement,
 //! vectorization and shared-memory decisions) → [`codegen`] (CUDA-like
 //! text, host driver of Fig. 1). [`interp`] runs programs functionally
@@ -28,6 +29,7 @@ pub mod lex;
 pub mod lint;
 pub mod parse;
 pub mod pragma;
+pub mod region;
 pub mod sema;
 pub mod testgen;
 pub mod translate;
@@ -111,34 +113,22 @@ impl Compiled {
     }
 }
 
+/// The paper's Listing 1 (Wordcount mapper) and Listing 2 (integer-sum
+/// combiner), said once for every unit test of the crate; integration
+/// tests `include_str!` the same two files.
+#[cfg(test)]
+pub(crate) mod test_listings {
+    pub(crate) const LISTING1: &str = include_str!("../tests/fixtures/wc_mapper.c");
+    pub(crate) const LISTING2: &str = include_str!("../tests/fixtures/int_sum_combiner.c");
+}
+
 #[cfg(test)]
 mod pipeline_tests {
     use super::*;
 
     #[test]
     fn end_to_end_compile_of_listing_1() {
-        let src = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-        let c = compile(src).unwrap();
+        let c = compile(test_listings::LISTING1).unwrap();
         assert!(c.mapper().is_some());
         assert!(c.combiner().is_none());
         assert_eq!(c.sources.len(), 1);

@@ -4,7 +4,7 @@
 //! the native backend's proof-guided check elision. It abstractly
 //! executes `main` in the exact statement/expression order the
 //! interpreter uses (the same execution-order convention
-//! `dataflow.rs` events follow: `for`-init before cond, rhs before a
+//! `region.rs` events follow: `for`-init before cond, rhs before a
 //! compound assignment's lhs, subscript index before base, lazy
 //! `printf` arguments), tracking four domains per variable:
 //!

@@ -1,9 +1,9 @@
 //! Clause validator (Table 1 consistency): HD004–HD007, HD013–HD015.
 
-use super::dataflow::RegionUnit;
 use super::{push, Diag};
 use crate::ast::CType;
 use crate::pragma::DirectiveKind;
+use crate::region::RegionUnit;
 use std::collections::BTreeSet;
 
 /// Run the clause-consistency family on one region.
@@ -11,7 +11,7 @@ pub fn check(unit: &RegionUnit, diags: &mut Vec<Diag>) {
     emits_match_clauses(unit, diags);
     lengths_fit(unit, diags);
     storage_contradictions(unit, diags);
-    if unit.kind == DirectiveKind::Combiner {
+    if unit.dir.kind == DirectiveKind::Combiner {
         reduction_op(unit, diags);
     }
     warp_alignment(unit, diags);
@@ -104,7 +104,7 @@ fn emits_match_clauses(unit: &RegionUnit, diags: &mut Vec<Diag>) {
             format!(
                 "{} region never emits: no printf(key, value) call found; the kernel \
                  would produce no output",
-                kind_name(unit.kind)
+                kind_name(unit.dir.kind)
             ),
         );
         return;

@@ -1,36 +1,32 @@
 //! `heterolint`: GPU-safety and performance static analysis over
 //! `#pragma mapreduce` programs.
 //!
-//! Five pass families, run after [`crate::sema::analyze`]:
+//! Four pass families, run after [`crate::sema::analyze`] over the region
+//! facts it collected ([`crate::region`]):
 //!
 //! 1. **Race / purity** ([`races`]): map/reduce bodies may only write
 //!    privatizable locals and emit targets — writes to `sharedRO` /
 //!    `texture` state (HD001), writes into the input record buffer
 //!    (HD002), and mapper cross-iteration dependences found by a
 //!    reaching-definitions dataflow (HD003) are reported.
-//! 2. **Classification verifier** ([`classify_check`]): Algorithm 1's
-//!    constant/texture/global placement is recomputed independently from
-//!    def-use facts and any divergence from `sema::analyze` is HD008.
-//! 3. **Clause validator** ([`clauses`]): Table 1 consistency — emit
+//! 2. **Clause validator** ([`clauses`]): Table 1 consistency — emit
 //!    sites vs `key`/`value` clauses (HD004, HD014), `keylength` /
 //!    `vallength` truncation (HD005), contradictory storage clauses
 //!    (HD006, HD015), combiner reduction-operator commutativity (HD007),
 //!    warp-aligned `threads` (HD013).
-//! 4. **Performance lints** ([`perf`]): uncoalesced global-memory
+//! 3. **Performance lints** ([`perf`]): uncoalesced global-memory
 //!    subscripts (HD009), divergent branches in inner hot loops (HD010),
 //!    read-only firstprivate arrays (HD011), multi-emit mappers without a
 //!    `kvpairs` hint (HD012). Each is cross-checked against
 //!    `hetero-gpusim` counters by the workspace's differential tests.
-//! 5. **Value analysis** ([`absint`]): a flow-sensitive abstract
+//! 4. **Value analysis** ([`absint`]): a flow-sensitive abstract
 //!    interpreter over interval/initialization/nullness/extent domains
 //!    ([`domains`]) proves per-site safety facts. Provable faults and
 //!    dead code become HD016–HD021; the [`absint::SafetyFacts`] table
 //!    lets the native backend elide host-side guards at proven sites.
 
 pub mod absint;
-pub mod classify_check;
 pub mod clauses;
-pub mod dataflow;
 pub mod diag;
 pub mod domains;
 pub mod perf;
@@ -56,7 +52,10 @@ pub enum LintLevel {
 }
 
 /// Catalogue of all stable lint codes: `(code, severity, summary)`.
-/// Kept in one place so docs, the JSON report, and tests agree.
+/// Kept in one place so docs, the JSON report, and tests agree. Numbers
+/// are never reused: the one between HD007 and HD009 (a self-check of
+/// the compiler, retired with the second Algorithm-1 implementation it
+/// compared) stays vacant.
 pub const CODES: &[(&str, Severity, &str)] = &[
     (
         "HD001",
@@ -92,11 +91,6 @@ pub const CODES: &[(&str, Severity, &str)] = &[
         "HD007",
         Severity::Warning,
         "non-commutative/associative combiner reduction",
-    ),
-    (
-        "HD008",
-        Severity::Error,
-        "classification verifier disagrees with sema placement",
     ),
     (
         "HD009",
@@ -250,27 +244,19 @@ impl LintReport {
 
 /// Run every lint pass over an analyzed program.
 ///
-/// `src` is the original annotated source (for spans), `program` the
-/// parsed AST, and `analysis` the output of [`crate::sema::analyze`] on
-/// the same program.
-pub fn lint_program(src: &str, program: &Program, analysis: &Analysis) -> LintReport {
-    let mut report = LintReport::default();
-    let Some(main) = program.func("main") else {
-        return report;
+/// `analysis` is the output of [`crate::sema::analyze`] on `program`,
+/// parsed from `src`. Every fact the passes read arrives in it; the
+/// other two parameters are unread and stay because the `e2e` benchmark
+/// binds this signature.
+pub fn lint_program(_src: &str, _program: &Program, analysis: &Analysis) -> LintReport {
+    let mut report = LintReport {
+        regions: analysis.units.len(),
+        ..LintReport::default()
     };
-    let units = dataflow::collect_regions(src, program, main);
-    report.regions = units.len();
-    for unit in &units {
-        let region = analysis
-            .regions
-            .iter()
-            .find(|r| r.directive_idx == unit.directive_idx);
+    for (unit, region) in analysis.units.iter().zip(&analysis.regions) {
         races::check(unit, &mut report.diags);
         clauses::check(unit, &mut report.diags);
         perf::check(unit, region, &mut report.diags);
-        if let Some(region) = region {
-            classify_check::check(unit, region, &mut report.diags);
-        }
     }
     // Value analysis over the whole of `main` (regions included),
     // already run by `sema::analyze`.
@@ -354,58 +340,4 @@ mod tests {
             assert_eq!(severity_of(code), Some(sev), "{code}");
         }
     }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    //! The paper's listings, shared across lint pass tests.
-
-    pub(crate) const LISTING1: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) \
-    keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-
-    pub(crate) const LISTING2: &str = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) \
-    keyin(word) valuein(val) keylength(30) vallength(1) \
-    firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) {
-        count += val;
-      } else {
-        if(prevWord[0] != '\0')
-          printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0')
-      printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
 }

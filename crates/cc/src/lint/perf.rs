@@ -5,20 +5,18 @@
 //! `dropped_records` when the kvpairs hint under-provisions the KV
 //! store.
 
-use super::dataflow::RegionUnit;
 use super::{push, Diag};
 use crate::ast::CType;
 use crate::pragma::DirectiveKind;
+use crate::region::RegionUnit;
 use crate::sema::{Placement, RegionInfo};
 use std::collections::BTreeSet;
 
 /// Run the performance family on one region.
-pub fn check(unit: &RegionUnit, region: Option<&RegionInfo>, diags: &mut Vec<Diag>) {
-    if let Some(region) = region {
-        uncoalesced(unit, region, diags);
-        readonly_firstprivate(unit, region, diags);
-    }
-    if unit.kind == DirectiveKind::Mapper {
+pub fn check(unit: &RegionUnit, region: &RegionInfo, diags: &mut Vec<Diag>) {
+    uncoalesced(unit, region, diags);
+    readonly_firstprivate(unit, region, diags);
+    if unit.dir.kind == DirectiveKind::Mapper {
         divergent_branches(unit, diags);
         kvpairs_hint(unit, diags);
     }
@@ -219,7 +217,7 @@ int main() {
 
     #[test]
     fn hd012_multi_emit_without_kvpairs() {
-        let src = crate::lint::tests_support::LISTING1;
+        let src = crate::test_listings::LISTING1;
         let r = lint(src);
         let d = r.diags.iter().find(|d| d.code == "HD012").unwrap();
         assert_eq!(d.severity, Severity::PerfNote);

@@ -7,10 +7,10 @@
 //! records in the staged input; and a mapper whose value flows across
 //! record iterations is not parallelizable per-record at all.
 
-use super::dataflow::{EventKind, RegionUnit};
 use super::push;
 use super::Diag;
 use crate::pragma::DirectiveKind;
+use crate::region::{EventKind, RegionUnit};
 use crate::sema::is_stream_handle;
 use std::collections::BTreeSet;
 
@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 pub fn check(unit: &RegionUnit, diags: &mut Vec<Diag>) {
     shared_writes(unit, diags);
     input_buffer_writes(unit, diags);
-    if unit.kind == DirectiveKind::Mapper {
+    if unit.dir.kind == DirectiveKind::Mapper {
         cross_iteration(unit, diags);
     }
 }
@@ -68,7 +68,7 @@ fn input_buffer_writes(unit: &RegionUnit, diags: &mut Vec<Diag>) {
         // stores (`line[i] = c`) and string-builtin overwrites count.
         let offending = match e.via_builtin {
             Some("getline" | "getWord" | "getTok" | "scanf" | "addr-of") => false,
-            Some(_) => true, // strcpy/strncpy/strcat into the buffer
+            Some(_) => true, // strcpy into the buffer
             None => e.element,
         };
         if offending && reported.insert(e.var.clone()) {
@@ -189,7 +189,7 @@ int main() {
     #[test]
     fn combiner_carry_is_legitimate() {
         // Listing 2 intentionally carries prevWord/count across records.
-        let src = crate::lint::tests_support::LISTING2;
+        let src = crate::test_listings::LISTING2;
         let r = lint(src);
         assert!(!r.diags.iter().any(|d| d.code == "HD003"), "{:?}", r.diags);
     }

@@ -608,6 +608,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_listings::{LISTING1, LISTING2};
 
     #[test]
     fn parses_minimal_main() {
@@ -755,61 +756,14 @@ int main() {
 
     #[test]
     fn paper_listing_1_parses() {
-        let src = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) \
-    keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-        let p = parse(src).unwrap();
+        let p = parse(LISTING1).unwrap();
         assert_eq!(p.directives.len(), 1);
         assert_eq!(p.directives[0].key, "word");
     }
 
     #[test]
     fn paper_listing_2_parses() {
-        let src = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) \
-    keyin(word) valuein(val) keylength(30) vallength(1) \
-    firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) {
-        count += val;
-      } else {
-        if(prevWord[0] != '\0')
-          printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0')
-      printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
-        let p = parse(src).unwrap();
+        let p = parse(LISTING2).unwrap();
         assert_eq!(p.directives.len(), 1);
         assert_eq!(p.directives[0].keyin.as_deref(), Some("word"));
     }

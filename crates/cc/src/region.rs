@@ -1,4 +1,7 @@
-//! Def-use fact collection for lint passes.
+//! The region fact base: everything the compiler knows about an
+//! annotated region, collected once by [`crate::sema::analyze`] and read
+//! by Algorithm 1 ([`crate::sema::classify`]), the lint passes and the
+//! translator.
 //!
 //! Walks each annotated region **in execution order** (a `for` loop's
 //! init before its condition, a loop body before its step) recording one
@@ -12,9 +15,18 @@
 
 use crate::ast::*;
 use crate::error::Span;
-use crate::pragma::{Directive, DirectiveKind};
-use crate::sema::builtin_write_args;
+use crate::pragma::Directive;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The builtins that write through an argument, with the indices of the
+/// arguments they write. Every name here is one the engines implement.
+const WRITING_BUILTINS: &[(&str, &[usize])] = &[
+    ("strcpy", &[0]),
+    ("getWord", &[2]), // (line, off, word, read, max)
+    ("getTok", &[2]),
+    ("getline", &[0]),     // (&line, &nbytes, stdin)
+    ("scanf", &[1, 2, 3]), // all conversion targets
+];
 
 /// Kind of variable access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +53,7 @@ pub struct Event {
     /// access) rather than the whole object.
     pub element: bool,
     /// Builtin that performed the write on the variable's behalf
-    /// (`getline`, `scanf`, `strcpy`, ...), if any.
+    /// (`getline`, `scanf`, `strcpy`, ...) or `"addr-of"`, if any.
     pub via_builtin: Option<&'static str>,
 }
 
@@ -87,10 +99,8 @@ pub struct IndexSite {
 pub struct RegionUnit {
     /// Index into `Program::directives`.
     pub directive_idx: usize,
-    /// The directive itself.
+    /// The directive itself (its `kind` says mapper or combiner).
     pub dir: Directive,
-    /// Mapper or combiner.
-    pub kind: DirectiveKind,
     /// Access events in execution order.
     pub events: Vec<Event>,
     /// Emit (`printf`) sites.
@@ -109,8 +119,11 @@ pub struct RegionUnit {
     /// Compound assignments `((op, target), span)` seen in the region,
     /// for reduction-operator checks.
     pub compound_ops: Vec<((AssignOp, String), Span)>,
-    /// Whole-source text (for snippet rendering decisions).
-    pub src_len: usize,
+    /// Whether the region contains a `while` loop (the record loop).
+    pub has_while: bool,
+    /// Pointer-to-pointer assignment seen: the privatization analysis
+    /// may be inaccurate (paper §3.2 aliasing warning).
+    pub alias_risk: bool,
 }
 
 impl RegionUnit {
@@ -170,19 +183,6 @@ impl RegionUnit {
         None
     }
 
-    /// First write event of `var`, excluding writes performed by the
-    /// input builtins themselves.
-    pub fn first_explicit_write(&self, var: &str) -> Option<&Event> {
-        self.events.iter().find(|e| {
-            e.var == var
-                && e.kind == EventKind::Write
-                && !matches!(
-                    e.via_builtin,
-                    Some("getline" | "getWord" | "getTok" | "scanf")
-                )
-        })
-    }
-
     /// Whether `var` is a main-level (outer) variable.
     pub fn is_outer(&self, var: &str) -> bool {
         self.outer_types.contains_key(var) && !self.inner_decls.contains(var)
@@ -194,53 +194,31 @@ impl RegionUnit {
     }
 }
 
-/// Collect a [`RegionUnit`] for every annotated region of `main`.
-pub fn collect_regions(src: &str, program: &Program, main: &FuncDef) -> Vec<RegionUnit> {
-    let mut outer_types = BTreeMap::new();
-    walk_stmts(&main.body, &mut |s| {
-        if let StmtKind::Decl(ds) = &s.kind {
-            for d in ds {
-                outer_types.insert(d.name.clone(), d.ty.clone());
-            }
-        }
-    });
-
+/// Collect a [`RegionUnit`] for every annotated region of `main`, in
+/// directive order. A directive attached to no statement of `main` has
+/// no unit.
+pub fn collect_regions(program: &Program, main: &FuncDef) -> Vec<RegionUnit> {
+    // The paper's regions only see main-level variables.
+    let outer_types = decls(&main.body);
     let mut units = Vec::new();
     for (idx, dir) in program.directives.iter().enumerate() {
-        let mut region: Option<&Stmt> = None;
-        walk_stmts(&main.body, &mut |s| {
-            if let StmtKind::Annotated(i, inner) = &s.kind {
-                if *i == idx {
-                    region = Some(inner.as_ref());
-                }
-            }
-        });
-        let Some(region) = region else { continue };
-
-        let mut inner_decls = BTreeSet::new();
-        let tmp = [region.clone()];
-        walk_stmts(&tmp, &mut |s| {
-            if let StmtKind::Decl(ds) = &s.kind {
-                for d in ds {
-                    inner_decls.insert(d.name.clone());
-                }
-            }
-        });
-
+        let Some(region) = program.region(idx) else {
+            continue;
+        };
         let mut c = Collector {
             unit: RegionUnit {
                 directive_idx: idx,
                 dir: dir.clone(),
-                kind: dir.kind,
                 events: Vec::new(),
                 emits: Vec::new(),
                 branches: Vec::new(),
                 index_sites: Vec::new(),
                 compound_ops: Vec::new(),
-                inner_decls,
+                inner_decls: decls(std::slice::from_ref(region)).into_keys().collect(),
                 outer_types: outer_types.clone(),
                 input_buffers: BTreeSet::new(),
-                src_len: src.len(),
+                has_while: false,
+                alias_risk: false,
             },
             loop_depth: 0,
             stmt_span: region.span,
@@ -249,6 +227,19 @@ pub fn collect_regions(src: &str, program: &Program, main: &FuncDef) -> Vec<Regi
         units.push(c.unit);
     }
     units
+}
+
+/// Every variable declared anywhere under `stmts`, with its type.
+fn decls(stmts: &[Stmt]) -> BTreeMap<String, CType> {
+    let mut out = BTreeMap::new();
+    walk_stmts(stmts, &mut |s| {
+        if let StmtKind::Decl(ds) = &s.kind {
+            for d in ds {
+                out.insert(d.name.clone(), d.ty.clone());
+            }
+        }
+    });
+    out
 }
 
 struct Collector {
@@ -282,6 +273,7 @@ impl Collector {
             }
             StmtKind::Expr(e) => self.expr(e),
             StmtKind::While { cond, body } => {
+                self.unit.has_while = true;
                 self.expr(cond);
                 self.loop_depth += 1;
                 self.stmt(body);
@@ -346,6 +338,11 @@ impl Collector {
                     }
                     let element = !matches!(lhs.as_ref(), Expr::Ident(_));
                     self.event(&n, EventKind::Write, element, None);
+                    // Assigning a whole pointer inside the region defeats
+                    // the privatization analysis (§3.2 warning).
+                    if !element && matches!(self.unit.outer_types.get(&n), Some(CType::Ptr(_))) {
+                        self.unit.alias_risk = true;
+                    }
                 }
             }
             Expr::Unary(UnOp::AddrOf, inner) => {
@@ -406,17 +403,10 @@ impl Collector {
                 self.unit.input_buffers.insert(n);
             }
         }
-        let via: Option<&'static str> = match name {
-            "getline" => Some("getline"),
-            "getWord" => Some("getWord"),
-            "getTok" => Some("getTok"),
-            "scanf" => Some("scanf"),
-            "strcpy" => Some("strcpy"),
-            "strncpy" => Some("strncpy"),
-            "strcat" => Some("strcat"),
-            _ => None,
+        let (via, write_args) = match WRITING_BUILTINS.iter().find(|(n, _)| *n == name) {
+            Some(&(n, write_args)) => (Some(n), write_args),
+            None => (None, &[][..]),
         };
-        let write_args = builtin_write_args(name);
         for (i, a) in args.iter().enumerate() {
             if write_args.contains(&i) {
                 self.lvalue_subscripts(a);
@@ -437,16 +427,14 @@ impl Collector {
         let mut vars = Vec::new();
         let mut all_const = true;
         collect_subscripts(e, &mut |idx| {
-            let mut has_var = false;
-            walk_expr_idents(idx, &mut |n| {
-                has_var = true;
-                if !vars.contains(&n.to_string()) {
-                    vars.push(n.to_string());
+            walk_expr(idx, &mut |x| {
+                if let Expr::Ident(n) = x {
+                    if !vars.contains(n) {
+                        vars.push(n.clone());
+                    }
                 }
             });
-            if has_var || !matches!(idx, Expr::IntLit(_) | Expr::CharLit(_)) {
-                all_const = matches!(idx, Expr::IntLit(_) | Expr::CharLit(_)) && all_const;
-            }
+            all_const &= matches!(idx, Expr::IntLit(_) | Expr::CharLit(_));
         });
         self.unit.index_sites.push(IndexSite {
             array,
@@ -474,11 +462,17 @@ impl Collector {
     }
 
     /// Visit subscript expressions of a read chain (the root read event
-    /// is emitted separately).
+    /// is emitted separately). A base that is not a plain root — say
+    /// `(p + k)[i]` or `f(x)[i]` — is an ordinary expression.
     fn subscript_exprs(&mut self, e: &Expr) {
-        if let Expr::Index(b, i, _) = e {
-            self.expr(i);
-            self.subscript_exprs(b);
+        match e {
+            Expr::Index(b, i, _) => {
+                self.expr(i);
+                self.subscript_exprs(b);
+            }
+            Expr::Unary(UnOp::Deref, x) | Expr::Cast(_, x) => self.subscript_exprs(x),
+            Expr::Ident(_) => {}
+            other => self.expr(other),
         }
     }
 }
@@ -507,30 +501,6 @@ fn collect_subscripts(e: &Expr, f: &mut dyn FnMut(&Expr)) {
     }
 }
 
-fn walk_expr_idents(e: &Expr, f: &mut dyn FnMut(&str)) {
-    match e {
-        Expr::Ident(n) => f(n),
-        Expr::Unary(_, x) | Expr::Cast(_, x) | Expr::PostInc(x) | Expr::PostDec(x) => {
-            walk_expr_idents(x, f)
-        }
-        Expr::Binary(_, a, b, _) | Expr::Assign(_, a, b) | Expr::Index(a, b, _) => {
-            walk_expr_idents(a, f);
-            walk_expr_idents(b, f);
-        }
-        Expr::Cond(c, t, x) => {
-            walk_expr_idents(c, f);
-            walk_expr_idents(t, f);
-            walk_expr_idents(x, f);
-        }
-        Expr::Call(_, args, _) => {
-            for a in args {
-                walk_expr_idents(a, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,8 +508,7 @@ mod tests {
 
     fn unit(src: &str) -> RegionUnit {
         let prog = parse(src).unwrap();
-        let main = prog.func("main").unwrap().clone();
-        let mut units = collect_regions(src, &prog, &main);
+        let mut units = collect_regions(&prog, prog.func("main").unwrap());
         assert_eq!(units.len(), 1);
         units.remove(0)
     }
@@ -555,6 +524,13 @@ int main() {
   }
 }
 "#;
+
+    #[test]
+    fn every_writing_builtin_is_one_the_engines_implement() {
+        for (name, _) in WRITING_BUILTINS {
+            assert!(crate::interp::builtin_min_args(name).is_some(), "{name}");
+        }
+    }
 
     #[test]
     fn events_in_execution_order() {

@@ -1,26 +1,29 @@
 //! Semantic analysis of annotated regions: Algorithm 1 of the paper.
 //!
-//! For each `#pragma mapreduce` region this pass
+//! [`analyze`] collects the region fact base ([`crate::region`]) once and,
+//! for each `#pragma mapreduce` region,
 //!
-//! 1. collects the variables used inside the region,
-//! 2. classifies each one — shared read-only scalar (→ constant memory),
-//!    shared read-only array (→ texture or global memory), private, or
-//!    firstprivate (with automatic inference when the clause is absent),
-//! 3. validates the directive's variable references against the symbol
+//! 1. classifies every outer variable the region uses ([`classify`]) —
+//!    shared read-only scalar (→ constant memory), shared read-only array
+//!    (→ texture or global memory), private, or firstprivate (with
+//!    automatic inference when the clause is absent),
+//! 2. validates the directive's variable references against the symbol
 //!    table, and
-//! 4. emits the paper's aliasing warning when privatization inference may
+//! 3. emits the paper's aliasing warning when privatization inference may
 //!    be inaccurate (§3.2).
 //!
-//! [`analyze`] is also where the value analysis ([`crate::lint::absint`])
-//! runs — once per program — so one [`Analysis`] carries everything
-//! later stages consume: placements for the translator, the safety
-//! table for the kernel backend, the HD016–HD021 findings for the lint
-//! report.
+//! It is also where the value analysis ([`crate::lint::absint`]) runs —
+//! once per program — so one [`Analysis`] carries everything later stages
+//! consume: the region facts for the lints and whatever follows the
+//! front end, placements for the translator, the safety table for the
+//! kernel backend, the HD016–HD021 findings for the lint report.
 
 use crate::ast::*;
 use crate::error::{CcError, Warning};
+use crate::interp::builtin_min_args;
 use crate::lint::absint::{self, SafetyFacts};
-use crate::pragma::{Directive, DirectiveKind};
+use crate::pragma::DirectiveKind;
+use crate::region::{collect_regions, RegionUnit};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a variable is placed in the generated kernel (Algorithm 1).
@@ -71,6 +74,10 @@ pub struct RegionInfo {
 pub struct Analysis {
     /// One entry per mapreduce directive, in directive order.
     pub regions: Vec<RegionInfo>,
+    /// The fact base each entry of `regions` was derived from, parallel
+    /// to it: def-use events in execution order, emit/branch/subscript
+    /// sites, region-local declarations.
+    pub units: Vec<RegionUnit>,
     /// Per-site safety proofs from the value analysis
     /// ([`crate::lint::absint`]); the native backend consumes these via
     /// [`crate::backend::NativeBackend::with_facts`] to pick the guarded
@@ -87,124 +94,88 @@ pub fn analyze(prog: &Program) -> Result<Analysis, CcError> {
     let main = prog
         .func("main")
         .ok_or_else(|| CcError::sema(0u32, "program has no main function"))?;
+    check_calls(prog)?;
 
-    // Symbol table of main's declarations (the paper's regions only see
-    // main-level variables).
-    let mut types: BTreeMap<String, CType> = BTreeMap::new();
-    walk_stmts(&main.body, &mut |s| {
-        if let StmtKind::Decl(ds) = &s.kind {
-            for d in ds {
-                types.insert(d.name.clone(), d.ty.clone());
-            }
-        }
-    });
-
+    let units = collect_regions(prog, main);
     let mut regions = Vec::new();
     for (idx, dir) in prog.directives.iter().enumerate() {
-        let region = find_region(&main.body, idx)
+        // Units come in directive order, so the first gap is here.
+        let unit = units
+            .get(idx)
+            .filter(|u| u.directive_idx == idx)
             .ok_or_else(|| CcError::sema(dir.span, "directive is not attached to a statement"))?;
-        regions.push(analyze_region(dir, idx, region, &types)?);
+        regions.push(analyze_region(unit)?);
     }
     let value = absint::analyze_main(prog);
     Ok(Analysis {
         regions,
+        units,
         safety: value.facts,
         value_findings: value.findings,
     })
 }
 
-fn find_region(stmts: &[Stmt], idx: usize) -> Option<&Stmt> {
-    let mut found = None;
-    walk_stmts(stmts, &mut |s| {
-        if let StmtKind::Annotated(i, inner) = &s.kind {
-            if *i == idx {
-                found = Some(inner.as_ref());
-            }
-        }
-    });
-    found
+/// Every call names a function of the program or a builtin the engines
+/// implement; anything else would only fail once a record reaches it.
+fn check_calls(prog: &Program) -> Result<(), CcError> {
+    let mut unknown = None;
+    for f in &prog.funcs {
+        walk_stmts(&f.body, &mut |s| {
+            own_exprs(s, &mut |e| {
+                if let Expr::Call(name, ..) = e {
+                    if unknown.is_none()
+                        && prog.func(name).is_none()
+                        && builtin_min_args(name).is_none()
+                    {
+                        unknown = Some((s.span, name));
+                    }
+                }
+            });
+        });
+    }
+    match unknown {
+        Some((span, name)) => Err(CcError::sema(
+            span,
+            format!("call to unknown function '{name}'"),
+        )),
+        None => Ok(()),
+    }
 }
 
-fn analyze_region(
-    dir: &Directive,
-    idx: usize,
-    region: &Stmt,
-    outer_types: &BTreeMap<String, CType>,
-) -> Result<RegionInfo, CcError> {
+fn analyze_region(unit: &RegionUnit) -> Result<RegionInfo, CcError> {
+    let dir = &unit.dir;
     let line = dir.span;
-    let mut warnings = Vec::new();
 
     // The mapper/combiner region must contain the record loop.
-    let mut has_while = false;
-    let tmp = [region.clone()];
-    walk_stmts(&tmp, &mut |s| {
-        if matches!(s.kind, StmtKind::While { .. }) {
-            has_while = true;
-        }
-    });
-    if !has_while {
+    if !unit.has_while {
         return Err(CcError::sema(
             line,
             "annotated region contains no while loop over records",
         ));
     }
 
-    // Variables declared inside the region shadow outer ones and are
-    // private by construction.
-    let mut inner_decls: BTreeSet<String> = BTreeSet::new();
-    walk_stmts(&tmp, &mut |s| {
-        if let StmtKind::Decl(ds) = &s.kind {
-            for d in ds {
-                inner_decls.insert(d.name.clone());
-            }
-        }
-    });
-
-    // Used variables (Algo 1: getUsedVars), collected in execution order
-    // so read-before-write is exact: a `for` loop visits init before
-    // cond/step, and compound assignments (`x += v`) read their target.
-    let mut usage = Usage::default();
-    usage.visit_stmt(&tmp[0], outer_types);
-    let Usage {
-        mut used,
-        written,
-        read_before_write,
-        alias_risk,
-    } = usage;
-    used.retain(|v| outer_types.contains_key(v) && !inner_decls.contains(v));
-
     // Validate directive variable references.
-    let check_var = |name: &str| -> Result<(), CcError> {
-        if !outer_types.contains_key(name) && !inner_decls.contains(name) {
+    let clause_vars = [&dir.key, &dir.value]
+        .into_iter()
+        .chain(&dir.keyin)
+        .chain(&dir.valuein)
+        .chain(&dir.firstprivate)
+        .chain(&dir.shared_ro)
+        .chain(&dir.texture);
+    for name in clause_vars {
+        if !unit.outer_types.contains_key(name) && !unit.inner_decls.contains(name) {
             return Err(CcError::sema(
                 line,
                 format!("clause references unknown variable '{name}'"),
             ));
         }
-        Ok(())
-    };
-    check_var(&dir.key)?;
-    check_var(&dir.value)?;
-    if let Some(k) = &dir.keyin {
-        check_var(k)?;
-    }
-    if let Some(v) = &dir.valuein {
-        check_var(v)?;
-    }
-    for v in dir
-        .firstprivate
-        .iter()
-        .chain(dir.shared_ro.iter())
-        .chain(dir.texture.iter())
-    {
-        check_var(v)?;
     }
 
     // Resolve emitted key/value lengths: clause wins, otherwise derive
     // from the variable's type (paper §3.1: keylength/vallength are needed
     // when the type is not compiler-derivable).
-    let key_ty = lookup_ty(&dir.key, outer_types);
-    let val_ty = lookup_ty(&dir.value, outer_types);
+    let key_ty = unit.ty(&dir.key);
+    let val_ty = unit.ty(&dir.value);
     let derive_len =
         |ty: Option<&CType>, clause: Option<usize>, what: &str| -> Result<usize, CcError> {
             if let Some(n) = clause {
@@ -221,14 +192,9 @@ fn analyze_region(
         };
     let key_length = derive_len(key_ty, dir.keylength, "key")?;
     let val_length = derive_len(val_ty, dir.vallength, "val")?;
-    let key_is_array = key_ty
-        .map(|t| t.is_array() || matches!(t, CType::Ptr(_)))
-        .unwrap_or(false);
-    let val_is_array = val_ty
-        .map(|t| t.is_array() || matches!(t, CType::Ptr(_)))
-        .unwrap_or(false);
 
-    if alias_risk {
+    let mut warnings = Vec::new();
+    if unit.alias_risk {
         warnings.push(Warning::new(
             line,
             "privatization analysis may be inaccurate due to pointer aliasing; \
@@ -236,74 +202,25 @@ fn analyze_region(
         ));
     }
 
-    // Classification (Algorithm 1).
-    let shared_ro: BTreeSet<&String> = dir.shared_ro.iter().collect();
-    let texture: BTreeSet<&String> = dir.texture.iter().collect();
-    let mut firstprivate: BTreeSet<String> = dir.firstprivate.iter().cloned().collect();
-    // Automatic inference: an outer variable written in the region whose
-    // value is (possibly) read before the first write needs its initial
-    // value — firstprivate. Read-only non-sharedRO variables also keep
-    // their initial value.
-    for v in &used {
-        if firstprivate.contains(v) || shared_ro.contains(v) || texture.contains(v) {
-            continue;
-        }
-        let w = written.contains(v);
-        let rbw = read_before_write.contains(v);
-        if (!w && !is_stream_handle(v)) || (w && rbw) {
-            firstprivate.insert(v.clone());
-        }
-    }
-
-    let mut placements = BTreeMap::new();
-    for v in &used {
-        let ty = lookup_ty(v, outer_types);
-        let is_arr = ty
-            .map(|t| t.is_array() || matches!(t, CType::Ptr(_)))
-            .unwrap_or(false);
-        let p = if texture.contains(v) {
-            Placement::TextureArray
-        } else if shared_ro.contains(v) {
-            if is_arr {
-                // Arrays with compile-time size default to texture (paper
-                // §3.2); unknown-size arrays go to global memory.
-                match ty {
-                    Some(CType::Array(_, Some(_))) => Placement::TextureArray,
-                    _ => Placement::GlobalArray,
-                }
-            } else {
-                Placement::ConstantScalar
-            }
-        } else if firstprivate.contains(v) {
-            if is_arr {
-                Placement::FirstPrivateArray
-            } else {
-                Placement::FirstPrivateScalar
-            }
-        } else {
-            Placement::Private
-        };
-        placements.insert(v.clone(), p);
-    }
-
-    let mut types = outer_types.clone();
-    types.retain(|k, _| used.contains(k) || inner_decls.contains(k));
+    let placements = classify(unit);
+    let mut types = unit.outer_types.clone();
+    types.retain(|k, _| placements.contains_key(k) || unit.inner_decls.contains(k));
 
     Ok(RegionInfo {
-        directive_idx: idx,
+        directive_idx: unit.directive_idx,
         kind: dir.kind,
         placements,
         types,
         key_length,
         val_length,
-        key_is_array,
-        val_is_array,
+        key_is_array: key_ty.is_some_and(is_arr),
+        val_is_array: val_ty.is_some_and(is_arr),
         warnings,
     })
 }
 
-fn lookup_ty<'a>(name: &str, t: &'a BTreeMap<String, CType>) -> Option<&'a CType> {
-    t.get(name)
+fn is_arr(ty: &CType) -> bool {
+    matches!(ty, CType::Array(..) | CType::Ptr(_))
 }
 
 /// `stdin`/`stdout` pseudo-handles are replaced by the runtime, never
@@ -312,232 +229,72 @@ pub(crate) fn is_stream_handle(name: &str) -> bool {
     matches!(name, "stdin" | "stdout" | "stderr")
 }
 
-/// Execution-ordered def/use collector for a region (Algorithm 1's
-/// getUsedVars plus read-before-write tracking for firstprivate
-/// inference).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Usage {
-    /// All outer variables referenced in the region.
-    pub(crate) used: BTreeSet<String>,
-    /// Variables written (directly, via `&x`, or by a writing builtin).
-    pub(crate) written: BTreeSet<String>,
-    /// Variables whose value may be read before the region's first write.
-    pub(crate) read_before_write: BTreeSet<String>,
-    /// Pointer-to-pointer assignment seen (paper §3.2 aliasing warning).
-    pub(crate) alias_risk: bool,
-}
+/// Algorithm 1: the placement of every outer variable a region uses.
+///
+/// Rules, in clause-priority order (paper §3.2):
+/// 1. `texture(v)` forces the texture path.
+/// 2. `sharedRO(v)`: scalars become kernel arguments (constant memory);
+///    arrays with a compile-time size default to texture; unsized arrays
+///    go to global memory through a device pointer.
+/// 3. explicit or inferred `firstprivate`: scalars by kernel parameter,
+///    arrays staged through global memory. Inference: the region reads
+///    the variable's pre-region value — either it never writes it, or a
+///    read precedes every same-iteration write.
+/// 4. everything else is private.
+pub fn classify(unit: &RegionUnit) -> BTreeMap<String, Placement> {
+    let used = unit.used();
+    let written = unit.written();
+    let rbw = unit.read_before_write();
+    let texture: BTreeSet<&str> = unit.dir.texture.iter().map(|s| s.as_str()).collect();
+    let shared_ro: BTreeSet<&str> = unit.dir.shared_ro.iter().map(|s| s.as_str()).collect();
+    let mut firstprivate: BTreeSet<&str> =
+        unit.dir.firstprivate.iter().map(|s| s.as_str()).collect();
 
-impl Usage {
-    fn read(&mut self, n: &str) {
-        self.used.insert(n.to_string());
-        if !self.written.contains(n) {
-            self.read_before_write.insert(n.to_string());
+    for v in &used {
+        if firstprivate.contains(v) || shared_ro.contains(v) || texture.contains(v) {
+            continue;
+        }
+        let w = written.contains(v);
+        let reads_initial = rbw.contains(v);
+        if (!w && !is_stream_handle(v)) || (w && reads_initial) {
+            firstprivate.insert(v);
         }
     }
 
-    fn write(&mut self, n: &str) {
-        self.used.insert(n.to_string());
-        self.written.insert(n.to_string());
+    let mut out = BTreeMap::new();
+    for v in used {
+        let arr = unit.ty(v).is_some_and(is_arr);
+        let p = if texture.contains(v) {
+            Placement::TextureArray
+        } else if shared_ro.contains(v) {
+            match unit.ty(v) {
+                Some(CType::Array(_, Some(_))) => Placement::TextureArray,
+                _ if arr => Placement::GlobalArray,
+                _ => Placement::ConstantScalar,
+            }
+        } else if firstprivate.contains(v) {
+            if arr {
+                Placement::FirstPrivateArray
+            } else {
+                Placement::FirstPrivateScalar
+            }
+        } else {
+            Placement::Private
+        };
+        out.insert(v.to_string(), p);
     }
-
-    pub(crate) fn visit_stmt(&mut self, s: &Stmt, tys: &BTreeMap<String, CType>) {
-        match &s.kind {
-            StmtKind::Decl(ds) => {
-                for d in ds {
-                    if let Some(i) = &d.init {
-                        self.visit_expr(i, tys);
-                    }
-                }
-            }
-            StmtKind::Expr(e) => self.visit_expr(e, tys),
-            StmtKind::While { cond, body } => {
-                self.visit_expr(cond, tys);
-                self.visit_stmt(body, tys);
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                // Execution order: init runs before cond is first read.
-                if let Some(i) = init {
-                    self.visit_stmt(i, tys);
-                }
-                if let Some(c) = cond {
-                    self.visit_expr(c, tys);
-                }
-                self.visit_stmt(body, tys);
-                if let Some(st) = step {
-                    self.visit_expr(st, tys);
-                }
-            }
-            StmtKind::If { cond, then, els } => {
-                self.visit_expr(cond, tys);
-                self.visit_stmt(then, tys);
-                if let Some(e) = els {
-                    self.visit_stmt(e, tys);
-                }
-            }
-            StmtKind::Return(Some(e)) => self.visit_expr(e, tys),
-            StmtKind::Block(v) => {
-                for st in v {
-                    self.visit_stmt(st, tys);
-                }
-            }
-            StmtKind::Annotated(_, inner) => self.visit_stmt(inner, tys),
-            _ => {}
-        }
-    }
-
-    fn visit_expr(&mut self, e: &Expr, tys: &BTreeMap<String, CType>) {
-        match e {
-            Expr::Ident(n) => self.read(n),
-            Expr::Assign(op, lhs, rhs) => {
-                self.visit_expr(rhs, tys);
-                // Subscripts on the lhs are reads (`a[i] = ...` reads i).
-                self.visit_lhs_subscripts(lhs, tys);
-                if let Some(n) = root_ident(lhs) {
-                    // Compound assignment reads the target first.
-                    if *op != AssignOp::None {
-                        self.read(n);
-                    }
-                    let n = n.to_string();
-                    self.write(&n);
-                    // Pointer-to-pointer assignment inside the region
-                    // defeats the privatization analysis (§3.2 warning).
-                    if matches!(tys.get(&n), Some(CType::Ptr(_)))
-                        && matches!(lhs.as_ref(), Expr::Ident(_))
-                    {
-                        self.alias_risk = true;
-                    }
-                }
-            }
-            Expr::Unary(UnOp::AddrOf, inner) => {
-                // Address-taken variables are written through the pointer
-                // (getline(&line...), scanf(..., &val)).
-                self.visit_lhs_subscripts(inner, tys);
-                if let Some(n) = root_ident(inner) {
-                    let n = n.to_string();
-                    self.write(&n);
-                }
-            }
-            Expr::PostInc(x) | Expr::PostDec(x) | Expr::Unary(UnOp::PreInc | UnOp::PreDec, x) => {
-                self.visit_lhs_subscripts(x, tys);
-                if let Some(n) = root_ident(x) {
-                    self.read(n);
-                    let n = n.to_string();
-                    self.write(&n);
-                }
-            }
-            Expr::Call(name, args, _) => {
-                // Builtins that write through specific arguments.
-                let write_args = builtin_write_args(name);
-                for (i, a) in args.iter().enumerate() {
-                    if write_args.contains(&i) {
-                        self.visit_lhs_subscripts(a, tys);
-                        if let Some(n) = a_root(a) {
-                            self.write(&n);
-                        } else {
-                            self.visit_expr(a, tys);
-                        }
-                    } else {
-                        self.visit_expr(a, tys);
-                    }
-                }
-            }
-            Expr::Unary(_, x) | Expr::Cast(_, x) => self.visit_expr(x, tys),
-            Expr::Binary(_, a, b, _) => {
-                self.visit_expr(a, tys);
-                self.visit_expr(b, tys);
-            }
-            Expr::Index(a, b, _) => {
-                self.visit_expr(a, tys);
-                self.visit_expr(b, tys);
-            }
-            Expr::Cond(c, t, x) => {
-                self.visit_expr(c, tys);
-                self.visit_expr(t, tys);
-                self.visit_expr(x, tys);
-            }
-            _ => {}
-        }
-    }
-
-    /// Visit the index expressions of an lvalue (they are reads) without
-    /// treating the root identifier as a read.
-    fn visit_lhs_subscripts(&mut self, e: &Expr, tys: &BTreeMap<String, CType>) {
-        match e {
-            Expr::Index(b, i, _) => {
-                self.visit_expr(i, tys);
-                self.visit_lhs_subscripts(b, tys);
-            }
-            Expr::Unary(UnOp::Deref, x) | Expr::Cast(_, x) => self.visit_lhs_subscripts(x, tys),
-            _ => {}
-        }
-    }
-}
-
-fn a_root(e: &Expr) -> Option<String> {
-    // `&x` write-arguments are handled by the AddrOf arm; here we accept
-    // both `word` and `&val` shapes.
-    match e {
-        Expr::Unary(UnOp::AddrOf, inner) => root_ident(inner).map(|s| s.to_string()),
-        _ => root_ident(e).map(|s| s.to_string()),
-    }
-}
-
-/// Argument indices a known builtin writes through.
-pub(crate) fn builtin_write_args(name: &str) -> &'static [usize] {
-    match name {
-        "strcpy" | "strncpy" | "strcat" => &[0],
-        "getWord" | "getTok" => &[2], // (line, off, word, read, max)
-        "getline" => &[0],            // (&line, &nbytes, stdin)
-        "scanf" => &[1, 2, 3],        // all conversion targets
-        _ => &[],
-    }
-}
-
-fn root_ident(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Ident(n) => Some(n),
-        Expr::Index(b, ..) => root_ident(b),
-        Expr::Unary(UnOp::Deref, x) => root_ident(x),
-        Expr::Cast(_, x) => root_ident(x),
-        _ => None,
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::parse;
-
-    const WC_MAP: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
+    use crate::test_listings::{LISTING1, LISTING2};
 
     #[test]
     fn wordcount_map_region_analyzed() {
-        let prog = parse(WC_MAP).unwrap();
+        let prog = parse(LISTING1).unwrap();
         let a = analyze(&prog).unwrap();
         assert_eq!(a.regions.len(), 1);
         let r = &a.regions[0];
@@ -643,28 +400,7 @@ int main() {
 
     #[test]
     fn explicit_firstprivate_honoured_listing_2() {
-        let src = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) keyin(word) valuein(val) \
-    keylength(30) vallength(1) firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) { count += val; }
-      else {
-        if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
-        let prog = parse(src).unwrap();
+        let prog = parse(LISTING2).unwrap();
         let a = analyze(&prog).unwrap();
         let r = &a.regions[0];
         assert_eq!(r.kind, DirectiveKind::Combiner);

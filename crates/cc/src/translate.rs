@@ -12,6 +12,7 @@
 use crate::ast::*;
 use crate::error::CcError;
 use crate::pragma::DirectiveKind;
+use crate::region::RegionUnit;
 use crate::sema::{Analysis, Placement, RegionInfo};
 use std::collections::BTreeMap;
 
@@ -105,14 +106,19 @@ pub fn translate(prog: &Program, analysis: &Analysis) -> Result<Vec<KernelSpec>,
     analysis
         .regions
         .iter()
-        .map(|r| translate_region(prog, r))
+        .zip(&analysis.units)
+        .map(|(r, u)| translate_region(prog, r, u))
         .collect()
 }
 
-fn translate_region(prog: &Program, region: &RegionInfo) -> Result<KernelSpec, CcError> {
-    let dir = &prog.directives[region.directive_idx];
-    let main = prog.func("main").expect("analysis guarantees main");
-    let body = find_region_stmt(&main.body, region.directive_idx)
+fn translate_region(
+    prog: &Program,
+    region: &RegionInfo,
+    unit: &RegionUnit,
+) -> Result<KernelSpec, CcError> {
+    let dir = &unit.dir;
+    let body = prog
+        .region(region.directive_idx)
         .ok_or_else(|| CcError::sema(dir.span, "annotated region disappeared"))?;
 
     let is_mapper = region.kind == DirectiveKind::Mapper;
@@ -225,16 +231,11 @@ fn translate_region(prog: &Program, region: &RegionInfo) -> Result<KernelSpec, C
     }
 
     // Region-local declarations also become gpu_ privates.
-    let tmp = [body.clone()];
-    walk_stmts(&tmp, &mut |s| {
-        if let StmtKind::Decl(ds) = &s.kind {
-            for d in ds {
-                renames
-                    .entry(d.name.clone())
-                    .or_insert_with(|| format!("gpu_{}", d.name));
-            }
-        }
-    });
+    for name in &unit.inner_decls {
+        renames
+            .entry(name.clone())
+            .or_insert_with(|| format!("gpu_{name}"));
+    }
 
     let vectorize = region.key_is_array || region.val_is_array;
     let translated = rewrite_stmt(body, &renames, is_mapper);
@@ -280,18 +281,6 @@ fn leaf(t: &CType) -> &CType {
         CType::Array(inner, _) | CType::Ptr(inner) => leaf(inner),
         other => other,
     }
-}
-
-fn find_region_stmt(stmts: &[Stmt], idx: usize) -> Option<&Stmt> {
-    let mut found = None;
-    walk_stmts(stmts, &mut |s| {
-        if let StmtKind::Annotated(i, inner) = &s.kind {
-            if *i == idx {
-                found = Some(inner.as_ref());
-            }
-        }
-    });
-    found
 }
 
 /// Rewrite the region: rename privates to `gpu_*` and replace CPU I/O
@@ -407,28 +396,7 @@ mod tests {
     use super::*;
     use crate::parse::parse;
     use crate::sema::analyze;
-
-    const WC_MAP: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  #pragma mapreduce mapper key(word) value(one) keylength(30) vallength(1)
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
+    use crate::test_listings::{LISTING1, LISTING2};
 
     fn spec_for(src: &str) -> KernelSpec {
         let prog = parse(src).unwrap();
@@ -438,7 +406,7 @@ int main()
 
     #[test]
     fn mapper_kernel_has_listing3_bookkeeping_params() {
-        let spec = spec_for(WC_MAP);
+        let spec = spec_for(LISTING1);
         assert_eq!(spec.name, "gpu_mapper");
         let names: Vec<&str> = spec.params.iter().map(|p| p.name.as_str()).collect();
         for expect in [
@@ -458,7 +426,7 @@ int main()
 
     #[test]
     fn mapper_privates_are_gpu_renamed() {
-        let spec = spec_for(WC_MAP);
+        let spec = spec_for(LISTING1);
         let names: Vec<&str> = spec.privates.iter().map(|p| p.name.as_str()).collect();
         assert!(names.contains(&"gpu_word"));
         assert!(names.contains(&"gpu_one"));
@@ -469,15 +437,12 @@ int main()
 
     #[test]
     fn io_calls_replaced_with_runtime_equivalents() {
-        let spec = spec_for(WC_MAP);
+        let spec = spec_for(LISTING1);
         let mut calls = Vec::new();
-        let tmp = [spec.body.clone()];
-        walk_stmts(&tmp, &mut |s| {
-            walk_exprs(s, &mut |e| {
-                if let Expr::Call(n, ..) = e {
-                    calls.push(n.clone());
-                }
-            });
+        walk_exprs(&spec.body, &mut |e| {
+            if let Expr::Call(n, ..) = e {
+                calls.push(n.clone());
+            }
         });
         assert!(calls.contains(&"getRecord".to_string()));
         assert!(calls.contains(&"emitKV".to_string()));
@@ -487,37 +452,15 @@ int main()
 
     #[test]
     fn array_key_enables_vectorization() {
-        let spec = spec_for(WC_MAP);
+        let spec = spec_for(LISTING1);
         assert!(spec.vectorize, "char[30] key should vectorize");
         assert_eq!(spec.key_var, "gpu_word");
         assert_eq!(spec.key_length, 30);
     }
 
-    const WC_COMBINE: &str = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  #pragma mapreduce combiner key(prevWord) value(count) keyin(word) valuein(val) \
-    keylength(30) vallength(1) firstprivate(prevWord, count)
-  {
-    while( (read = scanf("%s %d", word, &val)) == 2 ) {
-      if(strcmp(word, prevWord) == 0 ) { count += val; }
-      else {
-        if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-        strcpy(prevWord, word);
-        count = val;
-      }
-    }
-    if(prevWord[0] != '\0') printf("%s\t%d\n", prevWord, count);
-  }
-  return 0;
-}
-"#;
-
     #[test]
     fn combiner_kernel_matches_listing4_shape() {
-        let spec = spec_for(WC_COMBINE);
+        let spec = spec_for(LISTING2);
         assert_eq!(spec.name, "gpu_combiner");
         let names: Vec<&str> = spec.params.iter().map(|p| p.name.as_str()).collect();
         for expect in ["keys", "values", "opKey", "opVal", "indexArray", "size"] {
@@ -530,7 +473,7 @@ int main()
 
     #[test]
     fn combiner_private_arrays_go_to_shared_memory() {
-        let spec = spec_for(WC_COMBINE);
+        let spec = spec_for(LISTING2);
         let pw = spec
             .privates
             .iter()
@@ -549,15 +492,12 @@ int main()
 
     #[test]
     fn combiner_io_replacement() {
-        let spec = spec_for(WC_COMBINE);
+        let spec = spec_for(LISTING2);
         let mut calls = Vec::new();
-        let tmp = [spec.body.clone()];
-        walk_stmts(&tmp, &mut |s| {
-            walk_exprs(s, &mut |e| {
-                if let Expr::Call(n, ..) = e {
-                    calls.push(n.clone());
-                }
-            });
+        walk_exprs(&spec.body, &mut |e| {
+            if let Expr::Call(n, ..) = e {
+                calls.push(n.clone());
+            }
         });
         assert!(calls.contains(&"getKV".to_string()));
         assert!(calls.contains(&"storeKV".to_string()));
@@ -582,7 +522,7 @@ int main() {
 
     #[test]
     fn default_launch_geometry() {
-        let spec = spec_for(WC_MAP);
+        let spec = spec_for(LISTING1);
         assert_eq!(spec.blocks, DEFAULT_BLOCKS);
         assert_eq!(spec.threads, DEFAULT_THREADS);
     }

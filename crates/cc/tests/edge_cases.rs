@@ -628,3 +628,26 @@ fn value_of_an_indexed_update_is_assigned_after_its_store() {
         assert!(r.is_ok(), "case `{name}` should succeed: {r:?}");
     }
 }
+
+#[test]
+fn a_call_no_engine_implements_is_a_compile_error() {
+    // `strcat` was modelled by the analyses but implemented by neither
+    // engine: such a mapper compiled clean and lost every record.
+    let src = include_str!("fixtures/sema/unknown_call_strcat.c");
+    let err = hetero_cc::compile(src).expect_err("rejected").to_string();
+    assert_eq!(
+        err,
+        "semantic error (line 18): call to unknown function 'strcat'"
+    );
+    // Outside `compile` the engines still agree on the run-time trap.
+    let r = agree("unknown_call_strcat", src, &In::Lines(&["a b"]));
+    assert_eq!(r.unwrap_err(), "interpreter error: unknown function strcat");
+}
+
+#[test]
+fn a_function_of_the_program_may_carry_a_libc_name() {
+    let src = include_str!("fixtures/sema/user_defined_strcat.c");
+    hetero_cc::compile(src).expect("a user-defined strcat is a known call");
+    let (out, _) = agree("user_defined_strcat", src, &In::Lines(&["a bc"])).unwrap();
+    assert_eq!(out, b"ax\t1\nbcx\t1\n");
+}

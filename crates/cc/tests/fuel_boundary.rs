@@ -71,47 +71,8 @@ fn lines(ls: &'static [&'static str]) -> impl Fn() -> StreamIo {
     move || StreamIo::lines(ls.iter().map(|l| l.as_bytes().to_vec()).collect())
 }
 
-const WC_MAPPER: &str = r#"
-int main()
-{
-  char word[30], *line;
-  size_t nbytes = 10000;
-  int read, linePtr, offset, one;
-  line = (char*) malloc(nbytes*sizeof(char));
-  while( (read = getline(&line, &nbytes, stdin)) != -1) {
-    linePtr = 0;
-    offset = 0;
-    one = 1;
-    while( (linePtr = getWord(line, offset, word, read, 30)) != -1) {
-      printf("%s\t%d\n", word, one);
-      offset += linePtr;
-    }
-  }
-  free(line);
-  return 0;
-}
-"#;
-
-const INT_SUM_COMBINER: &str = r#"
-int main()
-{
-  char word[30], prevWord[30]; prevWord[0] = '\0';
-  int count, val, read; count = 0;
-  while( (read = scanf("%s %d", word, &val)) == 2 ) {
-    if(strcmp(word, prevWord) == 0 ) {
-      count += val;
-    } else {
-      if(prevWord[0] != '\0')
-        printf("%s\t%d\n", prevWord, count);
-      strcpy(prevWord, word);
-      count = val;
-    }
-  }
-  if(prevWord[0] != '\0')
-    printf("%s\t%d\n", prevWord, count);
-  return 0;
-}
-"#;
+const WC_MAPPER: &str = include_str!("fixtures/wc_mapper.c");
+const INT_SUM_COMBINER: &str = include_str!("fixtures/int_sum_combiner.c");
 
 #[test]
 fn wordcount_mapper_agrees_at_every_budget() {

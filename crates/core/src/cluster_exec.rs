@@ -16,7 +16,6 @@ use crate::presets::Preset;
 use hetero_apps::App;
 use hetero_cluster::{simulate, ClusterConfig, JobSpec, JobStats};
 use hetero_gpusim::{Device, GpuError};
-use hetero_hdfs::{Hdfs, Topology};
 use hetero_runtime::OptFlags;
 use hetero_trace::Tracer;
 
@@ -52,41 +51,37 @@ pub fn run_cluster_functional_job(
     tracer: &Tracer,
     pool: &ParallelRunner,
 ) -> Result<ClusterFunctionalJob, GpuError> {
-    // Derive the split count exactly as the functional runner will.
-    let fs = Hdfs::new(
-        Topology::new(preset.cluster.num_slaves, preset.cluster.nodes_per_rack),
-        preset.hdfs_block,
-        preset.replication.min(preset.cluster.num_slaves),
-    )
-    .expect("valid replication");
-    fs.put("/job/input", input).expect("fresh fs");
-    let n_maps = fs.splits("/job/input").expect("input exists").len() as u32;
-
-    let spec = JobSpec::uniform(
-        &format!("{}-cluster-exec", app.spec().code),
-        n_maps,
-        cfg.num_slaves,
-        preset.replication.min(cfg.num_slaves),
-        NOMINAL_CPU_S,
-        NOMINAL_GPU_S,
-    );
-    let stats = simulate(cfg, &spec);
-    // A task's placement is the device of its last winning attempt. A
-    // re-execution (node loss invalidating a finished map) starts after
-    // the winner it replaces finished, so record order is completion
-    // order and the last `Success` overwrites.
-    debug_assert_eq!(
-        stats.completed_maps(),
-        n_maps as usize,
-        "DES must complete every map"
-    );
-    let mut gpu_placed = vec![false; n_maps as usize];
-    for r in stats.tasks.iter().filter(|r| r.succeeded()) {
-        gpu_placed[r.id as usize] = r.device == hetero_cluster::Device::Gpu;
-    }
-
-    let place = |i: usize| gpu_placed[i];
-    let job = run_functional_job_placed(app, preset, input, &place, opts, dev, tracer, pool)?;
+    let mut des = None;
+    // The functional runner splits the input; the DES then places the
+    // maps it found.
+    let place = |n_maps: usize| {
+        let spec = JobSpec::uniform(
+            &format!("{}-cluster-exec", app.spec().code),
+            n_maps as u32,
+            cfg.num_slaves,
+            preset.replication.min(cfg.num_slaves),
+            NOMINAL_CPU_S,
+            NOMINAL_GPU_S,
+        );
+        let stats = simulate(cfg, &spec);
+        // A task's placement is the device of its last winning attempt. A
+        // re-execution (node loss invalidating a finished map) starts after
+        // the winner it replaces finished, so record order is completion
+        // order and the last `Success` overwrites.
+        debug_assert_eq!(
+            stats.completed_maps(),
+            n_maps,
+            "DES must complete every map"
+        );
+        let mut gpu_placed = vec![false; n_maps];
+        for r in stats.tasks.iter().filter(|r| r.succeeded()) {
+            gpu_placed[r.id as usize] = r.device == hetero_cluster::Device::Gpu;
+        }
+        des = Some((stats, gpu_placed.clone()));
+        gpu_placed
+    };
+    let job = run_functional_job_placed(app, preset, input, place, opts, dev, tracer, pool)?;
+    let (stats, gpu_placed) = des.expect("the runner asks for its placement");
     Ok(ClusterFunctionalJob {
         job,
         stats,

@@ -46,7 +46,8 @@ pub struct FunctionalJob {
 /// a mixed CPU+GPU execution; correctness must not depend on placement.
 ///
 /// Tasks execute on a default [`ParallelRunner`] (all cores, or
-/// `HETERO_THREADS`); results are byte-identical at any thread count.
+/// `HETERO_THREADS`) and a fresh, untraced device; results are
+/// byte-identical at any thread count.
 pub fn run_functional_job(
     app: &dyn App,
     preset: &Preset,
@@ -54,22 +55,16 @@ pub fn run_functional_job(
     gpu_every: usize,
     opts: OptFlags,
 ) -> Result<FunctionalJob, GpuError> {
-    let dev = Device::new(preset.gpu.clone());
-    run_functional_job_on(app, preset, input, gpu_every, opts, &dev)
-}
-
-/// Like [`run_functional_job`] but on a caller-supplied [`Device`], so a
-/// device fault can be injected (`Device::inject_fault`) to exercise the
-/// GPU→CPU degradation path.
-pub fn run_functional_job_on(
-    app: &dyn App,
-    preset: &Preset,
-    input: &[u8],
-    gpu_every: usize,
-    opts: OptFlags,
-    dev: &Device,
-) -> Result<FunctionalJob, GpuError> {
-    run_functional_job_traced(app, preset, input, gpu_every, opts, dev, &Tracer::off())
+    run_functional_job_pooled(
+        app,
+        preset,
+        input,
+        gpu_every,
+        opts,
+        &Device::new(preset.gpu.clone()),
+        &Tracer::off(),
+        &ParallelRunner::default(),
+    )
 }
 
 /// Emit the per-stage spans of one task's [`TaskBreakdown`], back to back
@@ -107,41 +102,23 @@ fn trace_kernel_log(tracer: &Tracer, t0: f64, log: &[hetero_gpusim::KernelLogEnt
     }
 }
 
-/// Like [`run_functional_job_on`] but records the run into `tracer` as a
-/// simulated-time event log: one span per HDFS split read, per task, per
-/// pipeline stage, and — for GPU tasks — per kernel launch and PCIe
-/// transfer (drained from the device's kernel log). Tasks are laid out
-/// back to back on one timeline: the functional runner models the data
-/// plane, so the trace shows *work composition*, not cluster concurrency
-/// (that is [`hetero_cluster::simulate_traced`]'s job).
-#[allow(clippy::too_many_arguments)]
-pub fn run_functional_job_traced(
-    app: &dyn App,
-    preset: &Preset,
-    input: &[u8],
-    gpu_every: usize,
-    opts: OptFlags,
-    dev: &Device,
-    tracer: &Tracer,
-) -> Result<FunctionalJob, GpuError> {
-    run_functional_job_pooled(
-        app,
-        preset,
-        input,
-        gpu_every,
-        opts,
-        dev,
-        tracer,
-        &ParallelRunner::default(),
-    )
-}
-
-/// [`run_functional_job_traced`] with an explicit worker pool. This is
-/// the full-control entry point: device, tracer and thread count are all
-/// caller-supplied. Output, stats, and trace are byte-identical for any
-/// pool width — workers only *compute* tasks; all merging (counter
-/// aggregation, kernel-log replay, trace emission, the simulated-time
-/// cursor) happens on the caller's thread in task-index order.
+/// [`run_functional_job`] with everything caller-supplied: the
+/// [`Device`] (so a fault can be injected with `Device::inject_fault` to
+/// exercise the GPU→CPU degradation path), the tracer and the worker
+/// pool.
+///
+/// A live `tracer` records the run as a simulated-time event log: one
+/// span per HDFS split read, per task, per pipeline stage, and — for GPU
+/// tasks — per kernel launch and PCIe transfer (drained from the device's
+/// kernel log). Tasks are laid out back to back on one timeline: the
+/// functional runner models the data plane, so the trace shows *work
+/// composition*, not cluster concurrency (that is
+/// [`hetero_cluster::simulate_traced`]'s job).
+///
+/// Output, stats, and trace are byte-identical for any pool width —
+/// workers only *compute* tasks; all merging (counter aggregation,
+/// kernel-log replay, trace emission, the simulated-time cursor) happens
+/// on the caller's thread in task-index order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_functional_job_pooled(
     app: &dyn App,
@@ -153,8 +130,12 @@ pub fn run_functional_job_pooled(
     tracer: &Tracer,
     pool: &ParallelRunner,
 ) -> Result<FunctionalJob, GpuError> {
-    let place = |i: usize| gpu_every > 0 && i.is_multiple_of(gpu_every);
-    run_functional_job_placed(app, preset, input, &place, opts, dev, tracer, pool)
+    let place = |n_maps: usize| {
+        (0..n_maps)
+            .map(|i| gpu_every > 0 && i.is_multiple_of(gpu_every))
+            .collect()
+    };
+    run_functional_job_placed(app, preset, input, place, opts, dev, tracer, pool)
 }
 
 /// What one map task hands back from a worker thread: pure data plus the
@@ -168,16 +149,17 @@ struct MapRun {
     fork: Option<Device>,
 }
 
-/// Shared implementation: `place_gpu(i)` decides whether map task `i` is
-/// *designated* for the GPU (a faulted device still degrades it to the
-/// CPU). Used by [`run_functional_job_pooled`] (modulo placement) and the
+/// Shared implementation: `place(n_maps)`, called once when the input
+/// has been split, says for every map task whether it is *designated*
+/// for the GPU (a faulted device still degrades it to the CPU). Used by
+/// [`run_functional_job_pooled`] (modulo placement) and the
 /// cluster-driven executor (DES placement).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_functional_job_placed(
     app: &dyn App,
     preset: &Preset,
     input: &[u8],
-    place_gpu: &dyn Fn(usize) -> bool,
+    place: impl FnOnce(usize) -> Vec<bool>,
     opts: OptFlags,
     dev: &Device,
     tracer: &Tracer,
@@ -202,6 +184,7 @@ pub(crate) fn run_functional_job_placed(
     fs.put("/job/input", input).expect("fresh fs");
     let file = fs.read_file("/job/input").expect("input readable");
     let splits = fs.splits("/job/input").expect("input exists");
+    let gpu_placed = place(splits.len());
 
     let cfg = crate::pipeline::task_config(app, preset, opts);
     let mapper = app.mapper();
@@ -233,7 +216,7 @@ pub(crate) fn run_functional_job_placed(
             // Hadoop record semantics: a task reads past its split end to
             // finish the record that started inside it.
             let (lo, hi) = reader::fetch_range(file_ref, split.offset, split.len);
-            let on_gpu = place_gpu(i);
+            let on_gpu = gpu_placed[i];
             move || -> Result<MapRun, GpuError> {
                 let task_input = &file_ref[lo as usize..hi as usize];
                 let run_cpu = |fell_back| {
@@ -493,7 +476,7 @@ mod tests {
                     OptFlags::all(),
                     &dev,
                     &Tracer::off(),
-                    &crate::parallel::ParallelRunner::new(threads),
+                    &ParallelRunner::new(threads),
                 )
                 .unwrap();
                 dev.take_kernel_log()
@@ -524,8 +507,20 @@ mod tests {
 
         let dev = Device::new(p.gpu.clone());
         dev.inject_fault("xid 62: uncorrectable ECC error");
-        let faulted =
-            run_functional_job_on(app.as_ref(), &p, &input, 2, OptFlags::all(), &dev).unwrap();
+        let run_on = |dev: &Device| {
+            run_functional_job_pooled(
+                app.as_ref(),
+                &p,
+                &input,
+                2,
+                OptFlags::all(),
+                dev,
+                &Tracer::off(),
+                &ParallelRunner::default(),
+            )
+            .unwrap()
+        };
+        let faulted = run_on(&dev);
         assert_eq!(faulted.gpu_tasks, 0, "faulted device runs nothing");
         assert_eq!(
             faulted.gpu_fallbacks, clean.gpu_tasks,
@@ -536,8 +531,7 @@ mod tests {
 
         // A revived device stops degrading.
         dev.revive();
-        let healed =
-            run_functional_job_on(app.as_ref(), &p, &input, 2, OptFlags::all(), &dev).unwrap();
+        let healed = run_on(&dev);
         assert_eq!(healed.gpu_fallbacks, 0);
         assert_eq!(healed.gpu_tasks, clean.gpu_tasks);
         assert_eq!(healed.output, clean.output);
@@ -550,9 +544,17 @@ mod tests {
         let input = app.generate_split(800, 5);
         let dev = Device::new(p.gpu.clone());
         let tracer = Tracer::new();
-        let traced =
-            run_functional_job_traced(app.as_ref(), &p, &input, 2, OptFlags::all(), &dev, &tracer)
-                .unwrap();
+        let traced = run_functional_job_pooled(
+            app.as_ref(),
+            &p,
+            &input,
+            2,
+            OptFlags::all(),
+            &dev,
+            &tracer,
+            &ParallelRunner::default(),
+        )
+        .unwrap();
         let plain = run_functional_job(app.as_ref(), &p, &input, 2, OptFlags::all()).unwrap();
         // Tracing is pure observation: bit-identical output and identical
         // simulated task time.

@@ -47,10 +47,7 @@ pub mod presets;
 pub use cluster_exec::{run_cluster_functional_job, ClusterFunctionalJob};
 pub use hetero_runtime::OptFlags;
 pub use interp_adapter::{CompiledApp, CompiledKernel};
-pub use job_runner::{
-    run_functional_job, run_functional_job_on, run_functional_job_pooled,
-    run_functional_job_traced, FunctionalJob,
-};
+pub use job_runner::{run_functional_job, run_functional_job_pooled, FunctionalJob};
 pub use parallel::ParallelRunner;
 pub use pipeline::{
     build_job, job_speedup, measure_task, optimization_effect, task_config, JobComparison,

@@ -69,9 +69,6 @@ pub fn run_cpu_task(
     let mut em = VecEmit::default();
     let mut records = 0usize;
     for rec in split.split(|&b| b == b'\n') {
-        if rec.is_empty() && records > 0 {
-            continue;
-        }
         if rec.is_empty() {
             continue;
         }

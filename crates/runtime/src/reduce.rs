@@ -43,7 +43,7 @@ pub fn run_reduce_task(
     // A real merge is O(n log k); a sort is the simplest stable stand-in
     // (the cost model charges merge-class work, not sort-class).
     merged.sort_by(|a, b| a.0.cmp(&b.0));
-    let k_ways = 16f64.max(2.0);
+    let k_ways: f64 = 16.0;
     let merge_time =
         total_pairs as f64 * k_ways.log2() * 8.0 * model.alu_s + in_bytes as f64 * model.byte_s;
 

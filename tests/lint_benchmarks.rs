@@ -6,15 +6,16 @@
 //! 1. Every Table 2 benchmark program (mapper and combiner) lints clean
 //!    at `--deny-warnings` — the only findings are perf-notes, and the
 //!    expected ones at that.
-//! 2. The lint classification verifier (an independent implementation
-//!    of Algorithm 1) agrees with `sema::analyze` on every benchmark.
+//! 2. Algorithm 1's classification of every region of the corpus
+//!    (benchmarks and lint fixtures) equals the table captured from the
+//!    last commit that still had two implementations of it.
 //! 3. Each perf-note family's premise is visible in the simulator's
 //!    counters: kvpairs mis-provisioning drops records (HD012), inner
 //!    loop branches diverge warps (HD010), and unbound shared read-only
 //!    data costs random global transactions that the texture clause
 //!    removes (HD009/HD011).
 
-use hetero_cc::lint::{classify_check, dataflow, lint_program, LintLevel, Severity};
+use hetero_cc::lint::{lint_program, LintLevel, Severity};
 use hetero_cc::parse::parse;
 use hetero_cc::sema::analyze;
 use hetero_cc::{compile, compile_with};
@@ -85,30 +86,162 @@ fn expected_perf_notes_per_benchmark() {
     }
 }
 
-#[test]
-fn classification_verifier_agrees_with_sema_on_all_benchmarks() {
-    for (name, src) in benchmark_units() {
-        let prog = parse(&src).unwrap();
-        let analysis = analyze(&prog).unwrap();
-        let main = prog.func("main").unwrap();
-        let units = dataflow::collect_regions(&src, &prog, main);
-        assert_eq!(units.len(), analysis.regions.len(), "{name}");
-        for unit in &units {
-            let region = analysis
-                .regions
-                .iter()
-                .find(|r| r.directive_idx == unit.directive_idx)
-                .unwrap();
-            let ours = classify_check::recompute_placements(unit);
-            assert_eq!(ours, region.placements, "{name}: Algorithm 1 divergence");
+/// The 13 benchmark sources plus every lint fixture that carries a
+/// `#pragma mapreduce` (27 regions in all).
+fn corpus() -> Vec<(String, String)> {
+    let mut units = benchmark_units();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/cc/tests/fixtures/lint");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("fixtures dir exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "c"))
+        .collect();
+    paths.sort();
+    for p in paths {
+        let src = std::fs::read_to_string(&p).unwrap();
+        if src.contains("#pragma mapreduce") {
+            units.push((p.file_name().unwrap().to_string_lossy().into_owned(), src));
         }
-        let report = lint_program(&src, &prog, &analysis);
-        assert!(
-            !report.diags.iter().any(|d| d.code == "HD008"),
-            "{name}: {:?}",
-            report.diags
-        );
     }
+    units
+}
+
+/// One line per region: everything Algorithm 1 decided about it.
+fn classification_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, src) in corpus() {
+        let prog = parse(&src).unwrap();
+        let analysis = analyze(&prog).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for r in &analysis.regions {
+            let shape = |is_array| if is_array { "array" } else { "scalar" };
+            let mut line = format!(
+                "{name}#{} key={}/{} val={}/{} warnings={} |",
+                r.directive_idx,
+                r.key_length,
+                shape(r.key_is_array),
+                r.val_length,
+                shape(r.val_is_array),
+                r.warnings.len()
+            );
+            for (var, placement) in &r.placements {
+                line.push_str(&format!(" {var}={placement:?}"));
+            }
+            lines.push(line);
+        }
+    }
+    lines
+}
+
+/// Algorithm 1's verdict on every region of the corpus equals what the
+/// commit *before* the one-fact-base refactor computed (`GOLDEN` below).
+/// The sources under `crates/cc/tests/fixtures/` that also live in
+/// `hetero-apps` are the same text.
+#[test]
+fn classification_is_pinned_for_the_corpus() {
+    let got = classification_lines();
+    for (g, want) in got.iter().zip(GOLDEN) {
+        assert_eq!(g, want);
+    }
+    assert_eq!(got.len(), GOLDEN.len(), "one GOLDEN row per region");
+
+    for (code, mapper, fixture) in [
+        (
+            "WC",
+            true,
+            include_str!("../crates/cc/tests/fixtures/wc_mapper.c"),
+        ),
+        (
+            "KM",
+            true,
+            include_str!("../crates/cc/tests/fixtures/km_mapper.c"),
+        ),
+        (
+            "WC",
+            false,
+            include_str!("../crates/cc/tests/fixtures/int_sum_combiner.c"),
+        ),
+    ] {
+        let app = hetero_apps::app_by_code(code).unwrap();
+        let src = if mapper {
+            app.mapper_source()
+        } else {
+            app.combiner_source().unwrap()
+        };
+        assert_eq!(src.trim(), fixture.trim(), "{code} mapper={mapper}");
+    }
+}
+
+/// Prints `GOLDEN` as Rust source: `cargo test --test lint_benchmarks --
+/// --ignored --nocapture print_golden` (debug and release print the same).
+#[test]
+#[ignore = "regenerates the table; run by hand when a source or Algorithm 1 changes on purpose"]
+fn print_golden() {
+    println!("const GOLDEN: &[&str] = &[");
+    for line in classification_lines() {
+        println!("    {line:?},");
+    }
+    println!("];");
+}
+
+// Captured from commit ed3a025 (the parent of the one-fact-base change,
+// where `sema` still had its own def-use walker) by running
+// `print_golden` in a clone of that commit.
+const GOLDEN: &[&str] = &[
+    "GR.map#0 key=30/array val=1/scalar warnings=0 | line=Private nbytes=Private one=Private pat=FirstPrivateArray read=Private",
+    "GR.combine#0 key=30/array val=1/scalar warnings=0 | count=FirstPrivateScalar prevWord=FirstPrivateArray read=Private val=Private word=Private",
+    "HS.map#0 key=8/array val=1/scalar warnings=0 | avg2=Private b=Private bin=Private consumed=Private line=Private n=Private nbytes=Private offset=Private one=Private read=Private sum=Private tok=Private",
+    "HS.combine#0 key=30/array val=1/scalar warnings=0 | count=FirstPrivateScalar prevWord=FirstPrivateArray read=Private val=Private word=Private",
+    "WC.map#0 key=30/array val=1/scalar warnings=0 | line=Private linePtr=Private nbytes=Private offset=Private one=Private read=Private word=Private",
+    "WC.combine#0 key=30/array val=1/scalar warnings=0 | count=FirstPrivateScalar prevWord=FirstPrivateArray read=Private val=Private word=Private",
+    "HR.map#0 key=8/array val=1/scalar warnings=0 | consumed=Private key=Private line=Private n=Private nbytes=Private offset=Private one=Private read=Private tok=Private",
+    "HR.combine#0 key=30/array val=1/scalar warnings=0 | count=FirstPrivateScalar prevWord=FirstPrivateArray read=Private val=Private word=Private",
+    "LR.map#0 key=8/array val=16/scalar warnings=0 | consumed=Private i=Private key=Private line=Private n=Private nbytes=Private offset=Private p=Private read=Private tok=Private v=Private",
+    "LR.combine#0 key=30/array val=8/scalar warnings=0 | key=Private prevKey=FirstPrivateArray read=Private sum=FirstPrivateScalar val=Private",
+    "KM.map#0 key=8/array val=16/scalar warnings=0 | best=Private bestD=Private c=Private consumed=Private d=Private diff=Private key=Private line=Private n=Private nbytes=Private offset=Private profiles=TextureArray r=Private read=Private sum=Private tok=Private",
+    "CL.map#0 key=8/array val=16/array warnings=0 | best=Private bestD=Private c=Private consumed=Private d=Private diff=Private id=Private key=Private line=Private n=Private nbytes=Private offset=Private profiles=TextureArray r=Private read=Private sum=Private tok=Private",
+    "BS.map#0 key=16/array val=24/scalar warnings=0 | acc=Private consumed=Private d1=Private d2=Private i=Private in=Private key=Private line=Private n=Private nbytes=Private offset=Private price=Private read=Private sq=Private tok=Private v=Private",
+    "hd001_write_shared.c#0 key=30/array val=4/scalar warnings=0 | n=ConstantScalar one=Private word=Private",
+    "hd002_input_buffer_write.c#0 key=30/array val=4/scalar warnings=0 | line=Private nbytes=Private one=Private read=Private word=Private",
+    "hd003_cross_iteration.c#0 key=30/array val=4/scalar warnings=0 | one=Private total=FirstPrivateScalar word=Private",
+    "hd004_emit_mismatch.c#0 key=30/array val=8/scalar warnings=0 | v=Private word=Private",
+    "hd005_truncating_keylength.c#0 key=8/array val=4/scalar warnings=0 | one=Private word=Private",
+    "hd006_storage_conflict.c#0 key=30/array val=4/scalar warnings=0 | m=TextureArray one=Private word=Private",
+    "hd007_noncommutative_combiner.c#0 key=30/array val=4/scalar warnings=0 | diff=FirstPrivateScalar key=Private prevKey=FirstPrivateArray read=Private val=Private",
+    "hd009_uncoalesced_global.c#0 key=30/array val=4/scalar warnings=0 | h=Private model=GlobalArray one=Private word=Private",
+    "hd010_divergent_branch.c#0 key=30/array val=4/scalar warnings=0 | c=Private line=Private n=Private nbytes=Private off=Private one=Private read=Private tok=Private word=Private",
+    "hd011_readonly_firstprivate.c#0 key=30/array val=4/scalar warnings=0 | line=Private nbytes=Private one=Private pat=FirstPrivateArray read=Private word=Private",
+    "hd012_missing_kvpairs.c#0 key=30/array val=1/scalar warnings=0 | line=Private linePtr=Private nbytes=Private offset=Private one=Private read=Private word=Private",
+    "hd013_warp_misaligned.c#0 key=30/array val=4/scalar warnings=0 | one=Private word=Private",
+    "hd014_no_emit.c#0 key=30/array val=4/scalar warnings=0 | one=Private word=Private",
+    "hd015_redundant_storage.c#0 key=30/array val=4/scalar warnings=0 | m=TextureArray one=Private word=Private",
+];
+
+/// README's lint table and `lint::CODES` list the same codes with the
+/// same severities, in the same order.
+#[test]
+fn readme_lint_table_matches_the_code_catalogue() {
+    let readme = include_str!("../README.md");
+    let rows: Vec<(&str, &str)> = readme
+        .lines()
+        .filter(|l| l.starts_with("| HD"))
+        .map(|l| {
+            let mut cells = l.split('|').map(str::trim).skip(1);
+            (cells.next().unwrap(), cells.next().unwrap())
+        })
+        .collect();
+    let catalogue: Vec<(&str, &str)> = hetero_cc::lint::CODES
+        .iter()
+        .map(|&(code, severity, _)| {
+            let short = match severity {
+                Severity::Error => "error",
+                Severity::Warning => "warn",
+                Severity::PerfNote => "perf",
+            };
+            (code, short)
+        })
+        .collect();
+    assert_eq!(rows, catalogue);
+    assert_eq!(catalogue.len(), 20);
 }
 
 fn small_cfg(app: &dyn hetero_apps::App) -> MapConfig {
