@@ -22,10 +22,12 @@
 //!   30 s, `--budget-s N`); exits non-zero on overrun. Writes nothing.
 use hetero_bench::{write_artifact, Args};
 use hetero_cluster::{
-    generate_workload, run_service, simulate, AdmissionControl, ArrivalProcess, ClusterConfig,
-    JobRequest, Scheduler, ServiceConfig, ServiceStats, TenantSpec, WorkloadConfig,
+    generate_workload, run_service_traced, simulate, AdmissionControl, ArrivalProcess,
+    ClusterConfig, JobRequest, ParallelRunner, Scheduler, ServiceConfig, ServiceStats, TenantSpec,
+    WorkloadConfig,
 };
 use hetero_trace::json::Json;
+use hetero_trace::Tracer;
 use std::time::Instant;
 
 const SEED: u64 = 0xD00B;
@@ -52,36 +54,39 @@ fn service_config(nodes: u32) -> ServiceConfig {
 }
 
 fn workload(svc: &ServiceConfig, rate_per_s: f64, num_jobs: u32) -> Vec<JobRequest> {
-    generate_workload(
-        &WorkloadConfig {
-            seed: SEED,
-            num_jobs,
-            arrivals: ArrivalProcess::Poisson { rate_per_s },
-            transient_fail_p: 0.01,
-        },
-        svc,
-    )
+    let w = WorkloadConfig {
+        seed: SEED,
+        num_jobs,
+        arrivals: ArrivalProcess::Poisson { rate_per_s },
+        transient_fail_p: 0.01,
+    };
+    w.validate(svc).expect("valid workload config");
+    generate_workload(&w, svc)
 }
 
 /// Capacity calibration: mean node-seconds per job over a sample of the
 /// workload's own shapes, run contention-free on their grants. The
-/// cluster's saturation throughput is `nodes / mean_node_seconds`.
-fn capacity_jobs_per_s(svc: &ServiceConfig, sample: u32) -> f64 {
+/// cluster's saturation throughput is `nodes / mean_node_seconds`. The
+/// sample runs on `pool` and is summed in submission order, so the
+/// capacity's bits do not depend on the width.
+fn capacity_jobs_per_s(svc: &ServiceConfig, sample: u32, pool: &ParallelRunner) -> f64 {
     let jobs = workload(svc, 1.0, sample);
-    let mut node_s = 0.0;
-    for r in &jobs {
-        let t = &svc.tenants[r.tenant as usize];
-        let grant = if t.nodes_per_job == 0 {
-            svc.cluster.num_slaves
-        } else {
-            t.nodes_per_job
-        };
-        let mut cfg = svc.cluster.clone();
-        cfg.num_slaves = grant;
-        cfg.faults = r.faults.clone();
-        let st = simulate(&cfg, &r.spec);
-        node_s += grant as f64 * st.makespan_s;
-    }
+    let node_s: f64 = pool
+        .run(
+            jobs.iter()
+                .map(|r| {
+                    move || {
+                        let grant = svc.grant_nodes(&svc.tenants[r.tenant as usize]);
+                        let mut cfg = svc.cluster.clone();
+                        cfg.num_slaves = grant;
+                        cfg.faults = r.faults.clone();
+                        grant as f64 * simulate(&cfg, &r.spec).makespan_s
+                    }
+                })
+                .collect(),
+        )
+        .into_iter()
+        .sum();
     svc.cluster.num_slaves as f64 / (node_s / jobs.len() as f64)
 }
 
@@ -92,11 +97,17 @@ struct Point {
     wall_s: f64,
 }
 
-fn run_point(svc: &ServiceConfig, load_factor: f64, capacity: f64, num_jobs: u32) -> Point {
+fn run_point(
+    svc: &ServiceConfig,
+    load_factor: f64,
+    capacity: f64,
+    num_jobs: u32,
+    pool: &ParallelRunner,
+) -> Point {
     let rate = capacity * load_factor;
     let jobs = workload(svc, rate, num_jobs);
     let start = Instant::now();
-    let stats = run_service(svc, &jobs).expect("valid service config");
+    let stats = run_service_traced(svc, &jobs, &Tracer::off(), pool).expect("valid service config");
     Point {
         load_factor,
         rate_per_s: rate,
@@ -154,12 +165,13 @@ fn point_json(p: &Point) -> Json {
 
 fn main() {
     let args = Args::from_env(&["--smoke", "--quick", "--budget-s="]);
+    let pool = args.pool();
     if args.flag("--smoke") {
         let budget_s: f64 = args.flag_value("--budget-s").unwrap_or(30.0);
         let svc = service_config(1_000);
         let start = Instant::now();
-        let capacity = capacity_jobs_per_s(&svc, 8);
-        let p = run_point(&svc, 1.0, capacity, 60);
+        let capacity = capacity_jobs_per_s(&svc, 8, &pool);
+        let p = run_point(&svc, 1.0, capacity, 60, &pool);
         let wall_s = start.elapsed().as_secs_f64();
         println!(
             "service smoke: 60 jobs at capacity ({:.3} jobs/s) on 1000 nodes in {wall_s:.2}s \
@@ -192,7 +204,7 @@ fn main() {
 
     let svc = service_config(1_000);
     let t0 = Instant::now();
-    let capacity = capacity_jobs_per_s(&svc, 24);
+    let capacity = capacity_jobs_per_s(&svc, 24, &pool);
     println!(
         "service load sweep — 1000 nodes, 3 tenants (etl/analytics/adhoc 3:2:1), \
          calibrated capacity {capacity:.3} jobs/s"
@@ -203,7 +215,7 @@ fn main() {
     );
     let mut points = Vec::new();
     for &f in factors {
-        let p = run_point(&svc, f, capacity, jobs_per_point);
+        let p = run_point(&svc, f, capacity, jobs_per_point, &pool);
         println!(
             "{:>6.2} {:>12.3} {:>10} {:>9} {:>14.1} {:>10.3} {:>9.2}",
             p.load_factor,

@@ -17,6 +17,7 @@ pub mod config;
 mod index;
 pub mod job;
 pub mod journal;
+pub mod parallel;
 pub mod reference;
 pub mod service;
 pub mod sim;
@@ -25,6 +26,7 @@ pub mod stats;
 pub use config::{ClusterConfig, ConfigError, FaultPlan, FaultPlanError, Scheduler};
 pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
 pub use journal::{Journal, JtRecord, RecoveredState};
+pub use parallel::ParallelRunner;
 pub use reference::{simulate_reference, simulate_reference_traced};
 pub use service::{
     generate_workload, run_service, run_service_traced, AdmissionControl, ArrivalProcess,

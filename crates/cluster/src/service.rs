@@ -28,7 +28,10 @@
 //!   direct [`simulate`] call;
 //! - replaying a fixed arrival trace is deterministic, and partitioning
 //!   the trace across service *shards* changes wait times only — every
-//!   per-job `JobStats` is unchanged.
+//!   per-job `JobStats` is unchanged;
+//! - the inner run need not wait for the launch: it starts when the job
+//!   is admitted, on a [`ParallelRunner`] worker, and the launch takes
+//!   its result. Any pool width gives the same bits.
 //!
 //! Contention between tenants is modeled at node granularity (grants
 //! queue when the cluster is full), which is exactly the fair-share
@@ -36,6 +39,7 @@
 
 use crate::config::{ClusterConfig, ConfigError, FaultPlan};
 use crate::job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
+use crate::parallel::{ParallelRunner, Prefetch};
 use crate::sim::{mix64, simulate, EventQueue};
 use crate::stats::JobStats;
 use hetero_hdfs::NodeId;
@@ -159,8 +163,9 @@ impl ServiceConfig {
         Ok(())
     }
 
-    /// Nodes one of `tenant`'s jobs is granted.
-    fn grant_nodes(&self, tenant: &TenantSpec) -> u32 {
+    /// Nodes one of `tenant`'s jobs is granted: its `nodes_per_job`, or
+    /// the whole cluster when that is 0.
+    pub fn grant_nodes(&self, tenant: &TenantSpec) -> u32 {
         if tenant.nodes_per_job == 0 {
             self.cluster.num_slaves
         } else {
@@ -222,6 +227,52 @@ pub struct WorkloadConfig {
     pub transient_fail_p: f64,
 }
 
+impl WorkloadConfig {
+    /// Check the knobs [`generate_workload`] cannot draw a trace from,
+    /// naming the bad field: a rate or period that is not finite and
+    /// positive, a `trough_frac` or `transient_fail_p` outside [0, 1], or
+    /// a service without tenants.
+    pub fn validate(&self, svc: &ServiceConfig) -> Result<(), ConfigError> {
+        let positive = |name: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(ConfigError(format!(
+                    "workload {name} {v} must be finite and positive"
+                )))
+            }
+        };
+        let fraction = |name: &str, v: f64| {
+            if (0.0..=1.0).contains(&v) {
+                Ok(())
+            } else {
+                Err(ConfigError(format!(
+                    "workload {name} {v} must be in [0, 1]"
+                )))
+            }
+        };
+        match self.arrivals {
+            ArrivalProcess::Poisson { rate_per_s } => positive("rate_per_s", rate_per_s)?,
+            ArrivalProcess::Diurnal {
+                peak_rate_per_s,
+                period_s,
+                trough_frac,
+            } => {
+                positive("peak_rate_per_s", peak_rate_per_s)?;
+                positive("period_s", period_s)?;
+                fraction("trough_frac", trough_frac)?;
+            }
+        }
+        fraction("transient_fail_p", self.transient_fail_p)?;
+        if svc.tenants.is_empty() {
+            return Err(ConfigError(
+                "workload needs a service with at least one tenant".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Benchmark-shaped job templates (durations echo the paper's Table 4
 /// shapes: a high-speedup compute-bound code, a medium-speedup
 /// iterative code, and a shuffle-heavy low-speedup text code).
@@ -244,7 +295,15 @@ fn unit(seed: u64, stream: u64, i: u64) -> f64 {
 /// process, tenants drawn proportionally to their fair-share weight,
 /// job shapes cycled through the benchmark templates with jittered
 /// sizes. Fully deterministic in `w.seed`.
+///
+/// Knobs that [`WorkloadConfig::validate`] refuses never hang or panic
+/// the generator: a service without tenants yields an empty trace, and
+/// an arrival process that cannot produce a finite time yields
+/// non-finite `arrive_s`, which [`run_service`] refuses.
 pub fn generate_workload(w: &WorkloadConfig, svc: &ServiceConfig) -> Vec<JobRequest> {
+    if svc.tenants.is_empty() {
+        return Vec::new();
+    }
     let mut jobs = Vec::with_capacity(w.num_jobs as usize);
     let total_weight: f64 = svc.tenants.iter().map(|t| t.weight).sum();
     let mut t = 0.0_f64;
@@ -269,6 +328,12 @@ pub fn generate_workload(w: &WorkloadConfig, svc: &ServiceConfig) -> Vec<JobRequ
                 let phase = (t / period_s) * 2.0 * std::f64::consts::PI;
                 let rate_frac = trough_frac + (1.0 - trough_frac) * (1.0 - phase.cos()) / 2.0;
                 if accept < rate_frac {
+                    break;
+                }
+                // A non-finite clock (peak rate 0, period 0) or rate
+                // (trough NaN) can never accept: stop on a NaN arrival.
+                if !t.is_finite() || rate_frac.is_nan() {
+                    t = f64::NAN;
                     break;
                 }
             },
@@ -511,10 +576,13 @@ struct RunningJob {
     stats: Option<JobStats>,
 }
 
-struct Service<'a> {
+struct Service<'a, 'p> {
     cfg: &'a ServiceConfig,
     reqs: &'a [JobRequest],
     tracer: &'a Tracer,
+    /// Inner runs, submitted at admission and taken at launch, by
+    /// request index.
+    inner: &'p Prefetch<'a, JobStats>,
     events: EventQueue<Event>,
     now: f64,
     /// Per-tenant FIFO of admitted-but-waiting request indices.
@@ -533,21 +601,26 @@ struct Service<'a> {
 /// `(arrive_s, index)`). Returns the full [`ServiceStats`] or a
 /// [`ConfigError`] when the service configuration itself is invalid —
 /// per-job problems (bad fault plans, over-bound queues) reject the job
-/// and never fail the run.
+/// and never fail the run. Inner runs use a default [`ParallelRunner`].
 pub fn run_service(
     cfg: &ServiceConfig,
     requests: &[JobRequest],
 ) -> Result<ServiceStats, ConfigError> {
-    run_service_traced(cfg, requests, &Tracer::off())
+    run_service_traced(cfg, requests, &Tracer::off(), &ParallelRunner::default())
 }
 
 /// [`run_service`] recording service-lifecycle instants (category
-/// `service`, pid = `u32::MAX` lane) into `tracer`. Tracing is pure
-/// observation: stats are identical to an untraced run.
+/// `service`, pid = `u32::MAX` lane) into `tracer`, with each admitted
+/// job's inner simulation started at admission on `pool` and joined at
+/// launch. Neither tracing nor the pool width changes a bit of the stats
+/// or of the trace: results are consumed in launch order and every
+/// instant is recorded on the calling thread. The inner runs are
+/// untraced.
 pub fn run_service_traced(
     cfg: &ServiceConfig,
     requests: &[JobRequest],
     tracer: &Tracer,
+    pool: &ParallelRunner,
 ) -> Result<ServiceStats, ConfigError> {
     cfg.validate()?;
     for r in requests {
@@ -577,36 +650,39 @@ pub fn run_service_traced(
     });
 
     let nt = cfg.tenants.len();
-    let mut svc = Service {
-        cfg,
-        reqs: requests,
-        tracer,
-        events: EventQueue::new(),
-        now: 0.0,
-        queues: vec![VecDeque::new(); nt],
-        granted: vec![0; nt],
-        free_nodes: cfg.cluster.num_slaves,
-        outstanding_tasks: 0,
-        running: Vec::new(),
-        out: ServiceStats {
-            jobs: Vec::new(),
-            rejections: Vec::new(),
-            tenants: Vec::new(),
-            utilization: Vec::new(),
-            mean_utilization: 0.0,
-            makespan_s: 0.0,
-        },
-        per_tenant_grant: cfg.tenants.iter().map(|t| cfg.grant_nodes(t)).collect(),
-    };
-    for &ri in &order {
-        let t = requests[ri as usize].arrive_s;
-        svc.events.push(t, Event::Arrival(ri));
-    }
-    svc.run();
-    Ok(svc.finish())
+    Ok(pool.prefetch(|inner| {
+        let mut svc = Service {
+            cfg,
+            reqs: requests,
+            tracer,
+            inner,
+            events: EventQueue::new(),
+            now: 0.0,
+            queues: vec![VecDeque::new(); nt],
+            granted: vec![0; nt],
+            free_nodes: cfg.cluster.num_slaves,
+            outstanding_tasks: 0,
+            running: Vec::new(),
+            out: ServiceStats {
+                jobs: Vec::new(),
+                rejections: Vec::new(),
+                tenants: Vec::new(),
+                utilization: Vec::new(),
+                mean_utilization: 0.0,
+                makespan_s: 0.0,
+            },
+            per_tenant_grant: cfg.tenants.iter().map(|t| cfg.grant_nodes(t)).collect(),
+        };
+        for &ri in &order {
+            let t = requests[ri as usize].arrive_s;
+            svc.events.push(t, Event::Arrival(ri));
+        }
+        svc.run();
+        svc.finish()
+    }))
 }
 
-impl<'a> Service<'a> {
+impl<'a> Service<'a, '_> {
     fn tasks_of(&self, req: u32) -> u64 {
         let s = &self.reqs[req as usize].spec;
         (s.maps.len() + s.reduces.len()) as u64
@@ -629,6 +705,7 @@ impl<'a> Service<'a> {
         let req = &self.reqs[ri as usize];
         let ti = req.tenant as usize;
         let ac = &self.cfg.admission;
+        let job_cfg = self.job_config(ri);
         let reject_reason = if ac.max_queue_per_tenant != 0
             && self.queues[ti].len() as u32 >= ac.max_queue_per_tenant
         {
@@ -650,7 +727,7 @@ impl<'a> Service<'a> {
             // Validate the job's effective config against its grant, and
             // its spec — the fail-fast the single-job path gets from
             // `simulate`'s panic, delivered here as a rejection.
-            self.job_config(ri)
+            job_cfg
                 .validate()
                 .and_then(|()| req.spec.validate())
                 .err()
@@ -683,6 +760,10 @@ impl<'a> Service<'a> {
         );
         self.outstanding_tasks += self.tasks_of(ri);
         self.queues[ti].push_back(ri);
+        // The inner run is a pure function of (grant, spec, faults), so it
+        // may start now, on any thread; `launch` takes its result.
+        self.inner
+            .submit(ri as usize, move || simulate(&job_cfg, &req.spec));
     }
 
     /// The effective `ClusterConfig` for a request: the shared cluster
@@ -738,9 +819,7 @@ impl<'a> Service<'a> {
         self.free_nodes -= grant;
         self.granted[ti] += grant;
         self.record_utilization();
-        // The inner run: pure (grant, spec, faults) — load-independent.
-        let cfg = self.job_config(ri);
-        let stats = simulate(&cfg, &req.spec);
+        let stats = self.inner.take(ri as usize);
         let finish = self.now + stats.makespan_s;
         self.tracer.instant(
             Category::Service,
@@ -1141,7 +1220,7 @@ mod tests {
         let jobs = generate_workload(&w, &svc);
         let plain = run_service(&svc, &jobs).unwrap();
         let tracer = Tracer::new();
-        let traced = run_service_traced(&svc, &jobs, &tracer).unwrap();
+        let traced = run_service_traced(&svc, &jobs, &tracer, &ParallelRunner::new(2)).unwrap();
         assert_eq!(plain.fingerprint(), traced.fingerprint());
         let events = tracer.events();
         assert!(!events.is_empty());

@@ -1,12 +1,17 @@
 //! Regression tests for degenerate `JobSpec`s and `ClusterConfig`s:
 //! shapes that used to (or could plausibly) hit `unwrap()`/division
 //! paths or hang the event loop. Every shape must produce well-defined
-//! `JobStats` from BOTH simulators, identically.
+//! `JobStats` from BOTH simulators, identically. Degenerate
+//! `WorkloadConfig`s must be named by `validate` and must neither hang
+//! nor panic the workload generator.
 
 use hetero_cluster::{
-    simulate, simulate_reference, ClusterConfig, JobSpec, ReduceTaskSpec, Scheduler,
+    generate_workload, run_service, simulate, simulate_reference, ArrivalProcess, ClusterConfig,
+    JobRequest, JobSpec, ReduceTaskSpec, Scheduler, ServiceConfig, WorkloadConfig,
 };
 use hetero_hdfs::NodeId;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const SCHEDULERS: [Scheduler; 3] = [
     Scheduler::CpuOnly,
@@ -228,4 +233,100 @@ fn non_finite_or_negative_durations_fail_fast_from_both_simulators() {
     }
     // Zero stays legal (see `zero_duration_tasks_complete`).
     assert!(JobSpec::uniform("zd", 5, 4, 1, 0.0, 0.0).validate().is_ok());
+}
+
+/// Run `f` on its own thread; fail if it has not returned within `secs`
+/// — a generator that hangs must fail its test, not stall the suite.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(out) => out,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("no result within {secs} s"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the body panicked"),
+    }
+}
+
+fn diurnal(peak_rate_per_s: f64, period_s: f64, trough_frac: f64) -> WorkloadConfig {
+    WorkloadConfig {
+        seed: 5,
+        num_jobs: 8,
+        arrivals: ArrivalProcess::Diurnal {
+            peak_rate_per_s,
+            period_s,
+            trough_frac,
+        },
+        transient_fail_p: 0.0,
+    }
+}
+
+fn one_tenant() -> ServiceConfig {
+    ServiceConfig::single_tenant(ClusterConfig::small(4, Scheduler::GpuFirst))
+}
+
+/// `validate` names `field`; the generator returns under a watchdog; and
+/// `run_service` refuses the trace it returned, which is handed back.
+fn degenerate_workload_is_refused(
+    w: WorkloadConfig,
+    svc: ServiceConfig,
+    field: &str,
+) -> Vec<JobRequest> {
+    let err = w.validate(&svc).expect_err(field);
+    assert!(err.0.contains(field), "{field}: {err}");
+    let gen_svc = svc.clone();
+    let jobs = within(3, move || generate_workload(&w, &gen_svc));
+    let err = run_service(&svc, &jobs).expect_err("the trace must be refused");
+    assert!(
+        err.0.contains("arrive_s") || err.0.contains("tenant"),
+        "{field}: {err}"
+    );
+    jobs
+}
+
+#[test]
+fn diurnal_zero_peak_rate_is_refused_not_hung() {
+    degenerate_workload_is_refused(diurnal(0.0, 100.0, 0.1), one_tenant(), "peak_rate_per_s");
+}
+
+#[test]
+fn diurnal_zero_period_is_refused_not_hung() {
+    degenerate_workload_is_refused(diurnal(1.0, 0.0, 0.1), one_tenant(), "period_s");
+}
+
+#[test]
+fn diurnal_nan_trough_is_refused_not_hung() {
+    degenerate_workload_is_refused(diurnal(1.0, 100.0, f64::NAN), one_tenant(), "trough_frac");
+}
+
+#[test]
+fn a_service_without_tenants_gets_an_empty_trace() {
+    let mut svc = one_tenant();
+    svc.tenants.clear();
+    let jobs = degenerate_workload_is_refused(diurnal(1.0, 100.0, 0.1), svc, "tenant");
+    assert!(jobs.is_empty());
+}
+
+#[test]
+fn workload_validate_names_each_bad_field() {
+    let svc = one_tenant();
+    let poisson = |rate_per_s: f64, transient_fail_p: f64| WorkloadConfig {
+        seed: 1,
+        num_jobs: 4,
+        arrivals: ArrivalProcess::Poisson { rate_per_s },
+        transient_fail_p,
+    };
+    let cases = [
+        (poisson(0.0, 0.0), "rate_per_s"),
+        (poisson(f64::INFINITY, 0.0), "rate_per_s"),
+        (poisson(1.0, 1.5), "transient_fail_p"),
+        (poisson(1.0, f64::NAN), "transient_fail_p"),
+        (diurnal(1.0, f64::INFINITY, 0.1), "period_s"),
+        (diurnal(1.0, 100.0, -0.5), "trough_frac"),
+    ];
+    for (w, field) in &cases {
+        let err = w.validate(&svc).expect_err(field);
+        assert!(err.0.contains(field), "{field}: {err}");
+    }
+    assert!(poisson(0.5, 0.01).validate(&svc).is_ok());
+    assert!(diurnal(1.0, 100.0, 0.0).validate(&svc).is_ok());
 }

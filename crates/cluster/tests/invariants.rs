@@ -165,10 +165,14 @@ fn corrupt_input_on_rack_that_later_fails() {
 /// plan. Each admitted job must preserve all of its completed maps —
 /// a master crash alone never loses map output (PR 7's guarantee, here
 /// exercised under multi-tenant load) — and the per-event invariant
-/// auditor must stay clean across every inner run.
+/// auditor must stay clean across every inner run, whichever thread of
+/// the pool runs it.
 #[test]
 fn concurrent_jobs_survive_jobtracker_crash_storm() {
-    use hetero_cluster::{run_service, AdmissionControl, JobRequest, ServiceConfig, TenantSpec};
+    use hetero_cluster::{
+        run_service_traced, AdmissionControl, JobRequest, ParallelRunner, ServiceConfig, TenantSpec,
+    };
+    use hetero_trace::Tracer;
     let mut cluster = ClusterConfig::small(8, Scheduler::GpuFirst);
     cluster.nodes_per_rack = 4;
     let svc = ServiceConfig {
@@ -202,7 +206,19 @@ fn concurrent_jobs_survive_jobtracker_crash_storm() {
         });
     }
     let before = audit::violations();
-    let stats = run_service(&svc, &reqs).unwrap();
+    // The inner runs, audited, start on the pool's workers at admission:
+    // every width must give the same bits.
+    let run = |width: usize| {
+        let tracer = Tracer::new();
+        let stats = run_service_traced(&svc, &reqs, &tracer, &ParallelRunner::new(width)).unwrap();
+        (stats, tracer.to_chrome_json())
+    };
+    let (stats, json) = run(1);
+    for width in [2, 4, 8] {
+        let (wide, wide_json) = run(width);
+        assert_eq!(stats.fingerprint(), wide.fingerprint(), "width {width}");
+        assert_eq!(json, wide_json, "width {width}");
+    }
     assert!(stats.rejections.is_empty(), "{:?}", stats.rejections);
     assert_eq!(stats.jobs.len(), 16);
     for j in &stats.jobs {

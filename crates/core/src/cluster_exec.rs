@@ -11,10 +11,9 @@
 //! actually have computed, and on which devices?"
 
 use crate::job_runner::{run_functional_job_placed, FunctionalJob};
-use crate::parallel::ParallelRunner;
 use crate::presets::Preset;
 use hetero_apps::App;
-use hetero_cluster::{simulate, ClusterConfig, JobSpec, JobStats};
+use hetero_cluster::{simulate, ClusterConfig, JobSpec, JobStats, ParallelRunner};
 use hetero_gpusim::{Device, GpuError};
 use hetero_runtime::OptFlags;
 use hetero_trace::Tracer;

@@ -3,9 +3,9 @@
 //! *data-plane* counterpart of the DES in `hetero-cluster` (which models
 //! the control plane: where and when tasks run); results are bit-real.
 
-use crate::parallel::ParallelRunner;
 use crate::presets::Preset;
 use hetero_apps::App;
+use hetero_cluster::ParallelRunner;
 use hetero_gpusim::{Device, GpuError, KernelLogEntry};
 use hetero_hdfs::{reader, seqfile, Hdfs, Topology};
 use hetero_runtime::cpu::run_cpu_task;

@@ -40,15 +40,14 @@
 pub mod cluster_exec;
 pub mod interp_adapter;
 pub mod job_runner;
-pub mod parallel;
 pub mod pipeline;
 pub mod presets;
 
 pub use cluster_exec::{run_cluster_functional_job, ClusterFunctionalJob};
+pub use hetero_cluster::ParallelRunner;
 pub use hetero_runtime::OptFlags;
 pub use interp_adapter::{CompiledApp, CompiledKernel};
 pub use job_runner::{run_functional_job, run_functional_job_pooled, FunctionalJob};
-pub use parallel::ParallelRunner;
 pub use pipeline::{
     build_job, job_speedup, measure_task, optimization_effect, task_config, JobComparison,
     TaskMeasurement, DEFAULT_SPLIT_RECORDS,

@@ -55,6 +55,14 @@ HETERO_AUDIT=1 cargo run --release -q -p hetero-bench --features audit --bin cha
 echo "== service smoke (multi-tenant sweep point under a wall-clock budget)"
 cargo run --release -q -p hetero-bench --bin service -- --smoke --budget-s 30
 
+echo "== service --quick at pool widths 1 and 4 (byte-identical service.json)"
+# The inner simulations run on the worker pool; its width must not move
+# a bit of the sweep.
+HETERO_THREADS=1 cargo run --release -q -p hetero-bench --bin service -- --quick >/dev/null
+mv target/results/service.json target/results/service.width1.json
+cargo run --release -q -p hetero-bench --bin service -- --quick --threads 4 >/dev/null
+cmp target/results/service.width1.json target/results/service.json
+
 echo "== micro smoke (every wall-clock pair, one timed call a side)"
 cargo run --release -q -p hetero-bench --bin micro -- --quick
 
