@@ -30,15 +30,15 @@
 //! same reason a declaration that is the unbraced body of a skipped
 //! `if` is still in scope afterwards here, and unknown there.)
 //!
-//! Select at runtime with the `HETERO_BACKEND` environment variable
-//! (`interp` or `native`); the default is `native`.
+//! Production runs the bytecode engine with proven guards elided
+//! ([`ElisionMode::On`]); nothing selects another at run time. The
+//! interpreter and [`ElisionMode::Checked`] are oracles each test names.
 //!
-//! **Construction.** [`make_backend_with_facts`] is the one
-//! full-control path: program, the [`SafetyFacts`] table its analysis
-//! produced ([`crate::sema::Analysis::safety`]), and an
-//! [`ElisionMode`]. [`make_backend`] is the convenience for a program
-//! that was only parsed: it offers no table, so the program is analysed
-//! here, and takes the mode from `HETERO_ELIDE`.
+//! **Construction.** [`make_backend_with_facts`] takes engine, program,
+//! the [`SafetyFacts`] its analysis produced
+//! ([`crate::sema::Analysis::safety`]) and an [`ElisionMode`]; offered
+//! no table (`SafetyFacts::default()`), the native backend analyses the
+//! program itself.
 
 mod bytecode;
 mod lower;
@@ -60,10 +60,6 @@ pub trait KernelBackend: Send + Sync {
     fn run(&self, io: &mut StreamIo) -> Result<InterpStats, CcError> {
         self.run_capped(io, DEFAULT_MAX_STEPS)
     }
-
-    /// Short backend name (`"interp"` / `"native"`), used in traces and
-    /// bench labels.
-    fn name(&self) -> &'static str;
 }
 
 /// Which backend to use.
@@ -87,8 +83,8 @@ impl BackendKind {
         }
     }
 
-    /// Read the `HETERO_BACKEND` environment variable; unset or
-    /// unrecognized values fall back to the default ([`Native`]).
+    /// Read `HETERO_BACKEND` (unset or unrecognized: [`Native`]). Only the
+    /// `e2e` ledger's probe calls this; ROADMAP item 1(iii) retires both.
     ///
     /// [`Native`]: BackendKind::Native
     pub fn from_env() -> Self {
@@ -112,8 +108,8 @@ impl BackendKind {
 ///
 /// Guards (bounds checks, integer div/mod zero tests) charge nothing to
 /// [`InterpStats`], so every mode produces bit-identical stats, stdout,
-/// and error text; only wall-clock changes. Select at runtime with the
-/// `HETERO_ELIDE` environment variable (`on` or `checked`).
+/// and error text; only wall-clock changes. Production runs `On`;
+/// `Checked` is the soundness oracle the differential suites name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElisionMode {
     /// Elide guards at proven-safe sites (the default).
@@ -137,8 +133,8 @@ impl ElisionMode {
         }
     }
 
-    /// Read the `HETERO_ELIDE` environment variable; unset or
-    /// unrecognized values fall back to the default ([`On`]).
+    /// Read `HETERO_ELIDE` (unset or unrecognized: [`On`]). Only the
+    /// `e2e` ledger's probe calls this; ROADMAP item 1(iii) retires both.
     ///
     /// [`On`]: ElisionMode::On
     pub fn from_env() -> Self {
@@ -155,13 +151,6 @@ impl ElisionMode {
             ElisionMode::Checked => "checked",
         }
     }
-}
-
-/// Build a backend of the given kind over a program that was only
-/// parsed: no table is offered, so the native backend analyses `prog`
-/// itself; elision follows `HETERO_ELIDE`.
-pub fn make_backend(kind: BackendKind, prog: &Program) -> Box<dyn KernelBackend> {
-    make_backend_with_facts(kind, prog, &SafetyFacts::default(), ElisionMode::from_env())
 }
 
 /// Build a backend of the given kind over `prog`, guards chosen from
@@ -197,10 +186,6 @@ impl KernelBackend for InterpBackend {
         Interp::new(&self.prog)
             .with_max_steps(max_steps)
             .run_main(io)
-    }
-
-    fn name(&self) -> &'static str {
-        "interp"
     }
 }
 
@@ -249,10 +234,6 @@ impl NativeBackend {
 impl KernelBackend for NativeBackend {
     fn run_capped(&self, io: &mut StreamIo, max_steps: u64) -> Result<InterpStats, CcError> {
         vm::run(&self.code, io, max_steps)
-    }
-
-    fn name(&self) -> &'static str {
-        "native"
     }
 }
 
@@ -339,10 +320,10 @@ mod tests {
     fn both_backends_run_a_trivial_program() {
         let prog = parse("int main() { printf(\"k\\t%d\\n\", 7); return 0; }").unwrap();
         for kind in [BackendKind::Interp, BackendKind::Native] {
-            let b = make_backend(kind, &prog);
+            let b = make_backend_with_facts(kind, &prog, &SafetyFacts::default(), ElisionMode::On);
             let mut io = StreamIo::lines(vec![]);
             let stats = b.run(&mut io).unwrap();
-            assert_eq!(io.stdout, b"k\t7\n", "{}", b.name());
+            assert_eq!(io.stdout, b"k\t7\n", "{}", kind.name());
             assert_eq!(stats.lines_out, 1);
         }
     }

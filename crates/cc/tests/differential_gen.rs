@@ -1,15 +1,17 @@
 //! Generative differential suite: random well-typed programs from
 //! `hetero_cc::testgen` must behave identically under the interpreter
 //! and the register-bytecode native backend — byte-identical stdout,
-//! identical `InterpStats`, identical error text.
+//! identical `InterpStats`, identical error text. The main sweep runs the
+//! native backend as production does (`ElisionMode::On`); a second sweep
+//! runs it under `Checked`, the analyzer's soundness oracle.
 //!
 //! Deterministic by default: `HETERO_TESTGEN_SEED` (default pinned) and
 //! `HETERO_TESTGEN_CASES` (default 256) control the sweep, so CI runs
 //! reproduce locally with the same two env vars. On a mismatch the case
 //! is shrunk by greedily dropping independent segments and the minimal
 //! counterexample (source + input + the native backend's bytecode
-//! listing) is written to `target/testgen-failures/` for artifact
-//! upload.
+//! listing under the mode that diverged) is written to
+//! `target/testgen-failures/` for artifact upload.
 
 use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, NativeBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
@@ -36,16 +38,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 type RunResult = Result<(Vec<u8>, InterpStats), String>;
 
-fn run_backend(kind: BackendKind, src: &str, io: &mut StreamIo) -> RunResult {
-    run_backend_mode(kind, ElisionMode::from_env(), src, io)
-}
-
-fn run_backend_mode(
-    kind: BackendKind,
-    mode: ElisionMode,
-    src: &str,
-    io: &mut StreamIo,
-) -> RunResult {
+/// The interpreter ignores `mode`.
+fn run_backend(kind: BackendKind, mode: ElisionMode, src: &str, io: &mut StreamIo) -> RunResult {
     let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
     let facts = analyze(&prog).map_err(|e| format!("sema: {e}"))?.safety;
     let backend = make_backend_with_facts(kind, &prog, &facts, mode);
@@ -55,13 +49,14 @@ fn run_backend_mode(
     }
 }
 
-/// Whether the two backends disagree on this exact source + input.
+/// Whether the interpreter and the native backend under `On` disagree on
+/// this exact source + input.
 fn diverges(case: &GenCase, mask: &[bool]) -> Option<String> {
     let src = case.source_with(mask);
     let mut io_i = case.make_io();
-    let ri = run_backend(BackendKind::Interp, &src, &mut io_i);
+    let ri = run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io_i);
     let mut io_n = case.make_io();
-    let rn = run_backend(BackendKind::Native, &src, &mut io_n);
+    let rn = run_backend(BackendKind::Native, ElisionMode::On, &src, &mut io_n);
     match (&ri, &rn) {
         (Ok((oi, si)), Ok((on, sn))) => {
             if oi != on {
@@ -115,7 +110,7 @@ fn shrink(case: &GenCase) -> Vec<bool> {
     }
 }
 
-fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
+fn write_counterexample(case: &GenCase, mask: &[bool], mode: ElisionMode, why: &str) -> String {
     let dir = std::path::Path::new("target/testgen-failures");
     let _ = std::fs::create_dir_all(dir);
     let src_path = dir.join(format!("seed-{}.c", case.seed));
@@ -123,15 +118,14 @@ fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
     let src = case.source_with(mask);
     let _ = std::fs::write(&src_path, &src);
     let _ = std::fs::write(&input_path, format!("# why: {why}\n{}", case.input_dump()));
-    // What the native backend actually ran, so the divergence can be
-    // read and not just reproduced.
+    // What the native backend actually ran, under the mode that
+    // diverged, so the divergence can be read and not just reproduced.
     if let Ok(prog) = parse(&src) {
         if let Ok(analysis) = analyze(&prog) {
-            let native =
-                NativeBackend::with_facts(&prog, &analysis.safety, ElisionMode::from_env());
+            let native = NativeBackend::with_facts(&prog, &analysis.safety, mode);
             let _ = std::fs::write(
                 dir.join(format!("seed-{}.disasm", case.seed)),
-                native.disasm(),
+                format!("# elide={}\n{}", mode.name(), native.disasm()),
             );
         }
     }
@@ -148,7 +142,7 @@ fn generated_programs_agree_across_backends() {
         let full = vec![true; case.segments.len()];
         if let Some(why) = diverges(&case, &full) {
             let minimal = shrink(&case);
-            let path = write_counterexample(&case, &minimal, &why);
+            let path = write_counterexample(&case, &minimal, ElisionMode::On, &why);
             panic!(
                 "backend divergence at seed {} (case {i}/{cases}):\n{why}\n\
                  minimal counterexample written to {path}\n\
@@ -158,8 +152,8 @@ fn generated_programs_agree_across_backends() {
         }
         // Track how many cases end in a (matching) runtime error so a
         // generator drift toward all-error programs gets caught.
-        let mut io = case.make_io();
-        if run_backend(BackendKind::Interp, &case.source(), &mut io).is_err() {
+        let (src, mut io) = (case.source(), case.make_io());
+        if run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io).is_err() {
             errored += 1;
         }
     }
@@ -186,10 +180,10 @@ fn generated_programs_survive_checked_elision() {
         let case = generate(seed.wrapping_add(i));
         let src = case.source();
         let mut io_i = case.make_io();
-        let ri = run_backend(BackendKind::Interp, &src, &mut io_i);
+        let ri = run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io_i);
         let mut io_c = case.make_io();
         let rc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_backend_mode(BackendKind::Native, ElisionMode::Checked, &src, &mut io_c)
+            run_backend(BackendKind::Native, ElisionMode::Checked, &src, &mut io_c)
         }));
         let rc = match rc {
             Ok(r) => r,
@@ -200,7 +194,7 @@ fn generated_programs_survive_checked_elision() {
                     .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 let full = vec![true; case.segments.len()];
-                let path = write_counterexample(&case, &full, &why);
+                let path = write_counterexample(&case, &full, ElisionMode::Checked, &why);
                 panic!(
                     "checked-elision soundness violation at seed {} (case {i}/{cases}):\n{why}\n\
                      counterexample written to {path}\n\
@@ -216,7 +210,8 @@ fn generated_programs_survive_checked_elision() {
         };
         if !agree {
             let full = vec![true; case.segments.len()];
-            let path = write_counterexample(&case, &full, "checked-elision parity");
+            let path =
+                write_counterexample(&case, &full, ElisionMode::Checked, "checked-elision parity");
             panic!(
                 "checked-elision run diverged from interpreter at seed {} (case {i}/{cases})\n\
                  counterexample written to {path}",
@@ -235,8 +230,8 @@ fn generated_stats_are_nontrivial() {
     let mut agg = InterpStats::default();
     for i in 0..64 {
         let case = generate(seed.wrapping_add(i));
-        let mut io = case.make_io();
-        if let Ok((_, s)) = run_backend(BackendKind::Native, &case.source(), &mut io) {
+        let (src, mut io) = (case.source(), case.make_io());
+        if let Ok((_, s)) = run_backend(BackendKind::Native, ElisionMode::On, &src, &mut io) {
             agg.ops += s.ops;
             agg.mem += s.mem;
             agg.sfu += s.sfu;

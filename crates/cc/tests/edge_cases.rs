@@ -1,11 +1,14 @@
 //! Edge-case corpus for the C-subset semantics, with the interpreter as
-//! executable spec: every case runs under both backends and must agree
-//! exactly — byte-identical stdout + identical `InterpStats` on
-//! success, identical error text on failure — and neither backend may
-//! panic (a panic fails the test harness).
+//! executable spec: every case runs on the interpreter, on the bytecode
+//! engine with proven guards elided (`On`, production) and on it with
+//! them panic-checked (`Checked`, the soundness oracle). All three must
+//! agree exactly — byte-identical stdout + identical `InterpStats` on
+//! success, identical error text on failure — and none may panic (a
+//! panic fails the test harness).
 
-use hetero_cc::backend::{make_backend, BackendKind};
+use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
 use hetero_cc::interp::{InterpStats, StreamIo};
+use hetero_cc::lint::absint::SafetyFacts;
 use hetero_cc::parse::parse;
 
 enum In {
@@ -26,9 +29,16 @@ fn make_io(input: &In) -> StreamIo {
     }
 }
 
-fn run(kind: BackendKind, src: &str, input: &In) -> Result<(Vec<u8>, InterpStats), String> {
+fn run(
+    kind: BackendKind,
+    mode: ElisionMode,
+    src: &str,
+    input: &In,
+) -> Result<(Vec<u8>, InterpStats), String> {
     let prog = parse(src).unwrap_or_else(|e| panic!("corpus case does not parse: {e}\n{src}"));
-    let backend = make_backend(kind, &prog);
+    // No table offered: the engine analyses the parsed program itself (a
+    // case `sema` rejects keeps every guard).
+    let backend = make_backend_with_facts(kind, &prog, &SafetyFacts::default(), mode);
     let mut io = make_io(input);
     match backend.run_capped(&mut io, 1_000_000) {
         Ok(stats) => Ok((io.stdout, stats)),
@@ -36,11 +46,19 @@ fn run(kind: BackendKind, src: &str, input: &In) -> Result<(Vec<u8>, InterpStats
     }
 }
 
-/// Assert exact agreement; returns interp's outcome for extra checks.
+/// Assert exact agreement of the bytecode engine, under both elision
+/// modes, with the interpreter; returns the interpreter's outcome for
+/// extra checks.
 fn agree(name: &str, src: &str, input: &In) -> Result<(Vec<u8>, InterpStats), String> {
-    let ri = run(BackendKind::Interp, src, input);
-    let rn = run(BackendKind::Native, src, input);
-    assert_eq!(ri, rn, "backends diverged on corpus case `{name}`:\n{src}");
+    let ri = run(BackendKind::Interp, ElisionMode::On, src, input);
+    for mode in [ElisionMode::On, ElisionMode::Checked] {
+        let rn = run(BackendKind::Native, mode, src, input);
+        let mode = mode.name();
+        assert_eq!(
+            ri, rn,
+            "native elide={mode} diverged on corpus case `{name}`:\n{src}"
+        );
+    }
     ri
 }
 

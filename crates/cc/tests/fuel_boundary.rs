@@ -1,9 +1,9 @@
-//! Step-budget boundary: the native engine charges steps a basic block
-//! at a time, the interpreter a node at a time. They must still agree
-//! at **every** budget — same `Ok`/`Err`, same error text (so a step
-//! limit that lands next to a `1 / 0` or an out-of-bounds subscript
-//! wins or loses exactly as in the interpreter), and on `Ok` the same
-//! `InterpStats` and stdout.
+//! Step-budget boundary: the native engine (as production runs it,
+//! `ElisionMode::On`) charges steps a basic block at a time, the
+//! interpreter a node at a time. They must still agree at **every**
+//! budget — same `Ok`/`Err`, same error text (so a step limit that lands
+//! next to a `1 / 0` or an out-of-bounds subscript wins or loses exactly
+//! as in the interpreter), and on `Ok` the same `InterpStats` and stdout.
 
 use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
 use hetero_cc::interp::{InterpStats, StreamIo};

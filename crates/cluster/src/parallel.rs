@@ -5,23 +5,23 @@
 //! simulations — and `ParallelRunner` spreads it over a fixed set of
 //! worker threads in two shapes:
 //!
-//! - **Fork-join batches** ([`ParallelRunner::run`]). Results come back
-//!   **in submission order**, so callers merge per-task state (counters,
-//!   kernel logs, trace events) exactly as the serial path would and stay
-//!   byte-identical to it. Workers claim jobs through an atomic index,
-//!   first-come-first-served, which balances skewed task costs.
 //! - **Prefetch** ([`ParallelRunner::prefetch`]). A caller that keeps
 //!   running submits jobs one at a time and later takes each result by
 //!   index, in an order of its own. Workers start queued jobs oldest
 //!   first. The service submits a job's inner simulation when it admits
 //!   the job and takes the result when it launches it.
+//! - **Fork-join batches** ([`ParallelRunner::run`]): submit every job,
+//!   take them in order. Results come back **in submission order**, so
+//!   callers merge per-task state (counters, kernel logs, trace events)
+//!   exactly as the serial path would and stay byte-identical to it.
+//!   Every thread claims the oldest unstarted job, which balances skewed
+//!   task costs.
 //!
 //! Either way a job's result must not depend on when or on which thread
 //! it runs; the caller consumes results in its own deterministic order.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default worker count (`0` or unset
@@ -73,41 +73,40 @@ impl ParallelRunner {
         self.threads
     }
 
-    /// Run every job and return the results in submission order. Jobs are
-    /// claimed dynamically, so a long task does not hold up workers that
-    /// finish early. With one worker (or one job) everything runs inline
-    /// — the serial reference path. A panicking job propagates the panic
-    /// to the caller once all workers have stopped.
+    /// Run every job and return the results in submission order: a
+    /// [`prefetch`](Self::prefetch) scope no wider than the batch, with
+    /// every job submitted and then taken in order. Jobs are claimed
+    /// dynamically, so a long task does not hold up threads that finish
+    /// early. At width 1 everything runs inline, in submission order — the
+    /// serial reference path. A panicking job re-raises its panic here
+    /// once the workers have stopped.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
         let n = jobs.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return jobs.into_iter().map(|f| f()).collect();
+        let threads = self.threads.min(n).max(1);
+        let batch = move || {
+            ParallelRunner { threads }.prefetch(|pf| {
+                for (i, job) in jobs.into_iter().enumerate() {
+                    pf.submit(i, job);
+                }
+                (0..n).map(|i| pf.take(i)).collect()
+            })
+        };
+        if threads == 1 {
+            return batch();
         }
-        let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
+        // The taker is a spawned thread too. Jobs run on the caller's
+        // thread — often the process's main thread — allocate from glibc's
+        // main heap among the caller's long-lived data, which fragments
+        // it: a `wc_c_mixed` ledger run then peaks near 95 MB, not 80.
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i].lock().unwrap().take().expect("job claimed once");
-                    let out = job();
-                    *results[i].lock().unwrap() = Some(out);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
+            s.spawn(batch)
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     }
 
     /// Run `body` with a [`Prefetch`] queue served by `threads − 1`
@@ -466,6 +465,21 @@ mod tests {
                 })
             });
             assert_eq!(caught, (Some(7), 1), "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_job_panics_run_with_its_payload() {
+        for width in [1, 2] {
+            let caught = within(30, move || {
+                let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+                    vec![Box::new(|| 1), Box::new(|| panic::panic_any(Boom(7)))];
+                let err =
+                    panic::catch_unwind(AssertUnwindSafe(|| ParallelRunner::new(width).run(jobs)))
+                        .expect_err("job 1 panicked");
+                err.downcast_ref::<Boom>().map(|b| b.0)
+            });
+            assert_eq!(caught, Some(7), "width {width}");
         }
     }
 

@@ -486,13 +486,13 @@ struct Sim<'a, I> {
     /// master), so expiry checks must keep running even after every
     /// planned node crash has been detected.
     silencing_faults: bool,
-    /// Audit every event by default only on small runs: the per-event
-    /// ground-truth rebuild is O(cluster state), which would slow the
-    /// paper-scale sims (48 nodes × ~1k maps) by orders of magnitude in
-    /// debug test builds. `HETERO_AUDIT=1` forces full audit at any size
-    /// (how the chaos harness and CI run).
+    /// Whether this run is audited event by event: always under the
+    /// `audit` feature; in a debug build without it only on small runs,
+    /// since the per-event ground-truth rebuild is O(cluster state) and
+    /// would slow the paper-scale sims (48 nodes × ~1k maps) by orders of
+    /// magnitude.
     #[cfg(any(debug_assertions, feature = "audit"))]
-    audit_default: bool,
+    audit_run: bool,
     events: EventQueue<Event>,
     now: f64,
     stats: JobStats,
@@ -561,7 +561,8 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
                 || cfg.faults.heartbeat_jitter_s > 0.0
                 || !cfg.faults.jobtracker_crashes.is_empty(),
             #[cfg(any(debug_assertions, feature = "audit"))]
-            audit_default: (cfg.num_slaves as usize).saturating_mul(job.maps.len()) <= 16_384,
+            audit_run: cfg!(feature = "audit")
+                || (cfg.num_slaves as usize).saturating_mul(job.maps.len()) <= 16_384,
             events: EventQueue::new(),
             now: 0.0,
             stats,
@@ -778,11 +779,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             }
             self.handle(event);
             #[cfg(any(debug_assertions, feature = "audit"))]
-            if I::AUDITED
-                && (self.audit_default || crate::audit::forced_on())
-                && crate::audit::enabled()
-                && !self.stats.aborted
-            {
+            if I::AUDITED && self.audit_run && crate::audit::enabled() && !self.stats.aborted {
                 self.audit_invariants(&event);
             }
             if self.stats.aborted || !self.work_remains() {

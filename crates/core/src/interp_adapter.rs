@@ -3,13 +3,12 @@
 //! source* executes on both the CPU and the (simulated) GPU, the paper's
 //! central programmability claim.
 //!
-//! Kernel execution goes through a [`KernelBackend`]: either the tree
-//! walking interpreter or the register-bytecode native backend (see
-//! `hetero_cc::backend`). Both charge identical [`InterpStats`], so the
-//! cost models — and therefore every simulated cycle downstream — are
-//! bit-identical regardless of backend. `HETERO_BACKEND=interp|native`
-//! and `HETERO_ELIDE=on|checked` select the defaults;
-//! [`CompiledKernel::with_backend_mode`] pins both explicitly.
+//! Kernels run on the register-bytecode engine with the guards `compile`
+//! proved elided (see `hetero_cc::backend`); nothing selects another
+//! engine at run time. The whole-job oracle pins engine and elision mode
+//! through [`CompiledApp::with_backend_mode`]: every engine charges
+//! identical [`InterpStats`], so every simulated cycle downstream is
+//! bit-identical across them.
 
 use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, KernelBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
@@ -26,28 +25,23 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Wrap a compiled program on the backend `HETERO_BACKEND` selects
-    /// (native when unset), with guard elision following `HETERO_ELIDE`.
+    /// Wrap a compiled program on the bytecode engine, eliding the guards
+    /// `compile` proved.
     pub fn new(compiled: &Compiled) -> Self {
-        Self::with_backend_mode(compiled, BackendKind::from_env(), ElisionMode::from_env())
+        Self::with_backend_mode(compiled, BackendKind::Native, ElisionMode::On)
     }
 
-    /// Wrap a compiled program on an explicit backend and elision mode,
-    /// handing the backend the safety facts `compile` already proved.
-    pub fn with_backend_mode(compiled: &Compiled, kind: BackendKind, mode: ElisionMode) -> Self {
+    /// Wrap a compiled program on an explicit engine and elision mode,
+    /// handing the engine the safety facts `compile` already proved.
+    pub(crate) fn with_backend_mode(
+        compiled: &Compiled,
+        kind: BackendKind,
+        mode: ElisionMode,
+    ) -> Self {
+        let (prog, facts) = (&compiled.program, &compiled.analysis.safety);
         CompiledKernel {
-            backend: make_backend_with_facts(
-                kind,
-                &compiled.program,
-                &compiled.analysis.safety,
-                mode,
-            ),
+            backend: make_backend_with_facts(kind, prog, facts, mode),
         }
-    }
-
-    /// Which backend executes this kernel (`"interp"` or `"native"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 }
 
@@ -112,14 +106,15 @@ pub struct CompiledApp {
 }
 
 impl CompiledApp {
-    /// Compile `inner`'s C sources; kernels execute on the
-    /// `HETERO_BACKEND` default with the `HETERO_ELIDE` elision mode.
+    /// Compile `inner`'s C sources; kernels execute as
+    /// [`CompiledKernel::new`]'s do.
     pub fn new(inner: Box<dyn hetero_apps::App>) -> Result<Self, CcError> {
-        Self::with_backend_mode(inner, BackendKind::from_env(), ElisionMode::from_env())
+        Self::with_backend_mode(inner, BackendKind::Native, ElisionMode::On)
     }
 
     /// Compile `inner`'s C sources; kernels execute on `kind` with the
-    /// given guard-elision mode.
+    /// given guard-elision mode. Only the whole-job oracle, which pits the
+    /// interpreter and `Checked` against production, calls this.
     pub fn with_backend_mode(
         inner: Box<dyn hetero_apps::App>,
         kind: BackendKind,
@@ -137,11 +132,6 @@ impl CompiledApp {
             mapper,
             combiner,
         })
-    }
-
-    /// The backend kernels execute on.
-    pub fn backend(&self) -> BackendKind {
-        self.kind
     }
 
     fn kernel(&self, compiled: &Compiled) -> CompiledKernel {
@@ -188,24 +178,21 @@ mod tests {
     use hetero_runtime::types::VecEmit;
 
     #[test]
-    fn interp_charges_cost() {
+    fn compiled_map_charges_cost() {
         let app = app_by_code("WC").unwrap();
         let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
         let m = CompiledKernel::new(&compiled);
         let mut out = VecEmit::default();
         m.map(b"hello world again", &mut out);
-        assert!(out.ops.alu > 0, "interpreted map must charge ops");
+        assert!(out.ops.alu > 0, "a compiled map must charge ops");
     }
 
     #[test]
-    fn explicit_backends_emit_identical_pairs_and_charges() {
+    fn the_interpreter_oracle_emits_and_charges_as_production_does() {
         let app = app_by_code("WC").unwrap();
         let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
-        let on = ElisionMode::On;
-        let mi = CompiledKernel::with_backend_mode(&compiled, BackendKind::Interp, on);
-        let mn = CompiledKernel::with_backend_mode(&compiled, BackendKind::Native, on);
-        assert_eq!(mi.backend_name(), "interp");
-        assert_eq!(mn.backend_name(), "native");
+        let mi = CompiledKernel::with_backend_mode(&compiled, BackendKind::Interp, ElisionMode::On);
+        let mn = CompiledKernel::new(&compiled);
         let mut a = VecEmit::default();
         let mut b = VecEmit::default();
         for rec in [&b"hello world hello"[..], b"a b c", b"", b"  spaced  out "] {
@@ -220,10 +207,8 @@ mod tests {
     fn compiled_app_delegates_and_compiles_all_eight() {
         for app in hetero_apps::all_apps() {
             let code = app.spec().code;
-            let capp = CompiledApp::with_backend_mode(app, BackendKind::Native, ElisionMode::On)
-                .unwrap_or_else(|e| panic!("{code}: {e}"));
+            let capp = CompiledApp::new(app).unwrap_or_else(|e| panic!("{code}: {e}"));
             assert_eq!(capp.spec().code, code);
-            assert_eq!(capp.backend(), BackendKind::Native);
             assert_eq!(
                 capp.combiner().is_some(),
                 capp.spec().has_combiner,

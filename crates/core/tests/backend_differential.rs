@@ -17,7 +17,8 @@
 //! proven safe by the value analysis charge nothing to `InterpStats`,
 //! so eliding them (On) or keeping and panic-checking them (Checked —
 //! the soundness oracle) must be invisible in every bit of job output.
-//! The interpreter, which has no elision, is the reference.
+//! The interpreter, which has no elision, is the reference; production's
+//! configuration (native, On) is one of the six, named like the others.
 
 use hetero_cc::backend::{BackendKind, ElisionMode};
 use hetero_gpusim::Device;
@@ -88,25 +89,4 @@ fn all_benchmarks_are_bit_identical_across_backends_pools_and_elision() {
             );
         }
     }
-}
-
-#[test]
-fn env_var_selects_the_job_backend() {
-    // `from_env` reads HETERO_BACKEND at construction; the test process
-    // may run threaded, so set/restore around a single construction and
-    // only assert the *selection*, not job behavior (covered above).
-    std::env::set_var("HETERO_BACKEND", "interp");
-    let sel = BackendKind::from_env();
-    std::env::remove_var("HETERO_BACKEND");
-    assert_eq!(sel, BackendKind::Interp);
-    assert_eq!(BackendKind::from_env(), BackendKind::Native, "default");
-}
-
-#[test]
-fn env_var_selects_the_elision_mode() {
-    std::env::set_var("HETERO_ELIDE", "checked");
-    let sel = ElisionMode::from_env();
-    std::env::remove_var("HETERO_ELIDE");
-    assert_eq!(sel, ElisionMode::Checked);
-    assert_eq!(ElisionMode::from_env(), ElisionMode::On, "default");
 }

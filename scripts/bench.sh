@@ -30,7 +30,7 @@ echo "== scale sweep (--bin scale)"
 bin --bin scale -- "${QUICK[@]}"
 
 echo "== chaos sweep (--bin chaos, audited)"
-HETERO_AUDIT=1 bin --features audit --bin chaos -- "${SMOKE[@]}"
+bin --features audit --bin chaos -- "${SMOKE[@]}"
 
 echo "== fault-injection study (--bin faults)"
 bin --bin faults
