@@ -1,7 +1,8 @@
 //! The wall-clock micro record: the ratios the `e2e` ledger cannot see
 //! (it times whole jobs on one engine, one index, one elision mode), the
-//! two `hetero-runtime` primitives ROADMAP item 4 works on and the host
-//! cost of one `hetero-gpusim` warp round.
+//! two `hetero-runtime` primitives ROADMAP item 4 works on, the host
+//! cost of one `hetero-gpusim` warp round and `hetero-hdfs`'s per-byte
+//! checksum cost.
 //!
 //! The sides of a case are timed **interleaved** — slow, fast, slow,
 //! fast … — so host drift lands on both alike. Each side's first call is
@@ -172,6 +173,32 @@ int main() {
     vec![under("checked", Checked), under("on", On)]
 }
 
+/// CRC-32 of `records` generated Wordcount records (seed 7; 225 000 is
+/// `wc_rust_gpu`'s 7.25 MB input), bit by bit vs `hetero_hdfs::crc32`'s
+/// tables. Both give the same checksum.
+fn crc32(records: usize) -> Vec<Side> {
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+    let input = hetero_apps::app_by_code("WC")
+        .unwrap()
+        .generate_split(records, 7);
+    assert_eq!(bitwise(&input), hetero_hdfs::crc32(&input));
+    let over = |name, crc: fn(&[u8]) -> u32| {
+        let input = input.clone();
+        side(name, move || crc(&input))
+    };
+    vec![over("bitwise", bitwise), over("table", hetero_hdfs::crc32)]
+}
+
 /// One `TailScheduling` job of 100 maps a node on `cfg`, through the
 /// scan index and through `Indexed`.
 fn des(cfg: ClusterConfig, cpu_s: f64, gpu_s: f64) -> Vec<Side> {
@@ -264,6 +291,7 @@ fn main() {
         ("wc_mapper_400", 40, mapper("WC", 400)),
         ("bs_mapper_50", 40, mapper("BS", 50)),
         ("check_elision", 400, elision()),
+        ("crc32_wc", 40, crc32(225_000)),
         ("des_48", 40, des(paper, 40.0, 4.0)),
         ("des_1k", 5, des(large, 8.0, 1.0)),
         ("sort_10k", 40, sort(10_000)),

@@ -9,6 +9,8 @@
 //! by the instructions themselves, through the same shared functions the
 //! tree-walking interpreter calls.
 
+use std::cell::Cell;
+
 use super::bytecode::{Bytecode, Cmp, Guard, Insn, R};
 use crate::ast::{BinOp, CType};
 use crate::error::CcError;
@@ -67,6 +69,24 @@ fn step_limit() -> CcError {
     CcError::interp("step limit exceeded (infinite loop?)")
 }
 
+/// The growable storage of a run, emptied between runs. `pf`'s strings
+/// keep their text: `PfBegin` clears one before it is written.
+#[derive(Default)]
+struct Storage {
+    regs: Vec<V>,
+    heap: Vec<Buffer>,
+    frames: Vec<Frame>,
+    pf: Vec<String>,
+    sc: Vec<(usize, i64)>,
+}
+
+thread_local! {
+    /// The storage this thread's last finished run handed back, so the
+    /// next run allocates none of it afresh. A run that panics never
+    /// hands it back, and the next run starts from new storage.
+    static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
 /// Run `main` to completion against `io` under a step cap.
 pub(crate) fn run(p: &Bytecode, io: &mut StreamIo, max_steps: u64) -> Result<InterpStats, CcError> {
     let main = p.main.ok_or_else(|| CcError::interp("no main function"))?;
@@ -78,23 +98,49 @@ pub(crate) fn run(p: &Bytecode, io: &mut StreamIo, max_steps: u64) -> Result<Int
         )));
     }
     let base = p.consts.len();
-    let mut regs = Vec::with_capacity(base + f.nregs);
+    let Storage {
+        mut regs,
+        heap,
+        frames,
+        pf,
+        sc,
+    } = SPARE.take().unwrap_or_default();
     regs.extend_from_slice(&p.consts);
     regs.resize(base + f.nregs, V::I(0));
     let mut vm = Vm {
         p,
         regs,
-        heap: Vec::new(),
+        heap,
         stats: InterpStats::default(),
         steps: 0,
         max_steps,
-        frames: Vec::new(),
-        pf: Vec::new(),
+        frames,
+        pf,
         pf_depth: 0,
-        sc: Vec::new(),
+        sc,
     };
-    vm.exec(f.entry, base, io)?;
-    Ok(vm.stats)
+    let done = vm.exec(f.entry, base, io);
+    let Vm {
+        mut regs,
+        mut heap,
+        mut frames,
+        pf,
+        mut sc,
+        stats,
+        ..
+    } = vm;
+    regs.clear();
+    heap.clear();
+    frames.clear();
+    sc.clear();
+    SPARE.set(Some(Storage {
+        regs,
+        heap,
+        frames,
+        pf,
+        sc,
+    }));
+    done.map(|()| stats)
 }
 
 struct Vm<'p> {
@@ -110,8 +156,9 @@ struct Vm<'p> {
     /// an argument itself prints); kept for reuse.
     pf: Vec<String>,
     pf_depth: usize,
-    /// Records of the `scanf`s in progress and their match counts.
-    sc: Vec<([Vec<u8>; 2], i64)>,
+    /// The KV records (see [`StreamIo::kv_field`]) of the `scanf`s in
+    /// progress and their match counts.
+    sc: Vec<(usize, i64)>,
 }
 
 impl Vm<'_> {
@@ -435,7 +482,7 @@ impl Vm<'_> {
                     wr!(dst, v)
                 }
                 Insn::ScBegin { dst, eof } => match scanf_read(io, &mut self.stats)? {
-                    Some(fields) => self.sc.push((fields, 0)),
+                    Some(rec) => self.sc.push((rec, 0)),
                     None => {
                         wr!(dst, V::I(-1));
                         pc = eof.0 as usize;
@@ -443,10 +490,10 @@ impl Vm<'_> {
                 },
                 Insn::ScConv { src, conv, field } => {
                     let dst = rd!(src);
-                    let (fields, matched) = self.sc.last_mut().expect("inside a scanf");
+                    let (rec, matched) = self.sc.last_mut().expect("inside a scanf");
                     scanf_store(
                         conv,
-                        &fields[field as usize],
+                        io.kv_field(*rec, field as usize),
                         &dst,
                         &mut self.heap,
                         &mut self.regs,
@@ -798,6 +845,103 @@ int main() {
         let (subs, divs, _) = analyze_main(&prog).facts.proven_counts();
         assert!(subs >= 4, "subscripts proven: {subs}");
         assert!(divs >= 2, "divisions proven: {divs}");
+    }
+
+    #[test]
+    fn a_run_after_a_faulted_one_starts_from_clean_storage() {
+        type Outcome = Result<(Vec<u8>, InterpStats), String>;
+        type Feed = fn() -> StreamIo;
+        // A `Checked` panic, which keeps its storage; then runs that hand
+        // theirs back in use: inside two nested `printf` conversions,
+        // inside a `scanf`, at the step limit two calls deep. Then clean
+        // runs over the same kinds of storage.
+        let none: Feed = || StreamIo::lines(vec![]);
+        let kvs: Feed = || StreamIo::kvs(vec![(b"a".to_vec(), b"1".to_vec()); 3]);
+        let text: Feed = || StreamIo::lines(lines(&["the quick brown fox", "  spaced  out "]));
+        let cases = [
+            (
+                "int main() { int a[2]; int i; i = 9; printf(\"%d\\n\", a[i]); return 0; }",
+                none,
+            ),
+            (
+                "int main() { char w[8]; strcpy(w, \"abc\"); \
+                 printf(\"a%d%s\\n\", printf(\"b%s%q\", w, 2), w); return 0; }",
+                none,
+            ),
+            (
+                "int main() { char k[8]; int v; scanf(\"%s %d\", k, &v); \
+                 scanf(\"%s %x\", k, &v); return 0; }",
+                kvs,
+            ),
+            (
+                "int g(int n) { while (1) { n++; } return n; } \
+                 int f(int n) { char b[4]; return g(n) + b[0]; } int main() { return f(1); }",
+                none,
+            ),
+            (LISTING1, text),
+            (LISTING2, kvs),
+            (
+                "int f(int n) { char b[4]; if (n < 3) return f(n + 1) + n; return n; } \
+                 int main() { int x; char k[4]; x = scanf(\"%s %d\", k, &x); \
+                 printf(\"%s\\t%d\\n\", k, f(x)); return 0; }",
+                kvs,
+            ),
+        ];
+        let programs: Vec<(Bytecode, Feed)> = cases
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, io))| {
+                let prog = parse(src).unwrap();
+                let code = if i == 0 {
+                    // A forged "in bounds" fact for `a[i]`.
+                    let mut facts = SafetyFacts::blank(&prog);
+                    facts.claim_subscript(
+                        find_expr(&prog, &|e| matches!(e, Expr::Index(..))).site(),
+                    );
+                    lower(&prog, &facts, ElisionMode::Checked)
+                } else {
+                    compile(&prog, ElisionMode::On)
+                };
+                (code, io)
+            })
+            .collect();
+        let programs = std::sync::Arc::new(programs);
+        let one = |code: &Bytecode, io: Feed| -> Outcome {
+            let mut io = io();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(code, &mut io, 10_000)
+            }));
+            match caught {
+                Ok(Ok(stats)) => Ok((io.stdout, stats)),
+                Ok(Err(e)) => Err(e.to_string()),
+                Err(panic) => Err(format!("panic: {:?}", panic.downcast_ref::<String>())),
+            }
+        };
+        let fresh: Vec<Outcome> = (0..programs.len())
+            .map(|i| {
+                let programs = std::sync::Arc::clone(&programs);
+                std::thread::spawn(move || one(&programs[i].0, programs[i].1))
+                    .join()
+                    .unwrap()
+            })
+            .collect();
+        assert!(fresh[..4].iter().all(Result::is_err), "{fresh:?}");
+        assert!(fresh[0]
+            .as_ref()
+            .unwrap_err()
+            .contains("soundness violation"));
+        assert!(fresh[4..].iter().all(Result::is_ok), "{fresh:?}");
+        // One thread, in sequence, twice over: every run as on a fresh one.
+        let reused = std::thread::spawn(move || {
+            (0..2)
+                .flat_map(|_| programs.iter().map(|(code, io)| one(code, *io)))
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .unwrap();
+        for (i, got) in reused.iter().enumerate() {
+            assert_eq!(got, &fresh[i % fresh.len()], "run {i}");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use crate::ast::*;
 use crate::error::CcError;
 use std::collections::HashMap;
+use std::ffi::CStr;
 use std::fmt::Write as _;
 
 /// Default evaluation-step budget shared by both backends.
@@ -47,9 +48,15 @@ pub struct InterpStats {
 pub enum Input {
     /// Line records for the mapper.
     Lines(Vec<Vec<u8>>),
-    /// Sorted `(key, value)` pairs for the combiner; values rendered as
-    /// text, key and value separated per the `scanf` format.
-    Kvs(Vec<(Vec<u8>, Vec<u8>)>),
+    /// Sorted `(key, value)` pairs for the combiner, values rendered as
+    /// text.
+    Kvs {
+        /// Every key and value, back to back.
+        bytes: Vec<u8>,
+        /// Per pair, where its key ends (its value starts) and where its
+        /// value ends (the next key starts).
+        ends: Vec<(usize, usize)>,
+    },
 }
 
 /// Streaming I/O state for one interpreter run.
@@ -73,10 +80,37 @@ impl StreamIo {
 
     /// Feed KV pairs (combiner input).
     pub fn kvs(kvs: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+        Self::kv_pairs(kvs.iter().map(|(k, v)| (&k[..], &v[..])))
+    }
+
+    /// Feed borrowed KV pairs (combiner input), copied once into one
+    /// buffer.
+    pub fn kv_pairs<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> Self {
+        let pairs = pairs.into_iter();
+        let mut ends = Vec::with_capacity(pairs.size_hint().0);
+        let mut bytes = Vec::new();
+        for (k, v) in pairs {
+            bytes.extend_from_slice(k);
+            let key_end = bytes.len();
+            bytes.extend_from_slice(v);
+            ends.push((key_end, bytes.len()));
+        }
         StreamIo {
-            input: Input::Kvs(kvs),
+            input: Input::Kvs { bytes, ends },
             cursor: 0,
             stdout: Vec::new(),
+        }
+    }
+
+    /// Field `field` (0 key, 1 value) of KV record `rec`.
+    pub(crate) fn kv_field(&self, rec: usize, field: usize) -> &[u8] {
+        let Input::Kvs { bytes, ends } = &self.input else {
+            unreachable!("`scanf_read` returned a record, so the input is KV pairs")
+        };
+        let (start, key_end, end) = kv_record(ends, rec);
+        match field {
+            0 => &bytes[start..key_end],
+            _ => &bytes[key_end..end],
         }
     }
 
@@ -99,6 +133,13 @@ impl StreamIo {
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
+}
+
+/// Where KV record `rec` lies in [`Input::Kvs`]'s buffer: its start, the
+/// end of its key and its end.
+fn kv_record(ends: &[(usize, usize)], rec: usize) -> (usize, usize, usize) {
+    let start = rec.checked_sub(1).map_or(0, |prev| ends[prev].1);
+    (start, ends[rec].0, ends[rec].1)
 }
 
 /// Values. `Copy`: both engines pass them by value (the bytecode VM
@@ -203,8 +244,13 @@ pub(crate) fn alloc_buffer(heap: &mut Vec<Buffer>, elem: &CType, n: usize) -> us
 }
 
 /// Borrow the NUL-terminated string starting at a pointer, up to
-/// `limit` bytes.
-pub(crate) fn cstr_ref<'h>(heap: &'h [Buffer], p: &V, limit: usize) -> Result<&'h [u8], CcError> {
+/// `limit` bytes, with where it lies: its buffer and its first byte's
+/// offset there.
+fn cstr_at<'h>(
+    heap: &'h [Buffer],
+    p: &V,
+    limit: usize,
+) -> Result<(usize, usize, &'h [u8]), CcError> {
     match p {
         V::Ptr { buf, off } => match &heap[*buf] {
             Buffer::Bytes(b) => {
@@ -212,14 +258,36 @@ pub(crate) fn cstr_ref<'h>(heap: &'h [Buffer], p: &V, limit: usize) -> Result<&'
                 let slice = b
                     .get(*off..end)
                     .ok_or_else(|| CcError::interp("string op out of bounds"))?;
-                let n = slice.iter().position(|&c| c == 0).unwrap_or(slice.len());
-                Ok(&slice[..n])
+                // `CStr` finds the NUL a word at a time.
+                let s = CStr::from_bytes_until_nul(slice).map_or(slice, CStr::to_bytes);
+                Ok((*buf, *off, s))
             }
             _ => Err(CcError::interp("string op on non-char buffer")),
         },
         V::Null => Err(CcError::interp("string op on NULL")),
         _ => Err(CcError::interp("string op on non-pointer")),
     }
+}
+
+/// The buffer and offset a string is written to through `p`.
+fn cstr_target(p: &V) -> Result<(usize, usize), CcError> {
+    match p {
+        V::Ptr { buf, off } => Ok((*buf, *off)),
+        _ => Err(CcError::interp("write_cstr on non-pointer")),
+    }
+}
+
+/// The char buffer a string of `len` bytes is written to at `off`, and
+/// how many of those bytes fit before its NUL.
+fn cstr_room(dst: &mut Buffer, off: usize, len: usize) -> Result<(&mut [u8], usize), CcError> {
+    let Buffer::Bytes(b) = dst else {
+        return Err(CcError::interp("write_cstr on non-char buffer"));
+    };
+    let avail = b.len().saturating_sub(off);
+    if avail == 0 {
+        return Err(CcError::interp("write_cstr: no space"));
+    }
+    Ok((b.as_mut_slice(), len.min(avail - 1)))
 }
 
 /// Write a NUL-terminated string through a pointer (truncating to the
@@ -230,23 +298,41 @@ pub(crate) fn write_cstr(
     p: &V,
     s: &[u8],
 ) -> Result<(), CcError> {
-    match p {
-        V::Ptr { buf, off } => match &mut heap[*buf] {
-            Buffer::Bytes(b) => {
-                let avail = b.len().saturating_sub(*off);
-                if avail == 0 {
-                    return Err(CcError::interp("write_cstr: no space"));
-                }
-                let n = s.len().min(avail - 1);
-                b[*off..*off + n].copy_from_slice(&s[..n]);
-                b[*off + n] = 0;
-                stats.mem += n as u64;
-                Ok(())
-            }
-            _ => Err(CcError::interp("write_cstr on non-char buffer")),
-        },
-        _ => Err(CcError::interp("write_cstr on non-pointer")),
-    }
+    let (buf, off) = cstr_target(p)?;
+    let (b, n) = cstr_room(&mut heap[buf], off, s.len())?;
+    b[off..off + n].copy_from_slice(&s[..n]);
+    b[off + n] = 0;
+    stats.mem += n as u64;
+    Ok(())
+}
+
+/// [`write_cstr`] of the bytes `from` of char buffer `src`, copied
+/// buffer to buffer — a `memmove` when `p` points into `src` itself.
+fn copy_cstr(
+    heap: &mut [Buffer],
+    stats: &mut InterpStats,
+    p: &V,
+    src: usize,
+    from: std::ops::Range<usize>,
+) -> Result<(), CcError> {
+    let (buf, off) = cstr_target(p)?;
+    let n = match heap.get_disjoint_mut([src, buf]) {
+        Ok([Buffer::Bytes(s), dst]) => {
+            let (b, n) = cstr_room(dst, off, from.len())?;
+            b[off..off + n].copy_from_slice(&s[from.start..from.start + n]);
+            b[off + n] = 0;
+            n
+        }
+        _ => {
+            debug_assert_eq!(src, buf, "`src` is a char buffer");
+            let (b, n) = cstr_room(&mut heap[buf], off, from.len())?;
+            b.copy_within(from.start..from.start + n, off);
+            b[off + n] = 0;
+            n
+        }
+    };
+    stats.mem += n as u64;
+    Ok(())
 }
 
 /// Store a scalar through a `scanf`-style destination (`&var` or a
@@ -287,7 +373,7 @@ pub(crate) fn getline_read(
             io.cursor += 1;
             r
         }
-        Input::Kvs(_) => return Err(CcError::interp("getline on KV input")),
+        Input::Kvs { .. } => return Err(CcError::interp("getline on KV input")),
     };
     stats.records_in += 1;
     stats.mem += record.len() as u64;
@@ -320,7 +406,9 @@ pub(crate) fn getline_store(slots: &mut [V], target: V, ptr: V) -> Result<(), Cc
 
 /// Shared core of `getWord` (word mode: split on non-`[A-Za-z0-9_']`)
 /// and `getTok` (token mode: split on whitespace only). Returns chars
-/// consumed or `-1`.
+/// consumed or `-1`. The token is copied straight from the line's
+/// buffer, keeping at most `max_len - 1` bytes: a `max_len` of 0 or less
+/// keeps none, and the destination still gets its NUL.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_token(
     heap: &mut [Buffer],
@@ -334,11 +422,9 @@ pub(crate) fn scan_token(
 ) -> Result<i64, CcError> {
     let offset = offset as usize;
     let read = read as usize;
-    let max_len = max_len as usize;
-    // Only the token is copied out: the line stays borrowed from the
-    // heap until the destination (possibly the same buffer) is written.
-    let (w, consumed) = {
-        let buf = cstr_ref(heap, line, read)?;
+    let keep_max = usize::try_from(max_len).map_or(0, |m| m.saturating_sub(1));
+    let (src, at, keep, consumed) = {
+        let (src, base, buf) = cstr_at(heap, line, read)?;
         let is_sep = |b: u8| {
             if word_mode {
                 !(b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
@@ -357,11 +443,11 @@ pub(crate) fn scan_token(
         while i < buf.len() && !is_sep(buf[i]) {
             i += 1;
         }
-        let w = buf[start..i.min(start + max_len.saturating_sub(1))].to_vec();
-        (w, (i - offset) as i64)
+        let keep = (i - start).min(keep_max);
+        (src, base + start, keep, (i - offset) as i64)
     };
-    stats.mem += w.len() as u64;
-    write_cstr(heap, stats, dst, &w)?;
+    stats.mem += keep as u64;
+    copy_cstr(heap, stats, dst, src, at..at + keep)?;
     Ok(consumed)
 }
 
@@ -392,7 +478,8 @@ pub(crate) fn parse_printf(fmt: &str) -> Vec<PSeg> {
                 let mut p = 0usize;
                 j += 1;
                 while j < fb.len() && fb[j].is_ascii_digit() {
-                    p = p * 10 + (fb[j] - b'0') as usize;
+                    // Saturates: `render_conv` refuses what it cannot print.
+                    p = p.saturating_mul(10).saturating_add((fb[j] - b'0') as usize);
                     j += 1;
                 }
                 prec = Some(p);
@@ -438,14 +525,20 @@ pub(crate) fn render_conv(
     heap: &[Buffer],
 ) -> Result<(), CcError> {
     match conv {
-        b'd' | b'i' | b'u' => {
-            let _ = write!(out, "{}", as_int(v)?);
-        }
+        b'd' | b'i' | b'u' => push_int(out, as_int(v)?),
         b'c' => out.push(as_int(v)? as u8 as char),
         b's' => out.push_str(&String::from_utf8_lossy(cstr(heap, v)?)),
         b'f' | b'e' | b'g' => {
             let x = as_f64(v)?;
             let p = prec.unwrap_or(6);
+            // `core::fmt` holds a precision in a `u16`, and `{:e}` needs
+            // one digit more than its precision.
+            let most = u16::MAX as usize - (conv == b'e') as usize;
+            if conv != b'g' && p > most {
+                return Err(CcError::interp(format!(
+                    "printf: precision {p} out of range"
+                )));
+            }
             match conv {
                 b'f' => {
                     let _ = write!(out, "{x:.p$}", p = p);
@@ -466,6 +559,26 @@ pub(crate) fn render_conv(
         }
     }
     Ok(())
+}
+
+/// Append `n` in decimal — what `write!(out, "{n}")` prints, without
+/// the formatting machinery.
+fn push_int(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
 /// The error for a conversion with no argument left.
@@ -515,27 +628,25 @@ pub(crate) fn parse_scanf(fmt: &str) -> Vec<String> {
     fmt.split_whitespace().map(str::to_string).collect()
 }
 
-/// `scanf` front half: consume the next KV record as `[key, value]`,
-/// or `None` at end of input (the call then returns `-1` without
-/// evaluating any destination).
+/// `scanf` front half: consume the next KV record, returning its index
+/// for [`StreamIo::kv_field`], or `None` at end of input (the call then
+/// returns `-1` without evaluating any destination).
 pub(crate) fn scanf_read(
     io: &mut StreamIo,
     stats: &mut InterpStats,
-) -> Result<Option<[Vec<u8>; 2]>, CcError> {
-    let (k, v) = match &mut io.input {
-        Input::Kvs(kvs) => {
-            if io.cursor >= kvs.len() {
-                return Ok(None);
-            }
-            let p = std::mem::take(&mut kvs[io.cursor]);
-            io.cursor += 1;
-            p
-        }
-        Input::Lines(_) => return Err(CcError::interp("scanf on line input")),
+) -> Result<Option<usize>, CcError> {
+    let Input::Kvs { ends, .. } = &io.input else {
+        return Err(CcError::interp("scanf on line input"));
     };
+    let rec = io.cursor;
+    if rec >= ends.len() {
+        return Ok(None);
+    }
+    let (start, _, end) = kv_record(ends, rec);
+    io.cursor += 1;
     stats.records_in += 1;
-    stats.mem += (k.len() + v.len()) as u64;
-    Ok(Some([k, v]))
+    stats.mem += (end - start) as u64;
+    Ok(Some(rec))
 }
 
 /// Convert one field of the record into its (already evaluated)
@@ -652,7 +763,7 @@ pub(crate) fn malloc_bytes(
 
 /// The borrowed, unbounded C string at `p`.
 fn cstr<'h>(heap: &'h [Buffer], p: &V) -> Result<&'h [u8], CcError> {
-    cstr_ref(heap, p, usize::MAX)
+    cstr_at(heap, p, usize::MAX).map(|(_, _, s)| s)
 }
 
 // Builtin bodies over already-evaluated arguments (each engine
@@ -689,9 +800,10 @@ pub(crate) fn builtin_strcpy(
     dst: &V,
     src: &V,
 ) -> Result<V, CcError> {
-    let s = cstr(heap, src)?.to_vec();
-    stats.mem += s.len() as u64;
-    write_cstr(heap, stats, dst, &s)?;
+    let (buf, at, s) = cstr_at(heap, src, usize::MAX)?;
+    let n = s.len();
+    stats.mem += n as u64;
+    copy_cstr(heap, stats, dst, buf, at..at + n)?;
     Ok(*dst)
 }
 
@@ -1350,7 +1462,7 @@ impl<'p> Interp<'p> {
         let Expr::StrLit(fmt) = &args[0] else {
             return Err(CcError::interp("scanf needs a literal format"));
         };
-        let Some(fields) = scanf_read(io, &mut self.stats)? else {
+        let Some(rec) = scanf_read(io, &mut self.stats)? else {
             return Ok(V::I(-1));
         };
         let mut matched = 0i64;
@@ -1359,7 +1471,7 @@ impl<'p> Interp<'p> {
             let dst = self.eval(a, io)?;
             scanf_store(
                 ScanConv::parse(conv)?,
-                &fields[ci.min(1)],
+                io.kv_field(rec, ci.min(1)),
                 &dst,
                 &mut self.heap,
                 &mut self.slots,

@@ -293,6 +293,58 @@ fn token_scanning_corners() {
 }
 
 #[test]
+fn a_max_len_below_one_keeps_no_byte_of_the_token() {
+    // The token is still found and consumed; the destination gets only
+    // its NUL.
+    for max in ["-1", "0", "-9223372036854775807 - 1"] {
+        for scan in ["getWord", "getTok"] {
+            let src = format!(
+                r#"int main() {{ char *l; char w[8]; int rd, n; w[0] = 'x'; rd = getline(&l, 0, 0); n = {scan}(l, 0, w, rd, {max}); printf("w\t[%s]\t%d\n", w, n); return 0; }}"#
+            );
+            let (out, _) = agree(&format!("{scan} max {max}"), &src, &In::Lines(&["  cd"]))
+                .unwrap_or_else(|e| panic!("{scan} max {max}: {e}"));
+            assert_eq!(out, b"w\t[]\t4\n", "{scan} max {max}");
+        }
+    }
+}
+
+#[test]
+fn a_precision_printf_cannot_render_faults_when_reached() {
+    for (name, fmt, expect) in [
+        ("huge", "%.4000000000f", "4000000000"),
+        (
+            "saturated",
+            "%.99999999999999999999999e",
+            "18446744073709551615",
+        ),
+        ("past_f", "%.65536f", "65536"),
+        ("past_e", "%.65535e", "65535"),
+    ] {
+        let src = format!(r#"int main() {{ printf("x\t{fmt}\n", 1.5); return 0; }}"#);
+        let r = agree(name, &src, &In::None);
+        assert_eq!(
+            r.unwrap_err(),
+            format!("interpreter error: printf: precision {expect} out of range"),
+            "case `{name}`"
+        );
+        // Unreached, it is no fault at all.
+        let src = format!(
+            r#"int main() {{ if (0) printf("x\t{fmt}\n", 1.5); printf("ok\t1\n"); return 0; }}"#
+        );
+        let (out, _) = agree(&format!("{name} behind if (0)"), &src, &In::None).unwrap();
+        assert_eq!(out, b"ok\t1\n", "case `{name}` behind if (0)");
+    }
+    // The widest precisions that render, and `%g`, which takes none.
+    for (fmt, digits) in [("%.65535f", 65_535), ("%.65534e", 65_534), ("%.70000g", 1)] {
+        let src = format!(r#"int main() {{ printf("{fmt}", 1.5); return 0; }}"#);
+        let (out, _) = agree(fmt, &src, &In::None).unwrap();
+        let fraction = out.split(|&b| b == b'.').nth(1).unwrap_or_default();
+        let got = fraction.iter().take_while(|b| b.is_ascii_digit()).count();
+        assert_eq!(got, digits, "{fmt}");
+    }
+}
+
+#[test]
 fn integer_wrap_and_division_edges() {
     // i64 wrap-around must be identical (wrapping semantics, no panic
     // in either backend even in debug builds).

@@ -75,11 +75,10 @@ fn emit_run(stats: &InterpStats, io: &StreamIo, out: &mut dyn Emit) {
 
 impl Combiner for CompiledKernel {
     fn combine(&self, run: &[(&[u8], &[u8])], out: &mut dyn Emit) {
-        let kvs: Vec<(Vec<u8>, Vec<u8>)> = run
+        let pairs = run
             .iter()
-            .map(|(k, v)| (k.to_vec(), hetero_runtime::types::trim_key(v).to_vec()))
-            .collect();
-        let mut io = StreamIo::kvs(kvs);
+            .map(|&(k, v)| (k, hetero_runtime::types::trim_key(v)));
+        let mut io = StreamIo::kv_pairs(pairs);
         if let Ok(stats) = self.backend.run(&mut io) {
             emit_run(&stats, &io, out);
         }

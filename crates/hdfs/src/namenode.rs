@@ -313,7 +313,7 @@ impl Hdfs {
     /// Read an entire file back.
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, HdfsError> {
         let splits = self.splits(path)?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(splits.iter().map(|s| s.len as usize).sum());
         for s in splits {
             out.extend_from_slice(&self.read_block(s.id)?);
         }
