@@ -65,7 +65,7 @@ pub trait App: Sync + Send {
 
 /// One row of the benchmark table: Table 2's columns, the annotated C
 /// sources, and beside them the hand-written Rust twin of each kernel —
-/// the column ROADMAP item 1 retires row by row.
+/// the column ROADMAP item 4 retires row by row.
 pub(crate) struct Benchmark {
     pub(crate) spec: AppSpec,
     pub(crate) mapper_c: &'static str,

@@ -1,4 +1,4 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md §6):
+//! Ablation studies beyond the paper's figures (EXPERIMENTS.md "Ablations"):
 //! the `kvpairs` clause's effect on global-KV-store occupancy and
 //! downstream sort cost, and the global- vs shared-memory atomic cost
 //! gap that motivates threadblock-level record stealing.

@@ -63,10 +63,6 @@ struct Shape {
     archetypes: &'static [&'static str],
 }
 
-fn fig3_cfg(s: Scheduler) -> ClusterConfig {
-    ClusterConfig::fig3(s)
-}
-
 fn fig3_job() -> JobSpec {
     JobSpec::uniform("chaos-fig3", 19, 1, 1, 6.0, 1.0)
 }
@@ -104,7 +100,7 @@ fn fig4_job() -> JobSpec {
 const SHAPES: &[Shape] = &[
     Shape {
         name: "fig3",
-        cfg: fig3_cfg,
+        cfg: ClusterConfig::fig3,
         job: fig3_job,
         // One node: correlated rack/partition faults would kill the
         // whole cluster, so fig3 exercises the master-outage archetypes.

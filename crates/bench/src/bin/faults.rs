@@ -9,7 +9,7 @@
 //! JobTracker crash-recovery overhead sweep, a whole-rack failure, and a
 //! network partition with lossy heartbeats (false expiry + re-admission).
 //! All measured numbers land in `results/faults.json`.
-use hetero_bench::{write_artifact, Args};
+use hetero_bench::{storm, write_artifact, Args};
 use hetero_cluster::{
     simulate, ClusterConfig, FaultPlan, JobSpec, JobStats, ReduceTaskSpec, Scheduler,
 };
@@ -44,20 +44,10 @@ fn schedule(st: &JobStats) -> Vec<(u32, u32, u32, u64)> {
         .collect()
 }
 
-fn storm() -> FaultPlan {
-    FaultPlan {
-        seed: 42,
-        node_crashes: vec![(2, 15.0)],
-        transient_fail_p: 0.05,
-        corrupt_task_inputs: vec![17],
-        ..FaultPlan::default()
-    }
-}
-
 fn main() {
     let pool = Args::from_env(&[]).pool();
     println!("Fault injection — recovery cost on an 8-node cluster (200 maps, 8 reduces)");
-    println!("[{} worker thread(s)]", pool.threads());
+    eprintln!("[{} worker thread(s)]", pool.threads());
 
     // 1. Control plane: perfect cluster vs node crash + 5% transient
     //    failures + one corrupted task input.

@@ -1,32 +1,12 @@
 //! Regenerates Fig. 3: GPU-first vs tail scheduling on the paper's
 //! worked example — 19 tasks, one 6x GPU, two CPU slots.
-use hetero_cluster::{simulate, ClusterConfig, FaultPlan, JobSpec, Scheduler};
-
-fn cfg(s: Scheduler) -> ClusterConfig {
-    ClusterConfig {
-        num_slaves: 1,
-        nodes_per_rack: 1,
-        map_slots_per_node: 2,
-        reduce_slots_per_node: 0,
-        gpus_per_node: 1,
-        heartbeat_s: 0.01,
-        scheduler: s,
-        reduce_start_frac: 0.2,
-        speculative: false,
-        speculative_lag: 0.2,
-        shuffle_bw: 1e9,
-        max_attempts: 4,
-        heartbeat_timeout_s: 3.0,
-        jobtracker_recovery_s: 2.0,
-        faults: FaultPlan::none(),
-    }
-}
+use hetero_cluster::{simulate, ClusterConfig, JobSpec, Scheduler};
 
 fn main() {
     println!("Fig. 3 — Key Idea of Tail Scheduling (19 tasks, GPU 6x faster, 2 CPU slots)");
     let job = JobSpec::uniform("fig3", 19, 1, 1, 6.0, 1.0);
     for s in [Scheduler::GpuFirst, Scheduler::TailScheduling] {
-        let st = simulate(&cfg(s), &job);
+        let st = simulate(&ClusterConfig::fig3(s), &job);
         println!(
             "\n{s:?}: makespan {:.2}s  (gpu tasks {}, cpu tasks {})",
             st.makespan_s,

@@ -9,9 +9,9 @@
 //! the warm-up and is left out; the rest are digested to min / q1 /
 //! median / q3, and a pair's ratio is median(slow) ÷ median(fast).
 //! Writes `micro.json`: `results/` from a full run, `target/results/`
-//! from `--quick` (one timed call a side). `--markdown FILE` instead
-//! renders a `micro.json` as the table between EXPERIMENTS.md's `micro`
-//! markers.
+//! from `--quick` (one timed call a side), and prints the record as a
+//! markdown table. `--markdown FILE` instead renders a `micro.json` as
+//! that table: `results/micro.md`, which EXPERIMENTS.md quotes.
 use hetero_bench::{nproc, write_artifact, Args};
 use hetero_cc::backend::BackendKind::{self, Interp, Native};
 use hetero_cc::backend::ElisionMode::{self, Checked, On};

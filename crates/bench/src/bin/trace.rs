@@ -4,38 +4,14 @@
 //!
 //! Everything here is deterministic: the tracer has no wall clock, so
 //! the same `FaultPlan` seed produces byte-identical trace files.
-use hetero_bench::Args;
-use hetero_cluster::{
-    simulate_traced, ClusterConfig, FaultPlan, JobSpec, ReduceTaskSpec, Scheduler,
-};
+use hetero_bench::{storm, Args};
+use hetero_cluster::{simulate_traced, ClusterConfig, JobSpec, ReduceTaskSpec, Scheduler};
 use hetero_gpusim::Device;
 use hetero_runtime::OptFlags;
 use hetero_trace::{json, KernelProfile, Tracer};
 use heterodoop::{run_functional_job_pooled, Preset};
 use std::fs;
 use std::path::Path;
-
-/// The Fig. 3 worked example: 19 tasks, one 6x GPU, two CPU slots.
-fn fig3_cfg(s: Scheduler) -> ClusterConfig {
-    let mut c = ClusterConfig::small(1, s);
-    c.nodes_per_rack = 1;
-    c.map_slots_per_node = 2;
-    c.reduce_slots_per_node = 0;
-    c.heartbeat_s = 0.01;
-    c
-}
-
-/// The fault storm of the `faults` bench: a node crash, 5% transient
-/// failures, and one corrupted task input, all from seed 42.
-fn storm() -> FaultPlan {
-    FaultPlan {
-        seed: 42,
-        node_crashes: vec![(2, 15.0)],
-        transient_fail_p: 0.05,
-        corrupt_task_inputs: vec![17],
-        ..FaultPlan::default()
-    }
-}
 
 fn write(path: &str, bytes: &str) {
     json::validate(bytes).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e}"));
@@ -57,7 +33,7 @@ fn main() {
         (Scheduler::TailScheduling, "results/fig3_tail.trace.json"),
     ] {
         let tracer = Tracer::new();
-        let st = simulate_traced(&fig3_cfg(s), &job, &tracer);
+        let st = simulate_traced(&ClusterConfig::fig3(s), &job, &tracer);
         println!(
             "{s:?}: makespan {:.2}s, {} events",
             st.makespan_s,

@@ -1,5 +1,5 @@
-//! Shared plumbing for the bench binaries: the command line and the
-//! artifact directory.
+//! Shared plumbing for the bench binaries: the command line, the
+//! artifact directory and the fault storm two of them replay.
 //!
 //! **Command line.** A bin names its flags once ([`Args::from_env`]);
 //! anything else on the command line — a typo, a flag of another bin, a
@@ -17,6 +17,7 @@
 //! therefore a full-mode run by construction. Artifacts are
 //! [`hetero_trace::json::Json`] trees.
 
+use hetero_cluster::FaultPlan;
 use hetero_trace::json::{self, Json};
 use heterodoop::ParallelRunner;
 use std::path::PathBuf;
@@ -121,6 +122,19 @@ pub fn write_artifact(name: &str, full: bool, value: &Json) {
     std::fs::write(&path, json::write(value))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
+}
+
+/// The fault storm of the `faults` study and `trace`'s faulted run: a
+/// node crash, 5% transient failures and one corrupted task input, all
+/// from seed 42.
+pub fn storm() -> FaultPlan {
+    FaultPlan {
+        seed: 42,
+        node_crashes: vec![(2, 15.0)],
+        transient_fail_p: 0.05,
+        corrupt_task_inputs: vec![17],
+        ..FaultPlan::default()
+    }
 }
 
 /// Host core count, stamped on every wall-clock artifact.

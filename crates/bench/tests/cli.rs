@@ -1,8 +1,9 @@
 //! The bench bins' command-line contract, checked on the built bins: an
 //! unknown flag is a usage error (exit 2, nothing run, nothing written);
-//! a reduced mode writes only under `target/results/`; the `micro` block
-//! of EXPERIMENTS.md is `micro --markdown results/micro.json`; and each
-//! tracked `results/<bin>.txt` is that table or figure bin's stdout.
+//! a reduced mode writes only under `target/results/`; each tracked
+//! `results/<bin>.txt` is that table or figure bin's stdout and each trace
+//! export is what `trace` writes; and every measured block of
+//! EXPERIMENTS.md is the capture it names.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -87,14 +88,25 @@ fn a_reduced_mode_writes_only_under_target_results() {
     assert_eq!(entries(&cwd.join("target/results")), expected);
 }
 
-/// The tracked tables and figures are what the bins print: a capture
-/// that drifts from its bin (or a change that moves a figure) fails here.
-/// `scripts/bench.sh` rewrites all ten.
+/// The trace exports `trace` writes into `results/`.
+const TRACE_FILES: [&str; 6] = [
+    "fig3_gpu_first.trace.json",
+    "fig3_tail.trace.json",
+    "faults.trace.json",
+    "faults.metrics.json",
+    "wordcount.trace.json",
+    "kernel_profile.json",
+];
+
+/// The tracked tables and figures are what the bins print, and the trace
+/// exports what `trace` writes: a capture that drifts from its bin (or a
+/// change that moves a figure) fails here. `scripts/bench.sh` rewrites
+/// them all.
 #[test]
 fn tracked_captures_are_the_bins_stdout() {
-    // Unoptimized, the six measuring figures take minutes: a debug test
-    // run drives the four instant bins, a `cargo test --release` run all
-    // ten.
+    // Unoptimized, the six measuring figures and `trace` take minutes: a
+    // debug test run drives the four instant bins, a `cargo test
+    // --release` run all eleven.
     let all = [
         ("table1", env!("CARGO_BIN_EXE_table1")),
         ("table2", env!("CARGO_BIN_EXE_table2")),
@@ -107,11 +119,8 @@ fn tracked_captures_are_the_bins_stdout() {
         ("fig7", env!("CARGO_BIN_EXE_fig7")),
         ("ablation", env!("CARGO_BIN_EXE_ablation")),
     ];
-    let driven = if cfg!(debug_assertions) {
-        &all[..4]
-    } else {
-        &all[..]
-    };
+    let release = !cfg!(debug_assertions);
+    let driven = if release { &all[..] } else { &all[..4] };
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let cwd = scratch("captures");
     for (name, exe) in driven {
@@ -129,13 +138,69 @@ fn tracked_captures_are_the_bins_stdout() {
     if let Ok(json) = std::fs::read(cwd.join("results/fig5.json")) {
         assert!(json == std::fs::read(results.join("fig5.json")).unwrap());
     }
+    if release {
+        let out = run(env!("CARGO_BIN_EXE_trace"), &[], &cwd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "trace: {stderr}");
+        for name in TRACE_FILES {
+            let written = std::fs::read(cwd.join("results").join(name)).unwrap();
+            assert!(
+                written == std::fs::read(results.join(name)).unwrap(),
+                "results/{name} is not what `trace` writes — scripts/bench.sh rewrites it"
+            );
+        }
+    }
 }
 
-/// EXPERIMENTS.md quotes the committed record by construction: editing
-/// either the block or `results/micro.json` by hand fails here.
+/// EXPERIMENTS.md quotes its measured numbers from the tracked captures:
+/// the text between `<!-- results/NAME:begin -->` and `<!-- results/NAME:end
+/// -->` is that file, verbatim for a `.md` capture and inside a ```` ```text
+/// ```` fence for a `.txt` one, and every capture is quoted. `micro.md` is
+/// in turn the rendering of `results/micro.json`. Editing a block, a
+/// capture or the record by hand fails here; `scripts/bench.sh` rewrites
+/// the captures together with the JSON of the same run.
 #[test]
-fn experiments_md_micro_block_is_the_rendering_of_the_committed_record() {
+fn experiments_md_quotes_every_capture_verbatim() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    let mut quoted = Vec::new();
+    let mut rest = doc.as_str();
+    while let Some(at) = rest.find("<!-- results/") {
+        let (marker, body) = rest[at + "<!-- ".len()..]
+            .split_once(" -->\n")
+            .expect("a marker ends its line");
+        let name = marker
+            .strip_suffix(":begin")
+            .unwrap_or_else(|| panic!("`{marker}` without its :begin"));
+        let end = format!("<!-- {name}:end -->");
+        let len = body
+            .find(&end)
+            .unwrap_or_else(|| panic!("{name}: no `{end}`"));
+        let file =
+            std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let expected = if name.ends_with(".md") {
+            file
+        } else {
+            format!("```text\n{file}```\n")
+        };
+        assert!(
+            body[..len] == expected,
+            "EXPERIMENTS.md's {name} block is not the file — replace it with:\n{expected}"
+        );
+        quoted.push(name.to_string());
+        rest = &body[len + end.len()..];
+    }
+    let mut captures: Vec<String> = entries(&root.join("results"))
+        .into_iter()
+        .filter(|n| n.ends_with(".txt") || n.ends_with(".md"))
+        .map(|n| format!("results/{n}"))
+        .collect();
+    captures.retain(|n| !quoted.contains(n));
+    assert!(
+        captures.is_empty(),
+        "not quoted in EXPERIMENTS.md: {captures:?}"
+    );
+
     let out = run(
         env!("CARGO_BIN_EXE_micro"),
         &["--markdown", "results/micro.json"],
@@ -146,14 +211,8 @@ fn experiments_md_micro_block_is_the_rendering_of_the_committed_record() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let rendered = String::from_utf8(out.stdout).unwrap();
-    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
-    let (begin, end) = ("<!-- micro:begin -->\n", "<!-- micro:end -->");
-    let start = doc.find(begin).expect("micro:begin marker") + begin.len();
-    let len = doc[start..].find(end).expect("micro:end marker");
     assert!(
-        doc[start..start + len] == rendered,
-        "EXPERIMENTS.md's micro block is stale — replace it with the output of \
-         `cargo run -p hetero-bench --bin micro -- --markdown results/micro.json`:\n{rendered}"
+        out.stdout == std::fs::read(root.join("results/micro.md")).unwrap(),
+        "results/micro.md is not `micro --markdown results/micro.json`"
     );
 }

@@ -2,6 +2,7 @@
 
 use super::{push, Diag};
 use crate::ast::CType;
+use crate::interp::{parse_printf, PSeg};
 use crate::pragma::DirectiveKind;
 use crate::region::RegionUnit;
 use std::collections::BTreeSet;
@@ -26,42 +27,23 @@ enum Conv {
     Char,
 }
 
-/// Parse the conversions out of a printf format string, tolerating
-/// flags/width/precision/length modifiers (`%-8.3lf` etc.). `%%` is a
-/// literal.
-fn conversions(fmt: &str) -> Vec<Conv> {
-    let b = fmt.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i] != b'%' {
-            i += 1;
-            continue;
-        }
-        i += 1;
-        // Flags, width, precision, length modifiers.
-        while i < b.len()
-            && matches!(
-                b[i],
-                b'-' | b'+' | b' ' | b'#' | b'0'..=b'9' | b'.' | b'l' | b'h' | b'z'
-            )
-        {
-            i += 1;
-        }
-        if i >= b.len() {
-            break;
-        }
-        match b[i] {
-            b'%' => {}
-            b's' => out.push(Conv::Str),
-            b'd' | b'i' | b'u' | b'x' | b'X' | b'o' => out.push(Conv::Int),
-            b'f' | b'F' | b'e' | b'E' | b'g' | b'G' => out.push(Conv::Float),
-            b'c' => out.push(Conv::Char),
-            _ => out.push(Conv::Int), // unknown: most permissive integer
-        }
-        i += 1;
-    }
-    out
+/// The conversions of a printf format string, as the engines parse it
+/// ([`parse_printf`]): `None` for one they reject at run time, which
+/// HD021 reports.
+fn conversions(fmt: &str) -> Vec<Option<Conv>> {
+    parse_printf(fmt)
+        .into_iter()
+        .filter_map(|seg| match seg {
+            PSeg::Lit(_) => None,
+            PSeg::Conv { conv, .. } => Some(match conv {
+                b's' => Some(Conv::Str),
+                b'd' | b'i' | b'u' => Some(Conv::Int),
+                b'f' | b'e' | b'g' => Some(Conv::Float),
+                b'c' => Some(Conv::Char),
+                _ => None,
+            }),
+        })
+        .collect()
 }
 
 fn conv_accepts(c: Conv, ty: Option<&CType>) -> bool {
@@ -143,7 +125,7 @@ fn emits_match_clauses(unit: &RegionUnit, diags: &mut Vec<Diag>) {
         // Key: first conversion / first argument.
         match &e.args[0] {
             Some(a) if *a == unit.dir.key => {
-                if !conv_accepts(convs[0], unit.ty(a)) {
+                if let Some(c) = convs[0].filter(|&c| !conv_accepts(c, unit.ty(a))) {
                     push(
                         diags,
                         "HD004",
@@ -152,7 +134,7 @@ fn emits_match_clauses(unit: &RegionUnit, diags: &mut Vec<Diag>) {
                         format!(
                             "key `{a}` has type `{}` but is emitted with {}",
                             ty_name(unit.ty(a)),
-                            conv_name(convs[0])
+                            conv_name(c)
                         ),
                     );
                 }
@@ -186,7 +168,8 @@ fn emits_match_clauses(unit: &RegionUnit, diags: &mut Vec<Diag>) {
         for (i, a) in e.args.iter().enumerate().skip(1) {
             if a.as_deref() == Some(unit.dir.value.as_str()) {
                 value_seen = true;
-                if !conv_accepts(convs[i], unit.ty(&unit.dir.value)) {
+                let ty = unit.ty(&unit.dir.value);
+                if let Some(c) = convs[i].filter(|&c| !conv_accepts(c, ty)) {
                     push(
                         diags,
                         "HD004",
@@ -195,8 +178,8 @@ fn emits_match_clauses(unit: &RegionUnit, diags: &mut Vec<Diag>) {
                         format!(
                             "value `{}` has type `{}` but is emitted with {}",
                             unit.dir.value,
-                            ty_name(unit.ty(&unit.dir.value)),
-                            conv_name(convs[i])
+                            ty_name(ty),
+                            conv_name(c)
                         ),
                     );
                 }
@@ -378,11 +361,15 @@ mod tests {
     }
 
     #[test]
-    fn format_parser_handles_modifiers() {
-        assert_eq!(conversions("%s\t%d\n"), vec![Conv::Str, Conv::Int]);
-        assert_eq!(conversions("%s\t%.6f\n"), vec![Conv::Str, Conv::Float]);
-        assert_eq!(conversions("%s %lf"), vec![Conv::Str, Conv::Float]);
-        assert_eq!(conversions("100%% %d"), vec![Conv::Int]);
+    fn conversions_are_the_engines() {
+        use Conv::*;
+        assert_eq!(conversions("%s\t%d\n"), [Some(Str), Some(Int)]);
+        assert_eq!(conversions("%s\t%.6f\n"), [Some(Str), Some(Float)]);
+        assert_eq!(conversions("%s %lf"), [Some(Str), Some(Float)]);
+        assert_eq!(conversions("100%% %d"), [Some(Int)]);
+        // The engines fault on a width or `%x`: no class, no type check.
+        assert_eq!(conversions("%s\t%5d\n"), [Some(Str), None]);
+        assert_eq!(conversions("%-3d %x"), [None, None]);
     }
 
     #[test]

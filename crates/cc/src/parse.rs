@@ -5,12 +5,24 @@ use crate::error::{CcError, Span};
 use crate::lex::{lex, Tok, Token};
 use crate::pragma::parse_pragma;
 
+/// How deep a statement or expression tree may nest. Parsing, analysis,
+/// lowering and the tree-walking interpreter all recurse over the tree,
+/// and kernels are built and run on pool workers with 2 MiB stacks: past
+/// this depth the parser returns a [`CcError::Parse`] instead of letting a
+/// later phase overflow the stack. A left-deep operator chain (`1+1+…`) is
+/// built in a loop but walked recursively, so each operator counts. An
+/// unoptimized parser takes about 14 KiB of stack a level of nested
+/// parentheses or blocks, so 100 levels fit a worker's stack with room to
+/// spare (`tests/nesting.rs` runs every shape at the bound on one).
+pub const MAX_NESTING: u32 = 100;
+
 /// Parse a complete annotated translation unit.
 pub fn parse(src: &str) -> Result<Program, CcError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks,
         pos: 0,
+        depth: 0,
         directives: Vec::new(),
         sites: SiteCounts::default(),
     };
@@ -53,6 +65,8 @@ const TYPE_KWS: &[&str] = &[
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Depth of the tree under construction (see [`MAX_NESTING`]).
+    depth: u32,
     directives: Vec<crate::pragma::Directive>,
     /// Guard sites numbered so far (see [`SiteId`]).
     sites: SiteCounts,
@@ -111,6 +125,26 @@ impl Parser {
                 format!("expected identifier, found {other:?}"),
             )),
         }
+    }
+
+    /// One level deeper, or a parse error past [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), CcError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(CcError::parse(
+                self.span(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Run `f` one level deeper.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, CcError>) -> Result<T, CcError> {
+        self.descend()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn is_type_kw(&self, t: &Tok) -> bool {
@@ -239,6 +273,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CcError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, CcError> {
         let span = self.span();
         // Pragma: attach to the next statement.
         if let Tok::Pragma(text) = self.peek().clone() {
@@ -417,7 +455,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.assign_expr()?;
+            let rhs = self.nested(Self::assign_expr)?;
             return Ok(Expr::Assign(op, Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -426,9 +464,9 @@ impl Parser {
     fn cond_expr(&mut self) -> Result<Expr, CcError> {
         let c = self.binary_expr(0)?;
         if self.eat_punct("?") {
-            let t = self.expr()?;
+            let t = self.nested(Self::expr)?;
             self.expect_punct(":")?;
-            let e = self.cond_expr()?;
+            let e = self.nested(Self::cond_expr)?;
             return Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)));
         }
         Ok(c)
@@ -461,10 +499,13 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, CcError> {
         let mut lhs = self.unary_expr()?;
+        // Each operator of a left-deep chain puts `lhs` one level down.
+        let depth = self.depth;
         while let Some((op, prec)) = self.bin_op_prec() {
             if prec < min_prec {
                 break;
             }
+            self.descend()?;
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
             let site = match op {
@@ -473,10 +514,15 @@ impl Parser {
             };
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), site);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CcError> {
+        self.nested(Self::unary_inner)
+    }
+
+    fn unary_inner(&mut self) -> Result<Expr, CcError> {
         // Cast: '(' type ... ')'.
         if matches!(self.peek(), Tok::Punct("(")) && self.is_type_kw(self.peek2()) {
             self.bump();

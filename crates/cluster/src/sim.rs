@@ -1709,19 +1709,14 @@ mod tests {
     use crate::config::FaultPlan;
     use crate::reference::ScanIndex;
 
-    /// The Fig. 3 scenario: 19 tasks, one 6x GPU, two CPU slots, one node.
-    fn fig3_cluster(s: Scheduler) -> ClusterConfig {
-        ClusterConfig::fig3(s)
-    }
-
     fn fig3_job() -> JobSpec {
         JobSpec::uniform("fig3", 19, 1, 1, 6.0, 1.0)
     }
 
     #[test]
     fn fig3_gpu_first_vs_tail_scheduling() {
-        let gf = simulate(&fig3_cluster(Scheduler::GpuFirst), &fig3_job());
-        let ts = simulate(&fig3_cluster(Scheduler::TailScheduling), &fig3_job());
+        let gf = simulate(&ClusterConfig::fig3(Scheduler::GpuFirst), &fig3_job());
+        let ts = simulate(&ClusterConfig::fig3(Scheduler::TailScheduling), &fig3_job());
         // GPU-first leaves the last CPU tasks running while the GPU
         // idles (~18s); tail scheduling forces the tail on the GPU
         // (~15s). Heartbeat granularity adds small slack.
@@ -1805,7 +1800,7 @@ mod tests {
     /// agree on it.
     #[test]
     fn differential_oracle_catches_a_lying_index() {
-        let cfg = fig3_cluster(Scheduler::TailScheduling);
+        let cfg = ClusterConfig::fig3(Scheduler::TailScheduling);
         let job = fig3_job();
         let tracer = Tracer::off();
         let scan = run::<ScanIndex>(&cfg, &job, &tracer).fingerprint();
@@ -1817,7 +1812,7 @@ mod tests {
 
     #[test]
     fn cpu_only_uses_no_gpu() {
-        let st = simulate(&fig3_cluster(Scheduler::CpuOnly), &fig3_job());
+        let st = simulate(&ClusterConfig::fig3(Scheduler::CpuOnly), &fig3_job());
         assert_eq!(st.gpu_tasks(), 0);
         assert_eq!(st.completed_maps(), 19);
         // 19 tasks on 2 slots at 6s: ceil(19/2)*6 = 60s.
@@ -1830,8 +1825,8 @@ mod tests {
 
     #[test]
     fn gpu_first_beats_cpu_only() {
-        let cpu = simulate(&fig3_cluster(Scheduler::CpuOnly), &fig3_job());
-        let gf = simulate(&fig3_cluster(Scheduler::GpuFirst), &fig3_job());
+        let cpu = simulate(&ClusterConfig::fig3(Scheduler::CpuOnly), &fig3_job());
+        let gf = simulate(&ClusterConfig::fig3(Scheduler::GpuFirst), &fig3_job());
         assert!(gf.makespan_s < cpu.makespan_s / 2.0);
     }
 

@@ -185,10 +185,6 @@ fn check(cfg: &ClusterConfig, job: &JobSpec, ctx: &str) {
     );
 }
 
-fn fig3_cluster(s: Scheduler) -> ClusterConfig {
-    ClusterConfig::fig3(s)
-}
-
 const SCHEDULERS: [Scheduler; 3] = [
     Scheduler::CpuOnly,
     Scheduler::GpuFirst,
@@ -199,7 +195,7 @@ const SCHEDULERS: [Scheduler; 3] = [
 fn fig3_all_schedulers() {
     let job = JobSpec::uniform("fig3", 19, 1, 1, 6.0, 1.0);
     for s in SCHEDULERS {
-        check(&fig3_cluster(s), &job, &format!("fig3/{s:?}"));
+        check(&ClusterConfig::fig3(s), &job, &format!("fig3/{s:?}"));
     }
 }
 

@@ -39,7 +39,7 @@ pub struct TaskMeasurement {
 }
 
 /// Records per fileSplit used for task measurements. Scaled stand-in for
-/// a 256 MB split (DESIGN.md §4).
+/// a 256 MB split (DESIGN.md §2).
 pub const DEFAULT_SPLIT_RECORDS: usize = 3000;
 
 /// Data-scaling factor: measured splits are 1:1024 of the paper's 256 MB

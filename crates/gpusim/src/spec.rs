@@ -4,7 +4,7 @@
 //! Two presets mirror the devices used in the paper's evaluation (Table 3):
 //! the Tesla K40 (Kepler) of Cluster1 and the Tesla M2090 (Fermi) of
 //! Cluster2. Capacities are scaled down together with the workloads (see
-//! DESIGN.md §4) so that the *ratios* that drive behaviour — KV-store
+//! DESIGN.md §2) so that the *ratios* that drive behaviour — KV-store
 //! over-allocation, texture working sets, out-of-memory boundaries — are
 //! preserved at laptop scale.
 
@@ -106,7 +106,7 @@ impl GpuSpec {
     /// Tesla K40 (Kepler) — the one-per-node GPU of Cluster1 (Table 3).
     ///
     /// Memory capacity is scaled 1:1024 versus the physical 12 GB so that
-    /// the scaled-down fileSplits (DESIGN.md §4) exercise the same
+    /// the scaled-down fileSplits (DESIGN.md §2) exercise the same
     /// allocation pressure.
     pub fn tesla_k40() -> Self {
         GpuSpec {

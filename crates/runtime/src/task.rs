@@ -27,7 +27,7 @@ pub struct TaskEnv {
 
 impl TaskEnv {
     /// Disk-backed node (Cluster1-like). The per-file latency is scaled
-    /// down with the 1:1024 workload scaling (DESIGN.md §4) so that fixed
+    /// down with the 1:1024 workload scaling (DESIGN.md §2) so that fixed
     /// costs keep the same *relative* weight they have at paper scale.
     pub fn disk() -> Self {
         TaskEnv {

@@ -79,7 +79,7 @@ fn gpu_and_cpu_paths_agree_for_every_benchmark() {
 /// The twin oracle: each benchmark's hand-written Rust mapper and
 /// combiner against the kernels compiled from its annotated C sources, on
 /// the same generated split, at the strongest agreement that holds per row
-/// (EXPERIMENTS.md "Twin vs C source" lists the gaps as ROADMAP item 1's
+/// (EXPERIMENTS.md "Twin vs C source" lists the gaps as ROADMAP item 4's
 /// worklist).
 #[test]
 fn compiled_sources_match_native_mappers() {
