@@ -1,5 +1,5 @@
 //! The wall-clock micro record: the ratios the `e2e` ledger cannot see
-//! (it times whole jobs on one engine, one index, one elision mode), the
+//! (it times whole jobs on one engine and one index), the
 //! two `hetero-runtime` primitives ROADMAP item 4 works on, the host
 //! cost of one `hetero-gpusim` warp round and `hetero-hdfs`'s per-byte
 //! checksum cost.
@@ -13,9 +13,8 @@
 //! markdown table. `--markdown FILE` instead renders a `micro.json` as
 //! that table: `results/micro.md`, which EXPERIMENTS.md quotes.
 use hetero_bench::{nproc, write_artifact, Args};
-use hetero_cc::backend::BackendKind::{self, Interp, Native};
-use hetero_cc::backend::ElisionMode::{self, Checked, On};
-use hetero_cc::backend::{make_backend_with_facts, KernelBackend};
+use hetero_cc::backend::make_backend;
+use hetero_cc::backend::BackendKind::{Interp, Native};
 use hetero_cc::interp::StreamIo;
 use hetero_cluster::{simulate, simulate_reference, ClusterConfig, JobSpec, JobStats, Scheduler};
 use hetero_gpusim::{Access, BlockCtx, Device, GpuSpec, LaneCtx};
@@ -123,20 +122,13 @@ fn markdown(doc: &Json) -> Option<String> {
     Some(out)
 }
 
-/// `src` on engine `kind`, guards chosen by its own analysis under `mode`.
-fn engine(src: &str, kind: BackendKind, mode: ElisionMode) -> Box<dyn KernelBackend> {
-    let prog = hetero_cc::parse::parse(src).unwrap();
-    let facts = hetero_cc::sema::analyze(&prog).unwrap().safety;
-    make_backend_with_facts(kind, &prog, &facts, mode)
-}
-
 /// Benchmark `code`'s annotated C mapper over `records` generated
 /// records, one run a record, on the interpreter and on the bytecode
 /// engine. Both charge identical stats.
 fn mapper(code: &str, records: usize) -> Vec<Side> {
     let app = hetero_apps::app_by_code(code).unwrap();
     let on = |name, kind| {
-        let backend = engine(app.mapper_source(), kind, On);
+        let backend = make_backend(kind, &hetero_cc::parse::parse(app.mapper_source()).unwrap());
         let split = app.generate_split(records, 7);
         let run = move |line: &[u8]| backend.run(&mut StreamIo::lines(vec![line.to_vec()]));
         side(name, move || {
@@ -145,32 +137,6 @@ fn mapper(code: &str, records: usize) -> Vec<Side> {
         })
     };
     vec![on("interp", Interp), on("native", Native)]
-}
-
-/// A subscript- and division-dense kernel (19 proven subscripts and 2
-/// proven divisions a trip) on the bytecode engine: every guard kept and
-/// the proven ones panic-checked (`checked`) vs proven guards elided
-/// (`on`). Guards charge nothing to `InterpStats`; only wall clock moves.
-fn elision() -> Vec<Side> {
-    let src = r#"
-int main() {
-  int a[16]; int i; int r; int s; s = 0;
-  for (i = 0; i < 16; i++) a[i] = i + 1;
-  for (r = 0; r < 500; r++) {
-    s = s + a[0] + a[1] + a[2] + a[3] + a[4] + a[5] + a[6] + a[7];
-    s = s + a[8] + a[9] + a[10] + a[11] + a[12] + a[13] + a[14] + a[15];
-    s = s + a[r & 15] / ((r & 3) + 1) + a[15 - (r & 15)] % ((r & 7) + 2);
-  }
-  printf("s\t%d\n", s);
-  return 0;
-}
-"#;
-    let under = |name, mode| {
-        let backend = engine(src, Native, mode);
-        let run = move || backend.run(&mut StreamIo::lines(vec![]));
-        side(name, move || run().unwrap().ops)
-    };
-    vec![under("checked", Checked), under("on", On)]
 }
 
 /// CRC-32 of `records` generated Wordcount records (seed 7; 225 000 is
@@ -290,7 +256,6 @@ fn main() {
     let cases = [
         ("wc_mapper_400", 40, mapper("WC", 400)),
         ("bs_mapper_50", 40, mapper("BS", 50)),
-        ("check_elision", 400, elision()),
         ("crc32_wc", 40, crc32(225_000)),
         ("des_48", 40, des(paper, 40.0, 4.0)),
         ("des_1k", 5, des(large, 8.0, 1.0)),

@@ -162,9 +162,9 @@ pub enum AssignOp {
 /// kernel engines guard at run time: a subscript (bounds), an integer
 /// `/` or `%` (zero denominator), a call (argument dispatch). The
 /// parser numbers the sites of each kind `0..n` in creation order
-/// ([`Program::sites`] records the three `n`s), so a table indexed by
-/// `SiteId` describes a program *and every clone of it* — see
-/// [`crate::lint::absint::SafetyFacts`].
+/// ([`Program::sites`] records the three `n`s); the value analysis
+/// files its verdicts under them
+/// ([`crate::lint::absint::SafetyFacts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteId(pub u32);
 
@@ -329,20 +329,12 @@ pub struct Program {
     /// Guard sites numbered while parsing; every [`SiteId`] in `funcs`
     /// is below its kind's count.
     pub(crate) sites: SiteCounts,
-    /// FNV-1a hash of the source text this program was parsed from.
-    pub(crate) fingerprint: u64,
 }
 
 impl Program {
     /// How many guard sites of each kind the program has.
     pub fn sites(&self) -> SiteCounts {
         self.sites
-    }
-
-    /// Content fingerprint of the source text. Clones share it; two
-    /// different texts differ in it (up to a 64-bit hash collision).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Find a function by name.

@@ -80,14 +80,6 @@ pub(crate) enum Cmp {
 }
 
 /// One instruction. `Copy`, at most 16 bytes (asserted below).
-///
-/// Guarded operations come in three opcodes chosen at lowering time
-/// from `SafetyFacts` and the `ElisionMode`: plain (`Ld`, `Div`: the
-/// guard is kept), `…U` (proven site, guard elided — Rust's own `Vec`
-/// index / `wrapping_div` checks stay as a panicking backstop), and
-/// `…C` (proven site, guard evaluated and a violation **panics**: the
-/// checked-elision soundness oracle). Guards charge no `InterpStats`,
-/// so the three are stats-, stdout- and error-identical.
 // One line per opcode: this is the instruction table.
 #[rustfmt::skip]
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -104,11 +96,7 @@ pub(crate) enum Insn {
     Sub { dst: R, a: R, b: R },
     Mul { dst: R, a: R, b: R },
     Div { dst: R, a: R, b: R },
-    DivU { dst: R, a: R, b: R },
-    DivC { dst: R, a: R, b: R },
     Rem { dst: R, a: R, b: R },
-    RemU { dst: R, a: R, b: R },
-    RemC { dst: R, a: R, b: R },
     Lt { dst: R, a: R, b: R },
     Le { dst: R, a: R, b: R },
     Gt { dst: R, a: R, b: R },
@@ -141,15 +129,9 @@ pub(crate) enum Insn {
     BrCmp { op: Cmp, sense: bool, a: R, b: R, to: Pc },
 
     Ld { dst: R, base: R, idx: R },
-    LdU { dst: R, base: R, idx: R },
-    LdC { dst: R, base: R, idx: R },
     St { val: R, base: R, idx: R },
-    StU { val: R, base: R, idx: R },
-    StC { val: R, base: R, idx: R },
     Lea { dst: R, base: R, idx: R },
-    LeaU { dst: R, base: R, idx: R },
-    LeaC { dst: R, base: R, idx: R },
-    /// Strided 2-D access `slot[row][col]` (stride, guard and the
+    /// Strided 2-D access `slot[row][col]` (stride and the
     /// continuation in `sites2[site]`): on a pointer in `slot`, access
     /// and continue at `cont`; otherwise fall through into the generic
     /// path the interpreter takes.
@@ -239,22 +221,10 @@ impl Insn {
     }
 }
 
-/// What to lower at one guarded site.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Guard {
-    /// Unproven site, or elision off: the guard stays.
-    Keep,
-    /// Proven under `ElisionMode::On`: skip the guard.
-    Elide,
-    /// Proven under `ElisionMode::Checked`: run it, panic if it fires.
-    Check,
-}
-
 /// Side data of one strided 2-D access site.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Site2 {
     pub stride: usize,
-    pub guard: Guard,
     /// Where execution continues after a successful fast-path access.
     pub cont: Pc,
 }
@@ -282,12 +252,9 @@ pub struct LoweringCounts {
     pub insns: usize,
     /// Basic blocks.
     pub blocks: usize,
-    /// Guarded opcodes (subscript, div/rem) lowered with the guard kept.
-    pub sites_kept: usize,
-    /// … with the guard elided.
-    pub sites_elided: usize,
-    /// … with the guard panic-checked.
-    pub sites_checked: usize,
+    /// Guarded opcodes: subscripts (bounds) and `/`, `%` (zero
+    /// denominator).
+    pub guarded_sites: usize,
 }
 
 /// A whole program lowered to bytecode. Built once, immutable, shared
@@ -302,8 +269,9 @@ pub(crate) struct Bytecode {
     pub msgs: Vec<CcError>,
     pub strs: Vec<Vec<u8>>,
     pub fmts: Vec<Vec<PSeg>>,
-    /// `(leaf element type, element count)` per array declaration.
-    pub arrays: Vec<(CType, usize)>,
+    /// `(name, leaf element type, element count)` per array
+    /// declaration.
+    pub arrays: Vec<(String, CType, usize)>,
     pub sites2: Vec<Site2>,
 }
 
@@ -317,23 +285,17 @@ impl Bytecode {
         for insn in self.fast_insns() {
             c.insns += 1;
             use Insn::*;
-            let guard = match insn {
-                Fuel { .. } => {
-                    c.blocks += 1;
-                    continue;
-                }
-                Ld { .. } | St { .. } | Lea { .. } | Div { .. } | Rem { .. } => Guard::Keep,
-                LdU { .. } | StU { .. } | LeaU { .. } | DivU { .. } | RemU { .. } => Guard::Elide,
-                LdC { .. } | StC { .. } | LeaC { .. } | DivC { .. } | RemC { .. } => Guard::Check,
-                Ld2 { site, .. } | St2 { site, .. } | Lea2 { site, .. } => {
-                    self.sites2[*site as usize].guard
-                }
-                _ => continue,
-            };
-            match guard {
-                Guard::Keep => c.sites_kept += 1,
-                Guard::Elide => c.sites_elided += 1,
-                Guard::Check => c.sites_checked += 1,
+            match insn {
+                Fuel { .. } => c.blocks += 1,
+                Ld { .. }
+                | St { .. }
+                | Lea { .. }
+                | Ld2 { .. }
+                | St2 { .. }
+                | Lea2 { .. }
+                | Div { .. }
+                | Rem { .. } => c.guarded_sites += 1,
+                _ => {}
             }
         }
         c
@@ -346,8 +308,8 @@ impl Bytecode {
         let c = self.counts();
         let _ = writeln!(
             s,
-            "; {} insns, {} blocks, sites kept {} elided {} checked {}",
-            c.insns, c.blocks, c.sites_kept, c.sites_elided, c.sites_checked
+            "; {} insns, {} blocks, {} guarded sites",
+            c.insns, c.blocks, c.guarded_sites
         );
         for f in &self.funcs {
             let _ = writeln!(
@@ -385,7 +347,7 @@ impl Bytecode {
         for (i, segs) in self.fmts.iter().enumerate() {
             let _ = writeln!(s, "  fmt{i} = {segs:?}");
         }
-        for (i, (ty, n)) in self.arrays.iter().enumerate() {
+        for (i, (_, ty, n)) in self.arrays.iter().enumerate() {
             let _ = writeln!(s, "  arr{i} = {}[{n}]", ty.c_name());
         }
         for (i, site) in self.sites2.iter().enumerate() {

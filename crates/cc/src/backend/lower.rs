@@ -3,9 +3,8 @@
 //! Runs **once per program**. What it pre-pays, relative to the
 //! interpreter: names resolve to frame registers, literals to
 //! constant-pool operands, `printf`/`scanf` formats are parsed, call
-//! targets (user function vs which builtin) are decided, 2-D strided
-//! indexing is decided from the declaration site, and every guarded
-//! site picks its opcode from the value analysis' [`SafetyFacts`].
+//! targets (user function vs which builtin) are decided, and 2-D
+//! strided indexing is decided from the declaration site.
 //!
 //! **Cost parity.** [`Lower::tick`] is called wherever the interpreter
 //! ticks — once per expression node evaluated (a step and an op), once
@@ -21,20 +20,17 @@
 //! non-literal formats, bad arity…) lower to a `Trap` carrying the
 //! interpreter's message, raised only if reached.
 
-use super::bytecode::{Bytecode, Cmp, Func, Guard, Insn, Pc, Site2, R};
-use super::ElisionMode;
+use super::bytecode::{Bytecode, Cmp, Func, Insn, Pc, Site2, R};
 use crate::ast::*;
 use crate::error::CcError;
 use crate::interp::{
-    builtin_arity_err, builtin_min_args, default_value, leaf_type, parse_printf, parse_scanf,
-    printf_missing_arg, PSeg, ScanConv, Sfu1, V,
+    array_extent, builtin_arity_err, builtin_min_args, default_value, leaf_type, parse_printf,
+    parse_scanf, printf_missing_arg, PSeg, ScanConv, Sfu1, V,
 };
-use crate::lint::absint::SafetyFacts;
 use std::collections::{HashMap, HashSet};
 
-/// Lower `prog`, picking each guarded site's opcode from `facts` —
-/// which the caller has checked with [`SafetyFacts::matches`].
-pub(crate) fn lower(prog: &Program, facts: &SafetyFacts, mode: ElisionMode) -> Bytecode {
+/// Lower `prog`.
+pub(crate) fn lower(prog: &Program) -> Bytecode {
     // First function with a given name wins, like `Program::func`.
     let mut fn_indices: HashMap<&str, usize> = HashMap::new();
     for (i, f) in prog.funcs.iter().enumerate() {
@@ -42,8 +38,6 @@ pub(crate) fn lower(prog: &Program, facts: &SafetyFacts, mode: ElisionMode) -> B
     }
     let mut lw = Lower {
         prog,
-        facts,
-        mode,
         out: Bytecode {
             code: Vec::new(),
             funcs: Vec::new(),
@@ -89,7 +83,6 @@ enum Place<'a> {
     One {
         base: R,
         idx: R,
-        guard: Guard,
     },
     /// Strided 2-D access; `inner` is the `slot[row]` node the generic
     /// fallback evaluates.
@@ -146,8 +139,6 @@ struct FnState {
 
 struct Lower<'a> {
     prog: &'a Program,
-    facts: &'a SafetyFacts,
-    mode: ElisionMode,
     fn_indices: HashMap<&'a str, usize>,
     out: Bytecode,
     const_ids: HashMap<(u8, u64), usize>,
@@ -511,14 +502,6 @@ impl<'a> Lower<'a> {
         self.f.effects.contains(&key(e))
     }
 
-    fn guard(&self, proven: bool) -> Guard {
-        match (proven, self.mode) {
-            (false, _) => Guard::Keep,
-            (true, ElisionMode::On) => Guard::Elide,
-            (true, ElisionMode::Checked) => Guard::Check,
-        }
-    }
-
     // ================================================================
     // Statements.
     // ================================================================
@@ -643,20 +626,18 @@ impl<'a> Lower<'a> {
     fn declarator(&mut self, d: &'a Declarator) {
         match &d.ty {
             CType::Array(inner, n) => {
-                let (total, stride) = match inner.as_ref() {
-                    CType::Array(_, Some(cols)) => (Some(n.unwrap_or(1) * cols), Some(*cols)),
-                    _ => (*n, None),
-                };
                 let reg = self.new_local();
-                self.bind_name(&d.name, reg, true, stride);
-                match total {
-                    Some(total) => {
-                        self.out.arrays.push((leaf_type(&d.ty), total));
+                match array_extent(&d.name, inner, *n) {
+                    Ok((total, stride)) => {
+                        self.bind_name(&d.name, reg, true, stride);
+                        let elem = leaf_type(&d.ty);
+                        self.out.arrays.push((d.name.clone(), elem, total));
                         let site = self.idx16(self.out.arrays.len() - 1);
                         self.emit(Insn::DeclArr { dst: reg, site });
                     }
-                    None => {
-                        self.trap(format!("array {} needs a size", d.name));
+                    Err(e) => {
+                        self.bind_name(&d.name, reg, true, None);
+                        self.trap_err(e);
                     }
                 }
             }
@@ -782,19 +763,11 @@ impl<'a> Lower<'a> {
                 self.bind(lend);
                 dst
             }
-            Expr::Binary(op, x, y, site) => {
+            Expr::Binary(op, x, y, _) => {
                 let dst = self.dst(hint);
                 let a = self.operand(x, self.has_effects(y));
                 let b = self.operand(y, false);
-                // Only `/` and `%` nodes are division sites. (Compound
-                // `a /= b` has no `Binary` node and always keeps its
-                // guard.)
-                let guard = if matches!(op, BinOp::Div | BinOp::Rem) {
-                    self.guard(self.facts.division_safe(*site))
-                } else {
-                    Guard::Keep
-                };
-                self.emit(bin_insn(*op, guard, dst, a, b));
+                self.emit(bin_insn(*op, dst, a, b));
                 dst
             }
             Expr::Assign(op, lhs, rhs) => self.assign(*op, lhs, rhs),
@@ -811,9 +784,9 @@ impl<'a> Lower<'a> {
                 dst
             }
             Expr::Call(name, args, _) => self.call(name, args, hint),
-            Expr::Index(base, idx, site) => {
+            Expr::Index(base, idx, _) => {
                 let dst = self.dst(hint);
-                let place = self.place(*site, base, idx);
+                let place = self.place(base, idx);
                 self.access(place, Access::Load(dst));
                 dst
             }
@@ -858,9 +831,9 @@ impl<'a> Lower<'a> {
                     }
                     None => self.trap(format!("unknown variable {name}")),
                 },
-                Expr::Index(base, idx, site) => {
+                Expr::Index(base, idx, _) => {
                     let dst = self.dst(hint);
-                    let place = self.place(*site, base, idx);
+                    let place = self.place(base, idx);
                     self.access(place, Access::Addr(dst));
                     dst
                 }
@@ -954,7 +927,7 @@ impl<'a> Lower<'a> {
         };
         let rv = self.operand(rhs, self.has_effects(lhs));
         let old = self.expr(lhs, None);
-        self.emit(bin_insn(bop, Guard::Keep, dst, old, rv));
+        self.emit(bin_insn(bop, dst, old, rv));
         if local.is_none() {
             self.store(lhs, dst);
         }
@@ -979,9 +952,9 @@ impl<'a> Lower<'a> {
                     self.trap(format!("unknown variable {name}"));
                 }
             },
-            Expr::Index(base, idx, site) => {
+            Expr::Index(base, idx, _) => {
                 let mark = self.f.tmp_top;
-                let place = self.place(*site, base, idx);
+                let place = self.place(base, idx);
                 self.access(place, Access::Store(val));
                 self.f.tmp_top = mark;
             }
@@ -1016,11 +989,7 @@ impl<'a> Lower<'a> {
     /// before `base`; a 2-D access over a declared `a[rows][cols]`
     /// takes the strided path, where the inner `Index` node is never
     /// charged, only its row index.
-    ///
-    /// `id` is the `Index` node's subscript site, which the value
-    /// analysis filed its bounds verdict under.
-    fn place(&mut self, id: SiteId, base: &'a Expr, idx: &'a Expr) -> Place<'a> {
-        let guard = self.guard(self.facts.subscript_safe(id));
+    fn place(&mut self, base: &'a Expr, idx: &'a Expr) -> Place<'a> {
         if let Expr::Index(inner_base, row_e, _) = base {
             if let Expr::Ident(name) = inner_base.as_ref() {
                 if let Some(Local {
@@ -1034,7 +1003,6 @@ impl<'a> Lower<'a> {
                     let row = self.operand(row_e, false);
                     self.out.sites2.push(Site2 {
                         stride,
-                        guard,
                         cont: Pc(0),
                     });
                     let site = self.idx16(self.out.sites2.len() - 1);
@@ -1051,25 +1019,15 @@ impl<'a> Lower<'a> {
         let i = self.operand(idx, self.has_effects(base));
         self.check_before(i, true, &[base]);
         let b = self.operand(base, false);
-        Place::One {
-            base: b,
-            idx: i,
-            guard,
-        }
+        Place::One { base: b, idx: i }
     }
 
     fn access(&mut self, place: Place<'a>, acc: Access) {
         match place {
-            Place::One { base, idx, guard } => self.emit(match (acc, guard) {
-                (Access::Load(dst), Guard::Keep) => Insn::Ld { dst, base, idx },
-                (Access::Load(dst), Guard::Elide) => Insn::LdU { dst, base, idx },
-                (Access::Load(dst), Guard::Check) => Insn::LdC { dst, base, idx },
-                (Access::Store(val), Guard::Keep) => Insn::St { val, base, idx },
-                (Access::Store(val), Guard::Elide) => Insn::StU { val, base, idx },
-                (Access::Store(val), Guard::Check) => Insn::StC { val, base, idx },
-                (Access::Addr(dst), Guard::Keep) => Insn::Lea { dst, base, idx },
-                (Access::Addr(dst), Guard::Elide) => Insn::LeaU { dst, base, idx },
-                (Access::Addr(dst), Guard::Check) => Insn::LeaC { dst, base, idx },
+            Place::One { base, idx } => self.emit(match acc {
+                Access::Load(dst) => Insn::Ld { dst, base, idx },
+                Access::Store(val) => Insn::St { val, base, idx },
+                Access::Addr(dst) => Insn::Lea { dst, base, idx },
             }),
             Place::Two {
                 slot,
@@ -1116,13 +1074,13 @@ impl<'a> Lower<'a> {
     /// number: "indexing non-pointer" unless the inner access faults
     /// first.
     fn two_dim_fallback(&mut self, inner: &'a Expr) {
-        let Expr::Index(inner_base, row_e, inner_site) = inner else {
+        let Expr::Index(inner_base, row_e, _) = inner else {
             unreachable!("a strided place is built from an Index base")
         };
         let mark = self.f.tmp_top;
         self.tick(1, 1);
         let dst = self.alloc_tmp();
-        let place = self.place(*inner_site, inner_base, row_e);
+        let place = self.place(inner_base, row_e);
         self.access(place, Access::Load(dst));
         self.trap("indexing non-pointer");
         self.f.tmp_top = mark;
@@ -1382,28 +1340,24 @@ fn cmp_of(op: BinOp) -> Option<Cmp> {
     })
 }
 
-fn bin_insn(op: BinOp, guard: Guard, dst: R, a: R, b: R) -> Insn {
-    match (op, guard) {
-        (BinOp::Add, _) => Insn::Add { dst, a, b },
-        (BinOp::Sub, _) => Insn::Sub { dst, a, b },
-        (BinOp::Mul, _) => Insn::Mul { dst, a, b },
-        (BinOp::Div, Guard::Keep) => Insn::Div { dst, a, b },
-        (BinOp::Div, Guard::Elide) => Insn::DivU { dst, a, b },
-        (BinOp::Div, Guard::Check) => Insn::DivC { dst, a, b },
-        (BinOp::Rem, Guard::Keep) => Insn::Rem { dst, a, b },
-        (BinOp::Rem, Guard::Elide) => Insn::RemU { dst, a, b },
-        (BinOp::Rem, Guard::Check) => Insn::RemC { dst, a, b },
-        (BinOp::Lt, _) => Insn::Lt { dst, a, b },
-        (BinOp::Le, _) => Insn::Le { dst, a, b },
-        (BinOp::Gt, _) => Insn::Gt { dst, a, b },
-        (BinOp::Ge, _) => Insn::Ge { dst, a, b },
-        (BinOp::Eq, _) => Insn::Eq { dst, a, b },
-        (BinOp::Ne, _) => Insn::Ne { dst, a, b },
-        (BinOp::BitAnd, _) => Insn::BitAnd { dst, a, b },
-        (BinOp::BitOr, _) => Insn::BitOr { dst, a, b },
-        (BinOp::BitXor, _) => Insn::BitXor { dst, a, b },
-        (BinOp::Shl, _) => Insn::Shl { dst, a, b },
-        (BinOp::Shr, _) => Insn::Shr { dst, a, b },
-        (BinOp::And | BinOp::Or, _) => unreachable!("short-circuit ops lower to branches"),
+fn bin_insn(op: BinOp, dst: R, a: R, b: R) -> Insn {
+    match op {
+        BinOp::Add => Insn::Add { dst, a, b },
+        BinOp::Sub => Insn::Sub { dst, a, b },
+        BinOp::Mul => Insn::Mul { dst, a, b },
+        BinOp::Div => Insn::Div { dst, a, b },
+        BinOp::Rem => Insn::Rem { dst, a, b },
+        BinOp::Lt => Insn::Lt { dst, a, b },
+        BinOp::Le => Insn::Le { dst, a, b },
+        BinOp::Gt => Insn::Gt { dst, a, b },
+        BinOp::Ge => Insn::Ge { dst, a, b },
+        BinOp::Eq => Insn::Eq { dst, a, b },
+        BinOp::Ne => Insn::Ne { dst, a, b },
+        BinOp::BitAnd => Insn::BitAnd { dst, a, b },
+        BinOp::BitOr => Insn::BitOr { dst, a, b },
+        BinOp::BitXor => Insn::BitXor { dst, a, b },
+        BinOp::Shl => Insn::Shl { dst, a, b },
+        BinOp::Shr => Insn::Shr { dst, a, b },
+        BinOp::And | BinOp::Or => unreachable!("short-circuit ops lower to branches"),
     }
 }

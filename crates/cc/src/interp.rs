@@ -217,30 +217,93 @@ pub(crate) fn write_buf(
     Ok(())
 }
 
-/// Bounds-check a signed element position against a buffer.
+/// Bounds-check the element a subscript names in buffer `buf`: position
+/// `off + row * stride + i` (`row` and `stride` are 0 but for a strided
+/// 2-D access). A pointer's `off` is signed (`p - 1` wraps to
+/// `usize::MAX`); a declared extent, and so `stride`, is at most
+/// `i64::MAX`. A position past `isize` is out of bounds, never wrapped
+/// onto another element.
+#[inline(always)]
 pub(crate) fn check_bounds(
     heap: &[Buffer],
     buf: usize,
-    pos: isize,
+    off: usize,
+    row: i64,
+    stride: usize,
+    i: i64,
 ) -> Result<(usize, usize), CcError> {
-    if pos < 0 || pos as usize >= heap[buf].len() {
-        return Err(CcError::interp(format!(
-            "index {pos} out of bounds for buffer of {}",
-            heap[buf].len()
-        )));
+    let len = heap[buf].len();
+    let pos = (row as isize)
+        .checked_mul(stride as isize)
+        .and_then(|p| p.checked_add(off as isize))
+        .and_then(|p| p.checked_add(i as isize));
+    match pos {
+        // A negative position casts past any length.
+        Some(p) if (p as usize) < len => Ok((buf, p as usize)),
+        _ => Err(out_of_bounds(off, row, stride, i, len)),
     }
-    Ok((buf, pos as usize))
 }
 
-/// Allocate a zeroed buffer of `n` elements of leaf type `elem`.
-pub(crate) fn alloc_buffer(heap: &mut Vec<Buffer>, elem: &CType, n: usize) -> usize {
+/// [`check_bounds`]' error, naming the position exactly: in `i128` the
+/// sum cannot overflow.
+#[cold]
+fn out_of_bounds(off: usize, row: i64, stride: usize, i: i64, len: usize) -> CcError {
+    let pos = off as isize as i128 + row as i128 * stride as i128 + i as i128;
+    CcError::interp(format!("index {pos} out of bounds for buffer of {len}"))
+}
+
+/// Element count and row stride of the array `name` declared with type
+/// `[n]inner` (`T name[n]`, or `T name[n][cols]`, whose `n` may be
+/// omitted), or the run-time error of declaring it.
+pub(crate) fn array_extent(
+    name: &str,
+    inner: &CType,
+    n: Option<usize>,
+) -> Result<(usize, Option<usize>), CcError> {
+    match (inner, n) {
+        (CType::Array(_, Some(cols)), n) => {
+            let rows = n.unwrap_or(1);
+            let total = rows.checked_mul(*cols).ok_or_else(|| {
+                CcError::interp(format!(
+                    "array {name}: invalid size {rows} * {cols} (overflow)"
+                ))
+            })?;
+            Ok((total, Some(*cols)))
+        }
+        (_, Some(n)) => Ok((n, None)),
+        (_, None) => Err(CcError::interp(format!("array {name} needs a size"))),
+    }
+}
+
+/// `n` default values, or `None` when the allocator refuses the
+/// reservation.
+fn zeroed<T: Clone + Default>(n: usize) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).ok()?;
+    v.resize(n, T::default());
+    Some(v)
+}
+
+/// Allocate the zeroed buffer of the array `name`: `n` elements of leaf
+/// type `elem`.
+pub(crate) fn alloc_buffer(
+    heap: &mut Vec<Buffer>,
+    name: &str,
+    elem: &CType,
+    n: usize,
+) -> Result<usize, CcError> {
     let b = match elem {
-        CType::Char => Buffer::Bytes(vec![0; n]),
-        CType::Float | CType::Double => Buffer::Doubles(vec![0.0; n]),
-        _ => Buffer::Ints(vec![0; n]),
+        CType::Char => zeroed(n).map(Buffer::Bytes),
+        CType::Float | CType::Double => zeroed(n).map(Buffer::Doubles),
+        _ => zeroed(n).map(Buffer::Ints),
     };
+    let b = b.ok_or_else(|| {
+        CcError::interp(format!(
+            "array {name}: invalid size {n} (allocation failed)"
+        ))
+    })?;
     heap.push(b);
-    heap.len() - 1
+    Ok(heap.len() - 1)
 }
 
 /// Borrow the NUL-terminated string starting at a pointer, up to
@@ -349,7 +412,10 @@ pub(crate) fn store_through(
             slots[*s] = v;
             Ok(())
         }
-        V::Ptr { buf, off } => write_buf(heap, stats, *buf, *off, &v),
+        V::Ptr { buf, off } => {
+            let (buf, off) = check_bounds(heap, *buf, *off, 0, 0, 0)?;
+            write_buf(heap, stats, buf, off, &v)
+        }
         _ => Err(CcError::interp("store through non-pointer")),
     }
 }
@@ -749,11 +815,7 @@ pub(crate) fn malloc_bytes(
         .checked_mul(width)
         .ok_or_else(|| invalid("overflow"))?
         .max(1);
-    let mut bytes = Vec::new();
-    bytes
-        .try_reserve_exact(total)
-        .map_err(|_| invalid("allocation failed"))?;
-    bytes.resize(total, 0);
+    let bytes = zeroed(total).ok_or_else(|| invalid("allocation failed"))?;
     heap.push(Buffer::Bytes(bytes));
     Ok(V::Ptr {
         buf: heap.len() - 1,
@@ -838,8 +900,9 @@ pub(crate) fn load_through(
 ) -> Result<V, CcError> {
     match p {
         V::Ptr { buf, off } => {
+            let (buf, off) = check_bounds(heap, *buf, *off, 0, 0, 0)?;
             stats.mem += 1;
-            read_buf(heap, *buf, *off)
+            read_buf(heap, buf, off)
         }
         V::SlotRef(s) => Ok(slots[*s]),
         _ => Err(CcError::interp("dereference of non-pointer")),
@@ -1113,14 +1176,9 @@ impl<'p> Interp<'p> {
     fn declare(&mut self, d: &'p Declarator, io: &mut StreamIo) -> Result<V, CcError> {
         match &d.ty {
             CType::Array(inner, n) => {
-                let total = match inner.as_ref() {
-                    CType::Array(_, Some(cols)) => n.unwrap_or(1) * cols,
-                    _ => {
-                        n.ok_or_else(|| CcError::interp(format!("array {} needs a size", d.name)))?
-                    }
-                };
+                let (total, _) = array_extent(&d.name, inner, *n)?;
                 let elem = leaf_type(&d.ty);
-                let buf = alloc_buffer(&mut self.heap, &elem, total);
+                let buf = alloc_buffer(&mut self.heap, &d.name, &elem, total)?;
                 Ok(V::Ptr { buf, off: 0 })
             }
             _ => match &d.init {
@@ -1274,16 +1332,15 @@ impl<'p> Interp<'p> {
         idx: &'p Expr,
         io: &mut StreamIo,
     ) -> Result<(usize, usize), CcError> {
-        let i = as_int(&self.eval(idx, io)?)? as isize;
+        let i = as_int(&self.eval(idx, io)?)?;
         // 2-D: base is itself an Index over a strided variable.
         if let Expr::Index(inner_base, inner_idx, _) = base {
             if let Expr::Ident(name) = inner_base.as_ref() {
                 if let Some(slot) = self.lookup(name) {
                     if let Some(&stride) = self.strides.get(&slot) {
-                        let row = as_int(&self.eval(inner_idx, io)?)? as isize;
+                        let row = as_int(&self.eval(inner_idx, io)?)?;
                         if let V::Ptr { buf, off } = self.slots[slot] {
-                            let pos = off as isize + row * stride as isize + i;
-                            return check_bounds(&self.heap, buf, pos);
+                            return check_bounds(&self.heap, buf, off, row, stride, i);
                         }
                     }
                 }
@@ -1291,10 +1348,7 @@ impl<'p> Interp<'p> {
         }
         let b = self.eval(base, io)?;
         match b {
-            V::Ptr { buf, off } => {
-                let pos = off as isize + i;
-                check_bounds(&self.heap, buf, pos)
-            }
+            V::Ptr { buf, off } => check_bounds(&self.heap, buf, off, 0, 0, i),
             _ => Err(CcError::interp("indexing non-pointer")),
         }
     }
@@ -1536,21 +1590,14 @@ pub(crate) fn num_add(v: &V, d: i64) -> Result<V, CcError> {
 }
 
 pub(crate) fn binary(op: BinOp, a: V, b: V) -> Result<V, CcError> {
-    binary_inline::<true>(op, a, b)
+    binary_inline(op, a, b)
 }
 
 /// The one definition of binary-operator semantics. `#[inline(always)]`
 /// so the bytecode VM's per-operator opcodes, which pass a constant
 /// `op`, each fold to that operator's arm.
-///
-/// `CHECK_DIV = false` elides the integer div/mod zero guard. Only for
-/// sites the value analysis proved never see a zero denominator; if
-/// such a proof were ever wrong, `wrapping_div`/`wrapping_rem` panic
-/// (Rust's own zero check) instead of corrupting state. The guard
-/// charges no [`InterpStats`], so eliding it cannot perturb simulated
-/// cost.
 #[inline(always)]
-pub(crate) fn binary_inline<const CHECK_DIV: bool>(op: BinOp, a: V, b: V) -> Result<V, CcError> {
+pub(crate) fn binary_inline(op: BinOp, a: V, b: V) -> Result<V, CcError> {
     use BinOp::*;
     // Pointer arithmetic.
     if let (V::Ptr { buf, off }, V::I(i)) = (&a, &b) {
@@ -1596,13 +1643,13 @@ pub(crate) fn binary_inline<const CHECK_DIV: bool>(op: BinOp, a: V, b: V) -> Res
         Sub => V::I(x.wrapping_sub(y)),
         Mul => V::I(x.wrapping_mul(y)),
         Div => {
-            if CHECK_DIV && y == 0 {
+            if y == 0 {
                 return Err(CcError::interp("integer division by zero"));
             }
             V::I(x.wrapping_div(y))
         }
         Rem => {
-            if CHECK_DIV && y == 0 {
+            if y == 0 {
                 return Err(CcError::interp("integer remainder by zero"));
             }
             V::I(x.wrapping_rem(y))

@@ -1,7 +1,6 @@
 //! Flow-sensitive abstract interpretation over the typed AST.
 //!
-//! This is the value analysis behind diagnostics HD016–HD021 and behind
-//! the native backend's proof-guided check elision. It abstractly
+//! This is the value analysis behind diagnostics HD016–HD021. It abstractly
 //! executes `main` in the exact statement/expression order the
 //! interpreter uses (the same execution-order convention
 //! `region.rs` events follow: `for`-init before cond, rhs before a
@@ -39,27 +38,20 @@
 //! The abstract state over-approximates every *non-faulting* concrete
 //! execution: when a runtime error is provable (out-of-bounds write,
 //! division by a definite zero) the environment drops to unreachable,
-//! exactly as the concrete program halts. A [`SafetyFacts`] entry
-//! `proven-safe` for a site therefore means: every execution that
-//! reaches the site with operand *values* satisfies the guarded
-//! predicate — which is precisely the condition under which the native
-//! backend may skip the guard without changing observable behavior.
-//! Guards charge nothing to `InterpStats`, so elision is
-//! stats-neutral by construction.
-//!
-//! ## One run, two consumers
+//! exactly as the concrete program halts. A site counted *proven* in
+//! [`SafetyFacts`] is one where every execution that reaches it with
+//! operand *values* satisfies the guard the engines check there.
 //!
 //! `analyze_main` runs once per program, from
-//! [`crate::sema::analyze`], which keeps both halves of the result on
-//! its `Analysis`: the [`SafetyFacts`] table (indexed by the parser's
-//! [`SiteId`]s, so it also fits every clone of the program) for the
-//! backend, the HD016–HD021 findings for `lint_program`.
+//! [`crate::sema::analyze`], which keeps the result on its `Analysis`:
+//! the HD016–HD021 findings for `lint_program`, and the [`SafetyFacts`]
+//! tallies.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{AssignOp, BinOp, CType, Declarator, Expr, Program, SiteId, Stmt, StmtKind, UnOp};
 use crate::error::Span;
-use crate::interp::{builtin_min_args, parse_printf, parse_scanf, PSeg};
+use crate::interp::{array_extent, builtin_min_args, parse_printf, parse_scanf, PSeg};
 
 use super::domains::{InitState, Interval, Nullness};
 
@@ -72,71 +64,24 @@ const WIDEN_DELAY: usize = 3;
 pub(crate) const MAX_FIXPOINT_ITERS: usize = 64;
 
 // ====================================================================
-// Safety facts — the analyzer→backend contract.
+// Safety tallies.
 // ====================================================================
 
-/// Per-site safety verdicts exported from the value analysis: one
-/// plain vector per site kind, indexed by the [`SiteId`] the parser
-/// gave the `Expr::Index`, `Expr::Binary(Div|Rem)` or `Expr::Call`
-/// node, under the [`Program::fingerprint`] of the analyzed source.
-/// Ids and fingerprint survive `Program::clone`, so a table is valid
-/// for the program it was computed from and for every clone of it;
-/// [`SafetyFacts::matches`] refuses it for anything else by content.
-///
-/// `Some(true)` means proven safe: every execution reaching the site
-/// with operand values satisfies the guard the native backend would
-/// otherwise evaluate. `Some(false)` means visited but unknown, `None`
-/// never reached by the reporting pass — either way the guard stays.
-/// Call-site facts are recorded for completeness of the table (a
-/// proven call's own argument dispatch cannot fault) but are not yet
-/// consumed by the backend.
+/// Per-site safety verdicts of the value analysis, read only as two
+/// tallies: one vector per site kind, indexed by the [`SiteId`] the
+/// parser gave the `Expr::Index`, `Expr::Binary(Div|Rem)` or
+/// `Expr::Call` node. `Some(true)` means proven safe, `Some(false)`
+/// visited but unknown, `None` never reached by the reporting pass.
+/// Only the `e2e` ledger's probe reads the tallies; ROADMAP item 1's
+/// `[benchmark]` change deletes the table.
 #[derive(Clone, Debug, Default)]
 pub struct SafetyFacts {
-    fingerprint: u64,
     subscripts: Vec<Option<bool>>,
     divisions: Vec<Option<bool>>,
     calls: Vec<Option<bool>>,
 }
 
 impl SafetyFacts {
-    /// An all-unvisited table shaped for `prog`.
-    pub(crate) fn blank(prog: &Program) -> SafetyFacts {
-        let n = prog.sites();
-        SafetyFacts {
-            fingerprint: prog.fingerprint(),
-            subscripts: vec![None; n.subscripts as usize],
-            divisions: vec![None; n.divisions as usize],
-            calls: vec![None; n.calls as usize],
-        }
-    }
-
-    /// Whether this table describes `prog`: same source fingerprint and
-    /// the same number of sites of every kind.
-    pub fn matches(&self, prog: &Program) -> bool {
-        let n = prog.sites();
-        self.fingerprint == prog.fingerprint()
-            && self.subscripts.len() == n.subscripts as usize
-            && self.divisions.len() == n.divisions as usize
-            && self.calls.len() == n.calls as usize
-    }
-
-    /// Whether the subscript site is proven in-bounds.
-    pub fn subscript_safe(&self, site: SiteId) -> bool {
-        proven(&self.subscripts, site)
-    }
-
-    /// Whether the division/remainder site is proven to never see an
-    /// integer zero denominator.
-    pub fn division_safe(&self, site: SiteId) -> bool {
-        proven(&self.divisions, site)
-    }
-
-    /// Whether the call site's own argument dispatch is proven
-    /// fault-free.
-    pub fn call_safe(&self, site: SiteId) -> bool {
-        proven(&self.calls, site)
-    }
-
     /// `(subscripts, divisions, calls)` — sites the analysis visited.
     pub fn site_counts(&self) -> (usize, usize, usize) {
         let n = |v: &[Option<bool>]| v.iter().flatten().count();
@@ -150,30 +95,11 @@ impl SafetyFacts {
     }
 }
 
-fn proven(table: &[Option<bool>], site: SiteId) -> bool {
-    table.get(site.0 as usize) == Some(&Some(true))
-}
-
 /// A visit's verdict: a site stays proven only while every visit
 /// proves it.
 fn record(table: &mut [Option<bool>], site: SiteId, safe: bool) {
     if let Some(slot) = table.get_mut(site.0 as usize) {
         *slot = Some(slot.unwrap_or(true) && safe);
-    }
-}
-
-/// Test-only forgery: lets backend tests hand the compiler a *wrong*
-/// proof and assert the checked-elision oracle catches it.
-#[cfg(test)]
-impl SafetyFacts {
-    /// Claim the subscript site is proven in-bounds.
-    pub(crate) fn claim_subscript(&mut self, site: SiteId) {
-        self.subscripts[site.0 as usize] = Some(true);
-    }
-
-    /// Claim the division site is proven nonzero.
-    pub(crate) fn claim_division(&mut self, site: SiteId) {
-        self.divisions[site.0 as usize] = Some(true);
     }
 }
 
@@ -192,8 +118,8 @@ pub(crate) struct Finding {
 }
 
 /// Everything the analysis produces: findings for the lint report,
-/// facts for the backend, and the worst loop-head iteration count for
-/// the fixpoint-bound tests.
+/// the safety tallies, and the worst loop-head iteration count for the
+/// fixpoint-bound tests.
 pub(crate) struct ValueAnalysis {
     /// Per-site safety verdicts.
     pub facts: SafetyFacts,
@@ -455,6 +381,7 @@ struct Analyzer<'p> {
 /// Run the value analysis over `prog`'s `main` (helpers are not
 /// analyzed: their sites simply stay unknown, which is sound).
 pub(crate) fn analyze_main(prog: &Program) -> ValueAnalysis {
+    let n = prog.sites();
     let mut a = Analyzer {
         prog,
         env: None,
@@ -464,7 +391,11 @@ pub(crate) fn analyze_main(prog: &Program) -> ValueAnalysis {
         cur_span: Span::default(),
         findings: Vec::new(),
         finding_keys: BTreeSet::new(),
-        facts: SafetyFacts::blank(prog),
+        facts: SafetyFacts {
+            subscripts: vec![None; n.subscripts as usize],
+            divisions: vec![None; n.divisions as usize],
+            calls: vec![None; n.calls as usize],
+        },
         max_fixpoint_iters: 0,
     };
     if let Some(main) = prog.func("main") {
@@ -722,20 +653,11 @@ impl<'p> Analyzer<'p> {
     fn declare(&mut self, d: &'p Declarator) {
         match &d.ty {
             CType::Array(inner, n) => {
-                let total = match inner.as_ref() {
-                    CType::Array(_, Some(cols)) => n.unwrap_or(1) * cols,
-                    _ => match n {
-                        Some(n) => *n,
-                        None => {
-                            // `int a[];` is a definite runtime error.
-                            self.env = None;
-                            return;
-                        }
-                    },
-                };
-                let stride = match inner.as_ref() {
-                    CType::Array(_, Some(cols)) => Some(*cols),
-                    _ => None,
+                // `int a[];` and an extent that overflows are definite
+                // runtime errors.
+                let Ok((total, stride)) = array_extent(&d.name, inner, *n) else {
+                    self.env = None;
+                    return;
                 };
                 self.bind_decl(
                     &d.name,

@@ -22,8 +22,7 @@
 //! 4. **Value analysis** ([`absint`]): a flow-sensitive abstract
 //!    interpreter over interval/initialization/nullness/extent domains
 //!    ([`domains`]) proves per-site safety facts. Provable faults and
-//!    dead code become HD016–HD021; the [`absint::SafetyFacts`] table
-//!    lets the native backend elide host-side guards at proven sites.
+//!    dead code become HD016–HD021.
 
 pub mod absint;
 pub mod clauses;

@@ -39,14 +39,6 @@ pub fn parse(src: &str) -> Result<Program, CcError> {
         funcs,
         directives: p.directives,
         sites: p.sites,
-        fingerprint: fnv1a(src.as_bytes()),
-    })
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 

@@ -78,11 +78,10 @@ pub struct Analysis {
     /// to it: def-use events in execution order, emit/branch/subscript
     /// sites, region-local declarations.
     pub units: Vec<RegionUnit>,
-    /// Per-site safety proofs from the value analysis
-    /// ([`crate::lint::absint`]); the native backend consumes these via
-    /// [`crate::backend::NativeBackend::with_facts`] to pick the guarded
-    /// or unguarded opcode at each site. Indexed by the parser's site
-    /// ids: valid for the `Program` analyzed and for its clones.
+    /// How many guard sites the value analysis
+    /// ([`crate::lint::absint`]) visited and proved safe. Only the `e2e`
+    /// ledger's probe reads it; ROADMAP item 1's `[benchmark]` change
+    /// deletes it.
     pub safety: SafetyFacts,
     /// The same run's HD016–HD021 findings, for
     /// [`crate::lint::lint_program`].

@@ -1,22 +1,19 @@
 //! Generative differential suite: random well-typed programs from
 //! `hetero_cc::testgen` must behave identically under the interpreter
 //! and the register-bytecode native backend — byte-identical stdout,
-//! identical `InterpStats`, identical error text. The main sweep runs the
-//! native backend as production does (`ElisionMode::On`); a second sweep
-//! runs it under `Checked`, the analyzer's soundness oracle.
+//! identical `InterpStats`, identical error text.
 //!
 //! Deterministic by default: `HETERO_TESTGEN_SEED` (default pinned) and
 //! `HETERO_TESTGEN_CASES` (default 256) control the sweep, so CI runs
 //! reproduce locally with the same two env vars. On a mismatch the case
 //! is shrunk by greedily dropping independent segments and the minimal
 //! counterexample (source + input + the native backend's bytecode
-//! listing under the mode that diverged) is written to
+//! listing) is written to
 //! `target/testgen-failures/` for artifact upload.
 
-use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, NativeBackend};
+use hetero_cc::backend::{make_backend, BackendKind, NativeBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
-use hetero_cc::sema::analyze;
 use hetero_cc::testgen::{generate, GenCase};
 
 /// Pinned default seed (paper venue date) — change deliberately, never
@@ -38,25 +35,23 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 type RunResult = Result<(Vec<u8>, InterpStats), String>;
 
-/// The interpreter ignores `mode`.
-fn run_backend(kind: BackendKind, mode: ElisionMode, src: &str, io: &mut StreamIo) -> RunResult {
+fn run_backend(kind: BackendKind, src: &str, io: &mut StreamIo) -> RunResult {
     let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
-    let facts = analyze(&prog).map_err(|e| format!("sema: {e}"))?.safety;
-    let backend = make_backend_with_facts(kind, &prog, &facts, mode);
+    let backend = make_backend(kind, &prog);
     match backend.run_capped(io, MAX_STEPS) {
         Ok(stats) => Ok((io.stdout.clone(), stats)),
         Err(e) => Err(e.to_string()),
     }
 }
 
-/// Whether the interpreter and the native backend under `On` disagree on
-/// this exact source + input.
+/// Whether the interpreter and the native backend disagree on this exact
+/// source + input.
 fn diverges(case: &GenCase, mask: &[bool]) -> Option<String> {
     let src = case.source_with(mask);
     let mut io_i = case.make_io();
-    let ri = run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io_i);
+    let ri = run_backend(BackendKind::Interp, &src, &mut io_i);
     let mut io_n = case.make_io();
-    let rn = run_backend(BackendKind::Native, ElisionMode::On, &src, &mut io_n);
+    let rn = run_backend(BackendKind::Native, &src, &mut io_n);
     match (&ri, &rn) {
         (Ok((oi, si)), Ok((on, sn))) => {
             if oi != on {
@@ -110,7 +105,7 @@ fn shrink(case: &GenCase) -> Vec<bool> {
     }
 }
 
-fn write_counterexample(case: &GenCase, mask: &[bool], mode: ElisionMode, why: &str) -> String {
+fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
     let dir = std::path::Path::new("target/testgen-failures");
     let _ = std::fs::create_dir_all(dir);
     let src_path = dir.join(format!("seed-{}.c", case.seed));
@@ -118,16 +113,13 @@ fn write_counterexample(case: &GenCase, mask: &[bool], mode: ElisionMode, why: &
     let src = case.source_with(mask);
     let _ = std::fs::write(&src_path, &src);
     let _ = std::fs::write(&input_path, format!("# why: {why}\n{}", case.input_dump()));
-    // What the native backend actually ran, under the mode that
-    // diverged, so the divergence can be read and not just reproduced.
+    // What the native backend actually ran, so the divergence can be
+    // read and not just reproduced.
     if let Ok(prog) = parse(&src) {
-        if let Ok(analysis) = analyze(&prog) {
-            let native = NativeBackend::with_facts(&prog, &analysis.safety, mode);
-            let _ = std::fs::write(
-                dir.join(format!("seed-{}.disasm", case.seed)),
-                format!("# elide={}\n{}", mode.name(), native.disasm()),
-            );
-        }
+        let _ = std::fs::write(
+            dir.join(format!("seed-{}.disasm", case.seed)),
+            NativeBackend::new(&prog).disasm(),
+        );
     }
     src_path.display().to_string()
 }
@@ -142,7 +134,7 @@ fn generated_programs_agree_across_backends() {
         let full = vec![true; case.segments.len()];
         if let Some(why) = diverges(&case, &full) {
             let minimal = shrink(&case);
-            let path = write_counterexample(&case, &minimal, ElisionMode::On, &why);
+            let path = write_counterexample(&case, &minimal, &why);
             panic!(
                 "backend divergence at seed {} (case {i}/{cases}):\n{why}\n\
                  minimal counterexample written to {path}\n\
@@ -153,7 +145,7 @@ fn generated_programs_agree_across_backends() {
         // Track how many cases end in a (matching) runtime error so a
         // generator drift toward all-error programs gets caught.
         let (src, mut io) = (case.source(), case.make_io());
-        if run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io).is_err() {
+        if run_backend(BackendKind::Interp, &src, &mut io).is_err() {
             errored += 1;
         }
     }
@@ -162,63 +154,6 @@ fn generated_programs_agree_across_backends() {
         "generator drift: {errored}/{cases} cases end in runtime errors; \
          the corpus should be dominated by successful runs"
     );
-}
-
-#[test]
-fn generated_programs_survive_checked_elision() {
-    // Soundness fuzzer for the value analysis: run every generated case
-    // on the native backend in Checked mode, where each guard the
-    // analysis proved safe is still evaluated and *panics* if it would
-    // have fired. A panic here means `SafetyFacts` proved something
-    // false — an analyzer bug, not a generator or backend one. The
-    // checked run must also agree bit-for-bit with the interpreter so
-    // both elision modes stay observationally identical on the
-    // whole random corpus, not just on the curated benchmarks.
-    let seed = env_u64("HETERO_TESTGEN_SEED", DEFAULT_SEED);
-    let cases = env_u64("HETERO_TESTGEN_CASES", DEFAULT_CASES);
-    for i in 0..cases {
-        let case = generate(seed.wrapping_add(i));
-        let src = case.source();
-        let mut io_i = case.make_io();
-        let ri = run_backend(BackendKind::Interp, ElisionMode::On, &src, &mut io_i);
-        let mut io_c = case.make_io();
-        let rc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_backend(BackendKind::Native, ElisionMode::Checked, &src, &mut io_c)
-        }));
-        let rc = match rc {
-            Ok(r) => r,
-            Err(payload) => {
-                let why = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                let full = vec![true; case.segments.len()];
-                let path = write_counterexample(&case, &full, ElisionMode::Checked, &why);
-                panic!(
-                    "checked-elision soundness violation at seed {} (case {i}/{cases}):\n{why}\n\
-                     counterexample written to {path}\n\
-                     reproduce with HETERO_TESTGEN_SEED={} HETERO_TESTGEN_CASES=1",
-                    case.seed, case.seed
-                );
-            }
-        };
-        let agree = match (&ri, &rc) {
-            (Ok((oi, si)), Ok((oc, sc))) => oi == oc && si == sc,
-            (Err(ei), Err(ec)) => ei == ec,
-            _ => false,
-        };
-        if !agree {
-            let full = vec![true; case.segments.len()];
-            let path =
-                write_counterexample(&case, &full, ElisionMode::Checked, "checked-elision parity");
-            panic!(
-                "checked-elision run diverged from interpreter at seed {} (case {i}/{cases})\n\
-                 counterexample written to {path}",
-                case.seed
-            );
-        }
-    }
 }
 
 #[test]
@@ -231,7 +166,7 @@ fn generated_stats_are_nontrivial() {
     for i in 0..64 {
         let case = generate(seed.wrapping_add(i));
         let (src, mut io) = (case.source(), case.make_io());
-        if let Ok((_, s)) = run_backend(BackendKind::Native, ElisionMode::On, &src, &mut io) {
+        if let Ok((_, s)) = run_backend(BackendKind::Native, &src, &mut io) {
             agg.ops += s.ops;
             agg.mem += s.mem;
             agg.sfu += s.sfu;

@@ -1,14 +1,11 @@
 //! Edge-case corpus for the C-subset semantics, with the interpreter as
-//! executable spec: every case runs on the interpreter, on the bytecode
-//! engine with proven guards elided (`On`, production) and on it with
-//! them panic-checked (`Checked`, the soundness oracle). All three must
-//! agree exactly — byte-identical stdout + identical `InterpStats` on
-//! success, identical error text on failure — and none may panic (a
-//! panic fails the test harness).
+//! executable spec: every case runs on the interpreter and on the
+//! bytecode engine. Both must agree exactly — byte-identical stdout +
+//! identical `InterpStats` on success, identical error text on failure
+//! — and neither may panic (a panic fails the test harness).
 
-use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
+use hetero_cc::backend::{make_backend, BackendKind};
 use hetero_cc::interp::{InterpStats, StreamIo};
-use hetero_cc::lint::absint::SafetyFacts;
 use hetero_cc::parse::parse;
 
 enum In {
@@ -29,16 +26,9 @@ fn make_io(input: &In) -> StreamIo {
     }
 }
 
-fn run(
-    kind: BackendKind,
-    mode: ElisionMode,
-    src: &str,
-    input: &In,
-) -> Result<(Vec<u8>, InterpStats), String> {
+fn run(kind: BackendKind, src: &str, input: &In) -> Result<(Vec<u8>, InterpStats), String> {
     let prog = parse(src).unwrap_or_else(|e| panic!("corpus case does not parse: {e}\n{src}"));
-    // No table offered: the engine analyses the parsed program itself (a
-    // case `sema` rejects keeps every guard).
-    let backend = make_backend_with_facts(kind, &prog, &SafetyFacts::default(), mode);
+    let backend = make_backend(kind, &prog);
     let mut io = make_io(input);
     match backend.run_capped(&mut io, 1_000_000) {
         Ok(stats) => Ok((io.stdout, stats)),
@@ -46,19 +36,12 @@ fn run(
     }
 }
 
-/// Assert exact agreement of the bytecode engine, under both elision
-/// modes, with the interpreter; returns the interpreter's outcome for
-/// extra checks.
+/// Assert exact agreement of the bytecode engine with the interpreter;
+/// returns the interpreter's outcome for extra checks.
 fn agree(name: &str, src: &str, input: &In) -> Result<(Vec<u8>, InterpStats), String> {
-    let ri = run(BackendKind::Interp, ElisionMode::On, src, input);
-    for mode in [ElisionMode::On, ElisionMode::Checked] {
-        let rn = run(BackendKind::Native, mode, src, input);
-        let mode = mode.name();
-        assert_eq!(
-            ri, rn,
-            "native elide={mode} diverged on corpus case `{name}`:\n{src}"
-        );
-    }
+    let ri = run(BackendKind::Interp, src, input);
+    let rn = run(BackendKind::Native, src, input);
+    assert_eq!(ri, rn, "native diverged on corpus case `{name}`:\n{src}");
     ri
 }
 
@@ -665,6 +648,97 @@ fn allocation_size_edges() {
     let src = r#"int main() { char *p; p = malloc(0); p[0] = 7; printf("x\t%d\n", p[0] + strlen(calloc(0, 8))); return 0; }"#;
     let (out, _) = agree("malloc_zero", src, &In::None).unwrap();
     assert_eq!(out, b"x\t7\n");
+}
+
+#[test]
+fn declared_extent_edges() {
+    // An extent whose element count overflows, or whose buffer the
+    // allocator refuses (2^47 bytes and more: past any user address
+    // space; a byte count past `isize::MAX`), is a runtime error where
+    // the declaration runs, with the same text in both engines; the
+    // front end analyses the program without panicking.
+    for (name, src, expect) in [
+        (
+            "extent_overflow",
+            "int main() { double m[4294967296][4294967296]; m[0][0] = 1.0; return 0; }",
+            "array m: invalid size 4294967296 * 4294967296 (overflow)",
+        ),
+        (
+            "extent_2_pow_47_bytes",
+            "int main() { int a[17592186044416]; a[0] = 1; return 0; }",
+            "array a: invalid size 17592186044416 (allocation failed)",
+        ),
+        (
+            "extent_2d_2_pow_47_bytes",
+            "int main() { char c[8388608][16777216]; return 0; }",
+            "array c: invalid size 140737488355328 (allocation failed)",
+        ),
+        (
+            "extent_bytes_overflow",
+            "int main() { int x; x = 1; if (x) { double d[2305843009213693952]; } return 0; }",
+            "array d: invalid size 2305843009213693952 (allocation failed)",
+        ),
+    ] {
+        hetero_cc::compile(src).unwrap_or_else(|e| panic!("case `{name}`: {e}"));
+        let r = agree(name, src, &In::None);
+        assert_eq!(
+            r.unwrap_err(),
+            format!("interpreter error: {expect}"),
+            "case `{name}`"
+        );
+    }
+}
+
+#[test]
+fn subscript_positions_are_exact() {
+    // `off + row * stride + i` past `isize`: out of bounds at its exact
+    // value in both engines, never wrapped onto another element (here
+    // `m[0][1]`, which holds 5.0) and never an overflow panic. The same
+    // guard checks a dereference.
+    for (name, src, expect) in [
+        (
+            "row_times_stride_wraps",
+            "int main() { double m[3][4]; long r; r = 4611686018427387904; m[0][1] = 5.0; \
+             printf(\"%f\\n\", m[r][1]); return 0; }",
+            "index 18446744073709551617 out of bounds for buffer of 12",
+        ),
+        (
+            "negative_row_wraps",
+            "int main() { double m[3][4]; long r; r = 0 - 4611686018427387904; m[0][1] = 5.0; \
+             m[r][1] = 2.0; return 0; }",
+            "index -18446744073709551615 out of bounds for buffer of 12",
+        ),
+        (
+            "offset_plus_index_wraps",
+            "int main() { int a[4]; int *p; long n; n = 9223372036854775807; p = a + n; \
+             printf(\"%d\\n\", p[n]); return 0; }",
+            "index 18446744073709551614 out of bounds for buffer of 4",
+        ),
+        (
+            "address_of_wraps",
+            "int main() { int a[4]; int *p; long n; n = 9223372036854775807; p = a + n; \
+             p = &p[n]; return 0; }",
+            "index 18446744073709551614 out of bounds for buffer of 4",
+        ),
+        // A dereference is the subscript `p[0]`, checked the same way.
+        (
+            "deref_past_the_end",
+            "int main() { int a[4]; int *p; p = a + 4; printf(\"%d\\n\", *p); return 0; }",
+            "index 4 out of bounds for buffer of 4",
+        ),
+        (
+            "store_before_the_start",
+            "int main() { char b[4]; char *p; p = b - 1; *p = 'x'; return 0; }",
+            "index -1 out of bounds for buffer of 4",
+        ),
+    ] {
+        let r = agree(name, src, &In::None);
+        assert_eq!(
+            r.unwrap_err(),
+            format!("interpreter error: {expect}"),
+            "case `{name}`"
+        );
+    }
 }
 
 #[test]

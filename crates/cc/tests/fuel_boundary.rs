@@ -1,14 +1,13 @@
-//! Step-budget boundary: the native engine (as production runs it,
-//! `ElisionMode::On`) charges steps a basic block at a time, the
-//! interpreter a node at a time. They must still agree at **every**
-//! budget — same `Ok`/`Err`, same error text (so a step limit that lands
-//! next to a `1 / 0` or an out-of-bounds subscript wins or loses exactly
-//! as in the interpreter), and on `Ok` the same `InterpStats` and stdout.
+//! Step-budget boundary: the native engine charges steps a basic block
+//! at a time, the interpreter a node at a time. They must still agree at
+//! **every** budget — same `Ok`/`Err`, same error text (so a step limit
+//! that lands next to a `1 / 0` or an out-of-bounds subscript wins or
+//! loses exactly as in the interpreter), and on `Ok` the same
+//! `InterpStats` and stdout.
 
-use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
+use hetero_cc::backend::{make_backend, BackendKind};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
-use hetero_cc::sema::analyze;
 
 const STEP_LIMIT: &str = "interpreter error: step limit exceeded (infinite loop?)";
 
@@ -16,8 +15,7 @@ type Outcome = Result<(InterpStats, Vec<u8>), String>;
 
 fn run(kind: BackendKind, src: &str, io: &dyn Fn() -> StreamIo, max_steps: u64) -> Outcome {
     let prog = parse(src).unwrap();
-    let facts = analyze(&prog).unwrap().safety;
-    let backend = make_backend_with_facts(kind, &prog, &facts, ElisionMode::On);
+    let backend = make_backend(kind, &prog);
     let mut io = io();
     match backend.run_capped(&mut io, max_steps) {
         Ok(stats) => Ok((stats, io.stdout)),

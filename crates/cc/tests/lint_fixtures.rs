@@ -12,6 +12,8 @@
 //! missing diagnostic, an extra one, a drifted span line, or a changed
 //! severity all fail.
 
+use hetero_cc::backend::{make_backend, BackendKind};
+use hetero_cc::interp::StreamIo;
 use hetero_cc::lint::{lint_program, LintLevel};
 use hetero_cc::parse::parse;
 use hetero_cc::sema::analyze;
@@ -142,4 +144,32 @@ fn lint_level_gates_compilation_per_fixture() {
             .unwrap_or_else(|e| panic!("{name}: LintLevel::Off rejected: {e}"));
         assert!(off.lint.diags.is_empty(), "{name}: Off still linted");
     }
+}
+
+#[test]
+fn provable_faults_fault_on_both_engines() {
+    // HD016 and HD017 claim a run-time fault, and nothing else in the
+    // analysis claims anything about a run: every fixture expecting one
+    // must end in that error, with the same text, on both engines.
+    let mut checked = 0;
+    for (name, src) in fixtures() {
+        let expected = expectations(&src);
+        let fault = match () {
+            _ if expected.iter().any(|(c, _, _)| c == "HD016") => "out of bounds",
+            _ if expected.iter().any(|(c, _, _)| c == "HD017") => "by zero",
+            _ => continue,
+        };
+        let prog = parse(&src).unwrap();
+        let [interp, native] = [BackendKind::Interp, BackendKind::Native].map(|kind| {
+            let mut io = StreamIo::kvs(vec![(b"k".to_vec(), b"1".to_vec())]);
+            match make_backend(kind, &prog).run(&mut io) {
+                Ok(_) => panic!("{name}: {} ran to completion", kind.name()),
+                Err(e) => e.to_string(),
+            }
+        });
+        assert_eq!(interp, native, "{name}: the engines' errors differ");
+        assert!(interp.contains(fault), "{name}: {interp}");
+        checked += 1;
+    }
+    assert_eq!(checked, 5, "expected the five HD016/HD017 fixtures");
 }

@@ -5,7 +5,7 @@
 //! succeeds and both engines run the mapper; one level deeper, `parse`
 //! names the line.
 
-use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode};
+use hetero_cc::backend::{make_backend, BackendKind};
 use hetero_cc::interp::StreamIo;
 use hetero_cc::parse::{parse, MAX_NESTING};
 use hetero_cc::{compile, CcError};
@@ -53,9 +53,8 @@ fn shapes() -> [(&'static str, Shape); 5] {
 /// Both engines' stdout for `src` over two records.
 fn run_both(src: &str) -> [Vec<u8>; 2] {
     let prog = parse(src).unwrap();
-    let facts = hetero_cc::sema::analyze(&prog).unwrap().safety;
     [BackendKind::Interp, BackendKind::Native].map(|kind| {
-        let backend = make_backend_with_facts(kind, &prog, &facts, ElisionMode::On);
+        let backend = make_backend(kind, &prog);
         let mut io = StreamIo::lines(vec![b"a b\n".to_vec(), b"c\n".to_vec()]);
         backend.run_capped(&mut io, 10_000_000).unwrap();
         io.stdout

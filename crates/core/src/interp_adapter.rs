@@ -3,14 +3,14 @@
 //! source* executes on both the CPU and the (simulated) GPU, the paper's
 //! central programmability claim.
 //!
-//! Kernels run on the register-bytecode engine with the guards `compile`
-//! proved elided (see `hetero_cc::backend`); nothing selects another
-//! engine at run time. The whole-job oracle pins engine and elision mode
-//! through [`CompiledApp::with_backend_mode`]: every engine charges
-//! identical [`InterpStats`], so every simulated cycle downstream is
-//! bit-identical across them.
+//! Kernels run on the register-bytecode engine (see
+//! `hetero_cc::backend`); nothing selects another engine at run time.
+//! The whole-job oracle pins the engine through
+//! [`CompiledApp::with_backend`]: every engine charges identical
+//! [`InterpStats`], so every simulated cycle downstream is bit-identical
+//! across them.
 
-use hetero_cc::backend::{make_backend_with_facts, BackendKind, ElisionMode, KernelBackend};
+use hetero_cc::backend::{make_backend, BackendKind, KernelBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::{CcError, Compiled};
 use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
@@ -25,22 +25,15 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Wrap a compiled program on the bytecode engine, eliding the guards
-    /// `compile` proved.
+    /// Wrap a compiled program on the bytecode engine.
     pub fn new(compiled: &Compiled) -> Self {
-        Self::with_backend_mode(compiled, BackendKind::Native, ElisionMode::On)
+        Self::with_backend(compiled, BackendKind::Native)
     }
 
-    /// Wrap a compiled program on an explicit engine and elision mode,
-    /// handing the engine the safety facts `compile` already proved.
-    pub(crate) fn with_backend_mode(
-        compiled: &Compiled,
-        kind: BackendKind,
-        mode: ElisionMode,
-    ) -> Self {
-        let (prog, facts) = (&compiled.program, &compiled.analysis.safety);
+    /// Wrap a compiled program on an explicit engine.
+    pub(crate) fn with_backend(compiled: &Compiled, kind: BackendKind) -> Self {
         CompiledKernel {
-            backend: make_backend_with_facts(kind, prog, facts, mode),
+            backend: make_backend(kind, &compiled.program),
         }
     }
 }
@@ -99,7 +92,6 @@ impl Combiner for CompiledKernel {
 pub struct CompiledApp {
     inner: Box<dyn hetero_apps::App>,
     kind: BackendKind,
-    mode: ElisionMode,
     mapper: Compiled,
     combiner: Option<Compiled>,
 }
@@ -108,16 +100,15 @@ impl CompiledApp {
     /// Compile `inner`'s C sources; kernels execute as
     /// [`CompiledKernel::new`]'s do.
     pub fn new(inner: Box<dyn hetero_apps::App>) -> Result<Self, CcError> {
-        Self::with_backend_mode(inner, BackendKind::Native, ElisionMode::On)
+        Self::with_backend(inner, BackendKind::Native)
     }
 
-    /// Compile `inner`'s C sources; kernels execute on `kind` with the
-    /// given guard-elision mode. Only the whole-job oracle, which pits the
-    /// interpreter and `Checked` against production, calls this.
-    pub fn with_backend_mode(
+    /// Compile `inner`'s C sources; kernels execute on `kind`. Only the
+    /// whole-job oracle, which pits the interpreter against production,
+    /// calls this.
+    pub fn with_backend(
         inner: Box<dyn hetero_apps::App>,
         kind: BackendKind,
-        mode: ElisionMode,
     ) -> Result<Self, CcError> {
         let mapper = hetero_cc::compile(inner.mapper_source())?;
         let combiner = inner
@@ -127,14 +118,13 @@ impl CompiledApp {
         Ok(CompiledApp {
             inner,
             kind,
-            mode,
             mapper,
             combiner,
         })
     }
 
     fn kernel(&self, compiled: &Compiled) -> CompiledKernel {
-        CompiledKernel::with_backend_mode(compiled, self.kind, self.mode)
+        CompiledKernel::with_backend(compiled, self.kind)
     }
 }
 
@@ -190,7 +180,7 @@ mod tests {
     fn the_interpreter_oracle_emits_and_charges_as_production_does() {
         let app = app_by_code("WC").unwrap();
         let compiled = hetero_cc::compile(app.mapper_source()).unwrap();
-        let mi = CompiledKernel::with_backend_mode(&compiled, BackendKind::Interp, ElisionMode::On);
+        let mi = CompiledKernel::with_backend(&compiled, BackendKind::Interp);
         let mn = CompiledKernel::new(&compiled);
         let mut a = VecEmit::default();
         let mut b = VecEmit::default();
