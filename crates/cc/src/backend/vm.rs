@@ -62,8 +62,7 @@ struct Storage {
 
 thread_local! {
     /// The storage this thread's last finished run handed back, so the
-    /// next run allocates none of it afresh. A run that panics never
-    /// hands it back, and the next run starts from new storage.
+    /// next run allocates none of it afresh.
     static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
 }
 

@@ -221,8 +221,9 @@ pub(crate) fn write_buf(
 /// `off + row * stride + i` (`row` and `stride` are 0 but for a strided
 /// 2-D access). A pointer's `off` is signed (`p - 1` wraps to
 /// `usize::MAX`); a declared extent, and so `stride`, is at most
-/// `i64::MAX`. A position past `isize` is out of bounds, never wrapped
-/// onto another element.
+/// `i64::MAX`. The position is exact: a sum past `isize` is never
+/// wrapped onto another element, and an intermediate past `isize` that
+/// the last term brings back into bounds still names its element.
 #[inline(always)]
 pub(crate) fn check_bounds(
     heap: &[Buffer],
@@ -240,16 +241,29 @@ pub(crate) fn check_bounds(
     match pos {
         // A negative position casts past any length.
         Some(p) if (p as usize) < len => Ok((buf, p as usize)),
-        _ => Err(out_of_bounds(off, row, stride, i, len)),
+        _ => locate_exactly(buf, off, row, stride, i, len),
     }
 }
 
-/// [`check_bounds`]' error, naming the position exactly: in `i128` the
-/// sum cannot overflow.
+/// [`check_bounds`]' cold path: the position in `i128`, where the sum
+/// cannot overflow. In bounds, it is the element; out of bounds, the
+/// error names it.
 #[cold]
-fn out_of_bounds(off: usize, row: i64, stride: usize, i: i64, len: usize) -> CcError {
+fn locate_exactly(
+    buf: usize,
+    off: usize,
+    row: i64,
+    stride: usize,
+    i: i64,
+    len: usize,
+) -> Result<(usize, usize), CcError> {
     let pos = off as isize as i128 + row as i128 * stride as i128 + i as i128;
-    CcError::interp(format!("index {pos} out of bounds for buffer of {len}"))
+    match usize::try_from(pos) {
+        Ok(p) if p < len => Ok((buf, p)),
+        _ => Err(CcError::interp(format!(
+            "index {pos} out of bounds for buffer of {len}"
+        ))),
+    }
 }
 
 /// Element count and row stride of the array `name` declared with type
@@ -276,7 +290,10 @@ pub(crate) fn array_extent(
 }
 
 /// `n` default values, or `None` when the allocator refuses the
-/// reservation.
+/// reservation. Fallible allocation is chosen over lazily zeroed pages:
+/// `vec![0; n]` would get a large buffer zeroed by the OS on first touch
+/// but aborts the process when refused, whereas `resize` writes, and so
+/// commits, every element up front.
 fn zeroed<T: Clone + Default>(n: usize) -> Option<Vec<T>> {
     let mut v = Vec::new();
     v.try_reserve_exact(n).ok()?;

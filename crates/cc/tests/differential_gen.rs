@@ -1,7 +1,9 @@
 //! Generative differential suite: random well-typed programs from
 //! `hetero_cc::testgen` must behave identically under the interpreter
 //! and the register-bytecode native backend — byte-identical stdout,
-//! identical `InterpStats`, identical error text.
+//! identical `InterpStats`, identical error text. The front end and its
+//! value analysis run on every case too, and the lints' "provably
+//! faults" claims are held to the run.
 //!
 //! Deterministic by default: `HETERO_TESTGEN_SEED` (default pinned) and
 //! `HETERO_TESTGEN_CASES` (default 256) control the sweep, so CI runs
@@ -12,7 +14,9 @@
 //! `target/testgen-failures/` for artifact upload.
 
 use hetero_cc::backend::{make_backend, BackendKind, NativeBackend};
+use hetero_cc::compile_with;
 use hetero_cc::interp::{InterpStats, StreamIo};
+use hetero_cc::lint::{lint_program, LintLevel};
 use hetero_cc::parse::parse;
 use hetero_cc::testgen::{generate, GenCase};
 
@@ -142,10 +146,37 @@ fn generated_programs_agree_across_backends() {
                 case.seed, case.seed
             );
         }
+        // The front end runs on every case as production runs it before
+        // a kernel: parse, sema with its value analysis, translation and
+        // the lint pass must take the case without an error or a panic.
+        let (src, mut io) = (case.source(), case.make_io());
+        let compiled = compile_with(&src, LintLevel::Off)
+            .unwrap_or_else(|e| panic!("seed {}: front end rejected the case: {e}", case.seed));
+        let lint = lint_program(&src, &compiled.program, &compiled.analysis);
+        let ran = run_backend(BackendKind::Interp, &src, &mut io);
+        // HD016 and HD017 claim a fault wherever their site is reached.
+        // The engines keep no per-site hit record, so the corpus is held
+        // to what the claim implies for a site on the run's path: the run
+        // ends in that fault. Every finding of the pinned corpus (and of
+        // the 8 192 seeds past it) sits on that path.
+        for d in &lint.diags {
+            let fault = match d.code {
+                "HD016" => "out of bounds",
+                "HD017" => "by zero",
+                _ => continue,
+            };
+            assert!(
+                matches!(&ran, Err(e) if e.contains(fault)),
+                "seed {}: {} at line {} claims a fault the run does not end in \
+                 (or its site is off the run's path): {ran:?}",
+                case.seed,
+                d.code,
+                d.span.line
+            );
+        }
         // Track how many cases end in a (matching) runtime error so a
         // generator drift toward all-error programs gets caught.
-        let (src, mut io) = (case.source(), case.make_io());
-        if run_backend(BackendKind::Interp, &src, &mut io).is_err() {
+        if ran.is_err() {
             errored += 1;
         }
     }

@@ -739,6 +739,15 @@ fn subscript_positions_are_exact() {
             "case `{name}`"
         );
     }
+    // `row * stride` is 2^63, past `isize`, but `i` brings the sum back
+    // to 1: the exact position is `m[0][1]`, read in both engines.
+    let r = agree(
+        "intermediate_wraps_back_in_bounds",
+        "int main() { double m[3][4]; long r; r = 2305843009213693952; m[0][1] = 5.0; \
+         printf(\"%f\\n\", m[r][0 - 9223372036854775807]); return 0; }",
+        &In::None,
+    );
+    assert_eq!(r.unwrap().0, b"5.000000\n");
 }
 
 #[test]
