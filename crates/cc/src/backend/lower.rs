@@ -19,8 +19,18 @@
 //! lowering never fails: ill-formed constructs (unknown names,
 //! non-literal formats, bad arity…) lower to a `Trap` carrying the
 //! interpreter's message, raised only if reached.
+//!
+//! **Inlining.** A call to a small *leaf* — a user function that calls
+//! no user function, declares no array and takes no `&` of a name —
+//! lowers in place when the arity matches and no call cycle reaches the
+//! caller (so the call could never have hit the VM's depth limit). The
+//! callee's parameters and locals become registers pinned above the
+//! caller's live temporaries, `return e` writes the call's destination
+//! and jumps to the continuation, and every tick stays where the
+//! interpreter ticks. Every other call stays a `Call`.
 
 use super::bytecode::{Bytecode, Cmp, Func, Insn, Pc, Site2, R};
+use super::vm::MAX_CALL_DEPTH;
 use crate::ast::*;
 use crate::error::CcError;
 use crate::interp::{
@@ -36,6 +46,15 @@ pub(crate) fn lower(prog: &Program) -> Bytecode {
     for (i, f) in prog.funcs.iter().enumerate() {
         fn_indices.entry(&f.name).or_insert(i);
     }
+    let mut effects = HashSet::new();
+    for f in &prog.funcs {
+        walk_stmts(&f.body, &mut |s| {
+            stmt_roots(s, &mut |e| {
+                mark_effects(e, &mut effects);
+            });
+        });
+    }
+    let (leaves, inline_into) = inline_plan(prog, &fn_indices);
     let mut lw = Lower {
         prog,
         out: Bytecode {
@@ -51,12 +70,90 @@ pub(crate) fn lower(prog: &Program) -> Bytecode {
         },
         fn_indices,
         const_ids: HashMap::new(),
+        effects,
+        leaves,
         f: FnState::default(),
     };
-    for f in &prog.funcs {
-        lw.func(f);
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        lw.func(f, inline_into[fi]);
     }
     lw.out
+}
+
+/// Largest callee, in statements and expression nodes, that a call site
+/// inlines: bounds the code an inlined program can grow by to a constant
+/// factor of its call sites.
+const INLINE_MAX_NODES: usize = 256;
+
+/// Names a leaf's body assigns or steps, in any scope: a parameter not
+/// among them reads its argument's operand directly.
+type Written = HashSet<String>;
+
+/// Which functions are inlinable leaves (with their [`Written`] names),
+/// and which functions may inline them: those no call cycle reaches.
+/// Such a function runs at most `funcs.len() - 1` frames deep, below
+/// [`MAX_CALL_DEPTH`], so none of its calls could have failed the depth
+/// check.
+fn inline_plan(
+    prog: &Program,
+    fn_indices: &HashMap<&str, usize>,
+) -> (Vec<Option<Written>>, Vec<bool>) {
+    let n = prog.funcs.len();
+    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut leaves = Vec::with_capacity(n);
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        let (mut nodes, mut leaf) = (0, true);
+        let mut written = HashSet::new();
+        walk_stmts(&f.body, &mut |s| {
+            nodes += 1;
+            if let StmtKind::Decl(ds) = &s.kind {
+                leaf &= !ds.iter().any(|d| d.ty.is_array());
+            }
+            own_exprs(s, &mut |e| {
+                nodes += 1;
+                match e {
+                    Expr::Call(name, ..) => {
+                        if let Some(&g) = fn_indices.get(name.as_str()) {
+                            callees[fi].push(g);
+                            leaf = false;
+                        }
+                    }
+                    Expr::Unary(UnOp::AddrOf, x) => leaf &= !matches!(**x, Expr::Ident(_)),
+                    Expr::Assign(_, x, _)
+                    | Expr::PostInc(x)
+                    | Expr::PostDec(x)
+                    | Expr::Unary(UnOp::PreInc | UnOp::PreDec, x) => {
+                        let mut x: &Expr = x;
+                        while let Expr::Cast(_, inner) = x {
+                            x = inner;
+                        }
+                        if let Expr::Ident(name) = x {
+                            written.insert(name.clone());
+                        }
+                    }
+                    _ => {}
+                }
+            });
+        });
+        leaves.push((leaf && nodes <= INLINE_MAX_NODES).then_some(written));
+    }
+    // Kahn's peel: what it removes is exactly what no cycle reaches.
+    let mut indeg = vec![0usize; n];
+    for g in callees.iter().flatten() {
+        indeg[*g] += 1;
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&f| indeg[f] == 0).collect();
+    let mut inline_into = vec![false; n];
+    while let Some(f) = ready.pop() {
+        inline_into[f] = n <= MAX_CALL_DEPTH;
+        for &g in &callees[f] {
+            indeg[g] -= 1;
+            if indeg[g] == 0 {
+                ready.push(g);
+            }
+        }
+    }
+    (leaves, inline_into)
 }
 
 #[derive(Clone, Copy)]
@@ -103,9 +200,21 @@ enum Access {
     Addr(R),
 }
 
+/// The call being lowered in place.
+#[derive(Clone, Copy)]
+struct Inline<'a> {
+    /// The call's destination: what `return` writes.
+    dst: R,
+    /// Continuation label: where a `return` jumps.
+    ret: u32,
+    /// The body's last top-level statement: a `return` there falls
+    /// through to the continuation.
+    tail: Option<&'a Stmt>,
+}
+
 /// Per-function lowering state.
 #[derive(Default)]
-struct FnState {
+struct FnState<'a> {
     fast: Vec<Insn>,
     twin: Vec<Insn>,
     blocks: Vec<Block>,
@@ -122,15 +231,26 @@ struct FnState {
     /// Ticks since the last emitted instruction.
     pending: (u32, u32),
     scopes: Vec<HashMap<String, Local>>,
-    nlocals: usize,
     next_local: usize,
+    /// Registers below this hold named values (the function's locals,
+    /// and inside an inlined body also the values live across it):
+    /// statements reset the temporaries to here.
+    tmp_base: usize,
     tmp_top: usize,
     nregs: usize,
     /// `(break, continue)` labels of the enclosing loops.
     loops: Vec<(u32, u32)>,
-    /// Expression nodes (by address) whose evaluation may write a
-    /// local: they contain an assignment, `++`/`--`, or a call.
-    effects: HashSet<usize>,
+    /// Names whose address the function takes (`&x`): an argument held
+    /// in such a local is copied before an inlined body reads it.
+    addr_taken: HashSet<&'a str>,
+    /// Registers bound to an `addr_taken` name.
+    addr_regs: HashSet<u16>,
+    /// Inline call sites are allowed here.
+    may_inline: bool,
+    /// Set while an inlined body is being lowered.
+    inline: Option<Inline<'a>>,
+    /// A call was lowered in place.
+    inlined: bool,
     /// First `sites2` entry of this function (their `cont` is a label).
     sites2_start: usize,
     /// An index outgrew its operand field.
@@ -142,7 +262,12 @@ struct Lower<'a> {
     fn_indices: HashMap<&'a str, usize>,
     out: Bytecode,
     const_ids: HashMap<(u8, u64), usize>,
-    f: FnState,
+    /// Expression nodes (by address) whose evaluation may write a
+    /// local: they contain an assignment, `++`/`--`, or a call.
+    effects: HashSet<usize>,
+    /// Per function: `Some` if its call sites may lower it in place.
+    leaves: Vec<Option<Written>>,
+    f: FnState<'a>,
 }
 
 fn key(e: &Expr) -> usize {
@@ -201,25 +326,52 @@ impl<'a> Lower<'a> {
     // Functions, blocks, labels.
     // ================================================================
 
-    fn func(&mut self, f: &'a FuncDef) {
-        let mut effects = HashSet::new();
+    /// Lower `f`, inlining leaf calls if `may_inline`. Should inlining
+    /// outgrow an operand field, `f` is lowered again without it, so it
+    /// faults only where it did before.
+    fn func(&mut self, f: &'a FuncDef, may_inline: bool) {
+        let tables = (
+            self.out.msgs.len(),
+            self.out.strs.len(),
+            self.out.fmts.len(),
+            self.out.arrays.len(),
+        );
+        self.lower_body(f, may_inline);
+        if self.f.overflow && self.f.inlined {
+            self.out.msgs.truncate(tables.0);
+            self.out.strs.truncate(tables.1);
+            self.out.fmts.truncate(tables.2);
+            self.out.arrays.truncate(tables.3);
+            self.out.sites2.truncate(self.f.sites2_start);
+            self.lower_body(f, false);
+        }
+        self.finish_func(f);
+    }
+
+    fn lower_body(&mut self, f: &'a FuncDef, may_inline: bool) {
         let mut ndecls = 0;
+        let mut addr_taken = HashSet::new();
         walk_stmts(&f.body, &mut |s| {
             if let StmtKind::Decl(ds) = &s.kind {
                 ndecls += ds.len();
             }
-            stmt_roots(s, &mut |e| {
-                mark_effects(e, &mut effects);
+            own_exprs(s, &mut |e| {
+                if let Expr::Unary(UnOp::AddrOf, x) = e {
+                    if let Expr::Ident(name) = x.as_ref() {
+                        addr_taken.insert(name.as_str());
+                    }
+                }
             });
         });
         let nlocals = f.params.len() + ndecls;
         self.f = FnState {
             need_block: true,
             scopes: vec![HashMap::new()],
-            nlocals,
+            tmp_base: nlocals,
             tmp_top: nlocals,
             nregs: nlocals,
-            effects,
+            addr_taken,
+            may_inline,
             sites2_start: self.out.sites2.len(),
             overflow: nlocals > R::MAX,
             ..FnState::default()
@@ -236,7 +388,6 @@ impl<'a> Lower<'a> {
             let zero = self.konst(V::I(0));
             self.emit(Insn::Ret { src: zero });
         }
-        self.finish_func(f);
     }
 
     /// Resolve labels, stamp the `Fuel`s, and append fast blocks then
@@ -422,8 +573,15 @@ impl<'a> Lower<'a> {
 
     /// Registers of named locals are allocated monotonically and never
     /// reused after a scope closes: a sibling scope's variables get
-    /// fresh registers, like the interpreter's append-only slots.
+    /// fresh registers, like the interpreter's append-only slots. An
+    /// inlined body's locals are pinned above the caller's live values
+    /// until the body ends.
     fn new_local(&mut self) -> R {
+        if self.f.inline.is_some() {
+            let r = self.alloc_tmp();
+            self.f.tmp_base = self.f.tmp_top;
+            return r;
+        }
         let r = R::reg(self.f.next_local);
         self.f.next_local += 1;
         r
@@ -435,6 +593,9 @@ impl<'a> Lower<'a> {
             is_array,
             stride,
         };
+        if self.f.inline.is_none() && self.f.addr_taken.contains(name) {
+            self.f.addr_regs.insert(reg.0);
+        }
         let scope = self.f.scopes.last_mut().expect("function scope");
         scope.insert(name.to_string(), local);
     }
@@ -454,7 +615,7 @@ impl<'a> Lower<'a> {
     }
 
     fn is_local(&self, r: R) -> bool {
-        !r.is_const() && r.index() < self.f.nlocals
+        !r.is_const() && r.index() < self.f.tmp_base
     }
 
     fn konst(&mut self, v: V) -> R {
@@ -499,7 +660,7 @@ impl<'a> Lower<'a> {
     }
 
     fn has_effects(&self, e: &Expr) -> bool {
-        self.f.effects.contains(&key(e))
+        self.effects.contains(&key(e))
     }
 
     // ================================================================
@@ -582,12 +743,26 @@ impl<'a> Lower<'a> {
                 }
             }
             StmtKind::Return(e) => {
-                let src = match e {
-                    Some(x) => self.expr(x, None),
-                    None => self.konst(V::I(0)),
-                };
-                self.emit(Insn::Ret { src });
-                self.f.tmp_top = self.f.nlocals;
+                if let Some(site) = self.f.inline {
+                    match e {
+                        Some(x) => self.expr_into(x, site.dst),
+                        None => {
+                            let src = self.konst(V::I(0));
+                            self.emit(Insn::Mov { dst: site.dst, src });
+                        }
+                    }
+                    if !site.tail.is_some_and(|t| std::ptr::eq(t, s)) {
+                        let to = self.to(site.ret);
+                        self.emit(Insn::Jmp { to });
+                    }
+                } else {
+                    let src = match e {
+                        Some(x) => self.expr(x, None),
+                        None => self.konst(V::I(0)),
+                    };
+                    self.emit(Insn::Ret { src });
+                }
+                self.f.tmp_top = self.f.tmp_base;
             }
             StmtKind::Break | StmtKind::Continue => {
                 let target = self.f.loops.last().map(|&(brk, cont)| {
@@ -652,7 +827,7 @@ impl<'a> Lower<'a> {
                         self.emit(Insn::Mov { dst: reg, src });
                     }
                 }
-                self.f.tmp_top = self.f.nlocals;
+                self.f.tmp_top = self.f.tmp_base;
                 self.bind_name(&d.name, reg, false, None);
             }
         }
@@ -709,7 +884,7 @@ impl<'a> Lower<'a> {
                 self.expr(e, None);
             }
         }
-        self.f.tmp_top = self.f.nlocals;
+        self.f.tmp_top = self.f.tmp_base;
     }
 
     fn node(&mut self, e: &'a Expr, hint: Option<R>) -> R {
@@ -1143,6 +1318,14 @@ impl<'a> Lower<'a> {
     fn call(&mut self, name: &'a str, args: &'a [Expr], hint: Option<R>) -> R {
         // User-defined functions shadow builtins, like `Interp::call`.
         if let Some(&fi) = self.fn_indices.get(name) {
+            let callee = &self.prog.funcs[fi];
+            if self.f.may_inline
+                && self.f.inline.is_none()
+                && args.len() == callee.params.len()
+                && self.leaves[fi].is_some()
+            {
+                return self.inline_call(callee, fi, args, hint);
+            }
             let dst = self.dst(hint);
             let start = self.f.tmp_top;
             for (i, a) in args.iter().enumerate() {
@@ -1325,6 +1508,80 @@ impl<'a> Lower<'a> {
                 dst
             }
         }
+    }
+
+    /// Lower a call to leaf `callee` in place. Its arguments evaluate
+    /// in order, as for a `Call`; a parameter the body never writes
+    /// reads its argument's operand directly (copied first only if it
+    /// is a local whose address the caller takes, which the body could
+    /// write through), any other gets a pinned register.
+    fn inline_call(
+        &mut self,
+        callee: &'a FuncDef,
+        fi: usize,
+        args: &'a [Expr],
+        hint: Option<R>,
+    ) -> R {
+        let dst = self.dst(hint);
+        let mut scope = HashMap::new();
+        for (i, (a, (_, pname))) in args.iter().zip(&callee.params).enumerate() {
+            let written = self.leaves[fi].as_ref().is_some_and(|w| w.contains(pname));
+            let reg = if written {
+                let r = self.alloc_tmp();
+                self.expr_into(a, r);
+                r
+            } else {
+                let later = args[i + 1..].iter().any(|x| self.has_effects(x));
+                let r = self.operand(a, later);
+                if !r.is_const() && self.f.addr_regs.contains(&r.0) {
+                    let copy = self.alloc_tmp();
+                    self.emit(Insn::Mov { dst: copy, src: r });
+                    copy
+                } else {
+                    r
+                }
+            };
+            let local = Local {
+                reg,
+                is_array: false,
+                stride: None,
+            };
+            scope.insert(pname.clone(), local);
+        }
+        let ret = self.new_label();
+        let site = Inline {
+            dst,
+            ret,
+            tail: callee.body.last(),
+        };
+        let saved = (
+            std::mem::replace(&mut self.f.scopes, vec![scope]),
+            std::mem::take(&mut self.f.loops),
+            self.f.tmp_base,
+        );
+        self.f.tmp_base = self.f.tmp_top;
+        self.f.inline = Some(site);
+        self.f.inlined = true;
+        for s in &callee.body {
+            self.stmt(s);
+        }
+        let tail_return = matches!(
+            site.tail,
+            Some(Stmt {
+                kind: StmtKind::Return(_),
+                ..
+            })
+        );
+        let reachable = !(self.f.need_block && self.f.dead_end);
+        if reachable && !tail_return {
+            // Falling off the end returns 0.
+            let src = self.konst(V::I(0));
+            self.emit(Insn::Mov { dst, src });
+        }
+        self.bind_if_used(ret);
+        self.f.inline = None;
+        (self.f.scopes, self.f.loops, self.f.tmp_base) = saved;
+        dst
     }
 }
 

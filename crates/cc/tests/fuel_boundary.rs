@@ -5,7 +5,7 @@
 //! loses exactly as in the interpreter), and on `Ok` the same
 //! `InterpStats` and stdout.
 
-use hetero_cc::backend::{make_backend, BackendKind};
+use hetero_cc::backend::{make_backend, BackendKind, NativeBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
 
@@ -61,6 +61,35 @@ fn sweep(name: &str, src: &str, io: &dyn Fn() -> StreamIo) -> u64 {
     total
 }
 
+/// Agreement at every budget in the first 48 steps and the last 48, plus
+/// a spread in between (a full sweep is quadratic in program length).
+/// Returns the number of steps the program takes.
+fn sample(name: &str, src: &str, io: &dyn Fn() -> StreamIo) -> u64 {
+    let total = steps_taken(name, src, io);
+    let budgets = (0..48)
+        .chain((1..48).map(|k| k * total / 48))
+        .chain(total.saturating_sub(48)..=total + 1);
+    for n in budgets {
+        assert_eq!(
+            run(BackendKind::Interp, src, io, n),
+            run(BackendKind::Native, src, io, n),
+            "`{name}` diverged at max_steps = {n} of {total}"
+        );
+    }
+    total
+}
+
+/// The lowered instructions of function `name` (fast blocks and twins).
+fn listing_of(src: &str, name: &str) -> String {
+    let listing = NativeBackend::new(&parse(src).unwrap()).disasm();
+    let from = listing.find(&format!("fn {name} ")).unwrap();
+    let to = listing[from + 1..]
+        .find("\nfn ")
+        .or_else(|| listing[from + 1..].find("\nconsts:"))
+        .unwrap();
+    listing[from..from + 1 + to].to_string()
+}
+
 fn no_input() -> StreamIo {
     StreamIo::lines(vec![])
 }
@@ -70,6 +99,7 @@ fn lines(ls: &'static [&'static str]) -> impl Fn() -> StreamIo {
 }
 
 const WC_MAPPER: &str = include_str!("fixtures/wc_mapper.c");
+const BS_MAPPER: &str = include_str!("fixtures/bs_mapper.c");
 const INT_SUM_COMBINER: &str = include_str!("fixtures/int_sum_combiner.c");
 
 #[test]
@@ -249,27 +279,98 @@ fn tick_only_code_before_a_join_agrees_at_every_budget() {
 }
 
 #[test]
+fn inlined_leaf_calls_agree_at_every_budget() {
+    // Leaf calls lower in place: their ticks, faults and returns must
+    // land where the interpreter's call puts them.
+    let inlined: &[(&str, &str)] = &[
+        (
+            "leaf_div_fault",
+            r#"int q(int a, int b) { return a / b + 1; }
+               int main() { int i, s; s = 0;
+                 for (i = 3; i > 0 - 2; i--) s += q(100, i);
+                 printf("%d\n", s); return 0; }"#,
+        ),
+        (
+            "leaf_early_return",
+            r#"double clip(double x, int n) { int k;
+                 if (x > 2.0) return 2.0;
+                 for (k = 0; k < n; k++) { if (x * k > 3.0) return x * k; x = x + 0.5; }
+                 return x - 1.0; }
+               int sgn(int x) { if (x > 0) return 1; if (x < 0) return 0 - 1; }
+               int main() { int i; double s; s = 0.0;
+                 for (i = 0; i < 6; i++) s += clip(i * 0.7, i) + sgn(i - 2);
+                 printf("%.6f\n", s); return 0; }"#,
+        ),
+        (
+            "leaf_argument_aliases",
+            r#"int pick(int a, int b) { return a * 10 + b; }
+               int bump(int *p) { *p = *p + 1; return *p; }
+               int keep(int a, int *p) { *p = 9; return a; }
+               int twice(int a) { a = a * 2; return a; }
+               int main() { int v, w, s; v = 1; w = 4;
+                 s = pick(v, v = 5); s += pick(v, bump(&v)); s += keep(v, &v) + pick(v, v);
+                 s += twice(w) + twice(3) + w;
+                 printf("%d %d %d\n", s, v, w); return 0; }"#,
+        ),
+    ];
+    for (name, src) in inlined {
+        assert!(!listing_of(src, "main").contains("Call"), "{name}");
+        sweep(name, src, &no_input);
+    }
+    // These stay calls and keep the interpreter's errors and ticks: an
+    // arity mismatch, and a leaf called from a function on a call cycle
+    // (it could reach the VM's depth limit).
+    let called: &[(&str, &str, &str, &str)] = &[
+        (
+            "leaf_wrong_arity",
+            "main",
+            "Trap",
+            r#"int two(int a, int b) { return a + b; }
+               int main() { int s; s = two(1, 2); printf("%d\n", s); s = two(s); return 0; }"#,
+        ),
+        (
+            "leaf_from_recursion",
+            "rec",
+            "func: 0,",
+            r#"int sq(int x) { return x * x; }
+               int rec(int n) { if (n <= 0) return 0; return sq(n) + rec(n - 1); }
+               int main() { printf("%d\n", rec(6)); return 0; }"#,
+        ),
+    ];
+    for (name, caller, kept, src) in called {
+        assert!(listing_of(src, caller).contains(kept), "{name}");
+        sweep(name, src, &no_input);
+    }
+    let end = run(BackendKind::Native, called[0].3, &no_input, u64::MAX);
+    assert_eq!(
+        end.unwrap_err(),
+        "interpreter error: function two expects 2 args, got 1"
+    );
+}
+
+#[test]
+fn blackscholes_mapper_agrees_at_sampled_budgets() {
+    // One record through both `normCdf` sites, inlined; plus every
+    // budget across two loop iterations in the middle of the run.
+    let io = lines(&["opt000003 100.00 100.00 0.0500 0.200 1.00"]);
+    let total = sample("bs_mapper", BS_MAPPER, &io);
+    for n in total / 2..total / 2 + 200 {
+        assert_eq!(
+            run(BackendKind::Interp, BS_MAPPER, &io, n),
+            run(BackendKind::Native, BS_MAPPER, &io, n),
+            "`bs_mapper` diverged at max_steps = {n} of {total}"
+        );
+    }
+}
+
+#[test]
 fn generated_programs_agree_at_sampled_budgets() {
-    // The generative corpus under a tight budget: for each case, every
-    // budget in the first 48 steps and the last 48, plus a spread in
-    // between (the full sweep above is quadratic in program length).
+    // The generative corpus under a tight budget.
     use hetero_cc::testgen::generate;
     for i in 0..48u64 {
         let case = generate(20150615 + i);
-        let src = case.source();
-        let io = || case.make_io();
-        let at = |kind, n| run(kind, &src, &io, n);
-        let total = steps_taken("generated", &src, &io);
-        let budgets = (0..48)
-            .chain((1..48).map(|k| k * total / 48))
-            .chain(total.saturating_sub(48)..=total + 1);
-        for n in budgets {
-            assert_eq!(
-                at(BackendKind::Interp, n),
-                at(BackendKind::Native, n),
-                "seed {} diverged at max_steps = {n}",
-                case.seed
-            );
-        }
+        sample(&format!("seed {}", case.seed), &case.source(), &|| {
+            case.make_io()
+        });
     }
 }

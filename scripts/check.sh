@@ -22,9 +22,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Includes the cost golden captured from the parent of the lane-class
 # change (hetero-runtime's charge_golden), the Algorithm-1 golden of the
 # 27 corpus regions and the three CUDA-text goldens captured from the
-# parent of the one-fact-base change, the README-lint-table-vs-
-# `lint::CODES` test (root package), and the property tests (pinned
-# seed, fixed case count; a failing case lands under crates/*/target/).
+# parent of the one-fact-base change, the kernel engines' charge golden
+# on the 13 benchmark sources captured from the parent of leaf inlining
+# (heterodoop's engine_charge_golden), the two bytecode listings
+# (hetero-cc's wc_mapper.disasm and bs_mapper.disasm), the README-lint-
+# table-vs-`lint::CODES` test (root package), and the property tests
+# (pinned seed, fixed case count; a failing case lands under
+# crates/*/target/).
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 

@@ -160,6 +160,11 @@ fn classification_is_pinned_for_the_corpus() {
             false,
             include_str!("../crates/cc/tests/fixtures/int_sum_combiner.c"),
         ),
+        (
+            "BS",
+            true,
+            include_str!("../crates/cc/tests/fixtures/bs_mapper.c"),
+        ),
     ] {
         let app = hetero_apps::app_by_code(code).unwrap();
         let src = if mapper {
