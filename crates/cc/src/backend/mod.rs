@@ -10,7 +10,9 @@
 //!   lowered **once per program** (`lower`) to flat, `Copy`
 //!   instructions over frame registers and a constant pool
 //!   (`bytecode`), with names, formats and call targets resolved, and
-//!   one `match` loop (`vm`) executes it for every record.
+//!   one `match` loop (`vm`) executes it for every record. `main` runs
+//!   once at construction up to its first input read, and every run
+//!   resumes from that checkpoint instead of re-running the prologue.
 //!
 //! The two are contractually equivalent: byte-identical stdout,
 //! identical `InterpStats` (so gpusim cost charging is bit-identical),
@@ -158,15 +160,24 @@ impl KernelBackend for InterpBackend {
 /// Backend that runs the program lowered to register bytecode.
 pub struct NativeBackend {
     code: bytecode::Bytecode,
+    checkpoint: Option<vm::Checkpoint>,
 }
 
 impl NativeBackend {
     /// Lower `prog` (never fails: ill-formed constructs lower to traps
-    /// that raise the interpreter's message only if reached).
+    /// that raise the interpreter's message only if reached), then run
+    /// `main` up to its first `getline`/`scanf` and keep that state: the
+    /// checkpoint every run resumes from.
     pub fn new(prog: &Program) -> Self {
-        NativeBackend {
-            code: lower::lower(prog),
-        }
+        let code = lower::lower(prog);
+        let checkpoint = vm::checkpoint(&code);
+        NativeBackend { code, checkpoint }
+    }
+
+    /// The steps `main` takes to its first input read, when runs resume
+    /// there; a run capped below them starts from the top.
+    pub fn checkpoint_steps(&self) -> Option<u64> {
+        self.checkpoint.as_ref().map(|ck| ck.steps)
     }
 
     /// Stable text listing of the lowered program: per function its
@@ -184,7 +195,7 @@ impl NativeBackend {
 
 impl KernelBackend for NativeBackend {
     fn run_capped(&self, io: &mut StreamIo, max_steps: u64) -> Result<InterpStats, CcError> {
-        vm::run(&self.code, io, max_steps)
+        vm::run(&self.code, self.checkpoint.as_ref(), io, max_steps)
     }
 }
 

@@ -8,8 +8,12 @@
 //! [`super::bytecode`]); `mem`/`sfu`/`records_in`/`lines_out` are charged
 //! by the instructions themselves, through the same shared functions the
 //! tree-walking interpreter calls.
+//!
+//! A [`Checkpoint`] is the state of `main` at its first input read; a
+//! run given one resumes there instead of running the prologue again.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::bytecode::{Bytecode, Cmp, Insn, R};
 use crate::ast::{BinOp, CType};
@@ -27,6 +31,7 @@ use crate::interp::{
 /// here ends in an error instead of exhausting memory.
 pub(super) const MAX_CALL_DEPTH: usize = 1 << 16;
 
+#[derive(Clone)]
 struct Frame {
     ret_pc: usize,
     base: usize,
@@ -49,8 +54,10 @@ fn step_limit() -> CcError {
     CcError::interp("step limit exceeded (infinite loop?)")
 }
 
-/// The growable storage of a run, emptied between runs. `pf`'s strings
-/// keep their text: `PfBegin` clears one before it is written.
+/// The growable storage of a run, emptied between runs — but for the
+/// heap of a checkpointed run, which stays as that run left it: the
+/// checkpoint's buffers, `dirty` listing those the run wrote. `pf`'s
+/// strings keep their text: `PfBegin` clears one before it is written.
 #[derive(Default)]
 struct Storage {
     regs: Vec<V>,
@@ -58,6 +65,56 @@ struct Storage {
     frames: Vec<Frame>,
     pf: Vec<String>,
     sc: Vec<(usize, i64)>,
+    /// The [`Checkpoint::id`] whose buffers `heap` holds; 0 for none.
+    owner: u64,
+    /// Per checkpoint buffer, whether `dirty` lists it.
+    written: Vec<bool>,
+    dirty: Vec<usize>,
+}
+
+impl Storage {
+    /// Open `main`'s frame over the constant pool.
+    fn open_main(&mut self, p: &Bytecode) {
+        let nregs = p.main.map_or(0, |m| p.funcs[m].nregs);
+        self.regs.extend_from_slice(&p.consts);
+        self.regs.resize(p.consts.len() + nregs, V::I(0));
+    }
+
+    /// Set up for a run from the top: no checkpoint buffers.
+    fn forget(&mut self) {
+        if self.owner != 0 {
+            self.owner = 0;
+            self.heap.clear();
+            self.written.clear();
+            self.dirty.clear();
+        }
+    }
+
+    /// Set up for a run from `ck`: its registers and frames, and its heap
+    /// — when this storage already holds it, only the buffers the last
+    /// run wrote are copied back.
+    fn restore(&mut self, ck: &Checkpoint) {
+        if self.owner == ck.id {
+            for b in self.dirty.drain(..) {
+                self.written[b] = false;
+                match (&mut self.heap[b], &ck.heap[b]) {
+                    (Buffer::Bytes(to), Buffer::Bytes(from)) => to.clone_from(from),
+                    (Buffer::Ints(to), Buffer::Ints(from)) => to.clone_from(from),
+                    (Buffer::Doubles(to), Buffer::Doubles(from)) => to.clone_from(from),
+                    // A buffer's element kind is fixed at allocation.
+                    (to, from) => to.clone_from(from),
+                }
+            }
+        } else {
+            self.owner = ck.id;
+            self.heap.clone_from(&ck.heap);
+            self.written.clear();
+            self.written.resize(ck.heap.len(), false);
+            self.dirty.clear();
+        }
+        self.regs.extend_from_slice(&ck.regs);
+        self.frames.extend_from_slice(&ck.frames);
+    }
 }
 
 thread_local! {
@@ -66,8 +123,63 @@ thread_local! {
     static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
 }
 
-/// Run `main` to completion against `io` under a step cap.
-pub(crate) fn run(p: &Bytecode, io: &mut StreamIo, max_steps: u64) -> Result<InterpStats, CcError> {
+/// Step cap of the prologue run that takes a [`Checkpoint`]; a longer
+/// prologue gets none.
+const PROLOGUE_MAX_STEPS: u64 = 1 << 20;
+
+/// Source of [`Checkpoint::id`]s: unique for the process's lifetime, so a
+/// spare heap is never taken for another checkpoint's, as an address
+/// reused after a drop could be.
+static NEXT_CHECKPOINT: AtomicU64 = AtomicU64::new(1);
+
+/// The complete state of `main` stopped at its first `getline`/`scanf`,
+/// before the read: everything a run from the top has at that point,
+/// whatever its input. A run resumes here when its step cap covers
+/// `steps`; the prologue took the fast path through every block then,
+/// so nothing before the read depends on the cap.
+pub(crate) struct Checkpoint {
+    id: u64,
+    pc: usize,
+    base: usize,
+    regs: Vec<V>,
+    heap: Vec<Buffer>,
+    frames: Vec<Frame>,
+    stats: InterpStats,
+    pub(crate) steps: u64,
+    stdout: Vec<u8>,
+}
+
+/// Run `p`'s `main` up to its first input read. `None` when it never
+/// reads, faults (or outruns [`PROLOGUE_MAX_STEPS`]) first, or reads
+/// inside a `printf` argument.
+pub(crate) fn checkpoint(p: &Bytecode) -> Option<Checkpoint> {
+    let entry = main_entry(p).ok()?;
+    let mut s = Storage::default();
+    s.open_main(p);
+    let mut vm = Vm::new(p, s, PROLOGUE_MAX_STEPS);
+    vm.pause_at_read = true;
+    let mut io = StreamIo::lines(vec![]);
+    let (pc, base) = vm.exec(entry, p.consts.len(), &mut io).ok()??;
+    // A `scanf` is itself a read, so none is in progress here.
+    debug_assert!(vm.sc.is_empty());
+    if vm.pf_depth != 0 {
+        return None;
+    }
+    Some(Checkpoint {
+        id: NEXT_CHECKPOINT.fetch_add(1, Ordering::Relaxed),
+        pc,
+        base,
+        regs: vm.regs,
+        heap: vm.heap,
+        frames: vm.frames,
+        stats: vm.stats,
+        steps: vm.steps,
+        stdout: io.stdout,
+    })
+}
+
+/// `main`'s entry, or the error of calling it.
+fn main_entry(p: &Bytecode) -> Result<usize, CcError> {
     let main = p.main.ok_or_else(|| CcError::interp("no main function"))?;
     let f = &p.funcs[main];
     if f.nparams != 0 {
@@ -76,50 +188,39 @@ pub(crate) fn run(p: &Bytecode, io: &mut StreamIo, max_steps: u64) -> Result<Int
             f.name, f.nparams
         )));
     }
-    let base = p.consts.len();
-    let Storage {
-        mut regs,
-        heap,
-        frames,
-        pf,
-        sc,
-    } = SPARE.take().unwrap_or_default();
-    regs.extend_from_slice(&p.consts);
-    regs.resize(base + f.nregs, V::I(0));
-    let mut vm = Vm {
-        p,
-        regs,
-        heap,
-        stats: InterpStats::default(),
-        steps: 0,
-        max_steps,
-        frames,
-        pf,
-        pf_depth: 0,
-        sc,
+    Ok(f.entry)
+}
+
+/// Run `main` to completion against `io` under a step cap: from `ck`
+/// when given and the cap covers its steps, else from the top.
+pub(crate) fn run(
+    p: &Bytecode,
+    ck: Option<&Checkpoint>,
+    io: &mut StreamIo,
+    max_steps: u64,
+) -> Result<InterpStats, CcError> {
+    let entry = main_entry(p)?;
+    let mut s = SPARE.take().unwrap_or_default();
+    let ck = ck.filter(|ck| max_steps >= ck.steps);
+    let (pc, base, stats, steps) = match ck {
+        Some(ck) => {
+            s.restore(ck);
+            io.stdout.extend_from_slice(&ck.stdout);
+            (ck.pc, ck.base, ck.stats, ck.steps)
+        }
+        None => {
+            s.forget();
+            s.open_main(p);
+            (entry, p.consts.len(), InterpStats::default(), 0)
+        }
     };
-    let done = vm.exec(f.entry, base, io);
-    let Vm {
-        mut regs,
-        mut heap,
-        mut frames,
-        pf,
-        mut sc,
-        stats,
-        ..
-    } = vm;
-    regs.clear();
-    heap.clear();
-    frames.clear();
-    sc.clear();
-    SPARE.set(Some(Storage {
-        regs,
-        heap,
-        frames,
-        pf,
-        sc,
-    }));
-    done.map(|()| stats)
+    let mut vm = Vm::new(p, s, max_steps);
+    vm.stats = stats;
+    vm.steps = steps;
+    let done = vm.exec(pc, base, io);
+    let stats = vm.stats;
+    SPARE.set(Some(vm.into_storage(ck.map_or(0, |ck| ck.id))));
+    done.map(|_| stats)
 }
 
 struct Vm<'p> {
@@ -138,14 +239,93 @@ struct Vm<'p> {
     /// The KV records (see [`StreamIo::kv_field`]) of the `scanf`s in
     /// progress and their match counts.
     sc: Vec<(usize, i64)>,
+    /// Per buffer of the checkpoint the run started from (none for a
+    /// run from the top), whether `dirty` lists it: every instruction
+    /// that writes the heap marks the buffer it writes.
+    written: Vec<bool>,
+    dirty: Vec<usize>,
+    /// Stop before the first `getline`/`scanf` (to take a checkpoint).
+    pause_at_read: bool,
 }
 
-impl Vm<'_> {
-    fn exec(&mut self, entry: usize, main_base: usize, io: &mut StreamIo) -> Result<(), CcError> {
+impl<'p> Vm<'p> {
+    fn new(p: &'p Bytecode, s: Storage, max_steps: u64) -> Self {
+        Vm {
+            p,
+            regs: s.regs,
+            heap: s.heap,
+            stats: InterpStats::default(),
+            steps: 0,
+            max_steps,
+            frames: s.frames,
+            pf: s.pf,
+            pf_depth: 0,
+            sc: s.sc,
+            written: s.written,
+            dirty: s.dirty,
+            pause_at_read: false,
+        }
+    }
+
+    /// Hand the storage back emptied, keeping the heap's first
+    /// `written.len()` buffers: those of checkpoint `owner`.
+    fn into_storage(self, owner: u64) -> Storage {
+        let Vm {
+            mut regs,
+            mut heap,
+            mut frames,
+            pf,
+            mut sc,
+            written,
+            dirty,
+            ..
+        } = self;
+        regs.clear();
+        heap.truncate(written.len());
+        frames.clear();
+        sc.clear();
+        Storage {
+            regs,
+            heap,
+            frames,
+            pf,
+            sc,
+            owner,
+            written,
+            dirty,
+        }
+    }
+
+    /// Note that the run writes heap buffer `buf`.
+    #[inline(always)]
+    fn mark(&mut self, buf: usize) {
+        if let Some(w) = self.written.get_mut(buf) {
+            if !*w {
+                *w = true;
+                self.dirty.push(buf);
+            }
+        }
+    }
+
+    /// [`mark`](Self::mark) the buffer a store through `to` writes.
+    #[inline(always)]
+    fn mark_ptr(&mut self, to: &V) {
+        if let V::Ptr { buf, .. } = *to {
+            self.mark(buf);
+        }
+    }
+
+    /// Execute from `pc` in the activation at `base` until `main`
+    /// returns (`None`) or, when pausing, until the first input read
+    /// (`Some` of its `pc` and `base`).
+    fn exec(
+        &mut self,
+        mut pc: usize,
+        mut base: usize,
+        io: &mut StreamIo,
+    ) -> Result<Option<(usize, usize)>, CcError> {
         let p = self.p;
         let code = &p.code[..];
-        let mut pc = entry;
-        let mut base = main_base;
 
         macro_rules! rd {
             ($o:expr) => {{
@@ -177,9 +357,10 @@ impl Vm<'_> {
             }};
         }
         macro_rules! store {
-            ($val:expr, $buf:expr, $off:expr) => {
+            ($val:expr, $buf:expr, $off:expr) => {{
+                self.mark($buf);
                 write_buf(&mut self.heap, &mut self.stats, $buf, $off, &rd!($val))?
-            };
+            }};
         }
         macro_rules! lea {
             ($dst:expr, $buf:expr, $off:expr) => {
@@ -328,6 +509,7 @@ impl Vm<'_> {
                 }
                 Insn::StDeref { val, ptr } => {
                     let (v, to) = (rd!(val), rd!(ptr));
+                    self.mark_ptr(&to);
                     store_through(&mut self.heap, &mut self.regs, &mut self.stats, &to, v)?
                 }
                 Insn::AddrSlot { dst, reg } => wr!(dst, V::SlotRef(base + reg.index())),
@@ -361,7 +543,7 @@ impl Vm<'_> {
                 Insn::Ret { src } => {
                     let v = rd!(src);
                     let Some(fr) = self.frames.pop() else {
-                        return Ok(());
+                        return Ok(None);
                     };
                     base = fr.base;
                     pc = fr.ret_pc;
@@ -376,6 +558,9 @@ impl Vm<'_> {
                 }
 
                 Insn::GetLine { ptr, len, eof } => {
+                    if self.pause_at_read {
+                        return Ok(Some((pc - 1, base)));
+                    }
                     match getline_read(io, &mut self.heap, &mut self.stats)? {
                         Some((line, n)) => {
                             wr!(ptr, line);
@@ -400,12 +585,14 @@ impl Vm<'_> {
                     max,
                     word_mode,
                 } => {
+                    let word = rd!(word);
+                    self.mark_ptr(&word);
                     let n = scan_token(
                         &mut self.heap,
                         &mut self.stats,
                         &rd!(line),
                         as_int(&rd!(off))?,
-                        &rd!(word),
+                        &word,
                         as_int(&rd!(read))?,
                         as_int(&rd!(max))?,
                         word_mode,
@@ -435,15 +622,21 @@ impl Vm<'_> {
                     let v = printf_finish(&self.pf[self.pf_depth], &mut self.stats, io);
                     wr!(dst, v)
                 }
-                Insn::ScBegin { dst, eof } => match scanf_read(io, &mut self.stats)? {
-                    Some(rec) => self.sc.push((rec, 0)),
-                    None => {
-                        wr!(dst, V::I(-1));
-                        pc = eof.0 as usize;
+                Insn::ScBegin { dst, eof } => {
+                    if self.pause_at_read {
+                        return Ok(Some((pc - 1, base)));
                     }
-                },
+                    match scanf_read(io, &mut self.stats)? {
+                        Some(rec) => self.sc.push((rec, 0)),
+                        None => {
+                            wr!(dst, V::I(-1));
+                            pc = eof.0 as usize;
+                        }
+                    }
+                }
                 Insn::ScConv { src, conv, field } => {
                     let dst = rd!(src);
+                    self.mark_ptr(&dst);
                     let (rec, matched) = self.sc.last_mut().expect("inside a scanf");
                     scanf_store(
                         conv,
@@ -469,6 +662,7 @@ impl Vm<'_> {
                 }
                 Insn::StrCpy { dst, a, b } => {
                     let (to, from) = (rd!(a), rd!(b));
+                    self.mark_ptr(&to);
                     wr!(
                         dst,
                         builtin_strcpy(&mut self.heap, &mut self.stats, &to, &from)?
@@ -511,7 +705,8 @@ mod tests {
     use crate::test_listings::{LISTING1, LISTING2};
 
     /// Run a source under both backends on the same input and demand
-    /// exact agreement of (stdout, stats) or of error text.
+    /// exact agreement of (stdout, stats) or of error text: the native
+    /// one from the top, then twice from its checkpoint, if it has one.
     fn differential(src: &str, io_make: impl Fn() -> StreamIo) {
         let prog = parse(src).unwrap();
         let mut io_i = io_make();
@@ -520,20 +715,23 @@ mod tests {
             .run_main(&mut io_i)
             .map_err(|e| e.to_string());
         let native = lower(&prog);
-        let mut io_n = io_make();
-        let rn = run(&native, &mut io_n, 2_000_000).map_err(|e| e.to_string());
-        assert_eq!(ri.is_ok(), rn.is_ok(), "outcome diverged for:\n{src}");
-        match (ri, rn) {
-            (Ok(si), Ok(sn)) => {
-                assert_eq!(si, sn, "stats diverged for:\n{src}");
-                assert_eq!(
-                    String::from_utf8_lossy(&io_i.stdout),
-                    String::from_utf8_lossy(&io_n.stdout),
-                    "stdout diverged for:\n{src}"
-                );
+        let ck = checkpoint(&native);
+        for from in [None, ck.as_ref(), ck.as_ref()] {
+            let mut io_n = io_make();
+            let rn = run(&native, from, &mut io_n, 2_000_000).map_err(|e| e.to_string());
+            assert_eq!(ri.is_ok(), rn.is_ok(), "outcome diverged for:\n{src}");
+            match (&ri, rn) {
+                (Ok(si), Ok(sn)) => {
+                    assert_eq!(*si, sn, "stats diverged for:\n{src}");
+                    assert_eq!(
+                        String::from_utf8_lossy(&io_i.stdout),
+                        String::from_utf8_lossy(&io_n.stdout),
+                        "stdout diverged for:\n{src}"
+                    );
+                }
+                (Err(ei), Err(en)) => assert_eq!(*ei, en, "error text diverged for:\n{src}"),
+                _ => unreachable!(),
             }
-            (Err(ei), Err(en)) => assert_eq!(ei, en, "error text diverged for:\n{src}"),
-            _ => unreachable!(),
         }
     }
 
@@ -683,73 +881,156 @@ int main() {
         type Feed = fn() -> StreamIo;
         // Runs that hand their storage back in use: at an out-of-bounds
         // subscript, inside two nested `printf` conversions, inside a
-        // `scanf`, at the step limit two calls deep. Then clean runs over
-        // the same kinds of storage.
+        // `scanf`, at the step limit two calls deep, and after writing a
+        // checkpoint's array directly and through a pointer. Then clean
+        // runs over the same kinds of storage, the last one resuming
+        // from the checkpoint the faulted run left written.
         let none: Feed = || StreamIo::lines(vec![]);
         let kvs: Feed = || StreamIo::kvs(vec![(b"a".to_vec(), b"1".to_vec()); 3]);
         let text: Feed = || StreamIo::lines(lines(&["the quick brown fox", "  spaced  out "]));
-        let cases = [
-            (
-                "int main() { int a[2]; int i; i = 9; printf(\"%d\\n\", a[i]); return 0; }",
-                none,
-            ),
-            (
-                "int main() { char w[8]; strcpy(w, \"abc\"); \
-                 printf(\"a%d%s\\n\", printf(\"b%s%q\", w, 2), w); return 0; }",
-                none,
-            ),
-            (
-                "int main() { char k[8]; int v; scanf(\"%s %d\", k, &v); \
-                 scanf(\"%s %x\", k, &v); return 0; }",
-                kvs,
-            ),
-            (
-                "int g(int n) { while (1) { n++; } return n; } \
-                 int f(int n) { char b[4]; return g(n) + b[0]; } int main() { return f(1); }",
-                none,
-            ),
-            (LISTING1, text),
-            (LISTING2, kvs),
-            (
-                "int f(int n) { char b[4]; if (n < 3) return f(n + 1) + n; return n; } \
-                 int main() { int x; char k[4]; x = scanf(\"%s %d\", k, &x); \
-                 printf(\"%s\\t%d\\n\", k, f(x)); return 0; }",
-                kvs,
-            ),
+        let long: Feed = || StreamIo::lines(lines(&["abcdef"]));
+        let short: Feed = || StreamIo::lines(lines(&["ab", "a"]));
+        // Each heap-writing instruction writes a checkpoint buffer of its
+        // own here, and each run prints them before writing them again.
+        let prologue_array = "int main() { char a[4]; char b[4]; char w[8]; char c[8]; \
+             char *p; char *line; size_t n; int r; \
+             a[0] = 6; b[1] = 5; p = b + 1; strcpy(w, \"w\"); strcpy(c, \"c\"); \
+             while ((r = getline(&line, &n, stdin)) != -1) { \
+             printf(\"%d\\t%d\\t%d\\t%s\\t%s\\n\", a[0], b[1], r, w, c); \
+             a[0] = r; *p = r; getWord(line, 0, w, r, 8); strcpy(c, line); a[r] = 1; } \
+             return 0; }";
+        let prologue_kv = "int main() { char k[8]; int v[2]; v[0] = 4; strcpy(k, \"k\"); \
+             while (scanf(\"%s %d\", k, &v[0]) == 2) { \
+             printf(\"%s\\t%d\\t%d\\t%d\\n\", k, k[3], v[1], v[0]); \
+             v[1] = v[0]; if (v[0] > 5) v[9] = 1; } \
+             return 0; }";
+        let kv_long: Feed = || StreamIo::kvs(vec![(b"abcdef".to_vec(), b"9".to_vec())]);
+        let kv_short: Feed = || StreamIo::kvs(vec![(b"a".to_vec(), b"1".to_vec())]);
+        let sources = [
+            "int main() { int a[2]; int i; i = 9; printf(\"%d\\n\", a[i]); return 0; }",
+            "int main() { char w[8]; strcpy(w, \"abc\"); \
+             printf(\"a%d%s\\n\", printf(\"b%s%q\", w, 2), w); return 0; }",
+            "int main() { char k[8]; int v; scanf(\"%s %d\", k, &v); \
+             scanf(\"%s %x\", k, &v); return 0; }",
+            "int g(int n) { while (1) { n++; } return n; } \
+             int f(int n) { char b[4]; return g(n) + b[0]; } int main() { return f(1); }",
+            prologue_array,
+            prologue_kv,
+            LISTING1,
+            LISTING2,
+            "int f(int n) { char b[4]; if (n < 3) return f(n + 1) + n; return n; } \
+             int main() { int x; char k[4]; x = scanf(\"%s %d\", k, &x); \
+             printf(\"%s\\t%d\\n\", k, f(x)); return 0; }",
         ];
-        let programs: Vec<(Bytecode, Feed)> = cases
-            .into_iter()
-            .map(|(src, io)| (lower(&parse(src).unwrap()), io))
+        // (program, input): a checkpoint's faulted run is followed by a
+        // clean one from the same checkpoint.
+        let cases: [(usize, Feed); 11] = [
+            (0, none),
+            (1, none),
+            (2, kvs),
+            (3, none),
+            (4, long),
+            (4, short),
+            (5, kv_long),
+            (5, kv_short),
+            (6, text),
+            (7, kvs),
+            (8, kvs),
+        ];
+        let programs: Vec<(Bytecode, Option<Checkpoint>)> = sources
+            .iter()
+            .map(|src| {
+                let code = lower(&parse(src).unwrap());
+                let ck = checkpoint(&code);
+                (code, ck)
+            })
             .collect();
+        assert!(programs[4].1.is_some() && programs[5].1.is_some());
         let programs = std::sync::Arc::new(programs);
-        let one = |code: &Bytecode, io: Feed| -> Outcome {
-            let mut io = io();
-            match run(code, &mut io, 10_000) {
+        let one = move |programs: &[(Bytecode, Option<Checkpoint>)], i: usize| -> Outcome {
+            let (prog, feed) = cases[i];
+            let (code, ck) = &programs[prog];
+            let mut io = feed();
+            let ran = run(code, ck.as_ref(), &mut io, 10_000);
+            // The spare keeps the checkpoint's buffers and no more.
+            let spare = SPARE.take().expect("a run hands its storage back");
+            assert_eq!(spare.heap.len(), ck.as_ref().map_or(0, |ck| ck.heap.len()));
+            SPARE.set(Some(spare));
+            match ran {
                 Ok(stats) => Ok((io.stdout, stats)),
                 Err(e) => Err(e.to_string()),
             }
         };
-        let fresh: Vec<Outcome> = (0..programs.len())
+        let fresh: Vec<Outcome> = (0..cases.len())
             .map(|i| {
                 let programs = std::sync::Arc::clone(&programs);
-                std::thread::spawn(move || one(&programs[i].0, programs[i].1))
+                std::thread::spawn(move || one(&programs, i))
                     .join()
                     .unwrap()
             })
             .collect();
-        assert!(fresh[..4].iter().all(Result::is_err), "{fresh:?}");
-        assert!(fresh[0].as_ref().unwrap_err().contains("out of bounds"));
-        assert!(fresh[4..].iter().all(Result::is_ok), "{fresh:?}");
+        let faulted = [0, 1, 2, 3, 4, 6];
+        for (i, outcome) in fresh.iter().enumerate() {
+            assert_eq!(outcome.is_err(), faulted.contains(&i), "{i}: {outcome:?}");
+        }
+        for i in [0, 4, 6] {
+            assert!(fresh[i].as_ref().unwrap_err().contains("out of bounds"));
+        }
+        assert_eq!(
+            fresh[5].as_ref().unwrap().0,
+            b"6\t5\t3\tw\tc\n3\t3\t2\tab\tab\n\n"
+        );
+        assert_eq!(fresh[7].as_ref().unwrap().0, b"a\t0\t0\t1\n");
         // One thread, in sequence, twice over: every run as on a fresh one.
         let reused = std::thread::spawn(move || {
-            (0..2)
-                .flat_map(|_| programs.iter().map(|(code, io)| one(code, *io)))
+            (0..2 * cases.len())
+                .map(|i| one(&programs, i % cases.len()))
                 .collect::<Vec<_>>()
         })
         .join()
         .unwrap();
         for (i, got) in reused.iter().enumerate() {
             assert_eq!(got, &fresh[i % fresh.len()], "run {i}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_is_taken_only_where_a_run_can_resume() {
+        let text = || StreamIo::lines(lines(&["ab cd", "e"]));
+        let resumable = [
+            // The read inside a call (not a leaf, so not inlined), with a
+            // frame and an argument live.
+            "int rd(char **l, size_t *n) { char b[2]; return getline(l, n, stdin); } \
+             int main() { char *line; size_t n; int r; int s; s = 40; \
+             while ((r = 2 + rd(&line, &n)) != 1) printf(\"%s\\t%d\\n\", line, r + s); \
+             return 0; }",
+            // Output before the first read.
+            "int main() { char *line; size_t n; printf(\"head\\n\"); \
+             while (getline(&line, &n, stdin) != -1) printf(\"%s\", line); return 0; }",
+        ];
+        let not = [
+            // Never reads.
+            "int main() { printf(\"a\\t1\\n\"); return 0; }",
+            // Reads inside a `printf` argument.
+            "int main() { char *line; size_t n; \
+             printf(\"%d\\n\", getline(&line, &n, stdin)); return 0; }",
+            // Faults first.
+            "int main() { int a[2]; char *line; size_t n; a[2] = 1; \
+             getline(&line, &n, stdin); return 0; }",
+            // Outruns the prologue's step cap first.
+            "int main() { int i; char *line; size_t n; for (i = 0; i < 300000; i++) {} \
+             getline(&line, &n, stdin); printf(\"%d\\n\", i); return 0; }",
+            // `main` cannot be called.
+            "int main(int argc) { char *line; size_t n; getline(&line, &n, stdin); return 0; }",
+        ];
+        for (src, want) in resumable
+            .iter()
+            .map(|s| (s, true))
+            .chain(not.iter().map(|s| (s, false)))
+        {
+            let got = checkpoint(&lower(&parse(src).unwrap())).is_some();
+            assert_eq!(got, want, "{src}");
+            differential(src, text);
         }
     }
 
@@ -763,7 +1044,7 @@ int main() {
             let n = std::sync::Arc::clone(&native);
             handles.push(std::thread::spawn(move || {
                 let mut io = StreamIo::lines(vec![]);
-                let stats = run(&n, &mut io, 1_000_000).unwrap();
+                let stats = run(&n, None, &mut io, 1_000_000).unwrap();
                 (io.stdout, stats)
             }));
         }
@@ -808,7 +1089,7 @@ int main() {
     fn runaway_recursion_is_an_error_not_an_overflow() {
         let prog = parse("int f(int n) { return f(n + 1); } int main() { return f(0); }").unwrap();
         let code = lower(&prog);
-        let err = run(&code, &mut StreamIo::lines(vec![]), 100_000_000).unwrap_err();
+        let err = run(&code, None, &mut StreamIo::lines(vec![]), 100_000_000).unwrap_err();
         assert_eq!(err.to_string(), "interpreter error: call depth exceeded");
     }
 
@@ -825,11 +1106,11 @@ int main() {
         let prog = parse(&src).unwrap();
         let code = lower(&prog);
         let mut io = StreamIo::lines(vec![]);
-        run(&code, &mut io, 1_000_000).unwrap();
+        run(&code, None, &mut io, 1_000_000).unwrap();
         assert_eq!(io.stdout, b"a\n");
         let called = src.replace("if (0) big();", "big();");
         let prog = parse(&called).unwrap();
-        let err = run(&lower(&prog), &mut io, 1_000_000).unwrap_err();
+        let err = run(&lower(&prog), None, &mut io, 1_000_000).unwrap_err();
         assert!(err.to_string().contains("too large"), "{err}");
     }
 }

@@ -3,7 +3,11 @@
 //! and the register-bytecode native backend — byte-identical stdout,
 //! identical `InterpStats`, identical error text. The front end and its
 //! value analysis run on every case too, and the lints' "provably
-//! faults" claims are held to the run.
+//! faults" claims are held to the run. The native backend runs each case
+//! three times on one thread — fresh, right after itself, and after
+//! another program has taken the thread's spare storage — so a run
+//! resumed from its checkpoint is held to the interpreter in each state
+//! that storage can be in.
 //!
 //! Deterministic by default: `HETERO_TESTGEN_SEED` (default pinned) and
 //! `HETERO_TESTGEN_CASES` (default 256) control the sweep, so CI runs
@@ -13,7 +17,7 @@
 //! listing) is written to
 //! `target/testgen-failures/` for artifact upload.
 
-use hetero_cc::backend::{make_backend, BackendKind, NativeBackend};
+use hetero_cc::backend::{make_backend, BackendKind, KernelBackend, NativeBackend};
 use hetero_cc::compile_with;
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::lint::{lint_program, LintLevel};
@@ -39,24 +43,59 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 type RunResult = Result<(Vec<u8>, InterpStats), String>;
 
-fn run_backend(kind: BackendKind, src: &str, io: &mut StreamIo) -> RunResult {
-    let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
-    let backend = make_backend(kind, &prog);
+/// A checkpointed program that writes its prologue's array, run between
+/// a case's second and third native runs.
+const OTHER: &str = "int main() { char w[8]; char *line; size_t n; int r; w[0] = 'x'; \
+    while ((r = getline(&line, &n, stdin)) != -1) { w[1] = 'y'; printf(\"%s\\t%d\\n\", w, r); } \
+    return 0; }";
+
+fn run_on(backend: &dyn KernelBackend, io: &mut StreamIo) -> RunResult {
     match backend.run_capped(io, MAX_STEPS) {
         Ok(stats) => Ok((io.stdout.clone(), stats)),
         Err(e) => Err(e.to_string()),
     }
 }
 
+fn run_backend(kind: BackendKind, src: &str, io: &mut StreamIo) -> RunResult {
+    let prog = parse(src).map_err(|e| format!("parse: {e}"))?;
+    run_on(&*make_backend(kind, &prog), io)
+}
+
+/// The case's three runs on one native backend and thread: fresh, again
+/// right after, and again after [`OTHER`] ran.
+fn native_runs(src: &str, case: &GenCase) -> Vec<RunResult> {
+    let prog = match parse(src) {
+        Ok(prog) => prog,
+        Err(e) => return vec![Err(format!("parse: {e}"))],
+    };
+    let native = make_backend(BackendKind::Native, &prog);
+    let other = make_backend(BackendKind::Native, &parse(OTHER).unwrap());
+    (0..3)
+        .map(|i| {
+            if i == 2 {
+                let ran = run_on(&*other, &mut StreamIo::lines(vec![b"ab".to_vec()]));
+                assert_eq!(ran.unwrap().0, b"xy\t3\n");
+            }
+            run_on(&*native, &mut case.make_io())
+        })
+        .collect()
+}
+
 /// Whether the interpreter and the native backend disagree on this exact
-/// source + input.
+/// source + input, in any of the native backend's three runs.
 fn diverges(case: &GenCase, mask: &[bool]) -> Option<String> {
     let src = case.source_with(mask);
     let mut io_i = case.make_io();
     let ri = run_backend(BackendKind::Interp, &src, &mut io_i);
-    let mut io_n = case.make_io();
-    let rn = run_backend(BackendKind::Native, &src, &mut io_n);
-    match (&ri, &rn) {
+    native_runs(&src, case)
+        .iter()
+        .enumerate()
+        .find_map(|(i, rn)| compare(&ri, rn).map(|why| format!("native run {i}: {why}")))
+}
+
+/// How two runs' outcomes differ, if they do.
+fn compare(ri: &RunResult, rn: &RunResult) -> Option<String> {
+    match (ri, rn) {
         (Ok((oi, si)), Ok((on, sn))) => {
             if oi != on {
                 return Some(format!(
@@ -132,7 +171,7 @@ fn write_counterexample(case: &GenCase, mask: &[bool], why: &str) -> String {
 fn generated_programs_agree_across_backends() {
     let seed = env_u64("HETERO_TESTGEN_SEED", DEFAULT_SEED);
     let cases = env_u64("HETERO_TESTGEN_CASES", DEFAULT_CASES);
-    let mut errored = 0u64;
+    let (mut errored, mut checkpointed) = (0u64, 0u64);
     for i in 0..cases {
         let case = generate(seed.wrapping_add(i));
         let full = vec![true; case.segments.len()];
@@ -154,6 +193,9 @@ fn generated_programs_agree_across_backends() {
             .unwrap_or_else(|e| panic!("seed {}: front end rejected the case: {e}", case.seed));
         let lint = lint_program(&src, &compiled.program, &compiled.analysis);
         let ran = run_backend(BackendKind::Interp, &src, &mut io);
+        checkpointed += NativeBackend::new(&compiled.program)
+            .checkpoint_steps()
+            .is_some() as u64;
         // HD016 and HD017 claim a fault wherever their site is reached.
         // The engines keep no per-site hit record, so the corpus is held
         // to what the claim implies for a site on the run's path: the run
@@ -184,6 +226,12 @@ fn generated_programs_agree_across_backends() {
         errored * 4 < cases,
         "generator drift: {errored}/{cases} cases end in runtime errors; \
          the corpus should be dominated by successful runs"
+    );
+    // The reruns above test resumed runs only where there is a
+    // checkpoint to resume from (74 of the pinned 256 cases).
+    assert!(
+        checkpointed * 4 > cases,
+        "only {checkpointed}/{cases} cases read input after a prologue"
     );
 }
 

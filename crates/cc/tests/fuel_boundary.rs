@@ -5,7 +5,7 @@
 //! loses exactly as in the interpreter), and on `Ok` the same
 //! `InterpStats` and stdout.
 
-use hetero_cc::backend::{make_backend, BackendKind, NativeBackend};
+use hetero_cc::backend::{make_backend, BackendKind, KernelBackend, NativeBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
 
@@ -123,6 +123,77 @@ fn int_sum_combiner_agrees_at_every_budget() {
         )
     };
     sweep("int_sum_combiner", INT_SUM_COMBINER, &io);
+}
+
+#[test]
+fn runs_capped_at_the_checkpoint_agree() {
+    // The native engine resumes a run from `main`'s state at its first
+    // input read when the cap covers the steps to it, and starts from
+    // the top when it does not. One step under, exactly at and one step
+    // over that line, on its own input and on input of the other kind
+    // (so the read itself faults and races the step limit), every
+    // outcome is the interpreter's — from one backend, run twice.
+    let kv = || {
+        StreamIo::kvs(
+            [("a", "1"), ("a", "2"), ("b", "5")]
+                .iter()
+                .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+                .collect(),
+        )
+    };
+    let text = lines(&["the quick brown fox", "", "tail"]);
+    // The last column: the fault of the read, which wins from the
+    // checkpoint's steps on.
+    type Case<'a> = (&'a str, &'a str, &'a dyn Fn() -> StreamIo, Option<&'a str>);
+    let cases: [Case; 4] = [
+        ("wc_mapper", WC_MAPPER, &text, None),
+        (
+            "wc_mapper on KV input",
+            WC_MAPPER,
+            &kv,
+            Some("getline on KV input"),
+        ),
+        ("int_sum_combiner", INT_SUM_COMBINER, &kv, None),
+        (
+            "int_sum_combiner on lines",
+            INT_SUM_COMBINER,
+            &text,
+            Some("scanf on line input"),
+        ),
+    ];
+    for (name, src, io, read_fault) in cases {
+        let native = NativeBackend::new(&parse(src).unwrap());
+        let at = native
+            .checkpoint_steps()
+            .expect("the kernel reads after a prologue");
+        assert!(at > 1, "{name}: {at}");
+        for n in [at - 1, at, at + 1] {
+            let want = run(BackendKind::Interp, src, io, n);
+            for rep in 0..2 {
+                let mut io = io();
+                let got = match native.run_capped(&mut io, n) {
+                    Ok(stats) => Ok((stats, io.stdout)),
+                    Err(e) => Err(e.to_string()),
+                };
+                assert_eq!(
+                    got, want,
+                    "`{name}` diverged at max_steps = {n} (checkpoint at {at}), run {rep}"
+                );
+            }
+        }
+        assert_eq!(
+            run(BackendKind::Interp, src, io, at - 1),
+            Err(STEP_LIMIT.to_string())
+        );
+        if let Some(fault) = read_fault {
+            let at_line = run(BackendKind::Interp, src, io, at);
+            assert_eq!(
+                at_line,
+                Err(format!("interpreter error: {fault}")),
+                "{name}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -18,8 +18,8 @@ use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
 /// A kernel backend over one annotated C program, usable as the
 /// runtime's [`Mapper`] (when the program's `main` has the Listing 1
 /// shape) or [`Combiner`] (Listing 2 shape). The program is brought to
-/// its executable form once, at construction; every record or run
-/// reuses it.
+/// its executable form once, at construction — lowered, and run up to
+/// its first input read — and every record or run resumes from there.
 pub struct CompiledKernel {
     backend: Box<dyn KernelBackend>,
 }

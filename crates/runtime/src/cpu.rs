@@ -8,7 +8,7 @@
 //! single-task speedups land in the paper's reported bands (Fig. 5).
 
 use crate::task::{TaskBreakdown, TaskEnv};
-use crate::types::{default_partition, Combiner, Mapper, VecEmit};
+use crate::types::{default_partition, Combiner, Emit, Mapper, OpCount, VecEmit};
 
 /// Time model of one CPU core running a streaming task.
 #[derive(Debug, Clone)]
@@ -50,6 +50,48 @@ pub struct CpuTaskResult {
     pub records: usize,
 }
 
+/// The CPU task's map sink, shaped like Hadoop's map output buffer:
+/// every emitted pair's key and value back to back in one byte arena, and
+/// per pair its `(start, key_end, end)` there. The partition and sort
+/// phases then move pair indices, and the combiner borrows slices of the
+/// arena; no pair gets an allocation of its own.
+#[derive(Default)]
+struct MapArena {
+    bytes: Vec<u8>,
+    spans: Vec<(usize, usize, usize)>,
+    ops: OpCount,
+    ro_bytes: u64,
+}
+
+impl MapArena {
+    fn key(&self, i: usize) -> &[u8] {
+        let (start, key_end, _) = self.spans[i];
+        &self.bytes[start..key_end]
+    }
+
+    fn value(&self, i: usize) -> &[u8] {
+        let (_, key_end, end) = self.spans[i];
+        &self.bytes[key_end..end]
+    }
+}
+
+impl Emit for MapArena {
+    fn emit(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        let key_end = self.bytes.len();
+        self.bytes.extend_from_slice(value);
+        self.spans.push((start, key_end, self.bytes.len()));
+        true
+    }
+    fn charge(&mut self, ops: OpCount) {
+        self.ops += ops;
+    }
+    fn read_ro(&mut self, bytes: u64) {
+        self.ro_bytes += bytes;
+    }
+}
+
 /// Run the full CPU streaming task over a fileSplit.
 pub fn run_cpu_task(
     env: &TaskEnv,
@@ -66,7 +108,7 @@ pub fn run_cpu_task(
     };
 
     // --- Map phase: stream records through the map filter. ---
-    let mut em = VecEmit::default();
+    let mut em = MapArena::default();
     let mut records = 0usize;
     for rec in split.split(|&b| b == b'\n') {
         if rec.is_empty() {
@@ -75,54 +117,56 @@ pub fn run_cpu_task(
         records += 1;
         mapper.map(rec, &mut em);
     }
-    let emitted_bytes: u64 = em
-        .pairs
-        .iter()
-        .map(|(k, v)| (k.len() + v.len() + 2) as u64)
-        .sum();
+    let emitted_bytes: u64 = em.spans.iter().map(|&(s, _, e)| (e - s + 2) as u64).sum();
     bd.map_s = em.ops.alu as f64 * model.alu_s
         + em.ops.sfu as f64 * model.sfu_s
         + (split.len() as u64 + emitted_bytes + em.ro_bytes) as f64 * model.byte_s;
 
-    // --- Partition + sort phase. ---
+    // --- Partition + sort phase: pair indices, stably sorted by key. ---
     let nr = num_reducers.max(1);
-    let mut partitions: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); nr as usize];
-    for (k, v) in em.pairs {
-        let p = default_partition(&k, nr) as usize;
-        partitions[p].push((k, v));
+    let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); nr as usize];
+    for i in 0..em.spans.len() {
+        partitions[default_partition(em.key(i), nr) as usize].push(i);
     }
     // Hadoop spills map output to local disk before sorting — a cost
     // the GPU path avoids by keeping KV pairs in device memory.
     let mut sort_time = emitted_bytes as f64 * (1.0 / env.write_bw + model.byte_s);
     for part in &mut partitions {
         let n = part.len().max(1) as f64;
-        let avg_key: f64 = part.iter().map(|(k, _)| k.len() as f64).sum::<f64>() / n;
-        part.sort_by(|a, b| a.0.cmp(&b.0));
+        let avg_key: f64 = part.iter().map(|&i| em.key(i).len() as f64).sum::<f64>() / n;
+        part.sort_by_key(|&i| em.key(i));
         sort_time += n * n.log2().max(1.0) * avg_key.max(1.0) * model.sort_cmp_byte_s;
     }
     bd.sort_s = sort_time;
 
     // --- Combine phase. ---
-    let mut out_parts = Vec::with_capacity(partitions.len());
     let mut combine_time = 0.0;
-    match combiner {
+    let out_parts: Vec<Vec<(Vec<u8>, Vec<u8>)>> = match combiner {
         Some(c) if !map_only => {
+            let mut run: Vec<(&[u8], &[u8])> = Vec::new();
+            let mut out_parts = Vec::with_capacity(partitions.len());
             for part in &partitions {
-                let run: Vec<(&[u8], &[u8])> = part
-                    .iter()
-                    .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                    .collect();
+                run.clear();
+                run.extend(part.iter().map(|&i| (em.key(i), em.value(i))));
                 let mut cem = VecEmit::default();
                 c.combine(&run, &mut cem);
-                let in_bytes: u64 = part.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+                let in_bytes: u64 = run.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
                 combine_time += cem.ops.alu as f64 * model.alu_s
                     + cem.ops.sfu as f64 * model.sfu_s
                     + in_bytes as f64 * model.byte_s;
                 out_parts.push(cem.pairs);
             }
+            out_parts
         }
-        _ => out_parts = partitions,
-    }
+        _ => partitions
+            .iter()
+            .map(|part| {
+                part.iter()
+                    .map(|&i| (em.key(i).to_vec(), em.value(i).to_vec()))
+                    .collect()
+            })
+            .collect(),
+    };
     bd.combine_s = combine_time;
 
     // --- Output write. ---
@@ -172,6 +216,154 @@ mod tests {
             }
         }
         m
+    }
+
+    /// The CPU task as it was before the map arena: every emitted pair
+    /// its own two `Vec`s. The pin test holds `run_cpu_task` to it.
+    fn reference_cpu_task(
+        env: &TaskEnv,
+        model: &CpuCostModel,
+        split: &[u8],
+        mapper: &dyn Mapper,
+        combiner: Option<&dyn Combiner>,
+        num_reducers: u32,
+        map_only: bool,
+    ) -> CpuTaskResult {
+        let mut bd = TaskBreakdown {
+            input_read_s: env.io_latency_s + split.len() as f64 / env.read_bw,
+            ..Default::default()
+        };
+        let mut em = VecEmit::default();
+        let mut records = 0usize;
+        for rec in split.split(|&b| b == b'\n') {
+            if rec.is_empty() {
+                continue;
+            }
+            records += 1;
+            mapper.map(rec, &mut em);
+        }
+        let emitted_bytes: u64 = em
+            .pairs
+            .iter()
+            .map(|(k, v)| (k.len() + v.len() + 2) as u64)
+            .sum();
+        bd.map_s = em.ops.alu as f64 * model.alu_s
+            + em.ops.sfu as f64 * model.sfu_s
+            + (split.len() as u64 + emitted_bytes + em.ro_bytes) as f64 * model.byte_s;
+        let nr = num_reducers.max(1);
+        let mut partitions: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); nr as usize];
+        for (k, v) in em.pairs {
+            let p = default_partition(&k, nr) as usize;
+            partitions[p].push((k, v));
+        }
+        let mut sort_time = emitted_bytes as f64 * (1.0 / env.write_bw + model.byte_s);
+        for part in &mut partitions {
+            let n = part.len().max(1) as f64;
+            let avg_key: f64 = part.iter().map(|(k, _)| k.len() as f64).sum::<f64>() / n;
+            part.sort_by(|a, b| a.0.cmp(&b.0));
+            sort_time += n * n.log2().max(1.0) * avg_key.max(1.0) * model.sort_cmp_byte_s;
+        }
+        bd.sort_s = sort_time;
+        let mut out_parts = Vec::with_capacity(partitions.len());
+        let mut combine_time = 0.0;
+        match combiner {
+            Some(c) if !map_only => {
+                for part in &partitions {
+                    let run: Vec<(&[u8], &[u8])> = part
+                        .iter()
+                        .map(|(k, v)| (k.as_slice(), v.as_slice()))
+                        .collect();
+                    let mut cem = VecEmit::default();
+                    c.combine(&run, &mut cem);
+                    let in_bytes: u64 = part.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+                    combine_time += cem.ops.alu as f64 * model.alu_s
+                        + cem.ops.sfu as f64 * model.sfu_s
+                        + in_bytes as f64 * model.byte_s;
+                    out_parts.push(cem.pairs);
+                }
+            }
+            _ => out_parts = partitions,
+        }
+        bd.combine_s = combine_time;
+        let out_bytes: u64 = out_parts
+            .iter()
+            .flatten()
+            .map(|(k, v)| (k.len() + v.len() + 8) as u64)
+            .sum();
+        bd.output_write_s = out_bytes as f64 / env.format_bw
+            + env.io_latency_s
+            + out_bytes as f64 / env.write_bw
+            + if map_only {
+                out_bytes as f64 / env.write_bw
+            } else {
+                0.0
+            };
+        CpuTaskResult {
+            partitions: out_parts,
+            breakdown: bd,
+            records,
+        }
+    }
+
+    /// Emits every space-separated field, empty ones too, with its
+    /// position as the value; charges SFU work and read-only bytes, so
+    /// every term of the breakdown is non-zero.
+    struct Fields;
+
+    impl Mapper for Fields {
+        fn map(&self, record: &[u8], out: &mut dyn Emit) {
+            out.read_ro(record.len() as u64);
+            for (i, f) in record.split(|&b| b == b' ').enumerate() {
+                out.charge(OpCount::new(f.len() as u64 + 1, i as u64 % 3));
+                out.emit(f, i.to_string().as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn arena_task_matches_the_per_pair_reference_bit_for_bit() {
+        // Duplicate keys within and across records, empty lines, empty
+        // keys, and 64 distinct words so every partition gets keys.
+        let mut split = Vec::new();
+        for i in 0..300 {
+            let line = match i % 5 {
+                0 => String::new(),
+                1 => format!("w{} dup dup  w{}", i % 64, (i * 7) % 64),
+                2 => "dup w1 w1 ".to_string(),
+                _ => format!("w{} w{} x", (i * 3) % 64, i % 11),
+            };
+            split.extend_from_slice(line.as_bytes());
+            split.extend_from_slice(b"\n\n");
+        }
+        let model = CpuCostModel::default();
+        let mappers: [&dyn Mapper; 2] = [&WcMap, &Fields];
+        for (m, mapper) in mappers.into_iter().enumerate() {
+            for nr in [1, 7] {
+                for combiner in [None, Some(&SumComb as &dyn Combiner)] {
+                    for map_only in [false, true] {
+                        let env = TaskEnv::disk();
+                        let got =
+                            run_cpu_task(&env, &model, &split, mapper, combiner, nr, map_only);
+                        let want = reference_cpu_task(
+                            &env, &model, &split, mapper, combiner, nr, map_only,
+                        );
+                        let case = format!(
+                            "mapper {m}, {nr} reducers, combiner {}, map_only {map_only}",
+                            combiner.is_some()
+                        );
+                        assert_eq!(got.records, want.records, "{case}");
+                        assert_eq!(got.partitions, want.partitions, "{case}");
+                        let (g, w) = (got.breakdown.stages(), want.breakdown.stages());
+                        for ((name, g), (_, w)) in g.iter().zip(&w) {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{case}: {name}");
+                        }
+                        if nr == 7 && (combiner.is_none() || map_only) {
+                            assert!(got.partitions.iter().all(|p| !p.is_empty()), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

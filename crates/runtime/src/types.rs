@@ -53,9 +53,10 @@ pub trait Emit {
     fn read_ro(&mut self, bytes: u64);
 }
 
-/// The collecting emitter: buffers every pair and accumulates the
-/// charges. The CPU task path maps and combines into one; tests use it to
-/// look at what a mapper or combiner emitted.
+/// The collecting emitter: buffers every pair, each as its own two
+/// `Vec`s, and accumulates the charges. The CPU task path combines into
+/// one (it maps into a one-buffer arena of its own); tests use it to look
+/// at what a mapper or combiner emitted.
 #[derive(Debug, Default)]
 pub struct VecEmit {
     /// Emitted pairs, in emission order.
