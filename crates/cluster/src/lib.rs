@@ -18,6 +18,7 @@ mod index;
 pub mod job;
 pub mod journal;
 pub mod parallel;
+mod queue;
 pub mod reference;
 pub mod service;
 pub mod sim;

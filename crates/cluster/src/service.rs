@@ -40,7 +40,8 @@
 use crate::config::{ClusterConfig, ConfigError, FaultPlan};
 use crate::job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
 use crate::parallel::{ParallelRunner, Prefetch};
-use crate::sim::{mix64, simulate, EventQueue};
+use crate::queue::EventQueue;
+use crate::sim::{mix64, simulate};
 use crate::stats::JobStats;
 use hetero_hdfs::NodeId;
 use hetero_trace::{Category, MetricsRegistry, Tracer};

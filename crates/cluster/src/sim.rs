@@ -51,11 +51,11 @@ use crate::config::{ClusterConfig, Scheduler};
 use crate::index::Indexed;
 use crate::job::JobSpec;
 use crate::journal::{Journal, JtRecord};
+use crate::queue::{Entry, EventQueue};
 use crate::stats::{Device, JobStats, Outcome};
 use hetero_hdfs::{Locality, NodeId, Topology};
 use hetero_trace::{ArgValue, Category, Tracer};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
@@ -82,65 +82,6 @@ enum Event {
     JobTrackerCrash,
     /// The master restarts and recovers from snapshot + journal replay.
     JobTrackerRecover,
-}
-
-/// An event due at simulated `time`; `seq` is its push order.
-struct Scheduled<E> {
-    time: f64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, o: &Self) -> bool {
-        self.time == o.time && self.seq == o.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap: earlier time first; seq breaks ties deterministically.
-        o.time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then(o.seq.cmp(&self.seq))
-    }
-}
-
-/// The `(time, seq)` event queue of both DES levels (this job simulator
-/// and the multi-tenant service around it): pops in time order, and in
-/// push order among events due at the same instant.
-pub(crate) struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    pub(crate) fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: f64, event: E) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-    }
-
-    /// The next event and its time.
-    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,10 +134,10 @@ fn slab_index(i: usize) -> u32 {
 }
 
 // The per-task footprint of a run: one `Attempt` and one `TaskState` a
-// task, and at the peak one `Scheduled<Event>` an attempt in flight.
+// task, and at the peak one queue `Entry<Event>` an attempt in flight.
 const _: () = assert!(std::mem::size_of::<Attempt>() <= 72);
 const _: () = assert!(std::mem::size_of::<TaskState>() <= 28);
-const _: () = assert!(std::mem::size_of::<Scheduled<Event>>() <= 32);
+const _: () = assert!(std::mem::size_of::<Entry<Event>>() <= 24);
 
 impl Attempt {
     pub(crate) fn live(&self) -> bool {
