@@ -100,12 +100,15 @@ impl App for Benchmark {
     }
 }
 
-/// Parse an ASCII integer value slot.
+/// Parse an ASCII integer value slot: the trimmed text as an `i64`, 0
+/// when it is not one. A bare run of up to 18 digits cannot overflow and
+/// is folded directly.
 pub fn parse_i64(v: &[u8]) -> i64 {
-    String::from_utf8_lossy(trim_key(v))
-        .trim()
-        .parse()
-        .unwrap_or(0)
+    let v = trim_key(v);
+    if (1..=18).contains(&v.len()) && v.iter().all(u8::is_ascii_digit) {
+        return v.iter().fold(0, |n, &d| n * 10 + (d - b'0') as i64);
+    }
+    String::from_utf8_lossy(v).trim().parse().unwrap_or(0)
 }
 
 /// Parse an ASCII float value slot.
@@ -292,6 +295,62 @@ mod tests {
     fn words_matches_c_getword_semantics() {
         let w: Vec<&[u8]> = words(b"don't stop_me now! 42").collect();
         assert_eq!(w, vec![&b"don't"[..], b"stop_me", b"now", b"42"]);
+    }
+
+    /// What `parse_i64` returned before its digit fast path: the oracle.
+    fn parse_i64_via_string(v: &[u8]) -> i64 {
+        String::from_utf8_lossy(trim_key(v))
+            .trim()
+            .parse()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn parse_i64_reads_the_i64_limits_and_rejects_past_them() {
+        for text in [
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "+9223372036854775807",
+            "999999999999999999",
+            "0000000000000000001",
+            "",
+            "0",
+        ] {
+            assert_eq!(
+                parse_i64(text.as_bytes()),
+                parse_i64_via_string(text.as_bytes()),
+                "{text:?}"
+            );
+        }
+        assert_eq!(parse_i64(b"9223372036854775807"), i64::MAX);
+        assert_eq!(parse_i64(b"-9223372036854775808"), i64::MIN);
+    }
+
+    proptest::proptest! {
+        /// A run of 1–20 digits (past `i64` from 19 on) behind and before
+        /// signs, spaces, NUL padding and non-UTF-8 bytes parses as the
+        /// `String` path does.
+        #[test]
+        fn parse_i64_matches_the_string_parse(
+            head in proptest::collection::vec(0u8..8, 0..3),
+            digits in proptest::collection::vec(b'0'..=b'9', 1..21),
+            tail in proptest::collection::vec(0u8..8, 0..3),
+        ) {
+            const AROUND: [u8; 8] = [b' ', b'\t', b'+', b'-', 0, 0xFF, 0xC3, b'x'];
+            let around = |picks: &[u8]| picks.iter().map(|&c| AROUND[c as usize]).collect::<Vec<_>>();
+            let v = [around(&head), digits, around(&tail)].concat();
+            proptest::prop_assert_eq!(parse_i64(&v), parse_i64_via_string(&v), "{:?}", v);
+        }
+
+        /// Any bytes at all parse as the `String` path does.
+        #[test]
+        fn parse_i64_matches_the_string_parse_on_any_bytes(
+            v in proptest::collection::vec(proptest::any::<u8>(), 0..24),
+        ) {
+            proptest::prop_assert_eq!(parse_i64(&v), parse_i64_via_string(&v));
+        }
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! from `--quick` (one timed call a side), and prints the record as a
 //! markdown table. `--markdown FILE` instead renders a `micro.json` as
 //! that table: `results/micro.md`, which EXPERIMENTS.md quotes.
+use hetero_apps::common::words;
 use hetero_bench::{nproc, write_artifact, Args};
 use hetero_cc::backend::make_backend;
 use hetero_cc::backend::BackendKind::{Interp, Native};
 use hetero_cc::interp::StreamIo;
 use hetero_cluster::{simulate, simulate_reference, ClusterConfig, JobSpec, JobStats, Scheduler};
 use hetero_gpusim::{Access, BlockCtx, Device, GpuSpec, LaneCtx};
+use hetero_runtime::aggregate::unaggregated_partitions;
 use hetero_runtime::{kvstore::KvStore, scan::exclusive_scan, sort::sort_partition};
 use hetero_trace::json::{self, Json};
 use std::hint::black_box;
@@ -179,7 +181,8 @@ fn des(cfg: ClusterConfig, cpu_s: f64, gpu_s: f64) -> Vec<Side> {
 
 /// Indirection sort of `n` keys through an index array with 7/8
 /// whitespace entries vs a dense (aggregated) one — the Fig. 7e
-/// mechanism at wall-clock level.
+/// mechanism at wall-clock level. The keys are 10 bytes, so both sides
+/// sort by the 16-byte integer key.
 fn sort(n: usize) -> Vec<Side> {
     let indexed = |name, index_len| {
         let dev = Device::new(GpuSpec::tesla_k40());
@@ -193,6 +196,34 @@ fn sort(n: usize) -> Vec<Side> {
         side(name, move || sort_partition(&dev, &store, &index).unwrap())
     };
     vec![indexed("whitespace", n * 8), indexed("aggregated", n)]
+}
+
+/// The 48 partitions of one Wordcount split's pairs (the words of
+/// `records` generated records, seed 7: Zipf duplicates), each sorted in
+/// turn. The same words sort with a 17-byte suffix, past the 16-byte
+/// integer key (a `u64` prefix, then whole slots on a tie), and as they
+/// are, ≤ 16 bytes (the integer key).
+fn sort_wc(records: usize) -> Vec<Side> {
+    let split = hetero_apps::app_by_code("WC")
+        .unwrap()
+        .generate_split(records, 7);
+    let tokens: Vec<&[u8]> = split.split(|&b| b == b'\n').flat_map(words).collect();
+    let keyed = |name, suffix: &[u8]| {
+        let dev = Device::new(GpuSpec::tesla_k40());
+        let mut store = KvStore::new(1, tokens.len(), 30, 8, 48);
+        for w in &tokens {
+            assert!(store.emit(0, &[w, suffix].concat(), b"1"));
+        }
+        let parts = unaggregated_partitions(&store);
+        side(name, move || {
+            let sort = |idx: &Vec<u32>| sort_partition(&dev, &store, idx).unwrap().order.len();
+            parts.iter().map(sort).sum::<usize>()
+        })
+    };
+    vec![
+        keyed("long_keys", b"-seventeen-bytes!"),
+        keyed("short_keys", b""),
+    ]
 }
 
 fn scan(n: u32) -> Vec<Side> {
@@ -260,6 +291,7 @@ fn main() {
         ("des_48", 40, des(paper, 40.0, 4.0)),
         ("des_1k", 5, des(large, 8.0, 1.0)),
         ("sort_10k", 40, sort(10_000)),
+        ("sort_wc_48", 40, sort_wc(8_000)),
         ("exclusive_scan_65536", 40, scan(65_536)),
         ("warp_round_10k", 40, warp_rounds()),
     ];

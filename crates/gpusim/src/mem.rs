@@ -38,7 +38,7 @@ impl MemTracker {
     /// device cannot satisfy the request (no virtual memory to fall back
     /// on).
     pub fn alloc(&mut self, bytes: u64) -> Result<DevPtr, GpuError> {
-        if self.used + bytes > self.capacity {
+        if bytes > self.capacity - self.used {
             return Err(GpuError::OutOfMemory {
                 requested: bytes,
                 available: self.capacity - self.used,
@@ -126,6 +126,17 @@ mod tests {
         m.free(b).unwrap();
         assert_eq!(m.used(), 0);
         assert_eq!(m.live_allocs(), 0);
+    }
+
+    #[test]
+    fn a_request_near_u64_max_is_out_of_memory() {
+        // `used + bytes` would overflow `u64`: the check must not add.
+        let mut m = MemTracker::new(100);
+        m.alloc(70).unwrap();
+        for bytes in [u64::MAX, u64::MAX - 50] {
+            assert!(matches!(m.alloc(bytes), Err(GpuError::OutOfMemory { .. })));
+        }
+        assert_eq!(m.used(), 70);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! slot's position is computable without pointers. Threads that emit
 //! fewer pairs than their region holds leave *whitespace* — empty slots —
 //! which the aggregation pass removes before sorting (§5.3).
+//!
+//! The store also records the longest key it holds, `longest_key`. Only
+//! [`KvStore::emit`] and the map kernel write slots, each zeroing a slot
+//! before filling it, so every key byte at or past `longest_key` is 0 —
+//! which lets the sort compare short keys as integers (`sort.rs`).
 
 use crate::types::default_partition;
 
@@ -23,13 +28,15 @@ pub struct KvStore {
     /// Number of reduce partitions.
     pub num_reducers: u32,
     /// Flat key storage: `threads * stores_per_thread * key_len` bytes.
-    pub keys: Vec<u8>,
+    pub(crate) keys: Vec<u8>,
     /// Flat value storage.
-    pub vals: Vec<u8>,
+    pub(crate) vals: Vec<u8>,
     /// Partition of each slot (computed at emit time).
-    pub partition: Vec<u32>,
+    pub(crate) partition: Vec<u32>,
     /// KV pairs emitted by each thread (`devKvCount` in Listing 3).
-    pub counts: Vec<u32>,
+    pub(crate) counts: Vec<u32>,
+    /// Bytes of the longest key stored (after truncation to `key_len`).
+    pub(crate) longest_key: usize,
 }
 
 impl KvStore {
@@ -52,6 +59,7 @@ impl KvStore {
             vals: vec![0; slots * val_len],
             partition: vec![u32::MAX; slots],
             counts: vec![0; threads],
+            longest_key: 0,
         }
     }
 
@@ -87,6 +95,7 @@ impl KvStore {
         vdst[..m].copy_from_slice(&val[..m]);
         self.partition[slot] = default_partition(&key[..n], self.num_reducers);
         self.counts[tid] += 1;
+        self.longest_key = self.longest_key.max(n);
         true
     }
 
@@ -124,7 +133,7 @@ impl KvStore {
     /// disjoint (keys, vals, partition, counts) chunks for the thread
     /// range of a block, enabling data-race-free parallel blocks.
     #[allow(clippy::type_complexity)]
-    pub fn split_blocks(
+    pub(crate) fn split_blocks(
         &mut self,
         threads_per_block: usize,
     ) -> Vec<(&mut [u8], &mut [u8], &mut [u32], &mut [u32])> {
@@ -175,6 +184,18 @@ mod tests {
         s.emit(0, b"toolongkey", b"v");
         assert_eq!(s.key(0), b"tool");
         assert_eq!(s.val(0), b"v\0");
+    }
+
+    #[test]
+    fn longest_key_counts_stored_bytes() {
+        let mut s = KvStore::new(1, 4, 6, 2, 1);
+        assert_eq!(s.longest_key, 0);
+        s.emit(0, b"abc", b"1");
+        s.emit(0, b"a", b"1");
+        assert_eq!(s.longest_key, 3);
+        // A truncated key counts only the bytes the slot holds.
+        s.emit(0, b"toolongkey", b"1");
+        assert_eq!(s.longest_key, 6);
     }
 
     #[test]

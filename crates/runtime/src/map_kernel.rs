@@ -83,6 +83,8 @@ struct GpuEmit<'a, 'b, 'c> {
     /// (that record's output is incomplete -> the record counts as
     /// dropped).
     hit_full: bool,
+    /// Bytes of the longest key this emitter stored.
+    longest_key: usize,
     _marker: std::marker::PhantomData<&'b ()>,
 }
 
@@ -104,6 +106,7 @@ impl Emit for GpuEmit<'_, '_, '_> {
         vd[..m].copy_from_slice(&value[..m]);
         self.part[c] = default_partition(&key[..n], self.num_reducers);
         *self.count += 1;
+        self.longest_key = self.longest_key.max(n);
 
         // Cost: emitKV writes key_len + val_len bytes. Vectorized mode
         // uses char4 stores that coalesce across the warp; scalar mode
@@ -210,6 +213,7 @@ pub fn run_map(
         .collect();
 
     let dropped = Cell::new(0usize);
+    let longest_key = Cell::new(0usize);
     let tpb = cfg.threads_per_block as usize;
     let spt = cfg.stores_per_thread;
     let (key_len, val_len) = (cfg.key_len, cfg.val_len);
@@ -276,12 +280,14 @@ pub fn run_map(
                             vectorize: opts.vectorize_map,
                             texture,
                             hit_full: false,
+                            longest_key: 0,
                             _marker: std::marker::PhantomData,
                         };
                         mapper.map(data, &mut em);
                         if em.hit_full {
                             dropped.set(dropped.get() + 1);
                         }
+                        longest_key.set(longest_key.get().max(em.longest_key));
                         !em.hit_full && (*em.count as usize) < spt
                     };
 
@@ -337,6 +343,7 @@ pub fn run_map(
             },
         )?
     };
+    store.longest_key = longest_key.get();
 
     Ok(MapOutcome {
         store,

@@ -32,13 +32,45 @@ fn cmp_bytes(key_len: usize) -> u64 {
 /// The functional result: `indices` stably sorted by key bytes, whitespace
 /// (`u32::MAX`) last.
 ///
-/// Sorts `(first 8 key bytes as a big-endian u64, slot)` pairs, so a
-/// comparison is one integer compare with no trip through the store; the
-/// full slots are compared only when the prefixes tie. Whitespace takes
+/// When every key fits 16 bytes (`longest_key ≤ 16`), the first
+/// `min(16, key_len)` slot bytes, zero-padded and read as a big-endian
+/// `u128`, are the whole key: every slot byte past `longest_key` is 0.
+/// Each entry's integer is read once into a dense array, the live
+/// entries' positions are sorted stably by it, and the whitespace is
+/// appended, so no comparison reads the store.
+///
+/// Longer keys sort `(first 8 key bytes as a big-endian u64, slot)` pairs
+/// and compare the full slots only when the prefixes tie. Whitespace takes
 /// the largest prefix and still loses every tie, so it sorts after an
 /// all-`0xFF` key too.
 fn key_order(store: &KvStore, indices: &[u32]) -> Vec<u32> {
     use std::cmp::Ordering;
+    if store.longest_key <= 16 {
+        let keys: Vec<u128> = indices
+            .iter()
+            .map(|&i| {
+                if i == u32::MAX {
+                    return 0;
+                }
+                // A fixed 16-byte read when the slot has one: no `memcpy`.
+                let key = store.key(i as usize);
+                let head = key.first_chunk().copied().unwrap_or_else(|| {
+                    let mut head = [0u8; 16];
+                    head[..key.len()].copy_from_slice(key);
+                    head
+                });
+                u128::from_be_bytes(head)
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..indices.len() as u32).collect();
+        order.retain(|&at| indices[at as usize] != u32::MAX);
+        order.sort_by_key(|&at| keys[at as usize]);
+        for at in &mut order {
+            *at = indices[*at as usize];
+        }
+        order.resize(indices.len(), u32::MAX);
+        return order;
+    }
     let prefix = |slot: u32| {
         if slot == u32::MAX {
             return u64::MAX;

@@ -206,11 +206,16 @@ fn run_gpu_task_attempt(
     let slot_bytes = (cfg.key_len + cfg.val_len + 4) as u64 + 1;
     let max_slots = (dev.available() / slot_bytes) as usize;
     let mut blocks = cfg.blocks;
-    let mut threads = (blocks * cfg.threads_per_block) as usize;
+    let threads = (blocks * cfg.threads_per_block) as usize;
     let slots = match cfg.kvpairs_hint {
         // 2x headroom over the hint: per-thread regions are uniform while
-        // record-to-block assignment is not.
-        Some(kv) => (records * kv * 2).max(threads).min(max_slots),
+        // record-to-block assignment is not. A product past `usize` is
+        // past `max_slots` too.
+        Some(kv) => records
+            .saturating_mul(kv)
+            .saturating_mul(2)
+            .max(threads)
+            .min(max_slots),
         None => max_slots, // over-allocation: all remaining device memory
     };
     // A thread must be able to hold at least one full record's pairs
@@ -221,16 +226,21 @@ fn run_gpu_task_attempt(
     // not steal once its region cannot fit a worst-case record) leaves
     // each thread useful capacity.
     let stores_per_thread = (slots / threads.max(1))
-        .max(4 * cfg.kvpairs_hint.unwrap_or(1))
+        .max(cfg.kvpairs_hint.unwrap_or(1).saturating_mul(4))
         .max(1);
-    while blocks > 1
-        && (blocks * cfg.threads_per_block) as u64 * stores_per_thread as u64 * slot_bytes
-            > dev.available()
-    {
+    // The store's bytes for a grid of `blocks`; `None` past `u64`.
+    let store_bytes = |blocks: u32| {
+        (blocks as u64 * cfg.threads_per_block as u64)
+            .checked_mul(stores_per_thread as u64)?
+            .checked_mul(slot_bytes)
+    };
+    while blocks > 1 && store_bytes(blocks).is_none_or(|b| b > dev.available()) {
         blocks /= 2;
     }
-    threads = (blocks * cfg.threads_per_block) as usize;
-    let store_bytes = (threads * stores_per_thread) as u64 * slot_bytes;
+    let store_bytes = store_bytes(blocks).ok_or(GpuError::OutOfMemory {
+        requested: u64::MAX,
+        available: dev.available(),
+    })?;
     let store_alloc = dev.alloc(store_bytes)?;
 
     // --- Map kernel. ---
@@ -546,6 +556,25 @@ mod tests {
         assert_eq!(dev.totals(), clean.totals());
         assert_eq!(dev.kernels_launched(), clean.kernels_launched());
         assert_eq!(word_totals(&retried), word_totals(&expect));
+    }
+
+    #[test]
+    fn oversized_kvpairs_hints_fail_as_out_of_memory() {
+        // A store sized from these hints does not fit `usize`/`u64`: every
+        // profile must report the allocation it cannot make, not panic on
+        // the product or wrap it to a tiny store.
+        let dev = Device::new(GpuSpec::tesla_k40());
+        let split = split_text(100);
+        for hint in [1 << 40, 1 << 62, usize::MAX / 3] {
+            let mut c = cfg();
+            c.kvpairs_hint = Some(hint);
+            let r = run_gpu_task(&dev, &TaskEnv::disk(), &split, &WcMap, Some(&SumComb), &c);
+            assert!(
+                matches!(r, Err(GpuError::OutOfMemory { .. })),
+                "hint {hint}: {r:?}"
+            );
+            assert_eq!(dev.used(), 0);
+        }
     }
 
     #[test]

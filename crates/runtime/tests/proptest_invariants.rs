@@ -5,9 +5,12 @@
 
 use hetero_gpusim::{Device, GpuSpec};
 use hetero_runtime::kvstore::KvStore;
+use hetero_runtime::map_kernel::{run_map, MapConfig};
+use hetero_runtime::opts::OptFlags;
+use hetero_runtime::record::Record;
 use hetero_runtime::scan::exclusive_scan;
 use hetero_runtime::sort::sort_partition;
-use hetero_runtime::types::trim_key;
+use hetero_runtime::types::{trim_key, Emit, Mapper};
 use proptest::prelude::*;
 
 /// Store the keys one per slot and return the live indirection array.
@@ -17,6 +20,46 @@ fn store_of(keys: &[String]) -> (KvStore, Vec<u32>) {
         assert!(s.emit(0, k.as_bytes(), b"1"));
     }
     (s, (0..keys.len() as u32).collect())
+}
+
+/// Emits `keys[i]` for the record whose text is `i`.
+struct KeysMapper<'a>(&'a [Vec<u8>]);
+
+impl Mapper for KeysMapper<'_> {
+    fn map(&self, record: &[u8], out: &mut dyn Emit) {
+        let i: usize = std::str::from_utf8(record).unwrap().parse().unwrap();
+        assert!(out.emit(&self.0[i], b"1"));
+    }
+}
+
+/// The store the map kernel fills with `keys`, one record a key.
+fn map_keys(keys: &[Vec<u8>], key_len: usize) -> KvStore {
+    let mut input = Vec::new();
+    let mut records = Vec::new();
+    for i in 0..keys.len() {
+        let text = i.to_string();
+        records.push(Record {
+            start: input.len(),
+            len: text.len(),
+        });
+        input.extend_from_slice(text.as_bytes());
+        input.push(b'\n');
+    }
+    let cfg = MapConfig {
+        blocks: 2,
+        threads_per_block: 32,
+        stores_per_thread: 4,
+        key_len,
+        val_len: 4,
+        num_reducers: 1,
+        opts: OptFlags::all(),
+        ro_bytes: 0,
+        kvpairs_per_record: 1,
+    };
+    let dev = Device::new(GpuSpec::tesla_k40());
+    let out = run_map(&dev, &input, &records, &KeysMapper(keys), &cfg).unwrap();
+    assert_eq!(out.dropped_records, 0);
+    out.store
 }
 
 proptest! {
@@ -56,46 +99,66 @@ proptest! {
         }
     }
 
-    /// The prefix-keyed sort is the plain one: `order` equals a stable
-    /// sort that compares whole key slots, on stores built to collide —
-    /// slots narrower than the 8-byte prefix, keys sharing their first 8
-    /// bytes, duplicates, all-`0xFF` keys (the prefix whitespace takes)
-    /// and whitespace interleaved among them.
+    /// Both sort paths are the plain one: `order` equals a stable sort
+    /// that compares whole key slots. Slots of 1–40 bytes take keys of
+    /// 0, 7, 8, 9, 15, 16, 17 and `key_len` bytes, so a store falls on
+    /// either side of the 16-byte integer key, and the keys are built to
+    /// collide — a shared 16-byte head (ties on the 8- and 16-byte
+    /// prefixes), all-`0xFF` keys and `0xFF` heads (the prefix whitespace
+    /// takes), interior and trailing NULs — with whitespace interleaved
+    /// among them. One
+    /// store is filled through `KvStore::emit`, one through the map
+    /// kernel, which must keep the store's longest key itself.
     #[test]
     fn sort_order_is_the_full_key_stable_sort(
-        key_len in 1usize..=12,
+        key_len in 1usize..=40,
         draws in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec(0u8..3, 0..5)),
+            (0usize..8, 0u8..4, proptest::collection::vec(0u8..4, 1..5)),
             0..60,
         ),
         whitespace in proptest::collection::vec(0usize..60, 0..12),
     ) {
-        const ALPHABET: [u8; 3] = [b'a', b'b', 0xFF];
-        let mut s = KvStore::new(1, draws.len().max(1), key_len, 4, 1);
-        for (kind, tail) in &draws {
-            let tail: Vec<u8> = tail.iter().map(|&c| ALPHABET[c as usize]).collect();
-            let key = match kind {
-                0 => [&b"sameeigh"[..], &tail].concat(),
-                1 => vec![0xFF; key_len],
-                2 => [&[0xFF; 8][..], &tail].concat(),
-                _ => tail,
-            };
-            prop_assert!(s.emit(0, &key, b"1"));
-        }
-        let mut idx: Vec<u32> = (0..draws.len() as u32).collect();
-        for &at in &whitespace {
-            idx.insert(at % (idx.len() + 1), u32::MAX);
-        }
+        const ALPHABET: [u8; 4] = [b'a', b'b', 0, 0xFF];
+        let keys: Vec<Vec<u8>> = draws
+            .iter()
+            .map(|(len, kind, tail)| {
+                let len = [0, 7, 8, 9, 15, 16, 17, key_len][*len];
+                let head: &[u8] = match kind {
+                    0 => b"sameeigh-16bytes",
+                    1 => &[0xFF; 40],
+                    2 => &[0xFF; 8],
+                    _ => b"",
+                };
+                let tail = tail.iter().map(|&c| ALPHABET[c as usize]);
+                head.iter().copied().chain(tail.cycle()).take(len).collect()
+            })
+            .collect();
 
-        let mut want = idx.clone();
-        want.sort_by(|&a, &b| match (a, b) {
-            (u32::MAX, u32::MAX) => std::cmp::Ordering::Equal,
-            (u32::MAX, _) => std::cmp::Ordering::Greater,
-            (_, u32::MAX) => std::cmp::Ordering::Less,
-            (a, b) => s.key(a as usize).cmp(s.key(b as usize)),
-        });
+        let mut emitted = KvStore::new(1, keys.len().max(1), key_len, 4, 1);
+        for key in &keys {
+            prop_assert!(emitted.emit(0, key, b"1"));
+        }
+        let mapped = map_keys(&keys, key_len);
+
         let dev = Device::new(GpuSpec::tesla_k40());
-        prop_assert_eq!(sort_partition(&dev, &s, &idx).unwrap().order, want);
+        for store in [&emitted, &mapped] {
+            let mut idx: Vec<u32> = (0..store.threads)
+                .flat_map(|t| store.live_slots_of(t))
+                .map(|slot| slot as u32)
+                .collect();
+            prop_assert_eq!(idx.len(), keys.len());
+            for &at in &whitespace {
+                idx.insert(at % (idx.len() + 1), u32::MAX);
+            }
+            let mut want = idx.clone();
+            want.sort_by(|&a, &b| match (a, b) {
+                (u32::MAX, u32::MAX) => std::cmp::Ordering::Equal,
+                (u32::MAX, _) => std::cmp::Ordering::Greater,
+                (_, u32::MAX) => std::cmp::Ordering::Less,
+                (a, b) => store.key(a as usize).cmp(store.key(b as usize)),
+            });
+            prop_assert_eq!(sort_partition(&dev, store, &idx).unwrap().order, want);
+        }
     }
 
     /// The device scan agrees with the one-line serial prefix sum.
