@@ -1,7 +1,7 @@
 //! Synthetic workload generators standing in for the PUMA datasets
 //! (Wikipedia text, Netflix-style movie ratings) and the scientific
-//! inputs (points, options) — see DESIGN.md §1 for why these preserve the
-//! statistical properties the paper's effects depend on.
+//! inputs (regression rows, options) — see DESIGN.md §1 for why these
+//! preserve the statistical properties the paper's effects depend on.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -150,32 +150,6 @@ pub fn ratings_corpus_scaled(movies: usize, scale: usize, seed: u64) -> Vec<u8> 
     out
 }
 
-/// Points for kmeans/classification: `id v0 v1 ... v{dim-1}` with values
-/// drawn around `k` well-separated cluster centres.
-pub fn points_corpus(points: usize, dim: usize, k: usize, seed: u64) -> Vec<u8> {
-    let mut rng = Rng::seeded(seed);
-    let mut out = Vec::new();
-    for p in 0..points {
-        let c = rng.int(0..=k - 1);
-        out.extend_from_slice(format!("{p}").as_bytes());
-        for d in 0..dim {
-            let centre = (c * 10 + d) as f64;
-            let v = centre + rng.float(-2.0..2.0);
-            out.extend_from_slice(format!(" {v:.3}").as_bytes());
-        }
-        out.push(b'\n');
-    }
-    out
-}
-
-/// The centroids the kmeans/classification mappers read (the sharedRO /
-/// texture data): `k` centroids of `dim` doubles, row-major.
-pub fn centroids(k: usize, dim: usize) -> Vec<f64> {
-    (0..k)
-        .flat_map(|c| (0..dim).map(move |d| (c * 10 + d) as f64))
-        .collect()
-}
-
 /// Option-pricing parameters for BlackScholes:
 /// `id spot strike rate volatility time`.
 pub fn options_corpus(options: usize, seed: u64) -> Vec<u8> {
@@ -257,7 +231,6 @@ mod tests {
         );
         assert_eq!(fnv1a(options_corpus(50, 7)), 0x9c00_ced5_2b76_91fe);
         assert_eq!(fnv1a(regression_corpus(50, 12, 7)), 0xcbc4_6f64_3b79_6627);
-        assert_eq!(fnv1a(points_corpus(50, 4, 3, 7)), 0x0f83_b778_49b9_8811);
     }
 
     #[test]
@@ -296,16 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn points_parse_back() {
-        let p = points_corpus(50, 4, 3, 3);
-        for l in lines(&p) {
-            let parts: Vec<&str> = std::str::from_utf8(l).unwrap().split(' ').collect();
-            assert_eq!(parts.len(), 5);
-            parts[1].parse::<f64>().unwrap();
-        }
-    }
-
-    #[test]
     fn options_parse_back() {
         let o = options_corpus(20, 4);
         for l in lines(&o) {
@@ -332,13 +295,5 @@ mod tests {
                 .sum();
             assert!((vals[12] - y_pred).abs() < 0.06);
         }
-    }
-
-    #[test]
-    fn centroids_match_point_generation() {
-        let c = centroids(3, 4);
-        assert_eq!(c.len(), 12);
-        assert_eq!(c[0], 0.0);
-        assert_eq!(c[4], 10.0); // centroid 1, dim 0
     }
 }

@@ -201,8 +201,8 @@ fn sort(n: usize) -> Vec<Side> {
 /// The 48 partitions of one Wordcount split's pairs (the words of
 /// `records` generated records, seed 7: Zipf duplicates), each sorted in
 /// turn. The same words sort with a 17-byte suffix, past the 16-byte
-/// integer key (a `u64` prefix, then whole slots on a tie), and as they
-/// are, ≤ 16 bytes (the integer key).
+/// integer key (the integer key, then whole slots within each run of
+/// equal integers), and as they are, ≤ 16 bytes (the integer key alone).
 fn sort_wc(records: usize) -> Vec<Side> {
     let split = hetero_apps::app_by_code("WC")
         .unwrap()

@@ -87,23 +87,6 @@ impl JobSpec {
         }
         Ok(())
     }
-
-    /// Total map work in CPU-seconds.
-    pub fn total_cpu_work_s(&self) -> f64 {
-        self.maps.iter().map(|m| m.cpu_s).sum()
-    }
-
-    /// Mean per-task GPU speedup.
-    pub fn mean_speedup(&self) -> f64 {
-        if self.maps.is_empty() {
-            return 1.0;
-        }
-        self.maps
-            .iter()
-            .map(|m| m.cpu_s / m.gpu_s.max(1e-12))
-            .sum::<f64>()
-            / self.maps.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -115,8 +98,7 @@ mod tests {
         let j = JobSpec::uniform("t", 10, 4, 3, 6.0, 1.0);
         assert_eq!(j.maps.len(), 10);
         assert!(j.maps.iter().all(|m| m.replicas.len() == 3));
-        assert!((j.total_cpu_work_s() - 60.0).abs() < 1e-9);
-        assert!((j.mean_speedup() - 6.0).abs() < 1e-9);
+        assert!(j.maps.iter().all(|m| m.cpu_s == 6.0 && m.gpu_s == 1.0));
     }
 
     #[test]

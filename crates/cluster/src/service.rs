@@ -5,12 +5,11 @@
 //! load. This module layers a *service* on top of the single-job DES:
 //!
 //! - a seeded **workload generator** ([`generate_workload`]) producing
-//!   benchmark-shaped [`JobSpec`]s under Poisson or diurnal arrival
-//!   processes, assigned to tenants by weight;
+//!   benchmark-shaped [`JobSpec`]s under Poisson arrivals, assigned to
+//!   tenants by weight;
 //! - a **multi-job scheduler** ([`run_service`]) time-sharing the
 //!   cluster's nodes across concurrent jobs via weighted fair-share
-//!   with per-tenant capacity caps and admission control (queue-length
-//!   and outstanding-task bounds);
+//!   and admission control (queue-length and outstanding-task bounds);
 //! - **SLO accounting** ([`ServiceStats`]): per-job wait/run/latency,
 //!   per-tenant p50/p99, and a slot-utilization timeline, exportable as
 //!   a `hetero-trace` metrics snapshot and Chrome-trace instants.
@@ -57,22 +56,17 @@ pub struct TenantSpec {
     /// Fair-share weight (> 0): the scheduler picks the tenant with the
     /// lowest `granted_nodes / weight` next.
     pub weight: f64,
-    /// Capacity cap in nodes (0 = uncapped): the tenant's concurrent
-    /// grants never exceed this many nodes.
-    pub max_nodes: u32,
     /// Grant size per job in nodes (0 = the whole cluster). Fixed per
     /// tenant so per-job stats are load-independent (see module docs).
     pub nodes_per_job: u32,
 }
 
 impl TenantSpec {
-    /// A tenant with the given name and weight, uncapped, whole-cluster
-    /// grants.
+    /// A tenant with the given name and weight and whole-cluster grants.
     pub fn new(name: &str, weight: f64) -> Self {
         TenantSpec {
             name: name.to_string(),
             weight,
-            max_nodes: 0,
             nodes_per_job: 0,
         }
     }
@@ -80,12 +74,6 @@ impl TenantSpec {
     /// Builder: set the per-job grant size.
     pub fn with_nodes_per_job(mut self, n: u32) -> Self {
         self.nodes_per_job = n;
-        self
-    }
-
-    /// Builder: set the capacity cap.
-    pub fn with_max_nodes(mut self, n: u32) -> Self {
-        self.max_nodes = n;
         self
     }
 }
@@ -152,14 +140,6 @@ impl ServiceConfig {
                     t.name, t.nodes_per_job, self.cluster.num_slaves
                 )));
             }
-            if t.max_nodes != 0 && t.max_nodes < self.grant_nodes(t) {
-                return Err(ConfigError(format!(
-                    "tenant {}: max_nodes {} is below its own grant size {} — no job could ever start",
-                    t.name,
-                    t.max_nodes,
-                    self.grant_nodes(t)
-                )));
-            }
         }
         Ok(())
     }
@@ -201,17 +181,6 @@ pub enum ArrivalProcess {
         /// Mean arrival rate, jobs/second.
         rate_per_s: f64,
     },
-    /// Time-varying arrivals following a raised-cosine day/night curve:
-    /// `rate(t) = peak · (trough + (1 − trough) · (1 − cos 2πt/period)/2)`,
-    /// sampled by thinning a peak-rate Poisson stream.
-    Diurnal {
-        /// Peak arrival rate, jobs/second.
-        peak_rate_per_s: f64,
-        /// Cycle length, seconds.
-        period_s: f64,
-        /// Trough rate as a fraction of peak, in [0, 1].
-        trough_frac: f64,
-    },
 }
 
 /// Knobs of the seeded workload generator.
@@ -230,41 +199,21 @@ pub struct WorkloadConfig {
 
 impl WorkloadConfig {
     /// Check the knobs [`generate_workload`] cannot draw a trace from,
-    /// naming the bad field: a rate or period that is not finite and
-    /// positive, a `trough_frac` or `transient_fail_p` outside [0, 1], or
-    /// a service without tenants.
+    /// naming the bad field: a rate that is not finite and positive, a
+    /// `transient_fail_p` outside [0, 1], or a service without tenants.
     pub fn validate(&self, svc: &ServiceConfig) -> Result<(), ConfigError> {
-        let positive = |name: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError(format!(
-                    "workload {name} {v} must be finite and positive"
-                )))
-            }
-        };
-        let fraction = |name: &str, v: f64| {
-            if (0.0..=1.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(ConfigError(format!(
-                    "workload {name} {v} must be in [0, 1]"
-                )))
-            }
-        };
-        match self.arrivals {
-            ArrivalProcess::Poisson { rate_per_s } => positive("rate_per_s", rate_per_s)?,
-            ArrivalProcess::Diurnal {
-                peak_rate_per_s,
-                period_s,
-                trough_frac,
-            } => {
-                positive("peak_rate_per_s", peak_rate_per_s)?;
-                positive("period_s", period_s)?;
-                fraction("trough_frac", trough_frac)?;
-            }
+        let ArrivalProcess::Poisson { rate_per_s } = self.arrivals;
+        if !(rate_per_s.is_finite() && rate_per_s > 0.0) {
+            return Err(ConfigError(format!(
+                "workload rate_per_s {rate_per_s} must be finite and positive"
+            )));
         }
-        fraction("transient_fail_p", self.transient_fail_p)?;
+        let p = self.transient_fail_p;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(ConfigError(format!(
+                "workload transient_fail_p {p} must be in [0, 1]"
+            )));
+        }
         if svc.tenants.is_empty() {
             return Err(ConfigError(
                 "workload needs a service with at least one tenant".into(),
@@ -299,46 +248,19 @@ fn unit(seed: u64, stream: u64, i: u64) -> f64 {
 ///
 /// Knobs that [`WorkloadConfig::validate`] refuses never hang or panic
 /// the generator: a service without tenants yields an empty trace, and
-/// an arrival process that cannot produce a finite time yields
-/// non-finite `arrive_s`, which [`run_service`] refuses.
+/// a rate that is zero, negative or not a number yields an `arrive_s`
+/// that is not finite or below zero, which [`run_service`] refuses.
 pub fn generate_workload(w: &WorkloadConfig, svc: &ServiceConfig) -> Vec<JobRequest> {
     if svc.tenants.is_empty() {
         return Vec::new();
     }
     let mut jobs = Vec::with_capacity(w.num_jobs as usize);
     let total_weight: f64 = svc.tenants.iter().map(|t| t.weight).sum();
+    let ArrivalProcess::Poisson { rate_per_s } = w.arrivals;
     let mut t = 0.0_f64;
-    let mut draw = 0_u64; // arrival-stream counter (candidates included)
     for i in 0..w.num_jobs {
         // Arrival gap.
-        match w.arrivals {
-            ArrivalProcess::Poisson { rate_per_s } => {
-                let u = unit(w.seed, 1, draw);
-                draw += 1;
-                t += -(1.0 - u).ln() / rate_per_s;
-            }
-            ArrivalProcess::Diurnal {
-                peak_rate_per_s,
-                period_s,
-                trough_frac,
-            } => loop {
-                let u = unit(w.seed, 1, draw);
-                let accept = unit(w.seed, 2, draw);
-                draw += 1;
-                t += -(1.0 - u).ln() / peak_rate_per_s;
-                let phase = (t / period_s) * 2.0 * std::f64::consts::PI;
-                let rate_frac = trough_frac + (1.0 - trough_frac) * (1.0 - phase.cos()) / 2.0;
-                if accept < rate_frac {
-                    break;
-                }
-                // A non-finite clock (peak rate 0, period 0) or rate
-                // (trough NaN) can never accept: stop on a NaN arrival.
-                if !t.is_finite() || rate_frac.is_nan() {
-                    t = f64::NAN;
-                    break;
-                }
-            },
-        }
+        t += -(1.0 - unit(w.seed, 1, i as u64)).ln() / rate_per_s;
         // Tenant: weighted draw.
         let mut pick = unit(w.seed, 3, i as u64) * total_weight;
         let mut tenant = 0_u32;
@@ -780,8 +702,7 @@ impl<'a> Service<'a, '_> {
     /// Weighted fair-share dispatch: repeatedly pick the eligible tenant
     /// with the lowest `granted / weight` (ties: lowest index) and
     /// launch its oldest waiting job. A tenant is eligible when it has
-    /// a waiting job, its cap allows another grant, and the cluster has
-    /// enough free nodes. Strict FIFO within a tenant — a job too big
+    /// a waiting job and the cluster has enough free nodes. Strict FIFO within a tenant — a job too big
     /// for the current free pool blocks that tenant (no bypass), which
     /// bounds every job's wait.
     fn dispatch(&mut self) {
@@ -793,9 +714,6 @@ impl<'a> Service<'a, '_> {
                 }
                 let grant = self.per_tenant_grant[ti];
                 if grant > self.free_nodes {
-                    continue;
-                }
-                if ts.max_nodes != 0 && self.granted[ti] + grant > ts.max_nodes {
                     continue;
                 }
                 let share = self.granted[ti] as f64 / ts.weight;
@@ -1034,28 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_cap_limits_concurrency() {
-        let mut svc = small_service(8);
-        svc.tenants[0] = TenantSpec::new("capped", 1.0)
-            .with_nodes_per_job(2)
-            .with_max_nodes(4);
-        let reqs: Vec<JobRequest> = (0..4)
-            .map(|i| {
-                req(
-                    0,
-                    0.0,
-                    JobSpec::uniform(&format!("j{i}"), 4, 2, 1, 5.0, 1.0),
-                )
-            })
-            .collect();
-        let stats = run_service(&svc, &reqs).unwrap();
-        // Only two 2-node grants fit under the 4-node cap at once.
-        let at_zero = stats.jobs.iter().filter(|j| j.start_s == 0.0).count();
-        assert_eq!(at_zero, 2);
-        assert_eq!(stats.jobs.len(), 4);
-    }
-
-    #[test]
     fn admission_bounds_reject_with_reasons() {
         let mut svc = small_service(2);
         svc.admission.max_queue_per_tenant = 1;
@@ -1105,13 +1001,6 @@ mod tests {
         svc.tenants[0].nodes_per_job = 9;
         assert!(run_service(&svc, &[]).is_err());
 
-        let mut svc = small_service(4);
-        svc.tenants[0] = TenantSpec::new("t", 1.0)
-            .with_nodes_per_job(4)
-            .with_max_nodes(2);
-        let e = run_service(&svc, &[]).unwrap_err();
-        assert!(e.to_string().contains("below its own grant"), "{e}");
-
         let svc = small_service(4);
         let e = run_service(
             &svc,
@@ -1142,37 +1031,6 @@ mod tests {
         let w2 = WorkloadConfig { seed: 43, ..w };
         let c = generate_workload(&w2, &svc);
         assert_ne!(format!("{a:?}"), format!("{c:?}"));
-    }
-
-    #[test]
-    fn diurnal_arrivals_cluster_near_peaks() {
-        let svc = small_service(4);
-        let w = WorkloadConfig {
-            seed: 7,
-            num_jobs: 400,
-            arrivals: ArrivalProcess::Diurnal {
-                peak_rate_per_s: 1.0,
-                period_s: 400.0,
-                trough_frac: 0.1,
-            },
-            transient_fail_p: 0.0,
-        };
-        let jobs = generate_workload(&w, &svc);
-        // Count arrivals in the peak half vs the trough half of each
-        // cycle: the raised-cosine peaks at period/2.
-        let (mut peak, mut trough) = (0, 0);
-        for r in &jobs {
-            let phase = (r.arrive_s / 400.0).fract();
-            if (0.25..0.75).contains(&phase) {
-                peak += 1;
-            } else {
-                trough += 1;
-            }
-        }
-        assert!(
-            peak > trough * 2,
-            "expected peak-half clustering, got {peak} vs {trough}"
-        );
     }
 
     #[test]

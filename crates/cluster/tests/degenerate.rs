@@ -247,16 +247,12 @@ fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) 
     }
 }
 
-fn diurnal(peak_rate_per_s: f64, period_s: f64, trough_frac: f64) -> WorkloadConfig {
+fn poisson(rate_per_s: f64, transient_fail_p: f64) -> WorkloadConfig {
     WorkloadConfig {
         seed: 5,
         num_jobs: 8,
-        arrivals: ArrivalProcess::Diurnal {
-            peak_rate_per_s,
-            period_s,
-            trough_frac,
-        },
-        transient_fail_p: 0.0,
+        arrivals: ArrivalProcess::Poisson { rate_per_s },
+        transient_fail_p,
     }
 }
 
@@ -284,49 +280,25 @@ fn degenerate_workload_is_refused(
 }
 
 #[test]
-fn diurnal_zero_peak_rate_is_refused_not_hung() {
-    degenerate_workload_is_refused(diurnal(0.0, 100.0, 0.1), one_tenant(), "peak_rate_per_s");
-}
-
-#[test]
-fn diurnal_zero_period_is_refused_not_hung() {
-    degenerate_workload_is_refused(diurnal(1.0, 0.0, 0.1), one_tenant(), "period_s");
-}
-
-#[test]
-fn diurnal_nan_trough_is_refused_not_hung() {
-    degenerate_workload_is_refused(diurnal(1.0, 100.0, f64::NAN), one_tenant(), "trough_frac");
-}
-
-#[test]
 fn a_service_without_tenants_gets_an_empty_trace() {
     let mut svc = one_tenant();
     svc.tenants.clear();
-    let jobs = degenerate_workload_is_refused(diurnal(1.0, 100.0, 0.1), svc, "tenant");
+    let jobs = degenerate_workload_is_refused(poisson(1.0, 0.0), svc, "tenant");
     assert!(jobs.is_empty());
 }
 
 #[test]
 fn workload_validate_names_each_bad_field() {
     let svc = one_tenant();
-    let poisson = |rate_per_s: f64, transient_fail_p: f64| WorkloadConfig {
-        seed: 1,
-        num_jobs: 4,
-        arrivals: ArrivalProcess::Poisson { rate_per_s },
-        transient_fail_p,
-    };
     let cases = [
         (poisson(0.0, 0.0), "rate_per_s"),
         (poisson(f64::INFINITY, 0.0), "rate_per_s"),
         (poisson(1.0, 1.5), "transient_fail_p"),
         (poisson(1.0, f64::NAN), "transient_fail_p"),
-        (diurnal(1.0, f64::INFINITY, 0.1), "period_s"),
-        (diurnal(1.0, 100.0, -0.5), "trough_frac"),
     ];
     for (w, field) in &cases {
         let err = w.validate(&svc).expect_err(field);
         assert!(err.0.contains(field), "{field}: {err}");
     }
     assert!(poisson(0.5, 0.01).validate(&svc).is_ok());
-    assert!(diurnal(1.0, 100.0, 0.0).validate(&svc).is_ok());
 }

@@ -33,8 +33,12 @@ pub struct Counters {
     /// Global transactions (×1000) caused by `Access::Random` requests —
     /// the non-coalesced share of `gld_txn_milli + gst_txn_milli`.
     pub random_txn_milli: u64,
-    /// Lanes left idle by partially-active warp rounds (branch
-    /// divergence): for each `warp_round_partial`, `warp_size - active`.
+    /// Lanes idle in SIMD lockstep (branch divergence), by three rules:
+    /// a `warp_round_for` counts its lanes that finish before its slowest
+    /// lane; a `ClassRound::fold(warps)` counts `(warp_size − Σ class
+    /// lanes) × warps`, the lanes no class covers; and `warp_round`,
+    /// `uniform_rounds` and warp chains charged through `with_lane` /
+    /// `charge_warp_chain` (record stealing) count none.
     pub divergent_lanes: u64,
 }
 

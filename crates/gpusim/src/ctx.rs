@@ -19,7 +19,17 @@
 //! ([`BlockCtx::round`]); a kernel whose lanes really differ asks for the
 //! closure to run per lane ([`BlockCtx::warp_round`]). Host time follows
 //! the number of *distinct* lanes, simulated cost does not change: see
-//! the exactness contract on [`ClassRound`]. Per-block totals are then
+//! the exactness contract on [`ClassRound`]. The combiner's single
+//! active lane (paper §4.2) is a round of one class of one lane.
+//!
+//! `Counters::divergent_lanes` counts lanes idle in lockstep by three
+//! rules: [`BlockCtx::warp_round_for`] counts the lanes that finish
+//! before its slowest lane; [`ClassRound::fold`] counts the lanes no
+//! class covers, once per folded warp; [`BlockCtx::warp_round`],
+//! [`BlockCtx::uniform_rounds`] and warp chains charged through
+//! [`BlockCtx::with_lane`] (record stealing) count none.
+//!
+//! Per-block totals are then
 //!
 //! * compute cycles  = Σ over warp rounds of max-lane cycles,
 //! * memory cycles   = global transactions × transaction cost,
@@ -246,10 +256,10 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Run `f` on lanes `0..active` of one warp, each starting from zero
-    /// cycles, and merge their event counters into the block. Returns the
-    /// slowest lane's cycles; `each` sees every lane's.
-    fn run_lanes<F>(&mut self, active: u32, mut f: F, mut each: impl FnMut(u32, f64)) -> f64
+    /// Run `f` on every lane of one warp, each starting from zero cycles,
+    /// and merge their event counters into the block. Returns the slowest
+    /// lane's cycles; `each` sees every lane's.
+    fn run_lanes<F>(&mut self, mut f: F, mut each: impl FnMut(u32, f64)) -> f64
     where
         F: FnMut(u32, &mut LaneCtx<'_>),
     {
@@ -257,7 +267,7 @@ impl<'a> BlockCtx<'a> {
         // them to the block once is what adding them lane by lane gave.
         let mut ctx = self.lane_ctx();
         let mut max_cycles = 0.0f64;
-        for lane in 0..active {
+        for lane in 0..self.spec.warp_size {
             ctx.lane = lane;
             ctx.cycles = 0.0;
             ctx.tex_miss_accum = 0.0;
@@ -297,7 +307,7 @@ impl<'a> BlockCtx<'a> {
     where
         F: FnMut(u32, &mut LaneCtx<'_>),
     {
-        let max_cycles = self.run_lanes(self.spec.warp_size, f, |_, _| {});
+        let max_cycles = self.run_lanes(f, |_, _| {});
         self.fold_round(max_cycles);
         max_cycles
     }
@@ -308,6 +318,7 @@ impl<'a> BlockCtx<'a> {
             blk: self,
             max_cycles: 0.0,
             counters: Counters::default(),
+            lanes: 0,
         }
     }
 
@@ -356,7 +367,7 @@ impl<'a> BlockCtx<'a> {
     {
         let mut lane_cycles = [0.0f64; MAX_WARP_SIZE as usize];
         let lanes = self.spec.warp_size;
-        let max_cycles = self.run_lanes(lanes, f, |lane, c| lane_cycles[lane as usize] = c);
+        let max_cycles = self.run_lanes(f, |lane, c| lane_cycles[lane as usize] = c);
         // Lanes that finish before the slowest lane idle in SIMD
         // lockstep for the rest of the round; count them as divergent
         // (time accounting is unchanged — the round already costs
@@ -368,22 +379,6 @@ impl<'a> BlockCtx<'a> {
                 .count() as u64;
         }
         self.charge_warp_chain(w, max_cycles);
-        max_cycles
-    }
-
-    /// Execute a round where only `active` lanes of the warp do work (the
-    /// rest idle) — SIMD efficiency loss charged implicitly because the
-    /// round still costs max-lane cycles. Used for non-vectorizable
-    /// sections of the combiner where a single lane per warp is active
-    /// (paper §4.2).
-    pub fn warp_round_partial<F>(&mut self, active: u32, f: F) -> f64
-    where
-        F: FnMut(u32, &mut LaneCtx<'_>),
-    {
-        let active = active.min(self.spec.warp_size);
-        self.counters.divergent_lanes += (self.spec.warp_size - active) as u64;
-        let max_cycles = self.run_lanes(active, f, |_, _| {});
-        self.fold_round(max_cycles);
         max_cycles
     }
 
@@ -425,11 +420,14 @@ impl<'a> BlockCtx<'a> {
 ///   shared access is not dyadic, so a closed form would round
 ///   differently.
 ///
-/// Lanes no class covers idle through the round uncharged.
+/// Lanes no class covers idle through the round: they cost nothing, and
+/// [`ClassRound::fold`] counts them in `divergent_lanes`.
 pub struct ClassRound<'b, 'a> {
     blk: &'b mut BlockCtx<'a>,
     max_cycles: f64,
     counters: Counters,
+    /// Lanes the classes so far cover.
+    lanes: u32,
 }
 
 impl ClassRound<'_, '_> {
@@ -447,12 +445,16 @@ impl ClassRound<'_, '_> {
         f(&mut ctx);
         self.max_cycles = self.max_cycles.max(ctx.cycles);
         self.counters += ctx.counters.times(lanes as u64);
+        self.lanes += lanes;
         self
     }
 
     /// Charge the round to the block as `warps` consecutive, identical
-    /// warp rounds. Returns the cycles of one round.
-    pub fn fold(self, warps: u32) -> f64 {
+    /// warp rounds, the lanes no class covers counted as divergent.
+    /// Returns the cycles of one round.
+    pub fn fold(mut self, warps: u32) -> f64 {
+        let idle = self.blk.spec.warp_size.saturating_sub(self.lanes);
+        self.counters.divergent_lanes += idle as u64;
         self.blk.counters += self.counters.times(warps as u64);
         for _ in 0..warps {
             self.blk.fold_round(self.max_cycles);
@@ -588,10 +590,12 @@ mod tests {
         let spec = GpuSpec::tesla_k40();
         let mut b = block(&spec, &[]);
         let mut ran = 0;
-        b.warp_round_partial(1, |_, t| {
-            ran += 1;
-            t.alu(5);
-        });
+        b.round()
+            .class(1, |t| {
+                ran += 1;
+                t.alu(5);
+            })
+            .fold(1);
         assert_eq!(ran, 1);
         assert_eq!(b.counters.alu_ops, 5);
         // The other 31 lanes idled through the round: branch divergence.

@@ -28,8 +28,6 @@ pub enum HdfsError {
     BadSequenceFile(String),
     /// Referenced an unknown node.
     UnknownNode(u32),
-    /// Every node in the cluster is dead; nothing can be placed.
-    NoLiveNodes,
 }
 
 impl fmt::Display for HdfsError {
@@ -50,7 +48,6 @@ impl fmt::Display for HdfsError {
             ),
             HdfsError::BadSequenceFile(msg) => write!(f, "bad sequence file: {msg}"),
             HdfsError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            HdfsError::NoLiveNodes => write!(f, "no live nodes in the cluster"),
         }
     }
 }

@@ -12,8 +12,9 @@
 //!   boundaries ([`reader`]);
 //! * a `SequenceFileFormat` codec with CRC-32 checksums ([`seqfile`]) for
 //!   intermediate map+combine output;
-//! * fault injection (node death, block corruption) for the fault-
-//!   tolerance experiments.
+//! * block-corruption injection with checksum-verified failover and
+//!   re-replication for the fault-tolerance experiments (a node crash is
+//!   modelled once, by the cluster simulator's `FaultPlan`).
 
 #![warn(missing_docs)]
 

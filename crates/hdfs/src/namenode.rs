@@ -4,18 +4,18 @@
 //! (path → block list, replica placement) and the DataNodes' storage
 //! (block id → per-replica bytes). Placement follows Hadoop's default
 //! policy: the first replica on a "writer" node chosen round-robin, the
-//! second on a different rack, the third on the second replica's rack —
-//! skipping dead nodes throughout.
+//! second on a different rack, the third on the second replica's rack.
 //!
-//! Reads are checksum-verified per replica: a CRC-32 mismatch or a dead
-//! DataNode fails the read over to the next replica, the bad replica is
-//! dropped from the block map, and the block is re-replicated from a
-//! healthy copy, mirroring Hadoop's corrupt-replica handling.
+//! Reads are checksum-verified per replica: a CRC-32 mismatch fails the
+//! read over to the next replica, the bad replica is dropped from the
+//! block map, and the block is re-replicated from a healthy copy,
+//! mirroring Hadoop's corrupt-replica handling. A node crash is not
+//! modelled here; the cluster simulator's `FaultPlan` models it.
 
 use crate::checksum::crc32;
 use crate::error::HdfsError;
 use crate::topology::{NodeId, Topology};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identifier of a stored block (a fileSplit is one block).
@@ -49,10 +49,8 @@ pub struct HdfsHealth {
     pub checksum_events: u64,
     /// Replicas copied to restore the replication factor.
     pub re_replications: u64,
-    /// Reads served by a non-first replica (dead or bad primary).
+    /// Reads served by a non-first replica (bad primary).
     pub failovers: u64,
-    /// Nodes currently marked dead.
-    pub dead_nodes: u32,
 }
 
 #[derive(Debug, Default)]
@@ -62,7 +60,6 @@ struct Inner {
     /// Per-replica stored bytes; healthy replicas of one block share a
     /// single buffer.
     data: HashMap<BlockId, HashMap<NodeId, Arc<[u8]>>>,
-    dead_nodes: HashSet<NodeId>,
     checksum_events: u64,
     re_replications: u64,
     failovers: u64,
@@ -123,17 +120,13 @@ impl Hdfs {
     }
 
     /// Write a new file, splitting `contents` into blocks and placing
-    /// replicas on live nodes. HDFS files are write-once; rewriting a
-    /// path is an error.
+    /// replicas. HDFS files are write-once; rewriting a path is an error.
     pub fn put(&self, path: &str, contents: &[u8]) -> Result<Vec<FileSplit>, HdfsError> {
         let mut inner = self.write();
         if inner.files.contains_key(path) {
             return Err(HdfsError::AlreadyExists(path.to_string()));
         }
         let n_nodes = self.topology.num_nodes();
-        if (inner.dead_nodes.len() as u32) >= n_nodes {
-            return Err(HdfsError::NoLiveNodes);
-        }
         let mut ids = Vec::new();
         let mut splits_out = Vec::new();
         let chunks: Vec<&[u8]> = if contents.is_empty() {
@@ -144,14 +137,10 @@ impl Hdfs {
         for (i, chunk) in chunks.iter().enumerate() {
             let id = BlockId(inner.next_block);
             inner.next_block += 1;
-            // Default placement: writer node round-robin by block id
-            // (skipping dead nodes), then spread across racks.
-            let seed = NodeId((id.0 as u32).wrapping_mul(2654435761) % n_nodes);
-            let first = (0..n_nodes)
-                .map(|k| NodeId((seed.0 + k) % n_nodes))
-                .find(|c| !inner.dead_nodes.contains(c))
-                .expect("checked above: at least one live node");
-            let replicas = self.place_replicas(first, &inner.dead_nodes);
+            // Default placement: writer node round-robin by block id,
+            // then spread across racks.
+            let first = NodeId((id.0 as u32).wrapping_mul(2654435761) % n_nodes);
+            let replicas = self.place_replicas(first);
             let bytes: Arc<[u8]> = Arc::from(*chunk);
             let split = FileSplit {
                 id,
@@ -173,17 +162,15 @@ impl Hdfs {
         Ok(splits_out)
     }
 
-    fn place_replicas(&self, first: NodeId, dead: &HashSet<NodeId>) -> Vec<NodeId> {
+    fn place_replicas(&self, first: NodeId) -> Vec<NodeId> {
         let n = self.topology.num_nodes();
         let first_rack = self.topology.rack_of(first);
         let mut replicas = vec![first];
-        let usable =
-            |c: &NodeId, replicas: &Vec<NodeId>| !replicas.contains(c) && !dead.contains(c);
-        // Second replica: first live node found on a different rack.
+        // Second replica: first node found on a different rack.
         if self.replication >= 2 {
             let second = (0..n)
                 .map(|k| NodeId((first.0 + 1 + k) % n))
-                .find(|c| usable(c, &replicas) && self.topology.rack_of(*c) != first_rack);
+                .find(|c| !replicas.contains(c) && self.topology.rack_of(*c) != first_rack);
             if let Some(s) = second {
                 replicas.push(s);
             }
@@ -194,11 +181,11 @@ impl Hdfs {
             let anchor_rack = self.topology.rack_of(anchor);
             let next = (0..n)
                 .map(|k| NodeId((anchor.0 + 1 + k) % n))
-                .find(|c| usable(c, &replicas) && self.topology.rack_of(*c) == anchor_rack)
+                .find(|c| !replicas.contains(c) && self.topology.rack_of(*c) == anchor_rack)
                 .or_else(|| {
                     (0..n)
                         .map(|k| NodeId((anchor.0 + 1 + k) % n))
-                        .find(|c| usable(c, &replicas))
+                        .find(|c| !replicas.contains(c))
                 });
             match next {
                 Some(nx) => replicas.push(nx),
@@ -220,11 +207,10 @@ impl Hdfs {
 
     /// Read one block with per-replica CRC-32 verification.
     ///
-    /// Replicas are tried in placement order: dead nodes are skipped, a
-    /// checksum mismatch drops the bad replica and fails over to the
-    /// next one, and a successful read re-replicates the block if the
-    /// replication factor degraded. Errors only when no healthy live
-    /// replica remains.
+    /// Replicas are tried in placement order: a checksum mismatch drops
+    /// the bad replica and fails over to the next one, and a successful
+    /// read re-replicates the block if the replication factor degraded.
+    /// Errors only when no healthy replica remains.
     pub fn read_block(&self, id: BlockId) -> Result<Arc<[u8]>, HdfsError> {
         let mut inner = self.write();
         let split = inner
@@ -236,12 +222,6 @@ impl Hdfs {
         let mut last_corrupt: Option<HdfsError> = None;
         let mut healthy: Option<(NodeId, Arc<[u8]>)> = None;
         for (i, &r) in split.replicas.iter().enumerate() {
-            if inner.dead_nodes.contains(&r) {
-                if i == 0 {
-                    inner.failovers += 1;
-                }
-                continue;
-            }
             let Some(bytes) = inner.data.get(&id).and_then(|m| m.get(&r)).cloned() else {
                 continue;
             };
@@ -284,25 +264,19 @@ impl Hdfs {
     }
 
     /// Restore the replication factor of `id` by copying `bytes` from
-    /// `source` onto live nodes that hold no replica.
+    /// `source` onto nodes that hold no replica.
     fn re_replicate(&self, inner: &mut Inner, id: BlockId, source: NodeId, bytes: &Arc<[u8]>) {
         let n = self.topology.num_nodes();
         loop {
             let Some(split) = inner.splits.get(&id) else {
                 return;
             };
-            let live_replicas = split
-                .replicas
-                .iter()
-                .filter(|r| !inner.dead_nodes.contains(r))
-                .count() as u32;
-            let live_nodes = n - inner.dead_nodes.len() as u32;
-            if live_replicas >= self.replication.min(live_nodes) {
+            if split.replicas.len() as u32 >= self.replication {
                 return;
             }
             let target = (0..n)
                 .map(|k| NodeId((source.0 + 1 + k) % n))
-                .find(|c| !inner.dead_nodes.contains(c) && !split.replicas.contains(c));
+                .find(|c| !split.replicas.contains(c));
             let Some(t) = target else { return };
             inner.splits.get_mut(&id).unwrap().replicas.push(t);
             inner.data.entry(id).or_default().insert(t, bytes.clone());
@@ -333,23 +307,6 @@ impl Hdfs {
             .filter(|p| p.starts_with(prefix))
             .cloned()
             .collect()
-    }
-
-    /// Mark a node dead (fault injection); its replicas become
-    /// unavailable until it is revived or the blocks re-replicate on
-    /// the next verified read.
-    pub fn kill_node(&self, node: NodeId) {
-        self.write().dead_nodes.insert(node);
-    }
-
-    /// Bring a node back.
-    pub fn revive_node(&self, node: NodeId) {
-        self.write().dead_nodes.remove(&node);
-    }
-
-    /// Whether a node is currently marked dead.
-    pub fn is_dead(&self, node: NodeId) -> bool {
-        self.read().dead_nodes.contains(&node)
     }
 
     /// Corrupt one replica of a block (fault injection for checksum
@@ -392,7 +349,6 @@ impl Hdfs {
             checksum_events: inner.checksum_events,
             re_replications: inner.re_replications,
             failovers: inner.failovers,
-            dead_nodes: inner.dead_nodes.len() as u32,
         }
     }
 
@@ -411,6 +367,7 @@ impl Hdfs {
 mod tests {
     use super::*;
     use crate::topology::Locality;
+    use std::collections::HashSet;
 
     fn fs() -> Hdfs {
         Hdfs::new(Topology::new(8, 4), 100, 3).unwrap()
@@ -467,21 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn node_death_and_replica_loss() {
-        // Replication 1: killing the single replica node loses the block.
-        let fs = Hdfs::new(Topology::new(4, 2), 100, 1).unwrap();
-        let splits = fs.put("/f", b"hello").unwrap();
-        let only = splits[0].replicas[0];
-        fs.kill_node(only);
-        assert!(matches!(
-            fs.read_block(splits[0].id),
-            Err(HdfsError::AllReplicasLost(_))
-        ));
-        fs.revive_node(only);
-        assert!(fs.read_block(splits[0].id).is_ok());
-    }
-
-    #[test]
     fn corrupt_replica_fails_over_and_heals() {
         let fs = fs();
         let splits = fs.put("/f", b"some data here").unwrap();
@@ -514,49 +456,6 @@ mod tests {
             fs.read_block(id),
             Err(HdfsError::ChecksumMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dead_node_read_fails_over_and_rereplicates() {
-        let fs = fs();
-        let splits = fs.put("/f", b"payload").unwrap();
-        let id = splits[0].id;
-        let primary = splits[0].replicas[0];
-        fs.kill_node(primary);
-        assert_eq!(&fs.read_block(id).unwrap()[..], b"payload");
-        let h = fs.health();
-        assert_eq!(h.failovers, 1);
-        assert_eq!(h.re_replications, 1, "factor restored on a live node");
-        let healed = fs.splits("/f").unwrap();
-        let live = healed[0]
-            .replicas
-            .iter()
-            .filter(|&&r| !fs.is_dead(r))
-            .count();
-        assert_eq!(live as u32, fs.replication());
-    }
-
-    #[test]
-    fn placement_avoids_dead_nodes() {
-        // Satellite: dead_nodes must steer replica placement, not just
-        // reads.
-        let fs = fs();
-        fs.kill_node(NodeId(0));
-        fs.kill_node(NodeId(3));
-        let splits = fs.put("/f", &[7u8; 900]).unwrap();
-        for s in &splits {
-            assert_eq!(s.replicas.len(), 3);
-            assert!(
-                !s.replicas.contains(&NodeId(0)) && !s.replicas.contains(&NodeId(3)),
-                "replica placed on a dead node: {:?}",
-                s.replicas
-            );
-        }
-        // A fully-dead cluster cannot accept writes.
-        let tiny = Hdfs::new(Topology::new(2, 2), 100, 1).unwrap();
-        tiny.kill_node(NodeId(0));
-        tiny.kill_node(NodeId(1));
-        assert!(matches!(tiny.put("/g", b"x"), Err(HdfsError::NoLiveNodes)));
     }
 
     #[test]

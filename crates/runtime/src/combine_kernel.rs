@@ -171,27 +171,30 @@ pub fn run_combine(
                         .fold(1);
                 } else {
                     // Only one lane per warp is active (paper: single
-                    // active thread for non-array KV or the baseline).
-                    blk.warp_round_partial(1, |_, t| {
-                        for _ in 0..chunk.len() {
-                            for _ in 0..load_bytes.div_ceil(32) {
-                                t.gld(32, Access::Random);
+                    // active thread for non-array KV or the baseline); the
+                    // other lanes idle, counted as divergent.
+                    blk.round()
+                        .class(1, |t| {
+                            for _ in 0..chunk.len() {
+                                for _ in 0..load_bytes.div_ceil(32) {
+                                    t.gld(32, Access::Random);
+                                }
+                                t.alu(load_bytes);
                             }
-                            t.alu(load_bytes);
-                        }
-                        let mut em = CombineEmit {
-                            out: &mut pairs,
-                            lane: t,
-                            key_len,
-                            val_len,
-                            vectorize,
-                            ops: OpCount::default(),
-                        };
-                        combiner.combine(&run, &mut em);
-                        let o = em.ops;
-                        t.alu(o.alu);
-                        t.sfu(o.sfu);
-                    });
+                            let mut em = CombineEmit {
+                                out: &mut pairs,
+                                lane: t,
+                                key_len,
+                                val_len,
+                                vectorize,
+                                ops: OpCount::default(),
+                            };
+                            combiner.combine(&run, &mut em);
+                            let o = em.ops;
+                            t.alu(o.alu);
+                            t.sfu(o.sfu);
+                        })
+                        .fold(1);
                 }
             }
             Ok(())

@@ -32,65 +32,45 @@ fn cmp_bytes(key_len: usize) -> u64 {
 /// The functional result: `indices` stably sorted by key bytes, whitespace
 /// (`u32::MAX`) last.
 ///
-/// When every key fits 16 bytes (`longest_key ≤ 16`), the first
-/// `min(16, key_len)` slot bytes, zero-padded and read as a big-endian
-/// `u128`, are the whole key: every slot byte past `longest_key` is 0.
-/// Each entry's integer is read once into a dense array, the live
+/// Each entry's first `min(16, key_len)` slot bytes, zero-padded and read
+/// as a big-endian `u128`, are read once into a dense array; the live
 /// entries' positions are sorted stably by it, and the whitespace is
-/// appended, so no comparison reads the store.
-///
-/// Longer keys sort `(first 8 key bytes as a big-endian u64, slot)` pairs
-/// and compare the full slots only when the prefixes tie. Whitespace takes
-/// the largest prefix and still loses every tie, so it sorts after an
-/// all-`0xFF` key too.
+/// appended. When every key fits 16 bytes (`longest_key ≤ 16`) that
+/// integer is the whole key: every slot byte past `longest_key` is 0, so
+/// no comparison reads the store. Longer keys then re-sort each run of
+/// equal integers stably by the full slot, which makes the whole order a
+/// stable sort by slot bytes.
 fn key_order(store: &KvStore, indices: &[u32]) -> Vec<u32> {
-    use std::cmp::Ordering;
-    if store.longest_key <= 16 {
-        let keys: Vec<u128> = indices
-            .iter()
-            .map(|&i| {
-                if i == u32::MAX {
-                    return 0;
-                }
-                // A fixed 16-byte read when the slot has one: no `memcpy`.
-                let key = store.key(i as usize);
-                let head = key.first_chunk().copied().unwrap_or_else(|| {
-                    let mut head = [0u8; 16];
-                    head[..key.len()].copy_from_slice(key);
-                    head
-                });
-                u128::from_be_bytes(head)
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..indices.len() as u32).collect();
-        order.retain(|&at| indices[at as usize] != u32::MAX);
-        order.sort_by_key(|&at| keys[at as usize]);
-        for at in &mut order {
-            *at = indices[*at as usize];
-        }
-        order.resize(indices.len(), u32::MAX);
-        return order;
-    }
-    let prefix = |slot: u32| {
-        if slot == u32::MAX {
-            return u64::MAX;
-        }
-        let key = store.key(slot as usize);
-        let mut head = [0u8; 8];
-        let n = key.len().min(8);
-        head[..n].copy_from_slice(&key[..n]);
-        u64::from_be_bytes(head)
-    };
-    let mut keyed: Vec<(u64, u32)> = indices.iter().map(|&i| (prefix(i), i)).collect();
-    keyed.sort_by(|&(pa, a), &(pb, b)| {
-        pa.cmp(&pb).then_with(|| match (a, b) {
-            (u32::MAX, u32::MAX) => Ordering::Equal,
-            (u32::MAX, _) => Ordering::Greater,
-            (_, u32::MAX) => Ordering::Less,
-            (a, b) => store.key(a as usize).cmp(store.key(b as usize)),
+    let keys: Vec<u128> = indices
+        .iter()
+        .map(|&i| {
+            if i == u32::MAX {
+                return 0;
+            }
+            // A fixed 16-byte read when the slot has one: no `memcpy`.
+            let key = store.key(i as usize);
+            let head = key.first_chunk().copied().unwrap_or_else(|| {
+                let mut head = [0u8; 16];
+                head[..key.len()].copy_from_slice(key);
+                head
+            });
+            u128::from_be_bytes(head)
         })
-    });
-    keyed.into_iter().map(|(_, i)| i).collect()
+        .collect();
+    let mut order: Vec<u32> = (0..indices.len() as u32).collect();
+    order.retain(|&at| indices[at as usize] != u32::MAX);
+    order.sort_by_key(|&at| keys[at as usize]);
+    if store.longest_key > 16 {
+        let slot = |at: &u32| store.key(indices[*at as usize] as usize);
+        for run in order.chunk_by_mut(|a, b| keys[*a as usize] == keys[*b as usize]) {
+            run.sort_by(|a, b| slot(a).cmp(slot(b)));
+        }
+    }
+    for at in &mut order {
+        *at = indices[*at as usize];
+    }
+    order.resize(indices.len(), u32::MAX);
+    order
 }
 
 /// Sort `indices` (slot numbers into `store`) by key bytes on the device.

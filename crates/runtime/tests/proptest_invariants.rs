@@ -99,16 +99,15 @@ proptest! {
         }
     }
 
-    /// Both sort paths are the plain one: `order` equals a stable sort
-    /// that compares whole key slots. Slots of 1–40 bytes take keys of
-    /// 0, 7, 8, 9, 15, 16, 17 and `key_len` bytes, so a store falls on
-    /// either side of the 16-byte integer key, and the keys are built to
-    /// collide — a shared 16-byte head (ties on the 8- and 16-byte
-    /// prefixes), all-`0xFF` keys and `0xFF` heads (the prefix whitespace
-    /// takes), interior and trailing NULs — with whitespace interleaved
-    /// among them. One
-    /// store is filled through `KvStore::emit`, one through the map
-    /// kernel, which must keep the store's longest key itself.
+    /// The sort, with and without its long-key refine step, is the plain
+    /// one: `order` equals a stable sort that compares whole key slots.
+    /// Slots of 1–40 bytes take keys of 0, 7, 8, 9, 15, 16, 17 and
+    /// `key_len` bytes, so a store falls on either side of the 16-byte
+    /// integer key, and the keys are built to collide — a shared 16-byte
+    /// head (ties on the integer key), all-`0xFF` keys and `0xFF` heads,
+    /// interior and trailing NULs — with whitespace interleaved among
+    /// them. One store is filled through `KvStore::emit`, one through the
+    /// map kernel, which must keep the store's longest key itself.
     #[test]
     fn sort_order_is_the_full_key_stable_sort(
         key_len in 1usize..=40,

@@ -29,9 +29,10 @@ struct Inner {
 /// may record into one tracer concurrently. For *byte-identical* trace
 /// output across thread counts, though, the runner records nothing from
 /// workers — it replays per-task results into the tracer from the merge
-/// thread in task-index order (see `heterodoop::job_runner`). Workers
-/// that do record directly (or via [`Tracer::absorb`]) stay valid Chrome
-/// traces but may interleave differently run to run.
+/// thread in task-index order (see `heterodoop::job_runner`), and the
+/// service records on its caller's thread. Workers that do record
+/// directly stay valid Chrome traces but may interleave differently run
+/// to run.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
@@ -173,22 +174,6 @@ impl Tracer {
         let g = self.locked();
         crate::chrome::to_chrome_json(&g.events, &g.processes, &g.lanes)
     }
-
-    /// Move every event and lane label out of `other` into this tracer,
-    /// in `other`'s recording order. `other` is left empty. Disabled
-    /// tracers absorb nothing. This is the deterministic way to collect
-    /// per-task tracers recorded off-thread: absorb them one by one in
-    /// task order from a single thread.
-    pub fn absorb(&self, other: &Tracer) {
-        if !self.enabled {
-            return;
-        }
-        let mut theirs = other.locked();
-        let mut ours = self.locked();
-        ours.events.append(&mut theirs.events);
-        ours.processes.append(&mut theirs.processes);
-        ours.lanes.append(&mut theirs.lanes);
-    }
 }
 
 #[cfg(test)]
@@ -231,26 +216,6 @@ mod tests {
             }
         });
         assert_eq!(t.len(), 400);
-    }
-
-    #[test]
-    fn absorb_moves_events_in_order() {
-        let main = Tracer::new();
-        main.instant(Category::Task, "first", 0, 0, 0.0, vec![]);
-        let task = Tracer::new();
-        task.name_lane(0, 1, "task-lane");
-        task.instant(Category::Task, "second", 0, 1, 1.0, vec![]);
-        main.absorb(&task);
-        assert!(task.is_empty());
-        let names: Vec<_> = main.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["first", "second"]);
-        // Disabled tracers absorb nothing (and leave the source alone).
-        let off = Tracer::off();
-        let src = Tracer::new();
-        src.instant(Category::Task, "kept", 0, 0, 0.0, vec![]);
-        off.absorb(&src);
-        assert_eq!(src.len(), 1);
-        assert!(off.is_empty());
     }
 
     #[test]
