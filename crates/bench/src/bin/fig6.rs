@@ -34,6 +34,6 @@ fn main() {
         println!("{row}");
     }
     println!(
-        "(paper: WC sort-dominated; BS ~62% output write; KM/CL map-heavy; aggregation negligible)"
+        "(paper: WC sort-dominated; BS ~62% output write; KM/CL map-heavy; HR/LR spend much in combine; aggregation negligible)"
     );
 }

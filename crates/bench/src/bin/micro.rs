@@ -11,11 +11,13 @@
 //! Writes `micro.json`: `results/` from a full run, `target/results/`
 //! from `--quick` (one timed call a side), and prints the record as a
 //! markdown table. `--markdown FILE` instead renders a `micro.json` as
-//! that table: `results/micro.md`, which EXPERIMENTS.md quotes.
+//! that table: `results/micro.md`, which EXPERIMENTS.md quotes. The
+//! record also carries the bytecode VM's exact dispatch counts on
+//! Wordcount (this crate builds `hetero-cc` with `dispatch-count`).
 use hetero_apps::common::words;
 use hetero_bench::{nproc, write_artifact, Args};
-use hetero_cc::backend::make_backend;
 use hetero_cc::backend::BackendKind::{Interp, Native};
+use hetero_cc::backend::{dispatches, make_backend};
 use hetero_cc::interp::StreamIo;
 use hetero_cluster::{simulate, simulate_reference, ClusterConfig, JobSpec, JobStats, Scheduler};
 use hetero_gpusim::{Access, BlockCtx, Device, GpuSpec, LaneCtx};
@@ -121,6 +123,14 @@ fn markdown(doc: &Json) -> Option<String> {
             }
         };
     }
+    if let Some(d) = doc.get("dispatches") {
+        out += &format!(
+            "\nBytecode VM dispatches (exact): {:.1} a Wordcount mapper record, \
+             {:.2} a Wordcount combiner pair.\n",
+            num(d, "wc_mapper_per_record")?,
+            num(d, "wc_combiner_per_pair")?
+        );
+    }
     Some(out)
 }
 
@@ -139,6 +149,35 @@ fn mapper(code: &str, records: usize) -> Vec<Side> {
         })
     };
     vec![on("interp", Interp), on("native", Native)]
+}
+
+/// The instructions the bytecode VM dispatches for a Wordcount record
+/// through the C mapper (`records` generated records, seed 7, a run a
+/// record) and for a pair through the C combiner (one run over those
+/// records' pairs, sorted by key). Exact: the same on every host.
+fn wc_dispatches(records: usize) -> Json {
+    let app = hetero_apps::app_by_code("WC").unwrap();
+    let compile = |src| make_backend(Native, &hetero_cc::parse::parse(src).unwrap());
+    let mapper = compile(app.mapper_source());
+    let combiner = compile(app.combiner_source().expect("WC has a combiner"));
+    let split = app.generate_split(records, 7);
+    let (mut pairs, mut lines) = (Vec::new(), 0);
+    let start = dispatches();
+    for line in split.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+        let mut io = StreamIo::lines(vec![line.to_vec()]);
+        mapper.run(&mut io).unwrap();
+        pairs.extend(io.emitted_kvs());
+        lines += 1;
+    }
+    let map = dispatches() - start;
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let npairs = pairs.len();
+    let start = dispatches();
+    combiner.run(&mut StreamIo::kvs(pairs)).unwrap();
+    let combine = dispatches() - start;
+    Json::obj()
+        .with("wc_mapper_per_record", map as f64 / lines as f64)
+        .with("wc_combiner_per_pair", combine as f64 / npairs as f64)
 }
 
 /// CRC-32 of `records` generated Wordcount records (seed 7; 225 000 is
@@ -298,6 +337,7 @@ fn main() {
     let run = |(case, calls, sides)| entry(case, &time(if quick { 1 } else { calls }, sides));
     let doc = Json::obj().with("artifact", "micro").with("nproc", nproc());
     let doc = doc.with("cases", Json::arr(cases.into_iter().map(run)));
+    let doc = doc.with("dispatches", wc_dispatches(400));
     print!("{}", markdown(&doc).expect("own record renders"));
     write_artifact("micro.json", !quick, &doc);
 }

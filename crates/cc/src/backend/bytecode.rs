@@ -168,11 +168,17 @@ pub(crate) enum Insn {
     PfLit { fmt: u16, seg: u16 },
     PfConv { src: R, fmt: u16, seg: u16 },
     PfEnd { dst: R },
+    /// Fast blocks only: a whole `printf` of plain arguments — render
+    /// `fmts[fmt]`, conversion `i` from operand `pf_args[fmt][i]`.
+    Printf { dst: R, fmt: u16 },
     /// Consume a KV record; at end of input `dst = -1` and jump to
     /// `eof`.
     ScBegin { dst: R, eof: Pc },
     ScConv { src: R, conv: ScanConv, field: u8 },
     ScEnd { dst: R },
+    /// Fast blocks only: a `scanf`'s conversions and end, of plain
+    /// destinations — store each field through `scans[site]`.
+    ScTail { dst: R, site: u16 },
     StrFind { dst: R, a: R, b: R },
     StrCmp { dst: R, a: R, b: R },
     StrCpy { dst: R, a: R, b: R },
@@ -219,6 +225,16 @@ impl Insn {
             _ => None,
         }
     }
+}
+
+/// Where one conversion of a fused `scanf` tail ([`Insn::ScTail`])
+/// stores: conversion `i` reads field `min(i, 1)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum ScanTo {
+    /// Through the value of an operand.
+    Ptr(R),
+    /// Into a scalar register (`&local`).
+    Slot(R),
 }
 
 /// Side data of one strided 2-D access site.
@@ -269,6 +285,10 @@ pub(crate) struct Bytecode {
     pub msgs: Vec<CcError>,
     pub strs: Vec<Vec<u8>>,
     pub fmts: Vec<Vec<PSeg>>,
+    /// Per format, the operands of its fused [`Insn::Printf`] (empty
+    /// when the site is not fused).
+    pub pf_args: Vec<Vec<R>>,
+    pub scans: Vec<Vec<(ScanConv, ScanTo)>>,
     /// `(name, leaf element type, element count)` per array
     /// declaration.
     pub arrays: Vec<(String, CType, usize)>,
@@ -344,8 +364,14 @@ impl Bytecode {
         for (i, b) in self.strs.iter().enumerate() {
             let _ = writeln!(s, "  str{i} = {:?}", String::from_utf8_lossy(b));
         }
-        for (i, segs) in self.fmts.iter().enumerate() {
+        for (i, (segs, args)) in self.fmts.iter().zip(&self.pf_args).enumerate() {
             let _ = writeln!(s, "  fmt{i} = {segs:?}");
+            if !args.is_empty() {
+                let _ = writeln!(s, "    args {args:?}");
+            }
+        }
+        for (i, convs) in self.scans.iter().enumerate() {
+            let _ = writeln!(s, "  scan{i} = {convs:?}");
         }
         for (i, (_, ty, n)) in self.arrays.iter().enumerate() {
             let _ = writeln!(s, "  arr{i} = {}[{n}]", ty.c_name());

@@ -29,7 +29,7 @@
 //! and jumps to the continuation, and every tick stays where the
 //! interpreter ticks. Every other call stays a `Call`.
 
-use super::bytecode::{Bytecode, Cmp, Func, Insn, Pc, Site2, R};
+use super::bytecode::{Bytecode, Cmp, Func, Insn, Pc, ScanTo, Site2, R};
 use super::vm::MAX_CALL_DEPTH;
 use crate::ast::*;
 use crate::error::CcError;
@@ -65,6 +65,8 @@ pub(crate) fn lower(prog: &Program) -> Bytecode {
             msgs: Vec::new(),
             strs: Vec::new(),
             fmts: Vec::new(),
+            pf_args: Vec::new(),
+            scans: Vec::new(),
             arrays: Vec::new(),
             sites2: Vec::new(),
         },
@@ -170,7 +172,7 @@ struct Block {
     twin_pc: usize,
     steps: u32,
     ops: u32,
-    /// Instructions besides the `Fuel`.
+    /// Instructions besides the `Fuel`, counted in the exact twin.
     insns: usize,
 }
 
@@ -335,13 +337,16 @@ impl<'a> Lower<'a> {
             self.out.strs.len(),
             self.out.fmts.len(),
             self.out.arrays.len(),
+            self.out.scans.len(),
         );
         self.lower_body(f, may_inline);
         if self.f.overflow && self.f.inlined {
             self.out.msgs.truncate(tables.0);
             self.out.strs.truncate(tables.1);
             self.out.fmts.truncate(tables.2);
+            self.out.pf_args.truncate(tables.2);
             self.out.arrays.truncate(tables.3);
+            self.out.scans.truncate(tables.4);
             self.out.sites2.truncate(self.f.sites2_start);
             self.lower_body(f, false);
         }
@@ -517,6 +522,31 @@ impl<'a> Lower<'a> {
         if let Some(falls_through) = insn.ends_block() {
             self.close_block(falls_through);
         }
+    }
+
+    /// An instruction of the exact twin only: the fast block pays its
+    /// ticks up front, so no step limit can fire before the consumer that
+    /// repeats this check.
+    fn emit_twin(&mut self, insn: Insn) {
+        self.flush();
+        self.f.twin.push(insn);
+        self.f.blocks.last_mut().expect("a block is open").insns += 1;
+    }
+
+    /// Where the open block's next fast instruction goes, for
+    /// [`fuse`](Self::fuse).
+    fn fuse_mark(&mut self) -> usize {
+        self.flush();
+        self.f.fast.len()
+    }
+
+    /// Replace the fast instructions emitted since `mark` with `insn`;
+    /// the exact twin keeps them, with its `Tick`s between.
+    fn fuse(&mut self, mark: usize, insn: Insn) {
+        let b = self.f.blocks.last().expect("a block is open");
+        debug_assert!(!self.f.need_block && b.fast_pc < mark, "one block");
+        self.f.fast.truncate(mark);
+        self.f.fast.push(insn);
     }
 
     fn new_label(&mut self) -> u32 {
@@ -1148,15 +1178,33 @@ impl<'a> Lower<'a> {
 
     /// Keep the interpreter's order between validating operand `op`
     /// (`as_int` / `as_f64`) and evaluating the operands that follow it.
+    /// When every later operand is plain, nothing between the check and
+    /// its consumer can fault but a step limit, so only the exact twin
+    /// keeps it.
     fn check_before(&mut self, op: R, int: bool, rest: &[&'a Expr]) {
         if self.is_num_const(op) || rest.is_empty() {
             return;
         }
-        self.emit(if int {
+        let chk = if int {
             Insn::ChkInt { a: op }
         } else {
             Insn::ChkNum { a: op }
-        });
+        };
+        if rest.iter().all(|e| self.is_plain(e)) {
+            self.emit_twin(chk);
+        } else {
+            self.emit(chk);
+        }
+    }
+
+    /// `e` lowers to an operand without an instruction: it cannot fault
+    /// and writes nothing.
+    fn is_plain(&self, e: &Expr) -> bool {
+        match e {
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::CharLit(_) | Expr::SizeOf(_) => true,
+            Expr::Ident(name) => self.resolve(name).is_some(),
+            _ => false,
+        }
     }
 
     /// Lower the operands of `base[idx]`. Mirrors
@@ -1407,11 +1455,16 @@ impl<'a> Lower<'a> {
                 let dst = self.dst(hint);
                 let segs = parse_printf(fmt);
                 self.out.fmts.push(segs.clone());
+                self.out.pf_args.push(Vec::new());
                 let fmt = self.idx16(self.out.fmts.len() - 1);
+                let fused = self.fuse_mark();
                 self.emit(Insn::PfBegin);
                 // One argument per conversion, evaluated right before
                 // it renders; surplus arguments are never evaluated.
+                // When none of them emits an instruction, the fast block
+                // renders the whole call at once.
                 let mut rest = args[1..].iter();
+                let mut plain = Some(Vec::new());
                 for (si, seg) in segs.iter().enumerate() {
                     let seg_i = self.idx16(si);
                     match seg {
@@ -1421,8 +1474,12 @@ impl<'a> Lower<'a> {
                                 self.trap_err(printf_missing_arg());
                                 return dst;
                             };
-                            let mark = self.f.tmp_top;
+                            let (mark, at) = (self.f.tmp_top, self.f.fast.len());
                             let src = self.expr(a, None);
+                            match &mut plain {
+                                Some(ops) if self.f.fast.len() == at => ops.push(src),
+                                _ => plain = None,
+                            }
                             self.emit(Insn::PfConv {
                                 src,
                                 fmt,
@@ -1433,6 +1490,10 @@ impl<'a> Lower<'a> {
                     }
                 }
                 self.emit(Insn::PfEnd { dst });
+                if let Some(ops) = plain {
+                    self.out.pf_args[fmt as usize] = ops;
+                    self.fuse(fused, Insn::Printf { dst, fmt });
+                }
                 dst
             }
             "scanf" => {
@@ -1443,24 +1504,45 @@ impl<'a> Lower<'a> {
                 let lend = self.new_label();
                 let eof = self.to(lend);
                 self.emit(Insn::ScBegin { dst, eof });
-                // One conversion per destination actually passed.
+                // One conversion per destination actually passed. When
+                // each destination is plain or `&local`, the fast block
+                // stores every field at once.
+                let fused = self.fuse_mark();
+                let mut plain = Some(Vec::new());
                 for (ci, (conv, a)) in parse_scanf(fmt).iter().zip(&args[1..]).enumerate() {
-                    let mark = self.f.tmp_top;
+                    let (mark, at) = (self.f.tmp_top, self.f.fast.len());
                     let src = self.expr(a, None);
+                    let to = match self.f.fast[at..] {
+                        [] => Some(ScanTo::Ptr(src)),
+                        [Insn::AddrSlot { reg, .. }] => Some(ScanTo::Slot(reg)),
+                        _ => None,
+                    };
                     match ScanConv::parse(conv) {
-                        Ok(conv) => self.emit(Insn::ScConv {
-                            src,
-                            conv,
-                            field: ci.min(1) as u8,
-                        }),
+                        Ok(conv) => {
+                            match (&mut plain, to) {
+                                (Some(convs), Some(to)) => convs.push((conv, to)),
+                                _ => plain = None,
+                            }
+                            self.emit(Insn::ScConv {
+                                src,
+                                conv,
+                                field: ci.min(1) as u8,
+                            })
+                        }
                         Err(e) => {
                             self.trap_err(e);
+                            plain = None;
                             break;
                         }
                     }
                     self.f.tmp_top = mark;
                 }
                 self.emit(Insn::ScEnd { dst });
+                if let Some(convs) = plain {
+                    self.out.scans.push(convs);
+                    let site = self.idx16(self.out.scans.len() - 1);
+                    self.fuse(fused, Insn::ScTail { dst, site });
+                }
                 self.bind(lend);
                 dst
             }

@@ -41,6 +41,8 @@ mod lower;
 mod vm;
 
 pub use bytecode::LoweringCounts;
+#[cfg(feature = "dispatch-count")]
+pub use vm::dispatches;
 
 use crate::ast::Program;
 use crate::error::CcError;

@@ -15,15 +15,15 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::bytecode::{Bytecode, Cmp, Insn, R};
+use super::bytecode::{Bytecode, Cmp, Insn, ScanTo, R};
 use crate::ast::{BinOp, CType};
 use crate::error::CcError;
 use crate::interp::{
     alloc_buffer, as_f64, as_int, binary_inline, bit_not, builtin_atof, builtin_atoi,
     builtin_strcmp, builtin_strcpy, builtin_strfind, builtin_strlen, cast, check_bounds,
-    getline_read, getline_store, load_through, malloc_bytes, neg, num_add, printf_finish, read_buf,
-    render_conv, scan_token, scanf_read, scanf_store, store_through, truthy, write_buf, Buffer,
-    InterpStats, PSeg, StreamIo, V,
+    getline_read, getline_store, load_through, malloc_bytes, neg, num_add, printf_charge,
+    printf_finish, read_buf, render_conv, scan_token, scanf_read, scanf_store, store_through,
+    truthy, write_buf, Buffer, InterpStats, PSeg, StreamIo, V,
 };
 
 /// Deepest call nesting. The tree-walking interpreter recurses on the
@@ -63,7 +63,7 @@ struct Storage {
     regs: Vec<V>,
     heap: Vec<Buffer>,
     frames: Vec<Frame>,
-    pf: Vec<String>,
+    pf: Vec<Vec<u8>>,
     sc: Vec<(usize, i64)>,
     /// The [`Checkpoint::id`] whose buffers `heap` holds; 0 for none.
     owner: u64,
@@ -121,6 +121,18 @@ thread_local! {
     /// The storage this thread's last finished run handed back, so the
     /// next run allocates none of it afresh.
     static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
+#[cfg(feature = "dispatch-count")]
+thread_local! {
+    static DISPATCHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Instructions the VM has dispatched on this thread, every `Fuel` and
+/// `Tick` included.
+#[cfg(feature = "dispatch-count")]
+pub fn dispatches() -> u64 {
+    DISPATCHES.get()
 }
 
 /// Step cap of the prologue run that takes a [`Checkpoint`]; a longer
@@ -218,6 +230,15 @@ pub(crate) fn run(
     vm.stats = stats;
     vm.steps = steps;
     let done = vm.exec(pc, base, io);
+    #[cfg(feature = "dispatch-count")]
+    DISPATCHES.set(DISPATCHES.get() + vm.dispatched);
+    // A buffer the run made, most likely the record `getline` took over,
+    // holds the next record.
+    if vm.heap.len() > vm.written.len() {
+        if let Some(Buffer::Bytes(spare)) = vm.heap.pop() {
+            io.spare = spare;
+        }
+    }
     let stats = vm.stats;
     SPARE.set(Some(vm.into_storage(ck.map_or(0, |ck| ck.id))));
     done.map(|_| stats)
@@ -234,7 +255,7 @@ struct Vm<'p> {
     frames: Vec<Frame>,
     /// Output buffers of the `printf`s being rendered (they nest when
     /// an argument itself prints); kept for reuse.
-    pf: Vec<String>,
+    pf: Vec<Vec<u8>>,
     pf_depth: usize,
     /// The KV records (see [`StreamIo::kv_field`]) of the `scanf`s in
     /// progress and their match counts.
@@ -246,6 +267,8 @@ struct Vm<'p> {
     dirty: Vec<usize>,
     /// Stop before the first `getline`/`scanf` (to take a checkpoint).
     pause_at_read: bool,
+    #[cfg(feature = "dispatch-count")]
+    dispatched: u64,
 }
 
 impl<'p> Vm<'p> {
@@ -264,6 +287,8 @@ impl<'p> Vm<'p> {
             written: s.written,
             dirty: s.dirty,
             pause_at_read: false,
+            #[cfg(feature = "dispatch-count")]
+            dispatched: 0,
         }
     }
 
@@ -398,6 +423,10 @@ impl<'p> Vm<'p> {
             // ahead of the jump table (≈ 8 % of the BS mapper's time).
             let insn = &code[pc];
             pc += 1;
+            #[cfg(feature = "dispatch-count")]
+            {
+                self.dispatched += 1;
+            }
             match *insn {
                 Insn::Fuel { steps, ops, exact } => {
                     if self.max_steps - self.steps < steps as u64 {
@@ -602,13 +631,13 @@ impl<'p> Vm<'p> {
                 Insn::PfBegin => {
                     match self.pf.get_mut(self.pf_depth) {
                         Some(out) => out.clear(),
-                        None => self.pf.push(String::new()),
+                        None => self.pf.push(Vec::new()),
                     }
                     self.pf_depth += 1;
                 }
                 Insn::PfLit { fmt, seg } => {
                     if let PSeg::Lit(s) = &p.fmts[fmt as usize][seg as usize] {
-                        self.pf[self.pf_depth - 1].push_str(s);
+                        self.pf[self.pf_depth - 1].extend_from_slice(s.as_bytes());
                     }
                 }
                 Insn::PfConv { src, fmt, seg } => {
@@ -621,6 +650,28 @@ impl<'p> Vm<'p> {
                     self.pf_depth -= 1;
                     let v = printf_finish(&self.pf[self.pf_depth], &mut self.stats, io);
                     wr!(dst, v)
+                }
+                Insn::Printf { dst, fmt } => {
+                    // Rendered in place: a failed conversion takes back
+                    // what the earlier segments wrote.
+                    let start = io.stdout.len();
+                    let mut args = p.pf_args[fmt as usize].iter();
+                    for seg in &p.fmts[fmt as usize] {
+                        let (prec, conv) = match seg {
+                            PSeg::Lit(s) => {
+                                io.stdout.extend_from_slice(s.as_bytes());
+                                continue;
+                            }
+                            PSeg::Conv { prec, conv } => (*prec, *conv),
+                        };
+                        let a = *args.next().expect("an operand a conversion");
+                        if let Err(e) = render_conv(&mut io.stdout, prec, conv, &rd!(a), &self.heap)
+                        {
+                            io.stdout.truncate(start);
+                            return Err(e);
+                        }
+                    }
+                    wr!(dst, printf_charge(&io.stdout[start..], &mut self.stats))
                 }
                 Insn::ScBegin { dst, eof } => {
                     if self.pause_at_read {
@@ -647,6 +698,26 @@ impl<'p> Vm<'p> {
                         &mut self.stats,
                     )?;
                     *matched += 1;
+                }
+                Insn::ScTail { dst, site } => {
+                    let (rec, _) = self.sc.pop().expect("inside a scanf");
+                    let convs = &p.scans[site as usize];
+                    for (ci, &(conv, to)) in convs.iter().enumerate() {
+                        let to = match to {
+                            ScanTo::Ptr(r) => rd!(r),
+                            ScanTo::Slot(r) => V::SlotRef(base + r.index()),
+                        };
+                        self.mark_ptr(&to);
+                        scanf_store(
+                            conv,
+                            io.kv_field(rec, ci.min(1)),
+                            &to,
+                            &mut self.heap,
+                            &mut self.regs,
+                            &mut self.stats,
+                        )?;
+                    }
+                    wr!(dst, V::I(convs.len() as i64))
                 }
                 Insn::ScEnd { dst } => {
                     let (_, matched) = self.sc.pop().expect("inside a scanf");

@@ -22,7 +22,7 @@ use crate::ast::*;
 use crate::error::CcError;
 use std::collections::HashMap;
 use std::ffi::CStr;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Default evaluation-step budget shared by both backends.
 pub(crate) const DEFAULT_MAX_STEPS: u64 = 500_000_000;
@@ -59,13 +59,21 @@ pub enum Input {
     },
 }
 
-/// Streaming I/O state for one interpreter run.
+/// Streaming I/O state for one interpreter run. A caller that runs
+/// kernels back to back can refill one value instead of building a new
+/// one a run ([`refill_line`](Self::refill_line),
+/// [`refill_kv_pairs`](Self::refill_kv_pairs)): every buffer keeps its
+/// capacity.
 #[derive(Debug)]
 pub struct StreamIo {
     pub(crate) input: Input,
     pub(crate) cursor: usize,
     /// Raw bytes written by `printf`.
     pub stdout: Vec<u8>,
+    /// A byte buffer the last run no longer needs (the bytecode engine
+    /// hands back the one `getline` took over): the next
+    /// [`refill_line`](Self::refill_line)'s record.
+    pub(crate) spare: Vec<u8>,
 }
 
 impl StreamIo {
@@ -75,6 +83,7 @@ impl StreamIo {
             input: Input::Lines(lines),
             cursor: 0,
             stdout: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -86,20 +95,54 @@ impl StreamIo {
     /// Feed borrowed KV pairs (combiner input), copied once into one
     /// buffer.
     pub fn kv_pairs<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> Self {
+        let mut io = Self::lines(Vec::new());
+        io.refill_kv_pairs(pairs);
+        io
+    }
+
+    /// Start over with `record` as the one line record, and no output.
+    /// The record is copied once, with room for the `\n` and NUL that
+    /// `getline` appends to the buffer it takes over.
+    pub fn refill_line(&mut self, record: &[u8]) {
+        let mut line = std::mem::take(&mut self.spare);
+        line.clear();
+        line.reserve(record.len() + 2);
+        line.extend_from_slice(record);
+        match &mut self.input {
+            Input::Lines(lines) => {
+                lines.clear();
+                lines.push(line);
+            }
+            input => *input = Input::Lines(vec![line]),
+        }
+        self.cursor = 0;
+        self.stdout.clear();
+    }
+
+    /// Start over with `pairs` as the KV records, copied once into one
+    /// buffer, and no output.
+    pub fn refill_kv_pairs<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) {
+        if !matches!(self.input, Input::Kvs { .. }) {
+            self.input = Input::Kvs {
+                bytes: Vec::new(),
+                ends: Vec::new(),
+            };
+        }
+        let Input::Kvs { bytes, ends } = &mut self.input else {
+            unreachable!("just made KV input")
+        };
         let pairs = pairs.into_iter();
-        let mut ends = Vec::with_capacity(pairs.size_hint().0);
-        let mut bytes = Vec::new();
+        bytes.clear();
+        ends.clear();
+        ends.reserve(pairs.size_hint().0);
         for (k, v) in pairs {
             bytes.extend_from_slice(k);
             let key_end = bytes.len();
             bytes.extend_from_slice(v);
             ends.push((key_end, bytes.len()));
         }
-        StreamIo {
-            input: Input::Kvs { bytes, ends },
-            cursor: 0,
-            stdout: Vec::new(),
-        }
+        self.cursor = 0;
+        self.stdout.clear();
     }
 
     /// Field `field` (0 key, 1 value) of KV record `rec`.
@@ -601,7 +644,7 @@ pub(crate) fn parse_printf(fmt: &str) -> Vec<PSeg> {
 /// immediately before this call, so a conversion error pre-empts the
 /// evaluation of every later argument.
 pub(crate) fn render_conv(
-    out: &mut String,
+    out: &mut Vec<u8>,
     prec: Option<usize>,
     conv: u8,
     v: &V,
@@ -609,8 +652,11 @@ pub(crate) fn render_conv(
 ) -> Result<(), CcError> {
     match conv {
         b'd' | b'i' | b'u' => push_int(out, as_int(v)?),
-        b'c' => out.push(as_int(v)? as u8 as char),
-        b's' => out.push_str(&String::from_utf8_lossy(cstr(heap, v)?)),
+        b'c' => {
+            let c = as_int(v)? as u8 as char;
+            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+        }
+        b's' => out.extend_from_slice(String::from_utf8_lossy(cstr(heap, v)?).as_bytes()),
         b'f' | b'e' | b'g' => {
             let x = as_f64(v)?;
             let p = prec.unwrap_or(6);
@@ -622,17 +668,12 @@ pub(crate) fn render_conv(
                     "printf: precision {p} out of range"
                 )));
             }
-            match conv {
-                b'f' => {
-                    let _ = write!(out, "{x:.p$}", p = p);
-                }
-                b'e' => {
-                    let _ = write!(out, "{x:.p$e}", p = p);
-                }
-                _ => {
-                    let _ = write!(out, "{x}");
-                }
-            }
+            // Writing to a `Vec` cannot fail.
+            let _ = match conv {
+                b'f' => write!(out, "{x:.p$}", p = p),
+                b'e' => write!(out, "{x:.p$e}", p = p),
+                _ => write!(out, "{x}"),
+            };
         }
         other => {
             return Err(CcError::interp(format!(
@@ -646,7 +687,7 @@ pub(crate) fn render_conv(
 
 /// Append `n` in decimal — what `write!(out, "{n}")` prints, without
 /// the formatting machinery.
-fn push_int(out: &mut String, n: i64) {
+fn push_int(out: &mut Vec<u8>, n: i64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     let mut m = n.unsigned_abs();
@@ -659,9 +700,9 @@ fn push_int(out: &mut String, n: i64) {
         }
     }
     if n < 0 {
-        out.push('-');
+        out.push(b'-');
     }
-    out.extend(digits[at..].iter().map(|&d| d as char));
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// The error for a conversion with no argument left.
@@ -669,14 +710,19 @@ pub(crate) fn printf_missing_arg() -> CcError {
     CcError::interp("printf: not enough arguments")
 }
 
-/// Commit a fully rendered `printf`: charge `lines_out`/`mem` and
-/// append to stdout (only reached when every conversion succeeded).
-/// Returns the byte count, `printf`'s value.
-pub(crate) fn printf_finish(out: &str, stats: &mut InterpStats, io: &mut StreamIo) -> V {
-    stats.lines_out += out.bytes().filter(|&b| b == b'\n').count() as u64;
+/// Charge a fully rendered `printf`'s output `out` (`lines_out`, `mem`)
+/// and return its byte count, `printf`'s value. Only reached when every
+/// conversion succeeded.
+pub(crate) fn printf_charge(out: &[u8], stats: &mut InterpStats) -> V {
+    stats.lines_out += out.iter().filter(|&&b| b == b'\n').count() as u64;
     stats.mem += out.len() as u64;
-    io.stdout.extend_from_slice(out.as_bytes());
     V::I(out.len() as i64)
+}
+
+/// Commit a fully rendered `printf`: charge it and append it to stdout.
+pub(crate) fn printf_finish(out: &[u8], stats: &mut InterpStats, io: &mut StreamIo) -> V {
+    io.stdout.extend_from_slice(out);
+    printf_charge(out, stats)
 }
 
 /// One `scanf` conversion, classified once per format.
@@ -744,15 +790,28 @@ pub(crate) fn scanf_store(
 ) -> Result<(), CcError> {
     match conv {
         ScanConv::Str => write_cstr(heap, stats, dst, field),
-        ScanConv::Int => {
-            let n = String::from_utf8_lossy(field).trim().parse::<i64>();
-            store_through(heap, slots, stats, dst, V::I(n.unwrap_or(0)))
-        }
+        ScanConv::Int => store_through(heap, slots, stats, dst, V::I(scan_int(field))),
         ScanConv::Float => {
             let x = String::from_utf8_lossy(field).trim().parse::<f64>();
             store_through(heap, slots, stats, dst, V::F(x.unwrap_or(0.0)))
         }
     }
+}
+
+/// `%d`'s value of a `scanf` field: what
+/// `String::from_utf8_lossy(field).trim().parse::<i64>().unwrap_or(0)`
+/// gives, with a bare `-?[0-9]{1,18}` field (which cannot overflow)
+/// folded directly.
+pub(crate) fn scan_int(field: &[u8]) -> i64 {
+    let digits = field.strip_prefix(b"-").unwrap_or(field);
+    if (1..=18).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        let n = digits.iter().fold(0, |n, &d| n * 10 + (d - b'0') as i64);
+        return if digits.len() < field.len() { -n } else { n };
+    }
+    String::from_utf8_lossy(field)
+        .trim()
+        .parse::<i64>()
+        .unwrap_or(0)
 }
 
 /// `strfind` core: index of `needle` in `hay`, or `-1` (empty needle
@@ -1513,11 +1572,11 @@ impl<'p> Interp<'p> {
         // Arguments are evaluated lazily, one per conversion, so a
         // conversion error pre-empts every later argument and surplus
         // arguments are never evaluated.
-        let mut out = String::new();
+        let mut out = Vec::new();
         let mut rest = args[1..].iter();
         for seg in parse_printf(fmt) {
             match seg {
-                PSeg::Lit(s) => out.push_str(&s),
+                PSeg::Lit(s) => out.extend_from_slice(s.as_bytes()),
                 PSeg::Conv { prec, conv } => {
                     let a = rest.next().ok_or_else(printf_missing_arg)?;
                     let v = self.eval(a, io)?;
@@ -1949,5 +2008,60 @@ int main() {
         // Trailing lone '%' is literal.
         let segs = parse_printf("ab%");
         assert!(matches!(&segs[..], [PSeg::Lit(s)] if s == "ab%"));
+    }
+
+    /// The `String` parse `scan_int` must agree with: the oracle.
+    fn scan_int_via_string(field: &[u8]) -> i64 {
+        String::from_utf8_lossy(field)
+            .trim()
+            .parse::<i64>()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn scan_int_reads_the_i64_limits_and_rejects_past_them() {
+        for text in [
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "999999999999999999",
+            "-999999999999999999",
+            "1000000000000000000",
+            "-0",
+            "-",
+            "",
+        ] {
+            let field = text.as_bytes();
+            assert_eq!(scan_int(field), scan_int_via_string(field), "{text:?}");
+        }
+        assert_eq!(scan_int(b"9223372036854775807"), i64::MAX);
+        assert_eq!(scan_int(b"-9223372036854775808"), i64::MIN);
+    }
+
+    proptest::proptest! {
+        /// A run of 1–20 digits (past `i64` from 19 on), and each of
+        /// `i64::MIN`/`MAX` ± 1, between signs, spaces, tabs, NULs, `0xFF`
+        /// and a non-breaking space's UTF-8 (`0xC2 0xA0`), or nothing,
+        /// reads as the `String` parse does.
+        #[test]
+        fn scan_int_matches_the_string_parse(
+            head in proptest::collection::vec(0u8..8, 0..3),
+            digits in proptest::collection::vec(b'0'..=b'9', 0..21),
+            tail in proptest::collection::vec(0u8..8, 0..3),
+        ) {
+            const AROUND: [&[u8]; 8] = [b"-", b"+", b" ", b"\t", b"\0", b"\xFF", b"\xC2\xA0", b"-"];
+            const LIMITS: [&[u8]; 4] = [
+                b"9223372036854775807",
+                b"9223372036854775808",
+                b"-9223372036854775808",
+                b"-9223372036854775809",
+            ];
+            let around = |picks: &[u8]| picks.iter().flat_map(|&c| AROUND[c as usize].iter().copied()).collect::<Vec<_>>();
+            for run in std::iter::once(&digits[..]).chain(LIMITS) {
+                let field = [around(&head), run.to_vec(), around(&tail)].concat();
+                proptest::prop_assert_eq!(scan_int(&field), scan_int_via_string(&field), "{:?}", field);
+            }
+        }
     }
 }

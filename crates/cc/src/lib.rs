@@ -45,9 +45,10 @@ pub fn compile(src: &str) -> Result<Compiled, CcError> {
     compile_with(src, LintLevel::default())
 }
 
-/// [`compile`] with an explicit lint level. `LintLevel::Off` skips the
-/// analysis entirely; `Deny` also rejects warning-severity findings
-/// (perf-notes never block compilation).
+/// [`compile`] with an explicit lint level. `LintLevel::Off` skips only
+/// the lints (`lint_program`): `sema::analyze` still runs, value analysis
+/// included, and its errors still abort the compile. `Deny` also rejects
+/// warning-severity findings (perf-notes never block compilation).
 pub fn compile_with(src: &str, level: LintLevel) -> Result<Compiled, CcError> {
     let program = parse::parse(src)?;
     let analysis = sema::analyze(&program)?;

@@ -4,7 +4,7 @@
 //! identical `InterpStats` on success, identical error text on failure
 //! — and neither may panic (a panic fails the test harness).
 
-use hetero_cc::backend::{make_backend, BackendKind};
+use hetero_cc::backend::{make_backend, BackendKind, KernelBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::parse::parse;
 
@@ -803,4 +803,39 @@ fn a_function_of_the_program_may_carry_a_libc_name() {
     hetero_cc::compile(src).expect("a user-defined strcat is a known call");
     let (out, _) = agree("user_defined_strcat", src, &In::Lines(&["a bc"])).unwrap();
     assert_eq!(out, b"ax\t1\nbcx\t1\n");
+}
+
+#[path = "fixtures/fused_io.rs"]
+mod fused_io;
+
+#[test]
+fn fused_io_sites_agree_input_after_input() {
+    // One backend of each kind runs the inputs in turn, so a fused store
+    // that forgets to mark its buffer leaves the next run a stale key.
+    for case in fused_io::CASES {
+        let name = case.name;
+        assert_eq!(
+            fused_io::fused_counts(case.src),
+            case.fused,
+            "`{name}`: (Printf, ScTail) in the fast blocks"
+        );
+        let prog = parse(case.src).unwrap();
+        let interp = make_backend(BackendKind::Interp, &prog);
+        let native = make_backend(BackendKind::Native, &prog);
+        for (i, feed) in case.feeds.iter().enumerate() {
+            let outcome = |backend: &dyn KernelBackend| {
+                let mut io = feed.io();
+                match backend.run_capped(&mut io, 1_000_000) {
+                    Ok(stats) => Ok((io.stdout, stats)),
+                    Err(e) => Err(e.to_string()),
+                }
+            };
+            assert_eq!(
+                outcome(&*native),
+                outcome(&*interp),
+                "`{name}` diverged on input {i}:\n{}",
+                case.src
+            );
+        }
+    }
 }

@@ -445,3 +445,20 @@ fn generated_programs_agree_at_sampled_budgets() {
         });
     }
 }
+
+// `fused_counts` is `edge_cases`' check.
+#[allow(dead_code)]
+#[path = "fixtures/fused_io.rs"]
+mod fused_io;
+
+#[test]
+fn fused_io_sites_agree_at_every_budget() {
+    // A fused site is one instruction in its fast block; its exact twin
+    // keeps every operand's `Tick` and check, so the step limit still
+    // lands where the interpreter's does.
+    for case in fused_io::CASES {
+        for feed in case.feeds {
+            sweep(case.name, case.src, &|| feed.io());
+        }
+    }
+}

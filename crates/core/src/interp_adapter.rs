@@ -14,6 +14,7 @@ use hetero_cc::backend::{make_backend, BackendKind, KernelBackend};
 use hetero_cc::interp::{InterpStats, StreamIo};
 use hetero_cc::{CcError, Compiled};
 use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
+use std::cell::Cell;
 
 /// A kernel backend over one annotated C program, usable as the
 /// runtime's [`Mapper`] (when the program's `main` has the Listing 1
@@ -22,6 +23,13 @@ use hetero_runtime::types::{Combiner, Emit, Mapper, OpCount};
 /// its first input read — and every record or run resumes from there.
 pub struct CompiledKernel {
     backend: Box<dyn KernelBackend>,
+}
+
+thread_local! {
+    /// This thread's kernel I/O, refilled run after run (taken and put
+    /// back, like the bytecode engine's spare storage), so a run
+    /// allocates neither its input nor its output afresh.
+    static IO: Cell<Option<StreamIo>> = const { Cell::new(None) };
 }
 
 impl CompiledKernel {
@@ -36,21 +44,25 @@ impl CompiledKernel {
             backend: make_backend(kind, &compiled.program),
         }
     }
+
+    /// Run the kernel on this thread's I/O, filled by `fill`, and hand
+    /// its cost and emitted pairs to `out`.
+    fn run_into(&self, fill: impl FnOnce(&mut StreamIo), out: &mut dyn Emit) {
+        let mut io = IO.take().unwrap_or_else(|| StreamIo::lines(Vec::new()));
+        fill(&mut io);
+        // A runtime error in user code drops the input (Hadoop Streaming
+        // would fail the task; task-level failure is exercised
+        // separately).
+        if let Ok(stats) = self.backend.run(&mut io) {
+            emit_run(&stats, &io, out);
+        }
+        IO.set(Some(io));
+    }
 }
 
 impl Mapper for CompiledKernel {
     fn map(&self, record: &[u8], out: &mut dyn Emit) {
-        // One copy of the record, with room for the `\n` and NUL that
-        // `getline` appends to the buffer it takes over.
-        let mut line = Vec::with_capacity(record.len() + 2);
-        line.extend_from_slice(record);
-        let mut io = StreamIo::lines(vec![line]);
-        // A runtime error in user code drops the record (Hadoop
-        // Streaming would fail the task; task-level failure is
-        // exercised separately).
-        if let Ok(stats) = self.backend.run(&mut io) {
-            emit_run(&stats, &io, out);
-        }
+        self.run_into(|io| io.refill_line(record), out);
     }
 }
 
@@ -71,10 +83,7 @@ impl Combiner for CompiledKernel {
         let pairs = run
             .iter()
             .map(|&(k, v)| (k, hetero_runtime::types::trim_key(v)));
-        let mut io = StreamIo::kv_pairs(pairs);
-        if let Ok(stats) = self.backend.run(&mut io) {
-            emit_run(&stats, &io, out);
-        }
+        self.run_into(|io| io.refill_kv_pairs(pairs), out);
     }
 }
 

@@ -27,7 +27,7 @@ mod topology;
 
 pub use checksum::crc32;
 pub use error::HdfsError;
-pub use namenode::{BlockId, FileSplit, Hdfs};
+pub use namenode::{BlockId, FileSplit, Hdfs, HdfsHealth};
 pub use topology::{Locality, NodeId, RackId, Topology};
 
 #[cfg(test)]

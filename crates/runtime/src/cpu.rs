@@ -7,6 +7,7 @@
 //! model charges per abstract operation and per byte so that GPU:CPU
 //! single-task speedups land in the paper's reported bands (Fig. 5).
 
+use crate::sort::{key_head, sort_by_key_head};
 use crate::task::{TaskBreakdown, TaskEnv};
 use crate::types::{default_partition, Combiner, Emit, Mapper, OpCount, VecEmit};
 
@@ -131,12 +132,31 @@ pub fn run_cpu_task(
     // Hadoop spills map output to local disk before sorting — a cost
     // the GPU path avoids by keeping KV pairs in device memory.
     let mut sort_time = emitted_bytes as f64 * (1.0 / env.write_bw + model.byte_s);
+    // Each partition sorts by integer key heads. The three buffers serve
+    // every partition in turn and are gone before the combine phase.
+    let (mut heads, mut order, mut sorted) = (Vec::new(), Vec::new(), Vec::new());
     for part in &mut partitions {
         let n = part.len().max(1) as f64;
         let avg_key: f64 = part.iter().map(|&i| em.key(i).len() as f64).sum::<f64>() / n;
-        part.sort_by_key(|&i| em.key(i));
+        // Arena keys are not padded: two keys share a head only when one
+        // is longer than 16 bytes or ends in NUL.
+        let mut refine = false;
+        heads.clear();
+        heads.extend(part.iter().map(|&i| {
+            let key = em.key(i);
+            refine |= key.len() > 16 || key.last() == Some(&0);
+            key_head(key)
+        }));
+        let len = u32::try_from(part.len()).expect("a partition holds under 2^32 pairs");
+        order.clear();
+        order.extend(0..len);
+        sort_by_key_head(&mut order, &heads, refine, |at| em.key(part[at as usize]));
+        sorted.clear();
+        sorted.extend(order.iter().map(|&at| part[at as usize]));
+        std::mem::swap(part, &mut sorted);
         sort_time += n * n.log2().max(1.0) * avg_key.max(1.0) * model.sort_cmp_byte_s;
     }
+    drop((heads, order, sorted));
     bd.sort_s = sort_time;
 
     // --- Combine phase. ---

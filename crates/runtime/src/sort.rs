@@ -29,43 +29,62 @@ fn cmp_bytes(key_len: usize) -> u64 {
     key_len.clamp(1, 12) as u64
 }
 
+/// The first 16 bytes of `key`, zero-padded, read as a big-endian
+/// integer: integers order as the heads' bytes do.
+pub(crate) fn key_head(key: &[u8]) -> u128 {
+    // A fixed 16-byte read when the key has one: no `memcpy`.
+    let head = key.first_chunk().copied().unwrap_or_else(|| {
+        let mut head = [0u8; 16];
+        head[..key.len()].copy_from_slice(key);
+        head
+    });
+    u128::from_be_bytes(head)
+}
+
+/// The workspace's one integer-key sort: stably sort `order` (positions
+/// into `heads`, where `heads[at]` is [`key_head`] of `key(at)`) by
+/// `heads[at]`, then, when `refine`, each run of equal heads stably by
+/// the whole `key(at)`. Heads alone give the key-byte order when no two
+/// different keys share one: every key a zero-padded slot no longer than
+/// 16 bytes, or every key at most 16 bytes and none ending in NUL.
+pub(crate) fn sort_by_key_head<'k>(
+    order: &mut [u32],
+    heads: &[u128],
+    refine: bool,
+    key: impl Fn(u32) -> &'k [u8],
+) {
+    order.sort_by_key(|&at| heads[at as usize]);
+    if refine {
+        for run in order.chunk_by_mut(|a, b| heads[*a as usize] == heads[*b as usize]) {
+            if run.len() > 1 {
+                run.sort_by(|a, b| key(*a).cmp(key(*b)));
+            }
+        }
+    }
+}
+
 /// The functional result: `indices` stably sorted by key bytes, whitespace
 /// (`u32::MAX`) last.
 ///
-/// Each entry's first `min(16, key_len)` slot bytes, zero-padded and read
-/// as a big-endian `u128`, are read once into a dense array; the live
-/// entries' positions are sorted stably by it, and the whitespace is
-/// appended. When every key fits 16 bytes (`longest_key ≤ 16`) that
-/// integer is the whole key: every slot byte past `longest_key` is 0, so
-/// no comparison reads the store. Longer keys then re-sort each run of
-/// equal integers stably by the full slot, which makes the whole order a
-/// stable sort by slot bytes.
+/// Each entry's slot is read once for its [`key_head`]; the live
+/// entries' positions are sorted by [`sort_by_key_head`], and the
+/// whitespace is appended. Slots are zero-padded, so the heads are the
+/// whole keys when every key fits 16 bytes (`longest_key ≤ 16`) and no
+/// comparison reads the store; longer keys refine runs of equal heads by
+/// the full slot.
 fn key_order(store: &KvStore, indices: &[u32]) -> Vec<u32> {
-    let keys: Vec<u128> = indices
+    let heads: Vec<u128> = indices
         .iter()
-        .map(|&i| {
-            if i == u32::MAX {
-                return 0;
-            }
-            // A fixed 16-byte read when the slot has one: no `memcpy`.
-            let key = store.key(i as usize);
-            let head = key.first_chunk().copied().unwrap_or_else(|| {
-                let mut head = [0u8; 16];
-                head[..key.len()].copy_from_slice(key);
-                head
-            });
-            u128::from_be_bytes(head)
+        .map(|&i| match i {
+            u32::MAX => 0,
+            i => key_head(store.key(i as usize)),
         })
         .collect();
     let mut order: Vec<u32> = (0..indices.len() as u32).collect();
     order.retain(|&at| indices[at as usize] != u32::MAX);
-    order.sort_by_key(|&at| keys[at as usize]);
-    if store.longest_key > 16 {
-        let slot = |at: &u32| store.key(indices[*at as usize] as usize);
-        for run in order.chunk_by_mut(|a, b| keys[*a as usize] == keys[*b as usize]) {
-            run.sort_by(|a, b| slot(a).cmp(slot(b)));
-        }
-    }
+    sort_by_key_head(&mut order, &heads, store.longest_key > 16, |at| {
+        store.key(indices[at as usize] as usize)
+    });
     for at in &mut order {
         *at = indices[*at as usize];
     }

@@ -1,16 +1,19 @@
-//! Property-based invariants of the GPU runtime primitives: the
-//! indirection sort, the Blelloch scan, and fixed-slot key trimming.
+//! Property-based invariants of the GPU runtime primitives (the
+//! indirection sort, the Blelloch scan, fixed-slot key trimming) and of
+//! the CPU task's partition sort.
 //! Random inputs, algebraic postconditions — the serial reference
 //! implementations are the oracle.
 
 use hetero_gpusim::{Device, GpuSpec};
+use hetero_runtime::cpu::{run_cpu_task, CpuCostModel};
 use hetero_runtime::kvstore::KvStore;
 use hetero_runtime::map_kernel::{run_map, MapConfig};
 use hetero_runtime::opts::OptFlags;
 use hetero_runtime::record::Record;
 use hetero_runtime::scan::exclusive_scan;
 use hetero_runtime::sort::sort_partition;
-use hetero_runtime::types::{trim_key, Emit, Mapper};
+use hetero_runtime::task::TaskEnv;
+use hetero_runtime::types::{default_partition, trim_key, Emit, Mapper};
 use proptest::prelude::*;
 
 /// Store the keys one per slot and return the live indirection array.
@@ -29,6 +32,17 @@ impl Mapper for KeysMapper<'_> {
     fn map(&self, record: &[u8], out: &mut dyn Emit) {
         let i: usize = std::str::from_utf8(record).unwrap().parse().unwrap();
         assert!(out.emit(&self.0[i], b"1"));
+    }
+}
+
+/// Emits `(keys[i], i)` for the record whose text is `i`: the value
+/// names the pair's place in emission order.
+struct NumberedKeysMapper<'a>(&'a [Vec<u8>]);
+
+impl Mapper for NumberedKeysMapper<'_> {
+    fn map(&self, record: &[u8], out: &mut dyn Emit) {
+        let i: usize = std::str::from_utf8(record).unwrap().parse().unwrap();
+        assert!(out.emit(&self.0[i], i.to_string().as_bytes()));
     }
 }
 
@@ -158,6 +172,60 @@ proptest! {
             });
             prop_assert_eq!(sort_partition(&dev, store, &idx).unwrap().order, want);
         }
+    }
+
+    /// A CPU task's partitions are its pairs, partitioned by key hash and
+    /// stably sorted by whole key bytes (`sort_by_key` over the pairs in
+    /// emission order). Keys of 0–40 bytes are built to collide on the
+    /// 16-byte integer head: a shared 16-byte head, all-`0xFF` keys and
+    /// `0xFF` heads, interior and trailing NULs, and duplicates, whose
+    /// values (emission numbers) check stability. Few tails (one or two
+    /// symbols, repeated) make many keys prefixes of one another.
+    #[test]
+    fn cpu_task_partitions_are_the_stable_key_sort(
+        draws in proptest::collection::vec(
+            (0usize..=40, 0u8..4, proptest::collection::vec(0u8..4, 1..3)),
+            0..80,
+        ),
+        reducers in 1u32..4,
+        short in proptest::any::<bool>(),
+    ) {
+        const ALPHABET: [u8; 4] = [b'a', b'b', 0, 0xFF];
+        // Half the tasks see no key past 16 bytes: nothing but a NUL tail
+        // can then make two different keys share a head.
+        let most = if short { 16 } else { 40 };
+        let keys: Vec<Vec<u8>> = draws
+            .iter()
+            .map(|(len, kind, tail)| {
+                let len = len % (most + 1);
+                let head: &[u8] = match kind {
+                    0 => b"sameeigh-16bytes",
+                    1 => &[0xFF; 40],
+                    2 => &[0xFF; 8],
+                    _ => b"",
+                };
+                let tail = tail.iter().map(|&c| ALPHABET[c as usize]);
+                head.iter().copied().chain(tail.cycle()).take(len).collect()
+            })
+            .collect();
+        let split: Vec<u8> = (0..keys.len()).flat_map(|i| format!("{i}\n").into_bytes()).collect();
+        let got = run_cpu_task(
+            &TaskEnv::in_memory(),
+            &CpuCostModel::default(),
+            &split,
+            &NumberedKeysMapper(&keys),
+            None,
+            reducers,
+            false,
+        );
+        let mut want = vec![Vec::new(); reducers as usize];
+        for (i, key) in keys.iter().enumerate() {
+            want[default_partition(key, reducers) as usize].push((key.clone(), i.to_string().into_bytes()));
+        }
+        for part in &mut want {
+            part.sort_by_key(|(k, _)| k.clone());
+        }
+        prop_assert_eq!(got.partitions, want);
     }
 
     /// The device scan agrees with the one-line serial prefix sum.

@@ -13,6 +13,9 @@ if [ -n "${HETERO_THREADS+set}" ] && ! [[ "$HETERO_THREADS" =~ ^[1-9][0-9]*$ ]];
     exit 2
 fi
 
+echo "== bash -n scripts/ab.sh (the layout-robust A/B parses)"
+bash -n scripts/ab.sh
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
