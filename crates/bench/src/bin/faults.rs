@@ -212,8 +212,10 @@ fn main() {
     );
 
     // 6. Fault model v2 — master outage: crash the JobTracker across the
-    //    job and measure the recovery overhead (journal replay +
-    //    re-registration + deferred-report drain vs the clean run).
+    //    job and measure the recovery overhead (re-registration +
+    //    deferred-report drain vs the clean run). "replayed" is every
+    //    journal record written from the start to the recovery
+    //    (`jobtracker_recoveries[0].1`), so it grows with the crash point.
     println!("\nJobTracker crash-recovery — overhead vs crash point (GpuFirst)");
     println!(
         "{:<14}{:>14}{:>14}{:>12}",

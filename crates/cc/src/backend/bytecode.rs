@@ -261,9 +261,9 @@ pub(crate) struct Func {
     pub end: usize,
 }
 
-/// Size of a lowered program, for run reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoweringCounts {
+/// Size of a lowered program: the header of [`Bytecode::disasm`].
+#[derive(Default)]
+pub(crate) struct LoweringCounts {
     /// Instructions in fast blocks (exact twins excluded).
     pub insns: usize,
     /// Basic blocks.

@@ -40,7 +40,6 @@ mod bytecode;
 mod lower;
 mod vm;
 
-pub use bytecode::LoweringCounts;
 #[cfg(feature = "dispatch-count")]
 pub use vm::dispatches;
 
@@ -187,11 +186,6 @@ impl NativeBackend {
     /// the constant pool and side tables.
     pub fn disasm(&self) -> String {
         self.code.disasm()
-    }
-
-    /// Size of the lowered program and its number of guarded sites.
-    pub fn lowering_counts(&self) -> LoweringCounts {
-        self.code.counts()
     }
 }
 

@@ -4,7 +4,10 @@
 //! expiry heap, the speculation pool, and the `usable_nodes` /
 //! `cluster_live_gpus` / `node_attempts` / `node_winners` aggregates —
 //! against a ground-truth recomputation from the attempt/task/node
-//! tables.
+//! tables. At each JobTracker recovery it also checks that the master's
+//! logical state (maps and reduces done, charged failures, blacklisted
+//! trackers) is what it was at the crash, since recovery keeps that
+//! state instead of rebuilding it.
 //!
 //! The per-event hook is compiled only under `debug_assertions` or the
 //! `audit` cargo feature, so release benches pay nothing. The `audit`

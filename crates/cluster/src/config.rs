@@ -42,10 +42,13 @@ pub struct FaultPlan {
     /// Times at which the JobTracker crash-stops. While down no
     /// heartbeat is answered, no expiry fires, and TaskTracker reports
     /// (map/reduce completions, failures, GPU faults) are buffered on
-    /// the trackers. [`ClusterConfig::jobtracker_recovery_s`] later, the
-    /// master restarts, rebuilds its state from snapshot + journal
-    /// replay, re-registers every alive tracker, and drains the buffered
-    /// reports in their original order.
+    /// the trackers, so its logical state (finished maps and reduces,
+    /// failure charges, the blacklist) cannot change and survives the
+    /// restart as it was. [`ClusterConfig::jobtracker_recovery_s`]
+    /// later, the master restarts, re-registers every alive, reachable
+    /// tracker (leases, slot occupancy, the pending queue, speedup
+    /// samples), and drains the buffered reports in their original
+    /// order.
     pub jobtracker_crashes: Vec<f64>,
     /// `(rack, time_s)`: every node of the rack crash-stops at `time_s`
     /// — correlated failure (rack power loss). Expanded into per-node
@@ -323,7 +326,7 @@ pub struct ClusterConfig {
     /// (`mapred.tasktracker.expiry.interval`).
     pub heartbeat_timeout_s: f64,
     /// Seconds a crashed JobTracker stays down before it restarts and
-    /// recovers from snapshot + journal replay.
+    /// re-registers its trackers.
     pub jobtracker_recovery_s: f64,
     /// Injected faults (empty = perfect cluster).
     pub faults: FaultPlan,

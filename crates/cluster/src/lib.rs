@@ -16,7 +16,6 @@ pub mod audit;
 pub mod config;
 mod index;
 pub mod job;
-pub mod journal;
 pub mod parallel;
 mod queue;
 pub mod reference;
@@ -26,7 +25,6 @@ pub mod stats;
 
 pub use config::{ClusterConfig, ConfigError, FaultPlan, FaultPlanError, Scheduler};
 pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
-pub use journal::{Journal, JtRecord, RecoveredState};
 pub use parallel::ParallelRunner;
 pub use reference::{simulate_reference, simulate_reference_traced};
 pub use service::{

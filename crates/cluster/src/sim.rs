@@ -50,7 +50,6 @@
 use crate::config::{ClusterConfig, Scheduler};
 use crate::index::Indexed;
 use crate::job::JobSpec;
-use crate::journal::{Journal, JtRecord};
 use crate::queue::{Entry, EventQueue};
 use crate::stats::{Device, JobStats, Outcome};
 use hetero_hdfs::{Locality, NodeId, Topology};
@@ -80,7 +79,8 @@ enum Event {
     },
     /// The master crash-stops (`FaultPlan::jobtracker_crashes`).
     JobTrackerCrash,
-    /// The master restarts and recovers from snapshot + journal replay.
+    /// The master restarts: trackers re-register and the buffered
+    /// reports drain.
     JobTrackerRecover,
 }
 
@@ -124,6 +124,11 @@ pub(crate) struct Attempt {
 
 /// End of a task's attempt chain.
 const NO_ATTEMPT: u32 = u32::MAX;
+
+/// Records a write-ahead journal of the master's transitions would
+/// compact into one snapshot; [`JobStats::journal_snapshots`] is
+/// `journal_records / JOURNAL_SNAPSHOT_EVERY`.
+const JOURNAL_SNAPSHOT_EVERY: u64 = 256;
 
 /// An attempt or stats-record index as the slab stores it.
 fn slab_index(i: usize) -> u32 {
@@ -417,9 +422,10 @@ struct Sim<'a, I> {
     /// faults) that arrived while the master was down, in their original
     /// `(time, seq)` order; drained at recovery.
     deferred: Vec<Event>,
-    /// The master's write-ahead journal (snapshot + tail); recovery
-    /// replays it instead of trusting any live bookkeeping.
-    journal: Journal,
+    /// [`Sim::logical_digest`] when the master last crashed; recovery
+    /// audits that the outage left it unchanged.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    crash_digest: [u64; 4],
     /// Per-node heartbeat counter — the identity the loss/jitter dice
     /// are drawn from.
     hb_beat: Vec<u64>,
@@ -495,7 +501,8 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             planned_crashes: 0,
             jt_down: false,
             deferred: Vec::new(),
-            journal: Journal::new(job.maps.len(), cfg.num_slaves as usize, job.reduces.len()),
+            #[cfg(any(debug_assertions, feature = "audit"))]
+            crash_digest: [0; 4],
             hb_beat: vec![0; cfg.num_slaves as usize],
             silencing_faults: !cfg.faults.partitions.is_empty()
                 || cfg.faults.heartbeat_loss_p > 0.0
@@ -686,8 +693,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         self.stats.makespan_s = self.now;
         self.stats.map_phase_s = self.last_map_done_t;
         self.stats.max_speedup_seen = self.max_speedup;
-        self.stats.journal_records = self.journal.records_written();
-        self.stats.journal_snapshots = self.journal.snapshots_taken();
+        self.stats.journal_snapshots = self.stats.journal_records / JOURNAL_SNAPSHOT_EVERY;
         // A faulted run outgrows the exact reservation and doubles; the
         // record outlives the run (the service keeps one per job), so it
         // must not keep the slack.
@@ -821,7 +827,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         self.t.nodes[ni].gpu_queue.clear();
         self.ix.node_readmitted(&self.t, n);
         self.stats.nodes_readmitted += 1;
-        self.journal.append(JtRecord::NodeReadmitted { node: n });
+        self.stats.journal_records += 1;
         self.trace_jt_instant(
             Category::Recovery,
             format!("node {n} re-admitted"),
@@ -837,6 +843,10 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         }
         self.jt_down = true;
         self.stats.jobtracker_crashes_seen += 1;
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        {
+            self.crash_digest = self.logical_digest();
+        }
         self.trace_jt_instant(Category::Fault, "jobtracker crash".to_string(), vec![]);
         self.events.push(
             self.now + self.t.cfg.jobtracker_recovery_s,
@@ -844,36 +854,39 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         );
     }
 
-    /// The master restarts: every scrap of JT-logical state is discarded
-    /// and rebuilt from (a) the journal replay — which tasks are done and
-    /// where, per-task charges, the blacklist, finished reduces — and
-    /// (b) the re-registration heartbeats of the trackers that can reach
-    /// it, which re-report node health, running attempts, slot occupancy,
-    /// and speedup samples. Trackers that are crashed or partitioned do
-    /// not re-register; their assigned work stays on the books until the
+    /// The master restarts. Its logical state — which maps are done and
+    /// where, per-task charges, the blacklist, finished reduces — is the
+    /// durable part (Hadoop 1.x's `mapred.jobtracker.restart.recover`
+    /// reads it back from the job history) and is exactly what it was at
+    /// the crash: while the master is down no report is handled, no
+    /// expiry fires and no heartbeat is answered, so nothing logical
+    /// moves (audited builds check this). What a restart loses is
+    /// re-learned from the re-registration heartbeats of the trackers
+    /// that can reach it: leases, running attempts, slot occupancy, and
+    /// speedup samples. Trackers that are crashed or partitioned do not
+    /// re-register; their assigned work stays on the books until the
     /// re-armed expiry path declares them dead, exactly as for a live
     /// master. Buffered TaskTracker reports are then drained in their
     /// original order (stale ones fall to the normal staleness guards).
     fn jobtracker_recover(&mut self) {
-        let rec = self.journal.replay();
-        let replayed = self.journal.records_written();
-
-        // (a) Journal-derived task/reduce/blacklist state.
-        self.maps_done = 0;
-        for (t, ts) in self.t.tasks.iter_mut().enumerate() {
-            ts.winner_node = rec.winner[t];
-            ts.done = rec.winner[t].is_some();
-            ts.failed_count = rec.failed_count[t];
-            if ts.done {
-                self.maps_done += 1;
-            }
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        if crate::audit::enabled() {
+            let digest = self.logical_digest();
+            crate::audit::check(
+                digest == self.crash_digest,
+                &format!("at jobtracker recovery @ t={}", self.now),
+                || {
+                    format!(
+                        "logical state [maps done, reduces done, charged failures, \
+                         blacklisted] moved during the outage: {:?} at the crash, {digest:?} now",
+                        self.crash_digest
+                    )
+                },
+            );
         }
-        self.reduces_done = rec.reduces_done.iter().filter(|&&d| d).count();
-        for (n, nd) in self.t.nodes.iter_mut().enumerate() {
-            nd.dead_declared = rec.blacklisted[n];
-        }
+        let records = self.stats.journal_records;
 
-        // (b) Re-registration: alive, reachable trackers report in now;
+        // Re-registration: alive, reachable trackers report in now;
         // silent ones keep their stale heartbeat and face expiry.
         for n in 0..self.t.cfg.num_slaves {
             if self.t.nodes[n as usize].alive && !self.partitioned(n) {
@@ -900,7 +913,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         // Unfinished reduces not currently holding a slot, likewise.
         let running: HashSet<u32> = self.t.running_reduces.iter().map(|rr| rr.task).collect();
         self.pending_reduces = (0..self.t.job.reduces.len() as u32)
-            .filter(|&r| !rec.reduces_done[r as usize] && !running.contains(&r))
+            .filter(|&r| !self.stats.reduce_done(r) && !running.contains(&r))
             .collect();
 
         // The speedup census, from the re-registration reports.
@@ -912,12 +925,12 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
             }
         }
 
-        self.stats.jobtracker_recoveries.push((self.now, replayed));
+        self.stats.jobtracker_recoveries.push((self.now, records));
         self.trace_jt_instant(
             Category::Recovery,
             "jobtracker recovered".to_string(),
             vec![
-                ("journal_records", ArgValue::from(replayed)),
+                ("journal_records", ArgValue::from(records)),
                 ("deferred_reports", ArgValue::from(self.deferred.len())),
             ],
         );
@@ -1077,8 +1090,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         let rec = self
             .stats
             .start_attempt(task, attempt_no, n, device, speculative, self.now);
-        self.journal
-            .append(JtRecord::AttemptStarted { task, node: n });
+        self.stats.journal_records += 1;
         if speculative {
             self.stats.speculative_attempts += 1;
         }
@@ -1184,8 +1196,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         self.end_attempt(aidx, AttemptState::Succeeded, Outcome::Success);
         self.t.tasks[task as usize].done = true;
         self.t.tasks[task as usize].winner_node = Some(n);
-        self.journal
-            .append(JtRecord::TaskCompleted { task, node: n });
+        self.stats.journal_records += 1;
         self.ix.task_won(task, n);
         self.maps_done += 1;
         self.last_map_done_t = self.now;
@@ -1259,8 +1270,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         // faults (GPU death, node loss) do not — Hadoop charges those to
         // the tracker (blacklisting), not the task.
         let charged = matches!(outcome, Outcome::TransientFail | Outcome::ChecksumFail);
-        self.journal
-            .append(JtRecord::AttemptFailed { task, charged });
+        self.stats.journal_records += 1;
         if charged {
             self.t.tasks[ti].failed_count += 1;
             if self.t.tasks[ti].failed_count >= self.t.cfg.max_attempts {
@@ -1358,7 +1368,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         let ni = n as usize;
         self.t.nodes[ni].dead_declared = true;
         self.ix.node_declared_dead(&self.t, n);
-        self.journal.append(JtRecord::NodeDeclaredDead { node: n });
+        self.stats.journal_records += 1;
         self.stats.nodes_lost += 1;
         self.stats.node_loss_detected.push((n, self.now));
         self.trace_jt_instant(
@@ -1386,7 +1396,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
                 debug_assert_eq!((ts.done, ts.winner_node), (true, Some(n)));
                 ts.done = false;
                 ts.winner_node = None;
-                self.journal.append(JtRecord::TaskInvalidated { task: id });
+                self.stats.journal_records += 1;
                 self.maps_done -= 1;
                 self.stats.re_executed += 1;
                 if !self.ix.is_pending(id) {
@@ -1472,7 +1482,7 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
         }
         if self.stats.mark_reduce_done(task, self.now) {
             self.reduces_done += 1;
-            self.journal.append(JtRecord::ReduceCompleted { task });
+            self.stats.journal_records += 1;
             // Release the slot this reduce held (and drop its entry —
             // it no longer needs rescheduling or rescue).
             if let Some(i) = self
@@ -1585,6 +1595,21 @@ impl<'a, I: SchedIndex> Sim<'a, I> {
     }
 
     // ------------------------------------------------------------ audit
+
+    /// The master's logical state in four numbers: maps done, reduces
+    /// done, charged failures, blacklisted trackers. Recovery keeps that
+    /// state rather than rebuilding it, which is sound only because an
+    /// outage leaves it alone; `jobtracker_crash` records the digest and
+    /// `jobtracker_recover` checks it.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    fn logical_digest(&self) -> [u64; 4] {
+        [
+            self.maps_done as u64,
+            self.reduces_done as u64,
+            self.t.tasks.iter().map(|t| u64::from(t.failed_count)).sum(),
+            self.t.nodes.iter().filter(|n| n.dead_declared).count() as u64,
+        ]
+    }
 
     /// Called after each DES event in audited builds: check the core's
     /// own counters against its tables, then let the index cross-check

@@ -109,16 +109,23 @@ pub struct JobStats {
     pub reduce_attempts_lost: u32,
     /// JobTracker crash-stops taken (master failures, not node failures).
     pub jobtracker_crashes_seen: u32,
-    /// `(recovered_at_s, journal_records_replayed)` per master recovery.
+    /// `(recovered_at_s, journal_records)` per master recovery: the
+    /// second element is every journal record written from the start of
+    /// the run to the recovery ([`JobStats::journal_records`] then).
     pub jobtracker_recoveries: Vec<(f64, u64)>,
     /// Falsely-expired trackers re-admitted after a partition healed.
     pub nodes_readmitted: u32,
     /// Heartbeats that never reached the JobTracker (partition window or
     /// the per-beat loss die).
     pub heartbeats_lost: u32,
-    /// Total records the master journaled over the run.
+    /// The master's state transitions over the run — attempts granted,
+    /// maps completed, attempt failures (charged or not), completed maps
+    /// invalidated, trackers declared dead and re-admitted, reduces
+    /// completed: one record each in a write-ahead journal of the master.
+    /// The simulator counts them and keeps no log.
     pub journal_records: u64,
-    /// Journal snapshot compactions taken over the run.
+    /// `journal_records / 256`: the snapshots a journal that compacts
+    /// every 256 records would have taken.
     pub journal_snapshots: u64,
     /// Whether the job aborted (a task exhausted `max_attempts`, or no
     /// live node remained to finish the work).

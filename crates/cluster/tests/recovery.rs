@@ -1,15 +1,17 @@
 //! JobTracker crash-recovery acceptance tests: the master may crash at
 //! *any* injected point of a run (≥20 seeds sweeping the whole makespan,
 //! on the paper's Fig. 3 and Fig. 4 cluster shapes) and the job must
-//! still complete — no lost task, completed maps preserved across the
-//! outage, deterministic schedules, zero invariant-audit violations, and
-//! bit-identical agreement between the indexed scheduler and the
-//! scan-based reference.
+//! still complete — no lost task, completed maps, failure charges and
+//! the blacklist preserved across the outage, deterministic schedules,
+//! zero invariant-audit violations, and bit-identical agreement between
+//! the indexed scheduler and the scan-based reference.
 //!
 //! The per-event invariant auditor stays at its default (enabled in
 //! debug/test builds), so every one of these runs is also a full
 //! cross-check of the incremental scheduler state through crash,
-//! deferral, replay, and re-registration.
+//! deferral, re-registration and the drain of buffered reports, and
+//! of the master's logical state being the same at recovery as at the
+//! crash.
 
 use hetero_cluster::{
     audit, simulate, simulate_reference, ClusterConfig, FaultPlan, JobSpec, JobStats, Outcome,
@@ -115,7 +117,7 @@ fn jt_crash_recovers_at_any_point() {
     assert_eq!(audit::violations(), 0, "invariant auditor saw violations");
 }
 
-/// Maps finished before the outage are preserved by the journal replay:
+/// Maps finished before the outage are kept by the restarted master:
 /// a JT crash alone (no node loss) never re-executes a completed map,
 /// and every map still runs exactly one successful attempt.
 #[test]
@@ -181,7 +183,7 @@ fn repeated_master_crashes_complete() {
 }
 
 /// A master crash overlapping a node crash and a partition window: the
-/// journal + re-registration protocol must sort out which trackers are
+/// kept blacklist and the re-registration protocol must sort out which trackers are
 /// really gone (the crashed one) and which only look gone (the
 /// partitioned ones, re-admitted after the heal).
 #[test]
@@ -227,5 +229,98 @@ fn recovery_overhead_is_bounded() {
         worst < cfg0.jobtracker_recovery_s + 0.5 * baseline.makespan_s,
         "recovery overhead {worst}s vs baseline {}s",
         baseline.makespan_s
+    );
+}
+
+/// Failure charges survive a master crash: every attempt fails, the
+/// master goes down between a task's first and last charged failure,
+/// and still no task runs more than `max_attempts` failed attempts
+/// before the job aborts.
+#[test]
+fn failure_charges_survive_recovery() {
+    let mut cfg0 = ClusterConfig::small(4, Scheduler::CpuOnly);
+    cfg0.max_attempts = 3;
+    let job = JobSpec::uniform("charges-recovery", 8, 4, 1, 4.0, 1.0);
+    for seed in 0..4u64 {
+        let ctx = format!("seed {seed}");
+        cfg0.faults = FaultPlan::seeded(seed).with_transient_p(1.0);
+        let baseline = simulate(&cfg0, &job);
+        assert!(baseline.aborted, "{ctx}: every attempt fails");
+        let first_failure = baseline
+            .tasks
+            .iter()
+            .filter_map(|r| r.end_s)
+            .fold(f64::INFINITY, f64::min);
+        let crash_t = 0.5 * (first_failure + baseline.makespan_s);
+        let mut cfg = cfg0.clone();
+        cfg.faults = cfg0.faults.clone().with_jobtracker_crash(crash_t);
+        let stats = simulate(&cfg, &job);
+        assert_eq!(stats.jobtracker_recoveries.len(), 1, "{ctx}: no recovery");
+        assert!(stats.aborted, "{ctx}: job did not abort");
+        let failed = |t: u32| {
+            stats
+                .tasks
+                .iter()
+                .filter(move |r| r.id == t && r.outcome == Outcome::TransientFail)
+        };
+        assert!(
+            (0..8).any(|t| failed(t).any(|r| r.end_s.unwrap() <= crash_t)
+                && failed(t).any(|r| r.end_s.unwrap() > crash_t)),
+            "{ctx}: the crash at {crash_t} split no task's failures"
+        );
+        for t in 0..8 {
+            let n = failed(t).count();
+            assert!(
+                n as u32 <= cfg.max_attempts,
+                "{ctx}: task {t} failed {n} times, max_attempts {}",
+                cfg.max_attempts
+            );
+        }
+        assert_same_run(&stats, &simulate_reference(&cfg, &job), &ctx);
+    }
+}
+
+/// The blacklist survives a master crash: a tracker declared dead inside
+/// a partition window that outlasts the outage is not declared dead a
+/// second time, starts no attempt between the recovery and the heal,
+/// and is re-admitted once.
+#[test]
+fn blacklist_survives_recovery() {
+    let (node, heal_t, crash_t) = (5u32, 12.0, 7.5);
+    let mut cfg = fig4_cluster(Scheduler::TailScheduling);
+    cfg.faults = FaultPlan::seeded(5)
+        .with_partition(vec![node], 3.0, heal_t)
+        .with_jobtracker_crash(crash_t);
+    let stats = simulate(&cfg, &fig4_job());
+    assert_no_lost_task(&stats, 480, "partition across an outage");
+    assert_eq!(
+        stats.node_loss_detected.len(),
+        1,
+        "{:?}",
+        stats.node_loss_detected
+    );
+    let (lost, lost_at) = stats.node_loss_detected[0];
+    assert_eq!(lost, node);
+    assert!(
+        lost_at < crash_t,
+        "declared dead at {lost_at}, after the crash"
+    );
+    let (recovered_at, _) = stats.jobtracker_recoveries[0];
+    assert!(
+        recovered_at < heal_t,
+        "recovered at {recovered_at}, after the heal"
+    );
+    assert!(
+        !stats
+            .tasks
+            .iter()
+            .any(|r| r.node == node && r.start_s >= recovered_at && r.start_s < heal_t),
+        "the blacklisted tracker started an attempt before its re-admission"
+    );
+    assert_eq!(stats.nodes_readmitted, 1);
+    assert_same_run(
+        &stats,
+        &simulate_reference(&cfg, &fig4_job()),
+        "partition across an outage",
     );
 }

@@ -156,7 +156,7 @@ mod tests {
 
     /// ISSUE 7 acceptance: a JobTracker crash mid-job recovers and the
     /// final job output is byte-identical to an uninterrupted run — the
-    /// journal replay preserved every completed map and the re-resolved
+    /// restarted master kept every completed map and the re-resolved
     /// in-flight attempts changed scheduling, not data.
     #[test]
     fn jobtracker_crash_preserves_output_bytes() {

@@ -184,11 +184,6 @@ impl<'a> LaneCtx<'a> {
         }
         Ok(())
     }
-
-    /// Cycles this lane has accumulated in the current warp round.
-    pub fn lane_cycles(&self) -> f64 {
-        self.cycles
-    }
 }
 
 /// Identifier of a texture binding created by

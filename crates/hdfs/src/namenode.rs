@@ -109,11 +109,6 @@ impl Hdfs {
         &self.topology
     }
 
-    /// Configured block (fileSplit) size.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
     /// Configured replication factor.
     pub fn replication(&self) -> u32 {
         self.replication

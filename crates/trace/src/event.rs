@@ -18,8 +18,8 @@ pub enum Category {
     Pcie,
     /// An HDFS fileSplit/block read.
     Hdfs,
-    /// Master (JobTracker) recovery: journal replay, re-registration,
-    /// and re-admission of falsely-expired trackers.
+    /// Master (JobTracker) recovery: re-registration and re-admission
+    /// of falsely-expired trackers.
     Recovery,
     /// Network-partition effects (dropped heartbeats, window heals).
     Partition,
